@@ -248,7 +248,12 @@ def _print_stats(prog: UCProgram, result) -> None:
             print("   tier dispatches: none (no remote references)")
         if result.frontier:
             for key in sorted(result.frontier):
-                print(f"   frontier.{key:18s} {result.frontier[key]}")
+                if key == "dense_sweeps":
+                    continue  # reported on the compressed_sweeps line
+                value = str(result.frontier[key])
+                if key == "compressed_sweeps":
+                    value += f" (dense {result.frontier.get('dense_sweeps', 0)})"
+                print(f"   frontier.{key:18s} {value}")
             if result.frontier_trace:
                 shrinks = " ".join(
                     f"{active}/{domain}"

@@ -33,7 +33,11 @@ Correctness is layered as three fallbacks, outermost first:
    ordinary ``exec_stmt`` path; the rest of ``main`` stays in lockstep.
 3. **Lane demotion** — mid-construct, a lane whose frontier session
    elects a compressed sweep leaves the batch: its rows are written
-   back and the lane runs the verbatim solo sweep loop to completion.
+   back and the lane runs the verbatim solo sweep loop to completion
+   (compressed charging differs per lane, so the lanes' clocks can no
+   longer share one table replay).  The solo loop evaluates a dense
+   compressed sweep on the same fused kernel, compute-only — demotion
+   changes who charges, not how fast a high-occupancy sweep computes.
 
 Lanes whose fixed point converges (``*solve``) or whose predicates all
 falsify (``*par``) retire from the batch, shrinking the stacked arrays.
@@ -1009,7 +1013,7 @@ class _BatchConstruct:
             fk = fuse.fused_for(ip, stmt, inner, plans)
             if fk is not fused:
                 raise _BatchAbort()
-            sess = frontier.star_session(ip, stmt, inner, stmt.kind)
+            sess = frontier.star_session(ip, stmt, inner, stmt.kind, plans)
             self.inners.append(inner)
             self.plans.append(plans)
             self.sessions.append(sess)

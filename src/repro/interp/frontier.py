@@ -10,8 +10,10 @@ those masks through the statically extracted affine reference offsets
 (``elem + const``, the same reference shapes
 :mod:`repro.compiler.solve_sched` builds schedules from).  A lane whose
 inputs did not change cannot change, so the sweep runs *compressed*:
-values are evaluated on the active lanes only and the Clock is charged
-at the VP ratio of the active set instead of the full grid.
+the Clock is charged at the VP ratio of the active set instead of the
+full grid.  That is the whole of what the simulated machine sees; how
+the *host* computes the same values is a separate, per-sweep choice
+(see **Evaluation** below).
 
 Correctness strategy — decide-before-execute behind a measured guard:
 
@@ -37,6 +39,18 @@ Correctness strategy — decide-before-execute behind a measured guard:
   recompute exactly their current values, and active lanes run the same
   numpy operator semantics (:func:`repro.interp.eval_expr.apply_binop`,
   ``_reduce_op``, ``_cast_array``) the engines use.
+* **Evaluation** is picked per compressed sweep from what the session
+  already knows.  A sparse active set is evaluated lane by lane through
+  ``plan.lane_gather`` fancy indexing (O(active) data moved, but ~10x
+  the per-slot cost of a strided view).  When the active slots times
+  :data:`_DENSE_COST_RATIO` reach the domain's slots and the construct
+  has a validated fused kernel without unfused segments
+  (:func:`repro.interp.fuse.fused_for`), the sweep instead issues its
+  compressed charge sequence up front and runs the fused register
+  program *compute-only* over the whole grid, deriving the change masks
+  from a before/after diff exactly as a full sweep does.  Same arrays,
+  same masks, same Clock; the choice stands down wherever fusion does
+  (armed faults, sanitizer, tier log, ``REPRO_NO_FUSION``).
 * **Delta reductions**: when a value is exactly ``$<``/``$>`` over one
   index set, the body is monotone in the modified arrays (references
   reachable only through ``+``/``min``/``max``), and last sweep's
@@ -61,7 +75,7 @@ from ..machine.config import HOST_KINDS
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
-from . import commtiers
+from . import commtiers, fuse
 from .eval_expr import _RED_UFUNC, _reduce_op, apply_binop
 from .plan import lane_gather, lane_scatter
 from .values import ArrayVar, ElementBinding, ScalarVar
@@ -82,6 +96,14 @@ _FALLBACK = "frontier-fallback"
 
 #: reduction ops eligible for the delta (changed-slots-only) scan
 _DELTA_OPS = ("min", "max")
+
+#: G — measured host cost of one lane-slot through the sparse evaluator
+#: (per-lane address resolution in ``plan.lane_gather``) relative to one
+#: grid slot through the fused kernel's strided views: ≈ 24 ns against
+#: ≈ 2 ns on the ``apsp_dense`` n=128 sweeps of ``benchmarks/e2e``.  A
+#: compressed sweep is *evaluated* densely when its active slots times G
+#: reach the full domain's slots; what it *charges* never depends on G.
+_DENSE_COST_RATIO = 10
 
 _CALL_CHARGES = {"power2": 1, "abs": 1, "ABS": 1, "fabs": 1, "sqrt": 4, "min": 1, "max": 1}
 
@@ -866,10 +888,14 @@ def _replay(clk, entries: Sequence, st: _ArmState) -> None:
 class StarSession:
     """Per-execution frontier driver for one ``*solve`` / ``*par``."""
 
-    def __init__(self, ip, stmt: ast.UCStmt, inner, kind: str) -> None:
+    def __init__(self, ip, stmt: ast.UCStmt, inner, kind: str, plans=None) -> None:
         self.ip = ip
+        self.stmt = stmt
         self.inner = inner
         self.kind = kind
+        #: the construct's compiled plans (None on the tree-walker): what
+        #: ``fuse.fused_for`` needs to hand out the dense evaluator
+        self.plans = plans
         clock = ip.machine.clock
         clock.count_frontier("constructs")
         an = ip.plan_cache.get_or_build(
@@ -943,9 +969,7 @@ class StarSession:
         clock = self.ip.machine.clock
         self._full_t0 = clock.time_us
         self._full_alloc0 = clock.count("alloc")
-        self._full_snapshot = {
-            name: self.S["arrays"][name].copy() for name in self.an.modified
-        }
+        self._full_snapshot = self._snapshot()
 
     def full_end(self) -> None:
         if not self.active or self._full_t0 is None:
@@ -959,9 +983,21 @@ class StarSession:
             costs.alloc + costs.dispatch
         )
         self.ref_pes = self.ip.machine.n_live_pes
+        self._note_diff(self._full_snapshot)
+        self._full_t0 = None
+        self._full_snapshot = None
+        clock.count_frontier("full_sweeps")
+
+    def _snapshot(self) -> Dict[str, np.ndarray]:
+        return {name: self.S["arrays"][name].copy() for name in self.an.modified}
+
+    def _note_diff(self, snapshot: Dict[str, np.ndarray]) -> bool:
+        """Seed the next sweep's frontier (``prev``/``dirs``/``last_stats``)
+        from a whole-sweep before/after diff; returns whether anything
+        changed."""
         prev: Dict[str, np.ndarray] = {}
         stats: Dict[str, Tuple[int, int]] = {}
-        for name, before in self._full_snapshot.items():
+        for name, before in snapshot.items():
             curr = self.S["arrays"][name]
             changed = before != curr
             prev[name] = changed
@@ -972,9 +1008,7 @@ class StarSession:
             )
         self.prev = prev
         self.last_stats = stats
-        self._full_t0 = None
-        self._full_snapshot = None
-        clock.count_frontier("full_sweeps")
+        return any(n for n, _size in stats.values())
 
     def note_par_masks(self, masks: List[np.ndarray]) -> None:
         if self.active:
@@ -1087,6 +1121,11 @@ class StarSession:
     def _charge_sweep(self, clk, states: List[_ArmState]) -> None:
         """The complete, ordered charge sequence of one compressed sweep —
         replayed identically for the estimate and for the real clock."""
+        self._charge_preds(clk, states)
+        self._charge_bodies(clk, states)
+
+    def _charge_preds(self, clk, states: List[_ArmState]) -> None:
+        """Up to and including a ``*par``'s termination test."""
         full_ratio = self.vps.vp_ratio
         an = self.an
         if self.kind == "solve":
@@ -1097,26 +1136,99 @@ class StarSession:
         if self.kind == "par":
             clk.charge("global_or", vp_ratio=full_ratio)
             clk.charge("host_cm_latency")
-        for arm, st in zip(an.arms, states):
-            if not st.L:
-                continue
-            if arm.red is not None:
-                _replay(clk, arm.red.entries, st)
-                if st.delta_on:
-                    clk.charge("alu", vp_ratio=st.lane_ratio)  # combine with old
-            else:
-                _replay(clk, arm.value_entries, st)
-            _replay(clk, [arm.scatter_entry], st)
+
+    def _charge_bodies(self, clk, states: List[_ArmState]) -> None:
+        """The arm bodies and a ``*solve``'s fixed-point test."""
+        for arm, st in zip(self.an.arms, states):
+            if st.L:
+                self._charge_arm(clk, arm, st)
         if self.kind == "solve":
-            clk.charge("global_or", vp_ratio=full_ratio)
+            clk.charge("global_or", vp_ratio=self.vps.vp_ratio)
             clk.charge("host_cm_latency")
+
+    @staticmethod
+    def _charge_arm(clk, arm: _ArmInfo, st: _ArmState) -> None:
+        if arm.red is not None:
+            _replay(clk, arm.red.entries, st)
+            if st.delta_on:
+                clk.charge("alu", vp_ratio=st.lane_ratio)  # combine with old
+        else:
+            _replay(clk, arm.value_entries, st)
+        _replay(clk, [arm.scatter_entry], st)
 
     # -- compressed execution ---------------------------------------------
 
     def run_compressed(self, states: List[_ArmState]) -> bool:
         """One compressed sweep.  For ``*solve``: returns whether anything
         changed.  For ``*par``: returns whether any arm predicate held
-        (False = the construct terminates, bodies skipped)."""
+        (False = the construct terminates, bodies skipped).
+
+        What the sweep *charges* is fixed by ``states``; how the host
+        *evaluates* it is chosen here: the fused kernel over the whole
+        grid when the active set is nearly all of it, the active lanes
+        alone otherwise.  Both leave identical arrays, change masks and
+        Clock."""
+        fused = self._dense_kernel(states)
+        if fused is not None:
+            return self._run_dense(states, fused)
+        return self._run_lanes(states)
+
+    def _trace(self, states: List[_ArmState], *, dense: bool) -> None:
+        arms = max(1, len(self.an.arms)) if self.kind == "par" else 1
+        self.ip.machine.clock.trace_frontier(
+            sum(st.L for st in states), self.domain * arms, dense=dense
+        )
+
+    def _dense_kernel(self, states: List[_ArmState]):
+        """The construct's fused kernel when evaluating the whole grid
+        through it is cheaper than resolving the active lanes one by one
+        (active slots x G >= domain slots), else None.  ``fused_for``
+        stands down under armed faults, the sanitizer, the tier log and
+        ``fusion=False``, so those runs keep the lane path."""
+        an = self.an
+        if self.plans is None:
+            return None
+        if len(an.modified) != len(an.arms):
+            # two arms write one array: a slot written twice has a
+            # per-write change mask the net before/after diff cannot give
+            return None
+        active = full = 0
+        for arm, st in zip(an.arms, states):
+            extent = arm.red.extent if arm.red is not None else 1
+            active += st.L * st.scan_extent(extent)
+            full += self.domain * extent
+        if active * _DENSE_COST_RATIO < full:
+            return None
+        fused = fuse.fused_for(self.ip, self.stmt, self.inner, self.plans)
+        if fused is None or fused.unfused_count:
+            return None  # an unfused segment would charge the full grid
+        return fused
+
+    def _run_dense(self, states: List[_ArmState], fused) -> bool:
+        """Charge the compressed sweep, then evaluate it compute-only on
+        the fused kernel.  Inactive lanes recompute their current values,
+        so the before/after diff is exactly the active lanes' changes."""
+        ip, inner = self.ip, self.inner
+        clock = ip.machine.clock
+        before = self._snapshot()
+        self._charge_preds(clock, states)
+        sweep = fused.begin_sweep(ip, inner, charge=False)
+        if self.kind == "par":
+            self._trace(states, dense=True)
+            self.note_par_masks(sweep.masks)
+            if not any(np.any(m) for m in sweep.masks):
+                self._note_diff(before)
+                return False
+        self._charge_bodies(clock, states)
+        fused.run_body(ip, inner, sweep, charge=False)
+        if self.kind == "solve":
+            self._trace(states, dense=True)
+        changed = self._note_diff(before)
+        return self.kind == "par" or changed
+
+    def _run_lanes(self, states: List[_ArmState]) -> bool:
+        """Evaluate the sweep on the active lanes only, charging each
+        arm just before it writes."""
         an = self.an
         clock = self.ip.machine.clock
         full_ratio = self.vps.vp_ratio
@@ -1135,22 +1247,23 @@ class StarSession:
         # predicates first (the engines evaluate every arm's predicate
         # before any body runs)
         pred_ok: List[Optional[np.ndarray]] = []
-        lanes_per_arm: List[Optional[_Lanes]] = []
+        act_idx: List[Optional[Tuple[np.ndarray, ...]]] = []
         for k, (arm, st) in enumerate(zip(an.arms, states)):
             if not st.L:
                 pred_ok.append(None)
-                lanes_per_arm.append(None)
+                act_idx.append(None)
                 continue
             idx = np.nonzero(st.act)
-            vals = {
-                an.elem_of_axis[g]: an.axis_vals[g][idx[g]] for g in range(an.rank)
-            }
-            lanes = _Lanes((st.L,), vals, np.ones(st.L, dtype=bool))
-            lanes_per_arm.append(lanes)
+            act_idx.append(idx)
             if arm.pred_fn is None:
                 pred_ok.append(np.ones(st.L, dtype=bool))
             else:
                 _replay(clock, arm.pred_entries, st)
+                vals = {
+                    an.elem_of_axis[g]: an.axis_vals[g][idx[g]]
+                    for g in range(an.rank)
+                }
+                lanes = _Lanes((st.L,), vals, np.ones(st.L, dtype=bool))
                 pv = arm.pred_fn(S, lanes)
                 pb = np.broadcast_to(_truthy_arr(pv), lanes.shape)
                 pred_ok.append(np.asarray(pb, dtype=bool))
@@ -1160,9 +1273,7 @@ class StarSession:
         if self.kind == "par":
             clock.charge("global_or", vp_ratio=full_ratio)
             clock.charge("host_cm_latency")
-            clock.trace_frontier(
-                sum(st.L for st in states), self.domain * max(1, len(an.arms))
-            )
+            self._trace(states, dense=False)
             if not any(np.any(m) for m in self.par_masks):
                 self.prev = cur
                 self.last_stats = stats
@@ -1171,21 +1282,14 @@ class StarSession:
         for k, (arm, st) in enumerate(zip(an.arms, states)):
             if not st.L:
                 continue
-            lanes = lanes_per_arm[k]
+            idx = act_idx[k]
             ok = pred_ok[k]
             if self.kind == "par":
-                idx = np.nonzero(st.act)
                 ok = ok & self.par_masks[k][idx]
-            if arm.red is not None:
-                _replay(clock, arm.red.entries, st)
-                if st.delta_on:
-                    clock.charge("alu", vp_ratio=st.lane_ratio)
-            else:
-                _replay(clock, arm.value_entries, st)
-            _replay(clock, [arm.scatter_entry], st)
+            self._charge_arm(clock, arm, st)
             if not np.any(ok):
                 continue
-            w_idx = tuple(v[ok] for v in np.nonzero(st.act))
+            w_idx = tuple(v[ok] for v in idx)
             w_vals = {
                 an.elem_of_axis[g]: an.axis_vals[g][w_idx[g]]
                 for g in range(an.rank)
@@ -1212,7 +1316,7 @@ class StarSession:
         if self.kind == "solve":
             clock.charge("global_or", vp_ratio=full_ratio)
             clock.charge("host_cm_latency")
-            clock.trace_frontier(sum(st.L for st in states), self.domain)
+            self._trace(states, dense=False)
 
         any_change = False
         for name, m in cur.items():
@@ -1265,12 +1369,14 @@ class StarSession:
         return "; ".join(parts) if parts else "nothing (oscillation across sweeps?)"
 
 
-def star_session(ip, stmt: ast.UCStmt, inner, kind: str) -> Optional[StarSession]:
+def star_session(
+    ip, stmt: ast.UCStmt, inner, kind: str, plans=None
+) -> Optional[StarSession]:
     """A frontier session for one ``*solve``/``*par`` execution, or None
     when frontier execution is disabled for this interpreter."""
     if not _enabled(ip):
         return None
-    sess = StarSession(ip, stmt, inner, kind)
+    sess = StarSession(ip, stmt, inner, kind, plans)
     return sess if sess.active else None
 
 

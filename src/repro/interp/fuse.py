@@ -50,6 +50,12 @@ Correctness subtleties worth naming:
   leaves slightly different partial charges than the unfused engine.
   Those errors abort the run — the fingerprint of a completed run is
   unaffected — and the differential tests only assert messages there.
+* **Compressed frontier sweeps.**  A sweep the frontier engine runs
+  compressed is *charged* by that engine at the active VP count, never
+  from a table recorded here.  When its active set is dense the same
+  register program still *evaluates* it: ``begin_sweep``/``run_body``
+  take ``charge=False`` and run compute-only (no table replay, no
+  ``fusion.*`` counters), see :mod:`repro.interp.frontier`.
 * **Escape hatch.**  ``REPRO_NO_FUSION=1`` or ``UCProgram(fusion=False)``
   restores the per-closure plan engine; the tree-walking oracle remains
   the ground truth either way.
@@ -1587,8 +1593,15 @@ class FusedConstruct:
 
     # -- execution ---------------------------------------------------------
 
-    def begin_sweep(self, ip, inner) -> _Sweep:
-        """Evaluate arm predicates (the ``_block_masks`` phase)."""
+    def begin_sweep(self, ip, inner, *, charge: bool = True) -> _Sweep:
+        """Evaluate arm predicates (the ``_block_masks`` phase).
+
+        ``charge=False`` (here and in :meth:`run_body`) runs the register
+        program compute-only — no charge-table replay, no ``fusion.*``
+        counters — for a caller that has already charged the sweep
+        itself (dense evaluation of a compressed frontier sweep).  Only
+        meaningful for kernels without unfused segments, whose plan
+        closures charge as they run."""
         regs: List[Any] = [None] * self.n_regs
         for r, v in self.consts:
             regs[r] = v
@@ -1603,8 +1616,9 @@ class FusedConstruct:
                 masks.append(base)
                 continue
             charges, steps, out = prog
-            _replay(clock, charges)
-            clock.count_fusion("charge_table_hits")
+            if charge:
+                _replay(clock, charges)
+                clock.count_fusion("charge_table_hits")
             for s in steps:
                 s.run(ip, regs)
             pb = np.broadcast_to(np.asarray(E._truthy(regs[out])), shape)
@@ -1612,9 +1626,8 @@ class FusedConstruct:
             union = pb if union is None else (union | pb)
         return _Sweep(regs, masks, union)
 
-    def run_body(self, ip, inner, sweep: _Sweep) -> bool:
+    def run_body(self, ip, inner, sweep: _Sweep, *, charge: bool = True) -> bool:
         """Run the arm bodies and others clause; returns whether any ran."""
-        clock = ip.machine.clock
         regs = sweep.regs
         ran = False
         for k, segs in enumerate(self.arm_segments):
@@ -1623,17 +1636,7 @@ class FusedConstruct:
                 continue
             ran = True
             regs[self.arm_mask_regs[k]] = mask
-            sub = None
-            for seg in segs:
-                if seg[0] == "f":
-                    _replay(clock, seg[1])
-                    clock.count_fusion("charge_table_hits")
-                    for s in seg[2]:
-                        s.run(ip, regs)
-                else:
-                    if sub is None:
-                        sub = inner.with_mask(mask)
-                    seg[1](ip, sub)
+            self._run_segments(ip, inner, regs, segs, mask, charge)
         if self.others_segments is not None:
             base = inner.active_mask()
             om = base & (
@@ -1644,19 +1647,29 @@ class FusedConstruct:
             if np.any(om):
                 ran = True
                 regs[self.others_mask_reg] = om
-                sub = None
-                for seg in self.others_segments:
-                    if seg[0] == "f":
-                        _replay(clock, seg[1])
-                        clock.count_fusion("charge_table_hits")
-                        for s in seg[2]:
-                            s.run(ip, regs)
-                    else:
-                        if sub is None:
-                            sub = inner.with_mask(om)
-                        seg[1](ip, sub)
-        clock.count_fusion("fused_sweeps")
+                self._run_segments(ip, inner, regs, self.others_segments, om, charge)
+        if charge:
+            ip.machine.clock.count_fusion("fused_sweeps")
         return ran
+
+    @staticmethod
+    def _run_segments(ip, inner, regs, segs, mask, charge: bool) -> None:
+        """One arm's segments under ``mask``: fused ones replay their
+        charge table (unless the caller already charged) and run their
+        steps, unfused ones run their plan closure."""
+        clock = ip.machine.clock
+        sub = None
+        for seg in segs:
+            if seg[0] == "f":
+                if charge:
+                    _replay(clock, seg[1])
+                    clock.count_fusion("charge_table_hits")
+                for s in seg[2]:
+                    s.run(ip, regs)
+            else:
+                if sub is None:
+                    sub = inner.with_mask(mask)
+                seg[1](ip, sub)
 
 
 # ---------------------------------------------------------------------------

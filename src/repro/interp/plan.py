@@ -1580,12 +1580,18 @@ def lane_gather(data: np.ndarray, subs, node: ast.Index, live: np.ndarray) -> np
     Mirrors :func:`repro.interp.eval_expr.eval_gather`'s bounds checking
     (array subscripts are checked under the ``live`` refinement mask,
     scalar subscripts unconditionally — identical messages) and its
-    clip-then-index semantics for guarded out-of-range lanes.
+    clip-then-index semantics for guarded out-of-range lanes.  The
+    ``live`` broadcast, the ``bad`` mask and the clip are only built for
+    a subscript that really leaves the extent.
     """
     idx = []
     for a, s in enumerate(subs):
         extent = data.shape[a]
         if isinstance(s, np.ndarray):
+            if not s.size or (s.min() >= 0 and s.max() < extent):
+                # in range everywhere: nothing to report, nothing to clip
+                idx.append(s)
+                continue
             bad = ((s < 0) | (s >= extent)) & np.broadcast_to(live, np.broadcast(s, live).shape)
             if np.any(bad):
                 sb = np.broadcast_to(s, bad.shape)[bad]

@@ -333,7 +333,7 @@ def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     plans = _plans_for(ip, stmt, inner.grid)
     modified = _modified_names(stmt)
     vps = ip.grid_vpset(inner.grid.shape)
-    sess = frontier.star_session(ip, stmt, inner, "solve")
+    sess = frontier.star_session(ip, stmt, inner, "solve", plans)
     sweeps = 0
     # the divergence diagnostic is only rendered if the sweep limit trips,
     # so keep a thunk for the last sweep instead of formatting every sweep

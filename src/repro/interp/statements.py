@@ -388,7 +388,7 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     _check_starred(stmt)
     from . import frontier
 
-    sess = frontier.star_session(ip, stmt, inner, "par")
+    sess = frontier.star_session(ip, stmt, inner, "par", plans)
     sweeps = 0
     vps = ip.grid_vpset(inner.grid.shape)
     while True:

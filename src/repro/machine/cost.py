@@ -46,7 +46,8 @@ class Clock:
         #: engines stay comparable whatever their dispatch bookkeeping.
         self.tier_counts: Dict[str, int] = {}
         #: frontier-engine counters ('constructs'/'fallbacks'/'full_sweeps'/
-        #: 'compressed_sweeps'/'active_lanes'/'domain_lanes'/...).  Like
+        #: 'compressed_sweeps'/'dense_sweeps'/'active_lanes'/'domain_lanes'/
+        #: ...).  Like
         #: ``tier_counts`` these are observability only and excluded from
         #: :meth:`fingerprint`, but they checkpoint/restore with the clock
         #: so replayed sweeps are not double-counted.
@@ -149,10 +150,13 @@ class Clock:
         """Bump one kernel-fusion counter (observability only)."""
         self.fusion_counts[key] = self.fusion_counts.get(key, 0) + n
 
-    def trace_frontier(self, active: int, domain: int) -> None:
-        """Record one compressed sweep's active-set size vs its domain."""
+    def trace_frontier(self, active: int, domain: int, *, dense: bool = False) -> None:
+        """Record one compressed sweep's active-set size vs its domain.
+        ``dense`` marks a sweep the host evaluated on the fused kernel
+        over the whole grid (same charges, see ``interp.frontier``)."""
         self.frontier_trace.append((int(active), int(domain)))
         self.count_frontier("compressed_sweeps")
+        self.count_frontier("dense_sweeps", int(dense))
         self.count_frontier("active_lanes", int(active))
         self.count_frontier("domain_lanes", int(domain))
 

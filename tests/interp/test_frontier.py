@@ -8,8 +8,13 @@ counters, and fallback on bodies it cannot analyze.
 """
 
 import numpy as np
+import pytest
 
+from repro.interp import checkpoint as cp
+from repro.interp.deadline import JobPreempted
 from repro.interp.program import UCProgram
+from repro.lang.errors import UCRuntimeError
+from repro.machine import small_config
 from tests.conftest import run_uc
 
 #: APSP over two disconnected communities: {11..63} is pairwise weight 3
@@ -129,3 +134,319 @@ class TestProgramSurface:
         assert a.fingerprint == b.fingerprint
         assert dict(a.frontier) == dict(b.frontier)
         assert a.frontier_trace == b.frontier_trace
+
+
+# ---------------------------------------------------------------------------
+# compressed charging, dense evaluation
+# ---------------------------------------------------------------------------
+
+#: 64 PEs put a 16x16 grid at VP ratio 4, so compression pays at sizes
+#: the tree oracle still runs in milliseconds
+SMALL = small_config(64)
+
+APSP_N = """
+index_set I:i = {0..N-1}, J:j = I, K:k = I;
+int d[N][N];
+main {
+    *solve (I, J)
+        d[i][j] = $<(K; d[i][k] + d[k][j]);
+}
+"""
+
+
+def _two_community(n, chain, weight=3):
+    """A unit-weight chain over ``0..chain-1`` beside a ``weight`` clique.
+    ``chain == n`` is the pure chain graph: every lane stays active until
+    the last sweep (high occupancy); a short chain leaves most of the
+    grid quiescent after sweep one (low occupancy)."""
+    d = np.full((n, n), 10**9, dtype=np.int64)
+    d[chain:, chain:] = weight
+    np.fill_diagonal(d, 0)
+    for v in range(chain - 1):
+        d[v, v + 1] = d[v + 1, v] = 1
+    return {"d": d}
+
+
+def _run_n(inputs, **kw):
+    kw.setdefault("machine_config", SMALL)
+    return run_uc(APSP_N, inputs, defines={"N": 16}, **kw)
+
+
+#: counts up to 20; lanes already there never activate, the rest retire
+#: together — the last compressed sweep is the termination test
+STAR_PAR = """
+index_set I:i = {0..63};
+int a[64];
+main { *par (I) st (a[i] < 20) a[i] = a[i] + 1; }
+"""
+
+
+def _par_input(late=0):
+    a = np.full(64, 20, dtype=np.int64)
+    a[:40] = 10
+    a[:late] = 0  # stragglers: the active set ends at ``late`` lanes
+    return {"a": a}
+
+
+def _run_par(inputs, **kw):
+    return run_uc(STAR_PAR, inputs, machine_config=small_config(16), **kw)
+
+
+@pytest.fixture
+def default_engines(monkeypatch):
+    """The CI ablation steps run this file under ``REPRO_NO_FUSION=1`` /
+    ``REPRO_NO_PLANS=1``; the dense-evaluation tests pick their engines
+    by kwarg, so pin the environment to the defaults."""
+    for var in ("REPRO_NO_FUSION", "REPRO_NO_PLANS", "REPRO_NO_FRONTIER",
+                "REPRO_NO_BATCH", "REPRO_SHARDS", "REPRO_SANITIZE"):
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestDenseEvaluation:
+    def _assert_same_run(self, a, b, name="d"):
+        assert np.array_equal(a[name], b[name])
+        assert a.fingerprint == b.fingerprint
+        assert a.frontier_trace == b.frontier_trace
+
+    def test_chain_graph_takes_the_dense_path(self):
+        inputs = _two_community(16, 16)
+        on = _run_n(inputs)
+        assert on.frontier["compressed_sweeps"] >= 1
+        assert on.frontier["dense_sweeps"] == on.frontier["compressed_sweeps"]
+        for other in (_run_n(inputs, plans=False), _run_n(inputs, fusion=False)):
+            assert other.frontier["dense_sweeps"] == 0
+            self._assert_same_run(on, other)
+        # a dense compressed sweep replays no charge table: the fusion
+        # counters still count full fused sweeps only
+        assert on.fusion["fused_sweeps"] == on.frontier["full_sweeps"]
+        assert on.fusion["charge_table_hits"] == on.frontier["full_sweeps"]
+
+    def test_two_community_graph_stays_sparse(self):
+        inputs = _two_community(16, 3)
+        on = _run_n(inputs)
+        assert on.frontier["compressed_sweeps"] >= 1
+        assert on.frontier["dense_sweeps"] == 0
+        for other in (_run_n(inputs, plans=False), _run_n(inputs, fusion=False)):
+            self._assert_same_run(on, other)
+
+    def test_mixed_run_switches_per_sweep(self):
+        inputs = _two_community(16, 6)
+        on = _run_n(inputs)
+        assert 0 < on.frontier["dense_sweeps"] < on.frontier["compressed_sweeps"]
+        for other in (_run_n(inputs, plans=False), _run_n(inputs, fusion=False)):
+            self._assert_same_run(on, other)
+        full = _run_n(inputs, frontier=False)
+        assert np.array_equal(on["d"], full["d"])
+        assert on.elapsed_us <= full.elapsed_us
+
+    def test_star_par_masks_and_termination(self):
+        # 40 of 64 lanes count in lockstep: every compressed sweep is
+        # dense, including the one whose predicates all come back false
+        dense = _run_par(_par_input())
+        assert dense.frontier["dense_sweeps"] == dense.frontier["compressed_sweeps"] >= 2
+        # three stragglers: occupancy drops below 1/G, the tail and the
+        # termination sweep run on the lane path
+        mixed = _run_par(_par_input(late=3))
+        assert 0 < mixed.frontier["dense_sweeps"] < mixed.frontier["compressed_sweeps"]
+        for inputs, on in ((_par_input(), dense), (_par_input(late=3), mixed)):
+            assert on["a"].tolist() == [20] * 64
+            for other in (
+                _run_par(inputs, plans=False),
+                _run_par(inputs, fusion=False),
+            ):
+                assert other.frontier["dense_sweeps"] == 0
+                self._assert_same_run(on, other, "a")
+
+    def test_unfused_segment_never_goes_dense(self):
+        # min() is a call: the second arm runs as an unfused plan segment
+        # (cse off keeps b[i] out of both cache worlds, else fusion bails)
+        src = (
+            "index_set I:i = {0..63};\nint a[64], b[64];\n"
+            "main { *par (I)\n"
+            "  st (a[i] < 20) a[i] = a[i] + 1;\n"
+            "  st (b[i] < 20) b[i] = min(b[i] + 1, 20);\n}"
+        )
+        inputs = {"a": _par_input()["a"], "b": _par_input()["a"]}
+        kw = dict(machine_config=small_config(16), cse=False)
+        on = run_uc(src, inputs, **kw)
+        assert on.fusion["unfused_segments"] == 1
+        assert on.frontier["compressed_sweeps"] >= 2
+        assert on.frontier["dense_sweeps"] == 0
+        off = run_uc(src, inputs, fusion=False, **kw)
+        self._assert_same_run(on, off, "b")
+
+    def test_two_arms_on_one_target_never_go_dense(self):
+        # a slot written twice per sweep: the lane path's per-write change
+        # mask is not the net before/after diff dense evaluation derives
+        src = (
+            "index_set I:i = {0..63};\nint a[64];\n"
+            "main { *par (I)\n"
+            "  st (a[i] < 20) a[i] = a[i] + 2;\n"
+            "  st (a[i] < 20) a[i] = a[i] - 1;\n}"
+        )
+        kw = dict(machine_config=small_config(16), cse=False)
+        on = run_uc(src, _par_input(), **kw)
+        assert on.frontier.get("dense_sweeps", 0) == 0
+        off = run_uc(src, _par_input(), fusion=False, **kw)
+        self._assert_same_run(on, off, "a")
+
+    def test_armed_faults_keep_the_lane_path(self):
+        inputs = _two_community(16, 16)
+        plain = _run_n(inputs)
+        armed = _run_n(inputs, faults="drop@scan_step#100000", checkpoints=True)
+        assert armed.frontier["dense_sweeps"] == 0
+        self._assert_same_run(plain, armed)
+        fired = _run_n(inputs, faults="drop@scan_step#40")
+        unfused = _run_n(inputs, faults="drop@scan_step#40", fusion=False)
+        assert fired.frontier.get("dense_sweeps", 0) == 0
+        self._assert_same_run(fired, unfused)
+        assert fired.fault_log == unfused.fault_log
+
+    def test_sanitizer_runs_full_sweeps(self):
+        inputs = _two_community(16, 16)
+        clean = _run_n(inputs, sanitize=True)
+        assert not clean.frontier.get("compressed_sweeps", 0)
+        full = _run_n(inputs, frontier=False)
+        assert np.array_equal(clean["d"], full["d"])
+        assert clean.fingerprint == full.fingerprint
+
+    def test_shards_see_identical_charges(self):
+        inputs = _two_community(16, 16)
+        plain = _run_n(inputs)
+        sharded = _run_n(inputs, shards=4)
+        assert sharded.frontier["dense_sweeps"] >= 1
+        self._assert_same_run(plain, sharded)
+        # the shard sink observes the compressed charge sequence, which
+        # dense evaluation leaves alone
+        assert sharded.shards == _run_n(inputs, shards=4, fusion=False).shards
+
+    def test_checkpoint_resume_carries_dense_counter(self):
+        src = (
+            "index_set I:i = {0..15}, J:j = I, K:k = I;\nint d[16][16], e[16][16];\n"
+            "main {\n"
+            "  *solve (I, J) d[i][j] = $<(K; d[i][k] + d[k][j]);\n"
+            "  *solve (I, J) e[i][j] = $<(K; e[i][k] + e[k][j]);\n}"
+        )
+        g = _two_community(16, 16)["d"]
+        inputs = {"d": g, "e": g.copy()}
+        prog = UCProgram(src, machine_config=SMALL, compile_store=None)
+        solo = prog.run(inputs)
+        assert solo.frontier["dense_sweeps"] == 2
+
+        pr = prog.prepare(inputs)
+
+        def boundary(at):
+            if at == 1:
+                raise JobPreempted(cp.take_portable(pr.interp, pr.context, at))
+
+        try:
+            pr.interp.run_main_from(pr.context, 0, boundary)
+        except JobPreempted as stop:
+            snap = cp.snapshot_from_bytes(cp.snapshot_to_bytes(stop.snapshot))
+        resumed = UCProgram(src, machine_config=SMALL, compile_store=None).prepare(inputs)
+        cp.install_portable(resumed.interp, resumed.context, snap)
+        assert resumed.interp.machine.clock.frontier_counts["dense_sweeps"] == 1
+        resumed.interp.run_main_from(resumed.context, snap.pc)
+        done = resumed.finish()
+        assert np.array_equal(done["e"], solo["e"])
+        assert done.fingerprint == solo.fingerprint
+        assert done.frontier == solo.frontier
+
+    def test_stats_line_reports_dense_share(self, tmp_path, capsys):
+        from repro.cli import main
+
+        f = tmp_path / "count.uc"
+        f.write_text(
+            "index_set I:i = {0..63};\nint a[64];\n"
+            "main { par (I) a[i] = (i < 40) ? 10 : 20;\n"
+            "  *par (I) st (a[i] < 20) a[i] = a[i] + 1; }"
+        )
+        assert main(["run", str(f), "--pes", "16", "--stats"]) == 0
+        out = capsys.readouterr().out
+        line = next(x for x in out.splitlines() if "frontier.compressed_sweeps" in x)
+        n, dense = line.split()[1], line.split("(dense ")[1].rstrip(")")
+        assert int(dense) == int(n) >= 2
+        assert "frontier.dense_sweeps" not in out
+
+
+class TestLaneGatherFastPath:
+    """``plan.lane_gather`` skips mask/clip work for in-range subscripts;
+    values and error text are those of the checked path."""
+
+    class _Node:
+        base, line, col = "a", 7, 3
+
+    def test_in_range_values(self):
+        from repro.interp.plan import lane_gather
+
+        data = np.arange(20).reshape(4, 5)
+        rows = np.array([0, 3, 2])
+        cols = np.array([[0], [4], [1]])
+        live = np.ones((3, 3), dtype=bool)
+        got = lane_gather(data, [rows, 2], self._Node, np.ones(3, dtype=bool))
+        assert got.tolist() == [2, 17, 12]
+        got = lane_gather(data, [rows[None, :], cols], self._Node, live)
+        assert np.array_equal(got, data[rows[None, :], cols])
+        empty = np.array([], dtype=np.int64)
+        assert lane_gather(data, [empty, empty], self._Node, empty.astype(bool)).size == 0
+
+    def test_guarded_out_of_range_lanes_clip(self):
+        from repro.interp.plan import lane_gather
+
+        data = np.arange(5) * 10
+        s = np.array([-1, 2, 5])
+        live = np.array([False, True, False])
+        assert lane_gather(data, [s], self._Node, live).tolist() == [0, 20, 40]
+
+    def test_live_out_of_range_message_unchanged(self):
+        from repro.interp.plan import lane_gather
+
+        data = np.zeros((4, 5), dtype=np.int64)
+        rows = np.array([1, 2, 3])
+        with pytest.raises(UCRuntimeError) as err:
+            lane_gather(data, [rows, np.array([0, 5, 6])], self._Node, np.ones(3, dtype=bool))
+        assert "subscript 1 of 'a' out of range (value 5, extent 5)" in str(err.value)
+        assert (err.value.line, err.value.col) == (7, 3)
+        with pytest.raises(UCRuntimeError) as err:
+            lane_gather(data, [rows, -1], self._Node, np.ones(3, dtype=bool))
+        assert "subscript 1 of 'a' out of range (value -1, extent 5)" in str(err.value)
+
+    def test_guarded_border_program_matches_full_sweeps(self):
+        # i == 0 reads a[i-1] under a false guard: the slow path clips it
+        src = (
+            "index_set I:i = {0..63};\nint a[64];\n"
+            "main { *par (I) st (a[i] > (i > 0 ? a[i-1] : 0) + 1)\n"
+            "    a[i] = (i > 0 ? a[i-1] : 0) + 1; }"
+        )
+        inputs = {"a": np.full(64, 1000, dtype=np.int64)}
+        kw = dict(machine_config=small_config(16))
+        on = run_uc(src, inputs, **kw)
+        assert on.frontier["compressed_sweeps"] >= 1
+        assert on["a"].tolist() == list(range(1, 65))
+        tree = run_uc(src, inputs, plans=False, **kw)
+        assert on.fingerprint == tree.fingerprint
+        assert np.array_equal(on["a"], run_uc(src, inputs, frontier=False, **kw)["a"])
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestDemotedBatchLanes:
+    def test_demoted_lanes_evaluate_densely_like_solo_runs(self, monkeypatch):
+        # lanes whose session elects a compressed sweep leave the batch
+        # and finish in the solo loop — same evaluator choice as a solo run
+        from repro.interp import batch as batch_mod
+
+        def no_fallback(*_a, **_k):
+            raise AssertionError("the lane engine fell back to the sequential loop")
+
+        monkeypatch.setattr(batch_mod, "_sequential", no_fallback)
+        lanes = [_two_community(16, 16), _two_community(16, 6), _two_community(16, 3)]
+        prog = UCProgram(APSP_N, defines={"N": 16}, machine_config=SMALL)
+        batch = prog.run_batch([{"d": x["d"].copy()} for x in lanes])
+        for lane, inputs in zip(batch, lanes):
+            solo = _run_n(inputs)
+            assert np.array_equal(lane["d"], solo["d"])
+            assert lane.fingerprint == solo.fingerprint
+            assert lane.frontier == solo.frontier
+        assert batch[0].frontier["dense_sweeps"] >= 1
+        assert batch[2].frontier["dense_sweeps"] == 0

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interp.program import UCProgram
+from repro.machine import small_config
 
 #: index values run 2..N+1 while arrays extend 0..N+3, so shifts of up to
 #: ±2 stay in bounds without predicates (UC subscripts are *values*, not
@@ -194,3 +195,77 @@ def test_frontier_disable_flag_restores_full_sweep_fingerprint(case):
     by_kwarg = UCProgram(src, plans=True, frontier=False).run(inputs)
     assert by_flag.fingerprint == by_kwarg.fingerprint
     assert not by_flag.frontier.get("compressed_sweeps", 0)
+
+
+# ---------------------------------------------------------------------------
+# occupancy: graphs on both sides of the dense-evaluation threshold
+# ---------------------------------------------------------------------------
+
+_GN = 12
+_APSP = (
+    f"index_set I:i = {{0..{_GN - 1}}}, J:j = I, K:k = I;\n"
+    f"int d[{_GN}][{_GN}];\n"
+    "main { *solve (I, J) d[i][j] = $<(K; d[i][k] + d[k][j]); }"
+)
+#: 64 PEs: the 12x12 grid runs at VP ratio 3, so shrinking active sets
+#: undercut the full sweep and compression fires at this size
+_SMALL = small_config(64)
+
+
+def _community_graph(chain, weight, seed):
+    """A random-weight chain over ``0..chain-1`` beside a ``weight``
+    clique.  The chain length sets the occupancy of the compressed
+    sweeps: a long chain keeps (nearly) the whole grid active — the host
+    evaluates those sweeps densely on the fused kernel — while a short
+    one leaves a few rows and columns, evaluated lane by lane."""
+    rng = np.random.default_rng(seed)
+    d = np.full((_GN, _GN), 10**9, dtype=np.int64)
+    d[chain:, chain:] = weight
+    np.fill_diagonal(d, 0)
+    for v, w in enumerate(rng.integers(1, 4, size=chain - 1)):
+        d[v, v + 1] = d[v + 1, v] = w
+    return {"d": d}
+
+
+_GRAPHS = st.builds(
+    _community_graph,
+    chain=st.integers(2, _GN),
+    weight=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+def _run_graph(inputs, **kw):
+    prog = UCProgram(_APSP, machine_config=_SMALL, **kw)
+    return prog.run({"d": inputs["d"].copy()})
+
+
+def test_graph_strategy_spans_the_occupancy_threshold():
+    sparse = _run_graph(_community_graph(3, 3, 0))
+    assert sparse.frontier["compressed_sweeps"] >= 1
+    assert sparse.frontier["dense_sweeps"] == 0
+    dense = _run_graph(_community_graph(_GN, 3, 0))
+    assert dense.frontier["dense_sweeps"] >= 1
+    mixed = _run_graph(_community_graph(6, 3, 0))
+    assert 0 < mixed.frontier["dense_sweeps"] < mixed.frontier["compressed_sweeps"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_GRAPHS)
+def test_dense_evaluation_is_invisible(inputs):
+    """Whichever side of the threshold a sweep lands on, how the host
+    evaluates it never shows: values, Clock fingerprint and the active-set
+    trace equal the tree oracle's and the unfused plan engine's."""
+    fused = _run_graph(inputs)
+    full = _run_graph(inputs, frontier=False)
+    assert np.array_equal(fused["d"], full["d"])
+    assert fused.elapsed_us <= full.elapsed_us
+    for kw in (dict(plans=False), dict(fusion=False)):
+        other = _run_graph(inputs, **kw)
+        assert not other.frontier.get("dense_sweeps", 0)
+        assert np.array_equal(fused["d"], other["d"]), kw
+        assert fused.fingerprint == other.fingerprint, kw
+        assert fused.frontier_trace == other.frontier_trace, kw
+    # fusion counts kernel executions that replayed their charge table:
+    # dense compressed sweeps are not among them
+    assert fused.fusion.get("fused_sweeps", 0) == fused.frontier["full_sweeps"]
