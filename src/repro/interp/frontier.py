@@ -26,25 +26,40 @@ Correctness strategy — decide-before-execute behind a measured guard:
   or folded layouts, user calls, ``rand``, scalar or parallel-local
   targets, op-assignments, nested constructs, non-affine subscripts —
   falls back to full sweeps, bit-identical to the non-frontier build.
-* **Charging**: a compressed sweep's cost is described by a static
-  charge plan whose entries replay through
-  :func:`repro.interp.commtiers.charge_tier_at` — the same recipe both
-  engines use — first against a local estimator clock and then, only if
-  the estimate undercuts the *measured* cost of the last full sweep,
-  against the real :class:`~repro.machine.cost.Clock`.  Charges precede
-  writes, preserving the fault-injection charge-before-mutate
-  invariant, and the guard makes the frontier Clock never higher than
-  the full-sweep Clock.
+* **Planning**: each arm's distinct references into the modified arrays
+  carry a static dilation recipe — per-axis ``take``s with the clipped
+  subscript vectors, cut at analysis time (:func:`_dilation_recipe`) —
+  so a sweep's active set costs one small ``take`` per shifted axis of
+  each distinct reference, whatever the body repeats.  Guarded ``solve``
+  worklists (:class:`GuardedFrontier`) ride the same recipe.
+* **Charging**: a compressed sweep's cost is a static, pre-bound charge
+  list per arm: at analysis time the real cost helpers
+  (:func:`repro.interp.commtiers.charge_tier_at` — the same recipe both
+  engines use) run once against a recorder, and a sweep replays the
+  recorded primitives at its active VP ratios (:func:`_replay`) — first
+  against a local estimator clock and then, only if the estimate
+  undercuts the *measured* cost of the last full sweep, against the real
+  :class:`~repro.machine.cost.Clock`.  The estimate is a pure function
+  of the arms' charge keys (``L > 0``, lane and reduction VP ratios,
+  effective reduction extent, delta on/off), so a session replays the
+  estimator once per distinct key.  Charges precede writes, preserving
+  the fault-injection charge-before-mutate invariant, and the guard
+  makes the frontier Clock never higher than the full-sweep Clock.
 * **Values** are bit-identical by construction: inactive lanes would
   recompute exactly their current values, and active lanes run the same
   numpy operator semantics (:func:`repro.interp.eval_expr.apply_binop`,
   ``_reduce_op``, ``_cast_array``) the engines use.
 * **Evaluation** is picked per compressed sweep from what the session
-  already knows.  A sparse active set is evaluated lane by lane through
-  ``plan.lane_gather`` fancy indexing (O(active) data moved, but ~10x
-  the per-slot cost of a strided view).  When the active slots times
-  :data:`_DENSE_COST_RATIO` reach the domain's slots and the construct
-  has a validated fused kernel without unfused segments
+  already knows.  A sparse active set is evaluated lane by lane: one
+  lane context per arm (:class:`_Lanes`) resolves each distinct
+  ``(element, offset, extent)`` subscript once per sweep — value vector,
+  range verdict, clipped vector, out-of-range mask
+  (:func:`repro.interp.plan.lane_sub`) — for the predicate and the body
+  alike, subscripts that are in range for every value their element can
+  take skip even the probe, and a reference then costs one
+  ``plan.lane_gather`` (O(active) data moved).  When the active slots
+  times :data:`_DENSE_COST_RATIO` reach the domain's slots and the
+  construct has a validated fused kernel without unfused segments
   (:func:`repro.interp.fuse.fused_for`), the sweep instead issues its
   compressed charge sequence up front and runs the fused register
   program *compute-only* over the whole grid, deriving the change masks
@@ -71,13 +86,14 @@ import numpy as np
 
 from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
+from ..lang.errors import UCRuntimeError
 from ..machine.config import HOST_KINDS
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers, fuse
 from .eval_expr import _RED_UFUNC, _reduce_op, apply_binop
-from .plan import lane_gather, lane_scatter
+from .plan import lane_gather, lane_scatter, lane_sub
 from .values import ArrayVar, ElementBinding, ScalarVar
 
 __all__ = [
@@ -106,6 +122,52 @@ _DELTA_OPS = ("min", "max")
 _DENSE_COST_RATIO = 10
 
 _CALL_CHARGES = {"power2": 1, "abs": 1, "ABS": 1, "fabs": 1, "sqrt": 4, "min": 1, "max": 1}
+
+
+def _call_power2(node, x):
+    if isinstance(x, np.ndarray):
+        return np.left_shift(1, np.clip(x, 0, 62))
+    return 1 << max(0, int(x))
+
+
+def _call_abs(node, x):
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _call_fabs(node, x):
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(float(x))
+
+
+def _call_sqrt(node, x):
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0).astype(np.float64))
+    if x < 0:
+        raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
+    return float(x) ** 0.5
+
+
+def _call_min(node, a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def _call_max(node, a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+#: the builtins' lane implementations (scalars stay scalars, as in the engines)
+_CALL_IMPLS = {
+    "power2": _call_power2,
+    "abs": _call_abs,
+    "ABS": _call_abs,
+    "fabs": _call_fabs,
+    "sqrt": _call_sqrt,
+    "min": _call_min,
+    "max": _call_max,
+}
 
 
 def _enabled(ip) -> bool:
@@ -182,6 +244,9 @@ class _EstClock:
     def count_tier(self, tier: str) -> None:  # observability no-op
         pass
 
+    def note_shard_ref(self, tier, rc, layout, grid_shape, write) -> None:
+        pass  # shard sinks observe the real clock only
+
 
 # ---------------------------------------------------------------------------
 # lanes: the compressed evaluation substrate
@@ -189,26 +254,62 @@ class _EstClock:
 
 
 class _Lanes:
-    """Active lanes of one arm: element values plus a liveness mask.
+    """Active lanes of one arm: the per-sweep address-resolution context.
 
     ``shape`` is ``(L,)`` for plain bodies or ``(L, K)`` inside a
     reduction; ``vals`` maps element names to int64 arrays broadcastable
     to ``shape``; ``live`` masks the lanes whose bounds actually matter
-    (ternary/short-circuit refinement, mirroring the engines)."""
+    (ternary/short-circuit refinement, mirroring the engines) — ``None``
+    while every lane is live.
 
-    __slots__ = ("shape", "vals", "live")
+    ``subs`` resolves each distinct ``(element, offset, extent)``
+    subscript once per sweep (:func:`repro.interp.plan.lane_sub`): every
+    reference to ``a[i-1][j]`` in the predicate and in the body shares
+    one value vector, one range verdict and one clipped vector.  Live
+    refinements share the table; the body's lanes (:meth:`select`, the
+    lanes the predicate passed) start from its entries."""
 
-    def __init__(self, shape, vals, live) -> None:
+    __slots__ = ("shape", "vals", "live", "subs")
+
+    def __init__(self, shape, vals, live=None, subs=None) -> None:
         self.shape = shape
         self.vals = vals
         self.live = live
+        self.subs = {} if subs is None else subs
 
-    def with_live(self, live) -> "_Lanes":
-        return _Lanes(self.shape, self.vals, live)
+    def refine(self, cond: np.ndarray) -> "_Lanes":
+        """These lanes with ``live`` narrowed to where ``cond`` holds."""
+        live = cond if self.live is None else self.live & cond
+        return _Lanes(self.shape, self.vals, live, self.subs)
+
+    def select(self, sel: np.ndarray, n: int) -> "_Lanes":
+        """The ``n`` lanes ``sel`` keeps (1-D lanes only), all live.  A
+        subset of resolved lanes keeps each verdict and each clipping."""
+        subs = {}
+        for key, (index, oob, raw) in self.subs.items():
+            index = index[sel]
+            subs[key] = (
+                (index, None, index) if oob is None else (index, oob[sel], raw[sel])
+            )
+        return _Lanes((n,), {name: v[sel] for name, v in self.vals.items()}, None, subs)
+
+    def sub(self, key, in_range: bool):
+        """The resolved subscript ``key = (element, offset, extent)``;
+        ``in_range`` is the static verdict that skips the range probe."""
+        r = self.subs.get(key)
+        if r is None:
+            elem, c, extent = key
+            v = self.vals[elem]
+            if c:
+                v = v + c
+            r = self.subs[key] = (v, None, v) if in_range else lane_sub(v, extent)
+        return r
 
 
-def _truthy_arr(v) -> np.ndarray:
-    return np.asarray(v) != 0
+def _bool_lanes(v, shape) -> np.ndarray:
+    """``v != 0`` as a ``shape``-d bool array."""
+    b = np.asarray(v) != 0
+    return b if b.shape == shape else np.broadcast_to(b, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +318,26 @@ def _truthy_arr(v) -> np.ndarray:
 
 
 class _RefInfo:
-    """One affine reference into a *modified* array, for dilation."""
+    """One distinct affine reference into a *modified* array, with its
+    static dilation recipe (see :func:`_dilation_recipe`)."""
 
-    __slots__ = ("base", "axes", "in_red", "dplan")
+    __slots__ = ("base", "axes", "takes", "collapse", "order", "bshape")
 
-    def __init__(self, base: str, axes, in_red: bool) -> None:
+    def __init__(self, base: str, axes, recipe) -> None:
         self.base = base
         self.axes = axes  # per array axis: (elem_name | None, const offset)
-        self.in_red = in_red
-        # memoised dilation recipe (index vectors, collapse/transpose
-        # spec); everything in it is static per analysis, so it is built
-        # on first use and replayed every sweep
-        self.dplan = None
+        self.takes, self.collapse, self.order, self.bshape = recipe
+
+    def dilate(self, ch: np.ndarray) -> np.ndarray:
+        """Bool mask broadcastable to the grid: the lanes whose reference
+        can see a changed slot of ``ch`` (caller skips all-false masks)."""
+        for axis, vec in self.takes:
+            ch = ch.take(vec, axis=axis)
+        if self.collapse:
+            ch = ch.any(axis=self.collapse, keepdims=True)
+        if self.order is not None:
+            ch = ch.transpose(self.order)
+        return ch.reshape(self.bshape)
 
 
 class _RedInfo:
@@ -239,23 +348,22 @@ class _RedInfo:
         "set_name",
         "elem",
         "values",
+        "values_arr",
         "extent",
         "body_fn",
-        "entries",
         "delta_ok",
         "delta_refs",
-        "delta_vecs",
         "full_refs",
         "read_arrays",
         "node",
     )
 
     def __init__(self) -> None:
-        self.delta_refs: List[Tuple[str, int, int]] = []  # (base, array axis, const)
+        #: (base, array axis, clipped index vector) per distinct reference
+        #: whose subscript on that axis is the reduction element
+        self.delta_refs: List[Tuple[str, int, np.ndarray]] = []
         self.full_refs: List[str] = []  # modified arrays referenced without the elem
         self.read_arrays: Set[str] = set()
-        #: memoised per-delta-ref clipped index vectors (static per analysis)
-        self.delta_vecs = None
 
 
 class _ArmInfo:
@@ -263,23 +371,16 @@ class _ArmInfo:
 
     __slots__ = (
         "pred_fn",
-        "pred_entries",
+        "pred_charges",
         "value_fn",
         "red",
-        "value_entries",
-        "scatter_entry",
+        "body_charges",
         "target",
         "target_axes",
+        "slots_ident",
         "refs",
         "node",
-        "slots_ident",
     )
-
-    def __init__(self) -> None:
-        #: lazily computed: True when the write targets exactly the grid
-        #: (identity subscripts), so the written-slot bound IS the active
-        #: mask and the scatter simulation can be skipped
-        self.slots_ident: Optional[bool] = None
 
 
 class _Analysis:
@@ -307,6 +408,9 @@ class _Analysis:
 # ---------------------------------------------------------------------------
 
 
+_LANE, _RED = 0, 1  # the vp-ratio scope of a pre-bound charge (see _replay)
+
+
 class _Compiler:
     def __init__(self, ip, inner, an: _Analysis, modified: Set[str]) -> None:
         self.ip = ip
@@ -315,8 +419,9 @@ class _Compiler:
         self.modified = modified
         self.cse_enabled = bool(getattr(ip, "cse_enabled", False))
         self.cse_seen: Set[str] = set()
-        self.refs: List[_RefInfo] = []
-        self.red_ctx: Optional[dict] = None  # {'elem', 'grid', 'values'}
+        #: distinct references into modified arrays, keyed (base, axes)
+        self.refs: Dict[Tuple, _RefInfo] = {}
+        self.red_ctx: Optional[dict] = None  # {'elem', 'set_name', 'grid', 'info', 'seen'}
 
     # -- helpers ----------------------------------------------------------
 
@@ -326,8 +431,11 @@ class _Compiler:
             elems[self.red_ctx["elem"]] = self.red_ctx["set_name"]
         return elems
 
-    def _scope(self) -> str:
-        return "red" if self.red_ctx is not None else "lane"
+    def _scope(self) -> int:
+        return _RED if self.red_ctx is not None else _LANE
+
+    def _charge_op(self, rec, count: int) -> None:
+        rec.charge("alu", count=count, vp_ratio=self._scope())
 
     def _register_array(self, name: str) -> ArrayVar:
         binding = self.inner.env.try_lookup(name)
@@ -370,8 +478,10 @@ class _Compiler:
 
     # -- expression compilation ------------------------------------------
 
-    def compile(self, expr: ast.Expr, entries: List, *, value_root: bool = False):
-        """Returns (fn(S, lanes) -> value, is_array)."""
+    def compile(self, expr: ast.Expr, rec, *, value_root: bool = False):
+        """Returns (fn(S, lanes) -> value, is_array); the charges the
+        engines issue for ``expr`` are recorded, pre-bound, into ``rec``
+        (see :func:`_replay`)."""
         if (
             self.cse_enabled
             and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
@@ -381,13 +491,13 @@ class _Compiler:
             if key in self.cse_seen:
                 # the engine serves this subtree from its CSE cache: no
                 # charges, but the compressed evaluator still recomputes
-                return self._compile_node(expr, [], value_root=value_root)
-            out = self._compile_node(expr, entries, value_root=value_root)
+                return self._compile_node(expr, fuse._Recorder(), value_root=value_root)
+            out = self._compile_node(expr, rec, value_root=value_root)
             self.cse_seen.add(key)
             return out
-        return self._compile_node(expr, entries, value_root=value_root)
+        return self._compile_node(expr, rec, value_root=value_root)
 
-    def _compile_node(self, expr: ast.Expr, entries: List, *, value_root: bool = False):
+    def _compile_node(self, expr: ast.Expr, rec, *, value_root: bool = False):
         scope = self._scope()
         if isinstance(expr, ast.IntLit):
             v = int(expr.value)
@@ -400,15 +510,15 @@ class _Compiler:
         if isinstance(expr, ast.Name):
             return self._compile_name(expr)
         if isinstance(expr, ast.Index):
-            return self._compile_index(expr, entries)
+            return self._compile_index(expr, rec)
         if isinstance(expr, ast.Unary):
-            return self._compile_unary(expr, entries)
+            return self._compile_unary(expr, rec)
         if isinstance(expr, ast.Binary):
-            return self._compile_binary(expr, entries)
+            return self._compile_binary(expr, rec)
         if isinstance(expr, ast.Ternary):
-            return self._compile_ternary(expr, entries)
+            return self._compile_ternary(expr, rec)
         if isinstance(expr, ast.Call):
-            return self._compile_call(expr, entries)
+            return self._compile_call(expr, rec)
         if isinstance(expr, ast.Reduction) and value_root and self.red_ctx is None:
             raise _Reduce(expr)  # handled by the arm compiler
         raise _NotFrontierable()
@@ -431,7 +541,7 @@ class _Compiler:
             return (lambda S, lanes: S["scalars"][name]), False
         raise _NotFrontierable()
 
-    def _compile_index(self, expr: ast.Index, entries: List):
+    def _compile_index(self, expr: ast.Index, rec):
         arr = self._register_array(expr.base)
         elems = self._elems_dict()
         axes_desc = affine_ref_axes(expr, elems, self.ip.info.constants)
@@ -440,44 +550,64 @@ class _Compiler:
         seen_elems = [e for e, _c in axes_desc if e is not None]
         if len(seen_elems) != len(set(seen_elems)):
             raise _NotFrontierable()  # a[i][i]: dilation geometry ambiguous
-        in_red = self.red_ctx is not None
-        if expr.base in self.modified:
-            ref = _RefInfo(expr.base, axes_desc, in_red)
-            self.refs.append(ref)
-            if in_red:
-                red: _RedInfo = self.red_ctx["info"]
-                red.read_arrays.add(expr.base)
-                bound = [
-                    (a, c)
-                    for a, (e, c) in enumerate(axes_desc)
-                    if e == self.red_ctx["elem"]
-                ]
-                if bound:
-                    for a, c in bound:
-                        red.delta_refs.append((expr.base, a, c))
-                else:
-                    red.full_refs.append(expr.base)
-        tier, rc, gshape = self._classify(expr, axes_desc, arr, write=False)
-        entries.append(("ref", tier, rc, False, self._scope(), gshape, arr.layout))
+        red: Optional[_RedInfo] = self.red_ctx["info"] if self.red_ctx else None
         base = expr.base
+        key = (base, axes_desc)
+        if base in self.modified and key not in self.refs:
+            self.refs[key] = _RefInfo(
+                base, axes_desc, _dilation_recipe(self.an, axes_desc, arr.shape, red)
+            )
+        if base in self.modified and red is not None and key not in self.red_ctx["seen"]:
+            self.red_ctx["seen"].add(key)
+            red.read_arrays.add(base)
+            bound = [a for a, (e, _c) in enumerate(axes_desc) if e == red.elem]
+            for a in bound:
+                c = axes_desc[a][1]
+                red.delta_refs.append(
+                    (base, a, np.clip(red.values_arr + c, 0, arr.shape[a] - 1))
+                )
+            if not bound:
+                red.full_refs.append(base)
+        tier, rc, gshape = self._classify(expr, axes_desc, arr, write=False)
+        # gshape/layout carry the full-grid geometry to the shard sink:
+        # slab exchanges are bulk per sweep, so the split is over the
+        # whole grid even on compressed sweeps
+        commtiers.charge_tier_at(
+            rec, tier, rc, write=False, vp_ratio=self._scope(),
+            grid_shape=gshape, layout=arr.layout,
+        )  # fmt: skip
+        # resolve what is static now: constant subscripts stay ints, element
+        # subscripts become lane-context keys plus the verdict "every value
+        # this element can take lands inside the extent" (no probe needed)
+        subs = []
+        for a, (elem, c) in enumerate(axes_desc):
+            if elem is None:
+                subs.append(int(c))
+                continue
+            if red is not None and elem == red.elem:
+                vals = red.values_arr
+            else:
+                vals = self.an.axis_vals[self.an.grid_axis_of[elem]]
+            extent = arr.shape[a]
+            in_range = bool(vals.size) and bool(
+                vals.min() + c >= 0 and vals.max() + c < extent
+            )
+            subs.append(((elem, c, extent), in_range))
         node = expr
 
         def fn(S, lanes):
-            data = S["arrays"][base]
-            subs = []
-            for elem, c in axes_desc:
-                if elem is None:
-                    subs.append(int(c))
-                else:
-                    v = lanes.vals[elem]
-                    subs.append(v + c if c else v)
-            return lane_gather(data, subs, node, lanes.live)
+            return lane_gather(
+                S["arrays"][base],
+                [s if s.__class__ is int else lanes.sub(*s) for s in subs],
+                node,
+                lanes.live,
+            )
 
         return fn, True
 
-    def _compile_unary(self, expr: ast.Unary, entries: List):
-        f, is_arr = self.compile(expr.operand, entries)
-        entries.append(("op", 1, self._scope()))
+    def _compile_unary(self, expr: ast.Unary, rec):
+        f, is_arr = self.compile(expr.operand, rec)
+        self._charge_op(rec, 1)
         op = expr.op
         if op not in ("-", "!", "~"):
             raise _NotFrontierable()
@@ -496,29 +626,27 @@ class _Compiler:
 
         return fn, is_arr
 
-    def _compile_binary(self, expr: ast.Binary, entries: List):
+    def _compile_binary(self, expr: ast.Binary, rec):
         if expr.op in ("&&", "||"):
-            lf, l_arr = self.compile(expr.left, entries)
+            lf, l_arr = self.compile(expr.left, rec)
             if not l_arr:
                 # scalar left side short-circuits in the engines: the
                 # charge sequence becomes data-dependent — full sweeps
                 raise _NotFrontierable()
-            entries.append(("op", 1, self._scope()))
-            rf, _r_arr = self.compile(expr.right, entries)
+            self._charge_op(rec, 1)
+            rf, _r_arr = self.compile(expr.right, rec)
             is_and = expr.op == "&&"
 
             def fn(S, lanes):
-                a = lf(S, lanes)
-                ab = np.broadcast_to(_truthy_arr(a), lanes.shape)
-                live2 = lanes.live & (ab if is_and else ~ab)
-                b = rf(S, lanes.with_live(live2))
-                bb = np.broadcast_to(_truthy_arr(b), lanes.shape)
+                ab = _bool_lanes(lf(S, lanes), lanes.shape)
+                b = rf(S, lanes.refine(ab if is_and else ~ab))
+                bb = _bool_lanes(b, lanes.shape)
                 return ((ab & bb) if is_and else (ab | bb)).astype(np.int64)
 
             return fn, True
-        lf, l_arr = self.compile(expr.left, entries)
-        rf, r_arr = self.compile(expr.right, entries)
-        entries.append(("op", 1, self._scope()))
+        lf, l_arr = self.compile(expr.left, rec)
+        rf, r_arr = self.compile(expr.right, rec)
+        self._charge_op(rec, 1)
         op = expr.op
         node = expr
 
@@ -527,24 +655,23 @@ class _Compiler:
 
         return fn, l_arr or r_arr
 
-    def _compile_ternary(self, expr: ast.Ternary, entries: List):
-        cf, c_arr = self.compile(expr.cond, entries)
+    def _compile_ternary(self, expr: ast.Ternary, rec):
+        cf, c_arr = self.compile(expr.cond, rec)
         if not c_arr:
             raise _NotFrontierable()  # host cond picks one branch: data-dependent
-        tf, _ = self.compile(expr.then, entries)
-        ef, _ = self.compile(expr.els, entries)
-        entries.append(("op", 2, self._scope()))
+        tf, _ = self.compile(expr.then, rec)
+        ef, _ = self.compile(expr.els, rec)
+        self._charge_op(rec, 2)
 
         def fn(S, lanes):
-            c = cf(S, lanes)
-            cb = np.broadcast_to(_truthy_arr(c), lanes.shape)
-            tv = tf(S, lanes.with_live(lanes.live & cb))
-            ev = ef(S, lanes.with_live(lanes.live & ~cb))
+            cb = _bool_lanes(cf(S, lanes), lanes.shape)
+            tv = tf(S, lanes.refine(cb))
+            ev = ef(S, lanes.refine(~cb))
             return np.where(cb, tv, ev)
 
         return fn, True
 
-    def _compile_call(self, expr: ast.Call, entries: List):
+    def _compile_call(self, expr: ast.Call, rec):
         name = expr.func
         if name not in _CALL_CHARGES or name in self.ip.info.functions:
             raise _NotFrontierable()  # user functions (or shadowed builtins)
@@ -554,41 +681,23 @@ class _Compiler:
         fns = []
         is_arr = False
         for a in expr.args:
-            f, arr = self.compile(a, entries)
+            f, arr = self.compile(a, rec)
             fns.append(f)
             is_arr = is_arr or arr
-        entries.append(("op", _CALL_CHARGES[name], self._scope()))
+        self._charge_op(rec, _CALL_CHARGES[name])
+        impl = _CALL_IMPLS[name]
         node = expr
+        if want == 2:
+            fa, fb = fns
 
-        def fn(S, lanes):
-            vals = [f(S, lanes) for f in fns]
-            arrayish = any(isinstance(v, np.ndarray) for v in vals)
-            if name == "power2":
-                x = vals[0]
-                if arrayish:
-                    return np.left_shift(1, np.clip(x, 0, 62))
-                return 1 << max(0, int(x))
-            if name in ("abs", "ABS", "fabs"):
-                x = vals[0]
-                if arrayish:
-                    return np.abs(x)
-                return abs(x) if name != "fabs" else abs(float(x))
-            if name == "sqrt":
-                x = vals[0]
-                if arrayish:
-                    return np.sqrt(np.maximum(x, 0).astype(np.float64))
-                if x < 0:
-                    from ..lang.errors import UCRuntimeError
+            def fn(S, lanes):
+                return impl(node, fa(S, lanes), fb(S, lanes))
 
-                    raise UCRuntimeError(
-                        "sqrt of a negative value", node.line, node.col
-                    )
-                return float(x) ** 0.5
-            if name == "min":
-                a, b = vals
-                return np.minimum(a, b) if arrayish else min(a, b)
-            a, b = vals
-            return np.maximum(a, b) if arrayish else max(a, b)
+        else:
+            (fa,) = fns
+
+            def fn(S, lanes):
+                return impl(node, fa(S, lanes))
 
         return fn, is_arr
 
@@ -669,10 +778,10 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         arm = _ArmInfo()
         arm.node = assign
         comp = _Compiler(ip, inner, an, modified)
-        arm.pred_entries = []
+        pred_rec, body_rec = fuse._Recorder(), fuse._Recorder()
         arm.pred_fn = None
         if block.pred is not None:
-            pf, p_arr = comp.compile(block.pred, arm.pred_entries)
+            pf, p_arr = comp.compile(block.pred, pred_rec)
             if not p_arr:
                 raise _NotFrontierable()  # host predicate: whole-grid semantics
             arm.pred_fn = pf
@@ -695,25 +804,43 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
             raise _NotFrontierable()
         arm.target = t.base
         arm.target_axes = tuple(t_grid_axes)
-        _w_tier, _w_rc, _w_gshape = comp._classify(t, t_axes, arr, write=True)
-        arm.scatter_entry = ("ref", _w_tier, _w_rc, True, "lane", _w_gshape, arr.layout)
-
-        arm.value_entries = []
+        # True when the write targets exactly the grid (identity
+        # subscripts): the written-slot bound IS the active mask and the
+        # scatter simulation can be skipped
+        arm.slots_ident = (
+            arm.target_axes == tuple(range(an.rank))
+            and tuple(arr.shape) == tuple(an.grid_shape)
+            and all(
+                np.array_equal(an.axis_vals[g], np.arange(arr.shape[a]))
+                for a, g in enumerate(arm.target_axes)
+            )
+        )
         arm.red = None
         try:
-            vf, _v_arr = comp.compile(assign.value, arm.value_entries, value_root=True)
+            vf, _v_arr = comp.compile(assign.value, body_rec, value_root=True)
             arm.value_fn = vf
         except _Reduce as r:
             arm.value_fn = None
-            arm.red = _compile_reduction(ip, inner, an, comp, r.node, block, modified)
-            arm.value_entries = []
-        arm.refs = comp.refs
+            arm.red = _compile_reduction(
+                ip, inner, an, comp, r.node, block, modified, body_rec
+            )
+            # the delta scan's combine-with-stored-result rides the list
+            # as its own entry, charged on the sweeps that take the delta
+            body_rec.entries.append(("d",))
+        w_tier, w_rc, w_gshape = comp._classify(t, t_axes, arr, write=True)
+        commtiers.charge_tier_at(
+            body_rec, w_tier, w_rc, write=True, vp_ratio=_LANE,
+            grid_shape=w_gshape, layout=arr.layout,
+        )  # fmt: skip
+        arm.pred_charges = pred_rec.entries
+        arm.body_charges = body_rec.entries
+        arm.refs = list(comp.refs.values())
         an.arms.append(arm)
     return an
 
 
 def _compile_reduction(
-    ip, inner, an: _Analysis, comp: _Compiler, node: ast.Reduction, block, modified
+    ip, inner, an: _Analysis, comp: _Compiler, node: ast.Reduction, block, modified, rec
 ) -> _RedInfo:
     if node.op not in _RED_UFUNC:
         raise _NotFrontierable()  # 'arbitrary' draws from the RNG
@@ -731,6 +858,7 @@ def _compile_reduction(
     red.set_name = isv.name
     red.elem = isv.elem_name
     red.values = tuple(int(v) for v in isv.values)
+    red.values_arr = np.asarray(red.values, dtype=np.int64)
     red.extent = len(red.values)
     if red.extent == 0:
         raise _NotFrontierable()
@@ -740,10 +868,11 @@ def _compile_reduction(
         "set_name": red.set_name,
         "grid": ext_grid,
         "info": red,
+        "seen": set(),
     }
-    red.entries = [("scan", red.extent, "red")]
+    rec.entries.append(("k",))  # the scan over the sweep's effective extent
     try:
-        body_fn, _ = comp.compile(arm.expr, red.entries)
+        body_fn, _ = comp.compile(arm.expr, rec)
     finally:
         comp.red_ctx = None
     red.body_fn = body_fn
@@ -760,77 +889,56 @@ def _compile_reduction(
 # ---------------------------------------------------------------------------
 
 
-def _dilate_plan(an: _Analysis, ref: _RefInfo, shape, red_values) -> Tuple:
-    """The static part of one reference's dilation: the clipped index
-    vectors and the collapse/transpose/reshape spec.  Everything here
-    depends only on the analysis (grid geometry, reduction ranges) and
-    the array shape, so it is computed once per reference and replayed
-    every sweep — only the change mask varies."""
-    vecs = []
-    out_grid_axes: List[Optional[int]] = []  # grid axis per kept output axis
-    identity = True
-    for a_ax, (elem, c) in enumerate(ref.axes):
-        extent = shape[a_ax]
+def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo]) -> Tuple:
+    """The static dilation recipe of one reference ``base[axes]`` into an
+    array of ``shape``: ``(takes, collapse, order, bshape)``.
+
+    A lane can see a changed slot when, axis by axis, its clipped
+    subscript lands on it — and clipping is separable, so the dilation of
+    a change mask is a chain of per-axis ``take``s with the clipped
+    subscript vectors (``takes``; an axis whose vector is the identity
+    needs none), an ``any`` over the axes bound to the reduction element
+    (``collapse``: any changed slot along its range), and a transpose
+    (``order``) plus reshape (``bshape``) that put the grid-bound axes in
+    grid order, broadcastable over the grid axes the reference does not
+    constrain.  Everything depends only on the analysis (grid geometry,
+    reduction range) and the array shape, so it is built once per
+    distinct reference at analysis time; no table is larger than one axis
+    of the mask it indexes."""
+    takes = []
+    collapse = []
+    bound = []  # (grid axis, array axis)
+    for a, (elem, c) in enumerate(axes):
+        extent = shape[a]
         if elem is None:
-            vecs.append(np.array([min(max(int(c), 0), extent - 1)], dtype=np.int64))
-            out_grid_axes.append(None)
-            identity = False
-        elif elem in an.grid_axis_of:
+            vec = np.array([min(max(int(c), 0), extent - 1)], dtype=np.int64)
+        elif red is not None and elem == red.elem:
+            vec = np.clip(red.values_arr + c, 0, extent - 1)
+            collapse.append(a)
+        else:
             g = an.grid_axis_of[elem]
-            vecs.append(np.clip(an.axis_vals[g] + c, 0, extent - 1))
-            out_grid_axes.append(g)
-        else:  # reduction element: any changed slot along its range
-            rv = np.asarray(red_values, dtype=np.int64)
-            vecs.append(np.clip(rv + c, 0, extent - 1))
-            out_grid_axes.append(-1)
-        if identity and not (
-            len(vecs[-1]) == extent
-            and np.array_equal(vecs[-1], np.arange(extent))
-        ):
-            identity = False
-    # collapse reduction-bound and constant axes to a presence bit each,
-    # keep grid-bound axes; reorder those into grid-axis order and
-    # broadcast over the grid axes the reference does not constrain
-    collapse = tuple(i for i, g in enumerate(out_grid_axes) if g is None or g < 0)
-    grid_axes = [g for g in out_grid_axes if g is not None and g >= 0]
-    order = tuple(sorted(range(len(grid_axes)), key=lambda i: grid_axes[i]))
-    kept_lens = [
-        len(vecs[i]) for i, g in enumerate(out_grid_axes) if g is not None and g >= 0
-    ]
+            vec = np.clip(an.axis_vals[g] + c, 0, extent - 1)
+            bound.append((g, a))
+        if not (len(vec) == extent and np.array_equal(vec, np.arange(extent))):
+            takes.append((a, vec))
+    bound.sort()
+    # constant and collapsed axes have length one by the time the mask is
+    # transposed, so only the relative order of the grid-bound axes counts
+    kept = [a for _g, a in bound]
+    order = tuple(a for a in range(len(axes)) if a not in kept) + tuple(kept)
     bshape = [1] * an.rank
-    for i in order:
-        bshape[grid_axes[i]] = kept_lens[i]
-    return (identity, tuple(vecs), collapse, order, tuple(bshape))
-
-
-def _dilate_ref(an: _Analysis, ref: _RefInfo, ch: np.ndarray, red_values) -> Optional[np.ndarray]:
-    """Grid-shaped bool: lanes whose reference can see a changed slot."""
-    if not ch.any():
-        return None
-    plan = ref.dplan
-    if plan is None:
-        plan = ref.dplan = _dilate_plan(an, ref, ch.shape, red_values)
-    identity, vecs, collapse, order, bshape = plan
-    # identity index vectors select the whole mask: skip the fancy gather
-    sub = ch if identity else ch[np.ix_(*vecs)]
-    if collapse:
-        sub = sub.any(axis=collapse)
-    sub = np.transpose(sub, order)
-    sub = sub.reshape(bshape)
-    return np.broadcast_to(sub, an.grid_shape)
+    for g, _a in bound:
+        bshape[g] = len(an.axis_vals[g])
+    return (
+        tuple(takes),
+        tuple(collapse),
+        None if order == tuple(range(len(axes))) else order,
+        tuple(bshape),
+    )
 
 
 def _slots_of(an: _Analysis, arm: _ArmInfo, act: np.ndarray, shape) -> np.ndarray:
     """Array-shaped bool bound on the slots ``arm`` can write from ``act``."""
-    if arm.slots_ident is None:
-        arm.slots_ident = (
-            tuple(arm.target_axes) == tuple(range(an.rank))
-            and tuple(shape) == tuple(an.grid_shape)
-            and all(
-                np.array_equal(an.axis_vals[g], np.arange(shape[a]))
-                for a, g in enumerate(arm.target_axes)
-            )
-        )
     if arm.slots_ident:
         # identity write: the written slots ARE the active lanes (callers
         # only read the result, so returning the mask itself is safe)
@@ -853,31 +961,61 @@ def _slots_of(an: _Analysis, arm: _ArmInfo, act: np.ndarray, shape) -> np.ndarra
 
 
 class _ArmState:
+    """What one arm does in one compressed sweep: its active lanes and
+    everything its charges depend on (:attr:`key`)."""
+
     __slots__ = ("L", "act", "lane_ratio", "K_eff", "red_ratio", "delta_on", "red_sel")
 
-    def ratio(self, scope: str) -> int:
-        return self.red_ratio if scope == "red" else self.lane_ratio
+    def __init__(self, act: Optional[np.ndarray], L: int, lane_ratio: int) -> None:
+        self.act = act
+        self.L = L
+        self.lane_ratio = lane_ratio
+        self.red_ratio = lane_ratio
+        self.K_eff: Optional[int] = None
+        self.red_sel: Optional[np.ndarray] = None
+        self.delta_on = False
+
+    @property
+    def key(self) -> Tuple:
+        """The arm's full charge key: equal keys replay equal charges."""
+        return (self.L > 0, self.lane_ratio, self.red_ratio, self.K_eff, self.delta_on)
 
     def scan_extent(self, full_extent: int) -> int:
         return self.K_eff if self.K_eff is not None else full_extent
 
 
-def _replay(clk, entries: Sequence, st: _ArmState) -> None:
-    for e in entries:
+#: an arm with no active lanes this sweep: evaluates and charges nothing
+_IDLE = _ArmState(None, 0, 1)
+
+
+def _replay(clk, charges: Sequence, st: _ArmState) -> None:
+    """Issue one arm's pre-bound charges at the sweep's VP ratios — the
+    same loop for the estimator and for the real clock.
+
+    The list is what the real cost helpers (``charge_tier_at`` and
+    friends) recorded at analysis time, so it is the genuine charge
+    sequence by construction.  Entries follow
+    :meth:`repro.machine.cost.Clock.replay`'s table format, except that
+    the vp-ratio slot holds a *scope* (:data:`_LANE` or :data:`_RED`)
+    resolved here against the sweep's state, and two tags are per-sweep:
+    ``("k",)`` is the reduction scan over the sweep's effective extent
+    and ``("d",)`` the delta combine."""
+    ratios = (st.lane_ratio, st.red_ratio)
+    charge = clk.charge
+    for e in charges:
         tag = e[0]
-        if tag == "op":
-            clk.charge("alu", count=e[1], vp_ratio=st.ratio(e[2]))
-        elif tag == "ref":
-            # e[5]/e[6] carry the full-grid geometry to the shard sink:
-            # slab exchanges are bulk per sweep, so the split is over the
-            # whole grid even on compressed sweeps (the estimator lacks
-            # the hook and is unaffected)
-            commtiers.charge_tier_at(
-                clk, e[1], e[2], write=e[3], vp_ratio=st.ratio(e[4]),
-                grid_shape=e[5], layout=e[6],
-            )
-        else:  # scan
-            clk.charge_scan(st.scan_extent(e[1]), vp_ratio=st.ratio("red"))
+        if tag == "c":
+            charge(e[1], count=e[2], vp_ratio=ratios[e[3]])
+        elif tag == "t":
+            clk.count_tier(e[1])
+        elif tag == "x":
+            clk.note_shard_ref(e[1], e[2], e[3], e[4], e[5])
+        elif tag == "s":
+            clk.charge_scan(e[1], vp_ratio=ratios[e[2]], steps_per_level=e[3])
+        elif tag == "k":
+            clk.charge_scan(st.K_eff, vp_ratio=st.red_ratio)
+        elif st.delta_on:  # "d": combine the delta scan with the stored result
+            charge("alu", vp_ratio=st.lane_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +1057,8 @@ class StarSession:
         self._full_snapshot: Optional[Dict[str, np.ndarray]] = None
         self.last_stats: Dict[str, Tuple[int, int]] = {}
         self.par_masks: Optional[List[np.ndarray]] = None
+        #: estimator totals by sweep charge key (see ``plan_compressed``)
+        self._estimates: Dict[Tuple, float] = {}
 
     # -- binding ----------------------------------------------------------
 
@@ -1030,131 +1170,98 @@ class StarSession:
         # the write simulation below rebinds pseudo[target] to a fresh
         # array (never mutates in place), so a dict copy suffices
         pseudo = dict(self.prev)
+        dirty = {name: bool(m.any()) for name, m in pseudo.items()}
         states: List[_ArmState] = []
         for arm in an.arms:
-            st = _ArmState()
             act = np.zeros(an.grid_shape, dtype=bool)
             for ref in arm.refs:
-                m = _dilate_ref(
-                    an,
-                    ref,
-                    pseudo[ref.base],
-                    arm.red.values if (ref.in_red and arm.red is not None) else None,
-                )
-                if m is not None:
-                    act |= m
+                if dirty[ref.base]:
+                    act |= ref.dilate(pseudo[ref.base])
             act &= self.base
-            st.act = act
-            st.L = int(np.count_nonzero(act))
-            st.lane_ratio = ratio_for(st.L, machine) if st.L else 1
-            st.K_eff = None
-            st.red_sel = None
-            st.delta_on = False
-            st.red_ratio = st.lane_ratio
-            if arm.red is not None and st.L:
-                red = arm.red
-                delta_valid = red.delta_ok
-                if delta_valid:
-                    want_down = red.op == "min"
-                    for name in red.read_arrays:
-                        up, down = self.dirs.get(name, (False, False))
-                        if (want_down and up) or (not want_down and down):
-                            delta_valid = False
-                            break
-                if delta_valid:
-                    sel = np.zeros(red.extent, dtype=bool)
-                    full_k = False
-                    for name in red.full_refs:
-                        if pseudo[name].any():
-                            full_k = True
-                            break
-                    if full_k:
-                        sel[:] = True
-                    else:
-                        if red.delta_vecs is None:
-                            rv = np.asarray(red.values, dtype=np.int64)
-                            red.delta_vecs = [
-                                (
-                                    base_name,
-                                    a_ax,
-                                    np.clip(
-                                        rv + c,
-                                        0,
-                                        pseudo[base_name].shape[a_ax] - 1,
-                                    ),
-                                )
-                                for base_name, a_ax, c in red.delta_refs
-                            ]
-                        for base_name, a_ax, idx_vec in red.delta_vecs:
-                            ch = pseudo[base_name]
-                            if not ch.any():
-                                continue
-                            other = tuple(
-                                x for x in range(ch.ndim) if x != a_ax
-                            )
-                            vec = ch.any(axis=other) if other else ch
-                            sel |= vec[idx_vec]
-                    k_eff = int(np.count_nonzero(sel))
-                    if k_eff == 0:
-                        st.L = 0  # nothing feeds this reduction: arm is a no-op
-                        st.act = np.zeros(an.grid_shape, dtype=bool)
-                    st.delta_on = True
-                    st.K_eff = max(1, k_eff)
-                    st.red_sel = sel
-                else:
-                    st.K_eff = red.extent
-                    st.red_sel = None
-                st.red_ratio = (
-                    ratio_for(st.L * max(1, st.K_eff), machine) if st.L else 1
-                )
+            L = int(np.count_nonzero(act))
+            if not L:
+                states.append(_IDLE)
+                continue
+            st = _ArmState(act, L, ratio_for(L, machine))
+            if arm.red is not None:
+                st = self._plan_reduction(arm.red, st, pseudo, dirty)
             states.append(st)
             if st.L:
-                pseudo[arm.target] = pseudo[arm.target] | _slots_of(
-                    an, arm, st.act, pseudo[arm.target].shape
-                )
-        est = _EstClock(machine.clock.costs)
-        self._charge_sweep(est, states)
-        if est.time_us >= self.reference:
+                target = pseudo[arm.target]
+                pseudo[arm.target] = target | _slots_of(an, arm, st.act, target.shape)
+                dirty[arm.target] = True
+        # the estimate is a pure function of the arms' charge keys: replay
+        # the estimator only for a key this session has not costed yet
+        key = tuple(st.key for st in states)
+        est = self._estimates.get(key)
+        if est is None:
+            clk = _EstClock(machine.clock.costs)
+            self._charge_preds(clk, states)
+            self._charge_bodies(clk, states)
+            est = self._estimates[key] = clk.time_us
+        if est >= self.reference:
             return None
         return states
 
-    def _charge_sweep(self, clk, states: List[_ArmState]) -> None:
-        """The complete, ordered charge sequence of one compressed sweep —
-        replayed identically for the estimate and for the real clock."""
-        self._charge_preds(clk, states)
-        self._charge_bodies(clk, states)
+    def _plan_reduction(self, red: _RedInfo, st: _ArmState, pseudo, dirty) -> _ArmState:
+        """Decide the delta scan for one active reduction arm: which
+        reduction slots it must rescan and what VP ratio that costs."""
+        machine = self.ip.machine
+        delta_valid = red.delta_ok
+        if delta_valid:
+            want_down = red.op == "min"
+            for name in red.read_arrays:
+                up, down = self.dirs.get(name, (False, False))
+                if (want_down and up) or (not want_down and down):
+                    delta_valid = False
+                    break
+        if not delta_valid:
+            st.K_eff = red.extent
+        else:
+            if any(dirty[name] for name in red.full_refs):
+                sel = np.ones(red.extent, dtype=bool)
+            else:
+                sel = np.zeros(red.extent, dtype=bool)
+                for base_name, a_ax, idx_vec in red.delta_refs:
+                    if not dirty[base_name]:
+                        continue
+                    ch = pseudo[base_name]
+                    other = tuple(x for x in range(ch.ndim) if x != a_ax)
+                    vec = ch.any(axis=other) if other else ch
+                    sel |= vec[idx_vec]
+            k_eff = int(np.count_nonzero(sel))
+            if k_eff == 0:
+                return _IDLE  # nothing feeds this reduction: arm is a no-op
+            st.delta_on = True
+            st.K_eff = k_eff
+            st.red_sel = sel
+        st.red_ratio = ratio_for(st.L * st.K_eff, machine)
+        return st
 
     def _charge_preds(self, clk, states: List[_ArmState]) -> None:
-        """Up to and including a ``*par``'s termination test."""
+        """The sweep's ordered charge sequence up to and including a
+        ``*par``'s termination test — replayed identically for the
+        estimate and for the real clock."""
         full_ratio = self.vps.vp_ratio
         an = self.an
         if self.kind == "solve":
             clk.charge("alu", count=len(an.modified) or 1, vp_ratio=full_ratio)
         for arm, st in zip(an.arms, states):
-            if st.L and arm.pred_entries:
-                _replay(clk, arm.pred_entries, st)
+            if st.L:
+                _replay(clk, arm.pred_charges, st)
         if self.kind == "par":
             clk.charge("global_or", vp_ratio=full_ratio)
             clk.charge("host_cm_latency")
 
     def _charge_bodies(self, clk, states: List[_ArmState]) -> None:
-        """The arm bodies and a ``*solve``'s fixed-point test."""
+        """The rest of the sequence: the arm bodies and a ``*solve``'s
+        fixed-point test."""
         for arm, st in zip(self.an.arms, states):
             if st.L:
-                self._charge_arm(clk, arm, st)
+                _replay(clk, arm.body_charges, st)
         if self.kind == "solve":
             clk.charge("global_or", vp_ratio=self.vps.vp_ratio)
             clk.charge("host_cm_latency")
-
-    @staticmethod
-    def _charge_arm(clk, arm: _ArmInfo, st: _ArmState) -> None:
-        if arm.red is not None:
-            _replay(clk, arm.red.entries, st)
-            if st.delta_on:
-                clk.charge("alu", vp_ratio=st.lane_ratio)  # combine with old
-        else:
-            _replay(clk, arm.value_entries, st)
-        _replay(clk, [arm.scatter_entry], st)
 
     # -- compressed execution ---------------------------------------------
 
@@ -1231,131 +1338,97 @@ class StarSession:
         arm just before it writes."""
         an = self.an
         clock = self.ip.machine.clock
-        full_ratio = self.vps.vp_ratio
         S = self.S
         cur: Dict[str, np.ndarray] = {
             name: np.zeros_like(m) for name, m in self.prev.items()
         }
         new_dirs: Dict[str, List[bool]] = {name: [False, False] for name in cur}
-        stats: Dict[str, Tuple[int, int]] = {
-            name: (0, int(m.size)) for name, m in cur.items()
-        }
-
-        if self.kind == "solve":
-            clock.charge("alu", count=len(an.modified) or 1, vp_ratio=full_ratio)
 
         # predicates first (the engines evaluate every arm's predicate
-        # before any body runs)
-        pred_ok: List[Optional[np.ndarray]] = []
-        act_idx: List[Optional[Tuple[np.ndarray, ...]]] = []
+        # before any body runs); one lane context per arm resolves each
+        # subscript once for the predicate and the body alike
+        if self.kind == "solve":
+            clock.charge("alu", count=len(an.modified) or 1, vp_ratio=self.vps.vp_ratio)
+        todo: List[Tuple[_ArmInfo, _ArmState, _Lanes, Optional[np.ndarray]]] = []
         for k, (arm, st) in enumerate(zip(an.arms, states)):
             if not st.L:
-                pred_ok.append(None)
-                act_idx.append(None)
                 continue
             idx = np.nonzero(st.act)
-            act_idx.append(idx)
-            if arm.pred_fn is None:
-                pred_ok.append(np.ones(st.L, dtype=bool))
-            else:
-                _replay(clock, arm.pred_entries, st)
-                vals = {
-                    an.elem_of_axis[g]: an.axis_vals[g][idx[g]]
-                    for g in range(an.rank)
-                }
-                lanes = _Lanes((st.L,), vals, np.ones(st.L, dtype=bool))
-                pv = arm.pred_fn(S, lanes)
-                pb = np.broadcast_to(_truthy_arr(pv), lanes.shape)
-                pred_ok.append(np.asarray(pb, dtype=bool))
+            lanes = _Lanes(
+                (st.L,),
+                {elem: an.axis_vals[g][idx[g]] for g, elem in enumerate(an.elem_of_axis)},
+            )
+            ok = None
+            if arm.pred_fn is not None:
+                _replay(clock, arm.pred_charges, st)
+                ok = _bool_lanes(arm.pred_fn(S, lanes), lanes.shape)
                 if self.kind == "par":
-                    self.par_masks[k][idx] = pb & self.base[idx]
+                    self.par_masks[k][idx] = ok  # active lanes lie inside base
+            todo.append((arm, st, lanes, ok))
 
         if self.kind == "par":
-            clock.charge("global_or", vp_ratio=full_ratio)
+            clock.charge("global_or", vp_ratio=self.vps.vp_ratio)
             clock.charge("host_cm_latency")
             self._trace(states, dense=False)
             if not any(np.any(m) for m in self.par_masks):
-                self.prev = cur
-                self.last_stats = stats
+                self._note_lanes(cur, new_dirs)
                 return False
 
-        for k, (arm, st) in enumerate(zip(an.arms, states)):
-            if not st.L:
-                continue
-            idx = act_idx[k]
-            ok = pred_ok[k]
-            if self.kind == "par":
-                ok = ok & self.par_masks[k][idx]
-            self._charge_arm(clock, arm, st)
-            if not np.any(ok):
-                continue
-            w_idx = tuple(v[ok] for v in idx)
-            w_vals = {
-                an.elem_of_axis[g]: an.axis_vals[g][w_idx[g]]
-                for g in range(an.rank)
-            }
-            Lw = int(w_idx[0].size)
+        for arm, st, lanes, ok in todo:
+            _replay(clock, arm.body_charges, st)
+            if ok is not None:
+                n_ok = int(np.count_nonzero(ok))
+                if not n_ok:
+                    continue
+                if n_ok < st.L:
+                    lanes = lanes.select(ok, n_ok)
             if arm.red is not None:
-                value = self._eval_reduction(arm, st, w_vals, Lw)
+                value = self._eval_reduction(arm, st, lanes)
             else:
-                w_lanes = _Lanes((Lw,), w_vals, np.ones(Lw, dtype=bool))
-                value = arm.value_fn(S, w_lanes)
-            data = S["arrays"][arm.target]
-            subs = [
-                w_vals[an.elem_of_axis[g]] for g in arm.target_axes
-            ]
-            changed, old, new = lane_scatter(data, subs, value, arm.node.target)
+                value = arm.value_fn(S, lanes)
+            subs = [lanes.vals[an.elem_of_axis[g]] for g in arm.target_axes]
+            changed, old, new = lane_scatter(
+                S["arrays"][arm.target], subs, value, arm.node.target
+            )
             if np.any(changed):
-                ch_subs = tuple(s[changed] for s in subs)
-                cur[arm.target][ch_subs] = True
+                cur[arm.target][tuple(s[changed] for s in subs)] = True
                 oc, nc = old[changed], new[changed]
                 d = new_dirs[arm.target]
                 d[0] = d[0] or bool(np.any(nc > oc))
                 d[1] = d[1] or bool(np.any(nc < oc))
 
         if self.kind == "solve":
-            clock.charge("global_or", vp_ratio=full_ratio)
+            clock.charge("global_or", vp_ratio=self.vps.vp_ratio)
             clock.charge("host_cm_latency")
             self._trace(states, dense=False)
+        return self._note_lanes(cur, new_dirs) or self.kind == "par"
 
-        any_change = False
-        for name, m in cur.items():
-            n = int(np.count_nonzero(m))
-            stats[name] = (n, int(m.size))
-            if n:
-                any_change = True
+    def _note_lanes(self, cur: Dict[str, np.ndarray], dirs: Dict[str, List[bool]]) -> bool:
+        """Seed the next sweep's frontier from a lane sweep's change
+        masks; returns whether anything changed."""
         self.prev = cur
-        self.last_stats = stats
-        self.dirs = {
-            name: (d[0], d[1]) for name, d in new_dirs.items()
+        self.last_stats = {
+            name: (int(np.count_nonzero(m)), int(m.size)) for name, m in cur.items()
         }
-        if self.kind == "par":
-            return True
-        return any_change
+        self.dirs = {name: (d[0], d[1]) for name, d in dirs.items()}
+        return any(n for n, _size in self.last_stats.values())
 
-    def _eval_reduction(self, arm: _ArmInfo, st: _ArmState, w_vals, Lw: int):
+    def _eval_reduction(self, arm: _ArmInfo, st: _ArmState, lanes: _Lanes):
+        """The arm's reduction over ``lanes`` x the (delta-selected)
+        reduction range."""
         red = arm.red
-        S = self.S
-        rv = np.asarray(red.values, dtype=np.int64)
-        if st.red_sel is not None and st.delta_on:
-            rv_sel = rv[st.red_sel]
-        else:
-            rv_sel = rv
-        Ke = int(rv_sel.size)
-        vals = {name: v[:, None] for name, v in w_vals.items()}
-        vals[red.elem] = np.broadcast_to(rv_sel[None, :], (Lw, Ke))
-        lanes = _Lanes((Lw, Ke), vals, np.ones((Lw, Ke), dtype=bool))
-        body = red.body_fn(S, lanes)
-        body = np.broadcast_to(np.asarray(body), (Lw, Ke))
-        part = _reduce_op(
-            red.op, [body], [np.ones((Lw, Ke), dtype=bool)], axes=(1,)
-        )
+        rv = red.values_arr[st.red_sel] if st.delta_on else red.values_arr
+        shape = (lanes.shape[0], int(rv.size))
+        vals = {name: v[:, None] for name, v in lanes.vals.items()}
+        vals[red.elem] = rv[None, :]
+        body = np.asarray(red.body_fn(self.S, _Lanes(shape, vals)))
+        if body.shape != shape:
+            body = np.broadcast_to(body, shape)
+        part = _reduce_op(red.op, [body], [np.True_], axes=(1,))
         if st.delta_on:
-            data = S["arrays"][arm.target]
-            subs = tuple(w_vals[self.an.elem_of_axis[g]] for g in arm.target_axes)
-            old = data[subs]
-            ufunc = _RED_UFUNC[red.op]
-            return ufunc(old, part)
+            data = self.S["arrays"][arm.target]
+            old = data[tuple(lanes.vals[self.an.elem_of_axis[g]] for g in arm.target_axes)]
+            return _RED_UFUNC[red.op](old, part)
         return part
 
     # -- diagnostics -------------------------------------------------------
@@ -1392,18 +1465,15 @@ class GuardedFrontier:
 
     def __init__(self, an: _Analysis, refs: List[List[_RefInfo]]) -> None:
         self.an = an
-        self.refs = refs
+        self.refs = refs  # per assignment, distinct by (base, axes)
 
     def candidates(self, k: int, newly: Dict[str, np.ndarray]) -> np.ndarray:
         """Grid mask of lanes assignment ``k`` must re-examine."""
         out = np.zeros(self.an.grid_shape, dtype=bool)
         for ref in self.refs[k]:
             ch = newly.get(ref.base)
-            if ch is None:
-                continue
-            m = _dilate_ref(self.an, ref, ch, None)
-            if m is not None:
-                out |= m
+            if ch is not None and ch.any():
+                out |= ref.dilate(ch)
         return out
 
 
@@ -1423,10 +1493,15 @@ def _guarded_analyze(ip, stmt, assignments, inner) -> object:
             return _FALLBACK  # scalar targets define whole variables at once
         targets.add(t.base)
     an = _Analysis(grid, "guarded")
+    for name in targets:
+        b = inner.env.try_lookup(name)
+        if not isinstance(b, ArrayVar):
+            return _FALLBACK
+        an.array_shapes[name] = b.shape
     elems = {axis.elem: axis.set_name for axis in grid.axes}
     refs: List[List[_RefInfo]] = []
     for pred, assign in assignments:
-        mine: List[_RefInfo] = []
+        mine: Dict[Tuple, _RefInfo] = {}
         roots: List[ast.Node] = [assign.value, assign.target]
         if pred is not None:
             roots.append(pred)
@@ -1451,8 +1526,14 @@ def _guarded_analyze(ip, stmt, assignments, inner) -> object:
                     seen = [e for e, _c in axes if e is not None]
                     if len(seen) != len(set(seen)):
                         return _FALLBACK
-                    mine.append(_RefInfo(node.base, axes, False))
-        refs.append(mine)
+                    shape = an.array_shapes[node.base]
+                    if len(axes) != len(shape):
+                        return _FALLBACK
+                    if (node.base, axes) not in mine:
+                        mine[node.base, axes] = _RefInfo(
+                            node.base, axes, _dilation_recipe(an, axes, shape, None)
+                        )
+        refs.append(list(mine.values()))
     return GuardedFrontier(an, refs)
 
 
@@ -1470,13 +1551,12 @@ def guarded_frontier(ip, stmt, assignments, inner) -> Optional[GuardedFrontier]:
     if gf is _FALLBACK:
         clock.count_frontier("fallbacks")
         return None
-    # defined-flag shapes must still match the bound arrays (same program
-    # point can rebind arrays across calls)
-    for mine in gf.refs:
-        for ref in mine:
-            b = inner.env.try_lookup(ref.base)
-            if not isinstance(b, ArrayVar) or len(b.shape) != len(ref.axes):
-                clock.count_frontier("fallbacks")
-                return None
+    # the dilation recipes are cut for the analysed array shapes (same
+    # program point can rebind arrays across calls)
+    for name, shape in gf.an.array_shapes.items():
+        b = inner.env.try_lookup(name)
+        if not isinstance(b, ArrayVar) or b.shape != shape:
+            clock.count_frontier("fallbacks")
+            return None
     clock.count_frontier("guarded_constructs")
     return gf

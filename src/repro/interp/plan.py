@@ -1568,55 +1568,71 @@ def compile_sched_steps(assignments):
 #
 # The frontier engine (:mod:`repro.interp.frontier`) evaluates compressed
 # sweeps over *lane vectors* — the active subset of the grid — instead of
-# grid-shaped arrays.  These two helpers are the lane-space analogues of
-# the ``np.ix_`` take recipes above: same bounds-check messages, same
+# grid-shaped arrays.  These helpers are the lane-space analogues of the
+# ``np.ix_`` take recipes above: same bounds-check messages, same
 # clipped-gather semantics, same value casting, but indexed by the active
 # lanes only, so a sweep touching L of N lanes moves O(L) data.
+#
+# Address resolution is split from the gather.  :func:`lane_sub` resolves
+# one subscript vector against an axis extent — range probe, clipped
+# vector, out-of-range mask — and the frontier's per-sweep lane context
+# calls it once per distinct ``(element, offset, extent)``;
+# :func:`lane_gather` then costs one ``live & oob`` test per subscript
+# that really leaves the extent, plus the gather itself.
 
 
-def lane_gather(data: np.ndarray, subs, node: ast.Index, live: np.ndarray) -> np.ndarray:
-    """Gather ``data`` at per-lane subscripts (ints or lane arrays).
+def _subscript_error(a: int, node: ast.Index, value: int, extent: int) -> UCRuntimeError:
+    return UCRuntimeError(
+        f"subscript {a} of {node.base!r} out of range "
+        f"(value {value}, extent {extent})",
+        node.line,
+        node.col,
+    )
 
-    Mirrors :func:`repro.interp.eval_expr.eval_gather`'s bounds checking
-    (array subscripts are checked under the ``live`` refinement mask,
-    scalar subscripts unconditionally — identical messages) and its
-    clip-then-index semantics for guarded out-of-range lanes.  The
-    ``live`` broadcast, the ``bad`` mask and the clip are only built for
-    a subscript that really leaves the extent.
+
+def lane_sub(s: np.ndarray, extent: int):
+    """Resolve one per-lane subscript vector against an axis extent.
+
+    Returns ``(index, oob, raw)``: the vector to index with, the mask of
+    lanes outside ``0..extent-1`` and the unclipped values the error
+    message quotes.  A subscript that stays in range everywhere — the
+    common case, decided by one min/max probe — resolves to
+    ``(s, None, s)``: nothing to report, nothing to clip.
+    """
+    if not s.size or (s.min() >= 0 and s.max() < extent):
+        return s, None, s
+    return np.clip(s, 0, extent - 1), (s < 0) | (s >= extent), s
+
+
+def lane_gather(data: np.ndarray, subs, node: ast.Index, live) -> np.ndarray:
+    """Gather ``data`` at resolved per-lane subscripts.
+
+    Each subscript is an int (a constant, checked unconditionally) or a
+    :func:`lane_sub` triple.  Mirrors
+    :func:`repro.interp.eval_expr.eval_gather`'s bounds checking (array
+    subscripts are checked under the ``live`` refinement mask — ``None``
+    means every lane is live — with identical messages) and its
+    clip-then-index semantics for guarded out-of-range lanes.
     """
     idx = []
     for a, s in enumerate(subs):
-        extent = data.shape[a]
-        if isinstance(s, np.ndarray):
-            if not s.size or (s.min() >= 0 and s.max() < extent):
-                # in range everywhere: nothing to report, nothing to clip
-                idx.append(s)
-                continue
-            bad = ((s < 0) | (s >= extent)) & np.broadcast_to(live, np.broadcast(s, live).shape)
-            if np.any(bad):
-                sb = np.broadcast_to(s, bad.shape)[bad]
-                val = int(sb[0]) if sb.size else -1
-                raise UCRuntimeError(
-                    f"subscript {a} of {node.base!r} out of range "
-                    f"(value {val}, extent {extent})",
-                    node.line,
-                    node.col,
-                )
-            idx.append(np.clip(s, 0, extent - 1))
+        if isinstance(s, tuple):
+            index, oob, raw = s
+            if oob is not None:
+                bad = oob if live is None else oob & live
+                if bad.any():
+                    value = int(np.broadcast_to(raw, bad.shape)[bad][0])
+                    raise _subscript_error(a, node, value, data.shape[a])
+            idx.append(index)
         else:
-            if not 0 <= int(s) < extent:
-                raise UCRuntimeError(
-                    f"subscript {a} of {node.base!r} out of range "
-                    f"(value {int(s)}, extent {extent})",
-                    node.line,
-                    node.col,
-                )
+            if not 0 <= int(s) < data.shape[a]:
+                raise _subscript_error(a, node, int(s), data.shape[a])
             idx.append(int(s))
     return data[tuple(idx)]
 
 
 def lane_scatter(data: np.ndarray, subs, value, node: ast.Index):
-    """Scatter ``value`` into ``data`` at per-lane subscripts.
+    """Scatter ``value`` into ``data`` at per-lane subscript vectors.
 
     All lanes are active writers (the frontier engine has already applied
     the predicate), and the caller guarantees distinct slots (identity
@@ -1627,23 +1643,16 @@ def lane_scatter(data: np.ndarray, subs, value, node: ast.Index):
     """
     n = int(subs[0].size) if subs else 0
     for a, s in enumerate(subs):
-        extent = data.shape[a]
-        bad = (s < 0) | (s >= extent)
-        if np.any(bad):
-            val = int(s[bad][0])
-            raise UCRuntimeError(
-                f"subscript {a} of {node.base!r} out of range "
-                f"(value {val}, extent {extent})",
-                node.line,
-                node.col,
-            )
-    if isinstance(value, np.ndarray):
-        vals = np.broadcast_to(value, (n,))
-    else:
-        vals = np.full(n, value)
-    new = E._cast_array(vals, data.dtype)
+        _index, oob, _raw = lane_sub(s, data.shape[a])
+        if oob is not None:
+            raise _subscript_error(a, node, int(s[oob][0]), data.shape[a])
+    if not isinstance(value, np.ndarray):
+        value = np.full(n, value)
+    elif value.shape != (n,):
+        value = np.broadcast_to(value, (n,))
+    new = value if value.dtype == data.dtype else E._cast_array(value, data.dtype)
     where = tuple(subs)
-    old = data[where].copy()
+    old = data[where]
     data[where] = new
     changed = old != new
     return changed, old, new

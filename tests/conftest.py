@@ -20,6 +20,17 @@ def small_machine() -> Machine:
     return Machine(small_config(1024), seed=1234)
 
 
+@pytest.fixture
+def default_engines(monkeypatch):
+    """The CI ablation steps run whole test files under
+    ``REPRO_NO_FUSION=1`` / ``REPRO_NO_PLANS=1`` / ...; tests that pick
+    their engines by kwarg (or assert on a default engine's counters)
+    pin the environment to the defaults with this fixture."""
+    for var in ("REPRO_NO_FUSION", "REPRO_NO_PLANS", "REPRO_NO_FRONTIER",
+                "REPRO_NO_BATCH", "REPRO_SHARDS", "REPRO_SANITIZE"):
+        monkeypatch.delenv(var, raising=False)
+
+
 def run_uc(source: str, inputs=None, seed: int = 20250704, **kwargs):
     """Parse + run a UC program, returning its RunResult."""
     from repro.interp.program import UCProgram

@@ -192,16 +192,6 @@ def _run_par(inputs, **kw):
     return run_uc(STAR_PAR, inputs, machine_config=small_config(16), **kw)
 
 
-@pytest.fixture
-def default_engines(monkeypatch):
-    """The CI ablation steps run this file under ``REPRO_NO_FUSION=1`` /
-    ``REPRO_NO_PLANS=1``; the dense-evaluation tests pick their engines
-    by kwarg, so pin the environment to the defaults."""
-    for var in ("REPRO_NO_FUSION", "REPRO_NO_PLANS", "REPRO_NO_FRONTIER",
-                "REPRO_NO_BATCH", "REPRO_SHARDS", "REPRO_SANITIZE"):
-        monkeypatch.delenv(var, raising=False)
-
-
 @pytest.mark.usefixtures("default_engines")
 class TestDenseEvaluation:
     def _assert_same_run(self, a, b, name="d"):
@@ -371,46 +361,69 @@ class TestDenseEvaluation:
 
 
 class TestLaneGatherFastPath:
-    """``plan.lane_gather`` skips mask/clip work for in-range subscripts;
+    """``plan.lane_sub`` resolves a subscript once (no mask/clip work when
+    it stays in range) and ``plan.lane_gather`` indexes with the result;
     values and error text are those of the checked path."""
 
     class _Node:
         base, line, col = "a", 7, 3
 
     def test_in_range_values(self):
-        from repro.interp.plan import lane_gather
+        from repro.interp.plan import lane_gather, lane_sub
 
         data = np.arange(20).reshape(4, 5)
         rows = np.array([0, 3, 2])
         cols = np.array([[0], [4], [1]])
         live = np.ones((3, 3), dtype=bool)
-        got = lane_gather(data, [rows, 2], self._Node, np.ones(3, dtype=bool))
+        index, oob, raw = lane_sub(rows, 4)
+        assert index is rows and raw is rows and oob is None
+        got = lane_gather(data, [lane_sub(rows, 4), 2], self._Node, None)
         assert got.tolist() == [2, 17, 12]
-        got = lane_gather(data, [rows[None, :], cols], self._Node, live)
+        subs = [lane_sub(rows[None, :], 4), lane_sub(cols, 5)]
+        got = lane_gather(data, subs, self._Node, live)
         assert np.array_equal(got, data[rows[None, :], cols])
-        empty = np.array([], dtype=np.int64)
-        assert lane_gather(data, [empty, empty], self._Node, empty.astype(bool)).size == 0
+        empty = lane_sub(np.array([], dtype=np.int64), 4)
+        assert lane_gather(data, [empty, empty], self._Node, None).size == 0
 
     def test_guarded_out_of_range_lanes_clip(self):
-        from repro.interp.plan import lane_gather
+        from repro.interp.plan import lane_gather, lane_sub
 
         data = np.arange(5) * 10
-        s = np.array([-1, 2, 5])
+        s = lane_sub(np.array([-1, 2, 5]), 5)
+        assert s[1].tolist() == [True, False, True]
         live = np.array([False, True, False])
         assert lane_gather(data, [s], self._Node, live).tolist() == [0, 20, 40]
 
     def test_live_out_of_range_message_unchanged(self):
-        from repro.interp.plan import lane_gather
+        from repro.interp.plan import lane_gather, lane_sub
 
         data = np.zeros((4, 5), dtype=np.int64)
-        rows = np.array([1, 2, 3])
+        rows = lane_sub(np.array([1, 2, 3]), 4)
+        cols = lane_sub(np.array([0, 5, 6]), 5)
+        for live in (None, np.ones(3, dtype=bool), np.array([False, False, True])):
+            with pytest.raises(UCRuntimeError) as err:
+                lane_gather(data, [rows, cols], self._Node, live)
+            value = 5 if live is None or live[1] else 6
+            assert f"subscript 1 of 'a' out of range (value {value}, extent 5)" in str(err.value)
+            assert (err.value.line, err.value.col) == (7, 3)
         with pytest.raises(UCRuntimeError) as err:
-            lane_gather(data, [rows, np.array([0, 5, 6])], self._Node, np.ones(3, dtype=bool))
-        assert "subscript 1 of 'a' out of range (value 5, extent 5)" in str(err.value)
-        assert (err.value.line, err.value.col) == (7, 3)
-        with pytest.raises(UCRuntimeError) as err:
-            lane_gather(data, [rows, -1], self._Node, np.ones(3, dtype=bool))
+            lane_gather(data, [rows, -1], self._Node, None)
         assert "subscript 1 of 'a' out of range (value -1, extent 5)" in str(err.value)
+
+    def test_scatter_fast_path_and_error_text(self):
+        from repro.interp.plan import lane_scatter
+
+        data = np.arange(12).reshape(3, 4)
+        rows, cols = np.array([0, 2]), np.array([3, 1])
+        changed, old, new = lane_scatter(data, [rows, cols], np.array([3, 50]), self._Node)
+        assert (changed.tolist(), old.tolist(), new.tolist()) == ([False, True], [3, 9], [3, 50])
+        assert data[2, 1] == 50 and old.base is None  # the read is already a copy
+        changed, _old, new = lane_scatter(data, [rows, cols], 2.9, self._Node)
+        assert new.dtype == data.dtype and new.tolist() == [2, 2] and changed.all()
+        with pytest.raises(UCRuntimeError) as err:
+            lane_scatter(data, [rows, np.array([1, 4])], 0, self._Node)
+        assert "subscript 1 of 'a' out of range (value 4, extent 4)" in str(err.value)
+        assert (err.value.line, err.value.col) == (7, 3)
 
     def test_guarded_border_program_matches_full_sweeps(self):
         # i == 0 reads a[i-1] under a false guard: the slow path clips it
@@ -427,6 +440,191 @@ class TestLaneGatherFastPath:
         tree = run_uc(src, inputs, plans=False, **kw)
         assert on.fingerprint == tree.fingerprint
         assert np.array_equal(on["a"], run_uc(src, inputs, frontier=False, **kw)["a"])
+
+
+# ---------------------------------------------------------------------------
+# the sparse lane path: plan once, resolve addresses once
+# ---------------------------------------------------------------------------
+
+
+def _engines(src, inputs=None, **kw):
+    """The same run on the tree oracle, the plan engine and the unfused
+    plan engine; asserts equal values, fingerprints and active-set traces
+    and returns the plan-engine result."""
+    runs = [run_uc(src, inputs, **kw, **eng)
+            for eng in (dict(), dict(plans=False), dict(fusion=False))]  # fmt: skip
+    for other in runs[1:]:
+        for name in runs[0]:
+            assert np.array_equal(runs[0][name], other[name]), name
+        assert runs[0].fingerprint == other.fingerprint
+        assert runs[0].frontier_trace == other.frontier_trace
+    return runs[0]
+
+
+class TestEstimatorMemo:
+    #: the straggler counts shrink 40 -> 12 -> 3 lanes on a 4-PE machine,
+    #: so the active VP ratio (and with it the charge key) changes between
+    #: the compressed sweeps of one construct and repeats within a phase
+    SRC = """
+index_set I:i = {0..63};
+int a[64], b[64];
+main { *par (I) st (a[i] < b[i]) a[i] = a[i] + 1; }
+"""
+
+    def _inputs(self):
+        b = np.zeros(64, dtype=np.int64)
+        b[:40], b[:12], b[:3] = 4, 8, 12
+        return {"a": np.zeros(64, dtype=np.int64), "b": b}
+
+    def test_changing_lane_ratio_keeps_the_oracle_fingerprint(self, monkeypatch):
+        from repro.interp import frontier
+
+        keys = []
+        real_init = frontier.StarSession.__init__
+
+        def sessions_use(memo_type):
+            def init(self, *a, **kw):
+                real_init(self, *a, **kw)
+                self._estimates = memo_type()
+
+            monkeypatch.setattr(frontier.StarSession, "__init__", init)
+
+        class Spy(dict):
+            def __setitem__(self, key, value):
+                keys.append(key)
+                super().__setitem__(key, value)
+
+        sessions_use(Spy)
+        kw = dict(machine_config=small_config(4))
+        on = _engines(self.SRC, self._inputs(), **kw)
+        assert on["a"].tolist() == self._inputs()["b"].tolist()
+        ratios = {-(-active // 4) for active, _domain in on.frontier_trace}
+        assert len(ratios) >= 3, on.frontier_trace
+        # each distinct key was costed once per session, and sweeps far
+        # outnumber keys: the estimator replayed only for new keys
+        per_session = len(keys) // 3
+        assert len(set(keys)) == per_session
+        assert len(ratios) <= per_session < on.frontier["compressed_sweeps"]
+
+        # the memo never changes a decision: a session that forgets every
+        # estimate (and so replays the estimator each sweep) runs the same
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        sessions_use(Forgetful)
+        unmemoised = run_uc(self.SRC, self._inputs(), **kw)
+        assert unmemoised.fingerprint == on.fingerprint
+        assert unmemoised.frontier_trace == on.frontier_trace
+        full = run_uc(self.SRC, self._inputs(), frontier=False, **kw)
+        assert on.elapsed_us < full.elapsed_us
+
+
+class TestLaneBounds:
+    """Bounds errors keep their text and their ``live``-refined meaning on
+    the sparse lane path: the last lane reads ``a[i+1]`` one past the end,
+    under a guard that only comes alive once ``a[63]`` reaches LIVE."""
+
+    SRC = """
+index_set I:i = {0..63};
+int a[64];
+main {
+    *par (I) st (a[i] < 6)
+        a[i] = a[i] + 1 + ((a[i] >= LIVE %s a[i+1] > 100) ? 1 : 0);
+}
+"""
+
+    def _inputs(self):
+        a = np.full(64, 6, dtype=np.int64)
+        a[63] = 0  # the only active lane: every later sweep is compressed
+        return {"a": a}
+
+    @pytest.mark.parametrize("guard", ["&&", "ternary"])
+    def test_live_lane_raises_the_full_sweep_error(self, guard, monkeypatch):
+        from repro.interp import frontier
+
+        src = self.SRC % "&&"
+        if guard == "ternary":
+            src = src.replace(
+                "((a[i] >= LIVE && a[i+1] > 100) ? 1 : 0)",
+                "(a[i] >= LIVE ? (a[i+1] > 100 ? 1 : 0) : 0)",
+            )
+        kw = dict(machine_config=small_config(16))
+        # guarded (dead) everywhere: the out-of-range lane is clipped
+        dead = _engines(src, self._inputs(), defines={"LIVE": 100}, **kw)
+        assert dead.frontier["compressed_sweeps"] >= 4
+        assert dead.frontier.get("dense_sweeps", 0) == 0
+        assert dead["a"].tolist() == [6] * 64
+        # live from the fourth sweep on: a compressed sweep must raise
+        # exactly what the full sweep raises
+        lane_sweeps = []
+        real = frontier.StarSession._run_lanes
+
+        def spy(self, states):
+            lane_sweeps.append("entered")
+            out = real(self, states)
+            lane_sweeps[-1] = "returned"
+            return out
+
+        monkeypatch.setattr(frontier.StarSession, "_run_lanes", spy)
+        errors = []
+        for eng in (dict(frontier=False), dict(), dict(plans=False), dict(fusion=False)):
+            del lane_sweeps[:]
+            with pytest.raises(UCRuntimeError) as err:
+                run_uc(src, self._inputs(), defines={"LIVE": 3}, **kw, **eng)
+            errors.append((str(err.value), err.value.line, err.value.col))
+            if eng.get("frontier", True):
+                assert lane_sweeps and lane_sweeps[-1] == "entered", eng
+            else:
+                assert not lane_sweeps
+        assert "subscript 0 of 'a' out of range (value 64, extent 64)" in errors[0][0]
+        assert all(e == errors[0] for e in errors[1:])
+
+
+class TestRecipeRiders:
+    """``GuardedFrontier.candidates`` and the planner's write simulation
+    ride the same dilation recipe as the ``*solve``/``*par`` planner."""
+
+    def test_guarded_wavefront_across_engines(self):
+        src = (
+            "index_set I:i = {0..11}, J:j = I;\nint a[12][12], b[12][12];\n"
+            "main { solve (I, J) {\n"
+            "  a[i][j] = (i == 0 || j == 0) ? 1\n"
+            "          : a[i-1][j] + b[i-1][j-1] + a[i][j-1];\n"
+            "  b[i][j] = a[i][j] - 1; } }"
+        )
+        on = _engines(src, solve_strategy="guarded")
+        assert on.frontier["guarded_constructs"] == 1
+        assert on.frontier["guarded_skips"] >= 1
+        off = run_uc(src, solve_strategy="guarded", frontier=False)
+        assert np.array_equal(on["a"], off["a"]) and np.array_equal(on["b"], off["b"])
+        assert on.elapsed_us <= off.elapsed_us
+        # b = a - 1 turns the recurrence into the Delannoy numbers
+        want = np.ones((12, 12), dtype=np.int64)
+        for i in range(1, 12):
+            for j in range(1, 12):
+                want[i, j] = want[i - 1, j] + want[i - 1, j - 1] - 1 + want[i, j - 1]
+        assert np.array_equal(on["a"], want)
+
+    def test_two_arm_star_par_writing_two_arrays(self):
+        # arm 2 reads what arm 1 writes in the same sweep (b chases a's
+        # left neighbour): its active set comes from the write simulation
+        src = (
+            "index_set I:i = {0..63};\nint a[64], b[64], cap[64];\n"
+            "main { *par (I)\n"
+            "  st (a[i] < cap[i]) a[i] = a[i] + 1;\n"
+            "  st (b[i] < (i > 0 ? a[i-1] : 0)) b[i] = b[i] + 1;\n}"
+        )
+        cap = np.zeros(64, dtype=np.int64)
+        cap[20:26] = [3, 9, 4, 7, 2, 5]
+        inputs = {"cap": cap}
+        on = _engines(src, inputs, machine_config=small_config(16))
+        assert on.frontier["compressed_sweeps"] >= 5
+        assert on["a"].tolist() == cap.tolist()
+        assert on["b"][1:].tolist() == cap[:-1].tolist()
+        full = run_uc(src, inputs, machine_config=small_config(16), frontier=False)
+        assert np.array_equal(on["b"], full["b"])
+        assert on.elapsed_us < full.elapsed_us
 
 
 @pytest.mark.usefixtures("default_engines")

@@ -160,6 +160,7 @@ class TestBitEquality:
         assert not r.fusion, "tree-walking oracle must never fuse"
 
 
+@pytest.mark.usefixtures("default_engines")
 class TestCounters:
     def test_apsp_fuses_and_replays_charge_tables(self):
         r = run_uc(APSP, _apsp_input(), frontier=False)
@@ -236,6 +237,7 @@ class TestFaultFallback:
         assert a.fault_log == b.fault_log
 
 
+@pytest.mark.usefixtures("default_engines")
 class TestStatsCLI:
     def test_run_stats_prints_fusion_counters(self, tmp_path, capsys):
         from repro.cli import main

@@ -11,10 +11,15 @@ which is exactly the fragment the active-set analysis claims to handle
 construction).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.interp import frontier
+from repro.interp.commtiers import fusion_disabled_by_env
 from repro.interp.program import UCProgram
 from repro.machine import small_config
 
@@ -240,6 +245,7 @@ def _run_graph(inputs, **kw):
     return prog.run({"d": inputs["d"].copy()})
 
 
+@pytest.mark.usefixtures("default_engines")
 def test_graph_strategy_spans_the_occupancy_threshold():
     sparse = _run_graph(_community_graph(3, 3, 0))
     assert sparse.frontier["compressed_sweeps"] >= 1
@@ -267,5 +273,99 @@ def test_dense_evaluation_is_invisible(inputs):
         assert fused.fingerprint == other.fingerprint, kw
         assert fused.frontier_trace == other.frontier_trace, kw
     # fusion counts kernel executions that replayed their charge table:
-    # dense compressed sweeps are not among them
-    assert fused.fusion.get("fused_sweeps", 0) == fused.frontier["full_sweeps"]
+    # dense compressed sweeps are not among them (under the CI step's
+    # REPRO_NO_FUSION=1 nothing fuses and every occupancy above went
+    # through the sparse lane path)
+    fused_sweeps = 0 if fusion_disabled_by_env() else fused.frontier["full_sweeps"]
+    assert fused.fusion.get("fused_sweeps", 0) == fused_sweeps
+
+
+# ---------------------------------------------------------------------------
+# dilation: the per-axis take recipe against the gather formula it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_dilation(an, axes, ch, red):
+    """The formula the recipe replaced (kept here as the specification):
+    one ``np.ix_`` gather of the change mask with the clipped subscript
+    vectors, collapse of constant and reduction-bound axes, transpose of
+    the grid-bound axes into grid order, broadcast over the rest."""
+    vecs, out_grid_axes = [], []
+    for a, (elem, c) in enumerate(axes):
+        extent = ch.shape[a]
+        if elem is None:
+            vecs.append(np.array([min(max(int(c), 0), extent - 1)], dtype=np.int64))
+            out_grid_axes.append(None)
+        elif red is not None and elem == red.elem:
+            vecs.append(np.clip(red.values_arr + c, 0, extent - 1))
+            out_grid_axes.append(-1)
+        else:
+            g = an.grid_axis_of[elem]
+            vecs.append(np.clip(an.axis_vals[g] + c, 0, extent - 1))
+            out_grid_axes.append(g)
+    sub = ch[np.ix_(*vecs)]
+    collapse = tuple(i for i, g in enumerate(out_grid_axes) if g is None or g < 0)
+    if collapse:
+        sub = sub.any(axis=collapse)
+    grid_axes = [g for g in out_grid_axes if g is not None and g >= 0]
+    order = tuple(sorted(range(len(grid_axes)), key=lambda i: grid_axes[i]))
+    bshape = [1] * an.rank
+    for i in order:
+        bshape[grid_axes[i]] = len(an.axis_vals[grid_axes[i]])
+    sub = np.transpose(sub, order).reshape(bshape)
+    return np.broadcast_to(sub, tuple(len(v) for v in an.axis_vals))
+
+
+@st.composite
+def _dilation_cases(draw):
+    """A grid of rank 1-3 whose axes carry distinct, not necessarily
+    ``arange`` values; a reference of rank 1-3 whose subscripts are
+    constants, grid elements (each at most once) or the reduction
+    element, offset far enough to clip at both borders; a change mask."""
+    rank = draw(st.integers(1, 3))
+    names = ["i", "j", "k"][:rank]
+    axis_vals = []
+    for _ in range(rank):
+        vals = draw(st.lists(st.integers(-2, 9), min_size=1, max_size=6, unique=True))
+        if draw(st.booleans()):
+            vals = list(range(len(vals)))  # the common case: 0..n-1
+        axis_vals.append(np.asarray(vals, dtype=np.int64))
+    an = SimpleNamespace(
+        rank=rank,
+        axis_vals=axis_vals,
+        grid_axis_of={e: g for g, e in enumerate(names)},
+    )
+    red = None
+    if draw(st.booleans()):
+        rv = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
+        red = SimpleNamespace(elem="r", values_arr=np.asarray(rv, dtype=np.int64))
+    free = list(names) + (["r"] if red is not None else [])
+    axes, shape = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        pick = draw(st.integers(0, len(free)))
+        elem = free.pop(pick) if pick < len(free) else None
+        axes.append((elem, draw(st.integers(-3, 8) if elem is None else st.integers(-3, 3))))
+        shape.append(draw(st.integers(1, 7)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    ch = rng.random(tuple(shape)) < density
+    return an, tuple(axes), ch, red
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dilation_cases())
+def test_dilation_recipe_matches_the_gather_formula(case):
+    an, axes, ch, red = case
+    grid_shape = tuple(len(v) for v in an.axis_vals)
+    recipe = frontier._dilation_recipe(an, axes, ch.shape, red)
+    # the only tables are per-axis vectors, one grid axis (or reduction
+    # range) long: nothing the size of the grid or of the mask
+    longest = max([len(v) for v in an.axis_vals] + [len(red.values_arr) if red else 1])
+    assert all(vec.ndim == 1 and len(vec) <= longest for _axis, vec in recipe[0])
+    got = frontier._RefInfo("v", axes, recipe).dilate(ch)
+    want = _reference_dilation(an, axes, ch, red)
+    assert np.array_equal(np.broadcast_to(got, grid_shape), want), (axes, ch.shape)
+    # the planner ORs the mask into a grid-shaped accumulator as is
+    act = np.zeros(grid_shape, dtype=bool)
+    act |= got
+    assert np.array_equal(act, want)
