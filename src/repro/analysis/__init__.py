@@ -14,20 +14,30 @@ additionally the runtime's reorder-legality oracle for batched blocked
 reductions and cross-shard pre-combining.
 """
 
-from .determinism import ReductionVerdict, determinism_claims
-from .diagnostics import CODES, DETAILS, Diagnostic, LintReport, explain
-from .linter import build_verdicts, lint_program
-from .sanitize import Sanitizer
+from importlib import import_module
 
-__all__ = [
-    "CODES",
-    "DETAILS",
-    "Diagnostic",
-    "LintReport",
-    "ReductionVerdict",
-    "Sanitizer",
-    "build_verdicts",
-    "determinism_claims",
-    "explain",
-    "lint_program",
-]
+#: public name -> defining submodule, imported on first attribute access
+#: (PEP 562): the runtime's reduction oracle needs ``context`` and
+#: ``determinism`` only, and must not pay for the linter passes
+_EXPORTS = {
+    "CODES": "diagnostics",
+    "DETAILS": "diagnostics",
+    "Diagnostic": "diagnostics",
+    "LintReport": "diagnostics",
+    "ReductionVerdict": "determinism",
+    "Sanitizer": "sanitize",
+    "build_verdicts": "linter",
+    "determinism_claims": "determinism",
+    "explain": "diagnostics",
+    "lint_program": "linter",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

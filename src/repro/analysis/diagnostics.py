@@ -20,7 +20,6 @@ as human-readable text or JSON and how to map onto a process exit code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -324,6 +323,8 @@ class LintReport:
         return "\n".join(lines)
 
     def render_json(self) -> str:
+        import json  # lint-only: the runtime's verdict oracle never renders
+
         return json.dumps(
             {
                 "file": self.file,

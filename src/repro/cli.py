@@ -17,6 +17,7 @@ the machine.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -28,6 +29,11 @@ from .compiler.processor_opt import analyze_program as analyze_vp_plans
 from .interp.program import UCProgram
 from .lang.errors import UCError
 from .machine import MachineConfig, MachineError
+
+
+def _digest(fingerprint) -> str:
+    """The short printable form of a Clock fingerprint (engine diffs)."""
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
 
 
 def _parse_defines(items: Sequence[str]) -> Dict[str, int]:
@@ -131,12 +137,7 @@ def _cmd_run_batch(prog: UCProgram, args: argparse.Namespace) -> int:
             f"{result.elapsed_us / 1e3:.3f} ms"
         )
         if getattr(args, "fingerprint", False):
-            import hashlib
-
-            digest = hashlib.sha256(
-                repr(result.fingerprint).encode()
-            ).hexdigest()
-            line += f"  fingerprint {digest[:16]}"
+            line += f"  fingerprint {_digest(result.fingerprint)}"
         print(line)
     batched = results[-1].compile.get("batched_lanes", 0.0)
     mode = (
@@ -198,10 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"-- simulated elapsed: {result.elapsed_us / 1e3:.3f} ms "
           f"({result.elapsed_us:.0f} us)")
     if getattr(args, "fingerprint", False):
-        import hashlib
-
-        digest = hashlib.sha256(repr(result.fingerprint).encode()).hexdigest()
-        print(f"-- clock fingerprint: {digest[:16]}")
+        print(f"-- clock fingerprint: {_digest(result.fingerprint)}")
     if args.ledger:
         print("-- instruction ledger:")
         for kind in sorted(result.counts):
@@ -231,6 +229,8 @@ def _print_stats(prog: UCProgram, result) -> None:
                 value = result.compile[key]
                 if key.endswith("_s"):
                     print(f"   compile.{key:16s} {value * 1e3:10.3f} ms")
+                elif isinstance(value, str):
+                    print(f"   compile.{key:16s} {value}")
                 else:
                     print(f"   compile.{key:16s} {value:g}")
         if result.store:
@@ -484,13 +484,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         res = results[job_id]
         line = f"{job_id:>6s}  {res.state:8s} tenant={res.tenant}"
         if res.ok:
-            import hashlib
-
-            digest = hashlib.sha256(repr(res.fingerprint).encode()).hexdigest()
             line += (
                 f"  {res.clock_us / 1e3:10.3f} ms simulated"
                 f"  attempts={res.attempts} preemptions={res.preemptions}"
-                f"  fingerprint {digest[:16]}"
+                f"  fingerprint {_digest(res.fingerprint)}"
             )
         elif res.error is not None:
             reason = res.error.get("reason") or res.error.get("type")
@@ -507,27 +504,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 1 if lost else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="UC language tools on a simulated Connection Machine",
+def _add_common_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="UC source file")
+    p.add_argument(
+        "-D",
+        "--define",
+        action="append",
+        metavar="NAME=VALUE",
+        help="compile-time constant (repeatable)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--no-maps", action="store_true", help="ignore map sections")
+    p.add_argument("--pes", type=int, help="physical processors (default 16384)")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file", help="UC source file")
-        p.add_argument(
-            "-D",
-            "--define",
-            action="append",
-            metavar="NAME=VALUE",
-            help="compile-time constant (repeatable)",
-        )
-        p.add_argument("--no-maps", action="store_true", help="ignore map sections")
-        p.add_argument("--pes", type=int, help="physical processors (default 16384)")
 
-    p_run = sub.add_parser("run", help="execute main on the simulator")
-    common(p_run)
+def _add_run_args(p_run: argparse.ArgumentParser) -> None:
+    _add_common_args(p_run)
     p_run.add_argument("--seed", type=int, default=20250704, help="RNG seed")
     p_run.add_argument(
         "--print", action="append", metavar="VAR", help="variable(s) to print"
@@ -595,14 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint-position diagnostic; the execution service's deadline "
         "machinery)",
     )
-    p_run.set_defaults(func=cmd_run)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="multi-tenant execution service: run a JSON job list on a "
-        "bounded worker pool with deadlines, retries, preemption and "
-        "crash-durable state (see docs/ROBUSTNESS.md)",
-    )
+
+def _add_serve_args(p_serve: argparse.ArgumentParser) -> None:
     p_serve.add_argument(
         "jobs",
         nargs="?",
@@ -650,26 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable run_batch coalescing of identical queued programs",
     )
-    p_serve.set_defaults(func=cmd_serve)
 
-    p_check = sub.add_parser("check", help="parse + semantic analysis only")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
 
-    p_cstar = sub.add_parser("cstar", help="emit C* target source")
-    common(p_cstar)
-    p_cstar.set_defaults(func=cmd_cstar)
-
-    p_an = sub.add_parser("analyze", help="communication report + map suggestions")
-    common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="whole-program static analyzer: par races, solve convergence, "
-        "communication tiers, hygiene, determinism envelopes "
-        "(see docs/ANALYSIS.md)",
-    )
+def _add_lint_args(p_lint: argparse.ArgumentParser) -> None:
     p_lint.add_argument("files", nargs="*", help="UC source file(s)")
     p_lint.add_argument(
         "--explain",
@@ -696,12 +665,59 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit non-zero on warnings too",
     )
-    p_lint.set_defaults(func=cmd_lint)
+
+
+#: sub-command -> (help line, argument declarations, handler), in the
+#: order ``repro -h`` lists them
+_COMMANDS = {
+    "run": ("execute main on the simulator", _add_run_args, cmd_run),
+    "serve": (
+        "multi-tenant execution service: run a JSON job list on a "
+        "bounded worker pool with deadlines, retries, preemption and "
+        "crash-durable state (see docs/ROBUSTNESS.md)",
+        _add_serve_args,
+        cmd_serve,
+    ),
+    "check": ("parse + semantic analysis only", _add_common_args, cmd_check),
+    "cstar": ("emit C* target source", _add_common_args, cmd_cstar),
+    "analyze": (
+        "communication report + map suggestions",
+        _add_common_args,
+        cmd_analyze,
+    ),
+    "lint": (
+        "whole-program static analyzer: par races, solve convergence, "
+        "communication tiers, hygiene, determinism envelopes "
+        "(see docs/ANALYSIS.md)",
+        _add_lint_args,
+        cmd_lint,
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser with every sub-command registered (so ``-h``
+    and the invalid-choice error list them all) but only ``command``'s
+    arguments declared — an invocation runs one command and pays for one."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="UC language tools on a simulated Connection Machine",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no options of its own besides -h, so the
+    # first bare word is the sub-command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

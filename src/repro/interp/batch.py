@@ -236,7 +236,7 @@ class _BatchRun:
         for ip in self.interps:
             r = RunResult(ip)
             r.compile = prog._compile_summary(
-                pc_after, pc_before, execute_s / self.S
+                ip, pc_after, pc_before, execute_s / self.S
             )
             r.compile["batched_lanes"] = float(self.S)
             if shared is not None and prog.compile_store is not None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
+from ..machine.router import has_duplicates
 from ..machine.scan import INF, identity_of
 from ..mapping.locality import RefClass, classify_reference, classify_write
 from . import commtiers
@@ -580,9 +581,7 @@ def eval_scatter(
         construct=getattr(ip, "current_construct", None),
     )
     if getattr(ip, "sanitizer", None) is not None:
-        ip.sanitizer.record_write(
-            node, bool(np.unique(flat_idx).size < flat_idx.size)
-        )
+        ip.sanitizer.record_write(node, has_duplicates(flat_idx))
     data.reshape(-1)[flat_idx] = vals
     ip.cse_invalidate(node.base)
 

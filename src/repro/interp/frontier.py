@@ -88,6 +88,7 @@ from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
 from ..machine.config import HOST_KINDS
+from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
@@ -758,8 +759,7 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         raise _NotFrontierable()
     # distinct per-axis values make identity writes hit distinct slots
     for axis in grid.axes:
-        vals = np.asarray(axis.values, dtype=np.int64)
-        if len(np.unique(vals)) != len(vals):
+        if has_duplicates(np.asarray(axis.values, dtype=np.int64)):
             raise _NotFrontierable()
     an = _Analysis(grid, kind)
 

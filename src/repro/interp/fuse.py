@@ -27,6 +27,17 @@ candidates...) become **unfused segments**: the fused sweep drops back to
 the ordinary compiled-plan closure for just that statement, keeping the
 rest of the body on the fast path.
 
+Compile cost is independent of grid size: address resolution works on
+the compact per-axis form of each static subscript (``plan._compact``).
+``_full_idx`` clips those vectors and hands out grid-shaped *views*, the
+broadcast-axis test reads strides, scatter uniqueness is proved from
+duplicate-free per-axis vectors, and a dense index tuple is materialised
+only when the fancy-index fallback is what a ``_Gather`` stores (recipes
+are still verified against the dense gather below ``_VERIFY_LIMIT``).
+What a step *keeps* is sized by what it replays each sweep — a reduced
+index over the axes a reference varies along, a scatter's flat address
+vector over the statement's own grid — never by an enclosing reduction.
+
 Correctness subtleties worth naming:
 
 * **CSE simulation.**  Inside a construct the engine arms a
@@ -72,6 +83,7 @@ from ..compiler.cstar_gen import expr_to_text
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
 from ..lang.scope import IndexSetValue
+from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
 from . import commtiers
@@ -79,6 +91,7 @@ from . import eval_expr as E
 from .plan import (
     _VERIFY_LIMIT,
     _build_index_recipe,
+    _compact,
     _oob_masks,
     compile_stmt,
 )
@@ -1099,12 +1112,15 @@ class _Fuser:
         return subs
 
     def _full_idx(self, subs, view_shape, grid_shape) -> Tuple[np.ndarray, ...]:
+        """Clipped subscripts as grid-shaped *views*: only the compact
+        form of each subscript (its non-broadcast axes) is clipped and held."""
         idx_arrays = []
         for a, s in enumerate(subs):
             if isinstance(s, np.ndarray):
-                clipped = np.clip(s, 0, view_shape[a] - 1)
+                compact = _compact(np.broadcast_to(s, grid_shape))
+                clipped = np.clip(compact, 0, view_shape[a] - 1)
             else:
-                clipped = np.full(grid_shape, int(s), dtype=np.int64)
+                clipped = np.int64(s)
             idx_arrays.append(np.broadcast_to(clipped, grid_shape))
         return tuple(idx_arrays)
 
@@ -1155,7 +1171,10 @@ class _Fuser:
                 a
                 for a in range(len(g.shape))
                 if g.shape[a] > 1
-                and not any(np.ptp(ia, axis=a).any() for ia in idx_full)
+                and not any(
+                    ia.strides[a] and np.ptp(_compact(ia), axis=a).any()
+                    for ia in idx_full
+                )
             )
             if bcast:
                 sl = tuple(
@@ -1174,9 +1193,10 @@ class _Fuser:
                     np.asarray(recipe.take(arr.data)), arr.data[idx_full]
                 ):
                     recipe = None
-                    idx = idx_full
             if recipe is None and idx is None:
-                idx = idx_full
+                # the fancy-index fallback is the only consumer of a dense
+                # index tuple: materialise it here and nowhere else
+                idx = tuple(np.ascontiguousarray(ia) for ia in idx_full)
         r = self.reg()
         self.steps.append(
             _Gather(
@@ -1217,9 +1237,17 @@ class _Fuser:
             grid_shape=tuple(g.shape), layout=arr.layout,
         )
         self.charges.extend(rec.entries)
-        flat_idx = tuple(ia.reshape(-1) for ia in self._full_idx(subs, view_shape, g.shape))
-        full_flat = np.ravel_multi_index(flat_idx, view_shape)
-        unique = bool(np.unique(full_flat).size == full_flat.size)
+        full_flat = np.ravel_multi_index(
+            self._full_idx(subs, view_shape, g.shape), view_shape
+        ).reshape(-1)
+        # duplicate-free per-axis vectors that claim every grid axis make
+        # the write injective; anything else is settled on the flat index
+        recipe = _build_index_recipe(subs, view_shape, g.shape)
+        unique = (
+            recipe is not None
+            and all(g.shape[a] == 1 for a in recipe.expand)
+            and not any(has_duplicates(v) for v in recipe.vecs)
+        ) or not has_duplicates(full_flat)
         self.steps.append(
             _Scatter(
                 node, arr, value.reg, mask_reg, g.shape, view_shape, subs, oob,

@@ -214,8 +214,8 @@ class Interpreter:
         )
         # innermost construct being executed (error-message context)
         self.current_construct: Optional[ast.UCStmt] = None
-        self.rng = np.random.default_rng(seed)
         self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self.solve_strategy = flags.solve_strategy
         # configurable solve/*solve sweep cap (param > env > MAX_SWEEPS)
         self.solve_sweep_limit = flags.solve_sweep_limit
@@ -239,6 +239,9 @@ class Interpreter:
         # reorder-legality oracle batched blocked reductions, cross-shard
         # pre-combining and the sanitizer consult (keyed by node identity)
         self._determinism = None
+        #: why the analyzer produced no verdicts ("" = it did); surfaced
+        #: as ``RunResult.compile["determinism_error"]`` and by ``--stats``
+        self.determinism_error = ""
         self._setup_globals()
 
     # -- determinism oracle ------------------------------------------------------
@@ -254,8 +257,11 @@ class Interpreter:
                 self._determinism = determinism_claims(
                     build_model(self.info, self.layouts)
                 )
-            except Exception:  # analyzer failure never blocks execution
+            except Exception as exc:
+                # analyzer failure never blocks execution, but every site
+                # now takes the ordered path: say why, once
                 self._determinism = {}
+                self.determinism_error = f"{type(exc).__name__}: {exc}"
         return self._determinism.get(id(node))
 
     def reduction_order_safe(self, node) -> bool:
@@ -311,8 +317,18 @@ class Interpreter:
             self._vpsets[shape] = self.machine.vpset(shape, name=f"grid{shape}")
         return self._vpsets[shape]
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The seeded generator behind ``rand()``/``oneof``/``$,``, created
+        at first use: a program that never draws never imports
+        ``numpy.random``, and one that does sees the same stream."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
+
     def reseed(self, seed: int) -> None:
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng = None
 
     # -- common-subexpression cache (§4) -----------------------------------------
 

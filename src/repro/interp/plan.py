@@ -44,6 +44,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
+from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
 from . import commtiers
@@ -119,16 +120,14 @@ def _axes_match(a, b) -> bool:
 
 
 def _compact(arr: np.ndarray) -> np.ndarray:
-    """Smallest view of a (possibly broadcast) array holding every value.
+    """Smallest same-rank view of a (possibly broadcast) array holding
+    every value.
 
     Axes with stride 0 carry no information; slicing them to one element
-    turns reductions over a huge broadcast view into reductions over the
-    underlying vector.
+    turns work over a huge broadcast view into work over the underlying
+    vector, and the result broadcasts back to ``arr.shape`` as a view.
     """
-    slicer = tuple(
-        slice(None) if st != 0 else 0 for st in arr.strides
-    )
-    return arr[slicer]
+    return arr[tuple(slice(None) if st else slice(0, 1) for st in arr.strides)]
 
 
 def _vary_axis(arr: np.ndarray, used) -> Optional[int]:
@@ -738,8 +737,7 @@ class _ScatterPlan:
                 if getattr(ip, "sanitizer", None) is not None:
                     ip.sanitizer.record_write(
                         node,
-                        (not m.unique)
-                        and bool(np.unique(flat_idx).size < flat_idx.size),
+                        (not m.unique) and has_duplicates(flat_idx),
                     )
                 data.reshape(-1)[flat_idx] = vals
                 ip.cse_invalidate(node.base)
@@ -780,9 +778,7 @@ class _ScatterPlan:
             construct=getattr(ip, "current_construct", None),
         )
         if getattr(ip, "sanitizer", None) is not None:
-            ip.sanitizer.record_write(
-                node, bool(np.unique(flat_idx).size < flat_idx.size)
-            )
+            ip.sanitizer.record_write(node, has_duplicates(flat_idx))
         data.reshape(-1)[flat_idx] = vals
         ip.cse_invalidate(node.base)
 
@@ -790,7 +786,7 @@ class _ScatterPlan:
             sig = _binding_sig(self.names, ctx)
             if sig is not None:
                 full_flat = np.ravel_multi_index(tuple(idx_arrays), view_shape)
-                unique = np.unique(full_flat).size == full_flat.size
+                unique = not has_duplicates(full_flat)
                 self._memo = _ScatterMemo(
                     ctx.grid.axes,
                     sig,

@@ -105,9 +105,10 @@ class RunResult:
         #: compile/execute wall-time breakdown + recompile counts for
         #: this run (parse/semantics/layouts are zero on a warm frontend
         #: hit; plan/fuse/frontier build seconds and ``recompiles`` are
-        #: deltas over the run, so a warm run shows them all as zero) —
-        #: filled in by UCProgram.run
-        self.compile: Dict[str, float] = {}
+        #: deltas over the run, so a warm run shows them all as zero;
+        #: ``determinism_error`` names an analyzer failure that sent every
+        #: reduction down the ordered path) — filled in by UCProgram.run
+        self.compile: Dict[str, Any] = {}
         #: compile-store counters after this run (empty when the program
         #: runs with a private cache) — filled in by UCProgram.run
         self.store: Dict[str, int] = {}
@@ -527,10 +528,14 @@ class UCProgram:
         return cache
 
     def _compile_summary(
-        self, pc_after: Dict[str, float], pc_before: Dict[str, float], execute_s: float
-    ) -> Dict[str, float]:
+        self,
+        interp: Interpreter,
+        pc_after: Dict[str, float],
+        pc_before: Dict[str, float],
+        execute_s: float,
+    ) -> Dict[str, Any]:
         """The --stats breakdown: frontend times + per-kind build deltas."""
-        out: Dict[str, float] = {
+        out: Dict[str, Any] = {
             "frontend_cached": float(self.compile_cached),
             "parse_s": self.compile_times["parse_s"],
             "semantics_s": self.compile_times["semantics_s"],
@@ -553,6 +558,8 @@ class UCProgram:
         out["plan_s"] = plan_s
         out["fuse_s"] = fuse_s
         out["frontier_s"] = frontier_s
+        if interp.determinism_error:
+            out["determinism_error"] = interp.determinism_error
         return out
 
 
@@ -620,7 +627,7 @@ class PreparedRun:
         program.last_interpreter = interp
         result = RunResult(interp)
         result.compile = program._compile_summary(
-            interp.plan_cache.counters(), self._pc_before, self.execute_s
+            interp, interp.plan_cache.counters(), self._pc_before, self.execute_s
         )
         if self.plan_cache is not None and program.compile_store is not None:
             result.store = program.compile_store.stats()

@@ -1,20 +1,98 @@
 """AST node definitions for UC.
 
-All nodes are plain dataclasses carrying their source position.  The tree
+All nodes are plain records carrying their source position.  The tree
 mirrors the paper's grammar (§3): C expressions/statements plus index-set
 declarations, reductions, the four UC constructs and the map section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 
-@dataclass
+class _DataclassFields:
+    """``dataclasses.fields(node)`` / ``is_dataclass(node)`` for generic tree
+    tools (``benchmarks/e2e`` counts nodes that way).  The ``Field`` objects
+    are built on first request, so importing the AST never pays for them."""
+
+    def __init__(self) -> None:
+        self._cache: dict = {}
+
+    def __get__(self, obj, owner):
+        if owner not in self._cache:
+            import dataclasses
+
+            shadow = dataclasses.make_dataclass(
+                owner.__name__,
+                [(n, object, dataclasses.field(default=None)) for n in owner._fields],
+            )
+            self._cache[owner] = {f.name: f for f in dataclasses.fields(shadow)}
+        return self._cache[owner]
+
+
 class Node:
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    """Base record: a subclass's annotations are its fields.
+
+    Fields are positional in declaration order after ``line``/``col`` and
+    every one has a default — the class-level value, where ``list`` stands
+    for a fresh ``[]`` per node.  Nodes are mutable, compare by value
+    ignoring the source position, and are therefore unhashable.  One
+    generic ``__init__``/``__eq__``/``__repr__`` serves every class, so
+    defining the 38 node types costs no per-class code generation.
+    """
+
+    line: int = 0
+    col: int = 0
+    _fields: Tuple[str, ...] = ("line", "col")
+    _defaults: dict = {"line": 0, "col": 0}
+    _list_fields: Tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own}}
+        cls._list_fields = tuple(n for n, v in cls._defaults.items() if v is list)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if args:
+            if len(args) > len(cls._fields):
+                raise TypeError(
+                    f"{cls.__name__}() takes at most {len(cls._fields)} "
+                    f"arguments ({len(args)} given)"
+                )
+            for name, value in zip(cls._fields, args):
+                if name in kwargs:
+                    raise TypeError(
+                        f"{cls.__name__}() got multiple values for argument {name!r}"
+                    )
+                kwargs[name] = value
+        values = cls._defaults.copy()
+        values.update(kwargs)
+        if len(values) != len(cls._fields):
+            unknown = next(k for k in kwargs if k not in cls._defaults)
+            raise TypeError(
+                f"{cls.__name__}() got an unexpected keyword argument {unknown!r}"
+            )
+        for name in cls._list_fields:
+            if values[name] is list:
+                values[name] = []
+        self.__dict__ = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields[2:]
+        return tuple(getattr(self, n) for n in names) == tuple(
+            getattr(other, n) for n in names
+        )
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
 
 
 # ---------------------------------------------------------------------------
@@ -22,71 +100,59 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Expr(Node):
     pass
 
 
-@dataclass
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass
 class FloatLit(Expr):
     value: float = 0.0
 
 
-@dataclass
 class StringLit(Expr):
     value: str = ""
 
 
-@dataclass
 class InfLit(Expr):
     """The predefined constant INF (paper §3.2)."""
 
 
-@dataclass
 class Name(Expr):
     ident: str = ""
 
 
-@dataclass
 class Unary(Expr):
     op: str = ""  # '-', '+', '!', '~'
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class Binary(Expr):
     op: str = ""  # C binary operator spelling: '+', '<=', '&&', '%', ...
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class Ternary(Expr):
     cond: Expr = None  # type: ignore[assignment]
     then: Expr = None  # type: ignore[assignment]
     els: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class Call(Expr):
     func: str = ""
-    args: List[Expr] = field(default_factory=list)
+    args: List[Expr] = list
 
 
-@dataclass
 class Index(Expr):
     """``base[sub0][sub1]...`` with all subscripts collected."""
 
     base: str = ""
-    subs: List[Expr] = field(default_factory=list)
+    subs: List[Expr] = list
 
 
-@dataclass
 class ScExpr(Node):
     """One ``st (pred) exp`` arm of a reduction (pred None = no predicate)."""
 
@@ -94,17 +160,15 @@ class ScExpr(Node):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class Reduction(Expr):
     """``$op(idxs ; exp)`` / ``$op(idxs st (p) e ... others e)`` (§3.2)."""
 
     op: str = ""  # canonical: add, mul, logand, logor, logxor, max, min, arbitrary
-    index_sets: List[str] = field(default_factory=list)
-    arms: List[ScExpr] = field(default_factory=list)
+    index_sets: List[str] = list
+    arms: List[ScExpr] = list
     others: Optional[Expr] = None
 
 
-@dataclass
 class Assign(Expr):
     """``target op= value``; ``op`` is '' for plain assignment."""
 
@@ -113,7 +177,6 @@ class Assign(Expr):
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class IncDec(Expr):
     """``target++`` / ``target--`` (pre/post makes no difference as a stmt)."""
 
@@ -126,46 +189,38 @@ class IncDec(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Stmt(Node):
     pass
 
 
-@dataclass
 class ExprStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class EmptyStmt(Stmt):
     pass
 
 
-@dataclass
 class Block(Stmt):
-    stmts: List[Stmt] = field(default_factory=list)
+    stmts: List[Stmt] = list
 
 
-@dataclass
 class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then: Stmt = None  # type: ignore[assignment]
     els: Optional[Stmt] = None
 
 
-@dataclass
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: Stmt = None  # type: ignore[assignment]
 
 
-@dataclass
 class DoWhile(Stmt):
     body: Stmt = None  # type: ignore[assignment]
     cond: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
 class For(Stmt):
     init: Optional[Expr] = None
     cond: Optional[Expr] = None
@@ -173,17 +228,14 @@ class For(Stmt):
     body: Stmt = None  # type: ignore[assignment]
 
 
-@dataclass
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass
 class Break(Stmt):
     pass
 
 
-@dataclass
 class Continue(Stmt):
     pass
 
@@ -193,7 +245,6 @@ class Continue(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DeclGroup(Stmt):
     """Several declarators from one declaration (``int a, b;``).
 
@@ -201,31 +252,28 @@ class DeclGroup(Stmt):
     declarations land in the surrounding scope, as C requires.
     """
 
-    decls: List[Stmt] = field(default_factory=list)
+    decls: List[Stmt] = list
 
 
-@dataclass
 class VarDecl(Stmt):
     """``int a[N][N], s;`` — one declarator (the parser splits lists)."""
 
     ctype: str = "int"  # 'int' | 'float'
     name: str = ""
-    dims: List[Expr] = field(default_factory=list)  # empty = scalar
+    dims: List[Expr] = list  # empty = scalar
     init: Optional[Expr] = None
 
 
-@dataclass
 class IndexSetSpec(Node):
     """RHS of an index-set definition."""
 
     kind: str = "range"  # 'range' | 'listing' | 'alias'
     lo: Optional[Expr] = None
     hi: Optional[Expr] = None
-    items: List[Expr] = field(default_factory=list)
+    items: List[Expr] = list
     alias: str = ""
 
 
-@dataclass
 class IndexSetDecl(Stmt):
     """``index_set I:i = {0..N-1};`` — one set (lists are split)."""
 
@@ -239,7 +287,6 @@ class IndexSetDecl(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ScBlock(Node):
     """One ``st (pred) stmt`` arm (pred None = the unconditional body)."""
 
@@ -247,14 +294,13 @@ class ScBlock(Node):
     stmt: Stmt = None  # type: ignore[assignment]
 
 
-@dataclass
 class UCStmt(Stmt):
     """``[*] par|seq|solve|oneof (idxs) st-blocks [others stmt]`` (§3.3)."""
 
     kind: str = "par"  # 'par' | 'seq' | 'solve' | 'oneof'
     star: bool = False
-    index_sets: List[str] = field(default_factory=list)
-    blocks: List[ScBlock] = field(default_factory=list)
+    index_sets: List[str] = list
+    blocks: List[ScBlock] = list
     others: Optional[Stmt] = None
 
 
@@ -263,21 +309,19 @@ class UCStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MapDecl(Node):
     """``permute (I) b[i+1] :- a[i];`` and the fold / copy forms."""
 
     kind: str = "permute"  # 'permute' | 'fold' | 'copy'
-    index_sets: List[str] = field(default_factory=list)
+    index_sets: List[str] = list
     target: Index = None  # type: ignore[assignment]  # the array being remapped
     source: Optional[Index] = None  # relative-to reference (None for fold/copy forms without one)
     extent: Optional[Expr] = None  # copy: replication count
 
 
-@dataclass
 class MapSection(Node):
-    index_sets: List[str] = field(default_factory=list)
-    decls: List[MapDecl] = field(default_factory=list)
+    index_sets: List[str] = list
+    decls: List[MapDecl] = list
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +329,23 @@ class MapSection(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Param(Node):
     ctype: str = "int"
     name: str = ""
     dims: int = 0  # number of array dimensions (passed as slice reference)
 
 
-@dataclass
 class FuncDef(Node):
     ret_type: str = "void"  # 'void' | 'int' | 'float'
     name: str = ""
-    params: List[Param] = field(default_factory=list)
+    params: List[Param] = list
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass
 class Program(Node):
-    decls: List[Stmt] = field(default_factory=list)  # VarDecl | IndexSetDecl
-    maps: List[MapSection] = field(default_factory=list)
-    funcs: List[FuncDef] = field(default_factory=list)
+    decls: List[Stmt] = list  # VarDecl | IndexSetDecl
+    maps: List[MapSection] = list
+    funcs: List[FuncDef] = list
     main: Optional[Block] = None
 
 

@@ -44,8 +44,8 @@ class Machine:
     ) -> None:
         self.config = config or default_config()
         self.clock = Clock(self.config.costs)
-        self.rng = np.random.default_rng(seed)
         self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self.vpsets: List[VPSet] = []
         self.fields: List[Field] = []
         #: physical PEs taken down by injected faults; survives checkpoint
@@ -68,6 +68,15 @@ class Machine:
         """Disarm fault injection (the zero-overhead state)."""
         self.faults = None
         self.clock.fault_hook = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The seeded generator (router arbitrary-combining, ``oneof``),
+        created at first use so a run that never draws never imports
+        ``numpy.random``; the stream is the one an eager generator gives."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     @property
     def n_live_pes(self) -> int:
@@ -100,7 +109,7 @@ class Machine:
         come back (a cold boot is a service visit) and any fault plan is
         re-armed from the start."""
         self.clock.reset()
-        self.rng = np.random.default_rng(self._seed)
+        self._rng = None
         self.vpsets.clear()
         self.fields.clear()
         self.dead_pes.clear()

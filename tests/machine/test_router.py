@@ -152,6 +152,41 @@ class TestPermute:
         with pytest.raises(RouterError):
             router.permute(dst, src, np.array([0, 0, 1, 2]))
 
+    def test_collision_under_a_context_mask_is_ignored(self, machine):
+        vps = machine.vpset((4,))
+        src, dst = machine.field(vps), machine.field(vps)
+        src.data[:] = [1, 2, 3, 4]
+        with vps.where(np.array([True, False, True, True])):
+            router.permute(dst, src, np.array([0, 0, 1, 2]))
+        assert dst.read().tolist()[:3] == [1, 3, 4]
+
+
+class TestHasDuplicates:
+    """The one address-collision probe (sort + neighbour compare)."""
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ([], False),
+            ([5], False),
+            ([3, 1, 2], False),
+            ([3, 1, 3], True),
+            ([[0, 1], [2, 0]], True),
+            ([[0, 1], [2, 3]], False),
+            ([-1, 0, -1], True),
+        ],
+    )
+    def test_matches_a_set_count(self, values, expected):
+        arr = np.asarray(values, dtype=np.int64)
+        assert router.has_duplicates(arr) is expected
+        assert expected == (len(set(arr.reshape(-1).tolist())) != arr.size)
+
+    def test_input_is_not_reordered_and_views_work(self):
+        arr = np.array([4, 2, 9, 2])
+        assert router.has_duplicates(arr) and arr.tolist() == [4, 2, 9, 2]
+        assert not router.has_duplicates(np.broadcast_to(np.arange(3), (1, 3)))
+        assert router.has_duplicates(np.broadcast_to(np.arange(3), (2, 3)))
+
 
 class TestLogicalCombinerDtypes:
     """Logical combining must stay meaningful on non-bool destinations."""
