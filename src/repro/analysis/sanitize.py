@@ -188,7 +188,7 @@ class Sanitizer:
         """
         log = getattr(ip, "tier_log", None) or {}
         costs = ip.machine.clock.costs
-        enabled = ip.comm_tiers_enabled
+        enabled = ip.config.comm_tiers
         observed_sites = 0
         verified = 0
         contradictions: List[str] = []

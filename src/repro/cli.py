@@ -26,6 +26,7 @@ import numpy as np
 from .compiler.comm_opt import analyze_communication
 from .compiler.cstar_gen import generate_cstar
 from .compiler.processor_opt import analyze_program as analyze_vp_plans
+from .interp.config import ConfigError, EngineConfig
 from .interp.program import UCProgram
 from .lang.errors import UCError
 from .machine import MachineConfig, MachineError
@@ -119,6 +120,8 @@ def _cmd_run_batch(prog: UCProgram, args: argparse.Namespace) -> int:
         raise SystemExit(f"{args.file}: runtime error: {exc}")
     except MachineError as exc:
         raise SystemExit(f"{args.file}: machine fault: {exc}")
+    except ConfigError as exc:
+        raise SystemExit(f"{args.file}: {exc}")
     wall_ms = (time.perf_counter() - t0) * 1e3
     for i, result in enumerate(results):
         if result.stdout:
@@ -184,6 +187,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit(f"{args.file}: runtime error: {exc}")
     except MachineError as exc:
         raise SystemExit(f"{args.file}: machine fault: {exc}")
+    except ConfigError as exc:
+        raise SystemExit(f"{args.file}: {exc}")
     if result.stdout:
         sys.stdout.write(result.stdout)
     names = args.print or sorted(result.keys())
@@ -221,6 +226,18 @@ def _print_stats(prog: UCProgram, result) -> None:
         interp = prog.last_interpreter
         assert interp is not None
         print("-- execution stats:")
+        config = result.config
+        defaults = EngineConfig().resolved({})
+        changed = [
+            f"{field}={value}"
+            for field, value in config._asdict().items()
+            if value != getattr(defaults, field)
+        ]
+        print(f"   config: {' '.join(changed) or 'defaults'}")
+        for engine in config.ENGINES:
+            reason = config.why_off(engine)
+            if reason:
+                print(f"   config.{engine} off ({reason})")
         if result.compile:
             # wall-clock compile/execute breakdown for this run: *_s keys
             # are seconds; recompiles counts plan-cache misses during the
@@ -443,6 +460,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import ExecutionService, ServiceConfig
 
+    try:
+        # a malformed REPRO_* variable fails the service up front, not
+        # every job it would go on to run
+        EngineConfig().resolved()
+    except ConfigError as exc:
+        raise SystemExit(f"{args.jobs or args.resume}: {exc}")
     budgets = {}
     for item in args.budget or []:
         if "=" not in item:

@@ -42,7 +42,7 @@ class SolveSchedule:
         from ..interp.statements import exec_stmt
 
         plans = None
-        if getattr(ip, "plans_enabled", False) and self.stmt is not None:
+        if ip.config.plans and self.stmt is not None:
             from ..interp.plan import compile_sched_steps
 
             plans = ip.plan_cache.get_or_build(

@@ -20,10 +20,10 @@ scalars that diverge between lanes travel as
 
 Correctness is layered as three fallbacks, outermost first:
 
-1. **Whole-batch sequential** — ``REPRO_NO_BATCH=1``, any engine
-   feature the batched path does not model (faults, checkpoints,
-   sanitizer, tier logs, recovery), fewer than two lanes, or *any*
-   exception raised inside the batched machinery (including the
+1. **Whole-batch sequential** — a configuration that stands the lane
+   engine down (``config.batched``, see "Configuration" in
+   ``docs/PERFORMANCE.md``), a recovery policy, fewer than two lanes, or
+   *any* exception raised inside the batched machinery (including the
    deliberate :class:`_BatchAbort` on per-lane error paths such as
    UC101 or bounds violations) falls back to a fresh
    ``[prog.run(inp) for inp in inputs]`` loop.  The engines are
@@ -45,7 +45,6 @@ falsify (``*par``) retire from the batch, shrinking the stacked arrays.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -119,28 +118,22 @@ class _BatchAbort(Exception):
 # ---------------------------------------------------------------------------
 
 
-def batchable(prog) -> bool:
+def batchable(prog, config=None) -> bool:
     """Can instances of ``prog`` share lockstep ``run_batch`` lanes?
 
-    False for every engine feature the batched path does not model
-    (faults, checkpoints, sanitizer, tier logs, a custom recovery
-    policy) and under ``REPRO_NO_BATCH=1``.  The execution service's
-    coalescer uses this screen to decide whether identical queued jobs
-    ride one batch or run solo; ``run_batch`` itself applies the same
-    screen (plus the lane-count minimum) to pick the sequential loop.
+    False when the resolved configuration stands the lane engine down
+    (``config.batched``), under a custom recovery policy, and for a
+    program without ``main``.  The execution service's coalescer uses
+    this screen to decide whether identical queued jobs ride one batch
+    or run solo; ``run_batch`` itself applies the same screen (plus the
+    lane-count minimum) to pick the sequential loop.
     """
-    return not (
-        os.environ.get("REPRO_NO_BATCH") == "1"
-        or prog.faults is not None
-        or prog.checkpoints
-        or prog.sanitize
-        or prog.log_tiers
-        or prog.recovery is not None
-        or prog.info.program.main is None
-        # sharded runs keep per-shard clocks and a pair-traffic ledger the
-        # lane machines would not carry; the solo loop preserves them
-        # (results and fingerprints would match either way)
-        or prog.effective_shards() > 1
+    if config is None:
+        config = prog.resolved_config()
+    return (
+        config.batched
+        and prog.recovery is None
+        and prog.info.program.main is not None
     )
 
 
@@ -155,10 +148,11 @@ def run_batch(prog, inputs, *, seed: int = 20250704) -> List[Any]:
         # skip the batchability screen and every piece of lane machinery
         # (stacking, chunking, lockstep driver) and dispatch directly
         return [prog.run(inputs[0] if inputs[0] else None, seed=seed)]
-    if not batchable(prog):
+    config = prog.resolved_config()
+    if not batchable(prog, config):
         return _sequential(prog, inputs, seed)
     try:
-        return _BatchRun(prog, inputs, seed).execute()
+        return _BatchRun(prog, inputs, seed, config).execute()
     except Exception:
         # includes _BatchAbort; a genuine program error re-raises from
         # the deterministic sequential rerun with its exact solo message
@@ -175,10 +169,11 @@ def _sequential(prog, inputs, seed: int) -> List[Any]:
 
 
 class _BatchRun:
-    def __init__(self, prog, inputs, seed: int) -> None:
+    def __init__(self, prog, inputs, seed: int, config) -> None:
         self.prog = prog
         self.inputs = inputs
         self.seed = seed
+        self.config = config
         self.S = len(inputs)
         self.interps: List[Interpreter] = []
 
@@ -189,7 +184,7 @@ class _BatchRun:
         machines = [
             Machine(prog.machine_config, seed=self.seed) for _ in range(self.S)
         ]
-        shared = prog._shared_plan_cache(machines[0], None)
+        shared = prog._shared_plan_cache(machines[0], None, None, self.config)
         plan_cache = shared if shared is not None else PlanCache()
         for m in machines:
             self.interps.append(
@@ -197,31 +192,11 @@ class _BatchRun:
                     prog.info,
                     m,
                     prog.layouts,
+                    config=self.config,
                     seed=self.seed,
-                    solve_strategy=prog.solve_strategy,
-                    processor_opt=prog.processor_opt,
-                    cse=prog.cse,
-                    plans=prog.plans,
-                    comm_tiers=prog.comm_tiers,
-                    frontier=prog.frontier,
-                    fusion=prog.fusion,
-                    log_tiers=prog.log_tiers,
-                    sanitize=prog.sanitize,
-                    checkpoints=False,
-                    recovery_policy=prog.recovery,
-                    solve_sweep_limit=prog.solve_sweep_limit,
                     plan_cache=plan_cache,
                 )
             )
-        ip0 = self.interps[0]
-        # the env escape hatches apply inside the Interpreter ctor, so
-        # gate on the *resolved* state, not the UCProgram flags
-        if (
-            ip0.sanitizer is not None
-            or ip0.tier_log is not None
-            or ip0.recovery is not None
-        ):
-            raise _BatchAbort()
         for ip, inp in zip(self.interps, self.inputs):
             if inp:
                 ip.load_inputs(inp)
@@ -933,10 +908,7 @@ class _BatchConstruct:
     def _screen(self):
         stmt = self.stmt
         ip0 = self.interps[0]
-        if not (
-            getattr(ip0, "fusion_enabled", False)
-            and getattr(ip0, "plans_enabled", False)
-        ):
+        if not ip0.config.fused:
             return None
         try:
             if stmt.kind == "par":
@@ -1197,7 +1169,7 @@ class _BatchConstruct:
     def _drive_solve(self) -> None:
         stmt = self.stmt
         fused = self.fused
-        limit = self.interps[0].solve_sweep_limit
+        limit = self.interps[0].config.solve_sweep_limit
         n_mod = len(self.modified) or 1
         sweeps = 0
         while self.live:
@@ -1313,9 +1285,9 @@ class _BatchConstruct:
                     return
                 summarize = lambda b=before, a=after: _delta_summary(b, a)
             sweeps += 1
-            if sweeps > ip.solve_sweep_limit:
+            if sweeps > ip.config.solve_sweep_limit:
                 raise UCRuntimeError(
-                    f"*solve exceeded the sweep limit ({ip.solve_sweep_limit}; "
+                    f"*solve exceeded the sweep limit ({ip.config.solve_sweep_limit}; "
                     "raise via UCProgram(solve_sweep_limit=...) or "
                     "REPRO_SOLVE_SWEEP_LIMIT); still changing each sweep: "
                     f"{summarize()}",

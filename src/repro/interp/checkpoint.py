@@ -170,13 +170,15 @@ def restore_checkpoint(ip, cp: Checkpoint) -> None:
 # ---------------------------------------------------------------------------
 
 #: bump when the portable payload layout changes; loads reject mismatches
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotUnsupported(Exception):
     """This execution state cannot be captured portably (e.g. an env
-    binding class the by-name format does not model).  Callers treat it
-    as "keep running" — the job simply is not preemptible here."""
+    binding class the by-name format does not model): callers keep
+    running, the job simply is not preemptible here.  Or a snapshot
+    cannot be resumed here (another format version or ``clock_key``):
+    callers restart the job from the top on a clean machine."""
 
 
 class PortableSnapshot:
@@ -185,11 +187,14 @@ class PortableSnapshot:
     Everything inside is plain data (dicts, lists, ndarrays, scalars):
     pickling it and loading it in another process is supported and is
     what ``repro serve --resume`` does.  ``pc`` is the index of the next
-    top-level statement to execute.
+    top-level statement to execute; ``config`` is the taking run's
+    ``clock_key`` — a run under another one would finish with a
+    fingerprint no uninterrupted run produces.
     """
 
     __slots__ = (
         "pc",
+        "config",
         "clock_state",
         "machine_rng",
         "interp_rng",
@@ -276,6 +281,7 @@ def take_portable(ip, ctx, pc: int) -> PortableSnapshot:
         }
     return PortableSnapshot(
         pc=int(pc),
+        config=ip.config.clock_key,
         clock_state=ip.machine.clock.dump_state(),
         machine_rng=ip.machine.rng.bit_generator.state,
         interp_rng=ip.rng.bit_generator.state,
@@ -296,11 +302,18 @@ def install_portable(ip, ctx, snap: PortableSnapshot) -> None:
     """Rebuild a snapshot onto a *freshly prepared* interpreter.
 
     ``ip``/``ctx`` must come from the same program (source, defines,
-    machine config, flags, seed) the snapshot was taken from —
-    ``repro serve`` guarantees that by re-preparing from the journalled
-    job spec.  Execution then resumes at ``snap.pc`` with fingerprints
+    machine config, seed) the snapshot was taken from — ``repro serve``
+    guarantees that by re-preparing from the journalled job spec — and
+    run under the same ``clock_key``, which is checked: a mismatch
+    raises :class:`SnapshotUnsupported` before anything is touched.
+    Execution then resumes at ``snap.pc`` with fingerprints
     bit-identical to the uninterrupted run.
     """
+    if snap.config != ip.config.clock_key:
+        raise SnapshotUnsupported(
+            f"snapshot taken under clock key {snap.config}, "
+            f"resuming under {ip.config.clock_key}"
+        )
     m = ip.machine
     # hardware health first: VP sets allocated below (and ratios of the
     # already-allocated global sets) must see the surviving PE count

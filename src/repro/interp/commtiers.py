@@ -19,15 +19,14 @@ communication tier the machine actually uses:
 Both the tree-walking oracle (:mod:`repro.interp.eval_expr`) and the
 compiled-plan engine (:mod:`repro.interp.plan`) call :func:`decide_tier`
 / :func:`charge_tier`, which keeps their Clock fingerprints
-bit-identical by construction.  ``REPRO_NO_COMM_TIERS=1`` (or
-``UCProgram(comm_tiers=False)``) disables the dispatcher: every remote
-reference is serviced — and charged — through the general router, which
-is the pre-tier behaviour the benchmarks compare against.
+bit-identical by construction.  With ``config.comm_tiers`` off (see
+"Configuration" in ``docs/PERFORMANCE.md``) every remote reference is
+serviced — and charged — through the general router, which is the
+pre-tier behaviour the benchmarks compare against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Tuple
 
 from ..machine.config import CostTable
@@ -42,53 +41,6 @@ from ..mapping.locality import RefClass
 #: owning shard) and cross-shard slabs (``intershard`` cycles, charged
 #: above ``router`` — see docs/COSTMODEL.md)
 TIERS = ("local", "news", "spread", "broadcast", "permute", "router", "intershard")
-
-_ENV_FLAG = "REPRO_NO_COMM_TIERS"
-_FRONTIER_ENV_FLAG = "REPRO_NO_FRONTIER"
-_FUSION_ENV_FLAG = "REPRO_NO_FUSION"
-_SHARDS_ENV_FLAG = "REPRO_SHARDS"
-
-
-def tiers_disabled_by_env() -> bool:
-    """True when the ``REPRO_NO_COMM_TIERS`` escape hatch is set."""
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def frontier_disabled_by_env() -> bool:
-    """True when the ``REPRO_NO_FRONTIER`` escape hatch is set."""
-    return os.environ.get(_FRONTIER_ENV_FLAG, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def fusion_disabled_by_env() -> bool:
-    """True when the ``REPRO_NO_FUSION`` escape hatch is set."""
-    return os.environ.get(_FUSION_ENV_FLAG, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def shards_from_env() -> Optional[int]:
-    """Shard-count override from ``REPRO_SHARDS``, or None when unset.
-
-    ``REPRO_SHARDS=1`` is the escape hatch that forces unsharded
-    execution whatever the program asked for; ``REPRO_SHARDS=K`` forces
-    a K-way partition everywhere (the differential CI gate runs the
-    suite this way — fingerprints must not move).
-    """
-    raw = os.environ.get(_SHARDS_ENV_FLAG, "").strip()
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def decide_tier(rc: RefClass, costs: CostTable, *, write: bool, enabled: bool = True) -> str:

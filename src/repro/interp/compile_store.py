@@ -18,16 +18,15 @@ Two levels:
   program instances.
 
 * **Backend** entries are keyed by ``(frontend key, machine signature,
-  engine-flags signature)`` and hold one shared
+  compile key)`` and hold one shared
   :class:`~repro.interp.plan_cache.PlanCache`.  The machine signature
   is the (hashable, frozen) :class:`~repro.machine.MachineConfig`; the
-  flags signature captures every *effective* engine toggle — including
-  the ``REPRO_NO_*`` environment escape hatches resolved at run time —
-  because compiled artifacts bake in flag-dependent decisions (tier
-  choices, charge tables, VP ratios).  Mutating e.g.
-  ``REPRO_NO_COMM_TIERS`` between runs therefore *misses* and compiles
-  into a separate entry: a stale kernel can never serve a run it was
-  not compiled for.
+  compile key is the ``compile_key`` of the run's *resolved*
+  :class:`~repro.interp.config.EngineConfig`, because compiled artifacts
+  bake in switch-dependent decisions (tier choices, charge tables, VP
+  ratios).  Flipping a switch between runs — keyword or environment —
+  therefore *misses* and compiles into a separate entry: a stale kernel
+  can never serve a run it was not compiled for.
 
 Both levels are bounded LRU; the store is process-wide state intended
 for single-threaded use (the interpreter itself is single-threaded).
@@ -45,6 +44,13 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 from .plan_cache import PlanCache
 
 
+#: LRU bounds: program contents; plan caches (and shared programs); plans
+#: per cache
+FRONTEND_CAPACITY = 32
+BACKEND_CAPACITY = 64
+PLAN_CAPACITY = 1024
+
+
 class FrontendEntry:
     """Parsed + analyzed + mapped program, shared read-only."""
 
@@ -60,18 +66,7 @@ class FrontendEntry:
 class CompileStore:
     """Two-level LRU store: program content -> frontend -> plan caches."""
 
-    def __init__(
-        self,
-        *,
-        frontend_capacity: int = 32,
-        backend_capacity: int = 64,
-        plan_capacity: int = 1024,
-    ) -> None:
-        if frontend_capacity < 1 or backend_capacity < 1:
-            raise ValueError("compile store capacities must be positive")
-        self.frontend_capacity = frontend_capacity
-        self.backend_capacity = backend_capacity
-        self.plan_capacity = plan_capacity
+    def __init__(self) -> None:
         self._frontends: "OrderedDict[Hashable, FrontendEntry]" = OrderedDict()
         self._backends: "OrderedDict[Hashable, PlanCache]" = OrderedDict()
         self._programs: "OrderedDict[Hashable, Any]" = OrderedDict()
@@ -116,7 +111,7 @@ class CompileStore:
         ast, info, layouts = build()
         entry = FrontendEntry(ast, info, layouts, source_bytes)
         self._frontends[key] = entry
-        while len(self._frontends) > self.frontend_capacity:
+        while len(self._frontends) > FRONTEND_CAPACITY:
             self._frontends.popitem(last=False)
             self.frontend_evictions += 1
         return entry, False
@@ -127,24 +122,24 @@ class CompileStore:
         self,
         frontend_key: Hashable,
         machine_sig: Hashable,
-        flags_sig: Hashable,
+        compile_key: Hashable,
     ) -> Tuple[PlanCache, bool]:
-        """Shared :class:`PlanCache` for one (program, machine, flags).
+        """Shared :class:`PlanCache` for one (program, machine, config).
 
         Returns the cache and whether it already existed.  A differing
-        machine config or effective-flag signature always misses — the
-        cross-run staleness guard.
+        machine config or compile key always misses — the cross-run
+        staleness guard.
         """
-        key = (frontend_key, machine_sig, flags_sig)
+        key = (frontend_key, machine_sig, compile_key)
         cache = self._backends.get(key)
         if cache is not None:
             self.backend_hits += 1
             self._backends.move_to_end(key)
             return cache, True
         self.backend_misses += 1
-        cache = PlanCache(self.plan_capacity)
+        cache = PlanCache(PLAN_CAPACITY)
         self._backends[key] = cache
-        while len(self._backends) > self.backend_capacity:
+        while len(self._backends) > BACKEND_CAPACITY:
             self._backends.popitem(last=False)
             self.backend_evictions += 1
         return cache, False
@@ -163,7 +158,7 @@ class CompileStore:
 
         The execution service funnels every job through this so that
         identical submissions (same source, defines, machine config and
-        engine flags — all of which must be hashable) coalesce onto one
+        engine keywords — all of which must be hashable) coalesce onto one
         program object: ``run_batch`` lanes then line up and the plan
         cache's ``id(node)`` keys match across tenants.  Bounded LRU
         like the other levels (the backend capacity bounds it).
@@ -190,7 +185,7 @@ class CompileStore:
             **flags,
         )
         self._programs[key] = prog
-        while len(self._programs) > self.backend_capacity:
+        while len(self._programs) > BACKEND_CAPACITY:
             self._programs.popitem(last=False)
             self.program_evictions += 1
         return prog

@@ -108,12 +108,12 @@ def charge_ref(
     The tier decision (:func:`repro.interp.commtiers.decide_tier`)
     includes the NEWS/router trade-off the CM-2 compilers made for
     long-distance shifts and the permutation tier for transposes under an
-    active ``permute`` map.  With the dispatcher disabled
-    (``REPRO_NO_COMM_TIERS=1``), every remote reference is a router
+    active ``permute`` map.  With the dispatcher off
+    (``config.comm_tiers``), every remote reference is a router
     cycle — the pre-tier engine the benchmarks compare against.
     """
     tier = commtiers.decide_tier(
-        rc, ip.machine.clock.costs, write=write, enabled=ip.comm_tiers_enabled
+        rc, ip.machine.clock.costs, write=write, enabled=ip.config.comm_tiers
     )
     commtiers.charge_tier(ip, ctx, tier, rc, write=write, layout=layout)
     if node is not None and ip.tier_log is not None:
@@ -497,7 +497,7 @@ def eval_gather(ip, node: ast.Index, ctx: ExecContext) -> Value:
     )
     tier = charge_ref(ip, ctx, rc, write=False, node=node, layout=arr.layout)
 
-    if tier == "news" and ip.comm_tiers_enabled:
+    if tier == "news" and ip.config.comm_tiers:
         shifts = commtiers.shift_descriptor(rc, view_shape, ctx.grid.shape)
         if shifts is not None:
             # vectorised NEWS shift: bit-identical to the clipped gather
@@ -767,7 +767,7 @@ def _assign_parallel_local(
 
 def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
     """Evaluate a reduction (§3.2), returning a parent-shaped value."""
-    if ip.processor_opt:
+    if ip.config.processor_opt:
         from .sendreduce import try_send_reduce
 
         optimized = try_send_reduce(ip, node, ctx)

@@ -64,8 +64,7 @@ Correctness strategy — decide-before-execute behind a measured guard:
   compressed charge sequence up front and runs the fused register
   program *compute-only* over the whole grid, deriving the change masks
   from a before/after diff exactly as a full sweep does.  Same arrays,
-  same masks, same Clock; the choice stands down wherever fusion does
-  (armed faults, sanitizer, tier log, ``REPRO_NO_FUSION``).
+  same masks, same Clock; the choice stands down wherever fusion does.
 * **Delta reductions**: when a value is exactly ``$<``/``$>`` over one
   index set, the body is monotone in the modified arrays (references
   reachable only through ``+``/``min``/``max``), and last sweep's
@@ -73,8 +72,8 @@ Correctness strategy — decide-before-execute behind a measured guard:
   the stored result with a scan over only the *changed* reduction
   slots — the minimal VP set in the reduction dimension too.
 
-``REPRO_NO_FRONTIER=1`` / ``UCProgram(frontier=False)`` disables all of
-this and restores today's full-sweep fingerprints exactly.
+With ``config.frontier_sweeps`` off (see "Configuration" in
+``docs/PERFORMANCE.md``) the pre-frontier fingerprints come back exactly.
 """
 
 from __future__ import annotations
@@ -169,15 +168,6 @@ _CALL_IMPLS = {
     "min": _call_min,
     "max": _call_max,
 }
-
-
-def _enabled(ip) -> bool:
-    if not getattr(ip, "frontier_enabled", False):
-        return False
-    # per-reference tier logging records every dispatched reference;
-    # compressed sweeps replay charges without walking references, so
-    # keep the log complete by running full sweeps while it is armed
-    return getattr(ip, "tier_log", None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +408,6 @@ class _Compiler:
         self.inner = inner
         self.an = an
         self.modified = modified
-        self.cse_enabled = bool(getattr(ip, "cse_enabled", False))
         self.cse_seen: Set[str] = set()
         #: distinct references into modified arrays, keyed (base, axes)
         self.refs: Dict[Tuple, _RefInfo] = {}
@@ -473,7 +462,7 @@ class _Compiler:
             rc,
             self.ip.machine.clock.costs,
             write=write,
-            enabled=self.ip.comm_tiers_enabled,
+            enabled=self.ip.config.comm_tiers,
         )
         return tier, rc, tuple(grid.shape)
 
@@ -484,7 +473,7 @@ class _Compiler:
         engines issue for ``expr`` are recorded, pre-bound, into ``rec``
         (see :func:`_replay`)."""
         if (
-            self.cse_enabled
+            self.ip.config.cse
             and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
             and _pure(expr)
         ):
@@ -1447,7 +1436,7 @@ def star_session(
 ) -> Optional[StarSession]:
     """A frontier session for one ``*solve``/``*par`` execution, or None
     when frontier execution is disabled for this interpreter."""
-    if not _enabled(ip):
+    if not ip.config.frontier_sweeps:
         return None
     sess = StarSession(ip, stmt, inner, kind, plans)
     return sess if sess.active else None
@@ -1539,7 +1528,7 @@ def _guarded_analyze(ip, stmt, assignments, inner) -> object:
 
 def guarded_frontier(ip, stmt, assignments, inner) -> Optional[GuardedFrontier]:
     """Frontier worklist support for one guarded ``solve``, or None."""
-    if not _enabled(ip):
+    if not ip.config.frontier_sweeps:
         return None
     clock = ip.machine.clock
     gf = ip.plan_cache.get_or_build(

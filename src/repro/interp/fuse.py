@@ -67,9 +67,9 @@ Correctness subtleties worth naming:
   register program still *evaluates* it: ``begin_sweep``/``run_body``
   take ``charge=False`` and run compute-only (no table replay, no
   ``fusion.*`` counters), see :mod:`repro.interp.frontier`.
-* **Escape hatch.**  ``REPRO_NO_FUSION=1`` or ``UCProgram(fusion=False)``
-  restores the per-closure plan engine; the tree-walking oracle remains
-  the ground truth either way.
+* **Off switch.**  ``config.fused`` (see "Configuration" in
+  ``docs/PERFORMANCE.md``); the tree-walking oracle remains the ground
+  truth either way.
 """
 
 from __future__ import annotations
@@ -647,7 +647,7 @@ class _Fuser:
         self.checks: List[Tuple] = []
         self._check_map: Dict[str, Tuple] = {}
         # static CSE simulation
-        self.cse_on = bool(ip.cse_enabled)
+        self.cse_on = ip.config.cse
         self.sim: Dict[Tuple, Tuple[Tuple, _Val]] = {}
         self.tombs: Dict[Tuple, Any] = {}
         self.fused_texts: set = set()
@@ -1144,7 +1144,7 @@ class _Fuser:
             positions=g.grid.positions,
         )
         tier = commtiers.decide_tier(
-            rc, self.costs, write=False, enabled=self.ip.comm_tiers_enabled
+            rc, self.costs, write=False, enabled=self.ip.config.comm_tiers
         )
         rec = _Recorder()
         commtiers.charge_tier_at(
@@ -1229,7 +1229,7 @@ class _Fuser:
             positions=g.grid.positions,
         )
         tier = commtiers.decide_tier(
-            rc, self.costs, write=True, enabled=self.ip.comm_tiers_enabled
+            rc, self.costs, write=True, enabled=self.ip.config.comm_tiers
         )
         rec = _Recorder()
         commtiers.charge_tier_at(
@@ -1325,7 +1325,7 @@ class _Fuser:
         only dynamic gate it skips (the partial-mask test) is
         side-effect-free, so a later static gate rejecting is decisive.
         """
-        if not self.ip.processor_opt:
+        if not self.ip.config.processor_opt:
             return True
         from .sendreduce import _COMBINE_AT, _free_names, _split_partition_pred
 
@@ -1737,16 +1737,14 @@ def fused_for(ip, stmt: ast.UCStmt, inner, plans) -> Optional[FusedConstruct]:
     """The fused kernel for one construct sweep, or None to take the
     ordinary plan path.
 
-    Gates, in order: plans must be on (fusion builds on the plan memos'
-    semantics), the fusion flag and escape hatch, no tier log (covers the
-    sanitizer, which forces tier logging), no armed faults (a mid-sweep
-    ``fault_point`` must interleave with individual charges), and a fully
-    active construct context.  A cached kernel still revalidates its
-    binding specialisations every sweep.
+    Gates, in order: the static ones (``config.fused``: fusion and
+    plans on — fusion builds on the plan memos' semantics — and no tier
+    log), no armed faults (a mid-sweep ``fault_point`` must interleave
+    with individual charges), and a fully active construct context.  A
+    cached kernel still revalidates its binding specialisations every
+    sweep.
     """
-    if plans is None or not getattr(ip, "fusion_enabled", False):
-        return None
-    if ip.tier_log is not None or getattr(ip, "sanitizer", None) is not None:
+    if plans is None or not ip.config.fused:
         return None
     machine = ip.machine
     if machine.clock.fault_hook is not None or machine.faults is not None:

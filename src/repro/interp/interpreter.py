@@ -8,18 +8,7 @@ built per run so benchmark sweeps are independent.
 
 from __future__ import annotations
 
-import os
-from typing import (
-    Dict,
-    FrozenSet,
-    Hashable,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -30,101 +19,13 @@ from ..lang.semantics import ProgramInfo, _ConstEvaluator
 from ..machine import Machine
 from ..machine.vpset import VPSet
 from ..mapping.layout import Layout, LayoutTable
-from . import commtiers
+from .config import EngineConfig
 from .env import Env
 from .eval_expr import ExecContext, eval_expr
 from .plan_cache import PlanCache
 from .statements import ReturnSignal, exec_stmt
 from .values import ArrayVar, GridContext, ScalarVar, coerce_scalar, numpy_ctype
 from . import functions as _functions
-
-
-def _sanitize_enabled_by_env() -> bool:
-    """True when ``REPRO_SANITIZE=1`` arms the runtime sanitizer."""
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def _resolve_sweep_limit(value: Optional[int]) -> int:
-    """Effective solve/*solve sweep cap: explicit parameter, else the
-    ``REPRO_SOLVE_SWEEP_LIMIT`` environment variable, else the global
-    :data:`~repro.interp.statements.MAX_SWEEPS` backstop."""
-    if value is not None:
-        limit = int(value)
-    else:
-        text = os.environ.get("REPRO_SOLVE_SWEEP_LIMIT", "").strip()
-        if not text:
-            from .statements import MAX_SWEEPS
-
-            return MAX_SWEEPS
-        limit = int(text)
-    if limit <= 0:
-        raise ValueError(f"solve sweep limit must be positive, got {limit}")
-    return limit
-
-
-class EngineFlags(NamedTuple):
-    """Effective engine configuration, with every environment escape
-    hatch already applied.
-
-    This tuple *is* the engine-flags signature of the content-addressed
-    compile store (:mod:`repro.interp.compile_store`): two runs share
-    compiled plans/kernels only when their resolved flags are equal, so
-    flipping e.g. ``REPRO_NO_COMM_TIERS`` between runs can never reuse
-    a kernel whose tier decisions were compiled under the other setting.
-    """
-
-    solve_strategy: str
-    processor_opt: bool
-    cse: bool
-    plans: bool
-    comm_tiers: bool
-    frontier: bool
-    fusion: bool
-    log_tiers: bool
-    sanitize: bool
-    solve_sweep_limit: int
-
-
-def resolve_engine_flags(
-    *,
-    solve_strategy: str = "auto",
-    processor_opt: bool = True,
-    cse: bool = True,
-    plans: bool = True,
-    comm_tiers: bool = True,
-    frontier: bool = True,
-    fusion: bool = True,
-    log_tiers: bool = False,
-    sanitize: bool = False,
-    solve_sweep_limit: Optional[int] = None,
-) -> EngineFlags:
-    """Resolve constructor flags + environment into the effective set.
-
-    The one place the ``REPRO_NO_*`` escape hatches are interpreted;
-    :class:`Interpreter` and the compile store both go through it so the
-    store key can never disagree with the engine's actual behaviour.
-    """
-    if solve_strategy not in ("auto", "scheduled", "guarded"):
-        raise ValueError(f"unknown solve strategy {solve_strategy!r}")
-    env_off = os.environ.get("REPRO_NO_PLANS", "").strip().lower()
-    sanitize = bool(sanitize) or _sanitize_enabled_by_env()
-    return EngineFlags(
-        solve_strategy=solve_strategy,
-        processor_opt=bool(processor_opt),
-        cse=bool(cse),
-        plans=bool(plans) and env_off not in ("1", "true", "yes", "on"),
-        comm_tiers=bool(comm_tiers) and not commtiers.tiers_disabled_by_env(),
-        frontier=bool(frontier) and not commtiers.frontier_disabled_by_env(),
-        fusion=bool(fusion) and not commtiers.fusion_disabled_by_env(),
-        log_tiers=bool(log_tiers) or sanitize,
-        sanitize=sanitize,
-        solve_sweep_limit=_resolve_sweep_limit(solve_sweep_limit),
-    )
 
 
 class Interpreter:
@@ -136,94 +37,54 @@ class Interpreter:
         machine: Machine,
         layouts: LayoutTable,
         *,
+        config: Optional[EngineConfig] = None,
         seed: int = 20250704,
-        solve_strategy: str = "auto",
-        processor_opt: bool = True,
-        cse: bool = True,
-        plans: bool = True,
-        comm_tiers: bool = True,
-        frontier: bool = True,
-        fusion: bool = True,
-        log_tiers: bool = False,
-        sanitize: bool = False,
-        checkpoints: bool = False,
         recovery_policy=None,
-        solve_sweep_limit: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
-        flags = resolve_engine_flags(
-            solve_strategy=solve_strategy,
-            processor_opt=processor_opt,
-            cse=cse,
-            plans=plans,
-            comm_tiers=comm_tiers,
-            frontier=frontier,
-            fusion=fusion,
-            log_tiers=log_tiers,
-            sanitize=sanitize,
-            solve_sweep_limit=solve_sweep_limit,
-        )
         self.info = info
         self.machine = machine
         self.layouts = layouts
-        self.processor_opt = flags.processor_opt
+        #: the run's resolved :class:`EngineConfig` — the one place every
+        #: engine switch is read from (UCProgram.prepare resolves it once
+        #: per run; a bare interpreter resolves the defaults)
+        self.config = config if config is not None else EngineConfig().resolved()
         # §4's common sub-expression detection: while a cache is armed
         # (one par-statement execution), pure parallel subexpressions are
         # evaluated and charged once
-        self.cse_enabled = flags.cse
         self.cse_cache: Optional[dict] = None
         self.cse_keys: Dict[int, str] = {}
         # names read by each CSE key text, for targeted invalidation
         self.cse_text_names: Dict[str, FrozenSet[str]] = {}
-        # compiled-plan execution (tree-walker stays available as the
-        # oracle: plans=False or REPRO_NO_PLANS=1 in the environment)
-        self.plans_enabled = flags.plans
         # the plan cache may be injected — a shared, content-addressed
         # entry of the compile store (see UCProgram.run) whose keys pin
-        # the machine config and effective flags, so cross-run reuse can
-        # never serve a plan compiled under different settings
+        # the machine config and the config's compile key, so cross-run
+        # reuse can never serve a plan compiled under different settings
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         # fusion telemetry is counted once per (construct, grid) per run
         # at first use, so warm shared-cache runs report the same
         # counters a cold run does (see fuse.fused_for)
         self.fusion_noted: Set[Tuple[int, Hashable]] = set()
-        # communication-tier dispatch (NEWS/spread/broadcast/permute fast
-        # paths); comm_tiers=False or REPRO_NO_COMM_TIERS=1 restores the
-        # router-only servicing of remote references
-        self.comm_tiers_enabled = flags.comm_tiers
-        # frontier (active-set) sweeps for solve/*solve/*par;
-        # frontier=False or REPRO_NO_FRONTIER=1 restores full sweeps with
-        # bit-identical fingerprints
-        self.frontier_enabled = flags.frontier
-        # kernel fusion: iterated construct bodies lowered to whole-array
-        # register programs with static charge tables (see
-        # :mod:`repro.interp.fuse`); fusion=False or REPRO_NO_FUSION=1
-        # restores the per-closure plan engine, bit-identically
-        self.fusion_enabled = flags.fusion
-        # runtime sanitizer (REPRO_SANITIZE=1 / sanitize=True): static
-        # claims from the analyzer, cross-checked against observed
-        # behaviour after the run — it needs the tier log armed
+        # runtime sanitizer: static claims from the analyzer,
+        # cross-checked against observed behaviour after the run
         self.sanitizer = None
-        if flags.sanitize:
+        if self.config.sanitize:
             from ..analysis.sanitize import Sanitizer
 
             self.sanitizer = Sanitizer(info, layouts)
         # (line, array) -> set of tiers dispatched, for the parity tests
         self.tier_log: Optional[Dict[Tuple[int, str], set]] = (
-            {} if flags.log_tiers else None
+            {} if self.config.log_tiers else None
         )
         # innermost construct being executed (error-message context)
         self.current_construct: Optional[ast.UCStmt] = None
         self._seed = seed
         self._rng: Optional[np.random.Generator] = None
-        self.solve_strategy = flags.solve_strategy
-        # configurable solve/*solve sweep cap (param > env > MAX_SWEEPS)
-        self.solve_sweep_limit = flags.solve_sweep_limit
         # checkpoint/replay recovery: armed whenever the machine carries a
         # fault plan, or explicitly (checkpoints=True, e.g. for the
         # checkpoint-overhead benchmark)
         self.recovery = None
-        if checkpoints or machine.faults is not None:
+        if self.config.checkpoints or machine.faults is not None:
             from .recovery import RecoveryManager, RecoveryPolicy
 
             self.recovery = RecoveryManager(
@@ -513,7 +374,7 @@ class _CseRegion:
         self._armed_here = False
 
     def __enter__(self) -> None:
-        if self._ip.cse_enabled and self._ip.cse_cache is None:
+        if self._ip.config.cse and self._ip.cse_cache is None:
             self._ip.cse_cache = {}
             self._armed_here = True
 

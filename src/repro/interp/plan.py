@@ -586,7 +586,7 @@ class _GatherPlan:
         tier = E.charge_ref(ip, ctx, rc, write=False, node=node, layout=arr.layout)
 
         memo_ok = direct and self.names is not None and (
-            ip.comm_tiers_enabled or tier == "local"
+            ip.config.comm_tiers or tier == "local"
         )
         sig = _binding_sig(self.names, ctx) if memo_ok else None
         recipe = (
@@ -918,7 +918,7 @@ class _ReductionPlan:
 
     def __call__(self, ip, ctx: ExecContext):
         node = self.node
-        if ip.processor_opt:
+        if ip.config.processor_opt:
             from .sendreduce import try_send_reduce
 
             optimized = try_send_reduce(ip, node, ctx)

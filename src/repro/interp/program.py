@@ -31,10 +31,10 @@ from ..lang.semantics import ProgramInfo
 from ..machine import FaultPlan, Machine, MachineConfig
 from ..mapping.maps import build_layouts
 from ..mapping.layout import LayoutTable
-from . import commtiers
 from .compile_store import CompileStore, default_store
+from .config import EngineConfig
 from .deadline import DeadlineMonitor
-from .interpreter import Interpreter, resolve_engine_flags
+from .interpreter import Interpreter
 from .plan_cache import PlanCache
 
 #: sentinel distinguishing "use the process-wide store" (the default)
@@ -73,6 +73,9 @@ class RunResult:
         }
         #: hashable digest of the full cost state (see Clock.fingerprint)
         self.fingerprint = interp.machine.clock.fingerprint()
+        #: the resolved :class:`~repro.interp.config.EngineConfig` the run
+        #: executed under (``config.clock_key`` decides the fingerprint)
+        self.config: EngineConfig = interp.config
         #: checkpoint/fault/retry counters (empty when recovery is off)
         self.recovery: Dict[str, int] = (
             dict(interp.recovery.stats) if interp.recovery is not None else {}
@@ -135,6 +138,12 @@ class RunResult:
 class UCProgram:
     """A parsed, checked, mapped UC program ready to run.
 
+    The engine keywords are kept as one
+    :class:`~repro.interp.config.EngineConfig` request and resolved
+    against the ``REPRO_*`` environment once per run; "Configuration" in
+    ``docs/PERFORMANCE.md`` lists each switch's variable, CLI flag, Clock
+    effect and stand-down rules.
+
     Parameters
     ----------
     source:
@@ -162,15 +171,14 @@ class UCProgram:
     plans:
         Execute construct bodies as cached compiled closures instead of
         recursive AST walks (see ``docs/PERFORMANCE.md``).  Semantics and
-        simulated clock are identical either way; set False (or export
-        ``REPRO_NO_PLANS=1``) to force the tree-walking oracle.
+        simulated clock are identical either way; set False to force the
+        tree-walking oracle.
     comm_tiers:
         Dispatch each remote array reference to its cheapest communication
         tier — NEWS shift, spread, broadcast, precomputed permutation or
         general router (see "Communication tiers" in
-        ``docs/PERFORMANCE.md``).  Set False (or export
-        ``REPRO_NO_COMM_TIERS=1``) to service and charge every remote
-        reference through the general router.
+        ``docs/PERFORMANCE.md``).  Set False to service and charge every
+        remote reference through the general router.
     frontier:
         Run iterated constructs (``solve``/``*solve``/``*par``) with
         active-set ("frontier") sweeps: after the first full sweep, only
@@ -178,8 +186,8 @@ class UCProgram:
         and only the active VP set is charged (see "Frontier execution"
         in ``docs/PERFORMANCE.md``).  Results are bit-identical and the
         simulated Clock is never higher than with full sweeps.  Set False
-        (or export ``REPRO_NO_FRONTIER=1``) to restore full sweeps with
-        bit-identical fingerprints to the non-frontier build.
+        to restore full sweeps with bit-identical fingerprints to the
+        non-frontier build.
     fusion:
         Lower construct bodies to whole-array register programs with
         static charge tables (see "Kernel fusion" in
@@ -187,22 +195,20 @@ class UCProgram:
         per-statement AST, environment, or charge bookkeeping.
         Statements the pass cannot prove static run as unfused segments
         inside the fused sweep.  Results and Clock fingerprints are
-        bit-identical either way; set False (or export
-        ``REPRO_NO_FUSION=1``) to restore the per-closure plan engine.
+        bit-identical either way; set False to restore the per-closure
+        plan engine.
     log_tiers:
         Record, per ``(line, array)`` reference site, the set of tiers
         dispatched at run time (``last_interpreter.tier_log``) — used by
         the static-vs-runtime parity tests.
     sanitize:
-        Arm the runtime sanitizer (also via ``REPRO_SANITIZE=1``): both
-        engines record per-statement scatter duplicates and dispatched
-        communication tiers, which are cross-checked against the static
-        analyzer's exact verdicts (``repro lint``).  A contradiction
-        raises :class:`~repro.lang.errors.UCSanitizerError` — it means an
+        Arm the runtime sanitizer: both engines record per-statement
+        scatter duplicates and dispatched communication tiers, which are
+        cross-checked against the static analyzer's exact verdicts
+        (``repro lint``).  A contradiction raises
+        :class:`~repro.lang.errors.UCSanitizerError` — it means an
         analyzer or engine bug, never a property of the program.  Implies
-        ``log_tiers`` (which disables the frontier engine, so sanitized
-        fingerprints differ from unsanitized ones when frontier sweeps
-        would have fired).  See ``docs/ANALYSIS.md``.
+        ``log_tiers``.  See ``docs/ANALYSIS.md``.
     faults:
         A :class:`~repro.machine.faults.FaultPlan` (or a spec string for
         :meth:`FaultPlan.parse <repro.machine.faults.FaultPlan.parse>`)
@@ -216,8 +222,7 @@ class UCProgram:
         fault plan installed (the overhead benchmark's toggle).
     solve_sweep_limit:
         Cap on ``solve``/``*solve`` sweeps before the divergence error
-        (default: the global ``MAX_SWEEPS`` backstop; also settable via
-        ``REPRO_SOLVE_SWEEP_LIMIT``).
+        (default: the global ``MAX_SWEEPS`` backstop).
     shards:
         Partition the simulated machine into K resident shards connected
         by an inter-machine link (the ``intershard`` cost tier): remote
@@ -226,8 +231,6 @@ class UCProgram:
         pair per sweep.  Results and Clock fingerprints are bit-identical
         for every K — sharding is an accounting overlay on the global
         clock (see "Sharded execution" in ``docs/PERFORMANCE.md``).
-        ``REPRO_SHARDS=K`` overrides in both directions (``=1`` is the
-        escape hatch forcing unsharded execution).
     placement:
         ``"map"`` (default) derives the partition axis from the program's
         own ``map`` section — the axis with the least statically
@@ -238,7 +241,7 @@ class UCProgram:
         to compile through (default: the process-wide store, so repeated
         ``UCProgram`` constructions of the same source reuse the parsed
         frontend, and repeated runs under the same machine config and
-        effective engine flags reuse compiled plans, fused kernels and
+        ``config.compile_key`` reuse compiled plans, fused kernels and
         frontier analyses).  Pass ``None`` for fully private per-program
         compilation (the pre-store behaviour).  Results and Clock
         fingerprints are bit-identical either way: compilation charges
@@ -274,19 +277,25 @@ class UCProgram:
         self.defines = dict(defines or {})
         self.machine_config = machine_config
         self.apply_maps = apply_maps
-        self.solve_strategy = solve_strategy
-        self.processor_opt = processor_opt
-        self.cse = cse
-        self.plans = plans
-        self.comm_tiers = comm_tiers
-        self.frontier = frontier
-        self.fusion = fusion
-        self.log_tiers = log_tiers
-        self.sanitize = sanitize
-        self.shards = shards
-        self.placement = placement
         if placement not in ("map", "block"):
             raise ValueError(f"unknown placement policy {placement!r}")
+        #: the engine keywords as given; each run resolves them against
+        #: the environment once (:meth:`resolved_config`)
+        self.request = EngineConfig(
+            solve_strategy=solve_strategy,
+            processor_opt=processor_opt,
+            cse=cse,
+            plans=plans,
+            comm_tiers=comm_tiers,
+            frontier=frontier,
+            fusion=fusion,
+            log_tiers=log_tiers,
+            sanitize=sanitize,
+            solve_sweep_limit=solve_sweep_limit,
+            shards=shards,
+            placement=placement,
+            checkpoints=checkpoints,
+        )
         #: (n_shards, policy) -> chosen partition axis; the axis search
         #: runs static analysis once per program, not once per run
         self._placement_axis_memo: Dict[tuple, int] = {}
@@ -295,8 +304,6 @@ class UCProgram:
             FaultPlan.parse(faults) if isinstance(faults, str) else faults
         )
         self.recovery = recovery
-        self.checkpoints = checkpoints
-        self.solve_sweep_limit = solve_sweep_limit
         #: the shared compile store (None = private per-program caching;
         #: programs built from an AST always compile privately — there is
         #: no source text to content-address)
@@ -394,31 +401,21 @@ class UCProgram:
             FaultPlan.parse(faults) if isinstance(faults, str) else faults
         )
         recovery_policy = self.recovery if recovery is _UNSET else recovery
+        config = self.resolved_config(fault_plan)
         m = machine if machine is not None else Machine(self.machine_config, seed=seed)
         # sharding is an observability overlay on the clock: it never
         # perturbs the global charge stream, so plan caches, engines and
         # fingerprints are shared with (and identical to) unsharded runs
-        n_shards = self.effective_shards()
-        if n_shards > 1:
-            self._make_sharded(m, n_shards)
-        plan_cache = self._shared_plan_cache(m, machine, fault_plan)
+        if config.shards > 1:
+            self._make_sharded(m, config)
+        plan_cache = self._shared_plan_cache(m, machine, fault_plan, config)
         interp = Interpreter(
             self.info,
             m,
             self.layouts,
+            config=config,
             seed=seed,
-            solve_strategy=self.solve_strategy,
-            processor_opt=self.processor_opt,
-            cse=self.cse,
-            plans=self.plans,
-            comm_tiers=self.comm_tiers,
-            frontier=self.frontier,
-            fusion=self.fusion,
-            log_tiers=self.log_tiers,
-            sanitize=self.sanitize,
-            checkpoints=self.checkpoints or fault_plan is not None,
             recovery_policy=recovery_policy,
-            solve_sweep_limit=self.solve_sweep_limit,
             plan_cache=plan_cache,
         )
         if inputs:
@@ -448,23 +445,25 @@ class UCProgram:
         do: same program, same machine config) the batched lane engine
         executes fused ``*par``/``*solve`` sweeps once over a
         lane-stacked array instead of once per instance; anything the
-        batched path cannot model falls back to the sequential loop
-        (``REPRO_NO_BATCH=1`` forces that loop).
+        batched path cannot model falls back to the sequential loop.
         """
         from .batch import run_batch as _run_batch
 
         return _run_batch(self, inputs, seed=seed)
 
-    def effective_shards(self) -> int:
-        """Shard count this run will use: ``REPRO_SHARDS`` overrides the
-        program's ``shards=`` in both directions (``=1`` forces an
-        unsharded run; the differential CI gate uses ``=4``)."""
-        env_k = commtiers.shards_from_env()
-        if env_k is not None:
-            return env_k
-        return self.shards if self.shards and self.shards > 1 else 1
+    def resolved_config(self, fault_plan: Any = _UNSET) -> EngineConfig:
+        """The effective :class:`EngineConfig` of one run: the keywords
+        resolved against the environment *now* (a variable flipped
+        between two runs takes effect), with checkpoint/replay recovery
+        armed when the run carries a fault plan.  Called once per
+        :meth:`prepare` / :meth:`run_batch`; a malformed variable raises
+        :class:`~repro.interp.config.ConfigError`."""
+        config = self.request.resolved()
+        if (self.faults if fault_plan is _UNSET else fault_plan) is not None:
+            config = config._replace(checkpoints=True)
+        return config
 
-    def _make_sharded(self, m: Machine, n_shards: int):
+    def _make_sharded(self, m: Machine, config: EngineConfig):
         """Wrap ``m`` in a :class:`~repro.machine.shards.ShardedMachine`.
 
         The partition-axis search (static analysis over the program's
@@ -475,34 +474,33 @@ class UCProgram:
         from ..machine.shards import ShardedMachine
         from ..mapping.placement import Placement, derive_placement
 
-        key = (n_shards, self.placement)
+        key = (config.shards, config.placement)
         axis = self._placement_axis_memo.get(key)
         if axis is None:
             axis = derive_placement(
-                self.info, self.layouts, n_shards, policy=self.placement
+                self.info, self.layouts, config.shards, policy=config.placement
             ).axis
             self._placement_axis_memo[key] = axis
-        placement = Placement(n_shards, axis=axis, policy=self.placement)
-        return ShardedMachine(m, n_shards, placement)
+        placement = Placement(config.shards, axis=axis, policy=config.placement)
+        return ShardedMachine(m, config.shards, placement)
 
     def _shared_plan_cache(
         self,
         m: Machine,
         machine_arg: Optional[Machine],
-        fault_plan: Any = _UNSET,
+        fault_plan: Optional[FaultPlan],
+        config: EngineConfig,
     ) -> Optional[PlanCache]:
-        """The store's shared PlanCache for this (program, machine, flags).
+        """The store's shared PlanCache for this (program, machine, config).
 
         Returns None — a private per-run cache — whenever sharing would
         be unsound or unkeyable: no store, a program built from an AST
         (no content key), an injected fault plan (recovery remaps
         layouts mid-run), or a caller-provided machine (its config may
         not describe its mutated state, e.g. dead PEs from a prior run).
-        ``fault_plan`` is the *effective* plan when a run overrides the
-        program's (the execution service's per-job plans).
+        ``fault_plan`` is the run's *effective* plan (the execution
+        service overrides the program's per job).
         """
-        if fault_plan is _UNSET:
-            fault_plan = self.faults
         if (
             self.compile_store is None
             or self._frontend_key is None
@@ -510,20 +508,8 @@ class UCProgram:
             or machine_arg is not None
         ):
             return None
-        flags = resolve_engine_flags(
-            solve_strategy=self.solve_strategy,
-            processor_opt=self.processor_opt,
-            cse=self.cse,
-            plans=self.plans,
-            comm_tiers=self.comm_tiers,
-            frontier=self.frontier,
-            fusion=self.fusion,
-            log_tiers=self.log_tiers,
-            sanitize=self.sanitize,
-            solve_sweep_limit=self.solve_sweep_limit,
-        )
         cache, _existed = self.compile_store.backend(
-            self._frontend_key, m.config, flags
+            self._frontend_key, m.config, config.compile_key
         )
         return cache
 

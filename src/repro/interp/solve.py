@@ -44,7 +44,7 @@ def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
         return
     inner = enter_grid(ip, stmt, ctx)
     assignments = _collect_assignments(stmt)
-    strategy = ip.solve_strategy
+    strategy = ip.config.solve_strategy
     if strategy in ("auto", "scheduled"):
         from ..compiler.solve_sched import try_schedule
 
@@ -132,7 +132,7 @@ def _exec_solve_guarded(
     vps = ip.grid_vpset(inner.grid.shape)
 
     plans = None
-    if getattr(ip, "plans_enabled", False):
+    if ip.config.plans:
         plans = ip.plan_cache.get_or_build(
             "solve",
             stmt,
@@ -226,9 +226,9 @@ def _exec_solve_guarded(
                 )
             return
         sweeps += 1
-        if sweeps > ip.solve_sweep_limit:
+        if sweeps > ip.config.solve_sweep_limit:
             raise UCRuntimeError(
-                f"solve exceeded the sweep limit ({ip.solve_sweep_limit}; "
+                f"solve exceeded the sweep limit ({ip.config.solve_sweep_limit}; "
                 "raise via UCProgram(solve_sweep_limit=...) or "
                 "REPRO_SOLVE_SWEEP_LIMIT); "
                 f"target variables: {', '.join(sorted(targets))}",
@@ -366,9 +366,9 @@ def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
                 return
             summarize = lambda b=before, a=after: _delta_summary(b, a)
         sweeps += 1
-        if sweeps > ip.solve_sweep_limit:
+        if sweeps > ip.config.solve_sweep_limit:
             raise UCRuntimeError(
-                f"*solve exceeded the sweep limit ({ip.solve_sweep_limit}; "
+                f"*solve exceeded the sweep limit ({ip.config.solve_sweep_limit}; "
                 "raise via UCProgram(solve_sweep_limit=...) or "
                 "REPRO_SOLVE_SWEEP_LIMIT); still changing each sweep: "
                 f"{summarize()}",

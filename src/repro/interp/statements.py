@@ -18,6 +18,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError, UCSemanticError
+from .config import MAX_SWEEPS
 from .env import Env
 from .eval_expr import (
     ExecContext,
@@ -41,11 +42,10 @@ from .values import (
 def _plans_for(ip, stmt: ast.UCStmt, grid: GridContext) -> Optional[ConstructPlan]:
     """Cached :class:`ConstructPlan` for this construct on this grid.
 
-    Returns None when plan execution is disabled (``plans=False`` or
-    ``REPRO_NO_PLANS``), which sends every caller down the tree-walking
-    path unchanged.
+    Returns None when plan execution is off, which sends every caller
+    down the tree-walking path unchanged.
     """
-    if not getattr(ip, "plans_enabled", False):
+    if not ip.config.plans:
         return None
     return ip.plan_cache.get_or_build(
         "construct", stmt, grid.axes, lambda: compile_construct(stmt)
@@ -63,12 +63,6 @@ class BreakSignal(Exception):
 
 class ContinueSignal(Exception):
     pass
-
-
-#: hard cap on iterating-construct sweeps, to turn accidental livelock
-#: (e.g. a *par whose predicate never falsifies) into a clear error;
-#: real programs iterate O(problem diameter) times, orders below this
-MAX_SWEEPS = 100_000
 
 
 def exec_stmt(ip, stmt: ast.Stmt, ctx: ExecContext) -> None:

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..interp.batch import batchable
+from ..interp.checkpoint import SnapshotUnsupported
 from ..interp.compile_store import CompileStore
 from .admission import AdmissionController
 from .jobstate import (
@@ -282,11 +283,10 @@ class ExecutionService:
         if key is None:
             return None
         try:
-            prog = self.program_for(job.spec)
+            if not batchable(self.program_for(job.spec)):
+                return None
         except Exception:
-            return None  # let the solo path report the compile failure
-        if not batchable(prog):
-            return None
+            return None  # let the solo path report the compile/config failure
         lanes = [job]
         kept: "deque[str]" = deque()
         while self.queue and len(lanes) < self.config.max_lanes:
@@ -479,7 +479,8 @@ class ExecutionService:
         Terminal jobs come back with their journalled results (values
         reloadable from the spool); every in-flight job is re-enqueued
         from its newest journalled snapshot — or from scratch if it
-        never suspended — and will finish with the same fingerprint an
+        never suspended, or the snapshot is in a format this build does
+        not read — and will finish with the same fingerprint an
         uninterrupted run produces.
         """
         config = config or ServiceConfig()
@@ -526,8 +527,11 @@ class ExecutionService:
                 svc.stats[rec["state"]] += 1
                 continue
             if rec["snapshot_file"] is not None:
-                job.snapshot = svc.spool.load_snapshot(rec["snapshot_file"])
-                job.pc = job.snapshot.pc
+                try:
+                    job.snapshot = svc.spool.load_snapshot(rec["snapshot_file"])
+                    job.pc = job.snapshot.pc
+                except SnapshotUnsupported:
+                    pass  # restarts from pc=0
                 from ..interp.deadline import DeadlineMonitor
 
                 d = spec.deadline

@@ -61,7 +61,9 @@ class Worker:
 
     def assign(self, job: Job) -> None:
         """Load a job onto this worker: compile (shared store), build the
-        machine, and — when resuming — install its portable snapshot.
+        machine, and — when resuming — install its portable snapshot
+        (one taken under another clock key, e.g. before a ``REPRO_*``
+        variable changed, restarts the job on a clean machine instead).
 
         Raises whatever the program raises (parse/semantic errors,
         OOM-sized grids); the scheduler converts that into a structured
@@ -71,18 +73,21 @@ class Worker:
         spec = job.spec
         prog = svc.program_for(spec)
         plan = spec.fault_plan_for_attempt(job.attempt)
-        pr = prog.prepare(
-            spec.inputs if job.snapshot is None else None,
-            seed=spec.seed,
-            faults=plan,
-            recovery=spec.recovery,
-        )
-        if job.snapshot is not None:
-            install_portable(pr.interp, pr.context, job.snapshot)
-            job.pc = job.snapshot.pc
-            job.snapshot = None
-        else:
-            job.pc = 0
+
+        def prepare(inputs):  # install_faults resets the plan: reusable
+            return prog.prepare(
+                inputs, seed=spec.seed, faults=plan, recovery=spec.recovery
+            )
+
+        snap, job.snapshot = job.snapshot, None
+        job.pc = 0
+        pr = prepare(spec.inputs if snap is None else None)
+        if snap is not None:
+            try:
+                install_portable(pr.interp, pr.context, snap)
+                job.pc = snap.pc
+            except SnapshotUnsupported:
+                pr = prepare(spec.inputs)
         job.prepared = pr
         if job.monitor is None:
             d = spec.deadline

@@ -26,8 +26,9 @@ def default_engines(monkeypatch):
     ``REPRO_NO_FUSION=1`` / ``REPRO_NO_PLANS=1`` / ...; tests that pick
     their engines by kwarg (or assert on a default engine's counters)
     pin the environment to the defaults with this fixture."""
-    for var in ("REPRO_NO_FUSION", "REPRO_NO_PLANS", "REPRO_NO_FRONTIER",
-                "REPRO_NO_BATCH", "REPRO_SHARDS", "REPRO_SANITIZE"):
+    from repro.interp.config import EngineConfig
+
+    for var in EngineConfig.ENV:
         monkeypatch.delenv(var, raising=False)
 
 

@@ -146,6 +146,70 @@ class TestStats:
         assert "execution stats" not in out
 
 
+@pytest.mark.usefixtures("default_engines")
+class TestConfigStats:
+    def test_default_run_reports_defaults(self, apsp_file, capsys):
+        assert main(["run", apsp_file, "-D", "N=4", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "   config: defaults\n" in out
+        assert "   config." not in out
+
+    def test_sanitize_names_every_engine_it_stands_down(self, apsp_file, capsys):
+        assert main(["run", apsp_file, "-D", "N=4", "--sanitize", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "   config: log_tiers=True sanitize=True\n" in out
+        for engine in ("fusion", "frontier", "batch"):
+            assert f"   config.{engine} off (tier log armed by sanitize)\n" in out
+
+    def test_environment_and_flags_show_up_resolved(self, apsp_file, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_FUSION", "yes")
+        assert main(["run", apsp_file, "-D", "N=4", "--shards", "2", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "   config: fusion=False shards=2\n" in out
+        assert "   config.fusion off (fusion off)\n" in out
+        assert "   config.batch off (2 shards)\n" in out
+        assert "config.frontier" not in out
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestMalformedEnvironment:
+    """A malformed ``REPRO_*`` variable is a one-line ``file: message``
+    exit — never a traceback, never silently ignored."""
+
+    @pytest.mark.parametrize("var", ["REPRO_SOLVE_SWEEP_LIMIT", "REPRO_SHARDS"])
+    def test_run(self, apsp_file, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", apsp_file, "-D", "N=4"])
+        assert str(exit_info.value) == (
+            f"{apsp_file}: {var}='abc': expected a positive integer"
+        )
+
+    def test_run_batch(self, apsp_file, tmp_path, monkeypatch):
+        batch = tmp_path / "batch.json"
+        batch.write_text("[null, null]")
+        monkeypatch.setenv("REPRO_SHARDS", "0")
+        with pytest.raises(SystemExit, match=r"apsp\.uc: REPRO_SHARDS='0'"):
+            main(["run", apsp_file, "-D", "N=4", "--batch", str(batch)])
+
+    def test_serve(self, tmp_path, monkeypatch):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text('[{"source": "main { }"}]')
+        monkeypatch.setenv("REPRO_SOLVE_SWEEP_LIMIT", "-1")
+        with pytest.raises(SystemExit, match=r"jobs\.json: REPRO_SOLVE_SWEEP_LIMIT='-1'"):
+            main(["serve", str(jobs)])
+
+    def test_every_boolean_spelling_counts(self, apsp_file, tmp_path, capsys, monkeypatch):
+        batch = tmp_path / "batch.json"
+        batch.write_text("[null, null]")
+        args = ["run", apsp_file, "-D", "N=4", "--batch", str(batch)]
+        assert main(args) == 0
+        assert "(batched x2 lanes)" in capsys.readouterr().out
+        monkeypatch.setenv("REPRO_NO_BATCH", "true")
+        assert main(args) == 0
+        assert "(sequential fallback)" in capsys.readouterr().out
+
+
 class TestShards:
     def test_run_sharded_stats_prints_shard_counters(self, apsp_file, capsys):
         assert main(["run", apsp_file, "-D", "N=4", "--shards", "2", "--stats"]) == 0

@@ -217,7 +217,7 @@ class TestEscapeHatches:
         prog = UCProgram(APSP, fusion=False)
         r = prog.run(_apsp_input())
         assert not r.fusion
-        assert prog.last_interpreter.fusion_enabled is False
+        assert prog.last_interpreter.config.fusion is False
 
 
 class TestFaultFallback:

@@ -146,7 +146,7 @@ class TestPlanCache:
         src = "index_set I:i = {0..7}; int a[8]; main { par (I) a[i] = i; }"
         prog = UCProgram(src, plans=False)
         prog.run()
-        assert prog.last_interpreter.plans_enabled is False
+        assert prog.last_interpreter.config.plans is False
         assert len(prog.last_interpreter.plan_cache) == 0
 
     def test_disable_via_environment(self, monkeypatch):
@@ -154,7 +154,7 @@ class TestPlanCache:
         src = "index_set I:i = {0..7}; int a[8]; main { par (I) a[i] = i; }"
         prog = UCProgram(src, plans=True)
         prog.run()
-        assert prog.last_interpreter.plans_enabled is False
+        assert prog.last_interpreter.config.plans is False
 
     def test_node_identity_guard(self):
         """A recycled id() can never resurrect a stale plan."""

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interp import frontier
-from repro.interp.commtiers import fusion_disabled_by_env
 from repro.interp.program import UCProgram
 from repro.machine import small_config
 
@@ -276,7 +275,7 @@ def test_dense_evaluation_is_invisible(inputs):
     # dense compressed sweeps are not among them (under the CI step's
     # REPRO_NO_FUSION=1 nothing fuses and every occupancy above went
     # through the sparse lane path)
-    fused_sweeps = 0 if fusion_disabled_by_env() else fused.frontier["full_sweeps"]
+    fused_sweeps = fused.frontier["full_sweeps"] if fused.config.fused else 0
     assert fused.fusion.get("fused_sweeps", 0) == fused_sweeps
 
 

@@ -132,6 +132,19 @@ class TestIsolation:
         assert res[doomed].error["cause"] in ("ProcessorFault", "LinkFault")
         _assert_matches_solo(res[good], solo)
 
+    def test_malformed_engine_variable_fails_jobs_not_the_pool(self, monkeypatch):
+        """Coalescable or not, a job that cannot resolve its configuration
+        gets a structured failure naming the variable; none is lost."""
+        monkeypatch.setenv("REPRO_SHARDS", "abc")
+        svc = ExecutionService(ServiceConfig(workers=2))
+        ids = [svc.submit(JobSpec(source=SRC)) for _ in range(3)]
+        res = svc.drain(max_wall_s=60)
+        assert svc.lost_jobs() == []
+        for jid in ids:
+            assert res[jid].state == FAILED
+            assert res[jid].error["type"] == "ConfigError"
+            assert "REPRO_SHARDS='abc'" in res[jid].error["message"]
+
 
 class TestDeadlines:
     def test_clock_deadline_cancels_with_position(self):
