@@ -16,7 +16,11 @@ per lane (:meth:`Clock.replay`), which is what keeps the clocks exact.
 The lane axis is processed in **chunks** sized to keep the stacked
 working set cache-resident (:data:`_CHUNK_TARGET_ELEMS`); per-lane
 scalars that diverge between lanes travel as
-:class:`~repro.interp.values.LaneScalars` vectors.
+:class:`~repro.interp.values.LaneScalars` vectors.  Steps get batched
+adapters here only where the lane axis changes what they do; a
+reduction's all-enabled fast path is ``fuse._Reduce.reduce_unmasked``
+itself — the strip-mined kernel and the unblocked tail are the solo
+sweep's, the lane axis being just the first non-reduced axis.
 
 Correctness is layered as three fallbacks, outermost first:
 
@@ -504,237 +508,6 @@ def _run_assign_scalar(step: _AssignScalar, st: _ChunkState, regs) -> None:
             vars_[j].value = coerce_scalar(vars_[j].ctype, value)
 
 
-#: elementwise binary ops apply_binop maps 1:1 onto a ufunc with no
-#: dtype munging — eligible to fuse into a blocked reduce
-_BLOCKED_BINOPS = frozenset({"+", "-", "*", "&", "|", "^", "<<", ">>"})
-
-#: target elements for the blocked-reduce temporary (512 KB of int64):
-#: big enough to amortise the python loop, small enough to stay in
-#: cache instead of making the DRAM round trip the unblocked path pays
-_BLOCK_TMP_ELEMS = 1 << 16
-
-#: byte budget for the integer-path temporary slab (same 512 KB; int32
-#: narrowing doubles the element count that fits)
-_BLOCK_TMP_BYTES = 1 << 19
-
-_INT32_MIN = -(2**31)
-_INT32_MAX = 2**31 - 1
-
-#: never scan more than this many real elements for narrowing bounds —
-#: a fully materialised operand would cost more to scan than we save
-_BOUNDS_SCAN_MAX = 1 << 17
-
-
-def _condensed(arr: np.ndarray) -> np.ndarray:
-    """View with broadcast (stride-0) axes collapsed to length 1.
-
-    Covers each distinct memory element exactly once, so min/max bounds
-    cost O(real data), not O(logical size), and an ``astype`` of the
-    result copies only the real data before re-broadcasting.
-    """
-    idx = tuple(
-        slice(0, 1) if s == 0 and d > 1 else slice(None)
-        for s, d in zip(arr.strides, arr.shape)
-    )
-    return arr[idx]
-
-
-def _int32_window(op: str, red_op: str, bounds_a, bounds_b, red_extent: int):
-    """True when evaluating ``a op b`` then ``red_op``-reducing in int32
-    is bit-identical to int64: interval arithmetic proves every operand,
-    every elementwise result and every partial reduction fits in int32
-    (so no wraparound can occur in either width)."""
-    lo_a, hi_a = bounds_a
-    lo_b, hi_b = bounds_b
-    for x in (lo_a, hi_a, lo_b, hi_b):
-        if not (_INT32_MIN <= x <= _INT32_MAX):
-            return False
-    if op == "+":
-        lo, hi = lo_a + lo_b, hi_a + hi_b
-    elif op == "-":
-        lo, hi = lo_a - hi_b, hi_a - lo_b
-    elif op == "*":
-        prods = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
-        lo, hi = min(prods), max(prods)
-    elif op in ("&", "|", "^"):
-        # int32-representable operands are closed under bitwise ops
-        # (sign extension commutes with &, | and ^)
-        lo, hi = _INT32_MIN, _INT32_MAX
-    else:
-        return False  # shifts: overflow analysis not worth the cases
-    if not (_INT32_MIN <= lo and hi <= _INT32_MAX):
-        return False
-    if red_op in ("min", "max"):
-        return True  # result stays within the element bounds
-    if red_op == "add":
-        # every partial sum is bounded by extent x the signed extremes
-        return (
-            _INT32_MIN <= red_extent * min(lo, 0)
-            and red_extent * max(hi, 0) <= _INT32_MAX
-        )
-    return False  # "mul": products explode past any useful bound
-
-
-def _try_blocked_reduce(step, st, regs, esteps, eout, inner_b, axes_b):
-    """Fuse a trailing elementwise binary into the reduction, blocked
-    along a *non-reduced* axis, so the full ``(n,) + inner_shape``
-    intermediate never hits DRAM.
-
-    Because the blocking axis is not reduced over, each output element
-    still reduces its complete, contiguous input run in one ufunc call —
-    the reduction grouping (and hence numpy's pairwise float summation
-    order) is untouched, so the result is bit-identical to the unblocked
-    evaluation for every dtype.  Returns the reduced array, or None when
-    the pattern does not apply.
-    """
-    if not step.reduce_axes or not esteps:
-        return None
-    last = esteps[-1]
-    if not isinstance(last, _Binary) or last.dst != eout:
-        return None
-    if last.node.op not in _BLOCKED_BINOPS:
-        return None
-    if step.op in ("logand", "logor", "logxor") or step.op not in E._RED_UFUNC:
-        return None
-    rank = len(inner_b)
-    total = 1
-    for s in inner_b:
-        total *= s
-    if total <= 2 * _BLOCK_TMP_ELEMS:
-        return None  # already cache-sized; blocking only adds overhead
-    # pick the widest non-reduced axis to slab along
-    out_axes = [i for i in range(rank) if i not in axes_b]
-    block_axis = max(out_axes, key=lambda i: inner_b[i], default=None)
-    if block_axis is None or inner_b[block_axis] < 2:
-        return None
-    per_unit = total // inner_b[block_axis]
-    width = max(1, _BLOCK_TMP_ELEMS // max(1, per_unit))
-    if width >= inner_b[block_axis]:
-        return None
-    _run_steps(esteps[:-1], st, regs)
-    ops = []
-    kinds = []
-    for v in (regs[last.a], regs[last.b]):
-        v = _lift(v, rank)
-        if isinstance(v, np.ndarray):
-            if v.dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
-                return None
-            ops.append(np.broadcast_to(v, inner_b))
-            kinds.append(v.dtype)
-        elif isinstance(v, (bool, np.bool_)):
-            return None
-        elif isinstance(v, (int, np.integer)):
-            if not (-(2**63) <= int(v) < 2**63):
-                return None  # numpy would object-promote; bail to solo path
-            ops.append(int(v))
-            kinds.append(int(v))
-        elif isinstance(v, (float, np.floating)):
-            ops.append(float(v))
-            kinds.append(float(v))
-        else:
-            return None
-    try:
-        dtype = np.result_type(*kinds)
-    except TypeError:
-        return None
-    if dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
-        return None
-    if dtype != E._result_dtype(step.op, [np.empty(0, dtype)]):
-        return None  # solo would astype before reducing; keep its path
-    bin_ufunc = E._SIMPLE_BINOPS[last.node.op]
-    red_ufunc = E._RED_UFUNC[step.op]
-    extent = inner_b[block_axis]
-    out_shape = tuple(inner_b[i] for i in out_axes)
-    out_block_pos = out_axes.index(block_axis)
-    result = np.empty(out_shape, dtype=dtype)
-    if dtype == np.dtype(np.int64) and step.order_safe:
-        # The reordering below is legal only under the site's UC501
-        # determinism verdict (stamped onto the step at fuse-compile time
-        # from repro.analysis.determinism — min/max always; int add/mul,
-        # exact mod 2^64, identically in both engines).  Unproven sites
-        # fall through to the grouping-preserving path, which is
-        # bit-identical for every dtype.  Put the reduced axes OUTERMOST:
-        # numpy then reduces by vectorised accumulation over long
-        # contiguous output rows instead of one short run per output
-        # element.  When interval bounds prove every elementwise result
-        # and partial reduction fits in int32, compute in int32 (half the
-        # slab traffic) and upcast the block result exactly.
-        red_extent = 1
-        for ax in axes_b:
-            red_extent *= inner_b[ax]
-        work = np.dtype(np.int64)
-        if all(
-            not isinstance(o, np.ndarray)
-            or _condensed(o).size <= _BOUNDS_SCAN_MAX
-            for o in ops
-        ):
-            bounds = []
-            for o in ops:
-                if isinstance(o, np.ndarray):
-                    c = _condensed(o)
-                    bounds.append((int(c.min()), int(c.max())))
-                else:
-                    bounds.append((int(o), int(o)))
-            if _int32_window(
-                last.node.op, step.op, bounds[0], bounds[1], red_extent
-            ):
-                work = np.dtype(np.int32)
-        t_ops = []
-        perm = tuple(axes_b) + tuple(out_axes)
-        for o in ops:
-            if not isinstance(o, np.ndarray):
-                t_ops.append(work.type(o))
-                continue
-            if o.dtype != work:
-                o = np.broadcast_to(_condensed(o).astype(work), inner_b)
-            t_ops.append(o.transpose(perm))
-        n_red = len(axes_b)
-        red_axes_t = tuple(range(n_red))
-        blk = n_red + out_block_pos  # block axis position after transpose
-        width = max(1, _BLOCK_TMP_BYTES // max(1, per_unit * work.itemsize))
-        width = min(width, extent)
-        tmp_shape = [inner_b[ax] for ax in perm]
-        tmp_shape[blk] = width
-        tmp = np.empty(tuple(tmp_shape), dtype=work)
-        sl_in = [slice(None)] * rank
-        sl_out = [slice(None)] * len(out_shape)
-        for k0 in range(0, extent, width):
-            w = min(width, extent - k0)
-            sl_in[blk] = slice(k0, k0 + w)
-            sl_out[out_block_pos] = slice(k0, k0 + w)
-            tsl = sl_in.copy()
-            tsl[blk] = slice(0, w)
-            t = tmp[tuple(tsl)]
-            a = t_ops[0][tuple(sl_in)] if isinstance(t_ops[0], np.ndarray) else t_ops[0]
-            b = t_ops[1][tuple(sl_in)] if isinstance(t_ops[1], np.ndarray) else t_ops[1]
-            bin_ufunc(a, b, out=t)
-            result[tuple(sl_out)] = red_ufunc.reduce(t, axis=red_axes_t)
-        return result
-    # float64 — and int64 without a UC501 proof: keep the reduced axes
-    # innermost and the original pairwise grouping.  Float reduction
-    # order is observable, so only the grouping-preserving blocking below
-    # is bit-identical to solo; for unproven int64 sites the same path is
-    # the verdict-mandated order-preserving fallback (also bit-identical,
-    # integers being exact).
-    tmp_shape = list(inner_b)
-    tmp_shape[block_axis] = width
-    tmp = np.empty(tuple(tmp_shape), dtype=dtype)
-    sl_in = [slice(None)] * rank
-    sl_out = [slice(None)] * len(out_shape)
-    for k0 in range(0, extent, width):
-        w = min(width, extent - k0)
-        sl_in[block_axis] = slice(k0, k0 + w)
-        sl_out[out_block_pos] = slice(k0, k0 + w)
-        tsl = sl_in.copy()
-        tsl[block_axis] = slice(0, w)
-        t = tmp[tuple(tsl)]
-        a = ops[0][tuple(sl_in)] if isinstance(ops[0], np.ndarray) else ops[0]
-        b = ops[1][tuple(sl_in)] if isinstance(ops[1], np.ndarray) else ops[1]
-        bin_ufunc(a, b, out=t)
-        result[tuple(sl_out)] = red_ufunc.reduce(t, axis=axes_b)
-    return result
-
-
 def _run_reduce(step: _Reduce, st: _ChunkState, regs) -> None:
     n = st.n
     m = regs[step.mask]
@@ -744,33 +517,13 @@ def _run_reduce(step: _Reduce, st: _ChunkState, regs) -> None:
     )
     regs[step.base] = base
     axes_b = _axes_up(step.reduce_axes)
-    if (
-        len(step.arms) == 1
-        and step.arms[0][0] is None
-        and step.others is None
-        and bool(np.all(m))
-    ):
-        # chunk-wide fast path; partially-enabled chunks take the generic
-        # path below, which the solo engine documents as value-identical
-        _ps, _po, amreg, esteps, eout = step.arms[0]
-        regs[amreg] = base
-        blocked = _try_blocked_reduce(step, st, regs, esteps, eout, inner_b, axes_b)
-        if blocked is not None:
-            regs[step.dst] = blocked
-            return
-        _run_steps(esteps, st, regs)
-        val = np.broadcast_to(
-            np.asarray(_lift(regs[eout], len(inner_b))), inner_b
-        )
-        ufunc = E._RED_UFUNC[step.op]
-        logical = step.op in ("logand", "logor", "logxor")
-        dtype = E._result_dtype(step.op, [val])
-        v = val.astype(bool) if logical else (
-            val.astype(dtype) if val.dtype != dtype else val
-        )
-        total = ufunc.reduce(v, axis=axes_b) if step.reduce_axes else v
-        regs[step.dst] = np.asarray(total).astype(
-            np.int64 if logical else dtype
+    if step.single_arm and bool(np.all(m)):
+        # chunk-wide fast path, shared with the solo sweep (the lane axis
+        # is just the first non-reduced axis); partially-enabled chunks
+        # take the generic path below, which the solo engine documents as
+        # value-identical
+        regs[step.dst] = step.reduce_unmasked(
+            regs, inner_b, lambda steps: _run_steps(steps, st, regs), _lift
         )
         return
     arm_values: List[np.ndarray] = []

@@ -113,12 +113,22 @@ _FALLBACK = "frontier-fallback"
 #: reduction ops eligible for the delta (changed-slots-only) scan
 _DELTA_OPS = ("min", "max")
 
-#: G — measured host cost of one lane-slot through the sparse evaluator
-#: (per-lane address resolution in ``plan.lane_gather``) relative to one
-#: grid slot through the fused kernel's strided views: ≈ 24 ns against
-#: ≈ 2 ns on the ``apsp_dense`` n=128 sweeps of ``benchmarks/e2e``.  A
-#: compressed sweep is *evaluated* densely when its active slots times G
-#: reach the full domain's slots; what it *charges* never depends on G.
+#: G — host cost of one lane-slot through the sparse evaluator (per-lane
+#: address resolution in ``plan.lane_gather``) relative to one grid slot
+#: through the fused kernel.  A compressed sweep is *evaluated* densely
+#: when its active slots times G reach the full domain's slots; what it
+#: *charges* never depends on G.  Measured at n=128: ≈ 28 ns per
+#: lane-slot (a perturbed converged graph, 2–4 % occupancy) against
+#: ≈ 1.1 ns per grid slot (the compressed 8th sweep of ``apsp_dense``,
+#: snapshot and diff included) since the reduction is strip-mined — a
+#: ratio of ≈ 26, break-even at 4 % occupancy.  G stays at the 10 it
+#: was set to when the dense side cost ≈ 2 ns: a larger G sends the
+#: 4–10 % sweeps of *every* construct to ``fuse.fused_for``, and the
+#: obstacle grid of ``grid_frontier`` — unfusable, never above 5 % — has
+#: 13–19 such sweeps per run that today stop at the comparison below.
+#: Raising it wants a fusability verdict the session can test first
+#: (ROADMAP, "Collapse the engine ladder"); until then a fusable sweep
+#: in that band pays at most 2.5x on the lane path.
 _DENSE_COST_RATIO = 10
 
 _CALL_CHARGES = {"power2": 1, "abs": 1, "ABS": 1, "fabs": 1, "sqrt": 4, "min": 1, "max": 1}

@@ -67,6 +67,12 @@ Correctness subtleties worth naming:
   register program still *evaluates* it: ``begin_sweep``/``run_body``
   take ``charge=False`` and run compute-only (no table replay, no
   ``fusion.*`` counters), see :mod:`repro.interp.frontier`.
+* **Reductions are strip-mined.**  ``reduce(a ∘ b)`` over a large inner
+  grid never materialises ``a ∘ b``: :func:`_strip_reduce` walks strips
+  of the compact operands through one cache-sized temporary, reordering
+  and narrowing to int32 only under the site's UC501 verdict.  It is the
+  only such kernel — :mod:`repro.interp.batch` calls it with a lane axis
+  in front ("Reduction kernel" in ``docs/PERFORMANCE.md``).
 * **Off switch.**  ``config.fused`` (see "Configuration" in
   ``docs/PERFORMANCE.md``); the tree-walking oracle remains the ground
   truth either way.
@@ -461,6 +467,195 @@ class _AssignScalar:
         ip.cse_invalidate(var.name)
 
 
+# ---------------------------------------------------------------------------
+# the reduction kernel
+# ---------------------------------------------------------------------------
+# One strip-mined ``reduce(a ∘ b)`` for the solo sweep and the batched
+# lanes alike ("Reduction kernel" in docs/PERFORMANCE.md).  The CM-2 never
+# holds a reduction's N^3 virtual processors at once either: it
+# time-slices its physical PEs over the VP ratio.
+
+#: elementwise binary ops apply_binop maps 1:1 onto a ufunc with no
+#: dtype munging — eligible to fuse into the strip-mined reduction
+_BLOCKED_BINOPS = frozenset({"+", "-", "*", "&", "|", "^", "<<", ">>"})
+
+_LOGICAL_REDUCTIONS = ("logand", "logor", "logxor")
+
+#: byte budget of the strip temporary: big enough to amortise the python
+#: loop, small enough to stay in cache instead of making the DRAM round
+#: trip the unblocked evaluation pays (int32 narrowing doubles the
+#: elements that fit)
+_STRIP_BYTES = 1 << 19
+
+#: a reduction whose whole operand fits two int64 strips is already
+#: cache-sized; strip-mining it only adds overhead
+_STRIP_MIN_ELEMS = 2 * _STRIP_BYTES // 8
+
+#: an operand with more real elements than this is read in place — never
+#: scanned for narrowing bounds, cast or re-laid out: one pass over a
+#: materialised operand costs more than it saves
+_COMPACT_MAX = 1 << 17
+
+_INT32_MIN = -(2**31)
+_INT32_MAX = 2**31 - 1
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_I32 = np.dtype(np.int32)
+
+
+def _int32_window(op: str, red_op: str, bounds_a, bounds_b, red_extent: int):
+    """True when evaluating ``a op b`` then ``red_op``-reducing in int32
+    is bit-identical to int64: interval arithmetic proves every operand,
+    every elementwise result and every partial reduction fits in int32
+    (so no wraparound can occur in either width)."""
+    lo_a, hi_a = bounds_a
+    lo_b, hi_b = bounds_b
+    for x in (lo_a, hi_a, lo_b, hi_b):
+        if not (_INT32_MIN <= x <= _INT32_MAX):
+            return False
+    if op == "+":
+        lo, hi = lo_a + lo_b, hi_a + hi_b
+    elif op == "-":
+        lo, hi = lo_a - hi_b, hi_a - lo_b
+    elif op == "*":
+        prods = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
+        lo, hi = min(prods), max(prods)
+    elif op in ("&", "|", "^"):
+        # int32-representable operands are closed under bitwise ops
+        # (sign extension commutes with &, | and ^)
+        lo, hi = _INT32_MIN, _INT32_MAX
+    else:
+        return False  # shifts: overflow analysis not worth the cases
+    if not (_INT32_MIN <= lo and hi <= _INT32_MAX):
+        return False
+    if red_op in ("min", "max"):
+        return True  # result stays within the element bounds
+    if red_op == "add":
+        # every partial sum is bounded by extent x the signed extremes
+        return (
+            _INT32_MIN <= red_extent * min(lo, 0)
+            and red_extent * max(hi, 0) <= _INT32_MAX
+        )
+    return False  # "mul": products explode past any useful bound
+
+
+def _strip_reduce(bin_op, red_op, a, b, shape, n_red, order_safe):
+    """``red_op``-reduce ``a bin_op b`` over the trailing ``n_red`` axes
+    of ``shape`` without ever materialising the ``shape``-sized operand.
+
+    ``a`` and ``b`` are scalars or arrays broadcastable to ``shape`` —
+    the solo inner grid, or the lane-stacked ``(n,) + inner_shape`` of a
+    batch chunk: the lane axis is just the first non-reduced axis.  Each
+    is taken **compact** (broadcast axes collapsed to extent 1, so
+    O(real data); a scalar is all extent 1) and, when small, cast and
+    laid out contiguously once;
+    the loop then walks strips of the leading non-reduced axes,
+    ``tmp = a_strip ∘ b_strip`` into one reused buffer of at most
+    :data:`_STRIP_BYTES` and ``reduce(tmp)`` straight into the result.
+    Every output element still reduces its complete input run in one
+    ufunc call.  Two legality classes:
+
+    * **int64 under the site's UC501 verdict** (``order_safe``, stamped
+      at fuse-compile time from ``repro.analysis.determinism`` — min/max
+      always; int add/mul, exact mod 2^64): the combine may be reordered,
+      so the reduced axes go *outermost* — numpy then accumulates over
+      long contiguous output rows instead of one short run per output
+      element — and when interval bounds prove that every operand,
+      elementwise result and partial reduction fits in int32
+      (:func:`_int32_window`) the strips run in int32, half the traffic,
+      and the result is upcast exactly.
+    * **float64, and int64 without a proof**: reduced axes stay
+      innermost and contiguous, which is the grouping (hence numpy's
+      pairwise float summation order) of the unblocked evaluation
+      whenever that evaluation's intermediate would be C-ordered — numpy
+      is asked, on a 2-per-axis corner of the operands; for any other
+      operand layout the kernel declines.  Bit-identical for every dtype.
+
+    Returns the reduced array, or None when the operands are outside the
+    pattern (the caller then evaluates ``a bin_op b`` and reduces it
+    unblocked, which is the definition the kernel is held to).
+    """
+    rank = len(shape)
+    n_out = rank - n_red
+    if n_out == 0:
+        return None  # nothing to strip-mine
+    ops = []
+    for v in (a, b):
+        if isinstance(v, np.ndarray):
+            if v.dtype != _I64 and v.dtype != _F64:
+                return None
+        elif isinstance(v, (bool, np.bool_)):
+            return None
+        elif isinstance(v, (int, np.integer)):
+            if not -(2**63) <= int(v) < 2**63:
+                return None  # numpy would object-promote
+            v = np.int64(v)
+        elif isinstance(v, (float, np.floating)):
+            v = np.float64(v)
+        else:
+            return None
+        ops.append(_compact(np.broadcast_to(v, shape)))
+    dtype = np.result_type(*ops)  # int64 or float64
+    bin_ufunc = E._SIMPLE_BINOPS[bin_op]
+    red_ufunc = E._RED_UFUNC[red_op]
+    reorder = order_safe and dtype == _I64
+    work = dtype
+    if reorder:
+        if all(o.size <= _COMPACT_MAX for o in ops) and _int32_window(
+            bin_op,
+            red_op,
+            *((int(o.min()), int(o.max())) for o in ops),
+            math.prod(shape[n_out:]),
+        ):
+            work = _I32
+        perm = tuple(range(n_out, rank)) + tuple(range(n_out))
+        lead = n_red  # strip-order position of the first non-reduced axis
+        red_axes = tuple(range(n_red))
+    else:
+        corner = (slice(0, 2),) * rank
+        if not bin_ufunc(ops[0][corner], ops[1][corner]).flags.c_contiguous:
+            return None
+        perm = tuple(range(rank))
+        lead = 0
+        red_axes = tuple(range(-n_red, 0))
+    for k, o in enumerate(ops):
+        o = o.transpose(perm)
+        ops[k] = np.ascontiguousarray(o, dtype=work) if o.size <= _COMPACT_MAX else o
+    # a strip is ``width`` steps of non-reduced axis ``p`` — the first one
+    # whose unit slab fits the budget — times every later axis in full
+    budget = _STRIP_BYTES // work.itemsize
+    per = math.prod(shape)
+    for p in range(n_out):
+        per //= shape[p]
+        if per <= budget:
+            break
+    extent = shape[p]
+    width = max(1, min(extent, budget // per))
+    slab = (width,) + tuple(shape[p + 1 : n_out])
+    red_shape = tuple(shape[n_out:])
+    tmp = np.empty(red_shape + slab if reorder else slab + red_shape, dtype=work)
+    result = np.empty(shape[:n_out], dtype=work)
+    pre = (slice(None),) * lead
+
+    def strip(o, head, sl):
+        """Operand ``o`` over one strip; its extent-1 axes broadcast."""
+        full = [d > 1 for d in o.shape[lead:]]
+        return o[
+            pre
+            + tuple(h if full[q] else 0 for q, h in enumerate(head))
+            + (sl if full[p] else slice(None),)
+        ]
+
+    for head in np.ndindex(*shape[:p]):
+        for k0 in range(0, extent, width):
+            sl = slice(k0, k0 + width)
+            t = tmp[pre + (slice(0, min(width, extent - k0)),)]
+            bin_ufunc(strip(ops[0], head, sl), strip(ops[1], head, sl), out=t)
+            red_ufunc.reduce(t, axis=red_axes, out=result[head + (sl,)])
+    return result if work == dtype else result.astype(dtype)
+
+
 class _Reduce:
     """A whole ``$op(sets; ...)`` reduction as one composite step."""
 
@@ -475,6 +670,8 @@ class _Reduce:
         "arms",
         "others",
         "order_safe",
+        "single_arm",
+        "tail",
     )
 
     def __init__(
@@ -500,9 +697,73 @@ class _Reduce:
         #: [(pred_steps|None, pred_out, arm_mask_reg, expr_steps, expr_out)]
         self.arms = arms
         self.others = others  # (steps, out, others_mask_reg) | None
-        #: UC501 determinism verdict: the batch engine may reorder the
-        #: blocked combine only when the analyzer proved it order-safe
+        #: UC501 determinism verdict: the reduction kernel may reorder the
+        #: combine only when the analyzer proved it order-safe
         self.order_safe = order_safe
+        #: one unpredicated arm and no ``others``: with every lane enabled
+        #: ``np.where(mask, v, identity)`` is the identity map, so the
+        #: operand reduces directly (:meth:`reduce_unmasked`)
+        self.single_arm = len(arms) == 1 and arms[0][0] is None and others is None
+        #: static half of the kernel's acceptance pattern — the trailing
+        #: elementwise ``_Binary`` of that arm, which :func:`_strip_reduce`
+        #: absorbs — or None
+        self.tail = None
+        if self.single_arm and reduce_axes and op not in _LOGICAL_REDUCTIONS:
+            _ps, _po, _am, esteps, eout = arms[0]
+            last = esteps[-1] if esteps else None
+            if (
+                isinstance(last, _Binary)
+                and last.dst == eout
+                and last.node.op in _BLOCKED_BINOPS
+            ):
+                self.tail = last
+
+    def reduce_unmasked(self, regs, shape, run, lift=None):
+        """The all-enabled single-arm reduction over ``shape`` — the solo
+        inner grid, or the lane-stacked ``(n,) + inner_shape`` of a batch
+        chunk.  ``run(steps)`` evaluates register steps the caller's way;
+        ``lift(value, ndim)`` turns a caller-specific register value into
+        what numpy broadcasts (the batch engine's per-lane scalars).
+
+        When the arm ends in an elementwise binary over more than
+        :data:`_STRIP_MIN_ELEMS` slots, that step is *not run*: its
+        operands go to :func:`_strip_reduce`.  The register it would have
+        written is reduction-scope private — CSE keys carry the
+        reduction's ``rtoken`` — so nothing downstream can miss it.
+        Otherwise (or when the kernel declines) the operand is reduced
+        unblocked, through the same astype chain as ``_reduce_op`` →
+        identical values and dtype.
+        """
+        _ps, _po, amreg, esteps, eout = self.arms[0]
+        regs[amreg] = regs[self.base]
+        rank = len(shape)
+        n_red = len(self.reduce_axes)
+
+        def get(reg):
+            v = regs[reg]
+            return v if lift is None else lift(v, rank)
+
+        last = self.tail
+        if last is not None and math.prod(shape) > _STRIP_MIN_ELEMS:
+            run(esteps[:-1])
+            out = _strip_reduce(
+                last.node.op, self.op, get(last.a), get(last.b), shape, n_red,
+                self.order_safe,
+            )
+            if out is not None:
+                return out
+            run(esteps[-1:])
+        else:
+            run(esteps)
+        val = np.broadcast_to(np.asarray(get(eout)), shape)
+        ufunc = E._RED_UFUNC[self.op]
+        logical = self.op in _LOGICAL_REDUCTIONS
+        dtype = E._result_dtype(self.op, [val])
+        v = val.astype(bool) if logical else (
+            val.astype(dtype) if val.dtype != dtype else val
+        )
+        total = ufunc.reduce(v, axis=tuple(range(rank - n_red, rank))) if n_red else v
+        return np.asarray(total).astype(np.int64 if logical else dtype)
 
     def run(self, ip, regs) -> None:
         m = regs[self.mask]
@@ -510,31 +771,13 @@ class _Reduce:
             m.reshape(m.shape + (1,) * self.n_sets), self.inner_shape
         )
         regs[self.base] = base
-        if (
-            len(self.arms) == 1
-            and self.arms[0][0] is None
-            and self.others is None
-            and bool(np.all(m))
-        ):
-            # all lanes enabled, one unconditional arm: ``np.where(mask,
-            # v, identity)`` is the identity map, so reduce the operand
-            # directly.  Same astype chain as ``_reduce_op`` → identical
-            # values and dtype.
-            _ps, _po, amreg, esteps, eout = self.arms[0]
-            regs[amreg] = base
-            for s in esteps:
-                s.run(ip, regs)
-            val = np.broadcast_to(np.asarray(regs[eout]), self.inner_shape)
-            ufunc = E._RED_UFUNC[self.op]
-            logical = self.op in ("logand", "logor", "logxor")
-            dtype = E._result_dtype(self.op, [val])
-            v = val.astype(bool) if logical else (
-                val.astype(dtype) if val.dtype != dtype else val
-            )
-            total = ufunc.reduce(v, axis=self.reduce_axes) if self.reduce_axes else v
-            regs[self.dst] = np.asarray(total).astype(
-                np.int64 if logical else dtype
-            )
+        if self.single_arm and bool(np.all(m)):
+
+            def run(steps) -> None:
+                for s in steps:
+                    s.run(ip, regs)
+
+            regs[self.dst] = self.reduce_unmasked(regs, self.inner_shape, run)
             return
         arm_values: List[np.ndarray] = []
         arm_masks: List[np.ndarray] = []

@@ -66,6 +66,7 @@ _NEVER = (
     "repro.analysis.sanitize",
     "repro.analysis.races",
     "repro.analysis.solvechecks",
+    "repro.interp.batch",
     "repro.service",
     "repro.bench",
     "repro.cstar",

@@ -10,7 +10,9 @@ counters, and fallback on bodies it cannot analyze.
 import numpy as np
 import pytest
 
+from repro.bench.workloads import APSP_SOLVE_UC
 from repro.interp import checkpoint as cp
+from repro.interp import frontier
 from repro.interp.deadline import JobPreempted
 from repro.interp.program import UCProgram
 from repro.lang.errors import UCRuntimeError
@@ -211,6 +213,26 @@ class TestDenseEvaluation:
         # counters still count full fused sweeps only
         assert on.fusion["fused_sweeps"] == on.frontier["full_sweeps"]
         assert on.fusion["charge_table_hits"] == on.frontier["full_sweeps"]
+
+    def test_the_cost_ratio_is_a_host_only_choice(self, monkeypatch):
+        # G decides which evaluator a compressed sweep runs on, never what
+        # it charges: from "dense only at full occupancy" to "always
+        # dense", dense_sweeps may move and nothing else
+        d = _two_community(16, 6)["d"]
+        runs = {}
+        for g in (1, frontier._DENSE_COST_RATIO, 10**6):
+            monkeypatch.setattr(frontier, "_DENSE_COST_RATIO", g)
+            runs[g] = run_uc(
+                APSP_SOLVE_UC, {"dist": d.copy()}, defines={"N": 16},
+                machine_config=SMALL,
+            )
+        lo, default, hi = runs.values()
+        assert lo.frontier["dense_sweeps"] == 0
+        assert 0 < default.frontier["dense_sweeps"] < hi.frontier["dense_sweeps"]
+        assert hi.frontier["dense_sweeps"] == hi.frontier["compressed_sweeps"]
+        for other in (lo, hi):
+            self._assert_same_run(default, other, "dist")
+            assert other.fusion == default.fusion
 
     def test_two_community_graph_stays_sparse(self):
         inputs = _two_community(16, 3)

@@ -239,28 +239,73 @@ class TestDecisionsMatchTheDenseFormulas:
         assert decisions["scatters"]
 
 
+def _traced_peaks(monkeypatch, owner, name):
+    """Wrap ``owner.name``; returns the list its calls append
+    ``(args, tracemalloc peak in bytes)`` to."""
+    peaks = []
+    real = getattr(owner, name)
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(*args, **kwargs)
+            peaks.append((args, tracemalloc.get_traced_memory()[1] - before))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(owner, name, traced)
+    return peaks
+
+
 class TestBuildCostIsIndependentOfGridSize:
     def _build_peak(self, monkeypatch, n):
-        peaks = []
-        real_build = fuse._build
-
-        def traced(ip, stmt, inner):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                out = real_build(ip, stmt, inner)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            finally:
-                tracemalloc.stop()
-            return out
-
-        monkeypatch.setattr(fuse, "_build", traced)
+        peaks = _traced_peaks(monkeypatch, fuse, "_build")
         result = _run(APSP_SOLVE_UC, N=n)
         assert result.fusion["constructs"] == 1 and len(peaks) == 1
-        return peaks[0]
+        return peaks[0][1]
 
     def test_apsp_n128_build_stays_under_4mb(self, monkeypatch):
         # the dense index arrays were 16 MB apiece here (128^3 int64, 33 MB
         # at the peak); what the gathers keep is two 128x1x128 reduced ones
         assert self._build_peak(monkeypatch, 128) < 4 * 2**20
+
+
+# -- sweep memory: the reduction is strip-mined ---------------------------------------
+
+
+def _chain(n, lane=0):
+    d = np.full((n, n), 10**6, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for a in range(n - 1):
+        d[a, a + 1] = d[a + 1, a] = 1 + (a + lane) % 7
+    return d
+
+
+class TestSweepNeverHoldsTheReductionOperand:
+    """``$<(K; d[i][k] + d[k][j])`` has n^3 operand slots; the strip-mined
+    kernel (``fuse._strip_reduce``) holds one strip of them at a time."""
+
+    def test_a_warm_apsp_n128_sweep_allocates_under_2mb(self, monkeypatch):
+        peaks = _traced_peaks(monkeypatch, fuse.FusedConstruct, "run_body")
+        n = 128
+        prog = UCProgram(APSP_SOLVE_UC, defines={"N": n}, compile_store=None)
+        result = prog.run({"dist": _chain(n)})
+        assert result.fusion["fused_sweeps"] >= 3
+        # the unblocked sweep held the 128^3 int64 operand: 16 MB
+        assert max(peak for _args, peak in peaks[1:]) < 2 * 2**20
+
+    def test_a_batch_chunk_never_holds_the_lane_stacked_operand(self, monkeypatch):
+        from repro.interp import batch
+
+        peaks = _traced_peaks(monkeypatch, batch, "_run_reduce")
+        n = 64
+        prog = UCProgram(APSP_SOLVE_UC, defines={"N": n}, compile_store=None)
+        results = prog.run_batch([{"dist": _chain(n, lane)} for lane in range(5)])
+        assert results[0].compile["batched_lanes"] == 5.0
+        assert {args[1].n for args, _peak in peaks} >= {1, 2}  # chunk sizes seen
+        for (step, st, _regs), peak in peaks:
+            full = st.n * int(np.prod(step.inner_shape)) * 8
+            assert peak < full // 2, (st.n, peak)
