@@ -55,7 +55,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCRuntimeError
 from ..machine import Machine
 from ..machine.field import lane_stack, lane_writeback
 from . import commtiers, frontier, fuse
@@ -79,7 +78,7 @@ from .fuse import (
 from .interpreter import Interpreter
 from .plan_cache import PlanCache
 from .statements import (
-    MAX_SWEEPS,
+    _NEVER_FALSIFIED,
     ReturnSignal,
     _block_masks,
     _check_starred,
@@ -1038,15 +1037,9 @@ class _BatchConstruct:
                     return
                 summarize = lambda b=before, a=after: _delta_summary(b, a)
             sweeps += 1
-            if sweeps > ip.config.solve_sweep_limit:
-                raise UCRuntimeError(
-                    f"*solve exceeded the sweep limit ({ip.config.solve_sweep_limit}; "
-                    "raise via UCProgram(solve_sweep_limit=...) or "
-                    "REPRO_SOLVE_SWEEP_LIMIT); still changing each sweep: "
-                    f"{summarize()}",
-                    stmt.line,
-                    stmt.col,
-                )
+            ip.check_sweeps(
+                sweeps, "*solve", stmt, lambda: f"still changing each sweep: {summarize()}"
+            )
             states = sess.plan_compressed()
 
     # -- *par --------------------------------------------------------------
@@ -1127,7 +1120,7 @@ class _BatchConstruct:
             if len(keep) != len(self.live):
                 self._compact(keep)
             sweeps += 1
-            if self.live and sweeps > MAX_SWEEPS:
+            if self.live and sweeps > self.interps[0].config.solve_sweep_limit:
                 raise _BatchAbort()  # sequential rerun raises the solo error
 
     def _finish_par(self, row: int, states, sweeps: int) -> None:
@@ -1170,11 +1163,5 @@ class _BatchConstruct:
                 sess.full_end()
                 sess.note_par_masks(masks)
             sweeps += 1
-            if sweeps > MAX_SWEEPS:
-                raise UCRuntimeError(
-                    "*par exceeded the sweep limit (predicate never "
-                    "falsified?)",
-                    stmt.line,
-                    stmt.col,
-                )
+            ip.check_sweeps(sweeps, "*par", stmt, _NEVER_FALSIFIED)
             states = sess.plan_compressed()

@@ -35,36 +35,46 @@ Correctness strategy — decide-before-execute behind a measured guard:
 * **Charging**: a compressed sweep's cost is a static, pre-bound charge
   list per arm: at analysis time the real cost helpers
   (:func:`repro.interp.commtiers.charge_tier_at` — the same recipe both
-  engines use) run once against a recorder, and a sweep replays the
-  recorded primitives at its active VP ratios (:func:`_replay`) — first
-  against a local estimator clock and then, only if the estimate
-  undercuts the *measured* cost of the last full sweep, against the real
-  :class:`~repro.machine.cost.Clock`.  The estimate is a pure function
-  of the arms' charge keys (``L > 0``, lane and reduction VP ratios,
-  effective reduction extent, delta on/off), so a session replays the
-  estimator once per distinct key.  Charges precede writes, preserving
-  the fault-injection charge-before-mutate invariant, and the guard
-  makes the frontier Clock never higher than the full-sweep Clock.
+  engines use) run once against a recorder and the recorded primitives
+  are bound to the cost table as rows (:func:`_bind_rows`; they live on
+  the cached analysis).  A sweep replays the rows at its active VP
+  ratios — first summed by a local estimator clock and then, only if the
+  estimate undercuts the *measured* cost of the last full sweep, on the
+  real clock: :meth:`repro.machine.cost.Clock.replay_rows`, one inlined
+  loop in recorded order that goes back to one ``Clock.charge`` per row
+  whenever a fault hook or a shard sink is installed.  The estimate is a
+  pure function of the arms' charge keys (``L > 0``, lane and reduction
+  VP ratios, effective reduction extent, delta on/off), so a session
+  costs each distinct key once.  Charges precede writes, preserving the
+  fault-injection charge-before-mutate invariant, and the guard makes
+  the frontier Clock never higher than the full-sweep Clock.
 * **Values** are bit-identical by construction: inactive lanes would
   recompute exactly their current values, and active lanes run the same
   numpy operator semantics (:func:`repro.interp.eval_expr.apply_binop`,
   ``_reduce_op``, ``_cast_array``) the engines use.
 * **Evaluation** is picked per compressed sweep from what the session
-  already knows.  A sparse active set is evaluated lane by lane: one
-  lane context per arm (:class:`_Lanes`) resolves each distinct
-  ``(element, offset, extent)`` subscript once per sweep — value vector,
-  range verdict, clipped vector, out-of-range mask
-  (:func:`repro.interp.plan.lane_sub`) — for the predicate and the body
-  alike, subscripts that are in range for every value their element can
-  take skip even the probe, and a reference then costs one
-  ``plan.lane_gather`` (O(active) data moved).  When the active slots
-  times :data:`_DENSE_COST_RATIO` reach the domain's slots and the
-  construct has a validated fused kernel without unfused segments
-  (:func:`repro.interp.fuse.fused_for`), the sweep instead issues its
-  compressed charge sequence up front and runs the fused register
-  program *compute-only* over the whole grid, deriving the change masks
-  from a before/after diff exactly as a full sweep does.  Same arrays,
-  same masks, same Clock; the choice stands down wherever fusion does.
+  already knows.  A sparse active set runs each arm's *lane program*: a
+  flat list of steps over numbered registers in ``fuse``'s vocabulary
+  (:func:`_run_steps`), compiled once per analysis (:class:`_Compiler`),
+  the same steps and axis tables in lane scope ``(L,)`` and reduction
+  scope ``(L, K)``.  What a sweep need not redo is static: register
+  *kinds* (bool stays bool until arithmetic needs the C ``int``);
+  *addresses* (each subscript resolved against its extent once, a
+  reference is one ``take`` of the flat field, a bounds check under
+  invariant guards is proved dead once per session —
+  :meth:`_Compiler._address`); *invariant* steps (run once per session
+  over the whole grid, gathered by lane position thereafter —
+  :meth:`_Compiler._apply`); *shared* subtrees (the body reads what the
+  predicate computed — :meth:`_Compiler.compile`).  A session's tables
+  are plain data in its register file and die with it, by refcount.
+  When the active slots times :data:`_DENSE_COST_RATIO` reach the
+  domain's slots and the construct has a validated fused kernel without
+  unfused segments (:func:`repro.interp.fuse.fused_for`), the sweep
+  instead issues its compressed charge sequence up front and runs the
+  fused register program *compute-only* over the whole grid, deriving
+  the change masks from a before/after diff exactly as a full sweep
+  does.  Same arrays, same masks, same Clock; the choice stands down
+  wherever fusion does.
 * **Delta reductions**: when a value is exactly ``$<``/``$>`` over one
   index set, the body is monotone in the modified arrays (references
   reachable only through ``+``/``min``/``max``), and last sweep's
@@ -78,22 +88,26 @@ With ``config.frontier_sweeps`` off (see "Configuration" in
 
 from __future__ import annotations
 
-import math
+import collections
+import functools
+import operator
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..compiler.cstar_gen import expr_to_text
 from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
 from ..machine.config import HOST_KINDS
+from ..machine.cost import scan_levels
 from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers, fuse
-from .eval_expr import _RED_UFUNC, _reduce_op, apply_binop
-from .plan import lane_gather, lane_scatter, lane_sub
+from .eval_expr import _RED_UFUNC, _SIMPLE_BINOPS, _reduce_op, apply_binop
+from .plan import lane_check, lane_scatter, lane_sub
 from .values import ArrayVar, ElementBinding, ScalarVar
 
 __all__ = [
@@ -113,22 +127,20 @@ _FALLBACK = "frontier-fallback"
 #: reduction ops eligible for the delta (changed-slots-only) scan
 _DELTA_OPS = ("min", "max")
 
-#: G — host cost of one lane-slot through the sparse evaluator (per-lane
-#: address resolution in ``plan.lane_gather``) relative to one grid slot
-#: through the fused kernel.  A compressed sweep is *evaluated* densely
-#: when its active slots times G reach the full domain's slots; what it
-#: *charges* never depends on G.  Measured at n=128: ≈ 28 ns per
-#: lane-slot (a perturbed converged graph, 2–4 % occupancy) against
-#: ≈ 1.1 ns per grid slot (the compressed 8th sweep of ``apsp_dense``,
-#: snapshot and diff included) since the reduction is strip-mined — a
-#: ratio of ≈ 26, break-even at 4 % occupancy.  G stays at the 10 it
-#: was set to when the dense side cost ≈ 2 ns: a larger G sends the
-#: 4–10 % sweeps of *every* construct to ``fuse.fused_for``, and the
-#: obstacle grid of ``grid_frontier`` — unfusable, never above 5 % — has
-#: 13–19 such sweeps per run that today stop at the comparison below.
-#: Raising it wants a fusability verdict the session can test first
-#: (ROADMAP, "Collapse the engine ladder"); until then a fusable sweep
-#: in that band pays at most 2.5x on the lane path.
+#: G — host cost of one lane-slot through the lane program relative to
+#: one grid slot through the fused kernel.  A compressed sweep is
+#: *evaluated* densely when its active slots times G reach the full
+#: domain's slots; what it *charges* never depends on G.  Measured at
+#: n=128: 15–20 ns per lane-slot (a perturbed converged graph, 1–5 %
+#: occupancy; reduction scope is bound by the strided ``d[k][j]`` gather,
+#: which resolving addresses ahead of time does not change) against
+#: ≈ 0.84 ns per grid slot (the compressed 8th sweep of ``apsp_dense``,
+#: snapshot and diff included) — a ratio of ≈ 20, break-even at 5 %
+#: occupancy.  G stays at 10: a larger G sends the 5–10 % sweeps of
+#: *every* construct to ``fuse.fused_for``, and asking counts
+#: (``fusion.*``), so raising it wants a fusability verdict the session
+#: can test first (ROADMAP item 1a); until then a fusable sweep in that
+#: band pays at most 2x on the lane path.
 _DENSE_COST_RATIO = 10
 
 _CALL_CHARGES = {"power2": 1, "abs": 1, "ABS": 1, "fabs": 1, "sqrt": 4, "min": 1, "max": 1}
@@ -181,30 +193,8 @@ _CALL_IMPLS = {
 
 
 # ---------------------------------------------------------------------------
-# expression text (CSE-simulation keys)
+# CSE simulation (keys are the engines' own: ``expr_to_text``)
 # ---------------------------------------------------------------------------
-
-
-def _text(e: ast.Expr) -> str:
-    if isinstance(e, ast.IntLit):
-        return str(e.value)
-    if isinstance(e, ast.FloatLit):
-        return repr(e.value)
-    if isinstance(e, ast.InfLit):
-        return "INF"
-    if isinstance(e, ast.Name):
-        return e.ident
-    if isinstance(e, ast.Unary):
-        return f"({e.op}{_text(e.operand)})"
-    if isinstance(e, ast.Binary):
-        return f"({_text(e.left)}{e.op}{_text(e.right)})"
-    if isinstance(e, ast.Ternary):
-        return f"({_text(e.cond)}?{_text(e.then)}:{_text(e.els)})"
-    if isinstance(e, ast.Index):
-        return e.base + "".join(f"[{_text(s)}]" for s in e.subs)
-    if isinstance(e, ast.Call):
-        return f"{e.func}({','.join(_text(a) for a in e.args)})"
-    return f"<{type(e).__name__}@{id(e)}>"
 
 
 def _pure(e: ast.Expr) -> bool:
@@ -215,102 +205,157 @@ def _pure(e: ast.Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the estimator clock
+# charge rows and the estimate
 # ---------------------------------------------------------------------------
 
+#: the vp-ratio scope of a pre-bound charge: a sweep replays rows at
+#: ``(active lanes' ratio, active lanes x reduction slots' ratio, full grid's)``
+_LANE, _RED, _FULL = 0, 1, 2
 
-class _EstClock:
-    """Accumulates time exactly like :class:`~repro.machine.cost.Clock`
-    (per-call dispatch for CM kinds, host kinds flat) without counters,
-    regions or fault hooks.  Replaying a charge plan through this and
-    through the real clock yields identical totals by construction."""
 
-    __slots__ = ("costs", "time_us")
+def _row(costs, kind: str, count: int, scope: int) -> Tuple:
+    """One charge in :meth:`Clock.replay_rows`' row format."""
+    bc = getattr(costs, kind) * count
+    if kind in HOST_KINDS:
+        return (kind, count, bc, None, False)
+    return (kind, count, bc, scope, kind != "dispatch")
 
-    def __init__(self, costs) -> None:
-        self.costs = costs
-        self.time_us = 0.0
 
-    def charge(self, kind: str, *, count: int = 1, vp_ratio: int = 1) -> None:
-        base = getattr(self.costs, kind)
-        if kind in HOST_KINDS:
-            self.time_us += base * count
+def _bind_rows(entries: Sequence, costs) -> List[Tuple]:
+    """Bind one arm's recorded charge list to the cost table, once: what
+    the real cost helpers (``charge_tier_at`` and friends) recorded at
+    analysis time, so the genuine charge sequence by construction, in
+    recorded order.  The vp-ratio slot of an entry holds a *scope*
+    (:data:`_LANE` or :data:`_RED`) each sweep resolves against its
+    state.  Two tags stay symbolic because they are per-sweep
+    (:func:`_sweep_rows`): ``("k",)`` is the reduction scan over the
+    sweep's effective extent and ``("d",)`` the delta combine."""
+    rows = []
+    for e in entries:
+        tag = e[0]
+        if tag == "c":
+            rows.append(_row(costs, e[1], e[2], e[3]))
+        elif tag == "s":
+            rows.append(_row(costs, "scan_step", scan_levels(e[1]) * e[3], e[2]))
+        elif tag == "t":
+            rows.append((e[1], 0, None, None, None))
+        elif tag == "x":
+            rows.append((None, 0, None, None, e[1:]))
         else:
-            self.time_us += base * count * max(1, vp_ratio) + self.costs.dispatch
+            rows.append(e)
+    return rows
 
-    def charge_scan(self, n_vps: int, *, vp_ratio: int = 1, steps_per_level: int = 1) -> None:
-        levels = max(1, math.ceil(math.log2(max(2, n_vps))))
-        self.charge("scan_step", count=levels * steps_per_level, vp_ratio=vp_ratio)
 
-    def count_tier(self, tier: str) -> None:  # observability no-op
-        pass
+def _sweep_rows(arm: "_ArmInfo", st: "_ArmState", costs) -> List[Tuple]:
+    """The arm's body rows, a reduction arm's two per-sweep entries resolved."""
+    if arm.red is None:
+        return arm.body_rows
+    out = []
+    for r in arm.body_rows:
+        if len(r) != 1:
+            out.append(r)
+        elif r[0] == "k":
+            out.append(_row(costs, "scan_step", scan_levels(st.K_eff), _RED))
+        elif st.delta_on:  # "d": combine the delta scan with the stored result
+            out.append(_row(costs, "alu", 1, _LANE))
+    return out
 
-    def note_shard_ref(self, tier, rc, layout, grid_shape, write) -> None:
-        pass  # shard sinks observe the real clock only
+
+def _estimate(charges, dispatch: float) -> float:
+    """What replaying ``charges`` — ``(rows, ratios)`` pairs — adds to a
+    :class:`~repro.machine.cost.Clock`: per-call dispatch for CM kinds,
+    host kinds flat, one running total in sequence order."""
+    t = 0.0
+    for rows, ratios in charges:
+        for _kind, _count, bc, scope, _pays in rows:
+            if bc is not None:  # tier counts and shard observations cost nothing
+                t += bc if scope is None else bc * ratios[scope] + dispatch
+    return t
 
 
 # ---------------------------------------------------------------------------
-# lanes: the compressed evaluation substrate
+# lane programs: the compressed evaluation substrate
 # ---------------------------------------------------------------------------
 
+#: step opcodes (see :func:`_run_steps`)
+_BINARY, _GATHER, _WHERE, _UNARY, _CHECK, _GRID = range(6)
 
-class _Lanes:
-    """Active lanes of one arm: the per-sweep address-resolution context.
+#: register kinds, known at compile time: bool lanes stay bool until an
+#: arithmetic consumer needs the C ``int`` (:meth:`_Compiler._num`);
+#: numeric lanes are int64 or float64 as NumPy's own promotion decides;
+#: host scalars are computed once per session
+_B, _N, _S = "bool", "num", "scalar"
 
-    ``shape`` is ``(L,)`` for plain bodies or ``(L, K)`` inside a
-    reduction; ``vals`` maps element names to int64 arrays broadcastable
-    to ``shape``; ``live`` masks the lanes whose bounds actually matter
-    (ternary/short-circuit refinement, mirroring the engines) — ``None``
-    while every lane is live.
+#: A compiled value: its register and what is static about it — ``kind``,
+#: whether it spans the lanes and the reduction range (an array spanning
+#: neither has shape ``(1,)``), and ``inv``: it cannot change between the
+#: sweeps of one session, so it sits in the register file as a grid-sized
+#: table (or a scalar) filled once by the session prelude.
+_Val = collections.namedtuple("_Val", "reg kind lanes red inv", defaults=(False, False, False))
 
-    ``subs`` resolves each distinct ``(element, offset, extent)``
-    subscript once per sweep (:func:`repro.interp.plan.lane_sub`): every
-    reference to ``a[i-1][j]`` in the predicate and in the body shares
-    one value vector, one range verdict and one clipped vector.  Live
-    refinements share the table; the body's lanes (:meth:`select`, the
-    lanes the predicate passed) start from its entries."""
+#: the registers a sweep sets before it runs a program: the flat grid
+#: positions of its lanes (as a vector, and as a column for reduction
+#: scope), its selection from the reduction range, and the lanes of the
+#: predicate's registers its body keeps (``slice(None)``: all of them)
+_POS, _POSCOL, _KSEL, _OK = (
+    _Val(0, _N, lanes=True, inv=True),
+    _Val(1, _N, lanes=True),
+    _Val(2, _N, red=True),
+    _Val(3, _B, lanes=True),
+)
 
-    __slots__ = ("shape", "vals", "live", "subs")
+_KAXIS = "red"  # where a subscript bound to the reduction element varies
 
-    def __init__(self, shape, vals, live=None, subs=None) -> None:
-        self.shape = shape
-        self.vals = vals
-        self.live = live
-        self.subs = {} if subs is None else subs
+_COMPARE = ("==", "!=", "<", "<=", ">", ">=")
 
-    def refine(self, cond: np.ndarray) -> "_Lanes":
-        """These lanes with ``live`` narrowed to where ``cond`` holds."""
-        live = cond if self.live is None else self.live & cond
-        return _Lanes(self.shape, self.vals, live, self.subs)
+#: how a predicate subtree was reached from the root (:meth:`_Compiler.compile`)
+_OFF, _LIVE, _CONJ = range(3)
 
-    def select(self, sel: np.ndarray, n: int) -> "_Lanes":
-        """The ``n`` lanes ``sel`` keeps (1-D lanes only), all live.  A
-        subset of resolved lanes keeps each verdict and each clipping."""
-        subs = {}
-        for key, (index, oob, raw) in self.subs.items():
-            index = index[sel]
-            subs[key] = (
-                (index, None, index) if oob is None else (index, oob[sel], raw[sel])
-            )
-        return _Lanes((n,), {name: v[sel] for name, v in self.vals.items()}, None, subs)
-
-    def sub(self, key, in_range: bool):
-        """The resolved subscript ``key = (element, offset, extent)``;
-        ``in_range`` is the static verdict that skips the range probe."""
-        r = self.subs.get(key)
-        if r is None:
-            elem, c, extent = key
-            v = self.vals[elem]
-            if c:
-                v = v + c
-            r = self.subs[key] = (v, None, v) if in_range else lane_sub(v, extent)
-        return r
+_as_int = operator.methodcaller("astype", np.int64)
 
 
-def _bool_lanes(v, shape) -> np.ndarray:
-    """``v != 0`` as a ``shape``-d bool array."""
-    b = np.asarray(v) != 0
-    return b if b.shape == shape else np.broadcast_to(b, shape)
+def _invert(v):
+    return np.invert(v.astype(np.int64, copy=False))
+
+
+def _run_steps(steps, R) -> None:
+    """Run one lane program — a flat list of ``(op, dst, a, b, c)`` steps
+    — over the register file ``R``.  The vocabulary is ``fuse``'s: gather
+    (a flat field, or a session table, at an address register), unary,
+    binary (arithmetic, comparison, the bool combine of ``&&``/``||``,
+    subscripting by the sweep's selections), where, and calls through
+    ``_CALL_IMPLS``.  ``mask`` has no step of its own: a live refinement
+    is only consumed by a bounds check, so a check is a sub-program that
+    conjoins its guards, skipped once the prelude proved it dead."""
+    for op, dst, a, b, c in steps:
+        if op == _BINARY:
+            R[dst] = a(R[b], R[c])
+        elif op == _GATHER:
+            R[dst] = R[a].take(R[b])
+        elif op == _WHERE:
+            R[dst] = np.where(R[a], R[b], R[c])
+        elif op == _UNARY:
+            R[dst] = a(R[b])
+        elif op == _CHECK:  # R[dst]: proved dead; steps a leave "out of range and live" in b
+            if not R[dst]:
+                _run_steps(a, R)
+                if R[b].any():
+                    _out_of_range(R[b], c, R)
+        else:  # _GRID, prelude only: axis table a broadcast over the grid b
+            R[dst] = np.broadcast_to(a, b).reshape(-1)
+
+
+def _out_of_range(bad, desc, R) -> None:
+    """Raise the full-sweep bounds error for the first lane of ``bad``:
+    only now are the unclipped subscripts ``raw`` brought to the lanes
+    (``where``: the grid axis's (stride, extent), _KAXIS, None: constant)."""
+    a, node, extent, where, raw = desc
+    if where == _KAXIS:
+        raw = raw[R[_KSEL.reg]]
+    elif where is not None:
+        raw = raw.take(R[_POS.reg] // where[0] % where[1])
+        raw = raw[:, None] if bad.ndim == 2 else raw
+    lane_check(a, node, extent, bad, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +387,10 @@ class _RefInfo:
 
 
 class _RedInfo:
-    """A value-root reduction eligible for compressed evaluation."""
-
-    __slots__ = (
-        "op",
-        "set_name",
-        "elem",
-        "values",
-        "values_arr",
-        "extent",
-        "body_fn",
-        "delta_ok",
-        "delta_refs",
-        "full_refs",
-        "read_arrays",
-        "node",
-    )
+    """A value-root reduction eligible for compressed evaluation: ``op``
+    over ``set_name``'s ``values`` (``elem``), its body program ``steps``
+    with result register ``reg`` (``full``: already ``(L, K)``-shaped)
+    and what the delta scan needs (``delta_ok``, the fields below)."""
 
     def __init__(self) -> None:
         #: (base, array axis, clipped index vector) per distinct reference
@@ -368,40 +401,43 @@ class _RedInfo:
 
 
 class _ArmInfo:
-    """One construct arm: optional predicate plus one direct assignment."""
-
-    __slots__ = (
-        "pred_fn",
-        "pred_charges",
-        "value_fn",
-        "red",
-        "body_charges",
-        "target",
-        "target_axes",
-        "slots_ident",
-        "refs",
-        "node",
-    )
+    """One construct arm: optional predicate plus one direct assignment
+    (``node``) to ``target``.  ``pred_steps``/``steps`` are its lane
+    programs, ``pred_reg``/``reg`` their results (``pred_full``: already
+    lane-shaped); a reduction arm (``red``) evaluates ``red.steps`` and
+    keeps only the write's bounds checks in ``steps``.  The write goes to
+    the addresses in ``target_addr`` (session table ``target_table``);
+    ``pred_rows``/``body_rows`` are the bound charges, ``refs`` the
+    distinct references into modified arrays."""
 
 
 class _Analysis:
     """Cached per (construct node, grid axes): everything needed to plan
-    and run compressed sweeps, minus per-execution bindings."""
+    and run compressed sweeps, minus per-execution bindings.  Shared by
+    every session (through the compile store: every job) that runs the
+    construct — complete when published, never mutated after."""
 
-    def __init__(self, grid, kind: str) -> None:
+    def __init__(self, grid, kind: str, costs=None) -> None:
         self.kind = kind  # 'solve' | 'par'
+        self.costs = costs  # the (frozen) cost table the arms' rows are bound to
         self.grid_shape = grid.shape
         self.rank = grid.rank
         self.axis_vals = [
             np.asarray(axis.values, dtype=np.int64) for axis in grid.axes
         ]
         self.grid_axis_of = {axis.elem: g for g, axis in enumerate(grid.axes)}
-        self.elem_of_axis = [axis.elem for axis in grid.axes]
         self.arms: List[_ArmInfo] = []
         self.modified: List[str] = []
         self.array_shapes: Dict[str, Tuple[int, ...]] = {}
-        self.scalar_names: Set[str] = set()
         self.elem_kinds: Dict[str, int] = {}  # elem name -> grid axis
+        #: the register file's initial state (literals in place), where a
+        #: session binds its flat array views and scalars, the prelude (every
+        #: sweep-invariant step) and the tables only the prelude itself reads
+        self.template: List[object] = [None] * 4
+        self.array_regs: Dict[str, int] = {}
+        self.scalar_regs: Dict[str, int] = {}
+        self.prelude: List[Tuple] = []
+        self.drop: List[int] = []
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +445,49 @@ class _Analysis:
 # ---------------------------------------------------------------------------
 
 
-_LANE, _RED = 0, 1  # the vp-ratio scope of a pre-bound charge (see _replay)
+def _c_strides(shape) -> List[int]:
+    """Element strides of a C-contiguous array of ``shape``."""
+    strides = [1]
+    for extent in shape[:0:-1]:
+        strides.insert(0, strides[0] * extent)
+    return strides
 
 
 class _Compiler:
+    """Lowers one construct's arms: records each expression's charges
+    against ``rec`` exactly as the engines issue them and emits the steps
+    that evaluate it on lanes.  Kinds, addresses, invariance and sharing
+    (module docstring, **Evaluation**) are all decided here, once.  An
+    exception abandons the compiler with its analysis, so scoped state
+    (``chain``, ``steps``, ``mute``, ``red_ctx``) is restored on the normal path only."""
+
     def __init__(self, ip, inner, an: _Analysis, modified: Set[str]) -> None:
         self.ip = ip
         self.inner = inner
         self.an = an
         self.modified = modified
-        self.cse_seen: Set[str] = set()
-        #: distinct references into modified arrays, keyed (base, axes)
-        self.refs: Dict[Tuple, _RefInfo] = {}
         self.red_ctx: Optional[dict] = None  # {'elem', 'set_name', 'grid', 'info', 'seen'}
+        self.memo: Dict[Tuple, _Val] = {}  # tables and constants, construct-wide
+        self.kept: Set[int] = set()  # prelude registers the sweeps read
+        self.written: Set[str] = set()  # targets of the arms compiled so far
+        #: the address table that is just the lanes' own flat positions
+        self.identity_key = None
+        if all(np.array_equal(v, np.arange(len(v))) for v in an.axis_vals):
+            axes = zip(an.grid_shape, _c_strides(an.grid_shape))
+            self.identity_key = tuple((g, 0, n, s) for g, (n, s) in enumerate(axes))
+
+    def begin_arm(self) -> None:
+        self.cse_seen: Set[str] = set()
+        self.refs: Dict[Tuple, _RefInfo] = {}  # into modified arrays, keyed (base, axes)
+        self.spine: Dict[str, _Val] = {}  # predicate subtrees on the && spine, by text
+        self.sharing = False  # compiling the body: consult ``spine``
+        self.mute = False  # a charges-only pass: allocate and emit nothing
+
+    def begin_program(self) -> List[Tuple]:
+        self.steps: List[Tuple] = []
+        self.taken: Dict[int, int] = {}  # table register -> its lanes, this program
+        self.chain: Tuple = ()  # (guard value, polarity) above the node being compiled
+        return self.steps
 
     # -- helpers ----------------------------------------------------------
 
@@ -447,6 +513,8 @@ class _Compiler:
         if known is not None and known != binding.shape:
             raise _NotFrontierable()
         self.an.array_shapes[name] = binding.shape
+        if name not in self.an.array_regs:  # where a session binds the flat data view
+            self.an.array_regs[name] = self._new()
         return binding
 
     def _classify(self, node: ast.Index, axes_desc, arr: ArrayVar, *, write: bool):
@@ -476,72 +544,271 @@ class _Compiler:
         )
         return tier, rc, tuple(grid.shape)
 
+    # -- emission ---------------------------------------------------------
+
+    def _new(self, value=None) -> int:
+        if self.mute:  # every table and constant of a shared subtree exists already
+            raise _NotFrontierable()
+        self.an.template.append(value)
+        return len(self.an.template) - 1
+
+    def _const(self, value, kind=_S) -> _Val:
+        """A register holding ``value`` from session start."""
+        content = value if kind == _S else (value.dtype.str, value.shape, value.tobytes())
+        key = ("const", kind, type(value), content)
+        if key not in self.memo:
+            self.memo[key] = _Val(self._new(value), kind, inv=True)
+        return self.memo[key]
+
+    def _lanes(self, v: _Val) -> int:
+        """The register a step of the current program reads ``v`` from: a
+        session table is gathered at the lane positions, once per program."""
+        if not v.inv or self.mute:
+            return v.reg
+        pos = (_POSCOL if self.red_ctx is not None else _POS).reg
+        if v.reg == _POS.reg:
+            return pos
+        self.kept.add(v.reg)
+        if not v.lanes:
+            return v.reg
+        if v.reg not in self.taken:
+            self.taken[v.reg] = self._new()
+            self.steps.append((_GATHER, self.taken[v.reg], v.reg, pos, None))
+        return self.taken[v.reg]
+
+    def _apply(self, kind, op, *args: _Val, fn=None) -> _Val:
+        """Emit one step over ``args``: into the session prelude when every
+        input is invariant (one that spans a reduction range never is:
+        tables are grid-sized, not reduction-sized), else into the current
+        program, its invariant inputs brought to the lanes."""
+        lanes = red = False
+        inv = True
+        for a in args:
+            lanes, red, inv = lanes or a.lanes, red or a.red, inv and a.inv
+        if self.mute:
+            return _Val(None, kind, lanes, red, inv)
+        out = _Val(self._new(), kind, lanes, red, inv)
+        if out.inv:
+            regs, steps = [a.reg for a in args], self.an.prelude
+        else:
+            regs, steps = [self._lanes(a) for a in args], self.steps
+        slots = ([fn] if fn is not None else []) + regs
+        steps.append((op, out.reg, *slots, *[None] * (3 - len(slots))))
+        return out
+
+    def _grid_table(self, key, g: int, tab: np.ndarray, kind=_N) -> _Val:
+        """A grid-sized session table: axis table ``tab`` along grid axis
+        ``g``, broadcast over the grid."""
+        if key not in self.memo:
+            shape = [1] * self.an.rank
+            shape[g] = -1
+            self.memo[key] = _Val(self._new(), kind, lanes=True, inv=True)
+            step = (_GRID, self.memo[key].reg, tab.reshape(shape), self.an.grid_shape, None)
+            self.an.prelude.append(step)
+        return self.memo[key]
+
+    def _red_row(self, tab: np.ndarray, kind=_N) -> _Val:
+        """An axis table of the reduction range, at the positions this
+        sweep selects."""
+        return self._apply(kind, _BINARY, self._const(tab, kind), _KSEL, fn=operator.getitem)
+
+    def _num(self, v: _Val) -> _Val:
+        """``v`` as the C ``int`` an arithmetic consumer needs."""
+        return self._apply(_N, _UNARY, v, fn=_as_int) if v.kind == _B else v
+
+    def _bool(self, v: _Val) -> _Val:
+        """``v != 0`` as bool lanes (a host scalar: as a Python bool)."""
+        if v.kind == _B:
+            return v
+        if v.kind == _S:
+            return self._apply(_S, _UNARY, v, fn=bool)
+        return self._apply(_B, _BINARY, v, self._const(0), fn=np.not_equal)
+
+    def _guarded(self, cond: _Val, holds: bool, expr, rec, spine: int) -> _Val:
+        """Compile ``expr`` under the guard ``cond == holds``."""
+        outer, self.chain = self.chain, self.chain + ((cond, holds),)
+        out = self.compile(expr, rec, spine=spine)
+        self.chain = outer
+        return out
+
+    def _check_step(self, node: ast.Index, a: int, extent: int, where, oob, raw, key=None) -> None:
+        """Emit the bounds check of subscript ``a`` of ``node``: ``oob``
+        marks the out-of-range entries of its axis table (``where``: the
+        grid axis, _KAXIS, or None for a constant, checked unconditionally
+        as in the engines).  The check is a sub-program conjoining the
+        guards above the reference, invariant ones first: the prelude
+        leaves the table of lanes out of range *and* live under those,
+        and an all-false table proves the check dead for the session."""
+        if self.mute:
+            return
+        outer, self.steps, self.taken = (self.steps, self.taken), [], {}
+        if where is None:
+            bad, chain = self._const(np.array([True]), _B), ()
+        elif where == _KAXIS:
+            bad, chain = self._red_row(oob, _B), self.chain
+        else:
+            bad, chain = self._grid_table(key, where, oob, _B), self.chain
+            shape = self.an.grid_shape
+            where = (_c_strides(shape)[where], shape[where])
+        dead, proof = self._const(False), None
+        for cond, holds in sorted(chain, key=lambda guard: not guard[0].inv):
+            if not holds:
+                cond = self._apply(_B, _UNARY, cond, fn=np.logical_not)
+            bad = self._apply(_B, _BINARY, bad, cond, fn=np.bitwise_and)
+            proof = bad if bad.inv and bad.lanes else proof
+        if proof is not None:  # both steps land in the prelude
+            dead = self._apply(_S, _UNARY, self._apply(_S, _UNARY, proof, fn=np.any), fn=operator.not_)
+        self.kept.add(dead.reg)
+        step = (_CHECK, dead.reg, self.steps, self._lanes(bad), (a, node, extent, where, raw))
+        self.steps, self.taken = outer
+        self.steps.append(step)
+
     # -- expression compilation ------------------------------------------
 
-    def compile(self, expr: ast.Expr, rec, *, value_root: bool = False):
-        """Returns (fn(S, lanes) -> value, is_array); the charges the
-        engines issue for ``expr`` are recorded, pre-bound, into ``rec``
-        (see :func:`_replay`)."""
+    def compile(self, expr: ast.Expr, rec, *, value_root: bool = False, spine: int = _OFF):
+        """The :class:`_Val` of ``expr`` in the current program; the
+        charges the engines issue for it are recorded, in order, into
+        ``rec`` (see :func:`_bind_rows`).
+
+        ``spine``: how a predicate subtree was reached from the root.
+        :data:`_CONJ`, through ``&&`` alone (either side): every guard
+        above it holds on every passing lane.  :data:`_LIVE`, from there
+        on through plain binaries, unaries, call arguments, a ternary's
+        condition, an ``||``'s left: evaluated wherever its parent is,
+        but an ``&&`` below can be false on a passing lane, so that
+        ``&&``'s right side is :data:`_OFF` the spine, like an ``||``'s
+        right and a ternary's branches.  A body subtree with the text of
+        one on the spine reads that register at the passing lanes — its
+        bounds checks ran on a superset of its lanes — unless an earlier
+        arm's body writes an array it reads (bodies run after every
+        predicate); its charges are still recorded, by a muted pass."""
+        shareable = isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary, ast.Call))
+        sharing = self.sharing and not self.mute
+        if not shareable or self.red_ctx is not None or not (spine or sharing):
+            return self._compile_cse(expr, rec, value_root, spine)
+        text = expr_to_text(expr)
+        hit = self.spine.get(text) if sharing else None
+        if hit is None or hit.kind == _S or any(
+            isinstance(n, ast.Index) and n.base in self.written for n in ast.walk(expr)
+        ):
+            out = self._compile_cse(expr, rec, value_root, spine, text)
+            if spine:
+                self.spine[text] = out
+            return out
+        self.mute = True
+        self._compile_cse(expr, rec, value_root, text=text)
+        self.mute = False
+        if hit.inv or not hit.lanes:
+            return hit
+        return self._apply(hit.kind, _BINARY, hit, _OK, fn=operator.getitem)
+
+    def _compile_cse(self, expr, rec, value_root, spine=_OFF, text=None) -> _Val:
         if (
             self.ip.config.cse
             and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
             and _pure(expr)
         ):
-            key = (self._scope(), _text(expr))
+            key = (self._scope(), text or expr_to_text(expr))
             if key in self.cse_seen:
-                # the engine serves this subtree from its CSE cache: no
-                # charges, but the compressed evaluator still recomputes
-                return self._compile_node(expr, fuse._Recorder(), value_root=value_root)
-            out = self._compile_node(expr, rec, value_root=value_root)
+                # the engine serves this subtree from its CSE cache: no charges
+                return self._compile_node(expr, fuse._Recorder(), value_root, spine)
+            out = self._compile_node(expr, rec, value_root, spine)
             self.cse_seen.add(key)
             return out
-        return self._compile_node(expr, rec, value_root=value_root)
+        return self._compile_node(expr, rec, value_root, spine)
 
-    def _compile_node(self, expr: ast.Expr, rec, *, value_root: bool = False):
-        scope = self._scope()
-        if isinstance(expr, ast.IntLit):
-            v = int(expr.value)
-            return (lambda S, lanes: v), False
-        if isinstance(expr, ast.FloatLit):
-            v = float(expr.value)
-            return (lambda S, lanes: v), False
+    def _compile_node(self, expr: ast.Expr, rec, value_root: bool, spine: int) -> _Val:
+        if isinstance(expr, (ast.IntLit, ast.FloatLit)):
+            return self._const((int if isinstance(expr, ast.IntLit) else float)(expr.value))
         if isinstance(expr, ast.InfLit):
-            return (lambda S, lanes: INF), False
+            return self._const(INF)
         if isinstance(expr, ast.Name):
             return self._compile_name(expr)
         if isinstance(expr, ast.Index):
             return self._compile_index(expr, rec)
         if isinstance(expr, ast.Unary):
-            return self._compile_unary(expr, rec)
+            return self._compile_unary(expr, rec, spine)
         if isinstance(expr, ast.Binary):
-            return self._compile_binary(expr, rec)
+            return self._compile_binary(expr, rec, spine)
         if isinstance(expr, ast.Ternary):
-            return self._compile_ternary(expr, rec)
+            return self._compile_ternary(expr, rec, spine)
         if isinstance(expr, ast.Call):
-            return self._compile_call(expr, rec)
+            return self._compile_call(expr, rec, spine)
         if isinstance(expr, ast.Reduction) and value_root and self.red_ctx is None:
             raise _Reduce(expr)  # handled by the arm compiler
         raise _NotFrontierable()
 
-    def _compile_name(self, expr: ast.Name):
+    def _compile_name(self, expr: ast.Name) -> _Val:
         name = expr.ident
+        an = self.an
         binding = self.inner.env.try_lookup(name)
         if self.red_ctx is not None and name == self.red_ctx["elem"]:
-            return (lambda S, lanes: lanes.vals[name]), True
+            return self._red_row(self.red_ctx["info"].values_arr)
         if isinstance(binding, ElementBinding) and binding.kind == "axis":
             axis = binding.axis
-            if self.an.grid_axis_of.get(name) != axis:
+            if an.grid_axis_of.get(name) != axis:
                 raise _NotFrontierable()
-            self.an.elem_kinds[name] = axis
-            return (lambda S, lanes: lanes.vals[name]), True
+            an.elem_kinds[name] = axis
+            return self._grid_table(("elem", axis), axis, an.axis_vals[axis])
         if isinstance(binding, (ScalarVar, int, float, np.integer, np.floating)) or (
             isinstance(binding, ElementBinding) and binding.kind == "scalar"
         ):
-            self.an.scalar_names.add(name)
-            return (lambda S, lanes: S["scalars"][name]), False
+            if name not in an.scalar_regs:
+                an.scalar_regs[name] = self._new()
+            return _Val(an.scalar_regs[name], _S, inv=True)
         raise _NotFrontierable()
 
-    def _compile_index(self, expr: ast.Index, rec):
+    def _address(self, node: ast.Index, shape, axes_desc) -> Tuple[_Val, bool]:
+        """``(flat address, any subscript can leave its extent)`` of the
+        reference ``node`` = ``base[axes_desc]`` into an array of ``shape``.
+
+        Each subscript is resolved against its extent once, over the
+        values its element can take (:func:`repro.interp.plan.lane_sub`):
+        the address is the sum of the clipped subscripts times their
+        strides — grid tables for the lane-bound axes (invariant, so the
+        sum is one prelude table), an axis table for a reduction-bound
+        one — and a subscript that can leave its extent gets a check in
+        front of the gather."""
+        an = self.an
+        red: Optional[_RedInfo] = self.red_ctx["info"] if self.red_ctx else None
+        lane, key, row, const, checked = [], [], None, 0, False
+        for a, ((elem, c), extent, stride) in enumerate(
+            zip(axes_desc, shape, _c_strides(shape))
+        ):
+            if elem is None:
+                index, raw, where = min(max(int(c), 0), extent - 1), int(c), None
+                oob = None if index == raw else True
+                const += index * stride
+            else:
+                where = _KAXIS if red is not None and elem == red.elem else an.grid_axis_of[elem]
+                vals = red.values_arr if where == _KAXIS else an.axis_vals[where]
+                index, oob, raw = lane_sub(vals + c if c else vals, extent)
+                if where == _KAXIS:
+                    row = index * stride
+                else:
+                    lane.append((where, index * stride))
+                    key.append((where, c, extent, stride))
+            if oob is not None:
+                checked = True
+                self._check_step(node, a, extent, where, oob, raw, ("oob", where, c, extent))
+        key = ("addr", tuple(key), const)
+        if not lane:
+            addr = self._const(np.array([const]), _N) if row is None else self._red_row(row + const)
+            return addr, checked
+        if key not in self.memo:
+            if key[1:] == (self.identity_key, 0):
+                self.memo[key] = _POS  # the lanes' own positions
+            else:
+                lane[0] = (lane[0][0], lane[0][1] + const)
+                tabs = [self._grid_table((key, g), g, tab) for g, tab in lane]
+                self.memo[key] = functools.reduce(self._sum, tabs)
+        addr = self.memo[key]
+        return (addr if row is None else self._sum(addr, self._red_row(row))), checked
+
+    def _sum(self, x: _Val, y: _Val) -> _Val:
+        return self._apply(_N, _BINARY, x, y, fn=np.add)
+
+    def _compile_index(self, expr: ast.Index, rec) -> _Val:
         arr = self._register_array(expr.base)
         elems = self._elems_dict()
         axes_desc = affine_ref_axes(expr, elems, self.ip.info.constants)
@@ -576,130 +843,82 @@ class _Compiler:
             rec, tier, rc, write=False, vp_ratio=self._scope(),
             grid_shape=gshape, layout=arr.layout,
         )  # fmt: skip
-        # resolve what is static now: constant subscripts stay ints, element
-        # subscripts become lane-context keys plus the verdict "every value
-        # this element can take lands inside the extent" (no probe needed)
-        subs = []
-        for a, (elem, c) in enumerate(axes_desc):
-            if elem is None:
-                subs.append(int(c))
-                continue
-            if red is not None and elem == red.elem:
-                vals = red.values_arr
-            else:
-                vals = self.an.axis_vals[self.an.grid_axis_of[elem]]
-            extent = arr.shape[a]
-            in_range = bool(vals.size) and bool(
-                vals.min() + c >= 0 and vals.max() + c < extent
-            )
-            subs.append(((elem, c, extent), in_range))
-        node = expr
+        addr, checked = self._address(expr, arr.shape, axes_desc)
+        # invariant: never written by the construct, every subscript in range
+        field = _Val(self.an.array_regs[base], _N, inv=base not in self.modified and not checked)
+        return self._apply(_N, _GATHER, field, addr)
 
-        def fn(S, lanes):
-            return lane_gather(
-                S["arrays"][base],
-                [s if s.__class__ is int else lanes.sub(*s) for s in subs],
-                node,
-                lanes.live,
-            )
-
-        return fn, True
-
-    def _compile_unary(self, expr: ast.Unary, rec):
-        f, is_arr = self.compile(expr.operand, rec)
+    def _compile_unary(self, expr: ast.Unary, rec, spine: int) -> _Val:
+        x = self.compile(expr.operand, rec, spine=min(spine, _LIVE))
         self._charge_op(rec, 1)
         op = expr.op
         if op not in ("-", "!", "~"):
             raise _NotFrontierable()
+        if op == "!":
+            if x.kind == _B:
+                return self._apply(_B, _UNARY, x, fn=np.logical_not)
+            if x.kind == _N:
+                return self._apply(_B, _BINARY, x, self._const(0), fn=np.equal)
+            return self._apply(_S, _UNARY, x, fn=lambda v: int(not v))
+        x = self._num(x)
+        if op == "-":
+            return self._apply(x.kind, _UNARY, x, fn=operator.neg)
+        return self._apply(x.kind, _UNARY, x, fn=_invert if x.kind == _N else lambda v: ~int(v))
 
-        def fn(S, lanes):
-            v = f(S, lanes)
-            if op == "-":
-                return -v
-            if op == "!":
-                if isinstance(v, np.ndarray):
-                    return np.logical_not(v.astype(bool)).astype(np.int64)
-                return int(not v)
-            if isinstance(v, np.ndarray):
-                return np.invert(v.astype(np.int64))
-            return ~int(v)
-
-        return fn, is_arr
-
-    def _compile_binary(self, expr: ast.Binary, rec):
-        if expr.op in ("&&", "||"):
-            lf, l_arr = self.compile(expr.left, rec)
-            if not l_arr:
+    def _compile_binary(self, expr: ast.Binary, rec, spine: int) -> _Val:
+        op = expr.op
+        live = min(spine, _LIVE)
+        if op in ("&&", "||"):
+            is_and = op == "&&"
+            left = self.compile(expr.left, rec, spine=spine if is_and else live)
+            if left.kind == _S:
                 # scalar left side short-circuits in the engines: the
                 # charge sequence becomes data-dependent — full sweeps
                 raise _NotFrontierable()
             self._charge_op(rec, 1)
-            rf, _r_arr = self.compile(expr.right, rec)
-            is_and = expr.op == "&&"
-
-            def fn(S, lanes):
-                ab = _bool_lanes(lf(S, lanes), lanes.shape)
-                b = rf(S, lanes.refine(ab if is_and else ~ab))
-                bb = _bool_lanes(b, lanes.shape)
-                return ((ab & bb) if is_and else (ab | bb)).astype(np.int64)
-
-            return fn, True
-        lf, l_arr = self.compile(expr.left, rec)
-        rf, r_arr = self.compile(expr.right, rec)
+            lb = self._bool(left)
+            # a lane passes a conjunctive && only with its left side true
+            right = _CONJ if is_and and spine == _CONJ else _OFF
+            rb = self._bool(self._guarded(lb, is_and, expr.right, rec, right))
+            return self._apply(_B, _BINARY, lb, rb, fn=np.bitwise_and if is_and else np.bitwise_or)
+        left = self._num(self.compile(expr.left, rec, spine=live))
+        right = self._num(self.compile(expr.right, rec, spine=live))
         self._charge_op(rec, 1)
-        op = expr.op
-        node = expr
+        scalar = left.kind == _S and right.kind == _S
+        if op in _COMPARE and not scalar:
+            return self._apply(_B, _BINARY, left, right, fn=_SIMPLE_BINOPS[op])
+        fn = None if op in _COMPARE else _SIMPLE_BINOPS.get(op)
+        if fn is None:  # '/', '%' and scalar comparisons: the C rules
 
-        def fn(S, lanes):
-            return apply_binop(op, lf(S, lanes), rf(S, lanes), node)
+            def fn(a, b, op=op, node=expr):
+                return apply_binop(op, a, b, node)
 
-        return fn, l_arr or r_arr
+        return self._apply(_S if scalar else _N, _BINARY, left, right, fn=fn)
 
-    def _compile_ternary(self, expr: ast.Ternary, rec):
-        cf, c_arr = self.compile(expr.cond, rec)
-        if not c_arr:
+    def _compile_ternary(self, expr: ast.Ternary, rec, spine: int) -> _Val:
+        cond = self.compile(expr.cond, rec, spine=min(spine, _LIVE))
+        if cond.kind == _S:
             raise _NotFrontierable()  # host cond picks one branch: data-dependent
-        tf, _ = self.compile(expr.then, rec)
-        ef, _ = self.compile(expr.els, rec)
+        cb = self._bool(cond)
+        then = self._guarded(cb, True, expr.then, rec, _OFF)
+        els = self._guarded(cb, False, expr.els, rec, _OFF)
         self._charge_op(rec, 2)
+        if then.kind == _B and els.kind == _B:
+            return self._apply(_B, _WHERE, cb, then, els)
+        return self._apply(_N, _WHERE, cb, self._num(then), self._num(els))
 
-        def fn(S, lanes):
-            cb = _bool_lanes(cf(S, lanes), lanes.shape)
-            tv = tf(S, lanes.refine(cb))
-            ev = ef(S, lanes.refine(~cb))
-            return np.where(cb, tv, ev)
-
-        return fn, True
-
-    def _compile_call(self, expr: ast.Call, rec):
+    def _compile_call(self, expr: ast.Call, rec, spine: int) -> _Val:
         name = expr.func
         if name not in _CALL_CHARGES or name in self.ip.info.functions:
             raise _NotFrontierable()  # user functions (or shadowed builtins)
         want = 2 if name in ("min", "max") else 1
         if len(expr.args) != want:
             raise _NotFrontierable()
-        fns = []
-        is_arr = False
-        for a in expr.args:
-            f, arr = self.compile(a, rec)
-            fns.append(f)
-            is_arr = is_arr or arr
+        args = [self._num(self.compile(a, rec, spine=min(spine, _LIVE))) for a in expr.args]
         self._charge_op(rec, _CALL_CHARGES[name])
-        impl = _CALL_IMPLS[name]
-        node = expr
-        if want == 2:
-            fa, fb = fns
-
-            def fn(S, lanes):
-                return impl(node, fa(S, lanes), fb(S, lanes))
-
-        else:
-            (fa,) = fns
-
-            def fn(S, lanes):
-                return impl(node, fa(S, lanes))
-
-        return fn, is_arr
+        kind = _S if all(a.kind == _S for a in args) else _N
+        fn = functools.partial(_CALL_IMPLS[name], expr)
+        return self._apply(kind, _UNARY if want == 1 else _BINARY, *args, fn=fn)
 
 
 class _Reduce(Exception):
@@ -760,7 +979,7 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
     for axis in grid.axes:
         if has_duplicates(np.asarray(axis.values, dtype=np.int64)):
             raise _NotFrontierable()
-    an = _Analysis(grid, kind)
+    an = _Analysis(grid, kind, ip.machine.clock.costs)
 
     modified: Set[str] = set()
     for block in stmt.blocks:
@@ -772,18 +991,21 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         modified.add(assign.target.base)
     an.modified = sorted(modified)
 
+    comp = _Compiler(ip, inner, an, modified)
     for block in stmt.blocks:
         assign = _single_assign(block.stmt)
         arm = _ArmInfo()
         arm.node = assign
-        comp = _Compiler(ip, inner, an, modified)
+        comp.begin_arm()
         pred_rec, body_rec = fuse._Recorder(), fuse._Recorder()
-        arm.pred_fn = None
+        arm.pred_steps = None
         if block.pred is not None:
-            pf, p_arr = comp.compile(block.pred, pred_rec)
-            if not p_arr:
+            arm.pred_steps = comp.begin_program()
+            pred = comp.compile(block.pred, pred_rec, spine=_CONJ)
+            if pred.kind == _S:
                 raise _NotFrontierable()  # host predicate: whole-grid semantics
-            arm.pred_fn = pf
+            pred = comp._bool(pred)
+            arm.pred_reg, arm.pred_full = comp._lanes(pred), pred.lanes
 
         # the target: identity subscripts covering every grid axis once
         t = assign.target
@@ -802,39 +1024,39 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         if len(set(t_grid_axes)) != grid.rank:
             raise _NotFrontierable()
         arm.target = t.base
-        arm.target_axes = tuple(t_grid_axes)
-        # True when the write targets exactly the grid (identity
-        # subscripts): the written-slot bound IS the active mask and the
-        # scatter simulation can be skipped
-        arm.slots_ident = (
-            arm.target_axes == tuple(range(an.rank))
-            and tuple(arr.shape) == tuple(an.grid_shape)
-            and all(
-                np.array_equal(an.axis_vals[g], np.arange(arr.shape[a]))
-                for a, g in enumerate(arm.target_axes)
-            )
-        )
         arm.red = None
+        arm.steps = comp.begin_program()
+        comp.sharing = True
         try:
-            vf, _v_arr = comp.compile(assign.value, body_rec, value_root=True)
-            arm.value_fn = vf
+            value = comp.compile(assign.value, body_rec, value_root=True)
+            arm.reg = comp._lanes(value)
         except _Reduce as r:
-            arm.value_fn = None
+            arm.reg = None
             arm.red = _compile_reduction(
                 ip, inner, an, comp, r.node, block, modified, body_rec
             )
             # the delta scan's combine-with-stored-result rides the list
             # as its own entry, charged on the sweeps that take the delta
             body_rec.entries.append(("d",))
+            arm.steps = comp.begin_program()
         w_tier, w_rc, w_gshape = comp._classify(t, t_axes, arr, write=True)
         commtiers.charge_tier_at(
             body_rec, w_tier, w_rc, write=True, vp_ratio=_LANE,
             grid_shape=w_gshape, layout=arr.layout,
         )  # fmt: skip
-        arm.pred_charges = pred_rec.entries
-        arm.body_charges = body_rec.entries
+        # the write's address and bounds checks close the arm's program
+        addr, _checked = comp._address(t, arr.shape, t_axes)
+        arm.target_table, arm.target_addr = addr.reg, comp._lanes(addr)
+        comp.written.add(t.base)
+        arm.pred_rows = _bind_rows(pred_rec.entries, an.costs)
+        arm.body_rows = _bind_rows(body_rec.entries, an.costs)
         arm.refs = list(comp.refs.values())
         an.arms.append(arm)
+    an.drop = [step[1] for step in an.prelude if step[1] not in comp.kept]
+    # at the full grid's ratio: a *solve's snapshot up front; the termination test
+    head = [_row(an.costs, "alu", len(an.modified) or 1, _FULL)]
+    an.head_rows = head if kind == "solve" else []
+    an.test_rows = [_row(an.costs, "global_or", 1, _FULL), _row(an.costs, "host_cm_latency", 1, _FULL)]
     return an
 
 
@@ -870,11 +1092,10 @@ def _compile_reduction(
         "seen": set(),
     }
     rec.entries.append(("k",))  # the scan over the sweep's effective extent
-    try:
-        body_fn, _ = comp.compile(arm.expr, rec)
-    finally:
-        comp.red_ctx = None
-    red.body_fn = body_fn
+    red.steps = comp.begin_program()
+    body = comp._num(comp.compile(arm.expr, rec))
+    red.reg, red.full = comp._lanes(body), body.lanes and body.red
+    comp.red_ctx = None
     red.delta_ok = (
         node.op in _DELTA_OPS
         and block.pred is None
@@ -936,26 +1157,8 @@ def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo]) -> Tup
     )
 
 
-def _slots_of(an: _Analysis, arm: _ArmInfo, act: np.ndarray, shape) -> np.ndarray:
-    """Array-shaped bool bound on the slots ``arm`` can write from ``act``."""
-    if arm.slots_ident:
-        # identity write: the written slots ARE the active lanes (callers
-        # only read the result, so returning the mask itself is safe)
-        return act
-    out = np.zeros(shape, dtype=bool)
-    if not act.any():
-        return out
-    idx = np.nonzero(act)
-    subs = tuple(
-        np.clip(an.axis_vals[g][idx[g]], 0, shape[a] - 1)
-        for a, g in enumerate(arm.target_axes)
-    )
-    out[subs] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
-# per-sweep state and charge replay
+# per-sweep state
 # ---------------------------------------------------------------------------
 
 
@@ -987,36 +1190,6 @@ class _ArmState:
 _IDLE = _ArmState(None, 0, 1)
 
 
-def _replay(clk, charges: Sequence, st: _ArmState) -> None:
-    """Issue one arm's pre-bound charges at the sweep's VP ratios — the
-    same loop for the estimator and for the real clock.
-
-    The list is what the real cost helpers (``charge_tier_at`` and
-    friends) recorded at analysis time, so it is the genuine charge
-    sequence by construction.  Entries follow
-    :meth:`repro.machine.cost.Clock.replay`'s table format, except that
-    the vp-ratio slot holds a *scope* (:data:`_LANE` or :data:`_RED`)
-    resolved here against the sweep's state, and two tags are per-sweep:
-    ``("k",)`` is the reduction scan over the sweep's effective extent
-    and ``("d",)`` the delta combine."""
-    ratios = (st.lane_ratio, st.red_ratio)
-    charge = clk.charge
-    for e in charges:
-        tag = e[0]
-        if tag == "c":
-            charge(e[1], count=e[2], vp_ratio=ratios[e[3]])
-        elif tag == "t":
-            clk.count_tier(e[1])
-        elif tag == "x":
-            clk.note_shard_ref(e[1], e[2], e[3], e[4], e[5])
-        elif tag == "s":
-            clk.charge_scan(e[1], vp_ratio=ratios[e[2]], steps_per_level=e[3])
-        elif tag == "k":
-            clk.charge_scan(st.K_eff, vp_ratio=st.red_ratio)
-        elif st.delta_on:  # "d": combine the delta scan with the stored result
-            charge("alu", vp_ratio=st.lane_ratio)
-
-
 # ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
@@ -1044,6 +1217,9 @@ class StarSession:
             clock.count_frontier("fallbacks")
             return
         self.an = an
+        #: the lane programs' register file (:meth:`_registers`): plain
+        #: data, so a session and its tables die by refcount
+        self._R: Optional[List[object]] = None
         self.vps = ip.grid_vpset(inner.grid.shape)
         self.base = inner.active_mask()
         self.domain = int(np.count_nonzero(self.base))
@@ -1062,8 +1238,6 @@ class StarSession:
     # -- binding ----------------------------------------------------------
 
     def _bind(self, an) -> bool:
-        if an is _FALLBACK:
-            return False
         arrays: Dict[str, np.ndarray] = {}
         scalars: Dict[str, object] = {}
         env = self.inner.env
@@ -1072,11 +1246,9 @@ class StarSession:
             if not isinstance(b, ArrayVar) or b.shape != shape or not b.layout.is_canonical:
                 return False
             arrays[name] = b.data
-        for name in an.scalar_names:
+        for name in an.scalar_regs:
             b = env.try_lookup(name)
-            if isinstance(b, ScalarVar):
-                scalars[name] = b.value
-            elif isinstance(b, ElementBinding) and b.kind == "scalar":
+            if isinstance(b, ScalarVar) or (isinstance(b, ElementBinding) and b.kind == "scalar"):
                 scalars[name] = b.value
             elif isinstance(b, (int, float, np.integer, np.floating)):
                 scalars[name] = b
@@ -1169,7 +1341,7 @@ class StarSession:
         # the write simulation below rebinds pseudo[target] to a fresh
         # array (never mutates in place), so a dict copy suffices
         pseudo = dict(self.prev)
-        dirty = {name: bool(m.any()) for name, m in pseudo.items()}
+        dirty = {name: self.last_stats[name][0] > 0 for name in pseudo}
         states: List[_ArmState] = []
         for arm in an.arms:
             act = np.zeros(an.grid_shape, dtype=bool)
@@ -1187,20 +1359,27 @@ class StarSession:
             states.append(st)
             if st.L:
                 target = pseudo[arm.target]
-                pseudo[arm.target] = target | _slots_of(an, arm, st.act, target.shape)
+                pseudo[arm.target] = target | self._slots_of(arm, st, target.shape)
                 dirty[arm.target] = True
         # the estimate is a pure function of the arms' charge keys: replay
         # the estimator only for a key this session has not costed yet
         key = tuple(st.key for st in states)
         est = self._estimates.get(key)
         if est is None:
-            clk = _EstClock(machine.clock.costs)
-            self._charge_preds(clk, states)
-            self._charge_bodies(clk, states)
-            est = self._estimates[key] = clk.time_us
+            preds, bodies = self._charges(states)
+            est = self._estimates[key] = _estimate(preds + bodies, an.costs.dispatch)
         if est >= self.reference:
             return None
         return states
+
+    def _slots_of(self, arm: _ArmInfo, st: _ArmState, shape) -> np.ndarray:
+        """Array-shaped bool bound on the slots ``arm`` can write from
+        ``st``'s lanes (callers only read the result)."""
+        if arm.target_table == _POS.reg:
+            return st.act  # identity write: the written slots ARE the active lanes
+        out = np.zeros(shape, dtype=bool)
+        out.reshape(-1)[self._registers()[arm.target_table][st.act.reshape(-1)]] = True
+        return out
 
     def _plan_reduction(self, red: _RedInfo, st: _ArmState, pseudo, dirty) -> _ArmState:
         """Decide the delta scan for one active reduction arm: which
@@ -1237,30 +1416,20 @@ class StarSession:
         st.red_ratio = ratio_for(st.L * st.K_eff, machine)
         return st
 
-    def _charge_preds(self, clk, states: List[_ArmState]) -> None:
-        """The sweep's ordered charge sequence up to and including a
-        ``*par``'s termination test — replayed identically for the
-        estimate and for the real clock."""
-        full_ratio = self.vps.vp_ratio
-        an = self.an
-        if self.kind == "solve":
-            clk.charge("alu", count=len(an.modified) or 1, vp_ratio=full_ratio)
+    def _charges(self, states: List[_ArmState]) -> Tuple[List[Tuple], List[Tuple]]:
+        """The sweep's ordered charge sequence as ``(rows, ratios)`` pairs,
+        in two halves — up to and including a ``*par``'s termination test,
+        then the arm bodies and a ``*solve``'s fixed-point test — summed
+        for the estimate and replayed on the real clock identically."""
+        an, full = self.an, self.vps.vp_ratio
+        preds, bodies = [(an.head_rows, (1, 1, full))], []
         for arm, st in zip(an.arms, states):
             if st.L:
-                _replay(clk, arm.pred_charges, st)
-        if self.kind == "par":
-            clk.charge("global_or", vp_ratio=full_ratio)
-            clk.charge("host_cm_latency")
-
-    def _charge_bodies(self, clk, states: List[_ArmState]) -> None:
-        """The rest of the sequence: the arm bodies and a ``*solve``'s
-        fixed-point test."""
-        for arm, st in zip(self.an.arms, states):
-            if st.L:
-                _replay(clk, arm.body_charges, st)
-        if self.kind == "solve":
-            clk.charge("global_or", vp_ratio=self.vps.vp_ratio)
-            clk.charge("host_cm_latency")
+                ratios = (st.lane_ratio, st.red_ratio)
+                preds.append((arm.pred_rows, ratios))
+                bodies.append((_sweep_rows(arm, st, an.costs), ratios))
+        (preds if self.kind == "par" else bodies).append((an.test_rows, (1, 1, full)))
+        return preds, bodies
 
     # -- compressed execution ---------------------------------------------
 
@@ -1317,7 +1486,9 @@ class StarSession:
         ip, inner = self.ip, self.inner
         clock = ip.machine.clock
         before = self._snapshot()
-        self._charge_preds(clock, states)
+        preds, bodies = self._charges(states)
+        for rows, ratios in preds:
+            clock.replay_rows(rows, ratios)
         sweep = fused.begin_sweep(ip, inner, charge=False)
         if self.kind == "par":
             self._trace(states, dense=True)
@@ -1325,110 +1496,123 @@ class StarSession:
             if not any(np.any(m) for m in sweep.masks):
                 self._note_diff(before)
                 return False
-        self._charge_bodies(clock, states)
+        for rows, ratios in bodies:
+            clock.replay_rows(rows, ratios)
         fused.run_body(ip, inner, sweep, charge=False)
         if self.kind == "solve":
             self._trace(states, dense=True)
         changed = self._note_diff(before)
         return self.kind == "par" or changed
 
+    def _registers(self) -> List[object]:
+        """The register file of this session's lane programs, built when
+        a lane sweep first needs it: flat views of the bound arrays, the bound
+        scalars, then the prelude — every sweep-invariant step, once over
+        the whole grid (at most that subtree's share of the full sweep the
+        session has just run), bounds-check proofs included.  Tables only
+        the prelude read are dropped."""
+        R = self._R
+        if R is None:
+            an = self.an
+            R = self._R = an.template.copy()
+            for name, reg in an.array_regs.items():
+                R[reg] = self.S["arrays"][name].reshape(-1)
+            for name, reg in an.scalar_regs.items():
+                R[reg] = self.S["scalars"][name]
+            R[_POS.reg] = np.arange(self.base.size)
+            _run_steps(an.prelude, R)
+            for reg in an.drop:
+                R[reg] = None
+        return R
+
     def _run_lanes(self, states: List[_ArmState]) -> bool:
         """Evaluate the sweep on the active lanes only, charging each
         arm just before it writes."""
         an = self.an
         clock = self.ip.machine.clock
-        S = self.S
+        R = self._registers()
+        par = self.kind == "par"
         cur: Dict[str, np.ndarray] = {
-            name: np.zeros_like(m) for name, m in self.prev.items()
+            name: np.zeros(m.shape, dtype=bool) for name, m in self.prev.items()
         }
-        new_dirs: Dict[str, List[bool]] = {name: [False, False] for name in cur}
+        dirs = dict.fromkeys(cur, (False, False))  # name -> (any_up, any_down)
 
-        # predicates first (the engines evaluate every arm's predicate
-        # before any body runs); one lane context per arm resolves each
-        # subscript once for the predicate and the body alike
-        if self.kind == "solve":
-            clock.charge("alu", count=len(an.modified) or 1, vp_ratio=self.vps.vp_ratio)
-        todo: List[Tuple[_ArmInfo, _ArmState, _Lanes, Optional[np.ndarray]]] = []
+        # predicates first (the engines evaluate every arm's predicate before
+        # any body runs); their registers stay in the file for the bodies
+        full = (1, 1, self.vps.vp_ratio)
+        clock.replay_rows(an.head_rows, full)
+        todo: List[Tuple[int, np.ndarray, Optional[np.ndarray], int]] = []
+        any_ok = False
         for k, (arm, st) in enumerate(zip(an.arms, states)):
             if not st.L:
                 continue
-            idx = np.nonzero(st.act)
-            lanes = _Lanes(
-                (st.L,),
-                {elem: an.axis_vals[g][idx[g]] for g, elem in enumerate(an.elem_of_axis)},
-            )
-            ok = None
-            if arm.pred_fn is not None:
-                _replay(clock, arm.pred_charges, st)
-                ok = _bool_lanes(arm.pred_fn(S, lanes), lanes.shape)
-                if self.kind == "par":
-                    self.par_masks[k][idx] = ok  # active lanes lie inside base
-            todo.append((arm, st, lanes, ok))
+            ok, n_ok = None, st.L
+            R[_POS.reg] = pos = st.act.reshape(-1).nonzero()[0]
+            if arm.pred_steps is not None:
+                clock.replay_rows(arm.pred_rows, (st.lane_ratio, st.red_ratio))
+                _run_steps(arm.pred_steps, R)
+                ok = R[arm.pred_reg]
+                if not arm.pred_full:
+                    ok = np.broadcast_to(ok, pos.shape)
+                n_ok = int(np.count_nonzero(ok))
+                if par:
+                    self.par_masks[k].reshape(-1)[pos] = ok  # active lanes lie inside base
+                    any_ok = any_ok or n_ok > 0
+            todo.append((k, pos, ok, n_ok))
 
-        if self.kind == "par":
-            clock.charge("global_or", vp_ratio=self.vps.vp_ratio)
-            clock.charge("host_cm_latency")
+        if par:
+            clock.replay_rows(an.test_rows, full)
             self._trace(states, dense=False)
-            if not any(np.any(m) for m in self.par_masks):
-                self._note_lanes(cur, new_dirs)
+            # a fresh passing lane settles it without a whole-grid test
+            if not any_ok and not any(np.any(m) for m in self.par_masks):
+                self._note_lanes(cur, dirs)
                 return False
 
-        for arm, st, lanes, ok in todo:
-            _replay(clock, arm.body_charges, st)
-            if ok is not None:
-                n_ok = int(np.count_nonzero(ok))
-                if not n_ok:
-                    continue
-                if n_ok < st.L:
-                    lanes = lanes.select(ok, n_ok)
-            if arm.red is not None:
-                value = self._eval_reduction(arm, st, lanes)
-            else:
-                value = arm.value_fn(S, lanes)
-            subs = [lanes.vals[an.elem_of_axis[g]] for g in arm.target_axes]
-            changed, old, new = lane_scatter(
-                S["arrays"][arm.target], subs, value, arm.node.target
-            )
-            if np.any(changed):
-                cur[arm.target][tuple(s[changed] for s in subs)] = True
-                oc, nc = old[changed], new[changed]
-                d = new_dirs[arm.target]
-                d[0] = d[0] or bool(np.any(nc > oc))
-                d[1] = d[1] or bool(np.any(nc < oc))
+        for k, pos, ok, n_ok in todo:
+            arm, st = an.arms[k], states[k]
+            clock.replay_rows(_sweep_rows(arm, st, an.costs), (st.lane_ratio, st.red_ratio))
+            if not n_ok:
+                continue
+            # every lane passed: selects read the predicate's registers whole
+            R[_OK.reg] = ok if n_ok < st.L else slice(None)
+            R[_POS.reg] = pos = pos[R[_OK.reg]]
+            red = arm.red
+            if red is not None:  # the same steps, on (L, 1) columns and (K,) rows
+                R[_POSCOL.reg] = pos[:, None]
+                R[_KSEL.reg] = st.red_sel if st.delta_on else slice(None)
+                _run_steps(red.steps, R)
+                body = R[red.reg]
+                if not red.full:
+                    body = np.broadcast_to(np.asarray(body), (len(pos), st.K_eff))
+                value = _reduce_op(red.op, [body], [np.True_], axes=(1,))
+            _run_steps(arm.steps, R)
+            if red is None:
+                value = R[arm.reg]
+            flat = R[an.array_regs[arm.target]]
+            addr = R[arm.target_addr]
+            if st.delta_on:  # combine the delta scan with the stored result
+                value = _RED_UFUNC[red.op](flat.take(addr), value)
+            changed, old, new = lane_scatter(flat, addr, value)
+            n_changed = int(np.count_nonzero(changed))
+            if n_changed:
+                where = addr if n_changed == n_ok else addr[changed]
+                cur[arm.target].reshape(-1)[where] = True
+                up, down = dirs[arm.target]  # unchanged lanes compare equal: no select
+                dirs[arm.target] = (up or bool((new > old).any()), down or bool((new < old).any()))
 
-        if self.kind == "solve":
-            clock.charge("global_or", vp_ratio=self.vps.vp_ratio)
-            clock.charge("host_cm_latency")
+        if not par:
+            clock.replay_rows(an.test_rows, full)
             self._trace(states, dense=False)
-        return self._note_lanes(cur, new_dirs) or self.kind == "par"
+        return self._note_lanes(cur, dirs) or par
 
-    def _note_lanes(self, cur: Dict[str, np.ndarray], dirs: Dict[str, List[bool]]) -> bool:
+    def _note_lanes(self, cur: Dict[str, np.ndarray], dirs: Dict[str, Tuple[bool, bool]]) -> bool:
         """Seed the next sweep's frontier from a lane sweep's change
         masks; returns whether anything changed."""
-        self.prev = cur
+        self.prev, self.dirs = cur, dirs
         self.last_stats = {
             name: (int(np.count_nonzero(m)), int(m.size)) for name, m in cur.items()
         }
-        self.dirs = {name: (d[0], d[1]) for name, d in dirs.items()}
         return any(n for n, _size in self.last_stats.values())
-
-    def _eval_reduction(self, arm: _ArmInfo, st: _ArmState, lanes: _Lanes):
-        """The arm's reduction over ``lanes`` x the (delta-selected)
-        reduction range."""
-        red = arm.red
-        rv = red.values_arr[st.red_sel] if st.delta_on else red.values_arr
-        shape = (lanes.shape[0], int(rv.size))
-        vals = {name: v[:, None] for name, v in lanes.vals.items()}
-        vals[red.elem] = rv[None, :]
-        body = np.asarray(red.body_fn(self.S, _Lanes(shape, vals)))
-        if body.shape != shape:
-            body = np.broadcast_to(body, shape)
-        part = _reduce_op(red.op, [body], [np.True_], axes=(1,))
-        if st.delta_on:
-            data = self.S["arrays"][arm.target]
-            old = data[tuple(lanes.vals[self.an.elem_of_axis[g]] for g in arm.target_axes)]
-            return _RED_UFUNC[red.op](old, part)
-        return part
 
     # -- diagnostics -------------------------------------------------------
 

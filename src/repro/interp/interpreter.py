@@ -299,6 +299,21 @@ class Interpreter:
         if self.deadline is not None:
             self.deadline.check(self, at)
 
+    def check_sweeps(self, sweeps: int, what: str, at, still=None) -> None:
+        """The one sweep limit of every iterating construct and loop
+        (``config.solve_sweep_limit``): past it ``what`` fails, located at
+        ``at``, saying how to raise the limit and what ``still()`` changes
+        — livelock becomes a diagnostic, not a hang."""
+        limit = self.config.solve_sweep_limit
+        if sweeps > limit:
+            raise UCRuntimeError(
+                f"{what} exceeded the sweep limit ({limit}; raise via "
+                "UCProgram(solve_sweep_limit=...) or REPRO_SOLVE_SWEEP_LIMIT)"
+                + (f"; {still()}" if still is not None else ""),
+                at.line,
+                at.col,
+            )
+
     def make_main_context(self) -> "ExecContext":
         """The context :meth:`run_main_from` executes ``main`` in.
 

@@ -1569,28 +1569,21 @@ def compile_sched_steps(assignments):
 # clipped-gather semantics, same value casting, but indexed by the active
 # lanes only, so a sweep touching L of N lanes moves O(L) data.
 #
-# Address resolution is split from the gather.  :func:`lane_sub` resolves
-# one subscript vector against an axis extent — range probe, clipped
-# vector, out-of-range mask — and the frontier's per-sweep lane context
-# calls it once per distinct ``(element, offset, extent)``;
-# :func:`lane_gather` then costs one ``live & oob`` test per subscript
-# that really leaves the extent, plus the gather itself.
-
-
-def _subscript_error(a: int, node: ast.Index, value: int, extent: int) -> UCRuntimeError:
-    return UCRuntimeError(
-        f"subscript {a} of {node.base!r} out of range "
-        f"(value {value}, extent {extent})",
-        node.line,
-        node.col,
-    )
+# Address resolution happens once, not per sweep: :func:`lane_sub`
+# resolves one subscript vector against an axis extent — range probe,
+# clipped vector, out-of-range mask — and the frontier analysis calls it
+# over the *values an index element can take*.  A sweep holds one flat
+# address per lane (clipped subscripts times strides), so the gather is a
+# ``take`` of the flat field in the frontier's step loop;
+# :func:`lane_check` is the bounds error a live out-of-range lane raises
+# and :func:`lane_scatter` the write.
 
 
 def lane_sub(s: np.ndarray, extent: int):
-    """Resolve one per-lane subscript vector against an axis extent.
+    """Resolve one subscript vector against an axis extent.
 
     Returns ``(index, oob, raw)``: the vector to index with, the mask of
-    lanes outside ``0..extent-1`` and the unclipped values the error
+    entries outside ``0..extent-1`` and the unclipped values the error
     message quotes.  A subscript that stays in range everywhere — the
     common case, decided by one min/max probe — resolves to
     ``(s, None, s)``: nothing to report, nothing to clip.
@@ -1600,55 +1593,35 @@ def lane_sub(s: np.ndarray, extent: int):
     return np.clip(s, 0, extent - 1), (s < 0) | (s >= extent), s
 
 
-def lane_gather(data: np.ndarray, subs, node: ast.Index, live) -> np.ndarray:
-    """Gather ``data`` at resolved per-lane subscripts.
-
-    Each subscript is an int (a constant, checked unconditionally) or a
-    :func:`lane_sub` triple.  Mirrors
-    :func:`repro.interp.eval_expr.eval_gather`'s bounds checking (array
-    subscripts are checked under the ``live`` refinement mask — ``None``
-    means every lane is live — with identical messages) and its
-    clip-then-index semantics for guarded out-of-range lanes.
-    """
-    idx = []
-    for a, s in enumerate(subs):
-        if isinstance(s, tuple):
-            index, oob, raw = s
-            if oob is not None:
-                bad = oob if live is None else oob & live
-                if bad.any():
-                    value = int(np.broadcast_to(raw, bad.shape)[bad][0])
-                    raise _subscript_error(a, node, value, data.shape[a])
-            idx.append(index)
-        else:
-            if not 0 <= int(s) < data.shape[a]:
-                raise _subscript_error(a, node, int(s), data.shape[a])
-            idx.append(int(s))
-    return data[tuple(idx)]
+def lane_check(a: int, node: ast.Index, extent: int, bad, raw) -> None:
+    """Raise the bounds error of subscript ``a`` of ``node`` when a lane
+    of ``bad`` is set — out of range *and* live under the guards above
+    the reference — with :func:`repro.interp.eval_expr.eval_gather`'s
+    message, quoting the first such lane's unclipped value from ``raw``.
+    Out-of-range lanes under a false guard read their clipped address."""
+    if bad.any():
+        value = int(np.broadcast_to(raw, bad.shape)[bad][0])
+        text = f"subscript {a} of {node.base!r} out of range (value {value}, extent {extent})"
+        raise UCRuntimeError(text, node.line, node.col)
 
 
-def lane_scatter(data: np.ndarray, subs, value, node: ast.Index):
-    """Scatter ``value`` into ``data`` at per-lane subscript vectors.
+def lane_scatter(flat: np.ndarray, addr: np.ndarray, value):
+    """Scatter ``value`` into the flat field at per-lane addresses.
 
     All lanes are active writers (the frontier engine has already applied
-    the predicate), and the caller guarantees distinct slots (identity
-    target subscripts over distinct axis values), so the §3.4
-    single-assignment collision check is vacuous and skipped.  Returns
-    ``(changed, old, new)`` lane vectors — the change mask seeds the next
-    sweep's frontier and the old/new pair tracks reduction direction.
+    the predicate and checked the target's bounds), and the caller
+    guarantees distinct slots (identity target subscripts over distinct
+    axis values), so the §3.4 single-assignment collision check is
+    vacuous and skipped.  Returns ``(changed, old, new)`` lane vectors —
+    the change mask seeds the next sweep's frontier and the old/new pair
+    tracks reduction direction.
     """
-    n = int(subs[0].size) if subs else 0
-    for a, s in enumerate(subs):
-        _index, oob, _raw = lane_sub(s, data.shape[a])
-        if oob is not None:
-            raise _subscript_error(a, node, int(s[oob][0]), data.shape[a])
+    n = addr.size
     if not isinstance(value, np.ndarray):
         value = np.full(n, value)
     elif value.shape != (n,):
         value = np.broadcast_to(value, (n,))
-    new = value if value.dtype == data.dtype else E._cast_array(value, data.dtype)
-    where = tuple(subs)
-    old = data[where]
-    data[where] = new
-    changed = old != new
-    return changed, old, new
+    new = value if value.dtype == flat.dtype else E._cast_array(value, flat.dtype)
+    old = flat.take(addr)
+    flat[addr] = new
+    return old != new, old, new

@@ -8,8 +8,8 @@ index vectors, out-of-bounds masks), so they are cached per
 
 * ``kind`` separates the compilation entry points ("construct",
   "solve", "sched", ..., plus "frontier" for the active-set sweep
-  analyses of :mod:`repro.interp.frontier` — those cache the compiled
-  charge entries and lane evaluators of an iterated construct, or the
+  analyses of :mod:`repro.interp.frontier` — those cache the bound
+  charge rows and lane programs of an iterated construct, or the
   fallback sentinel when the body is not frontier-eligible — and
   "fuse" for the whole-array register programs of
   :mod:`repro.interp.fuse`);

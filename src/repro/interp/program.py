@@ -221,8 +221,8 @@ class UCProgram:
         Take checkpoints at ``par``/``solve`` boundaries even with no
         fault plan installed (the overhead benchmark's toggle).
     solve_sweep_limit:
-        Cap on ``solve``/``*solve`` sweeps before the divergence error
-        (default: the global ``MAX_SWEEPS`` backstop).
+        Cap on the sweeps of any iterating construct or loop before the
+        divergence error (default: the global ``MAX_SWEEPS`` backstop).
     shards:
         Partition the simulated machine into K resident shards connected
         by an inter-machine link (the ``intershard`` cost tier): remote

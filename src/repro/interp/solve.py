@@ -226,15 +226,9 @@ def _exec_solve_guarded(
                 )
             return
         sweeps += 1
-        if sweeps > ip.config.solve_sweep_limit:
-            raise UCRuntimeError(
-                f"solve exceeded the sweep limit ({ip.config.solve_sweep_limit}; "
-                "raise via UCProgram(solve_sweep_limit=...) or "
-                "REPRO_SOLVE_SWEEP_LIMIT); "
-                f"target variables: {', '.join(sorted(targets))}",
-                stmt.line,
-                stmt.col,
-            )
+        ip.check_sweeps(
+            sweeps, "solve", stmt, lambda: f"target variables: {', '.join(sorted(targets))}"
+        )
 
 
 def _mark_defined(ip, target: ast.Expr, ctx: ExecContext, defined: Dict[str, np.ndarray]) -> None:
@@ -366,15 +360,9 @@ def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
                 return
             summarize = lambda b=before, a=after: _delta_summary(b, a)
         sweeps += 1
-        if sweeps > ip.config.solve_sweep_limit:
-            raise UCRuntimeError(
-                f"*solve exceeded the sweep limit ({ip.config.solve_sweep_limit}; "
-                "raise via UCProgram(solve_sweep_limit=...) or "
-                "REPRO_SOLVE_SWEEP_LIMIT); still changing each sweep: "
-                f"{summarize()}",
-                stmt.line,
-                stmt.col,
-            )
+        ip.check_sweeps(
+            sweeps, "*solve", stmt, lambda: f"still changing each sweep: {summarize()}"
+        )
 
 
 def _NO_SUMMARY() -> str:

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError, UCSemanticError
-from .config import MAX_SWEEPS
 from .env import Env
 from .eval_expr import (
     ExecContext,
@@ -240,8 +239,7 @@ def _exec_while(ip, stmt: ast.While, ctx: ExecContext) -> None:
         except ContinueSignal:
             pass
         sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise UCRuntimeError("while loop exceeded the sweep limit", stmt.line, stmt.col)
+        ip.check_sweeps(sweeps, "while loop", stmt)
 
 
 def _exec_do_while(ip, stmt: ast.DoWhile, ctx: ExecContext) -> None:
@@ -257,8 +255,7 @@ def _exec_do_while(ip, stmt: ast.DoWhile, ctx: ExecContext) -> None:
         if not _loop_cond(ip, stmt.cond, ctx, stmt):
             return
         sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise UCRuntimeError("do-while exceeded the sweep limit", stmt.line, stmt.col)
+        ip.check_sweeps(sweeps, "do-while loop", stmt)
 
 
 def _exec_for(ip, stmt: ast.For, ctx: ExecContext) -> None:
@@ -276,8 +273,7 @@ def _exec_for(ip, stmt: ast.For, ctx: ExecContext) -> None:
         if stmt.step is not None:
             eval_expr(ip, stmt.step, ctx)
         sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise UCRuntimeError("for loop exceeded the sweep limit", stmt.line, stmt.col)
+        ip.check_sweeps(sweeps, "for loop", stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +421,11 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
                 sess.full_end()
                 sess.note_par_masks(masks)
         sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise UCRuntimeError(
-                "*par exceeded the sweep limit (predicate never falsified?)",
-                stmt.line,
-                stmt.col,
-            )
+        ip.check_sweeps(sweeps, "*par", stmt, _NEVER_FALSIFIED)
+
+
+def _NEVER_FALSIFIED() -> str:
+    return "some 'st' predicate still holds after every sweep"
 
 
 def _check_starred(stmt: ast.UCStmt) -> None:
@@ -461,8 +456,7 @@ def exec_seq(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
         if not stmt.star or not any_ran:
             return
         sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise UCRuntimeError("*seq exceeded the sweep limit", stmt.line, stmt.col)
+        ip.check_sweeps(sweeps, "*seq", stmt, _NEVER_FALSIFIED)
 
 
 def _seq_sweep(
@@ -563,8 +557,7 @@ def exec_oneof(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
         if not _oneof_once(ip, stmt, inner, plans):
             return
         sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise UCRuntimeError("*oneof exceeded the sweep limit", stmt.line, stmt.col)
+        ip.check_sweeps(sweeps, "*oneof", stmt, _NEVER_FALSIFIED)
 
 
 def _oneof_once(

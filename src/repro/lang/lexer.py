@@ -127,7 +127,7 @@ class Lexer:
             self._advance(2)
             while self._peek() and self._peek() in "0123456789abcdefABCDEF":
                 self._advance()
-            return Token("int", int(self.src[start : self.pos], 16), line, col)
+            return Token("int", self._int(self.src[start : self.pos], 16, "hexadecimal", line, col), line, col)
 
         saw_dot = False
         saw_exp = False
@@ -151,7 +151,16 @@ class Lexer:
         text = self.src[start : self.pos]
         if saw_dot or saw_exp:
             return Token("float", float(text), line, col)
-        return Token("int", int(text, 8) if text.startswith("0") and len(text) > 1 else int(text), line, col)
+        if text.startswith("0") and len(text) > 1:
+            return Token("int", self._int(text, 8, "octal", line, col), line, col)
+        return Token("int", int(text), line, col)
+
+    @staticmethod
+    def _int(text: str, base: int, what: str, line: int, col: int) -> int:
+        try:
+            return int(text, base)
+        except ValueError:  # '09', '0x': a diagnostic at the literal, not a traceback
+            raise UCSyntaxError(f"invalid {what} literal {text!r}", line, col) from None
 
     def _string(self, line: int, col: int) -> Token:
         self._advance()  # opening quote

@@ -15,6 +15,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .config import COST_KINDS, HOST_KINDS, CostTable
 
 
+def scan_levels(n_vps: int) -> int:
+    """Depth of one log-depth scan/reduction over ``n_vps`` processors."""
+    return max(1, math.ceil(math.log2(max(2, n_vps))))
+
+
 @dataclass
 class CostRecord:
     """One aggregated line of the cost ledger."""
@@ -162,9 +167,8 @@ class Clock:
 
     def charge_scan(self, n_vps: int, *, vp_ratio: int = 1, steps_per_level: int = 1) -> float:
         """Charge one log-depth scan/reduction over ``n_vps`` processors."""
-        levels = max(1, math.ceil(math.log2(max(2, n_vps))))
         return self.charge(
-            "scan_step", count=levels * steps_per_level, vp_ratio=vp_ratio
+            "scan_step", count=scan_levels(n_vps) * steps_per_level, vp_ratio=vp_ratio
         )
 
     def replay(self, entries) -> None:
@@ -196,6 +200,56 @@ class Clock:
                     self.note_shard_reduce(e[1], e[2], e[3], e[4], e[5])
             else:
                 self.count_tier(e[1])
+
+    def replay_rows(self, rows, ratios) -> None:
+        """Re-issue charges pre-bound to this clock's cost table: rows
+        ``(kind, count, base * count, scope, pays_dispatch)`` charged at
+        ``ratios[scope]`` (``scope`` None: a host kind, unscaled).
+
+        The frontier engine replays a construct's rows every compressed
+        sweep, so the loop is :meth:`charge` inlined — the same
+        ``(base * count) * ratio``, ``+= dt``, ``+= dispatch`` on the same
+        accumulators, row by row.  *Order is part of the fingerprint*:
+        float addition does not associate, so only the per-row products
+        are taken ahead of time, never a sum over rows or dispatches.
+        Rows without a cost ride in place: ``(tier, 0, None, None, None)``
+        counts a tier dispatch, ``(None, 0, None, None, args)`` is a
+        :meth:`note_shard_ref` observation.  With a fault hook or a shard
+        sink installed each row is one :meth:`charge` /
+        :meth:`note_shard_ref` call instead, so a fault still fires before
+        the charge it interrupts and shards observe references in order.
+        """
+        if self.fault_hook is not None or self.shard_sink is not None:
+            for kind, count, bc, scope, pays in rows:
+                if bc is not None:
+                    self.charge(
+                        kind, count=count, vp_ratio=1 if scope is None else ratios[scope]
+                    )
+                elif pays is None:
+                    self.count_tier(kind)
+                else:
+                    self.note_shard_ref(*pays)
+            return
+        records = self._records
+        tiers = self.tier_counts
+        drec = records["dispatch"]
+        ddt = self.costs.dispatch
+        t = self._time_us
+        for kind, count, bc, scope, pays in rows:
+            if bc is None:
+                if pays is None:
+                    tiers[kind] = tiers.get(kind, 0) + 1
+                continue
+            dt = bc if scope is None else bc * ratios[scope]
+            t += dt
+            rec = records[kind]
+            rec.count += count
+            rec.time_us += dt
+            if pays:
+                t += ddt
+                drec.count += 1
+                drec.time_us += ddt
+        self._time_us = t
 
     def advance(self, dt: float) -> None:
         """Advance the clock by a raw amount (used by the seqc model)."""

@@ -83,7 +83,9 @@ class Field:
         """Bulk host->CM load of the whole field (ignores context).
 
         Charged as one broadcast per row of the source array, modelling the
-        front-end I/O bus.
+        front-end I/O bus.  The copy is C-ordered whatever the source's
+        memory order: ``data`` is always C-contiguous, so the engines may
+        address it flat and nothing depends on how the host laid it out.
         """
         array = np.asarray(array)
         if array.shape != self.vpset.shape:
@@ -92,7 +94,7 @@ class Field:
             )
         rows = int(np.prod(array.shape[:-1])) if array.ndim > 1 else 1
         self.machine.clock.charge("broadcast", count=max(1, rows))
-        self.data = array.astype(self.dtype, copy=True)
+        self.data = array.astype(self.dtype, order="C", copy=True)
 
     def copy_like(self, name: str = "") -> "Field":
         """Allocate a fresh field on the same VP set with the same dtype."""

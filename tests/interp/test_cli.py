@@ -95,6 +95,15 @@ class TestCheck:
             main(["check", str(f)])
 
 
+    def test_check_bad_octal_literal_is_one_line(self, tmp_path):
+        f = tmp_path / "bad.uc"
+        f.write_text("int a[4];\nmain { a[0] = 09; }")
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", str(f)])
+        msg = exit_.value.code  # a str: printed to stderr, exit status 1
+        assert msg == f"{f}: invalid octal literal '09' (line 2, column 15)"
+
+
 class TestCstar:
     def test_emits_domains(self, apsp_file, capsys):
         main(["cstar", apsp_file, "-D", "N=8"])

@@ -384,66 +384,69 @@ class TestDenseEvaluation:
 
 class TestLaneGatherFastPath:
     """``plan.lane_sub`` resolves a subscript once (no mask/clip work when
-    it stays in range) and ``plan.lane_gather`` indexes with the result;
-    values and error text are those of the checked path."""
+    it stays in range); a gather is then one ``take`` of the flat field at
+    clipped addresses, ``plan.lane_check`` raises for a live out-of-range
+    lane and ``plan.lane_scatter`` writes; values and error text are those
+    of the checked path."""
 
     class _Node:
         base, line, col = "a", 7, 3
 
     def test_in_range_values(self):
-        from repro.interp.plan import lane_gather, lane_sub
+        from repro.interp.plan import lane_check, lane_sub
 
         data = np.arange(20).reshape(4, 5)
         rows = np.array([0, 3, 2])
         cols = np.array([[0], [4], [1]])
-        live = np.ones((3, 3), dtype=bool)
         index, oob, raw = lane_sub(rows, 4)
         assert index is rows and raw is rows and oob is None
-        got = lane_gather(data, [lane_sub(rows, 4), 2], self._Node, None)
-        assert got.tolist() == [2, 17, 12]
-        subs = [lane_sub(rows[None, :], 4), lane_sub(cols, 5)]
-        got = lane_gather(data, subs, self._Node, live)
-        assert np.array_equal(got, data[rows[None, :], cols])
+        flat = data.reshape(-1)
+        assert flat.take(index * 5 + 2).tolist() == [2, 17, 12]
+        addr = lane_sub(rows[None, :], 4)[0] * 5 + lane_sub(cols, 5)[0]
+        assert np.array_equal(flat.take(addr), data[rows[None, :], cols])
         empty = lane_sub(np.array([], dtype=np.int64), 4)
-        assert lane_gather(data, [empty, empty], self._Node, None).size == 0
+        assert empty[1] is None and flat.take(empty[0] * 5 + empty[0]).size == 0
+        lane_check(0, self._Node, 4, np.zeros(3, dtype=bool), rows)  # nothing to report
 
     def test_guarded_out_of_range_lanes_clip(self):
-        from repro.interp.plan import lane_gather, lane_sub
+        from repro.interp.plan import lane_check, lane_sub
 
         data = np.arange(5) * 10
-        s = lane_sub(np.array([-1, 2, 5]), 5)
-        assert s[1].tolist() == [True, False, True]
+        index, oob, raw = lane_sub(np.array([-1, 2, 5]), 5)
+        assert oob.tolist() == [True, False, True]
         live = np.array([False, True, False])
-        assert lane_gather(data, [s], self._Node, live).tolist() == [0, 20, 40]
+        lane_check(0, self._Node, 5, oob & live, raw)  # guarded: no error
+        assert data.take(index).tolist() == [0, 20, 40]
 
     def test_live_out_of_range_message_unchanged(self):
-        from repro.interp.plan import lane_gather, lane_sub
+        from repro.interp.plan import lane_check, lane_sub
 
-        data = np.zeros((4, 5), dtype=np.int64)
-        rows = lane_sub(np.array([1, 2, 3]), 4)
-        cols = lane_sub(np.array([0, 5, 6]), 5)
+        _index, oob, raw = lane_sub(np.array([0, 5, 6]), 5)
         for live in (None, np.ones(3, dtype=bool), np.array([False, False, True])):
             with pytest.raises(UCRuntimeError) as err:
-                lane_gather(data, [rows, cols], self._Node, live)
+                lane_check(1, self._Node, 5, oob if live is None else oob & live, raw)
             value = 5 if live is None or live[1] else 6
             assert f"subscript 1 of 'a' out of range (value {value}, extent 5)" in str(err.value)
             assert (err.value.line, err.value.col) == (7, 3)
-        with pytest.raises(UCRuntimeError) as err:
-            lane_gather(data, [rows, -1], self._Node, None)
+        with pytest.raises(UCRuntimeError) as err:  # a constant subscript
+            lane_check(1, self._Node, 5, np.True_, -1)
         assert "subscript 1 of 'a' out of range (value -1, extent 5)" in str(err.value)
 
     def test_scatter_fast_path_and_error_text(self):
-        from repro.interp.plan import lane_scatter
+        from repro.interp.plan import lane_check, lane_scatter, lane_sub
 
         data = np.arange(12).reshape(3, 4)
-        rows, cols = np.array([0, 2]), np.array([3, 1])
-        changed, old, new = lane_scatter(data, [rows, cols], np.array([3, 50]), self._Node)
+        flat = data.reshape(-1)
+        addr = np.array([0, 2]) * 4 + np.array([3, 1])
+        changed, old, new = lane_scatter(flat, addr, np.array([3, 50]))
         assert (changed.tolist(), old.tolist(), new.tolist()) == ([False, True], [3, 9], [3, 50])
         assert data[2, 1] == 50 and old.base is None  # the read is already a copy
-        changed, _old, new = lane_scatter(data, [rows, cols], 2.9, self._Node)
+        changed, _old, new = lane_scatter(flat, addr, 2.9)
         assert new.dtype == data.dtype and new.tolist() == [2, 2] and changed.all()
+        # a target subscript past its extent is the same check, unguarded
+        _index, oob, raw = lane_sub(np.array([1, 4]), 4)
         with pytest.raises(UCRuntimeError) as err:
-            lane_scatter(data, [rows, np.array([1, 4])], 0, self._Node)
+            lane_check(1, self._Node, 4, oob, raw)
         assert "subscript 1 of 'a' out of range (value 4, extent 4)" in str(err.value)
         assert (err.value.line, err.value.col) == (7, 3)
 

@@ -158,6 +158,57 @@ class TestStarPar:
         assert run_uc(src)["a"].tolist() == [0, 0, 0, 0]
 
 
+class TestSweepLimit:
+    """``*par``/``*seq``/``*oneof`` (and plain loops) obey the one
+    configurable sweep limit: a predicate that never falsifies is a
+    located diagnostic within a second, not a spin to 100 000 sweeps."""
+
+    #: the obstacle relaxation with ``=`` mutated to ``*=``: never converges
+    SRC = (
+        "index_set I:i = {0..7};\nint a[8];\n"
+        "main {\n  *par (I)\n    st (a[i] != 1 + (i > 0 ? a[i-1] : 0))\n"
+        "      a[i] *= 1 + (i > 0 ? a[i-1] : 0);\n}"
+    )
+    WANT = (
+        "*par exceeded the sweep limit (50; raise via UCProgram(solve_sweep_limit=...) "
+        "or REPRO_SOLVE_SWEEP_LIMIT); some 'st' predicate still holds after every sweep"
+    )
+
+    @pytest.mark.parametrize("engine", [{}, {"frontier": False}, {"plans": False}])
+    def test_non_converging_star_par_raises_quickly(self, engine):
+        import time
+
+        t0 = time.perf_counter()
+        with pytest.raises(UCRuntimeError) as err:
+            run_uc(self.SRC, solve_sweep_limit=50, **engine)
+        assert time.perf_counter() - t0 < 1.0
+        assert self.WANT in str(err.value)
+        assert (err.value.line, err.value.col) == (4, 4)
+
+    def test_run_batch_raises_the_solo_error(self):
+        from repro.interp.program import UCProgram
+
+        with pytest.raises(UCRuntimeError) as err:
+            UCProgram(self.SRC, solve_sweep_limit=50).run_batch([{}, {}, {}])
+        assert self.WANT in str(err.value) and err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "body, what",
+        [
+            ("*seq (I) st (a[i] < 9) a[i] = 0;", "*seq"),
+            ("*oneof (I) st (a[i] < 9) a[i] = 0;", "*oneof"),
+            ("int k; k = 0; while (k < 1) a[0] = 0;", "while loop"),
+            ("int k; for (k = 0; k < 1; k = k * 2) a[0] = 0;", "for loop"),
+            ("int k; k = 0; do a[0] = 0; while (k < 1);", "do-while loop"),
+        ],
+    )
+    def test_every_iterating_construct_and_loop(self, body, what):
+        src = f"index_set I:i = {{0..3}};\nint a[4];\nmain {{ {body} }}"
+        with pytest.raises(UCRuntimeError, match="sweep limit") as err:
+            run_uc(src, solve_sweep_limit=20)
+        assert str(err.value).startswith(f"{what} exceeded the sweep limit (20; ")
+
+
 class TestParallelControlFlow:
     def test_if_inside_par_masks(self):
         r = run_uc(

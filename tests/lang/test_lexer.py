@@ -47,6 +47,19 @@ class TestNumbers:
     def test_hex_and_octal(self):
         assert kinds("0x1F 010") == [("int", 31), ("int", 8)]
 
+    @pytest.mark.parametrize("text", ["08", "09", "0189", "0x", "0xg"])
+    def test_malformed_literal_is_a_diagnostic(self, text):
+        """Not the ``ValueError`` of ``int(text, 8)``: a located UC error."""
+        from repro.lang.parser import parse_program
+
+        with pytest.raises(UCSyntaxError) as err:
+            tokenize(f"x =\n  {text};")
+        what = "hexadecimal" if text.startswith("0x") else "octal"
+        assert f"invalid {what} literal" in str(err.value)
+        assert (err.value.line, err.value.col) == (2, 3)
+        with pytest.raises(UCSyntaxError, match="invalid"):
+            parse_program(f"int a[4];\nmain {{ a[0] = {text}; }}")
+
     def test_float_forms(self):
         assert kinds("1.5")[0] == ("float", 1.5)
         assert kinds("1e3")[0] == ("float", 1000.0)

@@ -71,6 +71,14 @@ class TestAccess:
         f.load(np.array([1.9, 2.1]))
         assert f.read().dtype == np.int64
 
+    def test_load_lays_the_field_out_in_c_order(self, machine):
+        f = machine.field(machine.vpset((2, 3)))
+        for src in (np.asfortranarray(np.arange(6).reshape(2, 3)), np.arange(6).reshape(3, 2).T):
+            f.load(src)
+            assert f.data.flags.c_contiguous and np.array_equal(f.data, src)
+            f.data.reshape(-1)[0] = 9  # a flat view, not a copy
+            assert f.data[0, 0] == 9
+
     def test_same_vpset_check(self, machine):
         a = machine.field(machine.vpset((2,)))
         b = machine.field(machine.vpset((2,)))

@@ -132,6 +132,27 @@ class TestIsolation:
         assert res[doomed].error["cause"] in ("ProcessorFault", "LinkFault")
         _assert_matches_solo(res[good], solo)
 
+    def test_non_converging_star_par_fails_at_the_sweep_limit(self, solo, monkeypatch):
+        """A hostile ``*par`` whose predicate never falsifies costs the
+        pool 150 sweeps, not 100 000: structured failure, nobody lost
+        (``SRC`` itself converges in 100)."""
+        monkeypatch.setenv("REPRO_SOLVE_SWEEP_LIMIT", "150")
+        spin = (
+            "index_set I:i = {0..7};\nint a[8];\n"
+            "main { *par (I) st (a[i] != 1 + (i > 0 ? a[i-1] : 0))\n"
+            "    a[i] *= 1 + (i > 0 ? a[i-1] : 0); }"
+        )
+        svc = ExecutionService(ServiceConfig(workers=2))
+        bad = [svc.submit(JobSpec(source=spin, tenant="b")) for _ in range(2)]
+        good = svc.submit(JobSpec(source=SRC))
+        res = svc.drain(max_wall_s=30)
+        assert svc.lost_jobs() == []
+        for jid in bad:
+            assert res[jid].state == FAILED
+            assert res[jid].error["type"] == "UCRuntimeError"
+            assert "*par exceeded the sweep limit (150;" in res[jid].error["message"]
+        _assert_matches_solo(res[good], solo)
+
     def test_malformed_engine_variable_fails_jobs_not_the_pool(self, monkeypatch):
         """Coalescable or not, a job that cannot resolve its configuration
         gets a structured failure naming the variable; none is lost."""
