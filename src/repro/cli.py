@@ -458,7 +458,7 @@ def _spec_from_json(entry, path: str):
 def cmd_serve(args: argparse.Namespace) -> int:
     import json
 
-    from .service import ExecutionService, ServiceConfig
+    from .service import ExecutionService, ServiceConfig, SpoolError
 
     try:
         # a malformed REPRO_* variable fails the service up front, not
@@ -482,14 +482,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         spool_dir=args.spool,
         tenant_budget_us=budgets or None,
     )
-    if args.resume:
-        svc = ExecutionService.resume(args.resume, config)
-        print(
-            f"-- resumed {len(svc.jobs)} journalled jobs from {args.resume} "
-            f"({len(svc.queue)} in flight)"
-        )
-    else:
-        svc = ExecutionService(config)
+    try:
+        if args.resume:
+            svc = ExecutionService.resume(args.resume, config)
+            print(
+                f"-- resumed {len(svc.jobs)} journalled jobs from {args.resume} "
+                f"({len(svc.queue)} in flight)"
+            )
+        else:
+            svc = ExecutionService(config)
+    except SpoolError as exc:  # a spool of another layout: "file: message"
+        raise SystemExit(str(exc))
     if args.jobs:
         try:
             with open(args.jobs) as fh:
@@ -498,8 +501,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"cannot read jobs file {args.jobs}: {exc}")
         if not isinstance(entries, list):
             raise SystemExit(f"{args.jobs}: expected a JSON list of job objects")
-        for entry in entries:
-            svc.submit(_spec_from_json(entry, args.jobs))
+        # the whole file is admitted under one journal commit
+        svc.submit_all([_spec_from_json(entry, args.jobs) for entry in entries])
     elif not args.resume:
         raise SystemExit("serve needs a jobs file, --resume DIR, or both")
     results = svc.drain()
@@ -522,7 +525,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"-- service: {s['done']} done, {s['failed']} failed, "
         f"{s['rejected']} rejected of {s['submitted']} submitted; "
         f"{s['preemptions']} preemptions, {s['retries']} retries, "
-        f"{s['coalesced_lanes']} coalesced lanes, {len(lost)} lost"
+        f"{s['coalesced_lanes']} coalesced lanes, {len(lost)} lost; "
+        f"{s['commits']} journal commits, {s['journal_bytes']} bytes"
     )
     return 1 if lost else 0
 

@@ -28,7 +28,7 @@ from .jobstate import (
     JobSpec,
     RetryPolicy,
 )
-from .persist import Spool
+from .persist import Spool, SpoolError
 from .scheduler import ExecutionService, ServiceConfig
 from .worker import Worker
 
@@ -42,6 +42,7 @@ __all__ = [
     "RetryPolicy",
     "ServiceConfig",
     "Spool",
+    "SpoolError",
     "UCDeadlineError",
     "Worker",
     "DONE",

@@ -120,8 +120,9 @@ class JobResult:
     state: str  # DONE | FAILED | REJECTED
     attempts: int = 0
     preemptions: int = 0
-    #: the RunResult of the successful attempt (DONE only; not
-    #: journalled — persisted result arrays live in the spool)
+    #: the RunResult of the successful attempt (DONE only, and only in
+    #: the service that ran it: the journal keeps the final arrays, which
+    #: ``ExecutionService.values`` decodes after a resume)
     run: Any = None
     fingerprint: Any = None
     clock_us: float = 0.0

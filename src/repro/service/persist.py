@@ -1,115 +1,152 @@
-"""Crash durability: an append-only journal plus a snapshot spool.
+"""Crash durability: one append-only journal, committed in groups.
 
-Layout of a spool directory::
+A spool directory holds exactly one file, ``journal.jsonl``: one JSON
+object per line, opened by a ``layout`` record.  ``submit``, ``suspend``
+and ``done`` records carry their payload inline, base64 inside the line
+— the pickled JobSpec, the portable snapshot, the result arrays as
+dtype/shape/bytes — so a state transition is wholly in the journal or
+not there at all; there is no second file for a line to refer to and no
+write order to keep.
 
-    journal.jsonl        append-only event log (one JSON object per line)
-    spec-<job>.pkl       pickled JobSpec, written once at submit
-    snap-<job>-<n>.pkl   portable snapshot of suspension n (atomic)
-    result-<job>.npz     final arrays/scalars of a DONE job
+:meth:`Spool.append` only buffers; :meth:`Spool.commit` is one write,
+one flush, one ``fsync`` (nothing when nothing was appended).  The
+service commits at exactly two points.  When ``submit()`` /
+``submit_all()`` returns, the jobs it returned ids for — accepted and
+shed alike — survive a crash.  When ``step()`` returns, every
+transition the round made (attempt, suspend, done, failed) does; a
+caller can see a result only after ``step()`` returns, so a result a
+client saw is durable.
 
-The journal is the source of truth; payload files are only meaningful
-when a journal line references them.  Every write that a recovery
-depends on is ordered *payload file first (atomic tmp + rename), journal
-line second (flushed + fsynced)* — so a crash at any instant leaves
-either a fully recorded state transition or none, never a dangling
-reference.  :func:`Spool.scan` replays the journal into the last known
-state of every job: jobs with a terminal event are reported as finished
-(their tenants' spent budget is reconstructed too) and everything else
-is in-flight, restartable from its newest journalled snapshot — or from
-scratch when it never suspended.  That replay is exactly what
-``repro serve --resume <dir>`` feeds the scheduler.
+What a crash leaves after the last commit is a prefix of the bytes of
+one commit.  Complete lines in it are transitions the service really
+made and nobody was yet told about: replaying them resumes from a state
+the service passed through.  A torn last line parses as nothing,
+:meth:`Spool.scan` ignores it and the next open cuts it off before
+appending, so it cannot swallow the record written after it.
+:meth:`Spool.scan` replays the journal into the last known state of
+every job — terminal jobs with their tenants' spent budget, everything
+else in flight, restartable from its newest snapshot or from scratch —
+which is what ``repro serve --resume <dir>`` feeds the scheduler.  A
+journal that does not open with this build's layout record (a spool of
+the older one-file-per-payload layout) is refused with
+:class:`SpoolError`, not read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..interp.checkpoint import PortableSnapshot, snapshot_from_bytes, snapshot_to_bytes
-from .jobstate import DONE, FAILED, REJECTED, JobSpec
+from ..interp.checkpoint import snapshot_from_bytes, snapshot_to_bytes
+from .jobstate import TERMINAL
+
+#: first line of every journal; bump the version when a record's shape changes
+_LAYOUT = b'{"ev": "layout", "version": 2}\n'
 
 
-def fingerprint_to_json(fp) -> Any:
-    """Clock fingerprints are nested tuples; journal them as lists."""
-    if isinstance(fp, tuple):
-        return [fingerprint_to_json(x) for x in fp]
-    return fp
+class SpoolError(Exception):
+    """The directory holds a journal this build does not read."""
 
 
 def fingerprint_from_json(fp) -> Any:
+    """Clock fingerprints are nested tuples; JSON hands back lists."""
     if isinstance(fp, list):
         return tuple(fingerprint_from_json(x) for x in fp)
     return fp
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _encode_result(run) -> Dict[str, list]:
+    """A DONE job's final variables (arrays + scalars)."""
+    arrays = ((var, np.asarray(run[var])) for var in run)
+    return {var: [a.dtype.str, a.shape, _b64(a.tobytes())] for var, a in arrays}
+
+
+def _decode_result(enc: Dict[str, list]) -> Dict[str, np.ndarray]:
+    return {
+        var: np.frombuffer(base64.b64decode(data), dtype).reshape(shape).copy()
+        for var, (dtype, shape, data) in enc.items()
+    }
+
+
+#: payload key of a record -> (object -> JSON value, JSON value -> object)
+_CODECS = {
+    "spec": (
+        lambda spec: _b64(pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)),
+        lambda enc: pickle.loads(base64.b64decode(enc)),
+    ),
+    "snapshot": (
+        lambda snap: _b64(snapshot_to_bytes(snap)),
+        lambda enc: snapshot_from_bytes(base64.b64decode(enc)),
+    ),
+    "result": (_encode_result, _decode_result),
+}
 
 
 class Spool:
-    """One service's durable state under a single directory."""
+    """One service's durable state: the journal of a single directory."""
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.journal_path = os.path.join(root, "journal.jsonl")
-        self._journal = open(self.journal_path, "a", encoding="utf-8")
+        self._journal = open(self.journal_path, "a+b")
+        self._pending: List[bytes] = []
+        self._journal.seek(0)
+        #: bytes of complete lines; a torn tail (crash mid-write) is cut
+        self.size = sum(len(ln) for ln in self._journal if ln.endswith(b"\n"))
+        self._journal.truncate(self.size)
+        self._journal.seek(0)
+        if not self.size:
+            self._pending.append(_LAYOUT)
+        elif self._journal.readline() != _LAYOUT:
+            self._journal.close()
+            raise SpoolError(
+                f"{self.journal_path}: journal does not open with {_LAYOUT.decode().strip()} "
+                "(a spool of another build): finish it there or use a fresh directory"
+            )
 
     def close(self) -> None:
+        self.commit()
         self._journal.close()
 
     # -- journal ------------------------------------------------------------
 
-    def append(self, event: Dict[str, Any], *, sync: bool = True) -> None:
-        self._journal.write(json.dumps(event, sort_keys=True) + "\n")
+    def append(self, event: Dict[str, Any], **payload: Any) -> None:
+        """Buffer one record; ``payload`` objects (``spec=``, ``snapshot=``,
+        ``result=``; None is skipped) ride inline, encoded by key."""
+        for key, obj in payload.items():
+            if obj is not None:
+                event[key] = _CODECS[key][0](obj)
+        self._pending.append(json.dumps(event).encode("ascii") + b"\n")
+
+    def commit(self) -> bool:
+        """Make everything appended durable: one write, one fsync.
+        False (and no I/O) when nothing was appended."""
+        if not self._pending:
+            return False
+        data = b"".join(self._pending)
+        self._pending.clear()
+        self._journal.write(data)
         self._journal.flush()
-        if sync:
-            os.fsync(self._journal.fileno())
+        os.fsync(self._journal.fileno())
+        self.size += len(data)
+        return True
 
-    # -- payloads -----------------------------------------------------------
-
-    def save_spec(self, job_id: str, spec: JobSpec) -> str:
-        name = f"spec-{job_id}.pkl"
-        _atomic_write(
-            os.path.join(self.root, name),
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        return name
-
-    def load_spec(self, name: str) -> JobSpec:
-        with open(os.path.join(self.root, name), "rb") as f:
-            return pickle.load(f)
-
-    def save_snapshot(self, job_id: str, n: int, snap: PortableSnapshot) -> str:
-        name = f"snap-{job_id}-{n}.pkl"
-        _atomic_write(os.path.join(self.root, name), snapshot_to_bytes(snap))
-        return name
-
-    def load_snapshot(self, name: str) -> PortableSnapshot:
-        with open(os.path.join(self.root, name), "rb") as f:
-            return snapshot_from_bytes(f.read())
-
-    def save_result(self, job_id: str, run) -> str:
-        """Persist a DONE job's final variables (arrays + scalars)."""
-        name = f"result-{job_id}.npz"
-        path = os.path.join(self.root, name)
-        tmp = path + ".tmp.npz"
-        np.savez(tmp, **{var: np.asarray(run[var]) for var in run})
-        os.replace(tmp, path)
-        return name
-
-    def load_result(self, name: str) -> Dict[str, np.ndarray]:
-        with np.load(os.path.join(self.root, name)) as data:
-            return {k: data[k] for k in data.files}
+    def load(self, offset: int, key: str) -> Any:
+        """Decode payload ``key`` of the record whose line starts at
+        byte ``offset`` (as :meth:`scan` reported it)."""
+        with open(self.journal_path, "rb") as f:
+            f.seek(offset)
+            return _CODECS[key][1](json.loads(f.readline())[key])
 
     # -- recovery -----------------------------------------------------------
 
@@ -117,36 +154,33 @@ class Spool:
         """Replay the journal into per-job last-known state.
 
         Returns ``(records, spent_us)``: ``records[job_id]`` holds the
-        spec, the last journalled snapshot reference (if any), attempt
-        and preemption counters, and — for finished jobs — the terminal
-        event; ``spent_us`` is the per-tenant simulated time already
-        charged by terminal jobs (budget reconstruction).
+        decoded spec, attempt and preemption counters, the newest
+        snapshot and — for finished jobs — the terminal event;
+        ``spent_us`` is the per-tenant simulated time already charged by
+        terminal jobs (budget reconstruction).  Payloads a resume may
+        never need — snapshots (all but the newest are superseded) and
+        results — are kept as the byte offset of their line, for
+        :meth:`load`: memory is not proportional to the journal.
         """
         records: Dict[str, Dict[str, Any]] = {}
         spent: Dict[str, float] = {}
-        if not os.path.exists(self.journal_path):
-            return records, spent
-        with open(self.journal_path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
+        end = 0
+        with open(self.journal_path, "rb") as f:
+            for raw in f:
+                start, end = end, end + len(raw)
                 try:
-                    ev = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn final line from a crash mid-append
+                    ev = json.loads(raw)
+                except ValueError:
+                    continue  # unreadable line: no transition
                 job_id = ev.get("job")
                 if job_id is None:
                     continue
-                kind = ev.get("ev")
+                kind = ev["ev"]
                 if kind == "submit":
                     records[job_id] = {
-                        "spec_file": ev["spec"],
-                        "tenant": ev.get("tenant", "default"),
-                        "state": None,
+                        "spec": _CODECS["spec"][1](ev["spec"]),
                         "attempt": 1,
-                        "snapshot_file": None,
-                        "pc": 0,
+                        "snapshot": None,
                         "wall_used_s": 0.0,
                         "preemptions": 0,
                         "terminal": None,
@@ -154,23 +188,21 @@ class Spool:
                     continue
                 rec = records.get(job_id)
                 if rec is None:
-                    continue  # reference to a job whose submit never landed
+                    continue  # its submit line was unreadable
                 if kind == "attempt":
-                    rec["attempt"] = ev.get("attempt", rec["attempt"])
                     # a new attempt starts from scratch, not the old snapshot
-                    rec["snapshot_file"] = None
-                    rec["pc"] = 0
+                    rec.update(attempt=ev["attempt"], snapshot=None)
                 elif kind == "suspend":
-                    rec["snapshot_file"] = ev["snapshot"]
-                    rec["pc"] = ev.get("pc", 0)
-                    rec["attempt"] = ev.get("attempt", rec["attempt"])
-                    rec["wall_used_s"] = ev.get("wall_used_s", 0.0)
-                    rec["preemptions"] = ev.get("preemptions", rec["preemptions"])
-                elif kind in (DONE, FAILED, REJECTED):
-                    rec["state"] = kind
+                    rec.update(
+                        snapshot=start,
+                        attempt=ev["attempt"],
+                        wall_used_s=ev["wall_used_s"],
+                        preemptions=ev["preemptions"],
+                    )
+                elif kind in TERMINAL:
+                    if "result" in ev:
+                        ev["result"] = start
                     rec["terminal"] = ev
-                    clock_us = ev.get("clock_us", 0.0)
-                    if clock_us:
-                        tenant = rec["tenant"]
-                        spent[tenant] = spent.get(tenant, 0.0) + clock_us
+                    tenant = rec["spec"].tenant
+                    spent[tenant] = spent.get(tenant, 0.0) + ev["clock_us"]
         return records, spent

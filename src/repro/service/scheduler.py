@@ -23,8 +23,9 @@ Robustness layers, from the ISSUE:
 * **preemption** — under contention (or chaos injection) jobs suspend
   into portable snapshots and resume later, possibly on a different
   worker, with fingerprints identical to uninterrupted runs;
-* **crash durability** — with a spool directory, submits, suspends and
-  terminals journal to disk; :meth:`resume` replays the journal and
+* **crash durability** — with a spool directory every transition is a
+  journal record, committed (one fsync) when :meth:`submit_all` and when
+  :meth:`step` return; :meth:`resume` replays the journal and
   re-enqueues every in-flight job from its newest snapshot;
 * **coalescing** — identical queued programs (same source, defines,
   seed; no faults/deadline/snapshot) ride one ``run_batch`` call, whose
@@ -36,7 +37,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from ..interp.batch import batchable
 from ..interp.checkpoint import SnapshotUnsupported
@@ -56,7 +59,7 @@ from .jobstate import (
     retriable,
     structured_error,
 )
-from .persist import Spool, fingerprint_from_json, fingerprint_to_json
+from .persist import Spool, fingerprint_from_json
 from .worker import SliceOutcome, Worker
 
 
@@ -112,6 +115,9 @@ class ExecutionService:
         )
         self._next_id = 1
         self._rr = 0  # round-robin cursor over workers
+        self._open = 0  # admitted jobs without a terminal result
+        self._waiting: List[Job] = []  # RETRY_WAIT jobs
+        self._result_at: Dict[str, int] = {}  # resumed DONE job -> journal offset
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "done": 0,
@@ -123,6 +129,8 @@ class ExecutionService:
             "replays_verified": 0,
             "batches": 0,
             "coalesced_lanes": 0,
+            "commits": 0,
+            "journal_bytes": self.spool.size if self.spool is not None else 0,
         }
 
     # -- submission ----------------------------------------------------------
@@ -130,104 +138,105 @@ class ExecutionService:
     def submit(self, spec: JobSpec) -> str:
         """Admit one job; always returns its id.  A shed job is DONE
         deciding immediately: its REJECTED result is already available."""
+        return self.submit_all([spec])[0]
+
+    def submit_all(self, specs: Iterable[JobSpec]) -> List[str]:
+        """Admit every spec under one journal commit; the returned ids
+        (shed ones too: resume() must not resurrect them) are durable."""
+        ids = [self._admit(spec) for spec in specs]
+        self._commit()
+        return ids
+
+    def _admit(self, spec: JobSpec) -> str:
         job_id = f"j{self._next_id}"
         self._next_id += 1
         job = Job(job_id, spec, spec.retry or self.config.default_retry)
         job.submitted_at = time.monotonic()
         self.jobs[job_id] = job
         self.stats["submitted"] += 1
-        in_flight = sum(1 for j in self.jobs.values() if not j.terminal)
-        reason = self.admission.admit(job, in_flight - 1)
-        if reason is not None:
-            job.state = REJECTED
-            job.result = JobResult(
-                job_id=job_id,
-                tenant=spec.tenant,
-                state=REJECTED,
-                error={"type": "AdmissionRejected", "reason": reason},
-            )
-            self.stats["rejected"] += 1
-            if self.spool is not None:
-                # journal the shed submission too: resume() must not
-                # resurrect it
-                spec_file = self.spool.save_spec(job_id, spec)
-                self.spool.append(
-                    {"ev": "submit", "job": job_id, "tenant": spec.tenant,
-                     "spec": spec_file},
-                    sync=False,
-                )
-                self.spool.append(
-                    {"ev": REJECTED, "job": job_id, "reason": reason}
-                )
-            return job_id
         if self.spool is not None:
-            spec_file = self.spool.save_spec(job_id, spec)
             self.spool.append(
-                {"ev": "submit", "job": job_id, "tenant": spec.tenant,
-                 "spec": spec_file}
+                {"ev": "submit", "job": job_id, "tenant": spec.tenant}, spec=spec
             )
-        self.queue.append(job_id)
+        reason = self.admission.admit(job, self._open)
+        self._open += 1
+        if reason is not None:
+            self._finish(
+                job,
+                JobResult(
+                    job_id=job_id,
+                    tenant=spec.tenant,
+                    state=REJECTED,
+                    error={"type": "AdmissionRejected", "reason": reason},
+                ),
+            )
+        else:
+            self.queue.append(job_id)
         return job_id
+
+    def _commit(self) -> None:
+        if self.spool is not None and self.spool.commit():
+            self.stats["commits"] += 1
+            self.stats["journal_bytes"] = self.spool.size
 
     # -- scheduling ----------------------------------------------------------
 
     def step(self) -> bool:
-        """One cooperative round; True if any job made progress."""
-        did = False
-        now = time.monotonic()
-        # promote retry waiters whose backoff expired
-        for job in self.jobs.values():
-            if job.state == RETRY_WAIT and now >= job.not_before:
-                job.state = QUEUED
-                self.queue.append(job.id)
-        # fill free workers (coalescing identical programs when possible)
-        for worker in self.workers:
-            if not worker.free or not self.queue:
-                continue
-            job = self.jobs[self.queue.popleft()]
-            lanes = self._coalesce_lanes(job)
-            if lanes is not None:
-                self._run_coalesced(lanes)
+        """One cooperative round; True if any job made progress.  What
+        the round journalled is committed once, before it returns."""
+        try:
+            did = False
+            # promote retry waiters whose backoff expired, oldest job first
+            for job in sorted(self._waiting, key=lambda j: j.num):
+                if time.monotonic() >= job.not_before:
+                    self._waiting.remove(job)
+                    job.state = QUEUED
+                    self.queue.append(job.id)
+            # fill free workers (coalescing identical programs when possible)
+            for worker in self.workers:
+                if not worker.free or not self.queue:
+                    continue
+                job = self.jobs[self.queue.popleft()]
+                lanes = self._coalesce_lanes(job)
+                if lanes is not None:
+                    self._run_coalesced(lanes)
+                    did = True
+                    continue
+                try:
+                    worker.assign(job)
+                except Exception as exc:  # compile error, OOM-sized grid, ...
+                    self._fail_or_retry(job, exc)
+                    did = True
+            # one slice per busy worker, round-robin start for fairness
+            n = len(self.workers)
+            for k in range(n):
+                worker = self.workers[(self._rr + k) % n]
+                if worker.free:
+                    continue
+                outcome = worker.run_slice()
+                self._handle_outcome(worker, outcome)
                 did = True
-                continue
-            try:
-                worker.assign(job)
-            except Exception as exc:  # compile error, OOM-sized grid, ...
-                self._fail_or_retry(job, exc)
-                did = True
-        # one slice per busy worker, round-robin start for fairness
-        n = len(self.workers)
-        for k in range(n):
-            worker = self.workers[(self._rr + k) % n]
-            if worker.free:
-                continue
-            outcome = worker.run_slice()
-            self._handle_outcome(worker, outcome)
-            did = True
-        self._rr = (self._rr + 1) % n
-        return did
+            self._rr = (self._rr + 1) % n
+            return did
+        finally:
+            self._commit()
 
     def drain(self, *, max_wall_s: Optional[float] = None) -> Dict[str, JobResult]:
         """Run until every submitted job is terminal; returns all results."""
         t0 = time.monotonic()
         while True:
-            pending = [j for j in self.jobs.values() if not j.terminal]
-            if not pending:
+            if not self._open:
                 return self.results()
             if max_wall_s is not None and time.monotonic() - t0 > max_wall_s:
                 raise TimeoutError(
                     f"drain exceeded {max_wall_s}s with "
-                    f"{len(pending)} jobs pending"
+                    f"{self._open} jobs pending"
                 )
             if not self.step():
-                waits = [
-                    j.not_before - time.monotonic()
-                    for j in pending
-                    if j.state == RETRY_WAIT
-                ]
+                waits = [j.not_before - time.monotonic() for j in self._waiting]
                 if not waits:  # pragma: no cover — would be a scheduler bug
                     raise RuntimeError(
-                        f"scheduler stalled with {len(pending)} jobs pending"
+                        f"scheduler stalled with {self._open} jobs pending"
                     )
                 time.sleep(min(0.05, max(0.0, min(waits))))
 
@@ -240,6 +249,17 @@ class ExecutionService:
 
     def result(self, job_id: str) -> Optional[JobResult]:
         return self.jobs[job_id].result
+
+    def values(self, job_id: str) -> Dict[str, np.ndarray]:
+        """A DONE job's final variables as arrays: from its run while the
+        service that ran it lives, decoded from its journal record (on
+        demand) after a resume."""
+        result = self.jobs[job_id].result
+        if result is None or not result.ok:
+            raise ValueError(f"job {job_id} is not DONE")
+        if result.run is not None:
+            return {var: np.asarray(result.run[var]) for var in result.run}
+        return self.spool.load(self._result_at[job_id], "result")
 
     def lost_jobs(self) -> List[str]:
         """Submitted jobs with no terminal result — must be [] after a
@@ -340,21 +360,17 @@ class ExecutionService:
             self.stats["preemptions"] += 1
             job.state = SUSPENDED
             if self.spool is not None:
-                snap_file = self.spool.save_snapshot(
-                    job.id, job.preemptions, outcome.snapshot
-                )
                 self.spool.append(
                     {
                         "ev": "suspend",
                         "job": job.id,
-                        "snapshot": snap_file,
-                        "pc": job.pc,
                         "attempt": job.attempt,
                         "wall_used_s": (
                             job.monitor.wall_used_s if job.monitor else 0.0
                         ),
                         "preemptions": job.preemptions,
-                    }
+                    },
+                    snapshot=outcome.snapshot,
                 )
             self.queue.append(job.id)
             return
@@ -390,30 +406,42 @@ class ExecutionService:
                 self.queue.append(job.id)
             else:
                 job.state = RETRY_WAIT
+                self._waiting.append(job)
             return
-        job.state = FAILED
-        job.prepared = None
-        job.result = JobResult(
-            job_id=job.id,
-            tenant=job.spec.tenant,
-            state=FAILED,
-            attempts=job.attempt,
-            preemptions=job.preemptions,
-            clock_us=clock_us,
-            wall_s=time.monotonic() - job.submitted_at,
-            error=structured_error(exc),
+        self._finish(
+            job,
+            JobResult(
+                job_id=job.id,
+                tenant=job.spec.tenant,
+                state=FAILED,
+                attempts=job.attempt,
+                preemptions=job.preemptions,
+                clock_us=clock_us,
+                wall_s=time.monotonic() - job.submitted_at,
+                error=structured_error(exc),
+            ),
         )
-        self.stats["failed"] += 1
-        self.admission.charge(job.spec.tenant, clock_us)
+
+    def _finish(self, job: Job, result: JobResult) -> None:
+        """The one terminal transition: DONE, FAILED and REJECTED alike."""
+        job.state = result.state
+        job.prepared = None
+        job.result = result
+        self._open -= 1
+        self.stats[result.state] += 1
+        self.admission.charge(result.tenant, result.clock_us)
         if self.spool is not None:
             self.spool.append(
                 {
-                    "ev": FAILED,
+                    "ev": result.state,
                     "job": job.id,
-                    "error": job.result.error,
-                    "attempts": job.attempt,
-                    "clock_us": clock_us,
-                }
+                    "attempts": result.attempts,
+                    "preemptions": result.preemptions,
+                    "clock_us": result.clock_us,
+                    "fingerprint": result.fingerprint,
+                    "error": result.error,
+                },
+                result=result.run,
             )
 
     def _on_done(self, job: Job, run) -> None:
@@ -439,34 +467,20 @@ class ExecutionService:
                     clock_us=run.elapsed_us,
                 )
                 return
-        job.state = DONE
-        job.prepared = None
-        job.result = JobResult(
-            job_id=job.id,
-            tenant=job.spec.tenant,
-            state=DONE,
-            attempts=job.attempt,
-            preemptions=job.preemptions,
-            run=run,
-            fingerprint=run.fingerprint,
-            clock_us=run.elapsed_us,
-            wall_s=time.monotonic() - job.submitted_at,
+        self._finish(
+            job,
+            JobResult(
+                job_id=job.id,
+                tenant=job.spec.tenant,
+                state=DONE,
+                attempts=job.attempt,
+                preemptions=job.preemptions,
+                run=run,
+                fingerprint=run.fingerprint,
+                clock_us=run.elapsed_us,
+                wall_s=time.monotonic() - job.submitted_at,
+            ),
         )
-        self.stats["done"] += 1
-        self.admission.charge(job.spec.tenant, run.elapsed_us)
-        if self.spool is not None:
-            result_file = self.spool.save_result(job.id, run)
-            self.spool.append(
-                {
-                    "ev": DONE,
-                    "job": job.id,
-                    "fingerprint": fingerprint_to_json(run.fingerprint),
-                    "clock_us": run.elapsed_us,
-                    "attempts": job.attempt,
-                    "preemptions": job.preemptions,
-                    "result": result_file,
-                }
-            )
 
     # -- crash recovery ------------------------------------------------------
 
@@ -476,8 +490,8 @@ class ExecutionService:
     ) -> "ExecutionService":
         """Rebuild a service from a spool directory after a crash.
 
-        Terminal jobs come back with their journalled results (values
-        reloadable from the spool); every in-flight job is re-enqueued
+        Terminal jobs come back with their journalled results (arrays
+        through :meth:`values`); every in-flight job is re-enqueued
         from its newest journalled snapshot — or from scratch if it
         never suspended, or the snapshot is in a format this build does
         not read — and will finish with the same fingerprint an
@@ -487,16 +501,11 @@ class ExecutionService:
         config.spool_dir = spool_dir
         svc = cls(config)
         assert svc.spool is not None
-        records, spent = svc.spool.scan()
-        for tenant, used in spent.items():
-            svc.admission.spent[tenant] = (
-                svc.admission.spent.get(tenant, 0.0) + used
-            )
-        max_num = 0
+        records, svc.admission.spent = svc.spool.scan()
         for job_id in sorted(records, key=lambda j: int(j[1:])):
             rec = records[job_id]
-            max_num = max(max_num, int(job_id[1:]))
-            spec = svc.spool.load_spec(rec["spec_file"])
+            svc._next_id = int(job_id[1:]) + 1
+            spec = rec["spec"]
             job = Job(job_id, spec, spec.retry or config.default_retry)
             job.submitted_at = time.monotonic()
             job.attempt = rec["attempt"]
@@ -505,30 +514,24 @@ class ExecutionService:
             svc.stats["submitted"] += 1
             terminal = rec["terminal"]
             if terminal is not None:
-                job.state = rec["state"]
+                job.state = terminal["ev"]
                 job.result = JobResult(
                     job_id=job_id,
                     tenant=spec.tenant,
-                    state=rec["state"],
-                    attempts=terminal.get("attempts", job.attempt),
-                    preemptions=terminal.get("preemptions", job.preemptions),
-                    fingerprint=fingerprint_from_json(
-                        terminal.get("fingerprint")
-                    ),
-                    clock_us=terminal.get("clock_us", 0.0),
-                    error=terminal.get("error")
-                    or (
-                        {"type": "AdmissionRejected",
-                         "reason": terminal.get("reason")}
-                        if rec["state"] == REJECTED
-                        else None
-                    ),
+                    state=job.state,
+                    attempts=terminal["attempts"],
+                    preemptions=terminal["preemptions"],
+                    fingerprint=fingerprint_from_json(terminal["fingerprint"]),
+                    clock_us=terminal["clock_us"],
+                    error=terminal["error"],
                 )
-                svc.stats[rec["state"]] += 1
+                svc.stats[job.state] += 1
+                if "result" in terminal:
+                    svc._result_at[job_id] = terminal["result"]
                 continue
-            if rec["snapshot_file"] is not None:
+            if rec["snapshot"] is not None:
                 try:
-                    job.snapshot = svc.spool.load_snapshot(rec["snapshot_file"])
+                    job.snapshot = svc.spool.load(rec["snapshot"], "snapshot")
                     job.pc = job.snapshot.pc
                 except SnapshotUnsupported:
                     pass  # restarts from pc=0
@@ -542,6 +545,6 @@ class ExecutionService:
                         wall_used_s=rec["wall_used_s"],
                     )
             job.state = QUEUED
+            svc._open += 1
             svc.queue.append(job_id)
-        svc._next_id = max_num + 1
         return svc

@@ -364,6 +364,40 @@ class TestServe:
         assert "resumed 2 journalled jobs" in out
         assert "0 lost" in out
 
+    def test_serve_admits_the_jobs_file_under_one_commit(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        from repro.service import ExecutionService
+
+        f = tmp_path / "jobs.json"
+        f.write_text(json.dumps([{"source": SERVE_UC}] * 6))
+        commits_at_round = []
+        step = ExecutionService.step
+
+        def spy(svc):
+            commits_at_round.append(svc.stats["commits"])
+            return step(svc)
+
+        monkeypatch.setattr(ExecutionService, "step", spy)
+        assert main(["serve", str(f), "--spool", str(tmp_path / "spool")]) == 0
+        assert commits_at_round[0] == 1  # six jobs, one fsync before the first round
+        out = capsys.readouterr().out
+        assert f"{commits_at_round[-1] + 1} journal commits" in out
+        assert f"{(tmp_path / 'spool' / 'journal.jsonl').stat().st_size} bytes" in out
+
+    def test_serve_refuses_a_spool_of_another_layout(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        # the first line of a journal written before the one-file layout
+        (spool / "journal.jsonl").write_text(
+            '{"ev": "submit", "job": "j1", "spec": "spec-j1.pkl", "tenant": "default"}\n'
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--resume", str(spool)])
+        message = str(exc.value.code)
+        assert message.startswith(f"{spool / 'journal.jsonl'}: ") and "\n" not in message
+        assert "layout" in message
+
     def test_serve_requires_jobs_or_resume(self):
         with pytest.raises(SystemExit, match="jobs file"):
             main(["serve"])

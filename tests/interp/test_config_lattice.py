@@ -8,7 +8,9 @@ half checks the stamp: a snapshot resumes only under the clock key it
 was taken under.
 """
 
+import base64
 import itertools
+import json
 import pathlib
 import pickle
 
@@ -154,11 +156,16 @@ def test_service_restarts_a_job_it_cannot_resume(tmp_path, monkeypatch, stale):
     if stale == "clock_key":
         monkeypatch.setenv("REPRO_NO_COMM_TIERS", "1")
     else:
-        for path in tmp_path.glob("snap-*.pkl"):
-            payload = pickle.loads(path.read_bytes())
-            del payload["config"]
-            payload["version"] = 1
-            path.write_bytes(pickle.dumps(payload))
+        journal = tmp_path / "journal.jsonl"
+        events = [json.loads(line) for line in journal.read_text().splitlines()]
+        for ev in events:
+            if ev["ev"] == "suspend":
+                payload = pickle.loads(base64.b64decode(ev["snapshot"]))
+                del payload["config"]
+                payload["version"] = 1
+                ev["snapshot"] = base64.b64encode(pickle.dumps(payload)).decode()
+        assert any(ev["ev"] == "suspend" for ev in events)
+        journal.write_text("".join(json.dumps(ev) + "\n" for ev in events))
     solo = UCProgram(THREE_PARS, compile_store=None).run()
     svc = ExecutionService.resume(
         str(tmp_path), ServiceConfig(workers=1, coalesce=False)

@@ -8,6 +8,8 @@ portable snapshot, or resumed after a service crash — carries a Clock
 fingerprint bit-identical to a fault-free solo ``UCProgram.run()``.
 """
 
+import itertools
+import json
 import os
 
 import numpy as np
@@ -265,8 +267,17 @@ class TestPreemption:
         for jid in ids:
             _assert_matches_solo(res[jid], solo)
         # every suspension left a durable snapshot behind
-        snaps = [f for f in os.listdir(tmp_path / "spool") if f.startswith("snap-")]
+        spool = Spool(str(tmp_path / "spool"))
+        with open(spool.journal_path, "rb") as f:
+            lines = f.readlines()
+        starts = itertools.accumulate([0] + [len(line) for line in lines])
+        snaps = [
+            spool.load(at, "snapshot")
+            for at, line in zip(starts, lines)
+            if json.loads(line)["ev"] == "suspend"
+        ]
         assert len(snaps) == svc.stats["preemptions"]
+        assert all(snap.pc > 0 for snap in snaps)
 
     def test_slice_budget_yields_without_contention(self, solo):
         """A lone job over its slice budget yields in place (no snapshot)
