@@ -37,7 +37,8 @@ Correctness is layered as three fallbacks, outermost first:
    ordinary ``exec_stmt`` path; the rest of ``main`` stays in lockstep.
 3. **Lane demotion** — mid-construct, a lane whose frontier session
    elects a compressed sweep leaves the batch: its rows are written
-   back and the lane runs the verbatim solo sweep loop to completion
+   back and the lane re-enters the solo sweep loop
+   (``statements.star_par_loop`` / ``solve.star_solve_loop``) to finish
    (compressed charging differs per lane, so the lanes' clocks can no
    longer share one table replay).  The solo loop evaluates a dense
    compressed sweep on the same fused kernel, compute-only — demotion
@@ -78,21 +79,14 @@ from .fuse import (
 from .interpreter import Interpreter
 from .plan_cache import PlanCache
 from .statements import (
-    _NEVER_FALSIFIED,
     ReturnSignal,
-    _block_masks,
     _check_starred,
     _plans_for,
-    _run_blocks_once,
     enter_grid,
     exec_stmt,
+    star_par_loop,
 )
-from .solve import (
-    _delta_summary,
-    _modified_names,
-    _snapshot,
-    _snapshots_equal,
-)
+from .solve import _modified_names, star_solve_loop
 from .values import (
     ArrayVar,
     ElementBinding,
@@ -783,6 +777,15 @@ class _BatchConstruct:
         for name, vs in self.array_vars.items():
             vs[row].field.data[...] = self.stacks[name][row]
 
+    def _demote(self, row: int, solo_loop, states, sweeps: int) -> None:
+        """One lane leaves the batch: it finishes the construct on the
+        solo sweep loop, entered with its elected compressed sweep."""
+        self._writeback(row)
+        solo_loop(
+            self.interps[row], self.stmt, self.inners[row], self.plans[row],
+            self.sessions[row], states, sweeps,
+        )  # fmt: skip
+
     def _compact(self, keep: List[int]) -> None:
         """Drop retired/demoted rows from every row-aligned structure."""
         self.live = [self.live[r] for r in keep]
@@ -926,7 +929,7 @@ class _BatchConstruct:
         sweeps = 0
         while self.live:
             # frontier decisions: lanes electing a compressed sweep leave
-            # the batch and run the verbatim solo loop to completion
+            # the batch and finish on the solo loop
             if self.sessions_on:
                 keep: List[int] = []
                 none_keys = set()
@@ -941,8 +944,7 @@ class _BatchConstruct:
                             none_keys.add(key)
                         keep.append(row)
                         continue
-                    self._writeback(row)
-                    self._finish_solve(row, states, sweeps)
+                    self._demote(row, star_solve_loop, states, sweeps)
                 if len(keep) != len(self.live):
                     self._compact(keep)
                 if not self.live:
@@ -1006,42 +1008,6 @@ class _BatchConstruct:
                 raise _BatchAbort()  # sequential rerun raises the solo error
         del fused, stmt
 
-    def _finish_solve(self, row: int, states, sweeps: int) -> None:
-        """The verbatim solo ``*solve`` loop for one demoted lane,
-        entered with a compressed sweep already planned."""
-        ip = self.interps[row]
-        stmt = self.stmt
-        inner = self.inners[row]
-        plans = self.plans[row]
-        sess = self.sessions[row]
-        modified = self.modified
-        clock = ip.machine.clock
-        summarize = sess.delta_summary
-        while True:
-            if states is not None:
-                if not sess.run_compressed(states):
-                    return
-                summarize = sess.delta_summary
-            else:
-                before = _snapshot(inner, modified)
-                sess.full_begin()
-                clock.charge(
-                    "alu", count=len(modified) or 1, vp_ratio=self.vp_ratio
-                )
-                _run_blocks_once(ip, stmt, inner, plans)
-                clock.charge("global_or", vp_ratio=self.vp_ratio)
-                clock.charge("host_cm_latency")
-                after = _snapshot(inner, modified)
-                sess.full_end()
-                if _snapshots_equal(before, after):
-                    return
-                summarize = lambda b=before, a=after: _delta_summary(b, a)
-            sweeps += 1
-            ip.check_sweeps(
-                sweeps, "*solve", stmt, lambda: f"still changing each sweep: {summarize()}"
-            )
-            states = sess.plan_compressed()
-
     # -- *par --------------------------------------------------------------
 
     def _drive_par(self) -> None:
@@ -1061,8 +1027,7 @@ class _BatchConstruct:
                             none_keys.add(key)
                         keep.append(row)
                         continue
-                    self._writeback(row)
-                    self._finish_par(row, states, sweeps)
+                    self._demote(row, star_par_loop, states, sweeps)
                 if len(keep) != len(self.live):
                     self._compact(keep)
                 if not self.live:
@@ -1122,46 +1087,3 @@ class _BatchConstruct:
             sweeps += 1
             if self.live and sweeps > self.interps[0].config.solve_sweep_limit:
                 raise _BatchAbort()  # sequential rerun raises the solo error
-
-    def _finish_par(self, row: int, states, sweeps: int) -> None:
-        """The verbatim solo ``*par`` loop for one demoted lane."""
-        ip = self.interps[row]
-        stmt = self.stmt
-        inner = self.inners[row]
-        plans = self.plans[row]
-        sess = self.sessions[row]
-        clock = ip.machine.clock
-        while True:
-            if states is not None:
-                if not sess.run_compressed(states):
-                    return
-            else:
-                sess.full_begin()
-                fused = fuse.fused_for(ip, stmt, inner, plans)
-                with ip.cse_arm():
-                    if fused is not None:
-                        sweep = fused.begin_sweep(ip, inner)
-                        masks = sweep.masks
-                    else:
-                        masks, _ = _block_masks(ip, stmt, inner, plans)
-                    clock.charge("global_or", vp_ratio=self.vp_ratio)
-                    clock.charge("host_cm_latency")
-                    if not any(np.any(m) for m in masks):
-                        return
-                    if fused is not None:
-                        fused.run_body(ip, inner, sweep)
-                    else:
-                        for k, (block, mask) in enumerate(
-                            zip(stmt.blocks, masks)
-                        ):
-                            if np.any(mask):
-                                sub = inner.with_mask(mask)
-                                if plans is not None:
-                                    plans.stmts[k](ip, sub)
-                                else:
-                                    exec_stmt(ip, block.stmt, sub)
-                sess.full_end()
-                sess.note_par_masks(masks)
-            sweeps += 1
-            ip.check_sweeps(sweeps, "*par", stmt, _NEVER_FALSIFIED)
-            states = sess.plan_compressed()

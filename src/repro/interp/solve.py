@@ -325,17 +325,26 @@ def _readiness(
 def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
     plans = _plans_for(ip, stmt, inner.grid)
+    sess = frontier.star_session(ip, stmt, inner, "solve", plans)
+    star_solve_loop(ip, stmt, inner, plans, sess)
+
+
+def star_solve_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
+    """Sweep an entered ``*solve`` to its fixed point.
+
+    A ``run_batch`` lane that leaves its batch mid-construct re-enters
+    here with the compressed sweep it elected (``states``) and the
+    ``sweeps`` it spent stacked."""
     modified = _modified_names(stmt)
     vps = ip.grid_vpset(inner.grid.shape)
-    sess = frontier.star_session(ip, stmt, inner, "solve", plans)
-    sweeps = 0
     # the divergence diagnostic is only rendered if the sweep limit trips,
     # so keep a thunk for the last sweep instead of formatting every sweep
     summarize = _NO_SUMMARY
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
-        states = sess.plan_compressed() if sess is not None else None
+        if states is None and sess is not None:
+            states = sess.plan_compressed()
         if states is not None:
             # compressed sweep: evaluate only the lanes whose inputs
             # changed, charge only the active VP set (guarded to cost
@@ -343,6 +352,7 @@ def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
             if not sess.run_compressed(states):
                 return
             summarize = sess.delta_summary
+            states = None
         else:
             before = _snapshot(inner, modified)
             if sess is not None:

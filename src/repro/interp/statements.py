@@ -379,23 +379,33 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     from . import frontier
 
     sess = frontier.star_session(ip, stmt, inner, "par", plans)
-    sweeps = 0
+    star_par_loop(ip, stmt, inner, plans, sess)
+
+
+def star_par_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
+    """Sweep an entered ``*par`` until no predicate holds.
+
+    A ``run_batch`` lane that leaves its batch mid-construct re-enters
+    here with the compressed sweep it elected (``states``) and the
+    ``sweeps`` it spent stacked."""
+    from . import fuse
+
     vps = ip.grid_vpset(inner.grid.shape)
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
-        states = sess.plan_compressed() if sess is not None else None
+        if states is None and sess is not None:
+            states = sess.plan_compressed()
         if states is not None:
             # compressed sweep over the active lanes only; the cached
             # per-arm predicate masks (refreshed where re-evaluated)
             # decide termination exactly as the full union would
             if not sess.run_compressed(states):
                 return
+            states = None
         else:
             if sess is not None:
                 sess.full_begin()
-            from . import fuse
-
             fused = fuse.fused_for(ip, stmt, inner, plans)
             with ip.cse_arm():
                 if fused is not None:

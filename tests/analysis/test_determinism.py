@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import explain, lint_program
 from repro.analysis.determinism import ReductionVerdict, determinism_claims
 from repro.analysis.sanitize import Sanitizer
+from repro.bench import workloads as W
 from repro.cli import main
 from repro.interp import eval_expr as E
 from repro.interp.program import UCProgram
@@ -284,6 +285,30 @@ class TestOrderPermutation:
         res = prog.run(machine=Machine(small_config(64), seed=7))
         assert res.sanitizer["reductions_checked"] >= 1
         assert res.sanitizer["order_sensitivity_observed"] == 0
+
+    @pytest.mark.parametrize(
+        "src, defines, sample_key",
+        [
+            (W.DIGIT_COUNT_UC, {"N": 256}, "samples"),
+            (W.MATMUL_UC, {"N": 8}, None),
+            (W.APSP_N3_UC, {"N": 8, "LOGN": 3}, None),
+        ],
+        ids=["digit-count", "matmul", "apsp-n3"],
+    )
+    def test_every_permuted_site_confirms_or_observes(self, src, defines, sample_key):
+        inputs = {}
+        if sample_key:
+            inputs[sample_key] = np.random.default_rng(11).integers(0, 10, defines["N"])
+        plain = run_uc(src, dict(inputs), defines=defines)
+        san = run_uc(src, dict(inputs), defines=defines, sanitize=True)
+        for var in plain.keys():
+            assert np.array_equal(plain[var], san[var]), var
+        s = san.sanitizer
+        assert s["reductions_checked"] > 0
+        assert (
+            s["reductions_confirmed"] + s["order_sensitivity_observed"]
+            == s["reductions_checked"]
+        )
 
     def test_examples_fingerprints_unchanged_and_confirmed(self):
         """Order permutation is observational: sanitized runs keep the

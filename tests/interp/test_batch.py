@@ -12,6 +12,7 @@ import pytest
 from repro.interp import batch as batch_mod
 from repro.interp.program import UCProgram
 from repro.lang.errors import UCRuntimeError
+from repro.machine import small_config
 
 APSP = (
     "int N = 12;\n"
@@ -89,6 +90,17 @@ class TestSolveIdentity:
         batch = prog.run_batch(inputs)
         for r in batch:
             assert r.compile["batched_lanes"] == 3.0
+
+    def test_thirty_two_lanes_stay_on_the_lane_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+        inputs = [{"dist": _chain(12, 1 + k % 7)} for k in range(32)]
+        batch = UCProgram(APSP, compile_store=None).run_batch(
+            [_copy(inp) for inp in inputs]
+        )
+        assert all(r.compile["batched_lanes"] == 32.0 for r in batch)
+        for k in (0, 6, 31):
+            solo = UCProgram(APSP, compile_store=None).run(_copy(inputs[k]))
+            _assert_lanes_match([solo], [batch[k]], ["dist"])
 
     def test_shared_compile_store_counts_one_backend(self):
         from repro.interp.compile_store import CompileStore
@@ -169,6 +181,191 @@ class TestScalarLanes:
         _assert_lanes_match(solo, batch, ["x", "y", "total"])
         totals = {int(r["total"]) for r in batch}
         assert len(totals) > 1, "lanes should really have diverged"
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """Verdicts of the lane engine's batchability screen, one per starred
+    construct it met (True = the construct ran on stacked lanes)."""
+    verdicts = []
+    orig = batch_mod._BatchConstruct._screen
+
+    def spy(self):
+        fused = orig(self)
+        verdicts.append(fused is not None)
+        return fused
+
+    monkeypatch.setattr(batch_mod._BatchConstruct, "_screen", spy)
+    return verdicts
+
+
+def _solo_and_batch(src, inputs, **kw):
+    solo = [UCProgram(src, compile_store=None, **kw).run(_copy(inp)) for inp in inputs]
+    batch = UCProgram(src, compile_store=None, **kw).run_batch(
+        [_copy(inp) for inp in inputs]
+    )
+    return solo, batch
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestLaneScalarsInFusedPar:
+    """Scalar *inputs* that differ between lanes and are read inside a
+    batched ``*par``: they travel as ``LaneScalars`` through the step
+    adapters (binary, unary, scatter, scalar assignment)."""
+
+    HEAD = "index_set I:i = {0..7};\nint a[8];\nint t;\nint s;\n"
+
+    def _inputs(self, ts):
+        return [{"a": np.zeros(8, dtype=np.int64), "t": t} for t in ts]
+
+    def _check(self, body, ts, screened, names=("a",)):
+        solo, batch = _solo_and_batch(self.HEAD + body, self._inputs(ts))
+        _assert_lanes_match(solo, batch, list(names))
+        assert screened == [True], "the construct must run on stacked lanes"
+        assert all(r.compile["batched_lanes"] == len(ts) for r in batch)
+        return batch
+
+    def test_predicate_reads_a_lane_scalar(self, screened):
+        batch = self._check(
+            "main { *par (I) st (a[i] < t) a[i] = a[i] + 1; }", (3, 5, 4), screened
+        )
+        assert [r["a"].tolist() for r in batch] == [[3] * 8, [5] * 8, [4] * 8]
+
+    @pytest.mark.parametrize(
+        "pred, ts, final",
+        [
+            ("a[i] < -t", (-3, -5, -4), [3, 5, 4]),
+            ("a[i] < 3 + !t", (0, 5, 0), [4, 3, 4]),
+            ("a[i] < (~t & 7)", (4, 2, 4), [3, 5, 3]),
+        ],
+    )
+    def test_unary_on_a_lane_scalar(self, screened, pred, ts, final):
+        batch = self._check(
+            "main { *par (I) st (%s) a[i] = a[i] + 1; }" % pred, ts, screened
+        )
+        assert [int(r["a"][0]) for r in batch] == final
+
+    @pytest.mark.parametrize(
+        "value, final",
+        [
+            ("t", [3, 5, 4]),  # a per-lane scalar
+            ("a[i]", [3, 5, 4]),  # a grid value every active VP agrees on
+            ("s + 1", [3, 5, 4]),  # the lanes' own scalar, uniform until they retire
+        ],
+    )
+    def test_masked_scalar_assignment(self, screened, value, final):
+        batch = self._check(
+            "main { *par (I) st (a[i] < t) { a[i] = a[i] + 1; s = %s; } }" % value,
+            (3, 5, 4),
+            screened,
+            names=("a", "s"),
+        )
+        assert [int(r["s"]) for r in batch] == final
+
+    def test_disagreeing_vps_reproduce_solo_uc101(self, screened):
+        """One lane's active VPs assign distinct values to the scalar:
+        the lane engine abandons the batch and the sequential rerun
+        raises the solo run's exact located UC101."""
+        src = self.HEAD + (
+            "main { *par (I) st (a[i] < t) { a[i] = a[i] + 1; s = a[i]; } }"
+        )
+        inputs = self._inputs((3, 5, 4))
+        inputs[1]["a"] = np.arange(8, dtype=np.int64)
+        with pytest.raises(UCRuntimeError) as solo_err:
+            UCProgram(src, compile_store=None).run(_copy(inputs[1]))
+        assert "UC101" in str(solo_err.value)
+        with pytest.raises(UCRuntimeError) as batch_err:
+            UCProgram(src, compile_store=None).run_batch([_copy(i) for i in inputs])
+        assert str(solo_err.value) == str(batch_err.value)
+        assert screened == [True], "the error must come from inside the lane engine"
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestParDemotion:
+    """A lane of a batched ``*par`` whose frontier session elects a
+    compressed sweep leaves the batch mid-construct and finishes on the
+    solo sweep loop; the lanes that never compress stay stacked."""
+
+    #: 16 PEs put the 64-lane grid at VP ratio 4, so compression pays
+    KW = dict(machine_config=small_config(16))
+
+    COUNT = (
+        "index_set I:i = {0..63};\nint a[64];\n"
+        "main { *par (I) st (a[i] < 20) a[i] = a[i] + 1; }"
+    )
+    #: a wave that climbs from a[0]: the active set moves every sweep
+    WAVE = (
+        "index_set I:i = {0..63};\nint a[64];\n"
+        "main { *par (I) st (a[i] < (i > 0 ? a[i-1] : 0) - 1) a[i] = a[i] + 1; }"
+    )
+
+    @staticmethod
+    def _count_input(head, start, late=0):
+        a = np.full(64, 20, dtype=np.int64)
+        a[:head] = start
+        a[:late] = 0
+        return {"a": a}
+
+    def _check(self, src, inputs, screened, **kw):
+        solo, batch = _solo_and_batch(src, inputs, **self.KW, **kw)
+        _assert_lanes_match(solo, batch, ["a"])
+        for s, b in zip(solo, batch):
+            assert s.frontier_trace == b.frontier_trace
+        assert screened == [True]
+        assert all(r.compile["batched_lanes"] == len(inputs) for r in batch)
+        return batch
+
+    def test_some_lanes_demote_and_the_rest_stay_stacked(self, screened):
+        inputs = [
+            self._count_input(64, 5),  # every VP counts: never compresses
+            self._count_input(40, 10),  # 40 of 64: dense compressed sweeps
+            self._count_input(40, 10, late=3),  # stragglers: the lane path too
+            self._count_input(64, 17),
+        ]
+        batch = self._check(self.COUNT, inputs, screened)
+        compressed = [r.frontier.get("compressed_sweeps", 0) for r in batch]
+        assert compressed[0] == compressed[3] == 0
+        assert compressed[1] >= 2 and compressed[2] > compressed[1]
+        assert 0 < batch[2].frontier["dense_sweeps"] < compressed[2]
+        assert all(r["a"].tolist() == [20] * 64 for r in batch)
+
+    def test_every_lane_demotes(self, screened):
+        def wave(top):
+            a = np.zeros(64, dtype=np.int64)
+            a[0] = top
+            return {"a": a}
+
+        ramp = {"a": np.arange(64, 0, -1, dtype=np.int64) * 3}
+        batch = self._check(self.WAVE, [ramp, wave(70), wave(12)], screened)
+        assert all(r.frontier["compressed_sweeps"] >= 20 for r in batch)
+        assert all(r.frontier["full_sweeps"] == 1 for r in batch)
+
+    def test_demoted_lane_carries_the_batch_sweep_count(self, screened):
+        """The sweeps a lane spent stacked count toward its limit: at the
+        smallest limit its solo run passes, the batch still completes on
+        the lane engine; one below, both fail with the same message."""
+        inputs = [self._count_input(64, 17), self._count_input(40, 10)]
+
+        def solo(limit):
+            return UCProgram(
+                self.COUNT, compile_store=None, solve_sweep_limit=limit, **self.KW
+            ).run(_copy(inputs[1]))
+
+        need = 1
+        while True:
+            try:
+                solo(need)
+                break
+            except UCRuntimeError as err:
+                solo_err = err
+                need += 1
+        assert need > 4, "the demoted lane must outlast the stacked one"
+        self._check(self.COUNT, inputs, screened, solve_sweep_limit=need)
+        with pytest.raises(UCRuntimeError) as batch_err:
+            UCProgram(
+                self.COUNT, compile_store=None, solve_sweep_limit=need - 1, **self.KW
+            ).run_batch([_copy(i) for i in inputs])
+        assert str(batch_err.value) == str(solo_err)
 
 
 class TestFallbacks:

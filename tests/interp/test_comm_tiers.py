@@ -38,6 +38,16 @@ main {
 }
 """
 
+#: ``row[j]`` is constant along ``i``: one spread replaces a router get
+BROADCAST = """
+index_set I:i = {0..N-1}, J:j = I, T:t = {0..REPS-1};
+int c[N][N], row[N];
+main {
+    seq (T)
+        par (I, J) c[i][j] = c[i][j] + row[j];
+}
+"""
+
 
 @pytest.fixture(autouse=True)
 def _tiers_env_clear(monkeypatch):
@@ -170,6 +180,26 @@ class TestEscapeHatch:
         ).run({"a": a})
         assert np.array_equal(on["b"], off["b"])
         # ...but the simulated clock is strictly cheaper with tiers
+        assert on.elapsed_us < off.elapsed_us
+
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    @pytest.mark.parametrize(
+        "src, defines, tier",
+        [
+            (STENCIL, {"N": 16, "REPS": 3}, "news"),
+            (BROADCAST, {"N": 16, "REPS": 3}, "spread"),
+            (PERMUTED, {"N": 12}, "permute"),
+        ],
+        ids=["stencil", "broadcast", "transpose"],
+    )
+    def test_each_tier_beats_router_only_on_the_clock(self, src, defines, tier, plans):
+        on_prog = UCProgram(src, defines=defines, plans=plans)
+        off_prog = UCProgram(src, defines=defines, plans=plans, comm_tiers=False)
+        on, off = on_prog.run(), off_prog.run()
+        for var in on.keys():
+            assert np.array_equal(on[var], off[var])
+        assert tier_counts(on_prog).get(tier, 0) > 0
+        assert set(tier_counts(off_prog)) <= {"local", "router"}
         assert on.elapsed_us < off.elapsed_us
 
     def test_engines_identical_under_ablation(self):

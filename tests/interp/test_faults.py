@@ -138,6 +138,21 @@ class TestRecovery:
             policy.backoff_cycles(1) + policy.backoff_cycles(2)
         )
 
+    def test_k_drops_cost_k_retries_and_strictly_more_time(self, plans):
+        runs = []
+        for k in (0, 1, 2, 4):
+            spec = ";".join(f"drop@scan_step#{8 * (i + 1)}" for i in range(k))
+            r = run_apsp(
+                W.APSP_SOLVE_UC, APSP_DEFS, {"dist": DIST},
+                plans=plans, faults=spec or None,
+            )
+            assert r.recovery.get("retries", 0) == k
+            assert (r.recovery.get("recovery_cycles", 0) > 0) == (k > 0)
+            runs.append(r)
+        assert all(np.array_equal(r["dist"], runs[0]["dist"]) for r in runs)
+        elapsed = [r.elapsed_us for r in runs]
+        assert all(a < b for a, b in zip(elapsed, elapsed[1:]))
+
 
 # ---------------------------------------------------------------------------
 # Engine parity and fingerprint stability
@@ -169,6 +184,32 @@ def test_no_faults_fingerprint_is_baseline():
     assert np.array_equal(armed["dist"], base["dist"])
     assert armed.recovery["checkpoints"] >= 1
     assert armed.recovery["faults"] == 0
+
+
+def test_checkpoint_cost_is_one_copy_of_the_live_fields(monkeypatch):
+    """What ``checkpoints=True`` costs, as properties rather than a
+    wall-clock ratio: one checkpoint per protected construct, each
+    holding a single copy of the machine's live fields, and nothing on
+    the simulated Clock."""
+    from repro.interp import recovery
+
+    held = []
+    take = recovery.take_checkpoint
+
+    def spy(ip, ctx):
+        cp = take(ip, ctx)
+        live = sum(f.data.nbytes for f in ip.machine.fields)
+        held.append((sum(data.nbytes for _f, data in cp.fields), live))
+        return cp
+
+    monkeypatch.setattr(recovery, "take_checkpoint", spy)
+    base = run_apsp(W.APSP_N3_UC, SEQPAR_DEFS, {"d": DIST})
+    armed = run_apsp(W.APSP_N3_UC, SEQPAR_DEFS, {"d": DIST}, checkpoints=True)
+    # seq over par: one checkpoint per squaring step
+    assert armed.recovery["checkpoints"] == len(held) == SEQPAR_DEFS["LOGN"] > 1
+    assert armed.fingerprint == base.fingerprint
+    assert np.array_equal(armed["d"], base["d"])
+    assert all(0 < got <= live == DIST.nbytes for got, live in held)
 
 
 def test_never_firing_plan_is_invisible():

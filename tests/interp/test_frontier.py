@@ -75,6 +75,11 @@ class TestStarFrontier:
         assert np.array_equal(on["d"], off["d"])
         assert on.elapsed_us <= off.elapsed_us
         assert not off.frontier
+        # once the clique quiesces only the chain block is swept: the
+        # active set falls under half the domain and the simulated Clock
+        # to under a third of the full-sweep run's
+        assert min(a / d for a, d in on.frontier_trace) < 0.5
+        assert off.elapsed_us >= 3 * on.elapsed_us
 
     def test_disable_flag_restores_full_sweep_fingerprint(self, monkeypatch):
         base = run_uc(APSP, _apsp_input(), frontier=False)
@@ -110,6 +115,7 @@ class TestGuardedFrontier:
         assert r.frontier.get("fallbacks", 0) >= 1
         assert "guarded_constructs" not in r.frontier
         assert r.fingerprint == full.fingerprint
+        assert r.elapsed_us == full.elapsed_us  # a fallback costs exactly 1.0x
 
     def test_data_dependent_subscript_falls_back(self):
         src = (

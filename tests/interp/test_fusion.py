@@ -170,6 +170,11 @@ class TestCounters:
         assert r.fusion["fused_sweeps"] >= 2
         assert r.fusion["charge_table_hits"] == r.fusion["fused_sweeps"]
 
+    def test_wavefront_star_solve_fuses(self):
+        r = run_uc(WAVEFRONT_STAR)
+        assert r.fusion["fused_sweeps"] >= 1
+        assert r.fusion.get("unfusable", 0) == 0
+
     def test_user_call_splits_segments(self):
         r = run_uc(SPLIT_SEGMENTS)
         assert r.fusion["fused_segments"] == 2
