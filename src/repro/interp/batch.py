@@ -14,22 +14,23 @@ once over a lane-stacked ``(S,) + shape`` array per step instead of
 per lane (:meth:`Clock.replay`), which is what keeps the clocks exact.
 
 The lane axis is processed in **chunks** sized to keep the stacked
-working set cache-resident (:data:`_CHUNK_TARGET_ELEMS`); per-lane
-scalars that diverge between lanes travel as
-:class:`~repro.interp.values.LaneScalars` vectors.  Steps get batched
-adapters here only where the lane axis changes what they do; a
-reduction's all-enabled fast path is ``fuse._Reduce.reduce_unmasked``
-itself — the strip-mined kernel and the unblocked tail are the solo
-sweep's, the lane axis being just the first non-reduced axis.
+working set cache-resident (:data:`_CHUNK_TARGET_ELEMS`).  There is no
+second step interpreter here: each chunk splices its
+:class:`~repro.interp.values.LaneVar` bindings into the kernel
+(``FusedConstruct._rebind``) and calls the solo sweep's own
+``begin_sweep``/``run_body``, compute-only, under an all-true
+``(n,) + shape`` base mask.  Every ``fuse`` step reads the leading lane
+axis off its operands; scalars that diverge between lanes travel as
+:class:`~repro.interp.values.LaneScalars`.
 
 Correctness is layered as three fallbacks, outermost first:
 
 1. **Whole-batch sequential** — a configuration that stands the lane
    engine down (``config.batched``, see "Configuration" in
    ``docs/PERFORMANCE.md``), a recovery policy, fewer than two lanes, or
-   *any* exception raised inside the batched machinery (including the
-   deliberate :class:`_BatchAbort` on per-lane error paths such as
-   UC101 or bounds violations) falls back to a fresh
+   *any* exception raised inside the batched machinery — a step's UC101
+   or bounds error on the stack, a scalar error in a lane whose arm was
+   idle, the deliberate :class:`_BatchAbort` — falls back to a fresh
    ``[prog.run(inp) for inp in inputs]`` loop.  The engines are
    deterministic, so the rerun reproduces the exact solo error.
 2. **Per-lane construct** — a construct that fails the (side-effect
@@ -50,6 +51,7 @@ falsify (``*par``) retire from the batch, shrinking the stacked arrays.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,25 +59,10 @@ import numpy as np
 
 from ..lang import ast
 from ..machine import Machine
-from ..machine.field import lane_stack, lane_writeback
-from . import commtiers, frontier, fuse
-from . import eval_expr as E
+from ..machine.field import lane_stack
+from . import frontier, fuse
 from .env import Env
 from .eval_expr import ExecContext
-from .fuse import (
-    _AssignScalar,
-    _Binary,
-    _Bool,
-    _Combine,
-    _Gather,
-    _Mask,
-    _ReadScalar,
-    _Reduce,
-    _Scatter,
-    _TruthyInt,
-    _Unary,
-    _Where,
-)
 from .interpreter import Interpreter
 from .plan_cache import PlanCache
 from .statements import (
@@ -87,14 +74,7 @@ from .statements import (
     star_par_loop,
 )
 from .solve import _modified_names, star_solve_loop
-from .values import (
-    ArrayVar,
-    ElementBinding,
-    GridContext,
-    LaneScalars,
-    ScalarVar,
-    coerce_scalar,
-)
+from .values import ArrayVar, ElementBinding, GridContext, LaneVar, ScalarVar
 
 #: target stacked-register size per chunk (int64 elements).  ~4 MB keeps
 #: the whole register file of a chunk inside L2/L3 so the per-step numpy
@@ -250,379 +230,6 @@ class _BatchRun:
 
 
 # ---------------------------------------------------------------------------
-# batched step evaluation
-# ---------------------------------------------------------------------------
-
-
-class _ChunkState:
-    """One chunk of lanes: stacked array views + per-lane scalar vars."""
-
-    __slots__ = ("n", "arrays", "scalars", "active")
-
-    def __init__(self, n, arrays, scalars) -> None:
-        self.n = n
-        self.arrays = arrays  # name -> (n,) + arr.shape view
-        self.scalars = scalars  # name -> [ScalarVar] * n
-        self.active = np.ones(n, dtype=bool)
-
-
-def _lift(v, ndim: int):
-    if isinstance(v, LaneScalars):
-        return v.lifted(ndim)
-    return v
-
-
-def _truthy_bcast(v, shape_b):
-    """``broadcast(truthy(v))`` over the lane-stacked shape."""
-    if isinstance(v, LaneScalars):
-        vb = v.lifted(len(shape_b)).astype(bool)
-    elif isinstance(v, np.ndarray):
-        vb = v.astype(bool)
-    else:
-        vb = np.asarray(bool(v))
-    return np.broadcast_to(vb, shape_b)
-
-
-def _axes_up(axes):
-    """Shift solo reduction/squeeze axes past the new lane axis."""
-    if axes is None:
-        return None
-    if isinstance(axes, tuple):
-        return tuple(a + 1 for a in axes)
-    return axes + 1
-
-
-def _run_steps(steps, st: _ChunkState, regs) -> None:
-    for step in steps:
-        if isinstance(step, _ReadScalar):
-            vals = [v.value for v in st.scalars[step.var.name]]
-            first = vals[0]
-            if all(v == first for v in vals[1:]):
-                regs[step.dst] = first
-            else:
-                regs[step.dst] = LaneScalars(vals)
-        elif isinstance(step, _Binary):
-            a = regs[step.a]
-            b = regs[step.b]
-            a_arr = isinstance(a, np.ndarray)
-            b_arr = isinstance(b, np.ndarray)
-            if a_arr or b_arr:
-                nd = max(a.ndim if a_arr else 0, b.ndim if b_arr else 0)
-                regs[step.dst] = E.apply_binop(
-                    step.node.op, _lift(a, nd), _lift(b, nd), step.node
-                )
-            elif isinstance(a, LaneScalars) or isinstance(b, LaneScalars):
-                out = []
-                for j in range(st.n):
-                    if not st.active[j]:
-                        out.append(0)
-                        continue
-                    av = a.values[j] if isinstance(a, LaneScalars) else a
-                    bv = b.values[j] if isinstance(b, LaneScalars) else b
-                    out.append(E.apply_binop(step.node.op, av, bv, step.node))
-                regs[step.dst] = LaneScalars(out)
-            else:
-                regs[step.dst] = E.apply_binop(step.node.op, a, b, step.node)
-        elif isinstance(step, _Gather):
-            _run_gather(step, st, regs)
-        elif isinstance(step, _Scatter):
-            _run_scatter(step, st, regs)
-        elif isinstance(step, _Mask):
-            c = regs[step.cond]
-            regs[step.dst] = regs[step.base] & (~c if step.invert else c)
-        elif isinstance(step, _Bool):
-            regs[step.dst] = _truthy_bcast(
-                regs[step.src], (st.n,) + step.shape
-            )
-        elif isinstance(step, _Where):
-            c = regs[step.cbool]
-            regs[step.dst] = np.where(
-                c, _lift(regs[step.then], c.ndim), _lift(regs[step.els], c.ndim)
-            )
-        elif isinstance(step, _Unary):
-            _run_unary(step, st, regs)
-        elif isinstance(step, _TruthyInt):
-            v = regs[step.src]
-            if isinstance(v, LaneScalars):
-                regs[step.dst] = LaneScalars([int(bool(x)) for x in v.values])
-            elif isinstance(v, np.ndarray):
-                regs[step.dst] = v.astype(bool).astype(np.int64)
-            else:
-                regs[step.dst] = int(bool(v))
-        elif isinstance(step, _Combine):
-            lbool = regs[step.lbool]
-            rbool = _truthy_bcast(regs[step.right], (st.n,) + step.shape)
-            out = (lbool & rbool) if step.is_and else (lbool | rbool)
-            regs[step.dst] = out.astype(np.int64)
-        elif isinstance(step, _Reduce):
-            _run_reduce(step, st, regs)
-        elif isinstance(step, _AssignScalar):
-            _run_assign_scalar(step, st, regs)
-        else:  # pragma: no cover - screened out before batching
-            raise _BatchAbort()
-
-
-def _run_unary(step: _Unary, st: _ChunkState, regs) -> None:
-    v = regs[step.src]
-    op = step.node.op
-    if isinstance(v, LaneScalars):
-        out = []
-        for j, x in enumerate(v.values):
-            if not st.active[j]:
-                out.append(0)
-            elif op == "-":
-                out.append(-x)
-            elif op == "!":
-                out.append(int(not x))
-            else:
-                out.append(~int(x))
-        regs[step.dst] = LaneScalars(out)
-        return
-    if op == "-":
-        regs[step.dst] = -v
-    elif op == "!":
-        if isinstance(v, np.ndarray):
-            regs[step.dst] = np.logical_not(v.astype(bool)).astype(np.int64)
-        else:
-            regs[step.dst] = int(not v)
-    else:  # "~"
-        if isinstance(v, np.ndarray):
-            regs[step.dst] = np.invert(v.astype(np.int64))
-        else:
-            regs[step.dst] = ~int(v)
-
-
-_IOTA_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _iota(size: int) -> np.ndarray:
-    arr = _IOTA_CACHE.get(size)
-    if arr is None:
-        arr = _IOTA_CACHE[size] = np.arange(size)
-    return arr
-
-
-def _run_gather(step: _Gather, st: _ChunkState, regs) -> None:
-    data = st.arrays[step.arr.name]
-    if step.oob is not None:
-        m = regs[step.mask]
-        for ob in step.oob:
-            if ob is not None and np.any(ob & m):
-                raise _BatchAbort()  # solo raises the bounds error
-    if step.shift is not None:
-        regs[step.dst] = commtiers.run_shifts(
-            data, [(a + 1, s, e) for a, s, e in step.shift]
-        )
-        return
-    # index with an explicit lane axis rather than a leading slice: pure
-    # advanced indexing keeps the copy C-contiguous (mixed basic/advanced
-    # indexing would interleave the lane axis innermost, which wrecks the
-    # memory layout of every downstream ufunc and reduction)
-    if step.recipe is not None:
-        r = step.recipe
-        small = data[np.ix_(np.arange(st.n), *r.vecs)]
-        if r.perm is not None:
-            small = small.transpose((0,) + tuple(p + 1 for p in r.perm))
-        if r.squeeze:
-            small = small.squeeze(axis=_axes_up(r.squeeze))
-        if r.expand:
-            small = np.expand_dims(small, axis=_axes_up(r.expand))
-        out = np.broadcast_to(small, (st.n,) + r.shape)
-        regs[step.dst] = out if step.view_ok else np.array(out)
-        return
-    idx = step.idx if isinstance(step.idx, tuple) else (step.idx,)
-    width = max((i.ndim for i in idx if isinstance(i, np.ndarray)), default=0)
-    lanes = np.arange(st.n).reshape((st.n,) + (1,) * width)
-    regs[step.dst] = data[(lanes,) + idx]
-
-
-def _run_scatter(step: _Scatter, st: _ChunkState, regs) -> None:
-    data = st.arrays[step.arr.name]
-    mask = regs[step.mask]
-    if step.oob is not None:
-        for ob in step.oob:
-            if ob is not None and np.any(ob & mask):
-                raise _BatchAbort()  # solo raises the bounds error
-    value = regs[step.val]
-    n = st.n
-    arr_size = data[0].size
-    flat_mask = mask.reshape(n, -1)
-    # full-mask store in storage order: a reshaped copy, no fancy indexing
-    if (
-        step.flat.size == arr_size
-        and isinstance(value, np.ndarray)
-        and bool(flat_mask.all())
-        and np.array_equal(step.flat, _iota(arr_size))
-    ):
-        vals = np.broadcast_to(value, (n,) + step.grid_shape).reshape(n, -1)
-        np.copyto(data.reshape(n, -1), E._cast_array(vals, data.dtype))
-        return
-    # per-lane flat indices, offset into the stacked array: the solo
-    # indices are unique per lane (screened), and lane blocks are
-    # disjoint, so the combined scatter has no collisions either
-    idx2 = step.flat[None, :] + (np.arange(n) * arr_size)[:, None]
-    flat_idx = idx2[flat_mask]
-    if isinstance(value, LaneScalars):
-        value = value.lifted(mask.ndim)
-    if isinstance(value, np.ndarray):
-        vals = np.broadcast_to(value, (n,) + step.grid_shape)[mask]
-    else:
-        vals = np.full(int(flat_mask.sum()), value)
-    vals = E._cast_array(vals, data.dtype)
-    data.reshape(-1)[flat_idx] = vals
-
-
-def _run_assign_scalar(step: _AssignScalar, st: _ChunkState, regs) -> None:
-    vars_ = st.scalars[step.var.name]
-    value = regs[step.val]
-    if isinstance(value, np.ndarray):
-        mask = regs[step.mask]
-        vals_b = np.broadcast_to(value, (st.n,) + step.grid_shape)
-        for j in range(st.n):
-            if not st.active[j]:
-                continue
-            v = vals_b[j][mask[j]]
-            if v.size == 0:
-                continue
-            flat = v.reshape(-1)
-            if np.any(flat != flat[0]):
-                raise _BatchAbort()  # solo raises UC101
-            vars_[j].value = coerce_scalar(vars_[j].ctype, flat[0])
-        return
-    if isinstance(value, LaneScalars):
-        for j in range(st.n):
-            if st.active[j]:
-                vars_[j].value = coerce_scalar(
-                    vars_[j].ctype, value.values[j]
-                )
-        return
-    for j in range(st.n):
-        if st.active[j]:
-            vars_[j].value = coerce_scalar(vars_[j].ctype, value)
-
-
-def _run_reduce(step: _Reduce, st: _ChunkState, regs) -> None:
-    n = st.n
-    m = regs[step.mask]
-    inner_b = (n,) + step.inner_shape
-    base = np.broadcast_to(
-        m.reshape(m.shape + (1,) * step.n_sets), inner_b
-    )
-    regs[step.base] = base
-    axes_b = _axes_up(step.reduce_axes)
-    if step.single_arm and bool(np.all(m)):
-        # chunk-wide fast path, shared with the solo sweep (the lane axis
-        # is just the first non-reduced axis); partially-enabled chunks
-        # take the generic path below, which the solo engine documents as
-        # value-identical
-        regs[step.dst] = step.reduce_unmasked(
-            regs, inner_b, lambda steps: _run_steps(steps, st, regs), _lift
-        )
-        return
-    arm_values: List[np.ndarray] = []
-    arm_masks: List[np.ndarray] = []
-    union: Optional[np.ndarray] = None
-    for psteps, pout, amreg, esteps, eout in step.arms:
-        if psteps is None:
-            am = base
-        else:
-            _run_steps(psteps, st, regs)
-            pv = _truthy_bcast(regs[pout], inner_b)
-            am = base & pv
-            union = pv if union is None else (union | pv)
-        regs[amreg] = am
-        _run_steps(esteps, st, regs)
-        arm_values.append(
-            np.broadcast_to(np.asarray(_lift(regs[eout], len(inner_b))), inner_b)
-        )
-        arm_masks.append(am)
-    if step.others is not None:
-        osteps, oout, omreg = step.others
-        om = base & (
-            ~union if union is not None else np.zeros(inner_b, bool)
-        )
-        regs[omreg] = om
-        _run_steps(osteps, st, regs)
-        arm_values.append(
-            np.broadcast_to(np.asarray(_lift(regs[oout], len(inner_b))), inner_b)
-        )
-        arm_masks.append(om)
-    regs[step.dst] = E._reduce_op(step.op, arm_values, arm_masks, axes_b)
-
-
-def _steps_supported(fused) -> bool:
-    """Every step must have a batched adapter (and scatters must be
-    provably single-assignment, so no cross-lane duplicate check runs)."""
-
-    def walk(steps) -> bool:
-        for s in steps:
-            if isinstance(s, _Scatter):
-                if not s.unique:
-                    return False
-            elif isinstance(s, _Reduce):
-                for psteps, _po, _am, esteps, _eo in s.arms:
-                    if psteps is not None and not walk(psteps):
-                        return False
-                    if not walk(esteps):
-                        return False
-                if s.others is not None and not walk(s.others[0]):
-                    return False
-            elif not isinstance(
-                s,
-                (
-                    _ReadScalar,
-                    _Unary,
-                    _Binary,
-                    _Bool,
-                    _Mask,
-                    _TruthyInt,
-                    _Combine,
-                    _Where,
-                    _Gather,
-                    _AssignScalar,
-                ),
-            ):
-                return False
-        return True
-
-    for prog in fused.pred_progs:
-        if prog is not None and not walk(prog[1]):
-            return False
-    for segs in fused.arm_segments:
-        for seg in segs:
-            if seg[0] == "f" and not walk(seg[2]):
-                return False
-    return True
-
-
-def _max_elems(fused) -> int:
-    """Largest per-lane register footprint (construct grid or any
-    reduction's inner grid), in elements."""
-    best = int(np.prod(fused.shape)) if fused.shape else 1
-
-    def walk(steps) -> None:
-        nonlocal best
-        for s in steps:
-            if isinstance(s, _Reduce):
-                best = max(best, int(np.prod(s.inner_shape)))
-                for psteps, _po, _am, esteps, _eo in s.arms:
-                    if psteps is not None:
-                        walk(psteps)
-                    walk(esteps)
-                if s.others is not None:
-                    walk(s.others[0])
-
-    for prog in fused.pred_progs:
-        if prog is not None:
-            walk(prog[1])
-    for segs in fused.arm_segments:
-        for seg in segs:
-            if seg[0] == "f":
-                walk(seg[2])
-    return best
-
-
-# ---------------------------------------------------------------------------
 # one batched construct
 # ---------------------------------------------------------------------------
 
@@ -631,7 +238,6 @@ class _BatchConstruct:
     """Lockstep execution of one ``*par``/``*solve`` across the live lanes."""
 
     def __init__(self, run, stmt: ast.UCStmt, live, ctxs) -> None:
-        self.batch = run
         self.stmt = stmt
         self.live = list(live)  # global lane ids, row-aligned with stacks
         self.ctxs = ctxs
@@ -644,10 +250,16 @@ class _BatchConstruct:
                 exec_stmt(ip, self.stmt, self.ctxs[i])
             return
         self._prepare(fused)
-        if self.stmt.kind == "solve":
-            self._drive_solve()
-        else:
-            self._drive_par()
+        try:
+            if self.stmt.kind == "solve":
+                self._drive_solve()
+            else:
+                self._drive_par()
+        finally:
+            # the cached kernel must not keep a chunk's stacks alive
+            for kind, name, expected in fused.checks:
+                if kind in ("scalar", "array"):
+                    fused._rebind(name, expected)
 
     # -- screening (pure: any failure falls back to per-lane execution) --
 
@@ -681,14 +293,16 @@ class _BatchConstruct:
             probe = ExecContext(grid, None, env)
             plans0 = _plans_for(ip0, stmt, grid)
             fused = fuse.fused_for(ip0, stmt, probe, plans0)
-            if fused is None or fused.others_segments is not None:
-                return None
-            for segs in fused.arm_segments:
-                for seg in segs:
-                    if seg[0] != "f":
-                        return None  # unfused segment: no batched adapter
-            if not _steps_supported(fused):
-                return None
+            if (
+                fused is None
+                or fused.unfused_count
+                or fused.others_segments is not None
+            ):
+                return None  # plan closures and others run solo only
+            if any(
+                isinstance(s, fuse._Scatter) and not s.unique for s in fused.steps()
+            ):
+                return None  # its duplicate check would have to see every lane
             arr_names = {
                 name for kind, name, _e in fused.checks if kind == "array"
             }
@@ -703,13 +317,16 @@ class _BatchConstruct:
                 for kind, _n, e in fused.checks
                 if kind == "array"
             ) * len(self.live)
-            max_elems = _max_elems(fused)
+            # largest per-lane register: the grid or a reduction's inner grid
+            max_elems = max(
+                [math.prod(fused.shape)]
+                + [math.prod(getattr(s, "inner_shape", ())) for s in fused.steps()]
+            )
             chunk = max(
                 1, min(len(self.live), _CHUNK_TARGET_ELEMS // max(1, max_elems))
             )
             if stacked + 4 * chunk * max_elems * 8 > _MEMORY_CAP_BYTES:
                 return None
-            self.max_elems = max_elems
             self.chunk = chunk
             self.arr_names = arr_names
             self.sc_names = sc_names
@@ -788,6 +405,8 @@ class _BatchConstruct:
 
     def _compact(self, keep: List[int]) -> None:
         """Drop retired/demoted rows from every row-aligned structure."""
+        if len(keep) == len(self.live):
+            return
         self.live = [self.live[r] for r in keep]
         self.interps = [self.interps[r] for r in keep]
         self.inners = [self.inners[r] for r in keep]
@@ -799,16 +418,24 @@ class _BatchConstruct:
         for name in self.scalar_vars:
             self.scalar_vars[name] = [self.scalar_vars[name][r] for r in keep]
 
+    def _retire(self, stay) -> None:
+        """Lanes whose ``stay`` is false are done: flush and drop them."""
+        for row in range(len(self.live)):
+            if not stay[row]:
+                self._writeback(row)
+        self._compact([row for row in range(len(self.live)) if stay[row]])
+
     # -- one batched compute pass -----------------------------------------
 
     def _sweep_compute(self, collect_masks: bool):
         """Run predicates + bodies over all rows, chunked along the lane
-        axis.  Returns ``arm_any[k, row]`` (and the stacked per-arm masks
-        when ``collect_masks``, for ``*par`` bookkeeping)."""
+        axis, on the kernel's own sweep (compute-only: each lane replays
+        the charge tables on its clock).  Returns ``arm_any[k, row]`` (and
+        the stacked per-arm masks when ``collect_masks``, for ``*par``
+        bookkeeping)."""
         fused = self.fused
         n_rows = len(self.live)
         K = len(fused.arm_mask_regs)
-        spatial = tuple(range(1, 1 + len(fused.shape)))
         arm_any = np.zeros((K, n_rows), dtype=bool)
         masks_full = (
             [np.zeros((n_rows,) + fused.shape, dtype=bool) for _ in range(K)]
@@ -817,40 +444,19 @@ class _BatchConstruct:
         )
         for lo in range(0, n_rows, self.chunk):
             hi = min(n_rows, lo + self.chunk)
-            n = hi - lo
-            st = _ChunkState(
-                n,
-                {name: stk[lo:hi] for name, stk in self.stacks.items()},
-                {name: vs[lo:hi] for name, vs in self.scalar_vars.items()},
-            )
-            regs: List[Any] = [None] * fused.n_regs
-            for r, v in fused.consts:
-                regs[r] = v
-            base = np.ones((n,) + fused.shape, dtype=bool)
-            regs[fused.base_reg] = base
-            masks: List[np.ndarray] = []
-            for prog in fused.pred_progs:
-                if prog is None:
-                    masks.append(base)
-                    continue
-                _charges, steps, out = prog
-                _run_steps(steps, st, regs)
-                pb = _truthy_bcast(regs[out], (n,) + fused.shape)
-                masks.append(base & pb)
-            for k in range(K):
-                arm_any[k, lo:hi] = (
-                    masks[k].any(axis=spatial) if spatial else masks[k]
-                )
+            for name, vs in self.array_vars.items():
+                stk = self.stacks[name][lo:hi]
+                fused._rebind(name, LaneVar(name, vs[0].ctype, data=stk))
+            for name, vs in self.scalar_vars.items():
+                fused._rebind(name, LaneVar(name, vs[0].ctype, lanes=vs[lo:hi]))
+            ip = self.interps[lo]
+            base = np.ones((hi - lo,) + fused.shape, dtype=bool)
+            sweep = fused.begin_sweep(ip, base, charge=False)
+            for k, m in enumerate(sweep.masks):
+                arm_any[k, lo:hi] = m.reshape(hi - lo, -1).any(axis=1)
                 if collect_masks:
-                    masks_full[k][lo:hi] = masks[k]
-            for k, segs in enumerate(fused.arm_segments):
-                aa = arm_any[k, lo:hi]
-                if not aa.any():
-                    continue
-                regs[fused.arm_mask_regs[k]] = masks[k]
-                st.active = aa
-                for seg in segs:
-                    _run_steps(seg[2], st, regs)
+                    masks_full[k][lo:hi] = m
+            fused.run_body(ip, None, sweep, charge=False)
         return arm_any, masks_full
 
     def _charge_preds(self, clock) -> None:
@@ -868,12 +474,55 @@ class _BatchConstruct:
                 clock.count_fusion("charge_table_hits")
         clock.count_fusion("fused_sweeps")
 
+    # -- frontier bookkeeping, shared by both drivers -----------------------
+
+    def _elect(self, solo_loop, sweeps: int) -> None:
+        """Frontier decisions: lanes electing a compressed sweep leave the
+        batch and finish on ``solo_loop``."""
+        if not self.sessions_on:
+            return
+        keep: List[int] = []
+        none_keys = set()
+        for row in range(len(self.live)):
+            key = self._sess_key(row)
+            if key is None or key not in none_keys:
+                states = self.sessions[row].plan_compressed()
+                if states is not None:
+                    self._demote(row, solo_loop, states, sweeps)
+                    continue
+                if key is not None:
+                    none_keys.add(key)
+            keep.append(row)
+        self._compact(keep)
+
+    def _sweep_start(self):
+        """Stacked copies of the modified arrays, and each lane's (clock
+        time, alloc count) when sessions mirror the sweep."""
+        before = {name: self.stacks[name].copy() for name in self.mod_arrays}
+        marks = None
+        if self.sessions_on:
+            marks = [
+                (ip.machine.clock.time_us, ip.machine.clock.count("alloc"))
+                for ip in self.interps
+            ]
+        return before, marks
+
+    def _deltas(self, before, marks, rows) -> Dict[str, np.ndarray]:
+        """This sweep's per-name lane-stacked ``changed`` masks; the
+        sessions of ``rows`` get ``StarSession.full_end``'s bookkeeping
+        from the same before/after compare, done once for every lane."""
+        changed = {name: before[name] != self.stacks[name] for name in before}
+        if self.sessions_on:
+            gt = {name: self.stacks[name] > before[name] for name in before}
+            lt = {name: self.stacks[name] < before[name] for name in before}
+            for row in rows:
+                self._install_session(row, changed, gt, lt, *marks[row])
+        return changed
+
     def _install_session(
         self, row: int, changed, gt, lt, t0: float, a0: int
     ) -> None:
-        """Mirror ``StarSession.full_end`` from the stacked before/after
-        deltas (``changed``/``gt``/``lt`` are per-name lane-stacked
-        arrays, computed once per sweep for every lane)."""
+        """Mirror ``StarSession.full_end`` from the stacked deltas."""
         sess = self.sessions[row]
         clock = self.interps[row].machine.clock
         costs = clock.costs
@@ -922,47 +571,18 @@ class _BatchConstruct:
     # -- *solve ------------------------------------------------------------
 
     def _drive_solve(self) -> None:
-        stmt = self.stmt
-        fused = self.fused
         limit = self.interps[0].config.solve_sweep_limit
         n_mod = len(self.modified) or 1
         sweeps = 0
         while self.live:
-            # frontier decisions: lanes electing a compressed sweep leave
-            # the batch and finish on the solo loop
-            if self.sessions_on:
-                keep: List[int] = []
-                none_keys = set()
-                for row in range(len(self.live)):
-                    key = self._sess_key(row)
-                    if key is not None and key in none_keys:
-                        keep.append(row)
-                        continue
-                    states = self.sessions[row].plan_compressed()
-                    if states is None:
-                        if key is not None:
-                            none_keys.add(key)
-                        keep.append(row)
-                        continue
-                    self._demote(row, star_solve_loop, states, sweeps)
-                if len(keep) != len(self.live):
-                    self._compact(keep)
-                if not self.live:
-                    return
-            before = {
-                name: self.stacks[name].copy() for name in self.mod_arrays
-            }
+            self._elect(star_solve_loop, sweeps)
+            if not self.live:
+                return
+            before, marks = self._sweep_start()
             before_sc = {
                 name: [v.value for v in self.scalar_vars[name]]
                 for name in self.mod_scalars
             }
-            marks = []
-            for row, ip in enumerate(self.interps):
-                clock = ip.machine.clock
-                if self.sessions_on:
-                    marks.append((clock.time_us, clock.count("alloc")))
-                else:
-                    marks.append(None)
             arm_any, _ = self._sweep_compute(collect_masks=False)
             for row, ip in enumerate(self.interps):
                 clock = ip.machine.clock
@@ -971,80 +591,29 @@ class _BatchConstruct:
                 self._charge_arms(clock, arm_any, row)
                 clock.charge("global_or", vp_ratio=self.vp_ratio)
                 clock.charge("host_cm_latency")
-            changed = {
-                name: before[name] != self.stacks[name]
-                for name in self.mod_arrays
-            }
+            changed = self._deltas(before, marks, range(len(self.live)))
             lane_changed = np.zeros(len(self.live), dtype=bool)
-            for name, ch in changed.items():
-                lane_changed |= ch.any(axis=tuple(range(1, ch.ndim)))
+            for ch in changed.values():
+                lane_changed |= ch.reshape(len(ch), -1).any(axis=1)
             for name, vals in before_sc.items():
-                now = [v.value for v in self.scalar_vars[name]]
-                for row in range(len(self.live)):
-                    if vals[row] != now[row]:
+                for row, v in enumerate(self.scalar_vars[name]):
+                    if vals[row] != v.value:
                         lane_changed[row] = True
-            if self.sessions_on:
-                gt = {
-                    name: self.stacks[name] > before[name]
-                    for name in self.mod_arrays
-                }
-                lt = {
-                    name: self.stacks[name] < before[name]
-                    for name in self.mod_arrays
-                }
-                for row in range(len(self.live)):
-                    t0, a0 = marks[row]
-                    self._install_session(row, changed, gt, lt, t0, a0)
-            keep = []
-            for row in range(len(self.live)):
-                if lane_changed[row]:
-                    keep.append(row)
-                else:
-                    self._writeback(row)  # fixed point: lane retires
-            if len(keep) != len(self.live):
-                self._compact(keep)
+            self._retire(lane_changed)  # fixed point: the lane is done
             sweeps += 1
             if self.live and sweeps > limit:
                 raise _BatchAbort()  # sequential rerun raises the solo error
-        del fused, stmt
 
     # -- *par --------------------------------------------------------------
 
     def _drive_par(self) -> None:
+        limit = self.interps[0].config.solve_sweep_limit
         sweeps = 0
         while self.live:
-            if self.sessions_on:
-                keep = []
-                none_keys = set()
-                for row in range(len(self.live)):
-                    key = self._sess_key(row)
-                    if key is not None and key in none_keys:
-                        keep.append(row)
-                        continue
-                    states = self.sessions[row].plan_compressed()
-                    if states is None:
-                        if key is not None:
-                            none_keys.add(key)
-                        keep.append(row)
-                        continue
-                    self._demote(row, star_par_loop, states, sweeps)
-                if len(keep) != len(self.live):
-                    self._compact(keep)
-                if not self.live:
-                    return
-            before = None
-            marks = []
-            if self.sessions_on:
-                before = {
-                    name: self.stacks[name].copy() for name in self.mod_arrays
-                }
-            for ip in self.interps:
-                clock = ip.machine.clock
-                marks.append(
-                    (clock.time_us, clock.count("alloc"))
-                    if self.sessions_on
-                    else None
-                )
+            self._elect(star_par_loop, sweeps)
+            if not self.live:
+                return
+            before, marks = self._sweep_start() if self.sessions_on else ({}, None)
             arm_any, masks_full = self._sweep_compute(collect_masks=True)
             ran = arm_any.any(axis=0)
             for row, ip in enumerate(self.interps):
@@ -1054,36 +623,13 @@ class _BatchConstruct:
                 clock.charge("host_cm_latency")
                 if ran[row]:
                     self._charge_arms(clock, arm_any, row)
+            # a lane whose predicates all fail returns before full_end
+            ran_rows = np.flatnonzero(ran)
+            self._deltas(before, marks, ran_rows)
             if self.sessions_on:
-                changed = {
-                    name: before[name] != self.stacks[name]
-                    for name in self.mod_arrays
-                }
-                gt = {
-                    name: self.stacks[name] > before[name]
-                    for name in self.mod_arrays
-                }
-                lt = {
-                    name: self.stacks[name] < before[name]
-                    for name in self.mod_arrays
-                }
-                for row in range(len(self.live)):
-                    if not ran[row]:
-                        continue  # solo returns before full_end
-                    t0, a0 = marks[row]
-                    self._install_session(row, changed, gt, lt, t0, a0)
-                    self.sessions[row].par_masks = [
-                        masks_full[k][row].copy()
-                        for k in range(len(masks_full))
-                    ]
-            keep = []
-            for row in range(len(self.live)):
-                if ran[row]:
-                    keep.append(row)
-                else:
-                    self._writeback(row)  # predicates all false: lane done
-            if len(keep) != len(self.live):
-                self._compact(keep)
+                for row in ran_rows:
+                    self.sessions[row].par_masks = [m[row].copy() for m in masks_full]
+            self._retire(ran)  # predicates all false: the lane is done
             sweeps += 1
-            if self.live and sweeps > self.interps[0].config.solve_sweep_limit:
+            if self.live and sweeps > limit:
                 raise _BatchAbort()  # sequential rerun raises the solo error

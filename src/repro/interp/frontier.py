@@ -55,7 +55,7 @@ Correctness strategy — decide-before-execute behind a measured guard:
 * **Evaluation** is picked per compressed sweep from what the session
   already knows.  A sparse active set runs each arm's *lane program*: a
   flat list of steps over numbered registers in ``fuse``'s vocabulary
-  (:func:`_run_steps`), compiled once per analysis (:class:`_Compiler`),
+  (:func:`_run_lane_steps`), compiled once per analysis (:class:`_Compiler`),
   the same steps and axis tables in lane scope ``(L,)`` and reduction
   scope ``(L, K)``.  What a sweep need not redo is static: register
   *kinds* (bool stays bool until arithmetic needs the C ``int``);
@@ -277,7 +277,7 @@ def _estimate(charges, dispatch: float) -> float:
 # lane programs: the compressed evaluation substrate
 # ---------------------------------------------------------------------------
 
-#: step opcodes (see :func:`_run_steps`)
+#: step opcodes (see :func:`_run_lane_steps`)
 _BINARY, _GATHER, _WHERE, _UNARY, _CHECK, _GRID = range(6)
 
 #: register kinds, known at compile time: bool lanes stay bool until an
@@ -318,7 +318,7 @@ def _invert(v):
     return np.invert(v.astype(np.int64, copy=False))
 
 
-def _run_steps(steps, R) -> None:
+def _run_lane_steps(steps, R) -> None:
     """Run one lane program — a flat list of ``(op, dst, a, b, c)`` steps
     — over the register file ``R``.  The vocabulary is ``fuse``'s: gather
     (a flat field, or a session table, at an address register), unary,
@@ -338,7 +338,7 @@ def _run_steps(steps, R) -> None:
             R[dst] = a(R[b])
         elif op == _CHECK:  # R[dst]: proved dead; steps a leave "out of range and live" in b
             if not R[dst]:
-                _run_steps(a, R)
+                _run_lane_steps(a, R)
                 if R[b].any():
                     _out_of_range(R[b], c, R)
         else:  # _GRID, prelude only: axis table a broadcast over the grid b
@@ -1489,7 +1489,7 @@ class StarSession:
         preds, bodies = self._charges(states)
         for rows, ratios in preds:
             clock.replay_rows(rows, ratios)
-        sweep = fused.begin_sweep(ip, inner, charge=False)
+        sweep = fused.begin_sweep(ip, inner.active_mask(), charge=False)
         if self.kind == "par":
             self._trace(states, dense=True)
             self.note_par_masks(sweep.masks)
@@ -1520,7 +1520,7 @@ class StarSession:
             for name, reg in an.scalar_regs.items():
                 R[reg] = self.S["scalars"][name]
             R[_POS.reg] = np.arange(self.base.size)
-            _run_steps(an.prelude, R)
+            _run_lane_steps(an.prelude, R)
             for reg in an.drop:
                 R[reg] = None
         return R
@@ -1550,7 +1550,7 @@ class StarSession:
             R[_POS.reg] = pos = st.act.reshape(-1).nonzero()[0]
             if arm.pred_steps is not None:
                 clock.replay_rows(arm.pred_rows, (st.lane_ratio, st.red_ratio))
-                _run_steps(arm.pred_steps, R)
+                _run_lane_steps(arm.pred_steps, R)
                 ok = R[arm.pred_reg]
                 if not arm.pred_full:
                     ok = np.broadcast_to(ok, pos.shape)
@@ -1580,12 +1580,12 @@ class StarSession:
             if red is not None:  # the same steps, on (L, 1) columns and (K,) rows
                 R[_POSCOL.reg] = pos[:, None]
                 R[_KSEL.reg] = st.red_sel if st.delta_on else slice(None)
-                _run_steps(red.steps, R)
+                _run_lane_steps(red.steps, R)
                 body = R[red.reg]
                 if not red.full:
                     body = np.broadcast_to(np.asarray(body), (len(pos), st.K_eff))
                 value = _reduce_op(red.op, [body], [np.True_], axes=(1,))
-            _run_steps(arm.steps, R)
+            _run_lane_steps(arm.steps, R)
             if red is None:
                 value = R[arm.reg]
             flat = R[an.array_regs[arm.target]]

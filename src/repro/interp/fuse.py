@@ -71,8 +71,11 @@ Correctness subtleties worth naming:
   grid never materialises ``a ∘ b``: :func:`_strip_reduce` walks strips
   of the compact operands through one cache-sized temporary, reordering
   and narrowing to int32 only under the site's UC501 verdict.  It is the
-  only such kernel — :mod:`repro.interp.batch` calls it with a lane axis
-  in front ("Reduction kernel" in ``docs/PERFORMANCE.md``).
+  only such kernel ("Reduction kernel" in ``docs/PERFORMANCE.md``).
+* **One evaluator, solo or lane-stacked.**  :mod:`repro.interp.batch`
+  runs these same steps over a chunk of ``run_batch`` lanes; each step
+  reads the leading lane axis off its operands (see the register-program
+  section below).
 * **Off switch.**  ``config.fused`` (see "Configuration" in
   ``docs/PERFORMANCE.md``); the tree-walking oracle remains the ground
   truth either way.
@@ -87,7 +90,7 @@ import numpy as np
 
 from ..compiler.cstar_gen import expr_to_text
 from ..lang import ast
-from ..lang.errors import UCRuntimeError
+from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
 from ..lang.scope import IndexSetValue
 from ..machine.router import has_duplicates
 from ..machine.scan import INF
@@ -98,10 +101,20 @@ from .plan import (
     _VERIFY_LIMIT,
     _build_index_recipe,
     _compact,
+    _IndexRecipe,
     _oob_masks,
+    _UnaryPlan,
     compile_stmt,
 )
-from .values import ArrayVar, ElementBinding, ScalarVar
+from .values import (
+    ArrayVar,
+    ElementBinding,
+    LaneScalars,
+    ScalarVar,
+    coerce_scalar,
+    lanewise,
+    lift,
+)
 
 __all__ = ["fused_for", "FusedConstruct"]
 
@@ -174,6 +187,41 @@ def _replay(clock, entries) -> None:
 # Each step is ``run(ip, regs)``: read source registers, write ``dst``.
 # Mask registers hold boolean arrays; everything else holds whatever the
 # unfused evaluator would have produced (scalars or grid-shaped arrays).
+#
+# The same ``run`` serves a ``run_batch`` chunk of lanes: there every
+# mask register and every array read from a program variable carries a
+# leading lane axis, ``(n,) + shape``, and a step reads that axis off its
+# operands (``lead`` = the mask's or the data's extra dimensions; 0 solo).
+# Lane-uniform values stay solo-shaped and broadcast; scalars that differ
+# between lanes are LaneScalars (:func:`~repro.interp.values.lanewise`).
+# The bound variables are then the chunk's LaneVars (see
+# :meth:`FusedConstruct._rebind`).
+
+
+def _run(ip, regs, steps) -> None:
+    for s in steps:
+        s.run(ip, regs)
+
+
+def _bool_view(v, shape):
+    """``broadcast(truthy(v))`` over a mask register's ``shape``."""
+    return np.broadcast_to(np.asarray(E._truthy(lift(v, len(shape)))), shape)
+
+
+def _truthy_int(v):
+    v = E._truthy(v)
+    return v.astype(np.int64) if isinstance(v, np.ndarray) else int(v)
+
+
+def _check_bounds(step, m) -> None:
+    """Raise the bounds error of a gather/scatter whose live VPs index out
+    of range; a lane stack reports its first offending lane, as that
+    lane's solo run would."""
+    for ob in step.oob:
+        if ob is not None and np.any(ob & m):
+            if m.ndim > ob.ndim:
+                m = m[int(np.argmax((ob & m).reshape(len(m), -1).any(axis=1)))]
+            E._bounds_check(step.node, step.subs, step.view_shape, m)
 
 
 class _ReadScalar:
@@ -196,53 +244,38 @@ class _Unary:
         self.node = node
 
     def run(self, ip, regs) -> None:
-        v = regs[self.src]
-        node = self.node
-        if node.op == "-":
-            regs[self.dst] = -v
-        elif node.op == "!":
-            if isinstance(v, np.ndarray):
-                regs[self.dst] = np.logical_not(v.astype(bool)).astype(np.int64)
-            else:
-                regs[self.dst] = int(not v)
-        elif node.op == "~":
-            if isinstance(v, np.ndarray):
-                regs[self.dst] = np.invert(v.astype(np.int64))
-            else:
-                regs[self.dst] = ~int(v)
-        else:  # pragma: no cover - rejected at compile time
-            raise UCRuntimeError(f"bad unary {node.op!r}", node.line, node.col)
+        regs[self.dst] = lanewise(_UnaryPlan._apply, 0, self.node, regs[self.src])
 
 
 class _Binary:
-    __slots__ = ("dst", "a", "b", "node")
+    __slots__ = ("dst", "a", "b", "node", "mask")
 
-    def __init__(self, dst: int, a: int, b: int, node: ast.Binary) -> None:
+    def __init__(self, dst: int, a: int, b: int, node: ast.Binary, mask: int) -> None:
         self.dst = dst
         self.a = a
         self.b = b
         self.node = node
+        self.mask = mask
 
     def run(self, ip, regs) -> None:
-        regs[self.dst] = E.apply_binop(
-            self.node.op, regs[self.a], regs[self.b], self.node
-        )
+        regs[self.dst] = lanewise(
+            E.apply_binop, regs[self.mask].ndim,
+            self.node.op, regs[self.a], regs[self.b], self.node,
+        )  # fmt: skip
 
 
 class _Bool:
     """``dst = broadcast(truthy(src))`` — a predicate's boolean view."""
 
-    __slots__ = ("dst", "src", "shape")
+    __slots__ = ("dst", "src", "mask")
 
-    def __init__(self, dst: int, src: int, shape: Tuple[int, ...]) -> None:
+    def __init__(self, dst: int, src: int, mask: int) -> None:
         self.dst = dst
         self.src = src
-        self.shape = shape
+        self.mask = mask
 
     def run(self, ip, regs) -> None:
-        regs[self.dst] = np.broadcast_to(
-            np.asarray(E._truthy(regs[self.src])), self.shape
-        )
+        regs[self.dst] = _bool_view(regs[self.src], regs[self.mask].shape)
 
 
 class _Mask:
@@ -271,30 +304,24 @@ class _TruthyInt:
         self.src = src
 
     def run(self, ip, regs) -> None:
-        v = E._truthy(regs[self.src])
-        if isinstance(v, np.ndarray):
-            regs[self.dst] = v.astype(np.int64)
-        else:
-            regs[self.dst] = int(v)
+        regs[self.dst] = lanewise(_truthy_int, 0, regs[self.src])
 
 
 class _Combine:
     """Array short-circuit combine: ``(lbool op rbool).astype(int64)``."""
 
-    __slots__ = ("dst", "lbool", "right", "is_and", "shape")
+    __slots__ = ("dst", "lbool", "right", "is_and", "mask")
 
-    def __init__(self, dst, lbool, right, is_and, shape) -> None:
+    def __init__(self, dst, lbool, right, is_and, mask) -> None:
         self.dst = dst
         self.lbool = lbool
         self.right = right
         self.is_and = is_and
-        self.shape = shape
+        self.mask = mask
 
     def run(self, ip, regs) -> None:
         lbool = regs[self.lbool]
-        rbool = np.broadcast_to(
-            np.asarray(E._truthy(regs[self.right])), self.shape
-        )
+        rbool = _bool_view(regs[self.right], regs[self.mask].shape)
         if self.is_and:
             regs[self.dst] = (lbool & rbool).astype(np.int64)
         else:
@@ -302,16 +329,20 @@ class _Combine:
 
 
 class _Where:
-    __slots__ = ("dst", "cbool", "then", "els")
+    __slots__ = ("dst", "cbool", "then", "els", "mask")
 
-    def __init__(self, dst, cbool, then, els) -> None:
+    def __init__(self, dst, cbool, then, els, mask) -> None:
         self.dst = dst
         self.cbool = cbool
         self.then = then
         self.els = els
+        self.mask = mask
 
     def run(self, ip, regs) -> None:
-        regs[self.dst] = np.where(regs[self.cbool], regs[self.then], regs[self.els])
+        regs[self.dst] = lanewise(
+            np.where, regs[self.mask].ndim,
+            regs[self.cbool], regs[self.then], regs[self.els],
+        )  # fmt: skip
 
 
 class _Gather:
@@ -348,19 +379,46 @@ class _Gather:
 
     def run(self, ip, regs) -> None:
         data = self.arr.data
+        lead = data.ndim - len(self.view_shape)
         if self.oob is not None:
-            m = regs[self.mask]
-            for ob in self.oob:
-                if ob is not None and np.any(ob & m):
-                    E._bounds_check(self.node, self.subs, self.view_shape, m)
+            _check_bounds(self, regs[self.mask])
         if self.shift is not None:
-            regs[self.dst] = commtiers.run_shifts(data, self.shift)
+            shift = self.shift
+            if lead:
+                shift = [(a + lead, s, e) for a, s, e in shift]
+            regs[self.dst] = commtiers.run_shifts(data, shift)
             return
         if self.recipe is not None:
-            out = self.recipe.take(data)
+            recipe = self.recipe
+            if lead:
+                recipe = _lane_recipe(recipe, len(data))
+            out = recipe.take(data)
             regs[self.dst] = out if self.view_ok else out.copy()
             return
+        if lead:
+            lanes = np.arange(len(data)).reshape((-1,) + (1,) * self.idx[0].ndim)
+            regs[self.dst] = data[(lanes,) + self.idx]
+            return
         regs[self.dst] = data[self.idx]
+
+
+def _lane_recipe(r: _IndexRecipe, n: int) -> _IndexRecipe:
+    """``r`` over a stack of ``n`` lanes: the lane axis rides in front as
+    one more ``np.ix_`` vector.  Pure advanced indexing keeps the copy
+    C-contiguous (a leading slice would mix basic and advanced indexing
+    and interleave the lane axis innermost, which wrecks the memory
+    layout of every downstream ufunc and reduction)."""
+
+    def up(axes):
+        return tuple(a + 1 for a in axes)
+
+    return _IndexRecipe(
+        (np.arange(n),) + tuple(r.vecs),
+        None if r.perm is None else (0,) + up(r.perm),
+        up(r.squeeze),
+        up(r.expand),
+        (n,) + tuple(r.shape),
+    )
 
 
 class _Scatter:
@@ -377,6 +435,7 @@ class _Scatter:
         "oob",
         "flat",
         "unique",
+        "identity",
     )
 
     def __init__(
@@ -392,19 +451,35 @@ class _Scatter:
         self.oob = oob
         self.flat = flat
         self.unique = unique
+        #: the grid writes every element in storage order: under an
+        #: all-true mask the store is one cast copy, no fancy indexing
+        self.identity = flat.size == math.prod(view_shape) and bool(
+            np.array_equal(flat, np.arange(flat.size))
+        )
 
     def run(self, ip, regs) -> None:
         data = self.arr.data
         mask = regs[self.mask]
         if self.oob is not None:
-            for ob in self.oob:
-                if ob is not None and np.any(ob & mask):
-                    E._bounds_check(self.node, self.subs, self.view_shape, mask)
-        value = regs[self.val]
+            _check_bounds(self, mask)
+        value = lift(regs[self.val], mask.ndim)
+        if self.identity and isinstance(value, np.ndarray) and mask.all():
+            np.copyto(
+                data.reshape(mask.shape),
+                E._cast_array(np.broadcast_to(value, mask.shape), data.dtype),
+            )
+            ip.cse_invalidate(self.node.base)
+            return
         flat_mask = mask.reshape(-1)
-        flat_idx = self.flat[flat_mask]
+        flat = self.flat
+        if mask.ndim > len(self.grid_shape):
+            # a lane stack: each lane's addresses offset into its own block
+            # (unique per lane, screened, and the blocks are disjoint)
+            lanes = np.arange(len(mask))[:, None] * math.prod(self.view_shape)
+            flat = (lanes + flat).reshape(-1)
+        flat_idx = flat[flat_mask]
         if isinstance(value, np.ndarray):
-            vals = np.broadcast_to(value, self.grid_shape).reshape(-1)[flat_mask]
+            vals = np.broadcast_to(value, mask.shape).reshape(-1)[flat_mask]
         else:
             vals = np.full(int(flat_mask.sum()), value)
         vals = E._cast_array(vals, data.dtype)
@@ -423,48 +498,66 @@ class _Scatter:
 
 
 class _AssignScalar:
-    """Masked parallel write to a front-end scalar (all lanes must agree)."""
+    """Masked parallel write to a front-end scalar (all VPs must agree).
 
-    __slots__ = ("var", "val", "mask", "grid_shape", "node")
+    A scalar value is written whenever the statement runs, so on a lane
+    stack it goes to the lanes whose ``unit`` — the mask of the arm body
+    (or predicate) holding the statement — has a live VP."""
 
-    def __init__(self, var, val, mask, grid_shape, node) -> None:
+    __slots__ = ("var", "val", "mask", "grid_shape", "node", "unit")
+
+    def __init__(self, var, val, mask, grid_shape, node, unit) -> None:
         self.var = var
         self.val = val
         self.mask = mask
         self.grid_shape = grid_shape
         self.node = node
+        self.unit = unit
 
     def run(self, ip, regs) -> None:
         value = regs[self.val]
-        var = self.var
-        if not isinstance(value, np.ndarray):
-            from .values import coerce_scalar
-
-            var.value = coerce_scalar(var.ctype, value)
-            ip.cse_invalidate(var.name)
-            return
         mask = regs[self.mask]
-        vals = np.broadcast_to(value, self.grid_shape)[mask]
-        if vals.size == 0:  # pragma: no cover - fused arms are np.any-gated
-            return
-        if np.any(vals != vals.reshape(-1)[0]):
-            flat = vals.reshape(-1)
-            other = flat[flat != flat[0]][0]
-            from ..lang.errors import UCMultipleAssignmentError
+        var = self.var
+        if mask.ndim == len(self.grid_shape):
+            v = self._agreed(value, mask)
+            if v is None:
+                return
+            var.value = coerce_scalar(var.ctype, v)
+        else:  # a lane stack: ``var`` is the chunk's LaneVar
+            if isinstance(value, LaneScalars):
+                per = value.values
+            elif isinstance(value, np.ndarray):
+                per = np.broadcast_to(value, mask.shape)
+            else:
+                per = [value] * len(mask)
+            unit = regs[self.unit]
+            for j in np.flatnonzero(unit.reshape(len(unit), -1).any(axis=1)):
+                v = self._agreed(per[j], mask[j])
+                if v is not None:
+                    var.lanes[j].value = coerce_scalar(var.ctype, v)
+        ip.cse_invalidate(var.name)
 
+    def _agreed(self, value, mask):
+        """The one value a write of ``value`` under ``mask`` stores (None:
+        no VP live); UC101 when the live VPs disagree."""
+        if not isinstance(value, np.ndarray):
+            return value
+        vals = np.broadcast_to(value, mask.shape)[mask]
+        if vals.size == 0:
+            return None
+        flat = vals.reshape(-1)
+        if np.any(flat != flat[0]):
+            other = flat[flat != flat[0]][0]
             raise UCMultipleAssignmentError(
                 f"[UC101] par assigns multiple distinct values to scalar "
-                f"{var.name!r} (values {flat[0].item()!r} and "
+                f"{self.var.name!r} (values {flat[0].item()!r} and "
                 f"{other.item()!r}); reduce the grid value first ($+, $min, "
                 "...) or make the choice explicit with the $, operator "
                 "(paper §3.4)",
                 self.node.line,
                 self.node.col,
             )
-        from .values import coerce_scalar
-
-        var.value = coerce_scalar(var.ctype, vals.reshape(-1)[0])
-        ip.cse_invalidate(var.name)
+        return flat[0]
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +757,6 @@ class _Reduce:
         "op",
         "n_sets",
         "inner_shape",
-        "reduce_axes",
         "mask",
         "base",
         "arms",
@@ -680,7 +772,6 @@ class _Reduce:
         op,
         n_sets,
         inner_shape,
-        reduce_axes,
         mask,
         base,
         arms,
@@ -691,7 +782,6 @@ class _Reduce:
         self.op = op
         self.n_sets = n_sets
         self.inner_shape = inner_shape
-        self.reduce_axes = reduce_axes
         self.mask = mask  # statement-level mask register
         self.base = base  # register receiving the broadcast base mask
         #: [(pred_steps|None, pred_out, arm_mask_reg, expr_steps, expr_out)]
@@ -708,7 +798,7 @@ class _Reduce:
         #: elementwise ``_Binary`` of that arm, which :func:`_strip_reduce`
         #: absorbs — or None
         self.tail = None
-        if self.single_arm and reduce_axes and op not in _LOGICAL_REDUCTIONS:
+        if self.single_arm and n_sets and op not in _LOGICAL_REDUCTIONS:
             _ps, _po, _am, esteps, eout = arms[0]
             last = esteps[-1] if esteps else None
             if (
@@ -718,12 +808,10 @@ class _Reduce:
             ):
                 self.tail = last
 
-    def reduce_unmasked(self, regs, shape, run, lift=None):
+    def reduce_unmasked(self, ip, regs, shape):
         """The all-enabled single-arm reduction over ``shape`` — the solo
         inner grid, or the lane-stacked ``(n,) + inner_shape`` of a batch
-        chunk.  ``run(steps)`` evaluates register steps the caller's way;
-        ``lift(value, ndim)`` turns a caller-specific register value into
-        what numpy broadcasts (the batch engine's per-lane scalars).
+        chunk (the lane axis is just the first non-reduced axis).
 
         When the arm ends in an elementwise binary over more than
         :data:`_STRIP_MIN_ELEMS` slots, that step is *not run*: its
@@ -737,25 +825,20 @@ class _Reduce:
         _ps, _po, amreg, esteps, eout = self.arms[0]
         regs[amreg] = regs[self.base]
         rank = len(shape)
-        n_red = len(self.reduce_axes)
-
-        def get(reg):
-            v = regs[reg]
-            return v if lift is None else lift(v, rank)
-
+        n_red = self.n_sets
         last = self.tail
         if last is not None and math.prod(shape) > _STRIP_MIN_ELEMS:
-            run(esteps[:-1])
+            _run(ip, regs, esteps[:-1])
             out = _strip_reduce(
-                last.node.op, self.op, get(last.a), get(last.b), shape, n_red,
-                self.order_safe,
-            )
+                last.node.op, self.op, lift(regs[last.a], rank),
+                lift(regs[last.b], rank), shape, n_red, self.order_safe,
+            )  # fmt: skip
             if out is not None:
                 return out
-            run(esteps[-1:])
+            _run(ip, regs, esteps[-1:])
         else:
-            run(esteps)
-        val = np.broadcast_to(np.asarray(get(eout)), shape)
+            _run(ip, regs, esteps)
+        val = np.broadcast_to(np.asarray(lift(regs[eout], rank)), shape)
         ufunc = E._RED_UFUNC[self.op]
         logical = self.op in _LOGICAL_REDUCTIONS
         dtype = E._result_dtype(self.op, [val])
@@ -767,53 +850,42 @@ class _Reduce:
 
     def run(self, ip, regs) -> None:
         m = regs[self.mask]
-        base = np.broadcast_to(
-            m.reshape(m.shape + (1,) * self.n_sets), self.inner_shape
-        )
+        # the statement mask's extra leading axes (a lane stack) ride along
+        shape = m.shape + self.inner_shape[len(self.inner_shape) - self.n_sets :]
+        base = np.broadcast_to(m.reshape(m.shape + (1,) * self.n_sets), shape)
         regs[self.base] = base
         if self.single_arm and bool(np.all(m)):
-
-            def run(steps) -> None:
-                for s in steps:
-                    s.run(ip, regs)
-
-            regs[self.dst] = self.reduce_unmasked(regs, self.inner_shape, run)
+            regs[self.dst] = self.reduce_unmasked(ip, regs, shape)
             return
         arm_values: List[np.ndarray] = []
         arm_masks: List[np.ndarray] = []
         union: Optional[np.ndarray] = None
+        rank = len(shape)
         for psteps, pout, amreg, esteps, eout in self.arms:
             if psteps is None:
                 am = base
             else:
-                for s in psteps:
-                    s.run(ip, regs)
-                pv = np.broadcast_to(
-                    np.asarray(E._truthy(regs[pout])), self.inner_shape
-                )
+                _run(ip, regs, psteps)
+                pv = _bool_view(regs[pout], shape)
                 am = base & pv
                 union = pv if union is None else (union | pv)
             regs[amreg] = am
-            for s in esteps:
-                s.run(ip, regs)
+            _run(ip, regs, esteps)
             arm_values.append(
-                np.broadcast_to(np.asarray(regs[eout]), self.inner_shape)
+                np.broadcast_to(np.asarray(lift(regs[eout], rank)), shape)
             )
             arm_masks.append(am)
         if self.others is not None:
             osteps, oout, omreg = self.others
-            om = base & (
-                ~union if union is not None else np.zeros(self.inner_shape, bool)
-            )
+            om = base & (~union if union is not None else np.zeros(shape, bool))
             regs[omreg] = om
-            for s in osteps:
-                s.run(ip, regs)
+            _run(ip, regs, osteps)
             arm_values.append(
-                np.broadcast_to(np.asarray(regs[oout]), self.inner_shape)
+                np.broadcast_to(np.asarray(lift(regs[oout], rank)), shape)
             )
             arm_masks.append(om)
         regs[self.dst] = E._reduce_op(
-            self.op, arm_values, arm_masks, self.reduce_axes
+            self.op, arm_values, arm_masks, tuple(range(m.ndim, rank))
         )
 
 
@@ -897,6 +969,8 @@ class _Fuser:
         self.unfused_texts: set = set()
         #: current invalidation context: None (certain) or an arm id
         self.inv_ctx: Any = None
+        #: mask register of the predicate / arm body being compiled
+        self.unit: Optional[int] = None
 
     # -- registers ---------------------------------------------------------
 
@@ -986,6 +1060,7 @@ class _Fuser:
         # An unfusable predicate bails the construct: predicates have no
         # per-statement fallback slot.
         pred_progs: List[Optional[Tuple]] = []
+        self.unit = base_reg
         for block in stmt.blocks:
             if block.pred is None:
                 pred_progs.append(None)
@@ -1070,6 +1145,7 @@ class _Fuser:
         n_fused = 0
         n_unfused = 0
         self.inv_ctx = inv_ctx
+        self.unit = mask_reg
         for s in self._flatten(body):
             if isinstance(s, ast.EmptyStmt):
                 continue
@@ -1228,8 +1304,6 @@ class _Fuser:
             raise _Demote()
         self._alu(g)
         if v.static is not _DYN:
-            from .plan import _UnaryPlan
-
             try:
                 folded = _UnaryPlan._apply(node, v.static)
             except UCRuntimeError:
@@ -1250,7 +1324,7 @@ class _Fuser:
                 raise _Demote()
             return self.static_val(folded)
         r = self.reg()
-        self.steps.append(_Binary(r, a.reg, b.reg, node))
+        self.steps.append(_Binary(r, a.reg, b.reg, node, mask_reg))
         return _Val(r, a.is_array or b.is_array, _DYN)
 
     def _compile_shortcircuit(self, node, g, mask_reg, token, view_ok) -> _Val:
@@ -1280,7 +1354,7 @@ class _Fuser:
             lb = self.static_val(lbool_v)
         else:
             r = self.reg()
-            self.steps.append(_Bool(r, a.reg, g.shape))
+            self.steps.append(_Bool(r, a.reg, mask_reg))
             lb = _Val(r, True, _DYN)
         invert = node.op == "||"
         mr = self.reg()
@@ -1293,7 +1367,7 @@ class _Fuser:
                 return self.static_val((lb.static & rbool).astype(np.int64))
             return self.static_val((lb.static | rbool).astype(np.int64))
         r = self.reg()
-        self.steps.append(_Combine(r, lb.reg, b.reg, node.op == "&&", g.shape))
+        self.steps.append(_Combine(r, lb.reg, b.reg, node.op == "&&", mask_reg))
         return _Val(r, True, _DYN)
 
     def _compile_ternary(self, node, g, mask_reg, token, view_ok) -> _Val:
@@ -1311,7 +1385,7 @@ class _Fuser:
             cb = self.static_val(cbool_v)
         else:
             r = self.reg()
-            self.steps.append(_Bool(r, c.reg, g.shape))
+            self.steps.append(_Bool(r, c.reg, mask_reg))
             cb = _Val(r, True, _DYN)
         mr_t = self.reg()
         self.steps.append(_Mask(mr_t, mask_reg, cb.reg, False))
@@ -1333,7 +1407,7 @@ class _Fuser:
                 np.where(cb.static, then_v.static, else_v.static)
             )
         r = self.reg()
-        self.steps.append(_Where(r, cb.reg, then_v.reg, else_v.reg))
+        self.steps.append(_Where(r, cb.reg, then_v.reg, else_v.reg, mask_reg))
         return _Val(r, True, _DYN)
 
     # -- array references --------------------------------------------------
@@ -1524,6 +1598,7 @@ class _Fuser:
                             left=node.target,
                             right=node.value,
                         ),
+                        mask_reg,
                     )
                 )
                 value = _Val(r, current.is_array or value.is_array, _DYN)
@@ -1541,7 +1616,9 @@ class _Fuser:
             self._charge("host_cm_latency")
         else:
             self._charge("host")
-        self.steps.append(_AssignScalar(b, value.reg, mask_reg, g.shape, node))
+        self.steps.append(
+            _AssignScalar(b, value.reg, mask_reg, g.shape, node, self.unit)
+        )
         self.sim_invalidate(target.ident)
         return value
 
@@ -1620,7 +1697,6 @@ class _Fuser:
             inner_grid, self.ip.grid_vpset(inner_grid.shape).vp_ratio, extra
         )
         n_sets = len(sets)
-        reduce_axes = tuple(range(g.grid.rank, inner_grid.rank))
         reduce_extent = int(np.prod([len(s) for s in sets]))
         order_safe = bool(self.ip.reduction_order_safe(node))
         self.charges.append(("s", reduce_extent, gi.vp_ratio, 1))
@@ -1665,7 +1741,7 @@ class _Fuser:
         r = self.reg()
         self.steps.append(
             _Reduce(
-                r, node.op, n_sets, gi.shape, reduce_axes, mask_reg, base_reg,
+                r, node.op, n_sets, gi.shape, mask_reg, base_reg,
                 tuple(arms), others, order_safe,
             )
         )
@@ -1689,12 +1765,13 @@ class _Fuser:
 
 
 class _Sweep:
-    """Per-sweep state: the register file and the arm masks."""
+    """Per-sweep state: the register file, the base and the arm masks."""
 
-    __slots__ = ("regs", "masks", "union")
+    __slots__ = ("regs", "base", "masks", "union")
 
-    def __init__(self, regs, masks, union) -> None:
+    def __init__(self, regs, base, masks, union) -> None:
         self.regs = regs
+        self.base = base
         self.masks = masks
         self.union = union
 
@@ -1820,7 +1897,9 @@ class FusedConstruct:
         return True
 
     def _rebind(self, name: str, binding: Any) -> None:
-        """Point every step that references ``name`` at ``binding``."""
+        """Point every step that references ``name`` at ``binding`` — an
+        equivalent variable of another interpreter, or a ``run_batch``
+        chunk's :class:`~repro.interp.values.LaneVar`."""
         if self._slots is None:
             self._slots = self._binding_slots()
         for step, attr in self._slots.get(name, ()):
@@ -1828,58 +1907,59 @@ class FusedConstruct:
         self._bound[name] = binding
 
     def _binding_slots(self) -> Dict[str, List[Tuple[Any, str]]]:
-        """Map binding name -> the (step, attribute) slots holding it,
-        including steps nested inside :class:`_Reduce` arms."""
+        """Map binding name -> the (step, attribute) slots holding it."""
         slots: Dict[str, List[Tuple[Any, str]]] = {}
+        for s in self.steps():
+            if isinstance(s, (_ReadScalar, _AssignScalar)):
+                attr = "var"
+            elif isinstance(s, (_Gather, _Scatter)):
+                attr = "arr"
+            else:
+                continue
+            slots.setdefault(getattr(s, attr).name, []).append((s, attr))
+        return slots
 
-        def note(step: Any, attr: str) -> None:
-            slots.setdefault(getattr(step, attr).name, []).append((step, attr))
+    def steps(self):
+        """Every step of the register programs, those nested inside
+        :class:`_Reduce` arms included."""
 
-        def walk(steps) -> None:
+        def walk(steps):
             for s in steps:
-                if isinstance(s, (_ReadScalar, _AssignScalar)):
-                    note(s, "var")
-                elif isinstance(s, (_Gather, _Scatter)):
-                    note(s, "arr")
-                elif isinstance(s, _Reduce):
+                yield s
+                if isinstance(s, _Reduce):
                     for psteps, _po, _am, esteps, _eo in s.arms:
-                        if psteps is not None:
-                            walk(psteps)
-                        walk(esteps)
+                        yield from walk(psteps or ())
+                        yield from walk(esteps)
                     if s.others is not None:
-                        walk(s.others[0])
+                        yield from walk(s.others[0])
 
         for prog in self.pred_progs:
             if prog is not None:
-                walk(prog[1])
-        for segs in self.arm_segments:
+                yield from walk(prog[1])
+        for segs in self.arm_segments + (self.others_segments or (),):
             for seg in segs:
                 if seg[0] == "f":
-                    walk(seg[2])
-        if self.others_segments is not None:
-            for seg in self.others_segments:
-                if seg[0] == "f":
-                    walk(seg[2])
-        return slots
+                    yield from walk(seg[2])
 
     # -- execution ---------------------------------------------------------
 
-    def begin_sweep(self, ip, inner, *, charge: bool = True) -> _Sweep:
-        """Evaluate arm predicates (the ``_block_masks`` phase).
+    def begin_sweep(self, ip, base, *, charge: bool = True) -> _Sweep:
+        """Evaluate arm predicates (the ``_block_masks`` phase) under the
+        ``base`` mask: the construct's active mask, or all-true over a
+        ``run_batch`` chunk's ``(n,) + shape`` lane stack.
 
         ``charge=False`` (here and in :meth:`run_body`) runs the register
         program compute-only — no charge-table replay, no ``fusion.*``
         counters — for a caller that has already charged the sweep
-        itself (dense evaluation of a compressed frontier sweep).  Only
+        itself (dense evaluation of a compressed frontier sweep; batch
+        lanes, each replaying the tables on its own clock).  Only
         meaningful for kernels without unfused segments, whose plan
         closures charge as they run."""
         regs: List[Any] = [None] * self.n_regs
         for r, v in self.consts:
             regs[r] = v
-        base = inner.active_mask()
         regs[self.base_reg] = base
         clock = ip.machine.clock
-        shape = self.shape
         masks: List[np.ndarray] = []
         union: Optional[np.ndarray] = None
         for prog in self.pred_progs:
@@ -1890,12 +1970,11 @@ class FusedConstruct:
             if charge:
                 _replay(clock, charges)
                 clock.count_fusion("charge_table_hits")
-            for s in steps:
-                s.run(ip, regs)
-            pb = np.broadcast_to(np.asarray(E._truthy(regs[out])), shape)
+            _run(ip, regs, steps)
+            pb = _bool_view(regs[out], base.shape)
             masks.append(base & pb)
             union = pb if union is None else (union | pb)
-        return _Sweep(regs, masks, union)
+        return _Sweep(regs, base, masks, union)
 
     def run_body(self, ip, inner, sweep: _Sweep, *, charge: bool = True) -> bool:
         """Run the arm bodies and others clause; returns whether any ran."""
@@ -1909,11 +1988,11 @@ class FusedConstruct:
             regs[self.arm_mask_regs[k]] = mask
             self._run_segments(ip, inner, regs, segs, mask, charge)
         if self.others_segments is not None:
-            base = inner.active_mask()
+            base = sweep.base
             om = base & (
                 ~sweep.union
                 if sweep.union is not None
-                else np.zeros(self.shape, bool)
+                else np.zeros(base.shape, bool)
             )
             if np.any(om):
                 ran = True
@@ -1935,8 +2014,7 @@ class FusedConstruct:
                 if charge:
                     _replay(clock, seg[1])
                     clock.count_fusion("charge_table_hits")
-                for s in seg[2]:
-                    s.run(ip, regs)
+                _run(ip, regs, seg[2])
             else:
                 if sub is None:
                     sub = inner.with_mask(mask)

@@ -342,7 +342,7 @@ def _run_blocks_once(
     fused = fuse.fused_for(ip, stmt, inner, plans)
     with ip.cse_arm():
         if fused is not None:
-            sweep = fused.begin_sweep(ip, inner)
+            sweep = fused.begin_sweep(ip, inner.active_mask())
             return fused.run_body(ip, inner, sweep)
         masks, union = _block_masks(ip, stmt, inner, plans)
         ran = False
@@ -409,7 +409,7 @@ def star_par_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
             fused = fuse.fused_for(ip, stmt, inner, plans)
             with ip.cse_arm():
                 if fused is not None:
-                    sweep = fused.begin_sweep(ip, inner)
+                    sweep = fused.begin_sweep(ip, inner.active_mask())
                     masks = sweep.masks
                 else:
                     masks, _ = _block_masks(ip, stmt, inner, plans)

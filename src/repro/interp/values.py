@@ -174,15 +174,11 @@ class SliceParam:
 class LaneScalars:
     """A per-lane vector of scalar values for batched lane execution.
 
-    The batched executor (:mod:`repro.interp.batch`) evaluates one
-    register program over ``S`` program instances at once.  Scalars that
-    differ between lanes (solve parameters, per-lane reduction results)
-    are carried as a ``LaneScalars`` wrapping an ``(S,)`` object vector
-    of plain python ints/floats.  Mixing a ``LaneScalars`` with a lane-
-    stacked ndarray lifts it to shape ``(S, 1, ..., 1)`` so numpy
-    broadcasting applies it lane-wise; scalar-scalar arithmetic is done
-    per lane in python, preserving solo scalar semantics exactly
-    (arbitrary precision, division-by-zero errors).
+    The batched executor (:mod:`repro.interp.batch`) runs one fused
+    register program over a chunk of ``S`` program instances at once.
+    Scalars that differ between lanes (solve parameters, per-lane
+    reduction results) are carried as a ``LaneScalars`` wrapping ``S``
+    plain python ints/floats; :func:`lanewise` gives them solo semantics.
     """
 
     __slots__ = ("values",)
@@ -198,12 +194,66 @@ class LaneScalars:
         arr = np.asarray(self.values)
         return arr.reshape((len(self.values),) + (1,) * max(0, ndim - 1))
 
-    def compact(self, keep: Sequence[int]) -> "LaneScalars":
-        """A new ``LaneScalars`` holding only the lanes in ``keep``."""
-        return LaneScalars([self.values[i] for i in keep])
-
     def __repr__(self) -> str:
         return f"LaneScalars({self.values!r})"
+
+
+def lift(v, ndim: int):
+    """``v`` as numpy broadcasts it over a lane stack of ``ndim`` dims: a
+    :class:`LaneScalars` becomes its ``(S, 1, ..., 1)`` array, anything
+    else is returned unchanged."""
+    return v.lifted(ndim) if isinstance(v, LaneScalars) else v
+
+
+def lanewise(fn, ndim: int, *args):
+    """``fn(*args)`` where an argument may be a :class:`LaneScalars`.
+
+    Next to an ndarray, each LaneScalars is lifted to ``ndim`` dims so
+    numpy applies it lane by lane; among scalars only, ``fn`` runs once
+    per lane in python, which keeps solo scalar semantics exactly
+    (arbitrary precision, division-by-zero errors).  Every lane of the
+    chunk is evaluated, so an error in a lane whose arm is idle still
+    raises — the batch then reruns sequentially, exact either way.
+    Without a LaneScalars argument this is just ``fn(*args)``.
+    """
+    for a in args:
+        if isinstance(a, LaneScalars):
+            break
+    else:
+        return fn(*args)
+    if any(isinstance(x, np.ndarray) for x in args):
+        return fn(*(lift(x, ndim) for x in args))
+    return LaneScalars(
+        [
+            fn(*(x.values[j] if isinstance(x, LaneScalars) else x for x in args))
+            for j in range(len(a))
+        ]
+    )
+
+
+class LaneVar:
+    """One batch chunk's binding of a program variable, spliced into a
+    fused kernel's steps in place of the solo :class:`ScalarVar` /
+    :class:`ArrayVar`: ``data`` holds an array's lane-stacked
+    ``(S,) + shape`` rows, ``lanes`` a scalar's per-lane ScalarVars."""
+
+    __slots__ = ("name", "ctype", "data", "lanes")
+
+    def __init__(self, name: str, ctype: str, data=None, lanes=()) -> None:
+        self.name = name
+        self.ctype = ctype
+        self.data = data
+        self.lanes = lanes
+
+    @property
+    def value(self):
+        """The lanes' scalar: one value when they all agree, else a
+        :class:`LaneScalars`."""
+        vals = [v.value for v in self.lanes]
+        first = vals[0]
+        if all(v == first for v in vals[1:]):
+            return first
+        return LaneScalars(vals)
 
 
 def numpy_ctype(ctype: str) -> np.dtype:

@@ -126,9 +126,3 @@ def lane_stack(fields: "list[Field]") -> np.ndarray:
                 f"vs {base.name!r} {base.data.shape}/{base.dtype}"
             )
     return np.stack([f.data for f in fields], axis=0)
-
-
-def lane_writeback(fields: "list[Field]", stacked: np.ndarray) -> None:
-    """Write each lane's slice of a stacked array back into its field."""
-    for i, f in enumerate(fields):
-        f.data[...] = stacked[i]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.interp import batch as batch_mod
+from repro.interp import fuse
 from repro.interp.program import UCProgram
 from repro.lang.errors import UCRuntimeError
 from repro.machine import small_config
@@ -218,8 +219,8 @@ class TestLaneScalarsInFusedPar:
     def _inputs(self, ts):
         return [{"a": np.zeros(8, dtype=np.int64), "t": t} for t in ts]
 
-    def _check(self, body, ts, screened, names=("a",)):
-        solo, batch = _solo_and_batch(self.HEAD + body, self._inputs(ts))
+    def _check(self, body, ts, screened, names=("a",), **kw):
+        solo, batch = _solo_and_batch(self.HEAD + body, self._inputs(ts), **kw)
         _assert_lanes_match(solo, batch, list(names))
         assert screened == [True], "the construct must run on stacked lanes"
         assert all(r.compile["batched_lanes"] == len(ts) for r in batch)
@@ -244,6 +245,49 @@ class TestLaneScalarsInFusedPar:
             "main { *par (I) st (%s) a[i] = a[i] + 1; }" % pred, ts, screened
         )
         assert [int(r["a"][0]) for r in batch] == final
+
+    @pytest.mark.parametrize(
+        "pred, final",
+        [
+            ("a[i] < t + i", lambda t: [t + k for k in range(8)]),
+            ("a[i] < (i > 3 ? t : t + 1)", lambda t: [t + 1] * 4 + [t] * 4),
+        ],
+        ids=["sum", "select"],
+    )
+    def test_a_lane_scalar_meets_a_grid_constant(self, screened, pred, final):
+        """A per-lane scalar against lane-uniform index values, with as
+        many lanes as the grid has points: the scalar is lifted onto the
+        lane axis, never aligned with the grid's."""
+        ts = tuple(range(1, 9))
+        batch = self._check(
+            "main { *par (I) st (%s) a[i] = a[i] + 1; }" % pred, ts, screened
+        )
+        assert [r["a"].tolist() for r in batch] == [final(t) for t in ts]
+
+    @pytest.mark.parametrize(
+        "pred", ["a[i] < t && a[i] > -1", "a[i] < t - 1 || a[i] == t - 1"]
+    )
+    def test_array_short_circuit_predicate(self, screened, pred):
+        """The right side runs under the left side's refined mask."""
+        batch = self._check(
+            "main { *par (I) st (%s) a[i] = a[i] + 1; }" % pred, (3, 5, 4), screened
+        )
+        assert [r["a"].tolist() for r in batch] == [[3] * 8, [5] * 8, [4] * 8]
+
+    def test_statically_true_scalar_left_operand(self, screened):
+        """``N`` is a define, so ``N > 2 &&`` folds and only the right
+        side's truth is evaluated — on the stack and, checked against the
+        oracle here, solo."""
+        body = "main { *par (I) st (N > 2 && a[i] < t) a[i] = a[i] + 1; }"
+        ts = (3, 5, 4)
+        batch = self._check(body, ts, screened, defines={"N": 8})
+        for inp, lane in zip(self._inputs(ts), batch):
+            oracle = UCProgram(
+                self.HEAD + body, compile_store=None, plans=False, defines={"N": 8}
+            ).run(inp)
+            assert np.array_equal(oracle["a"], lane["a"])
+            assert oracle.fingerprint == lane.fingerprint
+        assert [int(r["a"][0]) for r in batch] == list(ts)
 
     @pytest.mark.parametrize(
         "value, final",
@@ -278,6 +322,84 @@ class TestLaneScalarsInFusedPar:
             UCProgram(src, compile_store=None).run_batch([_copy(i) for i in inputs])
         assert str(solo_err.value) == str(batch_err.value)
         assert screened == [True], "the error must come from inside the lane engine"
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestOutOfRangeOnTheStack:
+    """One lane's live VPs index out of range inside a batched ``*par``:
+    the stacked gather/scatter must raise, never clip, and the run ends
+    in that lane's solo error.  Frontier off: no lane can demote to the
+    solo loop and raise there instead."""
+
+    GATHER = (
+        "index_set I:i = {0..7};\nint a[8];\nint t;\n"
+        "main { *par (I) st (a[i] < t) a[i] = a[i] + 1 + 0 * a[i + 1]; }"
+    )
+    #: ``b[2 * i]`` stays provably unique after clipping, so it batches
+    SCATTER = (
+        "index_set I:i = {0..7};\nint a[8];\nint b[14];\nint t;\n"
+        "main { *par (I) st (a[i] < t) { b[2 * i] = a[i]; a[i] = a[i] + 1; } }"
+    )
+
+    @pytest.mark.parametrize("src", [GATHER, SCATTER], ids=["gather", "scatter"])
+    def test_the_offending_lane_raises_its_solo_error(self, screened, src):
+        inputs = []
+        for last, t in ((9, 3), (0, 3), (9, 2)):  # VP 7 live in lane 1 only
+            a = np.zeros(8, dtype=np.int64)
+            a[7] = last
+            inputs.append({"a": a, "t": t})
+        prog = UCProgram(src, compile_store=None, frontier=False)
+        for clean in (inputs[0], inputs[2]):
+            prog.run(_copy(clean))
+        with pytest.raises(UCRuntimeError) as solo_err:
+            prog.run(_copy(inputs[1]))
+        assert "out of range" in str(solo_err.value)
+        with pytest.raises(UCRuntimeError) as batch_err:
+            prog.run_batch([_copy(i) for i in inputs])
+        assert str(batch_err.value) == str(solo_err.value)
+        assert screened == [True], "the error must come from inside the lane engine"
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestStepCensus:
+    """Every ``fuse`` step class is held by a kernel the lane engine ran
+    on this file's programs: a class no stacked kernel holds is a lane
+    path no test covers."""
+
+    def test_every_step_class_runs_stacked(self, monkeypatch):
+        kernels = []
+        prepare = batch_mod._BatchConstruct._prepare
+
+        def spy(self, fused):
+            kernels.append(fused)
+            return prepare(self, fused)
+
+        monkeypatch.setattr(batch_mod._BatchConstruct, "_prepare", spy)
+        head = TestLaneScalarsInFusedPar.HEAD
+        lanes = TestLaneScalarsInFusedPar()._inputs
+        programs = [
+            (APSP, [{"dist": _chain(12, w)} for w in (1, 2, 3)], {}),
+            (head + "main { *par (I) st (a[i] < -t) a[i] = a[i] + 1; }",
+             lanes((-3, -5, -4)), {}),
+            (head + "main { *par (I) st (a[i] < t) { a[i] = a[i] + 1; s = t; } }",
+             lanes((3, 5, 4)), {}),
+            (head + "main { *par (I) st (a[i] < (i > 3 ? t : t + 1)) a[i] = a[i] + 1; }",
+             lanes((3, 5, 4)), {}),
+            (head + "main { *par (I) st (a[i] < t && a[i] > -1) a[i] = a[i] + 1; }",
+             lanes((3, 5, 4)), {}),
+            (head + "main { *par (I) st (N > 2 && a[i] < t) a[i] = a[i] + 1; }",
+             lanes((3, 5, 4)), {"defines": {"N": 8}}),
+        ]  # fmt: skip
+        for src, inputs, kw in programs:
+            batch = UCProgram(src, compile_store=None, **kw).run_batch(inputs)
+            assert all(r.compile["batched_lanes"] == len(inputs) for r in batch)
+        step_classes = {
+            name
+            for name, c in vars(fuse).items()
+            if isinstance(c, type) and callable(getattr(c, "run", None))
+        }
+        assert len(step_classes) == 12
+        assert {type(s).__name__ for k in kernels for s in k.steps()} == step_classes
 
 
 @pytest.mark.usefixtures("default_engines")

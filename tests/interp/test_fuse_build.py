@@ -298,14 +298,14 @@ class TestSweepNeverHoldsTheReductionOperand:
         assert max(peak for _args, peak in peaks[1:]) < 2 * 2**20
 
     def test_a_batch_chunk_never_holds_the_lane_stacked_operand(self, monkeypatch):
-        from repro.interp import batch
-
-        peaks = _traced_peaks(monkeypatch, batch, "_run_reduce")
+        peaks = _traced_peaks(monkeypatch, fuse._Reduce, "run")
         n = 64
         prog = UCProgram(APSP_SOLVE_UC, defines={"N": n}, compile_store=None)
         results = prog.run_batch([{"dist": _chain(n, lane)} for lane in range(5)])
         assert results[0].compile["batched_lanes"] == 5.0
-        assert {args[1].n for args, _peak in peaks} >= {1, 2}  # chunk sizes seen
-        for (step, st, _regs), peak in peaks:
-            full = st.n * int(np.prod(step.inner_shape)) * 8
-            assert peak < full // 2, (st.n, peak)
+        masks = [regs[step.mask] for (step, _ip, regs), _peak in peaks]
+        assert all(m.ndim == 3 for m in masks)  # (lanes, i, j): every call stacked
+        assert {len(m) for m in masks} >= {1, 2}  # chunk sizes seen
+        for ((step, _ip, _regs), peak), m in zip(peaks, masks):
+            full = len(m) * int(np.prod(step.inner_shape)) * 8
+            assert peak < full // 2, (len(m), peak)
