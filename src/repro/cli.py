@@ -557,7 +557,8 @@ def _add_run_args(p_run: argparse.ArgumentParser) -> None:
         help="execute one instance per entry of a JSON list of input "
         "dicts ({\"var\": scalar-or-array, ...} or null) through the "
         "batched lane engine; results are bit-identical to running "
-        "each instance alone (REPRO_NO_BATCH=1 forces the loop)",
+        "each instance alone (--faults, --shards and --sanitize run the "
+        "instances one by one)",
     )
     p_run.add_argument(
         "--profile",

@@ -26,7 +26,8 @@ axis off its operands; scalars that diverge between lanes travel as
 Correctness is layered as three fallbacks, outermost first:
 
 1. **Whole-batch sequential** — a configuration that stands the lane
-   engine down (``config.batched``, see "Configuration" in
+   engine down (``config.batched``: the sanitizer, checkpoints armed by
+   a fault plan, or shards; see "Configuration" in
    ``docs/PERFORMANCE.md``), a recovery policy, fewer than two lanes, or
    *any* exception raised inside the batched machinery — a step's UC101
    or bounds error on the stack, a scalar error in a lane whose arm was

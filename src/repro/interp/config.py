@@ -78,22 +78,18 @@ class EngineConfig(NamedTuple):
     plans: bool = True
     comm_tiers: bool = True
     frontier: bool = True
-    fusion: bool = True
-    log_tiers: bool = False
     sanitize: bool = False
     solve_sweep_limit: Optional[int] = None
     shards: Optional[int] = None
     placement: str = "map"
+    #: not a keyword: a run's fault plan arms it
+    #: (``UCProgram.resolved_config``)
     checkpoints: bool = False
-    batch: bool = True
 
     #: variable -> (field, parser applying the variable's precedence rule)
     ENV = {
         "REPRO_NO_PLANS": ("plans", _hatch),
-        "REPRO_NO_COMM_TIERS": ("comm_tiers", _hatch),
         "REPRO_NO_FRONTIER": ("frontier", _hatch),
-        "REPRO_NO_FUSION": ("fusion", _hatch),
-        "REPRO_NO_BATCH": ("batch", _hatch),
         "REPRO_SANITIZE": ("sanitize", _arm),
         "REPRO_SHARDS": ("shards", _override),
         "REPRO_SOLVE_SWEEP_LIMIT": ("solve_sweep_limit", _default),
@@ -101,6 +97,18 @@ class EngineConfig(NamedTuple):
 
     #: the engines a configuration can statically stand down
     ENGINES = ("fusion", "frontier", "batch")
+
+    #: the fields compiled plans and kernels bake decisions in under
+    COMPILE_FIELDS = (
+        "solve_strategy",
+        "processor_opt",
+        "cse",
+        "plans",
+        "comm_tiers",
+        "frontier",
+        "sanitize",
+        "solve_sweep_limit",
+    )
 
     def resolved(self, environ: Optional[Mapping[str, str]] = None) -> "EngineConfig":
         """Keywords + environment -> the effective configuration.
@@ -119,8 +127,6 @@ class EngineConfig(NamedTuple):
         for field, default in self._field_defaults.items():
             if isinstance(default, bool):
                 values[field] = bool(values[field])
-        # the sanitizer cross-checks the dispatched tiers: it needs the log
-        values["log_tiers"] = values["log_tiers"] or values["sanitize"]
         limit = values["solve_sweep_limit"]
         limit = MAX_SWEEPS if limit is None else int(limit)
         if limit <= 0:
@@ -134,10 +140,10 @@ class EngineConfig(NamedTuple):
 
     @property
     def compile_key(self) -> tuple:
-        """The compile-store signature: compiled plans and kernels bake
-        in decisions made under these ten fields and no others (sharding,
-        checkpoints and batching share kernels with plain runs)."""
-        return self[:10]
+        """The compile-store signature: the :attr:`COMPILE_FIELDS`, by
+        name (sharding, placement and checkpoints share kernels with
+        plain runs)."""
+        return tuple(getattr(self, field) for field in self.COMPILE_FIELDS)
 
     @property
     def clock_key(self) -> tuple:
@@ -160,23 +166,17 @@ class EngineConfig(NamedTuple):
         configuration, or ``""`` when it can.  The dynamic conditions
         (armed fault hook, masked context, lane demotion, a kernel that
         fails validation) are decided where they arise."""
-        tier_log = ""
-        if self.log_tiers:
-            # the log records every dispatched reference; fused kernels,
-            # compressed sweeps and lane replays charge without walking them
-            tier_log = "tier log armed by sanitize" if self.sanitize else "tier log armed"
+        # the sanitizer's tier log records every dispatched reference;
+        # fused kernels, compressed sweeps and lane replays charge
+        # without walking them
+        sanitizer = self.sanitize and "sanitizer armed"
         if engine == "fusion":
-            reasons = (
-                not self.fusion and "fusion off",
-                not self.plans and "plans off",
-                tier_log,
-            )
+            reasons = (not self.plans and "plans off", sanitizer)
         elif engine == "frontier":
-            reasons = (not self.frontier and "frontier off", tier_log)
+            reasons = (not self.frontier and "frontier off", sanitizer)
         elif engine == "batch":
             reasons = (
-                not self.batch and "batch off",
-                tier_log,
+                sanitizer,
                 # recovery replays constructs per machine
                 self.checkpoints and "checkpoints armed",
                 # lane machines carry no per-shard clocks or pair ledger
@@ -188,6 +188,7 @@ class EngineConfig(NamedTuple):
 
     @property
     def fused(self) -> bool:
+        """Plans on and no tier log: the fusion pass may run."""
         return not self.why_off("fusion")
 
     @property

@@ -1458,8 +1458,8 @@ class StarSession:
         """The construct's fused kernel when evaluating the whole grid
         through it is cheaper than resolving the active lanes one by one
         (active slots x G >= domain slots), else None.  ``fused_for``
-        stands down under armed faults, the sanitizer, the tier log and
-        ``fusion=False``, so those runs keep the lane path."""
+        stands down under armed faults, so those runs keep the lane
+        path."""
         an = self.an
         if self.plans is None:
             return None

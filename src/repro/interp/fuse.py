@@ -20,7 +20,7 @@ statement sequence once, into
 Because every charge a fused statement can issue is provably
 data-independent (that is what the fusability checks below establish),
 replaying the table is *bit-identical* to the unfused engine — the
-differential suites hold ``fusion=True`` to the tree-walker's exact
+differential suites hold every fused run to the tree-walker's exact
 fingerprint.  Statements the pass cannot prove static (host calls,
 dynamic subscripts, data-dependent short-circuits, send-reduce
 candidates...) become **unfused segments**: the fused sweep drops back to
@@ -76,9 +76,10 @@ Correctness subtleties worth naming:
   runs these same steps over a chunk of ``run_batch`` lanes; each step
   reads the leading lane axis off its operands (see the register-program
   section below).
-* **Off switch.**  ``config.fused`` (see "Configuration" in
-  ``docs/PERFORMANCE.md``); the tree-walking oracle remains the ground
-  truth either way.
+* **No off switch.**  Fusion stands down only where it cannot run
+  (``config.fused``: plans off, or the sanitizer's tier log armed; see
+  "Configuration" in ``docs/PERFORMANCE.md``); the tree-walking oracle
+  (``plans=False``) is the ground truth.
 """
 
 from __future__ import annotations
@@ -2058,9 +2059,9 @@ def fused_for(ip, stmt: ast.UCStmt, inner, plans) -> Optional[FusedConstruct]:
     """The fused kernel for one construct sweep, or None to take the
     ordinary plan path.
 
-    Gates, in order: the static ones (``config.fused``: fusion and
-    plans on — fusion builds on the plan memos' semantics — and no tier
-    log), no armed faults (a mid-sweep ``fault_point`` must interleave
+    Gates, in order: the static ones (``config.fused``: plans on —
+    fusion builds on the plan memos' semantics — and no tier log), no
+    armed faults (a mid-sweep ``fault_point`` must interleave
     with individual charges), and a fully active construct context.  A
     cached kernel still revalidates its binding specialisations every
     sweep.

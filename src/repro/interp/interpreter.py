@@ -72,17 +72,16 @@ class Interpreter:
             from ..analysis.sanitize import Sanitizer
 
             self.sanitizer = Sanitizer(info, layouts)
-        # (line, array) -> set of tiers dispatched, for the parity tests
+        # (line, array) -> set of tiers dispatched, for the sanitizer
         self.tier_log: Optional[Dict[Tuple[int, str], set]] = (
-            {} if self.config.log_tiers else None
+            {} if self.config.sanitize else None
         )
         # innermost construct being executed (error-message context)
         self.current_construct: Optional[ast.UCStmt] = None
         self._seed = seed
         self._rng: Optional[np.random.Generator] = None
-        # checkpoint/replay recovery: armed whenever the machine carries a
-        # fault plan, or explicitly (checkpoints=True, e.g. for the
-        # checkpoint-overhead benchmark)
+        # checkpoint/replay recovery: armed whenever the run carries a
+        # fault plan (config.checkpoints) or the machine already does
         self.recovery = None
         if self.config.checkpoints or machine.faults is not None:
             from .recovery import RecoveryManager, RecoveryPolicy

@@ -142,7 +142,12 @@ class UCProgram:
     :class:`~repro.interp.config.EngineConfig` request and resolved
     against the ``REPRO_*`` environment once per run; "Configuration" in
     ``docs/PERFORMANCE.md`` lists each switch's variable, CLI flag, Clock
-    effect and stand-down rules.
+    effect and stand-down rules.  No keyword picks an executor except
+    ``plans=False``, the tree-walking oracle every engine is checked
+    against; kernel fusion and batched lanes stand down only through
+    their real triggers (sanitizer, fault plan, shards).  The other
+    switches are model choices: they change what the simulated machine
+    charges.
 
     Parameters
     ----------
@@ -188,27 +193,16 @@ class UCProgram:
         simulated Clock is never higher than with full sweeps.  Set False
         to restore full sweeps with bit-identical fingerprints to the
         non-frontier build.
-    fusion:
-        Lower construct bodies to whole-array register programs with
-        static charge tables (see "Kernel fusion" in
-        ``docs/PERFORMANCE.md``): the steady-state sweep loop does no
-        per-statement AST, environment, or charge bookkeeping.
-        Statements the pass cannot prove static run as unfused segments
-        inside the fused sweep.  Results and Clock fingerprints are
-        bit-identical either way; set False to restore the per-closure
-        plan engine.
-    log_tiers:
-        Record, per ``(line, array)`` reference site, the set of tiers
-        dispatched at run time (``last_interpreter.tier_log``) — used by
-        the static-vs-runtime parity tests.
     sanitize:
         Arm the runtime sanitizer: both engines record per-statement
-        scatter duplicates and dispatched communication tiers, which are
-        cross-checked against the static analyzer's exact verdicts
-        (``repro lint``).  A contradiction raises
+        scatter duplicates and, per ``(line, array)`` reference site, the
+        communication tiers dispatched (``last_interpreter.tier_log``),
+        which are cross-checked against the static analyzer's exact
+        verdicts (``repro lint``).  A contradiction raises
         :class:`~repro.lang.errors.UCSanitizerError` — it means an
-        analyzer or engine bug, never a property of the program.  Implies
-        ``log_tiers``.  See ``docs/ANALYSIS.md``.
+        analyzer or engine bug, never a property of the program.  The
+        tier log stands down kernel fusion, frontier sweeps and batched
+        lanes.  See ``docs/ANALYSIS.md``.
     faults:
         A :class:`~repro.machine.faults.FaultPlan` (or a spec string for
         :meth:`FaultPlan.parse <repro.machine.faults.FaultPlan.parse>`)
@@ -217,9 +211,6 @@ class UCProgram:
     recovery:
         A :class:`~repro.interp.recovery.RecoveryPolicy` overriding the
         default retry count / backoff.
-    checkpoints:
-        Take checkpoints at ``par``/``solve`` boundaries even with no
-        fault plan installed (the overhead benchmark's toggle).
     solve_sweep_limit:
         Cap on the sweeps of any iterating construct or loop before the
         divergence error (default: the global ``MAX_SWEEPS`` backstop).
@@ -261,14 +252,11 @@ class UCProgram:
         plans: bool = True,
         comm_tiers: bool = True,
         frontier: bool = True,
-        fusion: bool = True,
-        log_tiers: bool = False,
         sanitize: bool = False,
         shards: Optional[int] = None,
         placement: str = "map",
         faults: Optional[Union[str, FaultPlan]] = None,
         recovery=None,
-        checkpoints: bool = False,
         solve_sweep_limit: Optional[int] = None,
         compile_store: Any = _DEFAULT_STORE,
         _ast=None,
@@ -288,13 +276,10 @@ class UCProgram:
             plans=plans,
             comm_tiers=comm_tiers,
             frontier=frontier,
-            fusion=fusion,
-            log_tiers=log_tiers,
             sanitize=sanitize,
             solve_sweep_limit=solve_sweep_limit,
             shards=shards,
             placement=placement,
-            checkpoints=checkpoints,
         )
         #: (n_shards, policy) -> chosen partition axis; the axis search
         #: runs static analysis once per program, not once per run

@@ -172,7 +172,7 @@ class TestLegalityOracle:
         np.fill_diagonal(d, 0)
         for a in range(9):
             d[a, a + 1] = d[a + 1, a] = 3
-        UCProgram(src, fusion=True).run({"dist": d.copy()})
+        UCProgram(src).run({"dist": d.copy()})
         assert seen and all(seen), "min reductions must compile order-safe"
 
     def test_batch_demotes_unproven_sites_bit_identically(self, monkeypatch):
@@ -199,13 +199,13 @@ class TestLegalityOracle:
             return {"dist": d}
 
         inputs = [lanes(14, w) for w in (2, 5, 9)]
-        honest = UCProgram(src, fusion=True).run_batch(
+        honest = UCProgram(src).run_batch(
             [{k: v.copy() for k, v in inp.items()} for inp in inputs]
         )
         monkeypatch.setattr(
             Interpreter, "reduction_order_safe", lambda self, node: False
         )
-        forged = UCProgram(src_forged, fusion=True).run_batch(
+        forged = UCProgram(src_forged).run_batch(
             [{k: v.copy() for k, v in inp.items()} for inp in inputs]
         )
         for a, b in zip(honest, forged):
@@ -312,11 +312,12 @@ class TestOrderPermutation:
 
     def test_examples_fingerprints_unchanged_and_confirmed(self):
         """Order permutation is observational: sanitized runs keep the
-        tier-logged fingerprint and confirm every UC501 proof."""
+        fingerprint of the unsanitized full-sweep run (the same clock
+        key) and confirm every UC501 proof."""
         for name in ("histogram.uc",):
             src = _example(name)
             defines = EXAMPLE_DEFINES.get(name)
-            plain = UCProgram(src, defines=defines, log_tiers=True).run()
+            plain = UCProgram(src, defines=defines, frontier=False).run()
             san = UCProgram(src, defines=defines, sanitize=True).run()
             assert san.fingerprint == plain.fingerprint, name
             assert san.sanitizer["reductions_checked"] > 0, name

@@ -55,16 +55,17 @@ class TestDifferential:
     )
     def test_sanitize_off_fingerprint_unchanged(self, name):
         """The sanitizer must be cost-free: with it off, fingerprints are
-        bit-identical to a plain run; with it on, they equal log_tiers
-        runs (its only observable side channel is the tier log)."""
+        bit-identical to a plain run; with it on, they equal full-sweep
+        runs (its tier log stands frontier sweeps down, the one way it
+        reaches the Clock: the two share a clock key)."""
         src = (EXAMPLES / name).read_text()
         defines = EXAMPLE_DEFINES.get(name, {})
         plain = UCProgram(src, defines=defines).run().fingerprint
         off = UCProgram(src, defines=defines, sanitize=False).run().fingerprint
         assert plain == off
-        logged = UCProgram(src, defines=defines, log_tiers=True).run().fingerprint
+        full = UCProgram(src, defines=defines, frontier=False).run().fingerprint
         sanitized = UCProgram(src, defines=defines, sanitize=True).run().fingerprint
-        assert logged == sanitized
+        assert full == sanitized
 
 
 class TestEnvToggle:
@@ -146,7 +147,7 @@ class TestTierCrossCheck:
         assert "contradict" in str(exc.value)
 
     def test_claims_respect_disabled_tiers(self):
-        # with REPRO_NO_COMM_TIERS semantics the expected set is computed
+        # with comm_tiers=False the expected set is computed
         # with enabled=False, so a router observation is consistent
         src = (
             "index_set I:i = {0..6};\nint a[8], b[8];\n"

@@ -23,9 +23,10 @@ def small_machine() -> Machine:
 @pytest.fixture
 def default_engines(monkeypatch):
     """The CI ablation steps run whole test files under
-    ``REPRO_NO_FUSION=1`` / ``REPRO_NO_PLANS=1`` / ...; tests that pick
-    their engines by kwarg (or assert on a default engine's counters)
-    pin the environment to the defaults with this fixture."""
+    ``REPRO_NO_PLANS=1`` / ``REPRO_NO_FRONTIER=1`` / ``REPRO_SHARDS=4``;
+    tests that pick their engines by kwarg (or assert on a default
+    engine's counters) pin the environment to the defaults with this
+    fixture."""
     from repro.interp.config import EngineConfig
 
     for var in EngineConfig.ENV:
@@ -37,3 +38,15 @@ def run_uc(source: str, inputs=None, seed: int = 20250704, **kwargs):
     from repro.interp.program import UCProgram
 
     return UCProgram(source, **kwargs).run(inputs or {}, seed=seed)
+
+
+def run_lanes(source: str, inputs=None, seed: int = 20250704, **kwargs):
+    """:func:`run_uc` with every compressed frontier sweep on the sparse
+    lane path, whatever its occupancy (full sweeps still run fused)."""
+    from repro.interp import frontier
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier, "_DENSE_COST_RATIO", 1)
+        result = run_uc(source, inputs, seed, **kwargs)
+    assert not result.frontier.get("dense_sweeps"), "a compressed sweep went dense"
+    return result

@@ -2,8 +2,9 @@
 
 The contract under test: lane ``i`` of ``run_batch(inputs)`` is
 bit-identical — variable values, stdout and the Clock cost fingerprint —
-to ``run(inputs[i])``, under every engine/frontier/fusion combination,
-and ``REPRO_NO_BATCH=1`` restores the plain sequential loop.
+to ``run(inputs[i])``, under every engine/frontier combination, and the
+configurations that stand the lane engine down (sanitizer, fault plan,
+shards) take the plain sequential loop.
 """
 
 import numpy as np
@@ -37,11 +38,12 @@ DRAIN = (
     "}\n"
 )
 
+#: plans off stands fusion down: every construct runs per lane
 _FLAGS = [
-    {"frontier": True, "fusion": True},
-    {"frontier": True, "fusion": False},
-    {"frontier": False, "fusion": True},
-    {"frontier": False, "fusion": False},
+    {"frontier": True, "plans": True},
+    {"frontier": True, "plans": False},
+    {"frontier": False, "plans": True},
+    {"frontier": False, "plans": False},
 ]
 
 
@@ -84,16 +86,14 @@ class TestSolveIdentity:
         )
         _assert_lanes_match(solo, batch, ["dist"])
 
-    def test_batched_lanes_marker(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    def test_batched_lanes_marker(self):
         inputs = [{"dist": _chain(12, w)} for w in (1, 2, 3)]
         prog = UCProgram(APSP, compile_store=None)
         batch = prog.run_batch(inputs)
         for r in batch:
             assert r.compile["batched_lanes"] == 3.0
 
-    def test_thirty_two_lanes_stay_on_the_lane_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    def test_thirty_two_lanes_stay_on_the_lane_engine(self):
         inputs = [{"dist": _chain(12, 1 + k % 7)} for k in range(32)]
         batch = UCProgram(APSP, compile_store=None).run_batch(
             [_copy(inp) for inp in inputs]
@@ -547,8 +547,8 @@ class TestFallbacks:
         assert not entered, "sharded programs must not enter the lane engine"
         assert all(r.shards.get("n_shards") == 2 for r in batch)
 
-    def test_no_batch_env_restores_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    def test_sanitizer_env_restores_loop(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         calls = []
         orig = batch_mod._BatchRun.execute
 
@@ -565,7 +565,7 @@ class TestFallbacks:
             [_copy(inp) for inp in inputs]
         )
         _assert_lanes_match(solo, batch, ["dist"])
-        assert not calls, "REPRO_NO_BATCH=1 must not enter the lane engine"
+        assert not calls, "REPRO_SANITIZE=1 must not enter the lane engine"
 
     def test_lane_error_matches_solo_error(self):
         src = (

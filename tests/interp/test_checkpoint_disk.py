@@ -64,7 +64,7 @@ with open(snap_path, "rb") as f:
 with open(src_path, "r") as f:
     src = f.read()
 
-prog = UCProgram(src, log_tiers=True, compile_store=None)
+prog = UCProgram(src, sanitize=True, compile_store=None)
 pr = prog.prepare()
 cp.install_portable(pr.interp, pr.context, snap)
 
@@ -105,7 +105,7 @@ def _take_snapshot_at(prog, pc):
 
 @pytest.mark.parametrize("engine_env", [{}, {"REPRO_NO_PLANS": "1"}])
 def test_disk_round_trip_across_process_boundary(tmp_path, engine_env):
-    prog = UCProgram(SRC, log_tiers=True, compile_store=None)
+    prog = UCProgram(SRC, sanitize=True, compile_store=None)
     solo = prog.run()
     assert solo.stdout.startswith("mid=9\n")
 

@@ -166,16 +166,16 @@ class TestConfigStats:
     def test_sanitize_names_every_engine_it_stands_down(self, apsp_file, capsys):
         assert main(["run", apsp_file, "-D", "N=4", "--sanitize", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "   config: log_tiers=True sanitize=True\n" in out
+        assert "   config: sanitize=True\n" in out
         for engine in ("fusion", "frontier", "batch"):
-            assert f"   config.{engine} off (tier log armed by sanitize)\n" in out
+            assert f"   config.{engine} off (sanitizer armed)\n" in out
 
     def test_environment_and_flags_show_up_resolved(self, apsp_file, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FUSION", "yes")
+        monkeypatch.setenv("REPRO_NO_PLANS", "yes")
         assert main(["run", apsp_file, "-D", "N=4", "--shards", "2", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "   config: fusion=False shards=2\n" in out
-        assert "   config.fusion off (fusion off)\n" in out
+        assert "   config: plans=False shards=2\n" in out
+        assert "   config.fusion off (plans off)\n" in out
         assert "   config.batch off (2 shards)\n" in out
         assert "config.frontier" not in out
 
@@ -214,7 +214,7 @@ class TestMalformedEnvironment:
         args = ["run", apsp_file, "-D", "N=4", "--batch", str(batch)]
         assert main(args) == 0
         assert "(batched x2 lanes)" in capsys.readouterr().out
-        monkeypatch.setenv("REPRO_NO_BATCH", "true")
+        monkeypatch.setenv("REPRO_SANITIZE", "true")
         assert main(args) == 0
         assert "(sequential fallback)" in capsys.readouterr().out
 

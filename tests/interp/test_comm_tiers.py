@@ -3,9 +3,9 @@
 The tier dispatcher (``repro.interp.commtiers``) must be an invisible
 optimization within each mode: both engines pick the same tiers and
 produce bit-identical clocks, the NEWS window fast path reproduces the
-general gather exactly, and ``REPRO_NO_COMM_TIERS=1`` (or
-``comm_tiers=False``) restores router-only charging for the ablation
-benchmark.  The static classifier (``repro.compiler.comm_opt``) must
+general gather exactly, and ``comm_tiers=False`` — a model choice, the
+machine without the dispatcher — restores router-only charging for the
+ablation benchmark.  The static classifier (``repro.compiler.comm_opt``) must
 agree with the runtime dispatcher on every shipped example.
 """
 
@@ -47,12 +47,6 @@ main {
         par (I, J) c[i][j] = c[i][j] + row[j];
 }
 """
-
-
-@pytest.fixture(autouse=True)
-def _tiers_env_clear(monkeypatch):
-    """These tests control the escape hatch explicitly."""
-    monkeypatch.delenv("REPRO_NO_COMM_TIERS", raising=False)
 
 
 def tier_counts(prog: UCProgram):
@@ -153,25 +147,6 @@ class TestEscapeHatch:
         assert r.counts.get("news", 0) == 0
         assert r.counts.get("router_get", 0) > 0
 
-    def test_env_var_disables_tiers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMM_TIERS", "1")
-        prog = UCProgram(STENCIL, defines={"N": 8, "REPS": 2})
-        prog.run()
-        assert set(tier_counts(prog)) <= {"local", "router"}
-
-    def test_env_and_kwarg_agree(self, monkeypatch):
-        by_kwarg = UCProgram(
-            STENCIL, defines={"N": 8, "REPS": 2}, comm_tiers=False
-        )
-        r_kwarg = by_kwarg.run()
-        monkeypatch.setenv("REPRO_NO_COMM_TIERS", "1")
-        by_env = UCProgram(STENCIL, defines={"N": 8, "REPS": 2})
-        r_env = by_env.run()
-        fp_kwarg = by_kwarg.last_interpreter.machine.clock.fingerprint()
-        fp_env = by_env.last_interpreter.machine.clock.fingerprint()
-        assert fp_kwarg == fp_env
-        assert np.array_equal(r_kwarg["b"], r_env["b"])
-
     def test_results_identical_with_and_without_tiers(self):
         a = np.arange(100, dtype=np.int64).reshape(10, 10)
         on = UCProgram(STENCIL, defines={"N": 10, "REPS": 3}).run({"a": a})
@@ -225,7 +200,7 @@ class TestTierObservability:
         assert clock.tier_counts == {}
 
     def test_tier_log_records_sites(self):
-        prog = UCProgram(STENCIL, defines={"N": 8, "REPS": 2}, log_tiers=True)
+        prog = UCProgram(STENCIL, defines={"N": 8, "REPS": 2}, sanitize=True)
         prog.run()
         log = prog.last_interpreter.tier_log
         assert log is not None
@@ -251,7 +226,7 @@ class TestStaticRuntimeParity:
         prog = UCProgram(
             src,
             defines=defines,
-            log_tiers=True,
+            sanitize=True,
             cse=False,
             processor_opt=False,
         )

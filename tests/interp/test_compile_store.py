@@ -2,8 +2,8 @@
 
 Two properties matter: a warm store makes the second program instance
 compile-free (``recompiles == 0``), and the store key captures every
-effective engine flag — mutating a ``REPRO_NO_*`` escape hatch between
-runs must *miss* rather than serve a stale artifact.
+effective engine flag — flipping a ``REPRO_*`` variable between runs
+must *miss* rather than serve a stale artifact.
 """
 
 import numpy as np
@@ -64,17 +64,17 @@ class TestWarmStore:
         assert store.stats()["frontend_misses"] == 2
 
 
+@pytest.mark.usefixtures("default_engines")
 class TestFlagStaleness:
-    def test_no_comm_tiers_env_flip_misses_backend(self, monkeypatch):
-        """Flipping REPRO_NO_COMM_TIERS between runs changes effective
-        tier behaviour, so the backend entry must not be reused."""
+    def test_no_frontier_env_flip_misses_backend(self, monkeypatch):
+        """Flipping REPRO_NO_FRONTIER between runs changes how sweeps are
+        planned and charged, so the backend entry must not be reused."""
         store = CompileStore()
-        monkeypatch.delenv("REPRO_NO_COMM_TIERS", raising=False)
         UCProgram(SRC, compile_store=store).run(_inp())
         before = store.stats()
         assert before["backend_entries"] == 1
 
-        monkeypatch.setenv("REPRO_NO_COMM_TIERS", "1")
+        monkeypatch.setenv("REPRO_NO_FRONTIER", "1")
         flipped = UCProgram(SRC, compile_store=store).run(_inp())
         after = store.stats()
         assert after["backend_misses"] == before["backend_misses"] + 1
@@ -85,15 +85,14 @@ class TestFlagStaleness:
 
     def test_engine_kwargs_get_separate_backends(self):
         store = CompileStore()
-        UCProgram(SRC, compile_store=store, fusion=True).run(_inp())
-        UCProgram(SRC, compile_store=store, fusion=False).run(_inp())
+        UCProgram(SRC, compile_store=store, cse=True).run(_inp())
+        UCProgram(SRC, compile_store=store, cse=False).run(_inp())
         assert store.stats()["backend_entries"] == 2
 
     def test_flag_flip_results_still_correct(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COMM_TIERS", raising=False)
         store = CompileStore()
         plain = UCProgram(SRC, compile_store=store).run(_inp())
-        monkeypatch.setenv("REPRO_NO_COMM_TIERS", "1")
+        monkeypatch.setenv("REPRO_NO_FRONTIER", "1")
         flipped = UCProgram(SRC, compile_store=store).run(_inp())
         assert np.array_equal(plain["a"], flipped["a"])
 

@@ -28,14 +28,14 @@ from repro.interp.checkpoint import (
 )
 from repro.interp.compile_store import CompileStore
 from repro.interp.program import UCProgram
-from repro.service import ExecutionService, JobSpec, ServiceConfig
+from repro.service import ExecutionService, JobSpec, ServiceConfig, worker
 
 from .test_checkpoint_disk import _take_snapshot_at
 
 pytestmark = pytest.mark.usefixtures("default_engines")
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "uc"
-BOOLS = ("processor_opt", "cse", "plans", "comm_tiers", "frontier", "fusion", "sanitize")
+BOOLS = ("processor_opt", "cse", "plans", "comm_tiers", "frontier", "sanitize")
 LANES = 3
 
 #: name -> (source, defines, one inputs dict per lane)
@@ -136,7 +136,7 @@ def test_snapshot_is_refused_under_another_clock_key():
     assert _same_run(pr.finish(), router_only.run())
 
 
-@pytest.mark.parametrize("kw", [dict(plans=False), dict(fusion=False), dict(shards=4)])
+@pytest.mark.parametrize("kw", [dict(plans=False), dict(shards=2, placement="block"), dict(shards=4)])
 def test_snapshot_resumes_under_the_same_clock_key(kw):
     resumed = _finish_from(UCProgram(THREE_PARS, **kw), _snapshot_at_pc2())
     assert _same_run(resumed, UCProgram(THREE_PARS).run())
@@ -153,8 +153,21 @@ def test_service_restarts_a_job_it_cannot_resume(tmp_path, monkeypatch, stale):
     svc.step()
     assert svc.jobs[job].snapshot.pc == 2
     svc.spool.close()  # "crash" with the job suspended before the last par
+    refused = []
     if stale == "clock_key":
-        monkeypatch.setenv("REPRO_NO_COMM_TIERS", "1")
+        # full sweeps charge THREE_PARS alike, so the fingerprint cannot
+        # tell a wrong resume: watch the worker refuse the snapshot
+        monkeypatch.setenv("REPRO_NO_FRONTIER", "1")
+        install = worker.install_portable
+
+        def spy(*args):
+            try:
+                return install(*args)
+            except SnapshotUnsupported:
+                refused.append(True)
+                raise
+
+        monkeypatch.setattr(worker, "install_portable", spy)
     else:
         journal = tmp_path / "journal.jsonl"
         events = [json.loads(line) for line in journal.read_text().splitlines()]
@@ -174,3 +187,4 @@ def test_service_restarts_a_job_it_cannot_resume(tmp_path, monkeypatch, stale):
     assert svc.lost_jobs() == []
     assert results[job].ok, results[job].error
     assert _same_run(results[job].run, solo)
+    assert bool(refused) == (stale == "clock_key")

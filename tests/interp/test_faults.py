@@ -175,9 +175,8 @@ def test_engine_parity_under_faults():
 
 def test_no_faults_fingerprint_is_baseline():
     base = run_apsp(W.APSP_SOLVE_UC, APSP_DEFS, {"dist": DIST})
-    armed = run_apsp(
-        W.APSP_SOLVE_UC, APSP_DEFS, {"dist": DIST}, checkpoints=True
-    )
+    # a fault plan that never fires arms checkpoint/replay recovery
+    armed = run_apsp(W.APSP_SOLVE_UC, APSP_DEFS, {"dist": DIST}, faults="drop@alu#100000")
     # checkpoints are host-side bookkeeping: zero simulated cost, and the
     # zero-count 'recovery' kind never shows up in the fingerprint
     assert armed.fingerprint == base.fingerprint
@@ -187,7 +186,7 @@ def test_no_faults_fingerprint_is_baseline():
 
 
 def test_checkpoint_cost_is_one_copy_of_the_live_fields(monkeypatch):
-    """What ``checkpoints=True`` costs, as properties rather than a
+    """What armed checkpoints cost, as properties rather than a
     wall-clock ratio: one checkpoint per protected construct, each
     holding a single copy of the machine's live fields, and nothing on
     the simulated Clock."""
@@ -204,7 +203,7 @@ def test_checkpoint_cost_is_one_copy_of_the_live_fields(monkeypatch):
 
     monkeypatch.setattr(recovery, "take_checkpoint", spy)
     base = run_apsp(W.APSP_N3_UC, SEQPAR_DEFS, {"d": DIST})
-    armed = run_apsp(W.APSP_N3_UC, SEQPAR_DEFS, {"d": DIST}, checkpoints=True)
+    armed = run_apsp(W.APSP_N3_UC, SEQPAR_DEFS, {"d": DIST}, faults="drop@alu#100000")
     # seq over par: one checkpoint per squaring step
     assert armed.recovery["checkpoints"] == len(held) == SEQPAR_DEFS["LOGN"] > 1
     assert armed.fingerprint == base.fingerprint

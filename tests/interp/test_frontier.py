@@ -17,7 +17,7 @@ from repro.interp.deadline import JobPreempted
 from repro.interp.program import UCProgram
 from repro.lang.errors import UCRuntimeError
 from repro.machine import small_config
-from tests.conftest import run_uc
+from tests.conftest import run_lanes, run_uc
 
 #: APSP over two disconnected communities: {11..63} is pairwise weight 3
 #: (already closed under min-plus, so it quiesces after the first sweep)
@@ -175,9 +175,9 @@ def _two_community(n, chain, weight=3):
     return {"d": d}
 
 
-def _run_n(inputs, **kw):
+def _run_n(inputs, run=run_uc, **kw):
     kw.setdefault("machine_config", SMALL)
-    return run_uc(APSP_N, inputs, defines={"N": 16}, **kw)
+    return run(APSP_N, inputs, defines={"N": 16}, **kw)
 
 
 #: counts up to 20; lanes already there never activate, the rest retire
@@ -196,8 +196,8 @@ def _par_input(late=0):
     return {"a": a}
 
 
-def _run_par(inputs, **kw):
-    return run_uc(STAR_PAR, inputs, machine_config=small_config(16), **kw)
+def _run_par(inputs, run=run_uc, **kw):
+    return run(STAR_PAR, inputs, machine_config=small_config(16), **kw)
 
 
 @pytest.mark.usefixtures("default_engines")
@@ -212,7 +212,7 @@ class TestDenseEvaluation:
         on = _run_n(inputs)
         assert on.frontier["compressed_sweeps"] >= 1
         assert on.frontier["dense_sweeps"] == on.frontier["compressed_sweeps"]
-        for other in (_run_n(inputs, plans=False), _run_n(inputs, fusion=False)):
+        for other in (_run_n(inputs, plans=False), _run_n(inputs, run_lanes)):
             assert other.frontier["dense_sweeps"] == 0
             self._assert_same_run(on, other)
         # a dense compressed sweep replays no charge table: the fusion
@@ -245,14 +245,14 @@ class TestDenseEvaluation:
         on = _run_n(inputs)
         assert on.frontier["compressed_sweeps"] >= 1
         assert on.frontier["dense_sweeps"] == 0
-        for other in (_run_n(inputs, plans=False), _run_n(inputs, fusion=False)):
+        for other in (_run_n(inputs, plans=False), _run_n(inputs, run_lanes)):
             self._assert_same_run(on, other)
 
     def test_mixed_run_switches_per_sweep(self):
         inputs = _two_community(16, 6)
         on = _run_n(inputs)
         assert 0 < on.frontier["dense_sweeps"] < on.frontier["compressed_sweeps"]
-        for other in (_run_n(inputs, plans=False), _run_n(inputs, fusion=False)):
+        for other in (_run_n(inputs, plans=False), _run_n(inputs, run_lanes)):
             self._assert_same_run(on, other)
         full = _run_n(inputs, frontier=False)
         assert np.array_equal(on["d"], full["d"])
@@ -269,10 +269,7 @@ class TestDenseEvaluation:
         assert 0 < mixed.frontier["dense_sweeps"] < mixed.frontier["compressed_sweeps"]
         for inputs, on in ((_par_input(), dense), (_par_input(late=3), mixed)):
             assert on["a"].tolist() == [20] * 64
-            for other in (
-                _run_par(inputs, plans=False),
-                _run_par(inputs, fusion=False),
-            ):
+            for other in (_run_par(inputs, plans=False), _run_par(inputs, run_lanes)):
                 assert other.frontier["dense_sweeps"] == 0
                 self._assert_same_run(on, other, "a")
 
@@ -291,7 +288,7 @@ class TestDenseEvaluation:
         assert on.fusion["unfused_segments"] == 1
         assert on.frontier["compressed_sweeps"] >= 2
         assert on.frontier["dense_sweeps"] == 0
-        off = run_uc(src, inputs, fusion=False, **kw)
+        off = run_uc(src, inputs, plans=False, **kw)
         self._assert_same_run(on, off, "b")
 
     def test_two_arms_on_one_target_never_go_dense(self):
@@ -306,20 +303,20 @@ class TestDenseEvaluation:
         kw = dict(machine_config=small_config(16), cse=False)
         on = run_uc(src, _par_input(), **kw)
         assert on.frontier.get("dense_sweeps", 0) == 0
-        off = run_uc(src, _par_input(), fusion=False, **kw)
+        off = run_uc(src, _par_input(), plans=False, **kw)
         self._assert_same_run(on, off, "a")
 
     def test_armed_faults_keep_the_lane_path(self):
         inputs = _two_community(16, 16)
         plain = _run_n(inputs)
-        armed = _run_n(inputs, faults="drop@scan_step#100000", checkpoints=True)
+        armed = _run_n(inputs, faults="drop@scan_step#100000")
         assert armed.frontier["dense_sweeps"] == 0
         self._assert_same_run(plain, armed)
         fired = _run_n(inputs, faults="drop@scan_step#40")
-        unfused = _run_n(inputs, faults="drop@scan_step#40", fusion=False)
+        oracle = _run_n(inputs, faults="drop@scan_step#40", plans=False)
         assert fired.frontier.get("dense_sweeps", 0) == 0
-        self._assert_same_run(fired, unfused)
-        assert fired.fault_log == unfused.fault_log
+        self._assert_same_run(fired, oracle)
+        assert fired.fault_log == oracle.fault_log
 
     def test_sanitizer_runs_full_sweeps(self):
         inputs = _two_community(16, 16)
@@ -337,7 +334,7 @@ class TestDenseEvaluation:
         self._assert_same_run(plain, sharded)
         # the shard sink observes the compressed charge sequence, which
         # dense evaluation leaves alone
-        assert sharded.shards == _run_n(inputs, shards=4, fusion=False).shards
+        assert sharded.shards == _run_n(inputs, run_lanes, shards=4).shards
 
     def test_checkpoint_resume_carries_dense_counter(self):
         src = (
@@ -479,11 +476,12 @@ class TestLaneGatherFastPath:
 
 
 def _engines(src, inputs=None, **kw):
-    """The same run on the tree oracle, the plan engine and the unfused
-    plan engine; asserts equal values, fingerprints and active-set traces
-    and returns the plan-engine result."""
-    runs = [run_uc(src, inputs, **kw, **eng)
-            for eng in (dict(), dict(plans=False), dict(fusion=False))]  # fmt: skip
+    """The same run on the plan engine, the tree oracle and the plan
+    engine with every compressed sweep on the lane path; asserts equal
+    values, fingerprints and active-set traces and returns the
+    plan-engine result."""
+    runs = [run_uc(src, inputs, **kw), run_uc(src, inputs, plans=False, **kw),
+            run_lanes(src, inputs, **kw)]  # fmt: skip
     for other in runs[1:]:
         for name in runs[0]:
             assert np.array_equal(runs[0][name], other[name]), name
@@ -599,10 +597,11 @@ main {
 
         monkeypatch.setattr(frontier.StarSession, "_run_lanes", spy)
         errors = []
-        for eng in (dict(frontier=False), dict(), dict(plans=False), dict(fusion=False)):
+        engines = [(run_uc, dict(frontier=False)), (run_uc, {}), (run_uc, dict(plans=False))]
+        for run, eng in engines + [(run_lanes, {})]:
             del lane_sweeps[:]
             with pytest.raises(UCRuntimeError) as err:
-                run_uc(src, self._inputs(), defines={"LIVE": 3}, **kw, **eng)
+                run(src, self._inputs(), defines={"LIVE": 3}, **kw, **eng)
             errors.append((str(err.value), err.value.line, err.value.col))
             if eng.get("frontier", True):
                 assert lane_sweeps and lane_sweeps[-1] == "entered", eng

@@ -3,13 +3,12 @@
 The fusion pass lowers a compiled construct plan's charge-and-compute
 statement sequence into whole-array register programs whose Clock cost
 comes from a precomputed static charge table.  Its contract is strict:
-results AND Clock fingerprints are bit-identical across every
-engine x frontier x fusion combination; statements the pass cannot prove
-static run as unfused plan segments inside the fused sweep; an armed
-FaultPlan disables fusion entirely (fault triggers count individual
-charges, which a table replay would reorder mid-sweep); and
-``REPRO_NO_FUSION=1`` / ``UCProgram(fusion=False)`` restores the
-per-closure plan engine exactly.
+results AND Clock fingerprints equal the tree-walking oracle's
+(``plans=False``) under both frontier modes; statements the pass cannot
+prove static run as unfused plan segments inside the fused sweep; and an
+armed FaultPlan or the sanitizer stands fusion down entirely (fault
+triggers count individual charges, which a table replay would reorder
+mid-sweep; the sanitizer's tier log walks every reference).
 """
 
 import numpy as np
@@ -94,66 +93,39 @@ main {
 """
 
 
-def _product_runs(src, inputs=None, **kw):
-    runs = {}
-    for plans in (True, False):
-        for frontier in (True, False):
-            for fusion in (True, False):
-                runs[(plans, frontier, fusion)] = run_uc(
-                    src,
-                    {k: v.copy() for k, v in (inputs or {}).items()},
-                    plans=plans,
-                    frontier=frontier,
-                    fusion=fusion,
-                    **kw,
-                )
-    return runs
-
-
 class TestBitEquality:
     @pytest.mark.parametrize(
-        "src,inputs,kw",
+        "src,inputs",
         [
-            (APSP, _apsp_input(), {}),
-            (WAVEFRONT_STAR, None, {}),
+            (APSP, _apsp_input()),
+            (WAVEFRONT_STAR, None),
             (
                 PREDICATED,
                 {
                     "a": np.arange(0, 64, 2, dtype=np.int64),
                     "b": np.arange(32, dtype=np.int64),
                 },
-                {},
             ),
-            (SPLIT_SEGMENTS, None, {}),
-            (UNFUSABLE_DECL, None, {}),
+            (SPLIT_SEGMENTS, None),
+            (UNFUSABLE_DECL, None),
         ],
         ids=["apsp", "wavefront", "predicated", "split", "decl"],
     )
-    def test_engine_frontier_fusion_product(self, src, inputs, kw):
-        runs = _product_runs(src, inputs, **kw)
-        ref = runs[(True, True, False)]
-        ref_fp = {}
-        for (plans, frontier, fusion), r in runs.items():
-            for var in r.keys():
-                a, b = r[var], ref[var]
-                same = (
-                    np.array_equal(a, b)
-                    if isinstance(a, np.ndarray)
-                    else a == b
-                )
-                assert same, (
-                    f"{var!r} diverged at plans={plans} "
-                    f"frontier={frontier} fusion={fusion}"
-                )
+    def test_engine_frontier_fusion_product(self, src, inputs):
+        ref = None
+        for frontier in (True, False):
+            oracle, fused = (
+                run_uc(src, {k: v.copy() for k, v in (inputs or {}).items()},
+                       plans=plans, frontier=frontier)
+                for plans in (False, True)
+            )  # fmt: skip
+            ref = oracle if ref is None else ref
+            for var in ref.keys():
+                for r in (oracle, fused):
+                    assert np.array_equal(r[var], ref[var]), (var, frontier)
             # fingerprints may differ across frontier modes (compressed
-            # sweeps charge fewer VPs) but never across engine or fusion
-            key = frontier
-            if key not in ref_fp:
-                ref_fp[key] = r.fingerprint
-            assert r.fingerprint == ref_fp[key], (
-                f"fingerprint diverged at plans={plans} "
-                f"frontier={frontier} fusion={fusion}"
-            )
+            # sweeps charge fewer VPs) but never across engines
+            assert fused.fingerprint == oracle.fingerprint, frontier
 
     def test_fusion_only_runs_on_plan_engine(self):
         r = run_uc(APSP, _apsp_input(), plans=False)
@@ -195,9 +167,9 @@ class TestCounters:
         )
         r = run_uc(src)
         assert r.fusion.get("unfusable", 0) >= 1
-        off = run_uc(src, fusion=False)
-        assert r.fingerprint == off.fingerprint
-        assert np.array_equal(r["a"], off["a"])
+        oracle = run_uc(src, plans=False)
+        assert r.fingerprint == oracle.fingerprint
+        assert np.array_equal(r["a"], oracle["a"])
 
     def test_declaration_bails_whole_construct(self):
         r = run_uc(UNFUSABLE_DECL)
@@ -206,23 +178,27 @@ class TestCounters:
         assert r["a"].tolist() == [i * 3 for i in range(8)]
 
     def test_disabled_fusion_leaves_no_counters(self):
-        r = run_uc(APSP, _apsp_input(), fusion=False)
+        # the sanitizer's tier log stands fusion down
+        r = run_uc(APSP, _apsp_input(), sanitize=True)
         assert not r.fusion
+        assert r.fingerprint == run_uc(APSP, _apsp_input(), frontier=False).fingerprint
 
 
 class TestEscapeHatches:
+    """Fusion has no switch of its own: the oracle's hatch is its only
+    off path, by variable or by keyword."""
+
     def test_env_flag_matches_kwarg(self, monkeypatch):
-        base = run_uc(APSP, _apsp_input(), fusion=False)
-        monkeypatch.setenv("REPRO_NO_FUSION", "1")
+        base = run_uc(APSP, _apsp_input(), plans=False)
+        monkeypatch.setenv("REPRO_NO_PLANS", "1")
         hatch = run_uc(APSP, _apsp_input())
         assert hatch.fingerprint == base.fingerprint
         assert not hatch.fusion
 
     def test_kwarg_threads_through_ucprogram(self):
-        prog = UCProgram(APSP, fusion=False)
-        r = prog.run(_apsp_input())
-        assert not r.fusion
-        assert prog.last_interpreter.config.fusion is False
+        prog = UCProgram(APSP, plans=False)
+        assert not prog.run(_apsp_input()).fusion
+        assert prog.last_interpreter.config.fused is False
 
 
 class TestFaultFallback:
@@ -236,7 +212,7 @@ class TestFaultFallback:
 
     def test_faulted_runs_agree_with_fusion_toggle(self):
         a = run_uc(APSP, _apsp_input(), faults=self.FAULTS)
-        b = run_uc(APSP, _apsp_input(), faults=self.FAULTS, fusion=False)
+        b = run_uc(APSP, _apsp_input(), faults=self.FAULTS, plans=False)
         assert np.array_equal(a["d"], b["d"])
         assert a.fingerprint == b.fingerprint
         assert a.fault_log == b.fault_log

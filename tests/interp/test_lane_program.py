@@ -5,8 +5,9 @@ the body, pre-bound charge rows — and what it may not (see "Host cost of
 a compressed sweep" in ``docs/PERFORMANCE.md``).
 
 Every case runs on the plan engine, the ``plans=False`` oracle and the
-unfused plan engine and must agree on values, Clock fingerprint and the
-active-set trace; values must also equal full sweeps.  (Oracle and plan
+plan engine with dense evaluation off (every compressed sweep on the lane
+path) and must agree on values, Clock fingerprint and the active-set
+trace; values must also equal full sweeps.  (Oracle and plan
 engine share the lane path, so equality with the *parent commit* over
 many programs is checked separately — ``.claude/skills/verify``.)
 """
@@ -27,17 +28,18 @@ from repro.interp.program import UCProgram
 from repro.lang.errors import UCRuntimeError
 from repro.machine import small_config
 from repro.machine.cost import Clock
-from tests.conftest import run_uc
+from tests.conftest import run_lanes, run_uc
 
 KW = dict(machine_config=small_config(16))
-ENGINES = (dict(), dict(plans=False), dict(fusion=False))
+#: (runner, keywords) per engine: plan engine, oracle, lane path only
+ENGINES = ((run_uc, {}), (run_uc, dict(plans=False)), (run_lanes, {}))
 
 
 def _engines(src, inputs=None, **kw):
     """Run on every engine; assert equal values, fingerprints and traces,
     and values equal to full sweeps.  Returns the plan-engine result."""
     kw = {**KW, **kw}
-    runs = [run_uc(src, inputs, **kw, **eng) for eng in ENGINES]
+    runs = [run(src, inputs, **kw, **eng) for run, eng in ENGINES]
     full = run_uc(src, inputs, frontier=False, **kw)
     for other in runs:
         for name in full:
@@ -59,10 +61,10 @@ def _errors(src, inputs, monkeypatch, **kw):
 
     monkeypatch.setattr(frontier.StarSession, "_run_lanes", spy)
     seen = []
-    for eng in (dict(frontier=False),) + ENGINES:
+    for run, eng in ((run_uc, dict(frontier=False)),) + ENGINES:
         del entered[:]
         with pytest.raises(UCRuntimeError) as err:
-            run_uc(src, inputs, **KW, **kw, **eng)
+            run(src, inputs, **KW, **kw, **eng)
         seen.append((str(err.value), err.value.line, err.value.col))
         assert bool(entered) == eng.get("frontier", True), eng
     assert all(e == seen[0] for e in seen[1:]), seen
@@ -318,7 +320,7 @@ class TestCharging:
         plain, calls, dispatches = self._run(monkeypatch)
         assert plain.frontier["compressed_sweeps"] >= 10
         assert calls < dispatches / 2  # compressed sweeps bypassed Clock.charge
-        for kw in (dict(faults="drop@alu#100000", checkpoints=True), dict(shards=4)):
+        for kw in (dict(faults="drop@alu#100000"), dict(shards=4)):
             seen, calls, dispatches = self._run(monkeypatch, **kw)
             assert calls >= dispatches, kw  # ... and here every row went through it
             assert seen.fingerprint == plain.fingerprint
@@ -326,13 +328,13 @@ class TestCharging:
 
     def test_fault_points_and_shard_ledgers_match_the_oracle(self):
         for kw in (
-            dict(faults="kill:2@alu#120;drop@alu#700", checkpoints=True),
+            dict(faults="kill:2@alu#120;drop@alu#700"),
             dict(shards=4),
             dict(shards=4, faults="drop@global_or#9"),
         ):
             runs = [
-                run_uc(DYNAMIC_OBSTACLE_UC, self._inputs(), defines=self.DEFS, **KW, **kw, **eng)
-                for eng in ENGINES
+                run(DYNAMIC_OBSTACLE_UC, self._inputs(), defines=self.DEFS, **KW, **kw, **eng)
+                for run, eng in ENGINES
             ]
             assert runs[0].frontier["compressed_sweeps"] >= 5, kw
             for other in runs[1:]:
@@ -479,7 +481,7 @@ def test_random_frontier_programs_match_the_oracle(case):
         "t": int(rng.integers(0, 4)),
     }
     kw = dict(machine_config=small_config(2), shards=shards)
-    runs = [run_uc(src, inputs, **kw, **eng) for eng in ENGINES]
+    runs = [run(src, inputs, **kw, **eng) for run, eng in ENGINES]
     full = run_uc(src, inputs, frontier=False, **kw)
     for other in runs:
         assert np.array_equal(other["a"], full["a"]), src

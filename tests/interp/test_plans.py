@@ -4,7 +4,8 @@ The plan engine (``repro.interp.plan``) must be an *invisible*
 optimization: for every program, results, stdout, and the full cost
 ledger (``Clock.fingerprint()``) must be bit-identical to the
 tree-walker's.  These tests run every workload and example under both
-engines and compare everything.
+engines — with the communication-tier dispatcher and on the router-only
+machine (``comm_tiers=False``) — and compare everything.
 """
 
 from pathlib import Path
@@ -99,14 +100,17 @@ class TestWorkloadsDifferential:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_identical_results_and_clock(self, name):
         src, defines, inputs, kw = WORKLOADS[name]
-        assert_identical(src, defines, inputs, **kw)
+        for comm_tiers in (True, False):
+            assert_identical(src, defines, inputs, comm_tiers=comm_tiers, **kw)
 
     def test_dynamic_obstacle(self):
         walls = (np.random.default_rng(5).random((10, 10)) < 0.2).astype(np.int64)
         walls[0, 0] = 0
-        assert_identical(
-            W.DYNAMIC_OBSTACLE_UC, {"R": 10, "WALL": BIG}, {"walls": walls}
-        )
+        for comm_tiers in (True, False):
+            assert_identical(
+                W.DYNAMIC_OBSTACLE_UC, {"R": 10, "WALL": BIG}, {"walls": walls},
+                comm_tiers=comm_tiers,
+            )
 
 
 class TestExamplesDifferential:
@@ -119,7 +123,8 @@ class TestExamplesDifferential:
     )
     def test_example(self, script, defines):
         src = (EXAMPLES / script).read_text()
-        assert_identical(src, defines)
+        for comm_tiers in (True, False):
+            assert_identical(src, defines, comm_tiers=comm_tiers)
 
 
 class TestPlanCache:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.interp import frontier
 from repro.interp.program import UCProgram
 from repro.machine import small_config
+from tests.conftest import run_lanes, run_uc
 
 #: index values run 2..N+1 while arrays extend 0..N+3, so shifts of up to
 #: ±2 stay in bounds without predicates (UC subscripts are *values*, not
@@ -95,9 +96,8 @@ def _inputs(seed, template):
     return {"v": v, "a": a}
 
 
-def _run(src, inputs, *, plans, frontier, fusion=True):
-    prog = UCProgram(src, plans=plans, frontier=frontier, fusion=fusion)
-    return prog.run({k: val.copy() for k, val in inputs.items()})
+def _run(src, inputs, *, plans, frontier, run=run_uc):
+    return run(src, {k: val.copy() for k, val in inputs.items()}, plans=plans, frontier=frontier)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,62 +131,50 @@ def test_frontier_matches_full_sweeps_both_engines(case):
 @settings(max_examples=25, deadline=None)
 @given(_solve_programs())
 def test_fusion_matches_plan_engine_on_both_frontier_modes(case):
-    """Kernel fusion is invisible: same values, same Clock fingerprint,
-    whatever the frontier mode — and the tree oracle agrees on values."""
+    """Kernel fusion is invisible: whatever the frontier mode, the plan
+    engine — with compressed sweeps evaluated densely where they qualify,
+    or all on the lane path — matches the tree oracle's values, Clock
+    fingerprint and active-set trace."""
     src, seed, template = case
     inputs = _inputs(seed, template)
-    oracle = _run(src, inputs, plans=False, frontier=False)
     for frontier in (True, False):
-        fused = _run(src, inputs, plans=True, frontier=frontier, fusion=True)
-        plain = _run(src, inputs, plans=True, frontier=frontier, fusion=False)
-        assert np.array_equal(fused["v"], plain["v"]), (
-            f"values diverged under fusion (frontier={frontier})\n{src}"
-        )
-        assert np.array_equal(fused["v"], oracle["v"]), (
-            f"fused values diverged from the tree oracle "
-            f"(frontier={frontier})\n{src}"
-        )
-        assert fused.fingerprint == plain.fingerprint, (
-            f"fusion changed the Clock fingerprint (frontier={frontier})"
-            f"\n{src}"
-        )
-        assert not plain.fusion, "fusion=False must not fuse"
+        oracle = _run(src, inputs, plans=False, frontier=frontier)
+        assert not oracle.fusion, "the oracle must not fuse"
+        for run in (run_uc, run_lanes) if frontier else (run_uc,):
+            fused = _run(src, inputs, plans=True, frontier=frontier, run=run)
+            assert np.array_equal(fused["v"], oracle["v"]), (
+                f"fused values diverged from the tree oracle "
+                f"(frontier={frontier})\n{src}"
+            )
+            assert fused.fingerprint == oracle.fingerprint, (
+                f"fusion changed the Clock fingerprint (frontier={frontier})"
+                f"\n{src}"
+            )
+            assert fused.frontier_trace == oracle.frontier_trace, src
 
 
 @settings(max_examples=15, deadline=None)
 @given(_solve_programs(), st.integers(2, 4))
 def test_batch_lanes_match_solo_runs(case, n_lanes):
     """Lane ``i`` of ``run_batch`` is bit-identical — values and Clock
-    fingerprint — to solo run ``i``, whatever the engine, frontier and
-    fusion mode.  Frontier programs exercise the lane-demotion path
-    (lanes whose sessions elect compressed sweeps finish solo)."""
+    fingerprint — to solo run ``i``, whatever the engine and frontier
+    mode.  Frontier programs exercise the lane-demotion path (lanes whose
+    sessions elect compressed sweeps finish solo)."""
     src, seed, template = case
     lane_inputs = [_inputs(seed ^ k, template) for k in range(n_lanes)]
-    for plans, frontier, fusion in (
-        (True, True, True),
-        (True, False, True),
-        (True, True, False),
-        (False, False, False),
-    ):
-        solo = [
-            UCProgram(src, plans=plans, frontier=frontier, fusion=fusion).run(
-                {k: v.copy() for k, v in inp.items()}
-            )
-            for inp in lane_inputs
-        ]
-        batch = UCProgram(
-            src, plans=plans, frontier=frontier, fusion=fusion
-        ).run_batch(
+    for plans, frontier in ((True, True), (True, False), (False, False)):
+        solo = [_run(src, inp, plans=plans, frontier=frontier) for inp in lane_inputs]
+        batch = UCProgram(src, plans=plans, frontier=frontier).run_batch(
             [{k: v.copy() for k, v in inp.items()} for inp in lane_inputs]
         )
         for i, (one, lane) in enumerate(zip(solo, batch)):
             assert np.array_equal(one["v"], lane["v"]), (
                 f"lane {i} values diverged (plans={plans} "
-                f"frontier={frontier} fusion={fusion})\n{src}"
+                f"frontier={frontier})\n{src}"
             )
             assert one.fingerprint == lane.fingerprint, (
                 f"lane {i} fingerprint diverged (plans={plans} "
-                f"frontier={frontier} fusion={fusion})\n{src}"
+                f"frontier={frontier})\n{src}"
             )
 
 
@@ -239,9 +227,8 @@ _GRAPHS = st.builds(
 )
 
 
-def _run_graph(inputs, **kw):
-    prog = UCProgram(_APSP, machine_config=_SMALL, **kw)
-    return prog.run({"d": inputs["d"].copy()})
+def _run_graph(inputs, run=run_uc, **kw):
+    return run(_APSP, {"d": inputs["d"].copy()}, machine_config=_SMALL, **kw)
 
 
 @pytest.mark.usefixtures("default_engines")
@@ -260,21 +247,24 @@ def test_graph_strategy_spans_the_occupancy_threshold():
 def test_dense_evaluation_is_invisible(inputs):
     """Whichever side of the threshold a sweep lands on, how the host
     evaluates it never shows: values, Clock fingerprint and the active-set
-    trace equal the tree oracle's and the unfused plan engine's."""
+    trace equal the tree oracle's and those of the plan engine with every
+    compressed sweep on the lane path."""
     fused = _run_graph(inputs)
     full = _run_graph(inputs, frontier=False)
     assert np.array_equal(fused["d"], full["d"])
     assert fused.elapsed_us <= full.elapsed_us
-    for kw in (dict(plans=False), dict(fusion=False)):
-        other = _run_graph(inputs, **kw)
+    for name, other in (
+        ("oracle", _run_graph(inputs, plans=False)),
+        ("lanes", _run_graph(inputs, run_lanes)),
+    ):
         assert not other.frontier.get("dense_sweeps", 0)
-        assert np.array_equal(fused["d"], other["d"]), kw
-        assert fused.fingerprint == other.fingerprint, kw
-        assert fused.frontier_trace == other.frontier_trace, kw
+        assert np.array_equal(fused["d"], other["d"]), name
+        assert fused.fingerprint == other.fingerprint, name
+        assert fused.frontier_trace == other.frontier_trace, name
     # fusion counts kernel executions that replayed their charge table:
-    # dense compressed sweeps are not among them (under the CI step's
-    # REPRO_NO_FUSION=1 nothing fuses and every occupancy above went
-    # through the sparse lane path)
+    # dense compressed sweeps are not among them (under REPRO_NO_PLANS=1
+    # nothing fuses and every occupancy above went through the sparse
+    # lane path)
     fused_sweeps = fused.frontier["full_sweeps"] if fused.config.fused else 0
     assert fused.fusion.get("fused_sweeps", 0) == fused_sweeps
 
