@@ -243,6 +243,8 @@ def _print_stats(prog: UCProgram, result) -> None:
             # are seconds; recompiles counts plan-cache misses during the
             # run (a warm compile store shows everything as zero)
             for key in sorted(result.compile):
+                if key == "plan_s":
+                    continue  # always 0, kept in RunResult.compile for its readers
                 value = result.compile[key]
                 if key.endswith("_s"):
                     print(f"   compile.{key:16s} {value * 1e3:10.3f} ms")

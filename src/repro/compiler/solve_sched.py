@@ -34,52 +34,53 @@ class SolveSchedule:
     levels: np.ndarray  # per-grid-point dependency level
     max_level: int
     assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]]
-    stmt: Optional[ast.Node] = None  # the solve UCStmt, for plan caching
+    stmt: Optional[ast.Node] = None  # the solve UCStmt, whose kernel runs the levels
 
     def execute(self, ip, inner) -> None:
-        """Run the schedule: one masked par step per level."""
+        """Run the schedule: one masked par step per level.
+
+        A level is one masked sweep of the body's fused kernel when
+        fusion takes the body, else the oracle runs each assignment in
+        turn.  A fused sweep evaluates every predicate before any body,
+        so it stands in only where no assignment can see another's
+        writes to its predicate: one assignment, or no predicates.  The
+        level loop runs outside an armed CSE cache, so the kernel is
+        built without the cache simulation.
+        """
         from ..interp.eval_expr import _truthy, eval_expr
+        from ..interp.fuse import fused_for
         from ..interp.statements import exec_stmt
 
-        plans = None
-        if ip.config.plans and self.stmt is not None:
-            from ..interp.plan import compile_sched_steps
-
-            plans = ip.plan_cache.get_or_build(
-                "sched",
-                self.stmt,
-                inner.grid.axes,
-                lambda: compile_sched_steps(self.assignments),
-            )
+        fused = None
+        if self.stmt is not None and (
+            len(self.assignments) == 1
+            or all(pred is None for pred, _assign in self.assignments)
+        ):
+            fused = fused_for(ip, self.stmt, inner, cse=False)
 
         base = inner.active_mask()
-        vps = ip.grid_vpset(inner.grid.shape)
         for level in range(self.max_level + 1):
             # the front end drives the level loop
             ip.machine.clock.charge("host_cm_latency")
             level_mask = base & (self.levels == level)
             if not np.any(level_mask):
                 continue
-            for k, (pred, assign) in enumerate(self.assignments):
-                step = plans[k] if plans is not None else None
+            if fused is not None:
+                fused.run_body(ip, inner, fused.begin_sweep(ip, level_mask))
+                continue
+            for pred, assign in self.assignments:
                 mask = level_mask
                 if pred is not None:
-                    if step is not None:
-                        pv = step[0](ip, inner.with_mask(level_mask))
-                    else:
-                        pv = eval_expr(ip, pred, inner.with_mask(level_mask))
+                    pv = eval_expr(ip, pred, inner.with_mask(level_mask))
                     mask = level_mask & np.broadcast_to(
                         np.asarray(_truthy(pv)), inner.grid.shape
                     )
                 if np.any(mask):
-                    if step is not None:
-                        step[1](ip, inner.with_mask(mask))
-                    else:
-                        exec_stmt(
-                            ip,
-                            ast.ExprStmt(line=assign.line, col=assign.col, expr=assign),
-                            inner.with_mask(mask),
-                        )
+                    exec_stmt(
+                        ip,
+                        ast.ExprStmt(line=assign.line, col=assign.col, expr=assign),
+                        inner.with_mask(mask),
+                    )
 
 
 def try_schedule(

@@ -69,7 +69,6 @@ from .plan_cache import PlanCache
 from .statements import (
     ReturnSignal,
     _check_starred,
-    _plans_for,
     enter_grid,
     exec_stmt,
     star_par_loop,
@@ -292,14 +291,13 @@ class _BatchConstruct:
                     ),
                 )
             probe = ExecContext(grid, None, env)
-            plans0 = _plans_for(ip0, stmt, grid)
-            fused = fuse.fused_for(ip0, stmt, probe, plans0)
+            fused = fuse.fused_for(ip0, stmt, probe)
             if (
                 fused is None
                 or fused.unfused_count
                 or fused.others_segments is not None
             ):
-                return None  # plan closures and others run solo only
+                return None  # oracle segments and others run solo only
             if any(
                 isinstance(s, fuse._Scatter) and not s.unique for s in fused.steps()
             ):
@@ -342,17 +340,12 @@ class _BatchConstruct:
         self.fused = fused
         self.inners: List[ExecContext] = []
         self.sessions: List[Optional[frontier.StarSession]] = []
-        self.plans: List[Any] = []
         for ip, i in zip(self.interps, self.live):
             inner = enter_grid(ip, stmt, self.ctxs[i])
-            plans = _plans_for(ip, stmt, inner.grid)
-            fk = fuse.fused_for(ip, stmt, inner, plans)
-            if fk is not fused:
+            if fuse.fused_for(ip, stmt, inner) is not fused:
                 raise _BatchAbort()
-            sess = frontier.star_session(ip, stmt, inner, stmt.kind, plans)
             self.inners.append(inner)
-            self.plans.append(plans)
-            self.sessions.append(sess)
+            self.sessions.append(frontier.star_session(ip, stmt, inner, stmt.kind))
         on = [s is not None for s in self.sessions]
         if any(on) and not all(on):
             raise _BatchAbort()
@@ -400,8 +393,8 @@ class _BatchConstruct:
         solo sweep loop, entered with its elected compressed sweep."""
         self._writeback(row)
         solo_loop(
-            self.interps[row], self.stmt, self.inners[row], self.plans[row],
-            self.sessions[row], states, sweeps,
+            self.interps[row], self.stmt, self.inners[row], self.sessions[row],
+            states, sweeps,
         )  # fmt: skip
 
     def _compact(self, keep: List[int]) -> None:
@@ -411,7 +404,6 @@ class _BatchConstruct:
         self.live = [self.live[r] for r in keep]
         self.interps = [self.interps[r] for r in keep]
         self.inners = [self.inners[r] for r in keep]
-        self.plans = [self.plans[r] for r in keep]
         self.sessions = [self.sessions[r] for r in keep]
         for name in self.array_vars:
             self.array_vars[name] = [self.array_vars[name][r] for r in keep]

@@ -16,9 +16,10 @@ communication tier the machine actually uses:
                cheaper ``router_permute`` cycle;
 ``router``     everything else: the general router.
 
-Both the tree-walking oracle (:mod:`repro.interp.eval_expr`) and the
-compiled-plan engine (:mod:`repro.interp.plan`) call :func:`decide_tier`
-/ :func:`charge_tier`, which keeps their Clock fingerprints
+The tree-walking oracle (:mod:`repro.interp.eval_expr`) calls
+:func:`decide_tier` / :func:`charge_tier` per sweep; the fused kernels
+and frontier lane programs record the same helpers once at compile time
+(:func:`charge_tier_at`), which keeps their Clock fingerprints
 bit-identical by construction.  With ``config.comm_tiers`` off (see
 "Configuration" in ``docs/PERFORMANCE.md``) every remote reference is
 serviced — and charged — through the general router, which is the

@@ -1,12 +1,13 @@
 """Process-wide content-addressed compile store.
 
 The per-run :class:`~repro.interp.plan_cache.PlanCache` memoises
-compiled plans by AST node identity, which is only safe within one
-program object.  This module lifts the whole compile pipeline to a
-shared, size-bounded, *content-addressed* store so parse → semantic
-analysis → layout construction → plan/fusion compilation happens once
-per distinct program and is reused across :class:`UCProgram` instances,
-repeated runs, and batch lanes (see ``UCProgram.run_batch``).
+fused kernels and frontier analyses by AST node identity, which is only
+safe within one program object.  This module lifts the whole compile
+pipeline to a shared, size-bounded, *content-addressed* store so parse
+→ semantic analysis → layout construction → fusion/frontier compilation
+happens once per distinct program and is reused across
+:class:`UCProgram` instances, repeated runs, and batch lanes (see
+``UCProgram.run_batch``).
 
 Two levels:
 
@@ -30,9 +31,8 @@ Two levels:
 
 Both levels are bounded LRU; the store is process-wide state intended
 for single-threaded use (the interpreter itself is single-threaded).
-Entries hold no per-run mutable state: plan closures re-resolve
-bindings by name and self-heal their memos, fused kernels re-validate
-and re-bind per sweep, frontier analyses re-bind per session.
+Entries hold no per-run mutable state: fused kernels re-validate and
+re-bind per sweep, frontier analyses re-bind per session.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 from .plan_cache import PlanCache
 
 
-#: LRU bounds: program contents; plan caches (and shared programs); plans
-#: per cache
+#: LRU bounds: program contents; plan caches (and shared programs);
+#: artifacts per cache
 FRONTEND_CAPACITY = 32
 BACKEND_CAPACITY = 64
 PLAN_CAPACITY = 1024
@@ -202,9 +202,9 @@ class CompileStore:
         """Hit/miss/size counters plus an approximate byte size.
 
         ``source_bytes`` is the summed length of the cached program
-        sources — an honest proxy for frontend footprint; plan closures
-        are not meaningfully measurable, so backend size is reported as
-        entry and cached-plan counts instead.
+        sources — an honest proxy for frontend footprint; compiled
+        kernels are not meaningfully measurable, so backend size is
+        reported as entry and cached-artifact counts instead.
         """
         return {
             "frontend_entries": len(self._frontends),

@@ -98,7 +98,7 @@ class EngineConfig(NamedTuple):
     #: the engines a configuration can statically stand down
     ENGINES = ("fusion", "frontier", "batch")
 
-    #: the fields compiled plans and kernels bake decisions in under
+    #: the fields compiled kernels and analyses bake decisions in under
     COMPILE_FIELDS = (
         "solve_strategy",
         "processor_opt",

@@ -275,17 +275,22 @@ def _truthy(v: Value) -> Value:
 def _eval_unary(ip, expr: ast.Unary, ctx: ExecContext) -> Value:
     v = eval_expr(ip, expr.operand, ctx)
     charge_grid_op(ip, ctx)
-    if expr.op == "-":
+    return apply_unary(expr.op, v, expr)
+
+
+def apply_unary(op: str, v: Value, node: ast.Node) -> Value:
+    """C semantics for one unary operator on a scalar or an array."""
+    if op == "-":
         return -v
-    if expr.op == "!":
+    if op == "!":
         if isinstance(v, np.ndarray):
             return np.logical_not(v.astype(bool)).astype(np.int64)
         return int(not v)
-    if expr.op == "~":
+    if op == "~":
         if isinstance(v, np.ndarray):
             return np.invert(v.astype(np.int64))
         return ~int(v)
-    raise UCRuntimeError(f"bad unary {expr.op!r}", expr.line, expr.col)
+    raise UCRuntimeError(f"bad unary {op!r}", node.line, node.col)
 
 
 _SIMPLE_BINOPS = {

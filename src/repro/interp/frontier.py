@@ -13,7 +13,12 @@ inputs did not change cannot change, so the sweep runs *compressed*:
 the Clock is charged at the VP ratio of the active set instead of the
 full grid.  That is the whole of what the simulated machine sees; how
 the *host* computes the same values is a separate, per-sweep choice
-(see **Evaluation** below).
+(see **Evaluation** below).  A sweep therefore runs on one of three
+executors: a full sweep on the construct's fused kernel, or on the
+tree-walking oracle where fusion declines; a compressed sweep on this
+module's lane programs, or compute-only on that same fused kernel when
+its active set is dense.  The oracle (``plans=False``) keeps the lane
+programs: they are the frontier engine, not an optimisation of it.
 
 Correctness strategy — decide-before-execute behind a measured guard:
 
@@ -1198,14 +1203,11 @@ _IDLE = _ArmState(None, 0, 1)
 class StarSession:
     """Per-execution frontier driver for one ``*solve`` / ``*par``."""
 
-    def __init__(self, ip, stmt: ast.UCStmt, inner, kind: str, plans=None) -> None:
+    def __init__(self, ip, stmt: ast.UCStmt, inner, kind: str) -> None:
         self.ip = ip
         self.stmt = stmt
         self.inner = inner
         self.kind = kind
-        #: the construct's compiled plans (None on the tree-walker): what
-        #: ``fuse.fused_for`` needs to hand out the dense evaluator
-        self.plans = plans
         clock = ip.machine.clock
         clock.count_frontier("constructs")
         an = ip.plan_cache.get_or_build(
@@ -1459,10 +1461,8 @@ class StarSession:
         through it is cheaper than resolving the active lanes one by one
         (active slots x G >= domain slots), else None.  ``fused_for``
         stands down under armed faults, so those runs keep the lane
-        path."""
+        path, and so does the oracle (``plans=False``)."""
         an = self.an
-        if self.plans is None:
-            return None
         if len(an.modified) != len(an.arms):
             # two arms write one array: a slot written twice has a
             # per-write change mask the net before/after diff cannot give
@@ -1474,7 +1474,7 @@ class StarSession:
             full += self.domain * extent
         if active * _DENSE_COST_RATIO < full:
             return None
-        fused = fuse.fused_for(self.ip, self.stmt, self.inner, self.plans)
+        fused = fuse.fused_for(self.ip, self.stmt, self.inner)
         if fused is None or fused.unfused_count:
             return None  # an unfused segment would charge the full grid
         return fused
@@ -1625,14 +1625,12 @@ class StarSession:
         return "; ".join(parts) if parts else "nothing (oscillation across sweeps?)"
 
 
-def star_session(
-    ip, stmt: ast.UCStmt, inner, kind: str, plans=None
-) -> Optional[StarSession]:
+def star_session(ip, stmt: ast.UCStmt, inner, kind: str) -> Optional[StarSession]:
     """A frontier session for one ``*solve``/``*par`` execution, or None
     when frontier execution is disabled for this interpreter."""
     if not ip.config.frontier_sweeps:
         return None
-    sess = StarSession(ip, stmt, inner, kind, plans)
+    sess = StarSession(ip, stmt, inner, kind)
     return sess if sess.active else None
 
 

@@ -1,16 +1,15 @@
 """Kernel fusion: lower a construct body to whole-array NumPy programs.
 
-The compiled-plan engine (:mod:`repro.interp.plan`) already memoises the
-expensive per-statement analyses (index recipes, tier decisions, charge
-recipes), but the steady-state sweep loop still walks one Python closure
-per expression node per sweep.  This pass goes one step further, in the
-spirit of the paper's "UC compiles to tight data-parallel code" claim:
-for an iterated construct it compiles the whole charge-and-compute
-statement sequence once, into
+The tree-walking oracle (:mod:`repro.interp.eval_expr`) re-derives every
+static fact of a construct (reference classification, tier decisions,
+index vectors, charges) and walks one Python call per expression node on
+every sweep.  This pass, in the spirit of the paper's "UC compiles to
+tight data-parallel code" claim, compiles the whole charge-and-compute
+statement sequence of a construct once, into
 
 * a **register program**: a flat list of steps over preallocated value
-  slots (``regs``).  Gathers and scatters embed the same ``np.ix_`` /
-  NEWS-shift recipes the plan memos would build, arithmetic becomes
+  slots (``regs``).  Gathers and scatters embed ``np.ix_`` take recipes
+  (:mod:`repro.interp.plan`) or NEWS-shift recipes, arithmetic becomes
   direct ``numpy`` calls, guards become boolean mask registers; and
 * a **static charge table**: the exact ``Clock.charge`` /
   ``charge_scan`` / ``count_tier`` sequence each statement would issue,
@@ -19,13 +18,13 @@ statement sequence once, into
 
 Because every charge a fused statement can issue is provably
 data-independent (that is what the fusability checks below establish),
-replaying the table is *bit-identical* to the unfused engine — the
-differential suites hold every fused run to the tree-walker's exact
-fingerprint.  Statements the pass cannot prove static (host calls,
-dynamic subscripts, data-dependent short-circuits, send-reduce
-candidates...) become **unfused segments**: the fused sweep drops back to
-the ordinary compiled-plan closure for just that statement, keeping the
-rest of the body on the fast path.
+replaying the table is *bit-identical* to the oracle — the differential
+suites hold every fused run to the tree-walker's exact fingerprint.
+Statements the pass cannot prove static (host calls, dynamic subscripts,
+data-dependent short-circuits, send-reduce candidates...) become
+**unfused segments**: the fused sweep runs just that statement on the
+oracle (``exec_stmt``), keeping the rest of the body on the fast path.
+A construct the pass declines altogether runs on the oracle.
 
 Compile cost is independent of grid size: address resolution works on
 the compact per-axis form of each static subscript (``plan._compact``).
@@ -55,10 +54,12 @@ Correctness subtleties worth naming:
   different arm bails the whole construct (at run time the killer arm
   may be skipped, leaving the entry live).  Texts reachable from both
   fused and unfused parts of one body bail the construct too — the two
-  cache worlds must never overlap.
+  cache worlds must never overlap.  A scheduled ``solve`` level runs its
+  body with no cache armed, so its kernel is built without the
+  simulation (``fused_for(..., cse=False)``).
 * **Error paths.**  Charges replay before the statement's value steps
   run, so a statement that *raises* (bounds, UC101, division by zero)
-  leaves slightly different partial charges than the unfused engine.
+  leaves slightly different partial charges than the oracle.
   Those errors abort the run — the fingerprint of a completed run is
   unaffected — and the differential tests only assert messages there.
 * **Compressed frontier sweeps.**  A sweep the frontier engine runs
@@ -77,9 +78,10 @@ Correctness subtleties worth naming:
   reads the leading lane axis off its operands (see the register-program
   section below).
 * **No off switch.**  Fusion stands down only where it cannot run
-  (``config.fused``: plans off, or the sanitizer's tier log armed; see
-  "Configuration" in ``docs/PERFORMANCE.md``); the tree-walking oracle
-  (``plans=False``) is the ground truth.
+  (``config.fused``: ``plans`` off, or the sanitizer's tier log armed;
+  see "Configuration" in ``docs/PERFORMANCE.md``), and the oracle runs
+  in its place; the tree-walking oracle (``plans=False``) is the ground
+  truth.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ from .plan import (
     _compact,
     _IndexRecipe,
     _oob_masks,
-    _UnaryPlan,
-    compile_stmt,
 )
+from .statements import exec_stmt
 from .values import (
     ArrayVar,
     ElementBinding,
@@ -245,7 +246,9 @@ class _Unary:
         self.node = node
 
     def run(self, ip, regs) -> None:
-        regs[self.dst] = lanewise(_UnaryPlan._apply, 0, self.node, regs[self.src])
+        regs[self.dst] = lanewise(
+            E.apply_unary, 0, self.node.op, regs[self.src], self.node
+        )
 
 
 class _Binary:
@@ -946,7 +949,7 @@ def _pure_reads(node: ast.Expr) -> Optional[frozenset]:
 
 
 class _Fuser:
-    def __init__(self, ip, stmt: ast.UCStmt, inner) -> None:
+    def __init__(self, ip, stmt: ast.UCStmt, inner, cse: bool) -> None:
         self.ip = ip
         self.stmt = stmt
         self.env = inner.env
@@ -962,8 +965,8 @@ class _Fuser:
         # runtime binding checks: (kind, name, expected)
         self.checks: List[Tuple] = []
         self._check_map: Dict[str, Tuple] = {}
-        # static CSE simulation
-        self.cse_on = ip.config.cse
+        # static CSE simulation (off where the caller never arms the cache)
+        self.cse_on = cse and ip.config.cse
         self.sim: Dict[Tuple, Tuple[Tuple, _Val]] = {}
         self.tombs: Dict[Tuple, Any] = {}
         self.fused_texts: set = set()
@@ -1032,7 +1035,7 @@ class _Fuser:
     def compile_construct(self) -> "FusedConstruct":
         stmt = self.stmt
         # global bails: declarations anywhere would give later statements a
-        # different environment than the flattened per-statement closures;
+        # different environment than the flattened per-statement segments;
         # control transfers out of a construct body are not a thing we can
         # segment.  ``oneof`` never reaches here (its dispatch is separate).
         bodies = [b.stmt for b in stmt.blocks]
@@ -1096,7 +1099,7 @@ class _Fuser:
 
         if fused_count == 0:
             # nothing actually fused: the segmented runner would only add
-            # overhead over the plain plan path
+            # overhead over the oracle
             raise _Bail()
         if self.cse_on and (self.fused_texts & self.unfused_texts):
             # one cache world per construct: a text both fused (simulated
@@ -1140,7 +1143,7 @@ class _Fuser:
     def _compile_body(
         self, body: ast.Stmt, mask_reg: int, token: Tuple, inv_ctx
     ) -> Tuple[List[Tuple], int, int]:
-        """Compile one arm body into ('f', charges, steps) / ('u', plan)
+        """Compile one arm body into ('f', charges, steps) / ('u', stmt)
         segments; returns (segments, n_fused, n_unfused)."""
         segs: List[Tuple] = []
         n_fused = 0
@@ -1167,7 +1170,7 @@ class _Fuser:
                     self.n_regs = nregs_snap
                     del self.consts[consts_snap:]
             self._note_unfused(s)
-            segs.append(("u", compile_stmt(s)))
+            segs.append(("u", s))
             n_unfused += 1
         self.inv_ctx = None
         return segs, n_fused, n_unfused
@@ -1306,7 +1309,7 @@ class _Fuser:
         self._alu(g)
         if v.static is not _DYN:
             try:
-                folded = _UnaryPlan._apply(node, v.static)
+                folded = E.apply_unary(node.op, v.static, node)
             except UCRuntimeError:
                 raise _Demote()
             return self.static_val(folded)
@@ -1837,7 +1840,7 @@ class FusedConstruct:
 
     def validate(self, ip, inner) -> bool:
         """Re-check every binding the compile specialised on.  A False here
-        is a per-sweep fallback to the plan engine, not an error.
+        is a per-sweep fallback to the oracle, not an error.
 
         Scalar and array bindings are compared structurally, not by
         identity: the kernel may be served from the shared compile store
@@ -1954,8 +1957,8 @@ class FusedConstruct:
         counters — for a caller that has already charged the sweep
         itself (dense evaluation of a compressed frontier sweep; batch
         lanes, each replaying the tables on its own clock).  Only
-        meaningful for kernels without unfused segments, whose plan
-        closures charge as they run."""
+        meaningful for kernels without unfused segments: the oracle
+        charges an unfused segment as it runs it."""
         regs: List[Any] = [None] * self.n_regs
         for r, v in self.consts:
             regs[r] = v
@@ -2007,7 +2010,7 @@ class FusedConstruct:
     def _run_segments(ip, inner, regs, segs, mask, charge: bool) -> None:
         """One arm's segments under ``mask``: fused ones replay their
         charge table (unless the caller already charged) and run their
-        steps, unfused ones run their plan closure."""
+        steps, unfused ones run their statement on the oracle."""
         clock = ip.machine.clock
         sub = None
         for seg in segs:
@@ -2019,7 +2022,7 @@ class FusedConstruct:
             else:
                 if sub is None:
                     sub = inner.with_mask(mask)
-                seg[1](ip, sub)
+                exec_stmt(ip, seg[1], sub)
 
 
 # ---------------------------------------------------------------------------
@@ -2027,9 +2030,9 @@ class FusedConstruct:
 # ---------------------------------------------------------------------------
 
 
-def _build(ip, stmt: ast.UCStmt, inner):
+def _build(ip, stmt: ast.UCStmt, inner, cse: bool):
     try:
-        return _Fuser(ip, stmt, inner).compile_construct()
+        return _Fuser(ip, stmt, inner, cse).compile_construct()
     except _Bail:
         return _UNFUSABLE
 
@@ -2055,18 +2058,23 @@ def _note_fusion(ip, stmt, sig, fused) -> None:
     clock.count_fusion("unfused_segments", fused.unfused_count)
 
 
-def fused_for(ip, stmt: ast.UCStmt, inner, plans) -> Optional[FusedConstruct]:
-    """The fused kernel for one construct sweep, or None to take the
-    ordinary plan path.
+def fused_for(
+    ip, stmt: ast.UCStmt, inner, cse: bool = True
+) -> Optional[FusedConstruct]:
+    """The fused kernel for one construct sweep, or None to run the
+    sweep on the oracle.
 
-    Gates, in order: the static ones (``config.fused``: plans on —
-    fusion builds on the plan memos' semantics — and no tier log), no
-    armed faults (a mid-sweep ``fault_point`` must interleave
-    with individual charges), and a fully active construct context.  A
-    cached kernel still revalidates its binding specialisations every
-    sweep.
+    Gates, in order: the static ones (``config.fused``: plans on and no
+    tier log), no armed faults (a mid-sweep ``fault_point`` must
+    interleave with individual charges), and a fully active construct
+    context.  A cached kernel still revalidates its binding
+    specialisations every sweep.
+
+    ``cse=False`` builds the kernel for a caller that runs the body
+    outside an armed CSE cache (a scheduled ``solve`` level): no hit is
+    simulated, and the kernel is cached apart, as kind ``"sched"``.
     """
-    if plans is None or not ip.config.fused:
+    if not ip.config.fused:
         return None
     machine = ip.machine
     if machine.clock.fault_hook is not None or machine.faults is not None:
@@ -2075,7 +2083,7 @@ def fused_for(ip, stmt: ast.UCStmt, inner, plans) -> Optional[FusedConstruct]:
         return None
     sig = tuple(inner.grid.axes)
     fused = ip.plan_cache.get_or_build(
-        "fuse", stmt, sig, lambda: _build(ip, stmt, inner)
+        "fuse" if cse else "sched", stmt, sig, lambda: _build(ip, stmt, inner, cse)
     )
     _note_fusion(ip, stmt, sig, fused)
     if fused is _UNFUSABLE:

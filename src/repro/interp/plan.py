@@ -1,39 +1,22 @@
-"""Compile-to-closure execution plans for par / seq / oneof / solve bodies.
+"""Shared address recipes: static gathers as ``np.ix_`` takes, lane-space
+subscripts for the frontier engine.
 
-The tree-walking evaluator in :mod:`repro.interp.eval_expr` re-derives a
-lot of *static* information on every sweep of an iterated construct:
-reference classification (``classify_reference`` walks every subscript),
-subscript clipping/broadcasting, bounds masks, readiness index vectors.
-A plan lowers an already-semantically-checked AST subtree **once** into a
-tree of Python closures; per-node memos then cache the static derivations
-across sweeps, keyed by what could actually change (grid axes, the
-resolved bindings of the free names, array identity).
+Two consumers resolve array addresses once per construct instead of once
+per sweep, and both read them from here:
 
-The contract is strict *observational equivalence* with the tree-walker:
+* :mod:`repro.interp.fuse` bakes a gather whose subscripts are static
+  into an :class:`_IndexRecipe`: an N-d fancy gather over the grid
+  collapses to a take over one vector per varying axis plus a broadcast
+  (``dist[i][k]`` over an (i,j,k) grid: a 64x64 take instead of a 64^3
+  gather).  Address work runs on :func:`_compact` views, so it is sized
+  by the program text, not by the grid.
+* :mod:`repro.interp.frontier` resolves the subscripts of a compressed
+  sweep's active lanes with :func:`lane_sub` / :func:`lane_check` and
+  writes them with :func:`lane_scatter`.
 
-* every ``Clock`` charge is issued in the same order with the same
-  arguments (the cost model adds a dispatch charge per call, so the call
-  *sequence* matters, not just totals);
-* the CSE cache is consulted/filled through the same
-  ``_cse_lookup``/``_cse_store`` helpers with the same keys;
-* every RNG draw (``rand``, ``$,``, ``oneof`` picks) happens in the same
-  order;
-* all error paths raise the same exceptions.
-
-Memos therefore never skip operand evaluation — they only skip the final
-ufunc / gather / classification once the operands are known static.  A
-memo is valid only when the grid axes match, the free names resolve to
-the same axis/constant bindings (re-checked every execution: cheap dict
-lookups guard against shadowing), and — for array references — the base
-still resolves to the same :class:`ArrayVar`.
-
-Gathers whose subscripts are static additionally get an ``np.ix_`` *take
-recipe*: an N-d fancy gather over the grid collapses to a take over one
-vector per varying axis plus a broadcast, which is the big win for
-``solve`` sweeps (e.g. ``dist[i][k]`` over an (i,j,k) grid: a 64×64 take
-instead of a 64³ gather).  Inside pure reductions the broadcast *view* is
-returned directly (``view_ok``); the reduction materialises it before any
-write can occur.
+Everything else a construct needs is evaluated by the fused kernel, the
+frontier lane program or the tree-walking oracle
+(:mod:`repro.interp.eval_expr`).
 """
 
 from __future__ import annotations
@@ -44,74 +27,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
-from ..machine.router import has_duplicates
-from ..machine.scan import INF
-from ..mapping.locality import classify_reference, classify_write
-from . import commtiers
 from . import eval_expr as E
-from .eval_expr import ExecContext
-from .values import ArrayVar, ElementBinding, ParallelLocal, ScalarVar
-
-_TRUE = np.asarray(True)
-
-#: node types whose subtrees are "static": value fully determined by the
-#: grid axes plus axis-element / compile-time-constant name bindings
-_STATIC_OK = (
-    ast.IntLit,
-    ast.FloatLit,
-    ast.InfLit,
-    ast.Name,
-    ast.Unary,
-    ast.Binary,
-    ast.Ternary,
-)
-
-
-def _static_names(node: ast.Node) -> Optional[Tuple[str, ...]]:
-    """Free names of a static subtree, or None if the subtree is not static."""
-    names: List[str] = []
-    for n in ast.walk(node):
-        if not isinstance(n, _STATIC_OK):
-            return None
-        if isinstance(n, ast.Name) and n.ident not in names:
-            names.append(n.ident)
-    return tuple(names)
-
-
-def _joint_static_names(nodes) -> Optional[Tuple[str, ...]]:
-    names: List[str] = []
-    for node in nodes:
-        sub = _static_names(node)
-        if sub is None:
-            return None
-        for name in sub:
-            if name not in names:
-                names.append(name)
-    return tuple(names)
-
-
-def _binding_sig(names: Optional[Tuple[str, ...]], ctx: ExecContext):
-    """Hashable signature of how ``names`` resolve right now, or None if
-    any resolves to something mutable (then memoisation is unsound)."""
-    if names is None:
-        return None
-    sig = []
-    for name in names:
-        b = ctx.env.try_lookup(name)
-        if isinstance(b, ElementBinding):
-            if b.kind == "axis":
-                sig.append(("a", b.axis))
-            else:
-                sig.append(("s", b.value))
-        elif isinstance(b, (int, float)) and not isinstance(b, bool):
-            sig.append(("c", b))
-        else:
-            return None
-    return tuple(sig)
-
-
-def _axes_match(a, b) -> bool:
-    return a is b or a == b
 
 
 # ---------------------------------------------------------------------------
@@ -263,1299 +179,6 @@ def _oob_masks(subs, view_shape, grid_shape):
         else:
             out.append(None)
     return out if any_bad else None
-
-
-# ---------------------------------------------------------------------------
-# expression plans
-# ---------------------------------------------------------------------------
-
-
-class _CseWrapped:
-    """The eval_expr CSE gate, replayed around a compiled expression."""
-
-    __slots__ = ("node", "inner")
-
-    def __init__(self, node: ast.Expr, inner) -> None:
-        self.node = node
-        self.inner = inner
-
-    def __call__(self, ip, ctx: ExecContext):
-        if ip.cse_cache is not None and not ctx.grid.is_host:
-            cached = E._cse_lookup(ip, self.node, ctx)
-            if cached is not E._CSE_MISS:
-                return cached
-            value = self.inner(ip, ctx)
-            if isinstance(value, np.ndarray) and not value.flags.writeable:
-                # never let a live view of array data into the CSE cache: a
-                # later write in the same statement must not change the
-                # cached value (the tree-walker caches materialised arrays)
-                value = value.copy()
-            E._cse_store(ip, self.node, ctx, value)
-            return value
-        return self.inner(ip, ctx)
-
-
-class _ConstPlan:
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def __call__(self, ip, ctx: ExecContext):
-        return self.value
-
-
-class _NamePlan:
-    __slots__ = ("node",)
-
-    def __init__(self, node: ast.Name) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext):
-        return E._eval_name(ip, self.node, ctx)
-
-
-class _UnaryPlan:
-    __slots__ = ("node", "operand", "names", "_memo")
-
-    def __init__(self, node, operand, names) -> None:
-        self.node = node
-        self.operand = operand
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        v = self.operand(ip, ctx)
-        E.charge_grid_op(ip, ctx)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = self._apply(node, v)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return self._apply(node, v)
-
-    @staticmethod
-    def _apply(node, v):
-        if node.op == "-":
-            return -v
-        if node.op == "!":
-            if isinstance(v, np.ndarray):
-                return np.logical_not(v.astype(bool)).astype(np.int64)
-            return int(not v)
-        if node.op == "~":
-            if isinstance(v, np.ndarray):
-                return np.invert(v.astype(np.int64))
-            return ~int(v)
-        raise UCRuntimeError(f"bad unary {node.op!r}", node.line, node.col)
-
-
-class _BinaryPlan:
-    __slots__ = ("node", "left", "right", "names", "_memo")
-
-    def __init__(self, node, left, right, names) -> None:
-        self.node = node
-        self.left = left
-        self.right = right
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        a = self.left(ip, ctx)
-        b = self.right(ip, ctx)
-        E.charge_grid_op(ip, ctx)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = E.apply_binop(node.op, a, b, node)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return E.apply_binop(node.op, a, b, node)
-
-
-class _ShortCircuitPlan:
-    __slots__ = ("node", "left", "right", "names", "_memo")
-
-    def __init__(self, node, left, right, names) -> None:
-        self.node = node
-        self.left = left
-        self.right = right
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        expr = self.node
-        left = self.left(ip, ctx)
-        E.charge_grid_op(ip, ctx)
-        if not isinstance(left, np.ndarray):
-            if expr.op == "&&" and not left:
-                return 0
-            if expr.op == "||" and left:
-                return 1
-            right = E._truthy(self.right(ip, ctx))
-            if isinstance(right, np.ndarray):
-                return right.astype(np.int64)
-            return int(right)
-        lbool = np.broadcast_to(np.asarray(E._truthy(left)), ctx.grid.shape)
-        live = lbool if expr.op == "&&" else ~lbool
-        sub = ctx.refine(live)
-        right = self.right(ip, sub)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = self._combine(expr, lbool, right, ctx)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return self._combine(expr, lbool, right, ctx)
-
-    @staticmethod
-    def _combine(expr, lbool, right, ctx):
-        rbool = np.broadcast_to(np.asarray(E._truthy(right)), ctx.grid.shape)
-        if expr.op == "&&":
-            return (lbool & rbool).astype(np.int64)
-        return (lbool | rbool).astype(np.int64)
-
-
-class _TernaryPlan:
-    __slots__ = ("node", "cond", "then", "els", "names", "_memo")
-
-    def __init__(self, node, cond, then, els, names) -> None:
-        self.node = node
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        cond = self.cond(ip, ctx)
-        if ctx.grid.is_host or not isinstance(cond, np.ndarray):
-            E.charge_grid_op(ip, ctx)
-            return self.then(ip, ctx) if cond else self.els(ip, ctx)
-        cbool = np.broadcast_to(np.asarray(E._truthy(cond)), ctx.grid.shape)
-        then_v = self.then(ip, ctx.refine(cbool))
-        else_v = self.els(ip, ctx.refine(~cbool))
-        E.charge_grid_op(ip, ctx, count=2)
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            m = self._memo
-            if (
-                m is not None
-                and sig is not None
-                and sig == m[1]
-                and _axes_match(m[0], ctx.grid.axes)
-            ):
-                return m[2]
-            value = np.where(cbool, then_v, else_v)
-            if sig is not None:
-                self._memo = (ctx.grid.axes, sig, value)
-            return value
-        return np.where(cbool, then_v, else_v)
-
-
-def _log_tier(ip, node, tier: str) -> None:
-    if ip.tier_log is not None:
-        ip.tier_log.setdefault((node.line, node.base), set()).add(tier)
-
-
-class _GatherMemo:
-    __slots__ = ("axes", "sig", "arr", "oob", "rc", "idx", "recipe", "tier", "shift")
-
-    def __init__(self, axes, sig, arr, oob, rc, idx, recipe, tier, shift) -> None:
-        self.axes = axes
-        self.sig = sig
-        self.arr = arr
-        self.oob = oob
-        self.rc = rc
-        self.idx = idx
-        self.recipe = recipe
-        #: communication tier decided once at memo-build time
-        self.tier = tier
-        #: NEWS shift recipe ((axis, offset) pairs) when the tier dispatcher
-        #: can service this gather as chained clamped shifts
-        self.shift = shift
-
-
-class _GatherPlan:
-    __slots__ = ("node", "subs", "names", "view_ok", "_memo")
-
-    def __init__(self, node, subs, names, view_ok) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self.view_ok = view_ok
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        binding = ctx.env.lookup(node.base)
-        if isinstance(binding, ArrayVar):
-            direct = True
-            arr = binding
-            data = binding.data
-        else:
-            direct = False
-            arr, _prefix, data = E._resolve_array(ip, node, ctx)
-        view_shape = data.shape
-        if len(node.subs) != len(view_shape):
-            raise UCRuntimeError(
-                f"array {node.base!r} needs {len(view_shape)} subscripts, got "
-                f"{len(node.subs)}",
-                node.line,
-                node.col,
-            )
-        subs = [p(ip, ctx) for p in self.subs]
-
-        if ctx.grid.is_host:
-            idx = tuple(int(s) for s in subs)
-            E._bounds_check(node, subs, view_shape, np.ones((), bool))
-            ip.machine.clock.charge("host_cm_latency")
-            return data[idx].item()
-
-        mask = ctx.active_mask()
-        m = self._memo
-        if (
-            m is not None
-            and direct
-            and m.arr is arr
-            and _axes_match(m.axes, ctx.grid.axes)
-        ):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m.sig:
-                if m.oob is not None:
-                    for ob in m.oob:
-                        if ob is not None and np.any(ob & mask):
-                            E._bounds_check(node, subs, view_shape, mask)
-                commtiers.charge_tier(
-                    ip, ctx, m.tier, m.rc, write=False, layout=arr.layout
-                )
-                _log_tier(ip, node, m.tier)
-                if m.shift is not None:
-                    # NEWS tier: chained clamped shifts, bit-identical to
-                    # the clipped gather (and always a fresh array)
-                    return commtiers.run_shifts(data, m.shift)
-                if m.recipe is not None:
-                    out = m.recipe.take(data)
-                    return out if self.view_ok else out.copy()
-                return data[m.idx]
-
-        # compact out-of-bounds probe first: when every subscript is in
-        # range (the overwhelmingly common case) the O(grid) masked check
-        # is provably a no-op and can be skipped on this first execution
-        oob = _oob_masks(subs, view_shape, ctx.grid.shape)
-        scalar_bad = any(
-            not isinstance(s, np.ndarray)
-            and not 0 <= int(s) < view_shape[a]
-            for a, s in enumerate(subs)
-        )
-        if oob is not None or scalar_bad:
-            E._bounds_check(node, subs, view_shape, mask)
-        rc = classify_reference(
-            subs,
-            ctx.grid.shape,
-            ctx.grid.axis_elems,
-            arr.layout,
-            positions=ctx.grid.positions,
-        )
-        tier = E.charge_ref(ip, ctx, rc, write=False, node=node, layout=arr.layout)
-
-        memo_ok = direct and self.names is not None and (
-            ip.config.comm_tiers or tier == "local"
-        )
-        sig = _binding_sig(self.names, ctx) if memo_ok else None
-        recipe = (
-            _build_index_recipe(subs, view_shape, ctx.grid.shape)
-            if sig is not None
-            else None
-        )
-        grid_size = int(np.prod(ctx.grid.shape))
-        idx_tuple: Optional[Tuple[np.ndarray, ...]] = None
-        if recipe is not None and grid_size > _VERIFY_LIMIT:
-            # big grid: serve the first sweep from the recipe too — the
-            # construction is size-independent and verified differentially
-            # on small grids, so materialising full index arrays here
-            # would only duplicate what every later sweep avoids
-            out = recipe.take(data)
-            result = out if self.view_ok else out.copy()
-        else:
-            idx_arrays = []
-            for a, s in enumerate(subs):
-                if isinstance(s, np.ndarray):
-                    clipped = np.clip(s, 0, view_shape[a] - 1)
-                else:
-                    clipped = np.full(ctx.grid.shape, int(s), dtype=np.int64)
-                idx_arrays.append(np.broadcast_to(clipped, ctx.grid.shape))
-            idx_tuple = tuple(idx_arrays)
-            result = data[idx_tuple]
-            if recipe is not None and not np.array_equal(
-                np.asarray(recipe.take(data)), result
-            ):
-                recipe = None
-
-        if direct and self.names is not None and not memo_ok:
-            # router-only ablation: remote references are serviced by
-            # the full general gather every sweep, exactly as the
-            # tree-walker does — no recipe, no cached index arrays
-            return result
-        if sig is not None:
-            shift = None
-            if tier == "news":
-                shift = commtiers.shift_descriptor(
-                    rc, view_shape, ctx.grid.shape
-                )
-            self._memo = _GatherMemo(
-                ctx.grid.axes,
-                sig,
-                arr,
-                oob,
-                rc,
-                idx_tuple,
-                recipe,
-                tier,
-                shift,
-            )
-        return result
-
-
-class _ScatterMemo:
-    __slots__ = ("axes", "sig", "arr", "oob", "rc", "flat", "unique", "tier")
-
-    def __init__(self, axes, sig, arr, oob, rc, flat, unique, tier) -> None:
-        self.axes = axes
-        self.sig = sig
-        self.arr = arr
-        self.oob = oob
-        self.rc = rc
-        self.flat = flat
-        self.unique = unique
-        #: communication tier decided once at memo-build time
-        self.tier = tier
-
-
-class _ScatterPlan:
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node, subs, names) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, value, ctx: ExecContext) -> None:
-        node = self.node
-        binding = ctx.env.lookup(node.base)
-        if isinstance(binding, ArrayVar):
-            direct = True
-            arr = binding
-            data = binding.data
-        else:
-            direct = False
-            arr, _prefix, data = E._resolve_array(ip, node, ctx)
-        view_shape = data.shape
-        if len(node.subs) != len(view_shape):
-            raise UCRuntimeError(
-                f"array {node.base!r} needs {len(view_shape)} subscripts, got "
-                f"{len(node.subs)}",
-                node.line,
-                node.col,
-            )
-        subs = [p(ip, ctx) for p in self.subs]
-
-        if ctx.grid.is_host:
-            idx = tuple(int(s) for s in subs)
-            E._bounds_check(node, subs, view_shape, np.ones((), bool))
-            ip.machine.clock.charge("host_cm_latency")
-            data[idx] = E._coerce_to_dtype(value, data.dtype)
-            ip.cse_invalidate(node.base)
-            return
-
-        mask = ctx.active_mask()
-        if not np.any(mask):
-            return
-        m = self._memo
-        if (
-            m is not None
-            and direct
-            and m.arr is arr
-            and _axes_match(m.axes, ctx.grid.axes)
-        ):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m.sig:
-                if m.oob is not None:
-                    for ob in m.oob:
-                        if ob is not None and np.any(ob & mask):
-                            E._bounds_check(node, subs, view_shape, mask)
-                commtiers.charge_tier(
-                    ip, ctx, m.tier, m.rc, write=True, layout=arr.layout
-                )
-                _log_tier(ip, node, m.tier)
-                flat_mask = mask.reshape(-1)
-                flat_idx = m.flat[flat_mask]
-                if isinstance(value, np.ndarray):
-                    vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[
-                        flat_mask
-                    ]
-                else:
-                    vals = np.full(int(flat_mask.sum()), value)
-                vals = E._cast_array(vals, data.dtype)
-                if not m.unique:
-                    E._check_single_assignment(
-                        node,
-                        flat_idx,
-                        vals,
-                        grid_shape=ctx.grid.shape,
-                        flat_mask=flat_mask,
-                        view_shape=view_shape,
-                        construct=getattr(ip, "current_construct", None),
-                    )
-                if getattr(ip, "sanitizer", None) is not None:
-                    ip.sanitizer.record_write(
-                        node,
-                        (not m.unique) and has_duplicates(flat_idx),
-                    )
-                data.reshape(-1)[flat_idx] = vals
-                ip.cse_invalidate(node.base)
-                return
-
-        E._bounds_check(node, subs, view_shape, mask)
-        rc = classify_write(
-            subs,
-            ctx.grid.shape,
-            ctx.grid.axis_elems,
-            arr.layout,
-            positions=ctx.grid.positions,
-        )
-        tier = E.charge_ref(ip, ctx, rc, write=True, node=node, layout=arr.layout)
-        idx_arrays = []
-        for a, s in enumerate(subs):
-            if isinstance(s, np.ndarray):
-                clipped = np.clip(s, 0, view_shape[a] - 1)
-            else:
-                clipped = np.full(ctx.grid.shape, int(s), dtype=np.int64)
-            idx_arrays.append(np.broadcast_to(clipped, ctx.grid.shape).reshape(-1))
-        flat_mask = mask.reshape(-1)
-        flat_idx = np.ravel_multi_index(
-            tuple(ia[flat_mask] for ia in idx_arrays), view_shape
-        )
-        if isinstance(value, np.ndarray):
-            vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[flat_mask]
-        else:
-            vals = np.full(int(flat_mask.sum()), value)
-        vals = E._cast_array(vals, data.dtype)
-        E._check_single_assignment(
-            node,
-            flat_idx,
-            vals,
-            grid_shape=ctx.grid.shape,
-            flat_mask=flat_mask,
-            view_shape=view_shape,
-            construct=getattr(ip, "current_construct", None),
-        )
-        if getattr(ip, "sanitizer", None) is not None:
-            ip.sanitizer.record_write(node, has_duplicates(flat_idx))
-        data.reshape(-1)[flat_idx] = vals
-        ip.cse_invalidate(node.base)
-
-        if direct and self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None:
-                full_flat = np.ravel_multi_index(tuple(idx_arrays), view_shape)
-                unique = not has_duplicates(full_flat)
-                self._memo = _ScatterMemo(
-                    ctx.grid.axes,
-                    sig,
-                    arr,
-                    _oob_masks(subs, view_shape, ctx.grid.shape),
-                    rc,
-                    full_flat,
-                    unique,
-                    tier,
-                )
-
-
-class _AssignPlan:
-    __slots__ = ("node", "value", "read", "scatter")
-
-    def __init__(self, node, value, read, scatter) -> None:
-        self.node = node
-        self.value = value
-        self.read = read
-        self.scatter = scatter
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        value = self.value(ip, ctx)
-        if node.op:
-            current = self.read(ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            value = E.apply_binop(node.op, current, value, node)
-        if self.scatter is not None:
-            self.scatter(ip, value, ctx)
-            return value
-        target = node.target
-        assert isinstance(target, ast.Name)
-        binding = ctx.env.lookup(target.ident)
-        if isinstance(binding, ScalarVar):
-            E._assign_scalar(ip, binding, value, ctx, node)
-            return value
-        if isinstance(binding, ParallelLocal):
-            E._assign_parallel_local(ip, binding, value, ctx, node)
-            return value
-        if isinstance(binding, ElementBinding):
-            raise UCRuntimeError(
-                f"cannot assign to index element {target.ident!r}",
-                node.line,
-                node.col,
-            )
-        raise UCRuntimeError(
-            f"cannot assign to {target.ident!r}", node.line, node.col
-        )
-
-
-class _CallPlan:
-    """Compiled builtin fast paths; everything else delegates verbatim."""
-
-    __slots__ = ("node", "args", "kind")
-
-    def __init__(self, node, args) -> None:
-        self.node = node
-        self.args = args
-        name = node.func
-        n = len(node.args)
-        if name in ("power2", "abs", "ABS", "fabs") and n == 1:
-            self.kind = name
-        elif name == "sqrt" and n == 1:
-            self.kind = name
-        elif name in ("min", "max") and n == 2:
-            self.kind = name
-        elif name == "rand" and n == 0:
-            self.kind = name
-        else:
-            self.kind = None
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        kind = self.kind
-        if kind is None or ip.info.functions.get(node.func) is not None:
-            return ip.call_function(node, ctx)
-        args = self.args
-        if kind == "power2":
-            x = args[0](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(x, np.ndarray):
-                return np.left_shift(1, np.clip(x, 0, 62))
-            return 1 << max(0, int(x))
-        if kind in ("abs", "ABS", "fabs"):
-            x = args[0](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(x, np.ndarray):
-                return np.abs(x)
-            return abs(x) if kind != "fabs" else abs(float(x))
-        if kind == "sqrt":
-            x = args[0](ip, ctx)
-            E.charge_grid_op(ip, ctx, count=4)
-            if isinstance(x, np.ndarray):
-                return np.sqrt(np.maximum(x, 0).astype(np.float64))
-            if x < 0:
-                raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
-            return float(x) ** 0.5
-        if kind == "min":
-            a = args[0](ip, ctx)
-            b = args[1](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.minimum(a, b)
-            return min(a, b)
-        if kind == "max":
-            a = args[0](ip, ctx)
-            b = args[1](ip, ctx)
-            E.charge_grid_op(ip, ctx)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.maximum(a, b)
-            return max(a, b)
-        # rand
-        from .functions import RAND_MAX
-
-        E.charge_grid_op(ip, ctx)
-        if ctx.grid.is_host:
-            return int(ip.rng.integers(0, RAND_MAX))
-        return ip.rng.integers(0, RAND_MAX, size=ctx.grid.shape)
-
-
-class _ReductionPlan:
-    __slots__ = ("node", "arms", "others")
-
-    def __init__(self, node, arms, others) -> None:
-        self.node = node
-        self.arms = arms  # [(pred_plan|None, expr_plan)]
-        self.others = others
-
-    def __call__(self, ip, ctx: ExecContext):
-        node = self.node
-        if ip.config.processor_opt:
-            from .sendreduce import try_send_reduce
-
-            optimized = try_send_reduce(ip, node, ctx)
-            if optimized is not None:
-                return optimized
-        sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
-        inner_grid = ctx.grid.extend(sets)
-        inner_env = ctx.env.child()
-        for offset, isv in enumerate(sets):
-            axis = ctx.grid.rank + offset
-            inner_env.declare(
-                isv.elem_name,
-                ElementBinding(isv.elem_name, isv.name, "axis", axis=axis),
-            )
-        parent_mask = ctx.mask
-        if parent_mask is not None:
-            base_mask = np.broadcast_to(
-                parent_mask.reshape(parent_mask.shape + (1,) * len(sets)),
-                inner_grid.shape,
-            )
-        else:
-            base_mask = inner_grid.full_mask()
-        inner = ExecContext(inner_grid, base_mask, inner_env)
-
-        reduce_axes = tuple(range(ctx.grid.rank, inner_grid.rank))
-        reduce_extent = int(np.prod([len(s) for s in sets]))
-        vps = ip.grid_vpset(inner_grid.shape)
-        ip.machine.clock.charge_scan(reduce_extent, vp_ratio=vps.vp_ratio)
-        if node.op != "arbitrary":
-            # shard accounting consults the UC5xx verdict (see eval_expr)
-            ip.machine.clock.note_shard_reduce(
-                node.op,
-                ip.reduction_order_safe(node),
-                reduce_extent,
-                vps.vp_ratio,
-                inner_grid.shape,
-            )
-        if ctx.grid.is_host:
-            ip.machine.clock.charge("host_cm_latency")
-
-        arm_values: List[np.ndarray] = []
-        arm_masks: List[np.ndarray] = []
-        pred_union: Optional[np.ndarray] = None
-        for pred_plan, expr_plan in self.arms:
-            if pred_plan is None:
-                arm_mask = base_mask
-            else:
-                pred_v = pred_plan(ip, inner)
-                pv = np.broadcast_to(np.asarray(E._truthy(pred_v)), inner_grid.shape)
-                arm_mask = base_mask & pv
-                pred_union = pv if pred_union is None else (pred_union | pv)
-            val = expr_plan(ip, inner.with_mask(arm_mask))
-            arm_values.append(np.broadcast_to(np.asarray(val), inner_grid.shape))
-            arm_masks.append(arm_mask)
-        if self.others is not None:
-            others_mask = base_mask & (
-                ~pred_union
-                if pred_union is not None
-                else np.zeros(inner_grid.shape, bool)
-            )
-            val = self.others(ip, inner.with_mask(others_mask))
-            arm_values.append(np.broadcast_to(np.asarray(val), inner_grid.shape))
-            arm_masks.append(others_mask)
-
-        if node.op == "arbitrary":
-            result = E._reduce_arbitrary(ip, arm_values, arm_masks, reduce_axes, ctx)
-        else:
-            result = E._reduce_op(node.op, arm_values, arm_masks, reduce_axes)
-            if getattr(ip, "sanitizer", None) is not None:
-                ip.sanitizer.check_reduction(
-                    node, arm_values, arm_masks, reduce_axes, result
-                )
-
-        if ctx.grid.is_host:
-            return (
-                result.item()
-                if isinstance(result, np.ndarray) and result.ndim == 0
-                else result
-            )
-        return result
-
-
-class _RaisePlan:
-    __slots__ = ("node",)
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext):
-        raise UCRuntimeError(
-            f"cannot evaluate {type(self.node).__name__}",
-            self.node.line,
-            self.node.col,
-        )
-
-
-# ---------------------------------------------------------------------------
-# expression compilation
-# ---------------------------------------------------------------------------
-
-
-def compile_expr(node: ast.Expr, view_ok: bool = False):
-    """Compile one expression into a closure ``(ip, ctx) -> value``."""
-    inner = _compile_inner(node, view_ok)
-    if isinstance(node, (ast.Binary, ast.Index, ast.Unary, ast.Ternary)):
-        return _CseWrapped(node, inner)
-    return inner
-
-
-def _compile_inner(node: ast.Expr, view_ok: bool):
-    if isinstance(node, ast.IntLit):
-        return _ConstPlan(node.value)
-    if isinstance(node, ast.FloatLit):
-        return _ConstPlan(node.value)
-    if isinstance(node, ast.InfLit):
-        return _ConstPlan(INF)
-    if isinstance(node, ast.StringLit):
-        return _ConstPlan(node.value)
-    if isinstance(node, ast.Name):
-        return _NamePlan(node)
-    if isinstance(node, ast.Index):
-        return _GatherPlan(
-            node,
-            [compile_expr(s, view_ok) for s in node.subs],
-            _joint_static_names(node.subs),
-            view_ok,
-        )
-    if isinstance(node, ast.Unary):
-        return _UnaryPlan(
-            node, compile_expr(node.operand, view_ok), _static_names(node)
-        )
-    if isinstance(node, ast.Binary):
-        left = compile_expr(node.left, view_ok)
-        right = compile_expr(node.right, view_ok)
-        if node.op in ("&&", "||"):
-            return _ShortCircuitPlan(node, left, right, _static_names(node))
-        return _BinaryPlan(node, left, right, _static_names(node))
-    if isinstance(node, ast.Ternary):
-        return _TernaryPlan(
-            node,
-            compile_expr(node.cond, view_ok),
-            compile_expr(node.then, view_ok),
-            compile_expr(node.els, view_ok),
-            _static_names(node),
-        )
-    if isinstance(node, ast.Call):
-        return _CallPlan(node, [compile_expr(a) for a in node.args])
-    if isinstance(node, ast.Reduction):
-        pure = not any(
-            isinstance(n, (ast.Call, ast.Assign, ast.IncDec))
-            for n in ast.walk(node)
-        )
-        arms = [
-            (
-                compile_expr(arm.pred, pure) if arm.pred is not None else None,
-                compile_expr(arm.expr, pure),
-            )
-            for arm in node.arms
-        ]
-        others = (
-            compile_expr(node.others, pure) if node.others is not None else None
-        )
-        return _ReductionPlan(node, arms, others)
-    if isinstance(node, ast.Assign):
-        return _compile_assign(node)
-    if isinstance(node, ast.IncDec):
-        one = ast.IntLit(line=node.line, col=node.col, value=1)
-        synth = ast.Assign(
-            line=node.line,
-            col=node.col,
-            target=node.target,
-            op="+" if node.op == "++" else "-",
-            value=one,
-        )
-        return _compile_assign(synth)
-    return _RaisePlan(node)
-
-
-def _compile_assign(node: ast.Assign):
-    value = compile_expr(node.value)
-    read = compile_expr(node.target) if node.op else None
-    scatter = None
-    if isinstance(node.target, ast.Index):
-        scatter = _ScatterPlan(
-            node.target,
-            [compile_expr(s) for s in node.target.subs],
-            _joint_static_names(node.target.subs),
-        )
-    return _AssignPlan(node, value, read, scatter)
-
-
-# ---------------------------------------------------------------------------
-# statement plans
-# ---------------------------------------------------------------------------
-
-
-class _BlockPlan:
-    __slots__ = ("stmts",)
-
-    def __init__(self, stmts) -> None:
-        self.stmts = stmts
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        inner = ctx.with_env(ctx.env.child())
-        for p in self.stmts:
-            p(ip, inner)
-
-
-class _StmtSeqPlan:
-    """DeclGroup: statements run in the *same* scope (no child env)."""
-
-    __slots__ = ("stmts",)
-
-    def __init__(self, stmts) -> None:
-        self.stmts = stmts
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        for p in self.stmts:
-            p(ip, ctx)
-
-
-class _ExprStmtPlan:
-    __slots__ = ("expr",)
-
-    def __init__(self, expr) -> None:
-        self.expr = expr
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        self.expr(ip, ctx)
-
-
-class _NoopPlan:
-    __slots__ = ()
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        return None
-
-
-class _IfPlan:
-    __slots__ = ("cond", "then", "els")
-
-    def __init__(self, cond, then, els) -> None:
-        self.cond = cond
-        self.then = then
-        self.els = els
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        cond = self.cond(ip, ctx)
-        if not isinstance(cond, np.ndarray):
-            E.charge_grid_op(ip, ctx)
-            if cond:
-                self.then(ip, ctx)
-            elif self.els is not None:
-                self.els(ip, ctx)
-            return
-        cbool = np.broadcast_to(np.asarray(E._truthy(cond)), ctx.grid.shape)
-        vps = ip.grid_vpset(ctx.grid.shape)
-        ip.machine.clock.charge("context", count=2, vp_ratio=vps.vp_ratio)
-        then_ctx = ctx.refine(cbool)
-        if np.any(then_ctx.active_mask()):
-            self.then(ip, then_ctx)
-        if self.els is not None:
-            else_ctx = ctx.refine(~cbool)
-            if np.any(else_ctx.active_mask()):
-                self.els(ip, else_ctx)
-
-
-class _FallbackStmt:
-    """Anything with its own machinery (loops, decls, nested constructs)
-    goes back through the tree-walker; nested constructs then fetch their
-    *own* plans from the cache."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext) -> None:
-        from .statements import exec_stmt
-
-        exec_stmt(ip, self.node, ctx)
-
-
-def compile_stmt(node: ast.Stmt):
-    if isinstance(node, ast.Block):
-        return _BlockPlan([compile_stmt(s) for s in node.stmts])
-    if isinstance(node, ast.DeclGroup):
-        return _StmtSeqPlan([compile_stmt(s) for s in node.decls])
-    if isinstance(node, ast.ExprStmt):
-        return _ExprStmtPlan(compile_expr(node.expr))
-    if isinstance(node, ast.EmptyStmt):
-        return _NoopPlan()
-    if isinstance(node, ast.If):
-        return _IfPlan(
-            compile_expr(node.cond),
-            compile_stmt(node.then),
-            compile_stmt(node.els) if node.els is not None else None,
-        )
-    return _FallbackStmt(node)
-
-
-class ConstructPlan:
-    """Per-arm predicate and body plans for one par/seq/oneof statement."""
-
-    __slots__ = ("preds", "stmts", "others")
-
-    def __init__(self, preds, stmts, others) -> None:
-        self.preds = preds
-        self.stmts = stmts
-        self.others = others
-
-
-def compile_construct(stmt: ast.UCStmt) -> ConstructPlan:
-    preds = [
-        compile_expr(b.pred) if b.pred is not None else None for b in stmt.blocks
-    ]
-    stmts = [compile_stmt(b.stmt) for b in stmt.blocks]
-    others = compile_stmt(stmt.others) if stmt.others is not None else None
-    return ConstructPlan(preds, stmts, others)
-
-
-# ---------------------------------------------------------------------------
-# solve: readiness / mark-defined / per-assignment plans
-# ---------------------------------------------------------------------------
-
-
-class _ReadyTrue:
-    __slots__ = ()
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        return np.broadcast_to(_TRUE, ctx.grid.shape)
-
-
-class _ReadyIndexMemo:
-    __slots__ = ("axes", "sig", "flags", "idx", "noob", "recipe")
-
-    def __init__(self, axes, sig, flags, idx, noob, recipe) -> None:
-        self.axes = axes
-        self.sig = sig
-        self.flags = flags
-        self.idx = idx
-        self.noob = noob
-        self.recipe = recipe
-
-
-class _ReadyIndex:
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node, subs, names) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        node = self.node
-        shape = ctx.grid.shape
-        if node.base not in defined:
-            return np.broadcast_to(_TRUE, shape)
-        flags = defined[node.base]
-        subs = [p(ip, ctx) for p in self.subs]
-        m = self._memo
-        if m is not None and m.flags is flags and _axes_match(m.axes, ctx.grid.axes):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m.sig:
-                got = m.recipe.take(flags) if m.recipe is not None else flags[m.idx]
-                if m.noob is None:
-                    return got
-                return got & m.noob
-        idx = []
-        oob = np.zeros(shape, dtype=bool)
-        for a, s in enumerate(subs):
-            arr = np.broadcast_to(np.asarray(s), shape)
-            oob |= (arr < 0) | (arr >= flags.shape[a])
-            idx.append(np.clip(arr, 0, flags.shape[a] - 1))
-        got = flags[tuple(idx)]
-        result = got & ~oob
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None:
-                recipe = _build_index_recipe(subs, flags.shape, shape)
-                if (
-                    recipe is not None
-                    and got.size <= _VERIFY_LIMIT
-                    and not np.array_equal(np.asarray(recipe.take(flags)), got)
-                ):
-                    recipe = None
-                noob = ~oob if bool(np.any(oob)) else None
-                self._memo = _ReadyIndexMemo(
-                    ctx.grid.axes, sig, flags, tuple(idx), noob, recipe
-                )
-        return result
-
-
-class _ReadyAnd:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right) -> None:
-        self.left = left
-        self.right = right
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        return self.left(ip, ctx, defined) & self.right(ip, ctx, defined)
-
-
-class _ReadyTernary:
-    __slots__ = ("cond_ready", "cond", "then_ready", "else_ready")
-
-    def __init__(self, cond_ready, cond, then_ready, else_ready) -> None:
-        self.cond_ready = cond_ready
-        self.cond = cond
-        self.then_ready = then_ready
-        self.else_ready = else_ready
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        shape = ctx.grid.shape
-        rc = self.cond_ready(ip, ctx, defined)
-        cond = self.cond(ip, ctx)
-        cb = np.broadcast_to(np.asarray(E._truthy(cond)), shape)
-        rt = self.then_ready(ip, ctx.refine(cb), defined)
-        re_ = self.else_ready(ip, ctx.refine(~cb), defined)
-        return rc & np.where(cb, rt, re_)
-
-
-class _ReadyAll:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts) -> None:
-        self.parts = parts
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        out = np.ones(ctx.grid.shape, dtype=bool)
-        for p in self.parts:
-            out = out & p(ip, ctx, defined)
-        return out
-
-
-class _ReadyReduction:
-    __slots__ = ("node", "arms", "others")
-
-    def __init__(self, node, arms, others) -> None:
-        self.node = node
-        self.arms = arms  # [(pred_ready|None, expr_ready)]
-        self.others = others
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        node = self.node
-        sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
-        inner_grid = ctx.grid.extend(sets)
-        env = ctx.env.child()
-        for off, isv in enumerate(sets):
-            env.declare(
-                isv.elem_name,
-                ElementBinding(
-                    isv.elem_name, isv.name, "axis", axis=ctx.grid.rank + off
-                ),
-            )
-        mask = ctx.active_mask()
-        bmask = np.broadcast_to(
-            mask.reshape(mask.shape + (1,) * len(sets)), inner_grid.shape
-        )
-        inner = ExecContext(inner_grid, bmask, env)
-        ready = np.ones(inner_grid.shape, dtype=bool)
-        for pred_ready, expr_ready in self.arms:
-            if pred_ready is not None:
-                ready &= pred_ready(ip, inner, defined)
-            ready &= expr_ready(ip, inner, defined)
-        if self.others is not None:
-            ready &= self.others(ip, inner, defined)
-        axes = tuple(range(ctx.grid.rank, inner_grid.rank))
-        return ready.all(axis=axes)
-
-
-class _ReadyRaise:
-    __slots__ = ("node",)
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> np.ndarray:
-        raise UCRuntimeError(
-            f"solve cannot analyse {type(self.node).__name__}",
-            self.node.line,
-            self.node.col,
-        )
-
-
-def compile_readiness(node: ast.Expr):
-    """Compile the readiness analysis of :func:`repro.interp.solve._readiness`."""
-    if isinstance(
-        node, (ast.IntLit, ast.FloatLit, ast.InfLit, ast.Name, ast.StringLit)
-    ):
-        return _ReadyTrue()
-    if isinstance(node, ast.Index):
-        return _ReadyIndex(
-            node,
-            [compile_expr(s) for s in node.subs],
-            _joint_static_names(node.subs),
-        )
-    if isinstance(node, ast.Unary):
-        return compile_readiness(node.operand)
-    if isinstance(node, ast.Binary):
-        return _ReadyAnd(
-            compile_readiness(node.left), compile_readiness(node.right)
-        )
-    if isinstance(node, ast.Ternary):
-        return _ReadyTernary(
-            compile_readiness(node.cond),
-            compile_expr(node.cond),
-            compile_readiness(node.then),
-            compile_readiness(node.els),
-        )
-    if isinstance(node, ast.Call):
-        return _ReadyAll([compile_readiness(a) for a in node.args])
-    if isinstance(node, ast.Reduction):
-        arms = [
-            (
-                compile_readiness(arm.pred) if arm.pred is not None else None,
-                compile_readiness(arm.expr),
-            )
-            for arm in node.arms
-        ]
-        others = (
-            compile_readiness(node.others) if node.others is not None else None
-        )
-        return _ReadyReduction(node, arms, others)
-    return _ReadyRaise(node)
-
-
-class _MarkNamePlan:
-    __slots__ = ("ident",)
-
-    def __init__(self, ident: str) -> None:
-        self.ident = ident
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> None:
-        mask = ctx.active_mask()
-        if np.any(mask):
-            defined[self.ident][...] = True
-
-
-class _MarkIndexPlan:
-    __slots__ = ("node", "subs", "names", "_memo")
-
-    def __init__(self, node, subs, names) -> None:
-        self.node = node
-        self.subs = subs
-        self.names = names
-        self._memo = None
-
-    def __call__(self, ip, ctx: ExecContext, defined) -> None:
-        mask = ctx.active_mask()
-        flags = defined[self.node.base]
-        subs = [p(ip, ctx) for p in self.subs]
-        m = self._memo
-        if m is not None and m[2] is flags and _axes_match(m[0], ctx.grid.axes):
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None and sig == m[1]:
-                fm = mask.reshape(-1)
-                n_act = None
-                idx = []
-                for col in m[3]:
-                    if isinstance(col, np.ndarray):
-                        idx.append(col[fm])
-                    else:
-                        if n_act is None:
-                            n_act = int(mask.sum())
-                        idx.append(np.full(n_act, col))
-                flags[tuple(idx)] = True
-                return
-        idx = []
-        for a, s in enumerate(subs):
-            if isinstance(s, np.ndarray):
-                idx.append(
-                    np.clip(s, 0, flags.shape[a] - 1).reshape(-1)[mask.reshape(-1)]
-                )
-            else:
-                idx.append(np.full(int(mask.sum()), int(s)))
-        flags[tuple(idx)] = True
-        if self.names is not None:
-            sig = _binding_sig(self.names, ctx)
-            if sig is not None:
-                cols = []
-                for a, s in enumerate(subs):
-                    if isinstance(s, np.ndarray):
-                        cols.append(np.clip(s, 0, flags.shape[a] - 1).reshape(-1))
-                    else:
-                        cols.append(int(s))
-                self._memo = (ctx.grid.axes, sig, flags, tuple(cols))
-
-
-def _compile_mark(target: ast.Expr):
-    if isinstance(target, ast.Name):
-        return _MarkNamePlan(target.ident)
-    assert isinstance(target, ast.Index)
-    return _MarkIndexPlan(
-        target,
-        [compile_expr(s) for s in target.subs],
-        _joint_static_names(target.subs),
-    )
-
-
-class SolveAssignPlan:
-    """Compiled pieces of one guarded-solve assignment."""
-
-    __slots__ = ("pred", "assign", "readiness", "mark")
-
-    def __init__(self, pred, assign, readiness, mark) -> None:
-        self.pred = pred
-        self.assign = assign
-        self.readiness = readiness
-        self.mark = mark
-
-
-def compile_solve_assignments(assignments) -> List[SolveAssignPlan]:
-    plans = []
-    for pred, assign in assignments:
-        plans.append(
-            SolveAssignPlan(
-                compile_expr(pred) if pred is not None else None,
-                compile_expr(assign),
-                compile_readiness(assign.value),
-                _compile_mark(assign.target),
-            )
-        )
-    return plans
-
-
-def compile_sched_steps(assignments):
-    """(pred plan | None, assign plan) per scheduled-solve assignment."""
-    return [
-        (
-            compile_expr(pred) if pred is not None else None,
-            compile_expr(assign),
-        )
-        for pred, assign in assignments
-    ]
 
 
 # ---------------------------------------------------------------------------

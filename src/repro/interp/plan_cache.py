@@ -1,25 +1,27 @@
-"""LRU cache of compiled execution plans.
+"""LRU cache of compiled construct artifacts.
 
-A *plan* is a tree of Python closures compiled from an already
-semantically-checked AST subtree (see :mod:`repro.interp.plan`).  Plans
-carry per-node memoisation state (cached reference classifications,
-index vectors, out-of-bounds masks), so they are cached per
+What a construct compiles once and replays every sweep — a fused kernel
+or a frontier analysis — depends on the construct's AST node and on the
+grid it runs over, so entries are cached per
 ``(kind, id(node), grid signature)``:
 
-* ``kind`` separates the compilation entry points ("construct",
-  "solve", "sched", ..., plus "frontier" for the active-set sweep
-  analyses of :mod:`repro.interp.frontier` — those cache the bound
-  charge rows and lane programs of an iterated construct, or the
-  fallback sentinel when the body is not frontier-eligible — and
-  "fuse" for the whole-array register programs of
-  :mod:`repro.interp.fuse`);
+* ``kind`` separates the compilation entry points: "fuse" for the
+  whole-array register programs of :mod:`repro.interp.fuse`, "sched"
+  for the same kernels built for scheduled ``solve`` levels (no CSE
+  simulation; :class:`repro.compiler.solve_sched.SolveSchedule`), and
+  "frontier" for the active-set sweep analyses of
+  :mod:`repro.interp.frontier` — the bound charge rows and lane programs
+  of an iterated construct, or the fallback sentinel when the body is not
+  frontier-eligible.  A "fuse" or "sched" entry may likewise be the
+  unfusable sentinel, which sends the construct to the tree-walking
+  oracle;
 * ``id(node)`` identifies the AST node — each cache entry keeps a strong
   reference to the node so the id cannot be recycled while the entry is
   alive, and a hit re-checks node identity so a recycled id after an
-  eviction can never resurrect a stale plan;
+  eviction can never resurrect a stale entry;
 * the grid signature (the tuple of :class:`~repro.interp.values.GridAxis`)
   distinguishes executions of the same construct over different index-set
-  geometries, giving each geometry its own memo state.
+  geometries, whose addresses and VP ratios differ.
 
 Counter semantics
 -----------------
@@ -29,7 +31,7 @@ Counter semantics
 * a **hit** is a lookup that found a live entry (same node identity);
 * a **miss** is a lookup that ran the build callable — every miss is
   exactly one (re)compile, so a run whose miss delta is zero did zero
-  plan/fusion recompiles;
+  recompiles;
 * an **eviction** is an entry dropped because the cache exceeded its
   capacity (LRU order);
 * ``build_seconds`` accumulates the wall-clock time spent inside build
@@ -51,7 +53,7 @@ from typing import Any, Callable, Dict, Hashable, Tuple
 
 
 class PlanCache:
-    """Bounded LRU mapping ``(kind, id(node), sig)`` -> compiled plan."""
+    """Bounded LRU mapping ``(kind, id(node), sig)`` -> compiled artifact."""
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:

@@ -107,8 +107,9 @@ class RunResult:
         self.sanitizer: Dict[str, int] = {}
         #: compile/execute wall-time breakdown + recompile counts for
         #: this run (parse/semantics/layouts are zero on a warm frontend
-        #: hit; plan/fuse/frontier build seconds and ``recompiles`` are
+        #: hit; fuse/frontier build seconds and ``recompiles`` are
         #: deltas over the run, so a warm run shows them all as zero;
+        #: ``plan_s`` is always zero;
         #: ``determinism_error`` names an analyzer failure that sent every
         #: reduction down the ordered path) — filled in by UCProgram.run
         self.compile: Dict[str, Any] = {}
@@ -144,10 +145,12 @@ class UCProgram:
     ``docs/PERFORMANCE.md`` lists each switch's variable, CLI flag, Clock
     effect and stand-down rules.  No keyword picks an executor except
     ``plans=False``, the tree-walking oracle every engine is checked
-    against; kernel fusion and batched lanes stand down only through
-    their real triggers (sanitizer, fault plan, shards).  The other
-    switches are model choices: they change what the simulated machine
-    charges.
+    against.  With it on (the default) a construct sweep runs on one of
+    three executors — its fused kernel, a frontier lane program, or the
+    oracle where fusion declines; kernel fusion and batched lanes stand
+    down only through their real triggers (sanitizer, fault plan,
+    shards).  The other switches are model choices: they change what the
+    simulated machine charges.
 
     Parameters
     ----------
@@ -174,10 +177,11 @@ class UCProgram:
         body (or repeated inside one expression) are evaluated and charged
         once.  On by default, as in the paper's compiler.
     plans:
-        Execute construct bodies as cached compiled closures instead of
-        recursive AST walks (see ``docs/PERFORMANCE.md``).  Semantics and
-        simulated clock are identical either way; set False to force the
-        tree-walking oracle.
+        Production engines on: construct sweeps run as cached fused
+        kernels where fusion takes them (see ``docs/PERFORMANCE.md``).
+        Semantics and simulated clock are identical either way; set
+        False to run every construct on the tree-walking oracle
+        (compressed frontier sweeps keep their lane programs).
     comm_tiers:
         Dispatch each remote array reference to its cheapest communication
         tier — NEWS shift, spread, broadcast, precomputed permutation or
@@ -232,8 +236,8 @@ class UCProgram:
         to compile through (default: the process-wide store, so repeated
         ``UCProgram`` constructions of the same source reuse the parsed
         frontend, and repeated runs under the same machine config and
-        ``config.compile_key`` reuse compiled plans, fused kernels and
-        frontier analyses).  Pass ``None`` for fully private per-program
+        ``config.compile_key`` reuse fused kernels and frontier
+        analyses).  Pass ``None`` for fully private per-program
         compilation (the pre-store behaviour).  Results and Clock
         fingerprints are bit-identical either way: compilation charges
         nothing on the simulated clock.
@@ -514,21 +518,14 @@ class UCProgram:
             "execute_s": execute_s,
             "recompiles": pc_after["misses"] - pc_before["misses"],
         }
-        plan_s = fuse_s = frontier_s = 0.0
+        # every cached kind is a fused kernel ("fuse", "sched") or a
+        # frontier analysis; ``plan_s`` stays 0 for readers of the key
+        out["plan_s"] = out["fuse_s"] = out["frontier_s"] = 0.0
         for key, after in pc_after.items():
-            if not key.startswith("build_seconds."):
-                continue
-            delta = after - pc_before.get(key, 0.0)
-            kind = key[len("build_seconds.") :]
-            if kind == "fuse":
-                fuse_s += delta
-            elif kind == "frontier":
-                frontier_s += delta
-            else:
-                plan_s += delta
-        out["plan_s"] = plan_s
-        out["fuse_s"] = fuse_s
-        out["frontier_s"] = frontier_s
+            if key.startswith("build_seconds."):
+                kind = key[len("build_seconds.") :]
+                phase = "frontier_s" if kind == "frontier" else "fuse_s"
+                out[phase] += after - pc_before.get(key, 0.0)
         if interp.determinism_error:
             out["determinism_error"] = interp.determinism_error
         return out

@@ -7,14 +7,19 @@ Two strategies for plain ``solve``:
   ``elem + const`` with non-positive offsets, the statements admit a
   static dependency-level schedule (the source-level transformation of
   [14]): level ``L(x) = 1 + max L(x + d)`` over the dependency offsets,
-  executed as one masked ``par`` per level.
+  executed as one masked ``par`` per level — a masked sweep of the
+  body's fused kernel where fusion takes it, the oracle otherwise
+  (:class:`repro.compiler.solve_sched.SolveSchedule`).
 * **guarded** — the paper's general translation: keep per-element
   *defined* flags (the "impossible value"), repeatedly execute every
   assignment for the elements whose right-hand sides are fully defined
-  and which have not executed yet, until nothing changes.
+  and which have not executed yet, until nothing changes.  It runs on
+  the oracle; the frontier engine narrows its worklist.
 
 ``*solve`` iterates its body to a global fixed point: execute, compare
 all modified variables with their previous values, stop when unchanged.
+Each sweep runs fused, compressed onto the frontier's active lanes, or
+on the oracle, exactly like a ``*par`` sweep.
 """
 
 from __future__ import annotations
@@ -28,13 +33,7 @@ from ..lang.errors import UCRuntimeError
 from . import frontier
 from .env import Env
 from .eval_expr import ExecContext, _truthy, eval_expr
-from .plan import compile_solve_assignments
-from .statements import (
-    _plans_for,
-    _run_blocks_once,
-    enter_grid,
-    exec_stmt,
-)
+from .statements import _run_blocks_once, enter_grid, exec_stmt
 from .values import ArrayVar, ElementBinding, ParallelLocal, ScalarVar
 
 
@@ -131,15 +130,6 @@ def _exec_solve_guarded(
     done = [np.zeros(inner.grid.shape, dtype=bool) for _ in assignments]
     vps = ip.grid_vpset(inner.grid.shape)
 
-    plans = None
-    if ip.config.plans:
-        plans = ip.plan_cache.get_or_build(
-            "solve",
-            stmt,
-            inner.grid.axes,
-            lambda: compile_solve_assignments(assignments),
-        )
-
     # frontier worklist: a lane's readiness (or predicate) can only have
     # changed if something newly defined since last sweep reaches it
     # through one of the assignment's affine references into the targets
@@ -164,7 +154,6 @@ def _exec_solve_guarded(
         progress = False
         pending = False
         for k, (pred, assign) in enumerate(assignments):
-            ap = plans[k] if plans is not None else None
             if newly is not None and enabled_cache[k] is not None:
                 # nothing newly defined reaches this assignment: its
                 # predicate, readiness and values are all unchanged, so
@@ -177,37 +166,25 @@ def _exec_solve_guarded(
                     continue
             enabled = base.copy()
             if pred is not None:
-                if ap is not None:
-                    pv = ap.pred(ip, inner)
-                else:
-                    pv = eval_expr(ip, pred, inner)
+                pv = eval_expr(ip, pred, inner)
                 enabled &= np.broadcast_to(np.asarray(_truthy(pv)), inner.grid.shape)
             enabled_cache[k] = enabled
             remaining = enabled & ~done[k]
             if not np.any(remaining):
                 continue
-            rctx = inner.with_mask(remaining)
-            if ap is not None:
-                ready = ap.readiness(ip, rctx, defined)
-            else:
-                ready = _readiness(ip, assign.value, rctx, defined)
-            ready = remaining & ready
+            ready = remaining & _readiness(
+                ip, assign.value, inner.with_mask(remaining), defined
+            )
             if np.any(remaining & ~ready):
                 pending = True
             if not np.any(ready):
                 continue
             progress = True
             sub = inner.with_mask(ready)
-            if ap is not None:
-                ap.assign(ip, sub)
-                ap.mark(ip, sub, defined)
-            else:
-                exec_stmt(
-                    ip,
-                    ast.ExprStmt(line=assign.line, col=assign.col, expr=assign),
-                    sub,
-                )
-                _mark_defined(ip, assign.target, sub, defined)
+            exec_stmt(
+                ip, ast.ExprStmt(line=assign.line, col=assign.col, expr=assign), sub
+            )
+            _mark_defined(ip, assign.target, sub, defined)
             done[k] |= ready
             if newly is not None:
                 # make intra-sweep definitions visible to the remaining
@@ -324,12 +301,11 @@ def _readiness(
 
 def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    plans = _plans_for(ip, stmt, inner.grid)
-    sess = frontier.star_session(ip, stmt, inner, "solve", plans)
-    star_solve_loop(ip, stmt, inner, plans, sess)
+    sess = frontier.star_session(ip, stmt, inner, "solve")
+    star_solve_loop(ip, stmt, inner, sess)
 
 
-def star_solve_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
+def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
     """Sweep an entered ``*solve`` to its fixed point.
 
     A ``run_batch`` lane that leaves its batch mid-construct re-enters
@@ -360,7 +336,7 @@ def star_solve_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None
             # the compiler saves intermediate state each sweep to detect the
             # fixed point — charge one extra ALU pass for the temporaries (§3.6)
             ip.machine.clock.charge("alu", count=len(modified) or 1, vp_ratio=vps.vp_ratio)
-            _run_blocks_once(ip, stmt, inner, plans)
+            _run_blocks_once(ip, stmt, inner)
             ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
             ip.machine.clock.charge("host_cm_latency")
             after = _snapshot(inner, modified)

@@ -7,6 +7,12 @@ way the real front end did.  ``seq`` is a front-end loop binding its
 element to successive scalar values.  ``oneof`` picks one enabled arm
 non-deterministically (machine RNG; no fairness guarantee, §3.7).
 ``solve`` lives in :mod:`repro.interp.solve`.
+
+A ``par`` sweep takes one of three paths: the construct's fused kernel
+(:func:`repro.interp.fuse.fused_for`), a compressed frontier sweep
+(``*par`` only, :mod:`repro.interp.frontier`), or the tree-walking
+oracle below, which is also what runs ``seq``, ``oneof`` and everything
+fusion declines.
 """
 
 from __future__ import annotations
@@ -26,29 +32,14 @@ from .eval_expr import (
     charge_grid_op,
     eval_expr,
 )
-from .plan import ConstructPlan, compile_construct
 from .values import (
     ArrayVar,
     ElementBinding,
-    GridContext,
     ParallelLocal,
     ScalarVar,
     coerce_scalar,
     numpy_ctype,
 )
-
-
-def _plans_for(ip, stmt: ast.UCStmt, grid: GridContext) -> Optional[ConstructPlan]:
-    """Cached :class:`ConstructPlan` for this construct on this grid.
-
-    Returns None when plan execution is off, which sends every caller
-    down the tree-walking path unchanged.
-    """
-    if not ip.config.plans:
-        return None
-    return ip.plan_cache.get_or_build(
-        "construct", stmt, grid.axes, lambda: compile_construct(stmt)
-    )
 
 
 class ReturnSignal(Exception):
@@ -301,23 +292,17 @@ def enter_grid(ip, stmt: ast.UCStmt, ctx: ExecContext) -> ExecContext:
 
 
 def _block_masks(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
+    ip, stmt: ast.UCStmt, inner: ExecContext
 ) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
     """Evaluate arm predicates; returns per-arm masks and the union."""
     base = inner.active_mask()
     masks: List[np.ndarray] = []
     union: Optional[np.ndarray] = None
-    for k, block in enumerate(stmt.blocks):
+    for block in stmt.blocks:
         if block.pred is None:
             masks.append(base)
         else:
-            if plans is not None:
-                pv = plans.preds[k](ip, inner)
-            else:
-                pv = eval_expr(ip, block.pred, inner)
+            pv = eval_expr(ip, block.pred, inner)
             pb = np.broadcast_to(np.asarray(_truthy(pv)), inner.grid.shape)
             m = base & pb
             masks.append(m)
@@ -325,12 +310,7 @@ def _block_masks(
     return masks, union
 
 
-def _run_blocks_once(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
+def _run_blocks_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
     """One synchronous execution of all arms; returns whether any lane ran.
 
     The CSE cache is armed for the duration: a predicate and its arm's
@@ -339,21 +319,17 @@ def _run_blocks_once(
     """
     from . import fuse
 
-    fused = fuse.fused_for(ip, stmt, inner, plans)
+    fused = fuse.fused_for(ip, stmt, inner)
     with ip.cse_arm():
         if fused is not None:
             sweep = fused.begin_sweep(ip, inner.active_mask())
             return fused.run_body(ip, inner, sweep)
-        masks, union = _block_masks(ip, stmt, inner, plans)
+        masks, union = _block_masks(ip, stmt, inner)
         ran = False
-        for k, (block, mask) in enumerate(zip(stmt.blocks, masks)):
+        for block, mask in zip(stmt.blocks, masks):
             if np.any(mask):
                 ran = True
-                sub = inner.with_mask(mask)
-                if plans is not None:
-                    plans.stmts[k](ip, sub)
-                else:
-                    exec_stmt(ip, block.stmt, sub)
+                exec_stmt(ip, block.stmt, inner.with_mask(mask))
         if stmt.others is not None:
             base = inner.active_mask()
             om = base & (
@@ -361,28 +337,23 @@ def _run_blocks_once(
             )
             if np.any(om):
                 ran = True
-                sub = inner.with_mask(om)
-                if plans is not None:
-                    plans.others(ip, sub)
-                else:
-                    exec_stmt(ip, stmt.others, sub)
+                exec_stmt(ip, stmt.others, inner.with_mask(om))
         return ran
 
 
 def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    plans = _plans_for(ip, stmt, inner.grid)
     if not stmt.star:
-        _run_blocks_once(ip, stmt, inner, plans)
+        _run_blocks_once(ip, stmt, inner)
         return
     _check_starred(stmt)
     from . import frontier
 
-    sess = frontier.star_session(ip, stmt, inner, "par", plans)
-    star_par_loop(ip, stmt, inner, plans, sess)
+    sess = frontier.star_session(ip, stmt, inner, "par")
+    star_par_loop(ip, stmt, inner, sess)
 
 
-def star_par_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
+def star_par_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
     """Sweep an entered ``*par`` until no predicate holds.
 
     A ``run_batch`` lane that leaves its batch mid-construct re-enters
@@ -406,13 +377,13 @@ def star_par_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
         else:
             if sess is not None:
                 sess.full_begin()
-            fused = fuse.fused_for(ip, stmt, inner, plans)
+            fused = fuse.fused_for(ip, stmt, inner)
             with ip.cse_arm():
                 if fused is not None:
                     sweep = fused.begin_sweep(ip, inner.active_mask())
                     masks = sweep.masks
                 else:
-                    masks, _ = _block_masks(ip, stmt, inner, plans)
+                    masks, _ = _block_masks(ip, stmt, inner)
                 ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
                 ip.machine.clock.charge("host_cm_latency")
                 if not any(np.any(m) for m in masks):
@@ -420,13 +391,9 @@ def star_par_loop(ip, stmt, inner, plans, sess, states=None, sweeps=0) -> None:
                 if fused is not None:
                     fused.run_body(ip, inner, sweep)
                 else:
-                    for k, (block, mask) in enumerate(zip(stmt.blocks, masks)):
+                    for block, mask in zip(stmt.blocks, masks):
                         if np.any(mask):
-                            sub = inner.with_mask(mask)
-                            if plans is not None:
-                                plans.stmts[k](ip, sub)
-                            else:
-                                exec_stmt(ip, block.stmt, sub)
+                            exec_stmt(ip, block.stmt, inner.with_mask(mask))
             if sess is not None:
                 sess.full_end()
                 sess.note_par_masks(masks)
@@ -459,23 +426,16 @@ def _check_starred(stmt: ast.UCStmt) -> None:
 
 def exec_seq(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     sets = [ip.resolve_index_set(name, ctx, at=stmt) for name in stmt.index_sets]
-    plans = _plans_for(ip, stmt, ctx.grid)
     sweeps = 0
     while True:
-        any_ran = _seq_sweep(ip, stmt, sets, ctx, plans)
+        any_ran = _seq_sweep(ip, stmt, sets, ctx)
         if not stmt.star or not any_ran:
             return
         sweeps += 1
         ip.check_sweeps(sweeps, "*seq", stmt, _NEVER_FALSIFIED)
 
 
-def _seq_sweep(
-    ip,
-    stmt: ast.UCStmt,
-    sets,
-    ctx: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
+def _seq_sweep(ip, stmt: ast.UCStmt, sets, ctx: ExecContext) -> bool:
     any_ran = False
     for combo in itertools.product(*[s.values for s in sets]):
         # each iteration rebinds the loop elements: stale CSE entries
@@ -496,53 +456,32 @@ def _seq_sweep(
 
         union_scalar_true = False
         union_mask: Optional[np.ndarray] = None
-        for k, block in enumerate(stmt.blocks):
-            run = plans.stmts[k] if plans is not None else None
+        for block in stmt.blocks:
             if block.pred is None:
-                if run is not None:
-                    run(ip, iter_ctx)
-                else:
-                    exec_stmt(ip, block.stmt, iter_ctx)
+                exec_stmt(ip, block.stmt, iter_ctx)
                 any_ran = True
                 union_scalar_true = True
                 continue
-            if plans is not None:
-                pv = plans.preds[k](ip, iter_ctx)
-            else:
-                pv = eval_expr(ip, block.pred, iter_ctx)
+            pv = eval_expr(ip, block.pred, iter_ctx)
             if isinstance(pv, np.ndarray):
                 pb = np.broadcast_to(pv.astype(bool), ctx.grid.shape)
                 union_mask = pb if union_mask is None else (union_mask | pb)
                 sub = iter_ctx.refine(pb)
                 if np.any(sub.active_mask()):
-                    if run is not None:
-                        run(ip, sub)
-                    else:
-                        exec_stmt(ip, block.stmt, sub)
+                    exec_stmt(ip, block.stmt, sub)
                     any_ran = True
-            else:
-                if pv:
-                    union_scalar_true = True
-                    if run is not None:
-                        run(ip, iter_ctx)
-                    else:
-                        exec_stmt(ip, block.stmt, iter_ctx)
-                    any_ran = True
+            elif pv:
+                union_scalar_true = True
+                exec_stmt(ip, block.stmt, iter_ctx)
+                any_ran = True
         if stmt.others is not None:
-            run = plans.others if plans is not None else None
             if union_mask is not None:
                 sub = iter_ctx.refine(~union_mask)
                 if np.any(sub.active_mask()):
-                    if run is not None:
-                        run(ip, sub)
-                    else:
-                        exec_stmt(ip, stmt.others, sub)
+                    exec_stmt(ip, stmt.others, sub)
                     any_ran = True
             elif not union_scalar_true:
-                if run is not None:
-                    run(ip, iter_ctx)
-                else:
-                    exec_stmt(ip, stmt.others, iter_ctx)
+                exec_stmt(ip, stmt.others, iter_ctx)
                 any_ran = True
     return any_ran
 
@@ -554,40 +493,29 @@ def _seq_sweep(
 
 def exec_oneof(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    plans = _plans_for(ip, stmt, inner.grid)
     vps = ip.grid_vpset(inner.grid.shape)
     if not stmt.star:
-        _oneof_once(ip, stmt, inner, plans)
+        _oneof_once(ip, stmt, inner)
         return
     _check_starred(stmt)
     sweeps = 0
     while True:
         ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
         ip.machine.clock.charge("host_cm_latency")
-        if not _oneof_once(ip, stmt, inner, plans):
+        if not _oneof_once(ip, stmt, inner):
             return
         sweeps += 1
         ip.check_sweeps(sweeps, "*oneof", stmt, _NEVER_FALSIFIED)
 
 
-def _oneof_once(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
+def _oneof_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
     """Execute one enabled arm (chosen by the machine RNG); True if any ran."""
     with ip.cse_arm():
-        return _oneof_once_armed(ip, stmt, inner, plans)
+        return _oneof_once_armed(ip, stmt, inner)
 
 
-def _oneof_once_armed(
-    ip,
-    stmt: ast.UCStmt,
-    inner: ExecContext,
-    plans: Optional[ConstructPlan] = None,
-) -> bool:
-    masks, union = _block_masks(ip, stmt, inner, plans)
+def _oneof_once_armed(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
+    masks, union = _block_masks(ip, stmt, inner)
     enabled = [k for k, m in enumerate(masks) if np.any(m)]
     others_mask: Optional[np.ndarray] = None
     if stmt.others is not None:
@@ -602,14 +530,7 @@ def _oneof_once_armed(
     pick = enabled[int(ip.rng.integers(0, len(enabled)))]
     if pick == -1:
         assert others_mask is not None
-        if plans is not None:
-            plans.others(ip, inner.with_mask(others_mask))
-        else:
-            exec_stmt(ip, stmt.others, inner.with_mask(others_mask))
+        exec_stmt(ip, stmt.others, inner.with_mask(others_mask))
     else:
-        sub = inner.with_mask(masks[pick])
-        if plans is not None:
-            plans.stmts[pick](ip, sub)
-        else:
-            exec_stmt(ip, stmt.blocks[pick].stmt, sub)
+        exec_stmt(ip, stmt.blocks[pick].stmt, inner.with_mask(masks[pick]))
     return True

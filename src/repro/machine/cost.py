@@ -291,7 +291,7 @@ class Clock:
 
         Two executions took the same simulated path iff their fingerprints
         are equal — the differential tests use this to hold the compiled
-        plan engine to the tree-walker's exact charge sequence.
+        production engines to the tree-walker's exact charge sequence.
         """
         lines = tuple(
             (kind, rec.count, rec.time_us)

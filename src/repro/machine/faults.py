@@ -8,11 +8,12 @@ two event streams:
 * **charge-stream triggers** — every :meth:`Clock.charge
   <repro.machine.cost.Clock.charge>` call reports its cost kind
   (``"alu"``, ``"router_send"``, ``"news"``, ...) through a hook the
-  machine installs only when a plan is present.  Because the
-  tree-walking oracle and the compiled-plan engine produce bit-identical
-  charge sequences, a charge-stream trigger fires at exactly the same
-  point of the computation in both engines — this is what makes fault
-  runs reproducible and engine-comparable.
+  machine installs only when a plan is present.  An armed plan stands
+  kernel fusion down, so a fault run executes on the tree-walking oracle
+  plus the frontier's lane programs, whose charge sequences are
+  bit-identical whichever way ``plans`` is set: a charge-stream trigger
+  fires at exactly the same point of the computation either way — this
+  is what makes fault runs reproducible and engine-comparable.
 * **module fault points** — the Paris-level entry points in
   :mod:`~repro.machine.router`, :mod:`~repro.machine.news`,
   :mod:`~repro.machine.scan` and :mod:`~repro.machine.paris` each call

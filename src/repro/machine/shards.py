@@ -10,8 +10,8 @@ would physically land under a :class:`~repro.mapping.placement.Placement`.
 
 The wiring is one hook: the sharded machine installs itself as the base
 clock's ``shard_sink``, and every remote reference the tier dispatcher
-charges — identically in the tree-walking oracle, the compiled-plan
-engine, the frontier engine and the fusion backend — arrives here via
+charges — identically in the tree-walking oracle, the frontier
+engine and the fusion backend — arrives here via
 ``observe_ref``.  The placement splits the reference into intra-shard
 work (charged on the owning shard's clock at that shard's own VP ratio)
 and cross-shard slabs (per ordered shard pair, charged as ``intershard``

@@ -190,18 +190,6 @@ class TestEnrichedErrors:
         msg = str(exc.value)
         assert "[UC101]" in msg and "scalar 's'" in msg and "$," in msg
 
-    def test_plan_memo_path_also_enriched(self):
-        # second sweep hits the scatter memo: the error must be as rich
-        src = (
-            "index_set I:i = {0..3}, J:j = I, K:k = {0..1};\n"
-            "int a[4], c[4];\n"
-            "main { seq (K) par (I, J) a[i] = c[j] + k - k; }"
-        )
-        prog = UCProgram(src, plans=True)
-        with pytest.raises(UCMultipleAssignmentError) as exc:
-            prog.run({"c": np.array([1, 2, 3, 4])})
-        assert "[UC101]" in str(exc.value)
-
 
 class TestStatsLine:
     def test_run_stats_prints_sanitizer_summary(self, capsys, tmp_path):

@@ -4,7 +4,7 @@ The contract under test: ``take_portable`` → ``snapshot_to_bytes`` →
 disk → a *fresh interpreter in a fresh process* → ``install_portable``
 → run to completion is indistinguishable from never having stopped —
 same variable values, same stdout, same tier log, and a bit-identical
-Clock fingerprint — in both the compiled plan engine and the
+Clock fingerprint — in both the production engines and the
 tree-walking oracle (``REPRO_NO_PLANS=1``).
 """
 

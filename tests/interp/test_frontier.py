@@ -476,10 +476,10 @@ class TestLaneGatherFastPath:
 
 
 def _engines(src, inputs=None, **kw):
-    """The same run on the plan engine, the tree oracle and the plan
-    engine with every compressed sweep on the lane path; asserts equal
-    values, fingerprints and active-set traces and returns the
-    plan-engine result."""
+    """The same run on the production engines, the tree oracle and the
+    production engines with every compressed sweep on the lane path;
+    asserts equal values, fingerprints and active-set traces and returns
+    the production-engine result."""
     runs = [run_uc(src, inputs, **kw), run_uc(src, inputs, plans=False, **kw),
             run_lanes(src, inputs, **kw)]  # fmt: skip
     for other in runs[1:]:

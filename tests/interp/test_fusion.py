@@ -1,11 +1,11 @@
 """Kernel-fusion backend tests (``src/repro/interp/fuse.py``).
 
-The fusion pass lowers a compiled construct plan's charge-and-compute
-statement sequence into whole-array register programs whose Clock cost
-comes from a precomputed static charge table.  Its contract is strict:
-results AND Clock fingerprints equal the tree-walking oracle's
-(``plans=False``) under both frontier modes; statements the pass cannot
-prove static run as unfused plan segments inside the fused sweep; and an
+The fusion pass lowers a construct's charge-and-compute statement
+sequence into whole-array register programs whose Clock cost comes from
+a precomputed static charge table.  Its contract is strict: results AND
+Clock fingerprints equal the tree-walking oracle's (``plans=False``)
+under both frontier modes; statements the pass cannot prove static run
+on the oracle as unfused segments inside the fused sweep; and an
 armed FaultPlan or the sanitizer stands fusion down entirely (fault
 triggers count individual charges, which a table replay would reorder
 mid-sweep; the sanitizer's tier log walks every reference).
@@ -62,7 +62,7 @@ main {
 """
 
 #: a user function call splits the body into fused / unfused / fused
-#: segments (calls run as interpreted plan closures, never as kernels);
+#: segments (calls run as oracle segments, never as kernels);
 #: the call statement shares no cacheable text with the fused ones, so
 #: the one-cache-world overlap check lets the construct segment instead
 #: of bailing

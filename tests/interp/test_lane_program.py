@@ -4,12 +4,12 @@ pre-resolved addresses, hoisted invariants, predicate values shared with
 the body, pre-bound charge rows — and what it may not (see "Host cost of
 a compressed sweep" in ``docs/PERFORMANCE.md``).
 
-Every case runs on the plan engine, the ``plans=False`` oracle and the
-plan engine with dense evaluation off (every compressed sweep on the lane
-path) and must agree on values, Clock fingerprint and the active-set
-trace; values must also equal full sweeps.  (Oracle and plan
-engine share the lane path, so equality with the *parent commit* over
-many programs is checked separately — ``.claude/skills/verify``.)
+Every case runs on the production engines, the ``plans=False`` oracle
+and the production engines with dense evaluation off (every compressed
+sweep on the lane path) and must agree on values, Clock fingerprint and
+the active-set trace; values must also equal full sweeps.  (Oracle and
+production engines share the lane path, so a change to it is also
+diffed against a clone of the parent commit over many programs.)
 """
 
 import gc
@@ -31,13 +31,13 @@ from repro.machine.cost import Clock
 from tests.conftest import run_lanes, run_uc
 
 KW = dict(machine_config=small_config(16))
-#: (runner, keywords) per engine: plan engine, oracle, lane path only
+#: (runner, keywords) per engine: production engines, oracle, lane path only
 ENGINES = ((run_uc, {}), (run_uc, dict(plans=False)), (run_lanes, {}))
 
 
 def _engines(src, inputs=None, **kw):
     """Run on every engine; assert equal values, fingerprints and traces,
-    and values equal to full sweeps.  Returns the plan-engine result."""
+    and values equal to full sweeps.  Returns the production-engine result."""
     kw = {**KW, **kw}
     runs = [run(src, inputs, **kw, **eng) for run, eng in ENGINES]
     full = run_uc(src, inputs, frontier=False, **kw)

@@ -1,11 +1,12 @@
-"""Differential tests: the compiled plan engine vs the tree-walking oracle.
+"""Differential tests: the production engines vs the tree-walking oracle.
 
-The plan engine (``repro.interp.plan``) must be an *invisible*
-optimization: for every program, results, stdout, and the full cost
-ledger (``Clock.fingerprint()``) must be bit-identical to the
-tree-walker's.  These tests run every workload and example under both
-engines — with the communication-tier dispatcher and on the router-only
-machine (``comm_tiers=False``) — and compare everything.
+With ``plans`` on, a construct sweep runs on its fused kernel, a
+frontier lane program, or the oracle where fusion declines.  That choice
+must be *invisible*: for every program, results, stdout, and the full
+cost ledger (``Clock.fingerprint()``) must be bit-identical to the
+oracle's (``plans=False``).  These tests run every workload and example
+both ways — with the communication-tier dispatcher and on the
+router-only machine (``comm_tiers=False``) — and compare everything.
 """
 
 from pathlib import Path
@@ -24,7 +25,8 @@ BIG = 1 << 20
 
 
 def run_both(src, defines=None, inputs=None, seed=20250704, **kw):
-    """One run per engine; returns (plans_result, tree_result, fingerprints)."""
+    """One run per setting of ``plans``; returns (plans_result, tree_result,
+    fingerprints)."""
     prints = []
     results = []
     for plans in (True, False):
@@ -94,6 +96,18 @@ WORKLOADS = {
         {"processor_opt": False},
     ),
 }
+# the four mapping kernels, with and without their map sections
+WORKLOADS.update(
+    (f"{name}_{'mapped' if on else 'unmapped'}",
+     (W.with_map(src, m, on), {"N": 16, "REPS": 2}, None, {}))
+    for name, src, m in (
+        ("shift", W.SHIFT_KERNEL_UC, W.SHIFT_KERNEL_MAP),
+        ("transpose", W.TRANSPOSE_KERNEL_UC, W.TRANSPOSE_KERNEL_MAP),
+        ("fold", W.FOLD_KERNEL_UC, W.FOLD_KERNEL_MAP),
+        ("copy", W.COPY_KERNEL_UC, W.COPY_KERNEL_MAP),
+    )
+    for on in (True, False)
+)
 
 
 class TestWorkloadsDifferential:
@@ -113,14 +127,14 @@ class TestWorkloadsDifferential:
             )
 
 
+EXAMPLE_CASES = [("apsp.uc", {"N": 8}), ("histogram.uc", {"N": 32}), ("shifted.uc", None)]
+
+
 class TestExamplesDifferential:
     """Every shipped .uc example behaves identically under both engines
     (same seed -> same rand() stream -> comparable outputs)."""
 
-    @pytest.mark.parametrize(
-        "script,defines",
-        [("apsp.uc", {"N": 8}), ("histogram.uc", {"N": 32}), ("shifted.uc", None)],
-    )
+    @pytest.mark.parametrize("script,defines", EXAMPLE_CASES)
     def test_example(self, script, defines):
         src = (EXAMPLES / script).read_text()
         for comm_tiers in (True, False):
@@ -143,7 +157,7 @@ class TestPlanCache:
         assert list(res["a"]) == [i + 8 for i in range(16)]
         cache = prog.last_interpreter.plan_cache
         stats = cache.stats()
-        # the seq-in-par body compiles once, then hits on every iteration
+        # the par inside the seq fuses once, then hits on every iteration
         assert stats["misses"] >= 1
         assert stats["hits"] >= 7
 
@@ -165,27 +179,43 @@ class TestPlanCache:
         """A recycled id() can never resurrect a stale plan."""
         cache = PlanCache(capacity=4)
         node_a = object()
-        plan_a = cache.get_or_build("construct", node_a, (), lambda: "plan-a")
+        plan_a = cache.get_or_build("fuse", node_a, (), lambda: "plan-a")
         assert plan_a == "plan-a"
         # same key coordinates but a different node object -> rebuild
         class Fake:
             pass
 
         fake = Fake()
-        cache._entries[("construct", id(fake), ())] = (object(), "stale")
-        rebuilt = cache.get_or_build("construct", fake, (), lambda: "fresh")
+        cache._entries[("fuse", id(fake), ())] = (object(), "stale")
+        rebuilt = cache.get_or_build("fuse", fake, (), lambda: "fresh")
         assert rebuilt == "fresh"
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
         nodes = [object() for _ in range(3)]
         for k, node in enumerate(nodes):
-            cache.get_or_build("construct", node, (), lambda k=k: f"plan-{k}")
+            cache.get_or_build("fuse", node, (), lambda k=k: f"plan-{k}")
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
         # oldest entry evicted; newest two still hit
-        cache.get_or_build("construct", nodes[2], (), lambda: "rebuilt")
+        cache.get_or_build("fuse", nodes[2], (), lambda: "rebuilt")
         assert cache.stats()["hits"] == 1
+
+    @pytest.mark.usefixtures("default_engines")
+    def test_only_kernels_and_frontier_analyses_are_cached(self):
+        """Nothing but fused kernels ("fuse"; "sched" for scheduled solve
+        levels) and frontier analyses is compiled."""
+        walls = np.zeros((10, 10), dtype=np.int64)
+        walls[3, 2:7] = 1
+        dynamic = (W.DYNAMIC_OBSTACLE_UC, {"R": 10, "WALL": BIG}, {"walls": walls}, {})
+        examples = [((EXAMPLES / f).read_text(), d, None, {}) for f, d in EXAMPLE_CASES]
+        kinds = set()
+        for src, defines, inputs, kw in [*WORKLOADS.values(), dynamic, *examples]:
+            prog = UCProgram(src, defines=defines, compile_store=None, **kw)
+            prog.run(dict(inputs or {}))
+            stats = prog.last_interpreter.plan_cache.stats()
+            kinds |= {key[5:] for key in stats if key.startswith("size.")}
+        assert kinds == {"fuse", "sched", "frontier"}
 
 
 class TestRecipeGeometry:

@@ -80,6 +80,75 @@ class TestSolve:
         assert r["a"].tolist() == [1, 2, 3, 4]
 
 
+#: name -> (source, inputs, fused sweeps): a scheduled solve runs each
+#: non-empty level as one masked sweep of its body's fused kernel
+SCHEDULED = {
+    "two_unpredicated": (
+        "index_set I:i = {0..7}, J:j = I;\nint a[8][8], b[8][8];\n"
+        "main { solve (I, J) {\n"
+        "  a[i][j] = (i == 0 || j == 0) ? 1 : a[i-1][j] + b[i][j-1];\n"
+        "  b[i][j] = (i == 0) ? 2 : b[i-1][j] + a[i-1][j];\n} }",
+        None,
+        15,
+    ),
+    "one_predicated": (
+        "index_set I:i = {0..7}, J:j = I;\nint a[8][8];\n"
+        "main { solve (I, J) st (a[i][j] % 3 != 0)\n"
+        "  a[i][j] = (i == 0 || j == 0) ? 1 : a[i-1][j] + a[i][j-1]; }",
+        {"a": np.arange(64).reshape(8, 8)},
+        15,
+    ),
+    # the level loop runs outside an armed CSE cache: a kernel simulating
+    # one would charge the repeated factor once, the oracle charges it twice
+    "repeated_subexpression": (
+        "index_set I:i = {0..15};\nint a[16];\n"
+        "main { solve (I) a[i] = (i == 0) ? 1 : (a[i-1] + 3) * (a[i-1] + 3) % 101; }",
+        None,
+        16,
+    ),
+    # a fused sweep runs every predicate before any body, so two predicated
+    # assignments keep the oracle's one-assignment-at-a-time order
+    "two_predicated": (
+        "index_set I:i = {0..7};\nint a[8], b[8];\n"
+        "main { solve (I) st (i > 0) a[i] = a[i-1] + 1;\n"
+        "                 st (i > 1) b[i] = b[i-1] + a[i-1]; }",
+        None,
+        0,
+    ),
+}
+
+
+def _same_run(got, want):
+    assert got.fingerprint == want.fingerprint
+    assert all(np.array_equal(got[name], want[name]) for name in want.keys())
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestFusedSchedule:
+    """Values, Clock and ``fusion.fused_sweeps`` of the fused level loop
+    against the oracle's (``plans=False``) per-assignment level loop."""
+
+    @pytest.mark.parametrize("frontier", [True, False])
+    @pytest.mark.parametrize("name", sorted(SCHEDULED))
+    def test_levels_match_the_oracle(self, name, frontier):
+        src, inputs, sweeps = SCHEDULED[name]
+        fused, oracle = (
+            run_uc(src, inputs, plans=plans, frontier=frontier, solve_strategy="scheduled")
+            for plans in (True, False)
+        )  # fmt: skip
+        _same_run(fused, oracle)
+        assert fused.fusion.get("fused_sweeps", 0) == sweeps and not oracle.fusion
+
+    def test_run_batch_lanes_match_the_oracle(self):
+        from repro.interp.program import UCProgram
+
+        src, _inputs, sweeps = SCHEDULED["one_predicated"]
+        inputs = [{"a": np.arange(64).reshape(8, 8) + k} for k in range(3)]
+        for lane, inp in zip(UCProgram(src).run_batch(inputs), inputs):
+            _same_run(lane, run_uc(src, inp, plans=False))
+            assert lane.fusion["fused_sweeps"] == sweeps
+
+
 class TestStarSolve:
     def test_apsp_fixed_point(self):
         src = (

@@ -131,10 +131,10 @@ def test_frontier_matches_full_sweeps_both_engines(case):
 @settings(max_examples=25, deadline=None)
 @given(_solve_programs())
 def test_fusion_matches_plan_engine_on_both_frontier_modes(case):
-    """Kernel fusion is invisible: whatever the frontier mode, the plan
-    engine — with compressed sweeps evaluated densely where they qualify,
-    or all on the lane path — matches the tree oracle's values, Clock
-    fingerprint and active-set trace."""
+    """Kernel fusion is invisible: whatever the frontier mode, the
+    production engines — with compressed sweeps evaluated densely where
+    they qualify, or all on the lane path — match the tree oracle's
+    values, Clock fingerprint and active-set trace."""
     src, seed, template = case
     inputs = _inputs(seed, template)
     for frontier in (True, False):
@@ -247,8 +247,8 @@ def test_graph_strategy_spans_the_occupancy_threshold():
 def test_dense_evaluation_is_invisible(inputs):
     """Whichever side of the threshold a sweep lands on, how the host
     evaluates it never shows: values, Clock fingerprint and the active-set
-    trace equal the tree oracle's and those of the plan engine with every
-    compressed sweep on the lane path."""
+    trace equal the tree oracle's and those of the production engines
+    with every compressed sweep on the lane path."""
     fused = _run_graph(inputs)
     full = _run_graph(inputs, frontier=False)
     assert np.array_equal(fused["d"], full["d"])

@@ -19,7 +19,7 @@ from tests.properties.test_frontier_props import _inputs, _solve_programs
 
 _SHARDS = (1, 2, 4)
 
-#: (name, runner, plans): the plan engine, the plan engine with every
+#: (name, runner, plans): the production engines, the same with every
 #: compressed sweep on the lane path, and the tree oracle
 _ENGINES = (("plans", run_uc, True), ("lanes", run_lanes, True), ("oracle", run_uc, False))
 

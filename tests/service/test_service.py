@@ -434,7 +434,7 @@ class TestAdmission:
 class TestEngineParity:
     def test_service_fingerprints_match_oracle(self, solo, monkeypatch):
         """The tree-walking oracle engine yields the same service-side
-        fingerprints as the compiled plan engine."""
+        fingerprints as the production engines."""
         monkeypatch.setenv("REPRO_NO_PLANS", "1")
         oracle_solo = UCProgram(SRC, compile_store=None).run()
         assert oracle_solo.fingerprint == solo.fingerprint
