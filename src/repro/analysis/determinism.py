@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..lang import ast
+from ..lang.semantics import BUILTINS
 from ..lang.tokens import REDUCTION_OPS
 from .context import AnalysisModel, ConstructSite, ReductionSite
 from .diagnostics import Diagnostic, SEVERITIES
@@ -49,12 +50,6 @@ _INT64_MAX = 2**63 - 1
 
 #: canonical op name -> source spelling after '$'
 _OP_SPELLING = {canon: spell for spell, canon in REDUCTION_OPS.items()}
-
-#: builtins that are pure functions of their arguments
-_PURE_BUILTINS = frozenset({"abs", "fabs", "sqrt", "min", "max"})
-
-#: builtins returning floating-point values
-_FLOAT_BUILTINS = frozenset({"fabs", "sqrt"})
 
 #: the always-commutative, always-associative combiners (idempotent or
 #: boolean — reordering cannot change the value for any operand set)
@@ -100,7 +95,9 @@ def _body_issue(node: ast.Reduction, model: AnalysisModel) -> Optional[str]:
     a body built only of literals, bound names, array reads and pure
     arithmetic is a per-operand function, so the builtin combiner's own
     algebra decides commutativity.  Side effects, RNG consumption and
-    opaque calls make the evaluation order itself observable.
+    opaque calls make the evaluation order itself observable.  Purity is
+    the builtin table's (``lang.semantics.BUILTINS``); a user function —
+    one overriding a builtin's name included — is an opaque call.
     """
     for sub in ast.walk(node):
         if sub is node:
@@ -108,18 +105,24 @@ def _body_issue(node: ast.Reduction, model: AnalysisModel) -> Optional[str]:
         if isinstance(sub, (ast.Assign, ast.IncDec)):
             return "the body assigns to program state"
         if isinstance(sub, ast.Call):
-            if sub.func in ("rand", "srand"):
-                return "the body consumes the RNG stream (rand)"
-            if sub.func in ("printf", "swap"):
-                return f"the body calls {sub.func}() for its side effect"
-            if sub.func not in _PURE_BUILTINS:
+            builtin = _builtin(sub, model)
+            if builtin is None:
                 return (
-                    f"the body calls {sub.func}(), outside the tractable "
-                    "commutativity fragment"
+                    f"the body calls {sub.func}(), a user function: an opaque "
+                    "call, outside the tractable commutativity fragment"
                 )
+            if not builtin.pure:
+                return f"the body calls {sub.func}(), which {builtin.effect}"
         if isinstance(sub, ast.Reduction) and sub.op == "arbitrary":
             return "an operand is itself a $, (arbitrary) selection"
     return None
+
+
+def _builtin(call: ast.Call, model: AnalysisModel):
+    """The builtin ``call`` reaches, or None for a user function."""
+    if call.func in model.info.functions:
+        return None
+    return BUILTINS.get(call.func)
 
 
 def _is_float(e: ast.Expr, site: ReductionSite, model: AnalysisModel) -> bool:
@@ -138,11 +141,12 @@ def _is_float(e: ast.Expr, site: ReductionSite, model: AnalysisModel) -> bool:
         entry = model.info.arrays.get(e.base) or model.local_arrays.get(e.base)
         return entry is not None and entry[0] == "float"
     if isinstance(e, ast.Call):
-        if e.func in _FLOAT_BUILTINS:
-            return True
-        if e.func in ("abs", "min", "max"):
+        builtin = _builtin(e, model)
+        if builtin is None:
+            return model.info.functions[e.func].ret_type == "float"  # semantics vetted the name
+        if builtin.floats is None:
             return any(_is_float(a, site, model) for a in e.args)
-        return False  # rand and friends are integral
+        return builtin.floats
     if isinstance(e, ast.Unary):
         if e.op in ("!", "~"):
             return False
@@ -242,7 +246,7 @@ def _bounds(
         if e.func == "min":
             return (min(a[0], b[0]), min(a[1], b[1]))
         return (max(a[0], b[0]), max(a[1], b[1]))
-    if isinstance(e, ast.Call) and e.func in ("abs", "fabs") and len(e.args) == 1:
+    if isinstance(e, ast.Call) and e.func in ("abs", "ABS", "fabs") and len(e.args) == 1:
         a = _bounds(e.args[0], site, model)
         if a is None:
             return None

@@ -11,19 +11,28 @@ reduction grid per j).  But the predicate equates an expression over the
 to exactly one result — the whole thing runs with ``max(|I|, |J|)``
 processors as a single send-with-add through the router.
 
-This module provides the static analysis (:func:`analyze_program` /
-:func:`match_partition`) and the interpreter consults
-:func:`match_partition` when ``processor_opt`` is enabled to charge the
-cheap router-combine cost instead of the full product-grid scan.
+:func:`partition_split` is the one verdict on that pattern.  The static
+analysis (:func:`analyze_program`, ``repro analyze`` and Table P) reports
+it, and the interpreter's static gate
+(:func:`repro.interp.sendreduce.send_reduce_split`, which the oracle and
+the fusion pass both call) takes the router path exactly where it holds.
+Whether a run *takes* that path also depends on the machine: the runtime
+keeps the product grid while it needs no more VPs per PE than the operand
+grid would (:func:`repro.interp.sendreduce.shrinks`), a test this module
+cannot make because it does not know the machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..lang import ast
 from ..lang.semantics import ProgramInfo
+from ..lang.tokens import REDUCTION_OPS
+
+#: the reductions a combining router send can deliver: all but ``$,``
+COMBINING_OPS = frozenset(REDUCTION_OPS.values()) - {"arbitrary"}
 
 
 @dataclass(frozen=True)
@@ -43,53 +52,77 @@ class ReductionPlan:
         return self.naive_vps / max(1, self.optimized_vps)
 
 
-def _names_in(expr: ast.Expr) -> Set[str]:
-    out: Set[str] = set()
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name):
-            out.add(node.ident)
-        elif isinstance(node, ast.Index):
-            out.add(node.base)
-    return out
+def _free_names(expr: ast.Expr) -> Set[str]:
+    """The plain identifiers ``expr`` mentions (array bases excluded)."""
+    return {node.ident for node in ast.walk(expr) if isinstance(node, ast.Name)}
+
+
+def _conjuncts(expr: ast.Expr):
+    """The clauses of an ``&&`` chain, left to right."""
+    if isinstance(expr, ast.Binary) and expr.op == "&&":
+        yield from _conjuncts(expr.left)
+        yield from _conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def partition_split(
+    red: ast.Reduction, par_elems: Sequence[str], red_elems: Sequence[str]
+) -> Optional[Tuple[ast.Expr, str, List[ast.Expr]]]:
+    """``(address_expr, par_elem, other_clauses)`` when ``red`` partitions
+    its operands across the results of a one-axis parallel context whose
+    element is the one of ``par_elems`` not rebound by ``red_elems``;
+    None otherwise.
+
+    The pattern: a combining op, one predicated arm and no ``others``;
+    exactly one conjunct of the form ``f(reduction elements) == par_elem``
+    (either way round, ``f`` free of the par element), every other
+    conjunct and the contribution itself free of the par element — then
+    each operand is counted toward at most one result.
+    """
+    if (
+        red.op not in COMBINING_OPS
+        or red.others is not None
+        or len(red.arms) != 1
+        or red.arms[0].pred is None
+        or len(par_elems) != 1
+    ):
+        return None
+    red_set = set(red_elems)
+    parent = set(par_elems) - red_set
+    if not parent:
+        return None
+    arm = red.arms[0]
+    address: Optional[Tuple[ast.Expr, str]] = None
+    rest: List[ast.Expr] = []
+    for clause in _conjuncts(arm.pred):
+        matched = False
+        if isinstance(clause, ast.Binary) and clause.op == "==" and address is None:
+            for a, b in ((clause.left, clause.right), (clause.right, clause.left)):
+                names = _free_names(a)
+                if (
+                    isinstance(b, ast.Name)
+                    and b.ident in parent
+                    and names & red_set
+                    and not names & parent
+                ):
+                    address, matched = (a, b.ident), True
+                    break
+        if not matched:
+            if _free_names(clause) & parent:
+                return None
+            rest.append(clause)
+    if address is None or _free_names(arm.expr) & parent:
+        return None
+    return address[0], address[1], rest
 
 
 def match_partition(
     red: ast.Reduction, par_elems: Sequence[str], red_elems: Sequence[str]
 ) -> bool:
     """Does the reduction's predicate partition operands across results?
-
-    True when some arm predicate is a conjunction containing an equality
-    ``f(reduction elements) == g(par element)`` where ``g`` is exactly one
-    par element and ``f`` mentions reduction elements but no par element —
-    then each operand is counted toward at most one result.
-    """
-    par_set = set(par_elems)
-    red_set = set(red_elems)
-    for arm in red.arms:
-        if arm.pred is None:
-            continue
-        for clause in _conjuncts(arm.pred):
-            if not (isinstance(clause, ast.Binary) and clause.op == "=="):
-                continue
-            for a, b in ((clause.left, clause.right), (clause.right, clause.left)):
-                a_names = _names_in(a)
-                b_names = _names_in(b)
-                if (
-                    isinstance(b, ast.Name)
-                    and b.ident in par_set
-                    and a_names & red_set
-                    and not (a_names & par_set)
-                ):
-                    return True
-    return False
-
-
-def _conjuncts(expr: ast.Expr):
-    if isinstance(expr, ast.Binary) and expr.op == "&&":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
+    (:func:`partition_split` as a yes/no.)"""
+    return partition_split(red, par_elems, red_elems) is not None
 
 
 def analyze_reduction(

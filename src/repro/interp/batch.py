@@ -10,8 +10,8 @@ stdout and :class:`~repro.machine.cost.Clock` fingerprints are
 host-side *work*: for iterated constructs (``*par``/``*solve``) whose
 bodies the kernel-fusion pass fully compiled, the register program runs
 once over a lane-stacked ``(S,) + shape`` array per step instead of
-``S`` times over ``shape``, and the static charge tables are replayed
-per lane (:meth:`Clock.replay`), which is what keeps the clocks exact.
+``S`` times over ``shape``, and the kernel's charge rows are replayed
+per lane (:meth:`Clock.replay_rows`), which is what keeps the clocks exact.
 
 The lane axis is processed in **chunks** sized to keep the stacked
 working set cache-resident (:data:`_CHUNK_TARGET_ELEMS`).  There is no
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from ..lang import ast
 from ..machine import Machine
 from ..machine.field import lane_stack
 from . import frontier, fuse
-from .env import Env
 from .eval_expr import ExecContext
 from .interpreter import Interpreter
 from .plan_cache import PlanCache
@@ -74,7 +73,7 @@ from .statements import (
     star_par_loop,
 )
 from .solve import _modified_names, star_solve_loop
-from .values import ArrayVar, ElementBinding, GridContext, LaneVar, ScalarVar
+from .values import ArrayVar, ElementBinding, LaneVar, ScalarVar
 
 #: target stacked-register size per chunk (int64 elements).  ~4 MB keeps
 #: the whole register file of a chunk inside L2/L3 so the per-step numpy
@@ -198,19 +197,9 @@ class _BatchRun:
         return results
 
     def _lockstep(self) -> None:
-        main = self.prog.info.program.main
-        ctxs = [
-            ExecContext(GridContext(), None, Env(ip.global_env))
-            for ip in self.interps
-        ]
-        if isinstance(main, ast.Block):
-            # mirror exec_stmt's Block case: one child env for the body
-            ctxs = [c.with_env(c.env.child()) for c in ctxs]
-            stmts = list(main.stmts)
-        else:
-            stmts = [main]
+        ctxs = [ip.make_main_context() for ip in self.interps]
         done = [False] * self.S
-        for stmt in stmts:
+        for stmt in self.prog.info.program.main.stmts:
             live = [i for i in range(self.S) if not done[i]]
             if not live:
                 return
@@ -455,7 +444,7 @@ class _BatchConstruct:
     def _charge_preds(self, clock) -> None:
         for prog in self.fused.pred_progs:
             if prog is not None:
-                clock.replay(prog[0])
+                clock.replay_rows(prog[0], self.fused.ratios)
                 clock.count_fusion("charge_table_hits")
 
     def _charge_arms(self, clock, arm_any, row: int) -> None:
@@ -463,7 +452,7 @@ class _BatchConstruct:
             if not arm_any[k, row]:
                 continue
             for seg in segs:
-                clock.replay(seg[1])
+                clock.replay_rows(seg[1], self.fused.ratios)
                 clock.count_fusion("charge_table_hits")
         clock.count_fusion("fused_sweeps")
 
@@ -488,72 +477,41 @@ class _BatchConstruct:
             keep.append(row)
         self._compact(keep)
 
-    def _sweep_start(self):
-        """Stacked copies of the modified arrays, and each lane's (clock
-        time, alloc count) when sessions mirror the sweep."""
-        before = {name: self.stacks[name].copy() for name in self.mod_arrays}
-        marks = None
+    def _sweep_start(self) -> Dict[str, np.ndarray]:
+        """Open a full sweep on every lane: stacked before-copies of the
+        modified arrays, and each session's :meth:`StarSession.full_begin`."""
         if self.sessions_on:
-            marks = [
-                (ip.machine.clock.time_us, ip.machine.clock.count("alloc"))
-                for ip in self.interps
-            ]
-        return before, marks
+            for sess in self.sessions:
+                sess.full_begin()
+        return frontier.snapshot({name: self.stacks[name] for name in self.mod_arrays})
 
-    def _deltas(self, before, marks, rows) -> Dict[str, np.ndarray]:
-        """This sweep's per-name lane-stacked ``changed`` masks; the
-        sessions of ``rows`` get ``StarSession.full_end``'s bookkeeping
-        from the same before/after compare, done once for every lane."""
-        changed = {name: before[name] != self.stacks[name] for name in before}
-        if self.sessions_on:
-            gt = {name: self.stacks[name] > before[name] for name in before}
-            lt = {name: self.stacks[name] < before[name] for name in before}
-            for row in rows:
-                self._install_session(row, changed, gt, lt, *marks[row])
-        return changed
-
-    def _install_session(
-        self, row: int, changed, gt, lt, t0: float, a0: int
-    ) -> None:
-        """Mirror ``StarSession.full_end`` from the stacked deltas."""
-        sess = self.sessions[row]
-        clock = self.interps[row].machine.clock
-        costs = clock.costs
-        alloc_extra = clock.count("alloc") - a0
-        sess.reference = (clock.time_us - t0) - alloc_extra * (
-            costs.alloc + costs.dispatch
-        )
-        sess.ref_pes = self.interps[row].machine.n_live_pes
-        prev: Dict[str, np.ndarray] = {}
-        stats: Dict[str, Tuple[int, int]] = {}
-        for name in sess.an.modified:
-            ch = changed[name][row]
-            prev[name] = ch
-            stats[name] = (int(np.count_nonzero(ch)), int(ch.size))
-            sess.dirs[name] = (
-                bool(np.any(gt[name][row])),
-                bool(np.any(lt[name][row])),
-            )
-        sess.prev = prev
-        sess.last_stats = stats
-        clock.count_frontier("full_sweeps")
+    def _row_diff(self, row: int, before, before_sc=None) -> frontier.SweepDiff:
+        """Lane ``row``'s diff of the sweep, from its row slices: the one
+        diff a solo loop takes (:class:`repro.interp.frontier.SweepDiff`)."""
+        old = {name: b[row] for name, b in before.items()}
+        new = {name: self.stacks[name][row] for name in before}
+        for name, vals in (before_sc or {}).items():
+            old[name], new[name] = vals[row], self.scalar_vars[name][row].value
+        return frontier.SweepDiff.between(old, new)
 
     def _sess_key(self, row: int):
         """Hashable digest of everything a lane's ``plan_compressed``
         decision depends on.  ``plan_compressed`` is pure (no clock
-        charges, no counters) and reads only the session's prev/dirs/
-        reference/ref_pes state plus shared per-construct analysis, so
+        charges, no counters) and reads only the session's last diff,
+        reference and ref_pes plus shared per-construct analysis, so
         lanes with equal digests get equal None/plan decisions — the
         drivers memoise the (common) all-None outcome across lanes."""
         sess = self.sessions[row]
-        if sess.prev is None or sess.reference is None:
+        last = sess.last
+        if last is None or sess.reference is None:
             return None
+        modified = sess.an.modified
         key = [
             sess.reference,
             sess.ref_pes,
             self.interps[row].machine.n_live_pes,
-            tuple(sorted((k, v.tobytes()) for k, v in sess.prev.items())),
-            tuple(sorted(sess.dirs.items())),
+            tuple(last.changed[name].tobytes() for name in modified),
+            tuple(last.dirs[name] for name in modified),
         ]
         if self.stmt.kind == "par":
             if sess.par_masks is None:
@@ -571,7 +529,7 @@ class _BatchConstruct:
             self._elect(star_solve_loop, sweeps)
             if not self.live:
                 return
-            before, marks = self._sweep_start()
+            before = self._sweep_start()
             before_sc = {
                 name: [v.value for v in self.scalar_vars[name]]
                 for name in self.mod_scalars
@@ -584,14 +542,12 @@ class _BatchConstruct:
                 self._charge_arms(clock, arm_any, row)
                 clock.charge("global_or", vp_ratio=self.vp_ratio)
                 clock.charge("host_cm_latency")
-            changed = self._deltas(before, marks, range(len(self.live)))
             lane_changed = np.zeros(len(self.live), dtype=bool)
-            for ch in changed.values():
-                lane_changed |= ch.reshape(len(ch), -1).any(axis=1)
-            for name, vals in before_sc.items():
-                for row, v in enumerate(self.scalar_vars[name]):
-                    if vals[row] != v.value:
-                        lane_changed[row] = True
+            for row, sess in enumerate(self.sessions):
+                diff = self._row_diff(row, before, before_sc)
+                if sess is not None:
+                    sess.full_end(diff)
+                lane_changed[row] = diff.any()
             self._retire(lane_changed)  # fixed point: the lane is done
             sweeps += 1
             if self.live and sweeps > limit:
@@ -606,7 +562,7 @@ class _BatchConstruct:
             self._elect(star_par_loop, sweeps)
             if not self.live:
                 return
-            before, marks = self._sweep_start() if self.sessions_on else ({}, None)
+            before = self._sweep_start() if self.sessions_on else {}
             arm_any, masks_full = self._sweep_compute(collect_masks=True)
             ran = arm_any.any(axis=0)
             for row, ip in enumerate(self.interps):
@@ -616,12 +572,12 @@ class _BatchConstruct:
                 clock.charge("host_cm_latency")
                 if ran[row]:
                     self._charge_arms(clock, arm_any, row)
-            # a lane whose predicates all fail returns before full_end
-            ran_rows = np.flatnonzero(ran)
-            self._deltas(before, marks, ran_rows)
             if self.sessions_on:
-                for row in ran_rows:
-                    self.sessions[row].par_masks = [m[row].copy() for m in masks_full]
+                # a lane whose predicates all fail returns before full_end
+                for row in np.flatnonzero(ran):
+                    sess = self.sessions[row]
+                    sess.full_end(self._row_diff(row, before))
+                    sess.note_par_masks([m[row] for m in masks_full])
             self._retire(ran)  # predicates all false: the lane is done
             sweeps += 1
             if self.live and sweeps > limit:

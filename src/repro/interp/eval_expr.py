@@ -332,6 +332,54 @@ def apply_binop(op: str, a: Value, b: Value, node: ast.Node) -> Value:
     raise UCRuntimeError(f"bad binary operator {op!r}", node.line, node.col)
 
 
+def _power2(node: ast.Call, x: Value) -> Value:
+    if isinstance(x, np.ndarray):
+        return np.left_shift(1, np.clip(x, 0, 62))
+    return 1 << max(0, int(x))
+
+
+def _abs(node: ast.Call, x: Value) -> Value:
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _fabs(node: ast.Call, x: Value) -> Value:
+    return np.abs(x) if isinstance(x, np.ndarray) else abs(float(x))
+
+
+def _sqrt(node: ast.Call, x: Value) -> Value:
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0).astype(np.float64))
+    if x < 0:
+        raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
+    return float(x) ** 0.5
+
+
+def _min(node: ast.Call, a: Value, b: Value) -> Value:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def _max(node: ast.Call, a: Value, b: Value) -> Value:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+#: C semantics of each pure builtin of ``lang.semantics.BUILTINS``, on
+#: scalars or arrays (scalars stay scalars): ``fn(call node, *args)``.
+#: The oracle and the frontier lane programs both call these.
+BUILTIN_VALUES = {
+    "power2": _power2,
+    "abs": _abs,
+    "ABS": _abs,
+    "fabs": _fabs,
+    "sqrt": _sqrt,
+    "min": _min,
+    "max": _max,
+}
+
+
 def _is_int_like(v: Value) -> bool:
     if isinstance(v, np.ndarray):
         return np.issubdtype(v.dtype, np.integer) or v.dtype == bool
@@ -772,12 +820,11 @@ def _assign_parallel_local(
 
 def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
     """Evaluate a reduction (§3.2), returning a parent-shaped value."""
-    if ip.config.processor_opt:
-        from .sendreduce import try_send_reduce
+    from .sendreduce import try_send_reduce  # local: avoids an import cycle
 
-        optimized = try_send_reduce(ip, node, ctx)
-        if optimized is not None:
-            return optimized
+    optimized = try_send_reduce(ip, node, ctx)
+    if optimized is not None:
+        return optimized
     sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
     inner_grid = ctx.grid.extend(sets)
     inner_env = ctx.env.child()

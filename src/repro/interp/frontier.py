@@ -40,14 +40,15 @@ Correctness strategy — decide-before-execute behind a measured guard:
 * **Charging**: a compressed sweep's cost is a static, pre-bound charge
   list per arm: at analysis time the real cost helpers
   (:func:`repro.interp.commtiers.charge_tier_at` — the same recipe both
-  engines use) run once against a recorder and the recorded primitives
-  are bound to the cost table as rows (:func:`_bind_rows`; they live on
-  the cached analysis).  A sweep replays the rows at its active VP
-  ratios — first summed by a local estimator clock and then, only if the
-  estimate undercuts the *measured* cost of the last full sweep, on the
-  real clock: :meth:`repro.machine.cost.Clock.replay_rows`, one inlined
-  loop in recorded order that goes back to one ``Clock.charge`` per row
-  whenever a fault hook or a shard sink is installed.  The estimate is a
+  engines use) run once against a :class:`repro.machine.cost.Recorder`
+  and the recorded primitives are bound to the cost table as rows
+  (:func:`repro.machine.cost.bind_rows`, the fused kernels' format too;
+  they live on the cached analysis).  A sweep replays the rows at its
+  active VP ratios — first summed by a local estimator and then, only if
+  the estimate undercuts the *measured* cost of the last full sweep, on
+  the real clock: :meth:`repro.machine.cost.Clock.replay_rows`, the one
+  replay loop, which goes back to one ``Clock.charge`` per row whenever
+  a fault hook or a shard sink is installed.  The estimate is a
   pure function of the arms' charge keys (``L > 0``, lane and reduction
   VP ratios, effective reduction extent, delta on/off), so a session
   costs each distinct key once.  Charges precede writes, preserving the
@@ -96,22 +97,21 @@ from __future__ import annotations
 import collections
 import functools
 import operator
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..compiler.cstar_gen import expr_to_text
 from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
-from ..lang.errors import UCRuntimeError
-from ..machine.config import HOST_KINDS
-from ..machine.cost import scan_levels
+from ..lang.semantics import BUILTINS
+from ..machine.cost import Recorder, bind_rows, charge_row, scan_levels
 from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers, fuse
-from .eval_expr import _RED_UFUNC, _SIMPLE_BINOPS, _reduce_op, apply_binop
+from .eval_expr import BUILTIN_VALUES, _RED_UFUNC, _SIMPLE_BINOPS, _reduce_op, apply_binop
 from .plan import lane_check, lane_scatter, lane_sub
 from .values import ArrayVar, ElementBinding, ScalarVar
 
@@ -148,54 +148,6 @@ _DELTA_OPS = ("min", "max")
 #: band pays at most 2x on the lane path.
 _DENSE_COST_RATIO = 10
 
-_CALL_CHARGES = {"power2": 1, "abs": 1, "ABS": 1, "fabs": 1, "sqrt": 4, "min": 1, "max": 1}
-
-
-def _call_power2(node, x):
-    if isinstance(x, np.ndarray):
-        return np.left_shift(1, np.clip(x, 0, 62))
-    return 1 << max(0, int(x))
-
-
-def _call_abs(node, x):
-    return np.abs(x) if isinstance(x, np.ndarray) else abs(x)
-
-
-def _call_fabs(node, x):
-    return np.abs(x) if isinstance(x, np.ndarray) else abs(float(x))
-
-
-def _call_sqrt(node, x):
-    if isinstance(x, np.ndarray):
-        return np.sqrt(np.maximum(x, 0).astype(np.float64))
-    if x < 0:
-        raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
-    return float(x) ** 0.5
-
-
-def _call_min(node, a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
-
-
-def _call_max(node, a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-#: the builtins' lane implementations (scalars stay scalars, as in the engines)
-_CALL_IMPLS = {
-    "power2": _call_power2,
-    "abs": _call_abs,
-    "ABS": _call_abs,
-    "fabs": _call_fabs,
-    "sqrt": _call_sqrt,
-    "min": _call_min,
-    "max": _call_max,
-}
-
 
 # ---------------------------------------------------------------------------
 # CSE simulation (keys are the engines' own: ``expr_to_text``)
@@ -213,42 +165,12 @@ def _pure(e: ast.Expr) -> bool:
 # charge rows and the estimate
 # ---------------------------------------------------------------------------
 
-#: the vp-ratio scope of a pre-bound charge: a sweep replays rows at
-#: ``(active lanes' ratio, active lanes x reduction slots' ratio, full grid's)``
+#: the vp-ratio scope of a pre-bound charge row (:func:`repro.machine.cost.bind_rows`):
+#: a sweep replays rows at ``(active lanes' ratio, active lanes x reduction
+#: slots' ratio, full grid's)``.  Two entries of an arm's rows stay symbolic
+#: because they are per-sweep (:func:`_sweep_rows`): ``("k",)`` is the
+#: reduction scan over the sweep's effective extent, ``("d",)`` the delta combine.
 _LANE, _RED, _FULL = 0, 1, 2
-
-
-def _row(costs, kind: str, count: int, scope: int) -> Tuple:
-    """One charge in :meth:`Clock.replay_rows`' row format."""
-    bc = getattr(costs, kind) * count
-    if kind in HOST_KINDS:
-        return (kind, count, bc, None, False)
-    return (kind, count, bc, scope, kind != "dispatch")
-
-
-def _bind_rows(entries: Sequence, costs) -> List[Tuple]:
-    """Bind one arm's recorded charge list to the cost table, once: what
-    the real cost helpers (``charge_tier_at`` and friends) recorded at
-    analysis time, so the genuine charge sequence by construction, in
-    recorded order.  The vp-ratio slot of an entry holds a *scope*
-    (:data:`_LANE` or :data:`_RED`) each sweep resolves against its
-    state.  Two tags stay symbolic because they are per-sweep
-    (:func:`_sweep_rows`): ``("k",)`` is the reduction scan over the
-    sweep's effective extent and ``("d",)`` the delta combine."""
-    rows = []
-    for e in entries:
-        tag = e[0]
-        if tag == "c":
-            rows.append(_row(costs, e[1], e[2], e[3]))
-        elif tag == "s":
-            rows.append(_row(costs, "scan_step", scan_levels(e[1]) * e[3], e[2]))
-        elif tag == "t":
-            rows.append((e[1], 0, None, None, None))
-        elif tag == "x":
-            rows.append((None, 0, None, None, e[1:]))
-        else:
-            rows.append(e)
-    return rows
 
 
 def _sweep_rows(arm: "_ArmInfo", st: "_ArmState", costs) -> List[Tuple]:
@@ -260,9 +182,9 @@ def _sweep_rows(arm: "_ArmInfo", st: "_ArmState", costs) -> List[Tuple]:
         if len(r) != 1:
             out.append(r)
         elif r[0] == "k":
-            out.append(_row(costs, "scan_step", scan_levels(st.K_eff), _RED))
+            out.append(charge_row(costs, "scan_step", scan_levels(st.K_eff), _RED))
         elif st.delta_on:  # "d": combine the delta scan with the stored result
-            out.append(_row(costs, "alu", 1, _LANE))
+            out.append(charge_row(costs, "alu", 1, _LANE))
     return out
 
 
@@ -328,10 +250,11 @@ def _run_lane_steps(steps, R) -> None:
     — over the register file ``R``.  The vocabulary is ``fuse``'s: gather
     (a flat field, or a session table, at an address register), unary,
     binary (arithmetic, comparison, the bool combine of ``&&``/``||``,
-    subscripting by the sweep's selections), where, and calls through
-    ``_CALL_IMPLS``.  ``mask`` has no step of its own: a live refinement
-    is only consumed by a bounds check, so a check is a sub-program that
-    conjoins its guards, skipped once the prelude proved it dead."""
+    subscripting by the sweep's selections), where, and the pure
+    builtins' ``eval_expr.BUILTIN_VALUES``.  ``mask`` has no step of its
+    own: a live refinement is only consumed by a bounds check, so a check
+    is a sub-program that conjoins its guards, skipped once the prelude
+    proved it dead."""
     for op, dst, a, b, c in steps:
         if op == _BINARY:
             R[dst] = a(R[b], R[c])
@@ -673,7 +596,7 @@ class _Compiler:
     def compile(self, expr: ast.Expr, rec, *, value_root: bool = False, spine: int = _OFF):
         """The :class:`_Val` of ``expr`` in the current program; the
         charges the engines issue for it are recorded, in order, into
-        ``rec`` (see :func:`_bind_rows`).
+        ``rec`` (see :func:`repro.machine.cost.bind_rows`).
 
         ``spine``: how a predicate subtree was reached from the root.
         :data:`_CONJ`, through ``&&`` alone (either side): every guard
@@ -716,7 +639,7 @@ class _Compiler:
             key = (self._scope(), text or expr_to_text(expr))
             if key in self.cse_seen:
                 # the engine serves this subtree from its CSE cache: no charges
-                return self._compile_node(expr, fuse._Recorder(), value_root, spine)
+                return self._compile_node(expr, Recorder(), value_root, spine)
             out = self._compile_node(expr, rec, value_root, spine)
             self.cse_seen.add(key)
             return out
@@ -914,16 +837,14 @@ class _Compiler:
 
     def _compile_call(self, expr: ast.Call, rec, spine: int) -> _Val:
         name = expr.func
-        if name not in _CALL_CHARGES or name in self.ip.info.functions:
-            raise _NotFrontierable()  # user functions (or shadowed builtins)
-        want = 2 if name in ("min", "max") else 1
-        if len(expr.args) != want:
-            raise _NotFrontierable()
+        value = BUILTIN_VALUES.get(name)
+        if value is None or name in self.ip.info.functions:
+            raise _NotFrontierable()  # user functions (or overridden / impure builtins)
         args = [self._num(self.compile(a, rec, spine=min(spine, _LIVE))) for a in expr.args]
-        self._charge_op(rec, _CALL_CHARGES[name])
+        self._charge_op(rec, BUILTINS[name].alu)
         kind = _S if all(a.kind == _S for a in args) else _N
-        fn = functools.partial(_CALL_IMPLS[name], expr)
-        return self._apply(kind, _UNARY if want == 1 else _BINARY, *args, fn=fn)
+        fn = functools.partial(value, expr)
+        return self._apply(kind, _UNARY if len(args) == 1 else _BINARY, *args, fn=fn)
 
 
 class _Reduce(Exception):
@@ -1002,7 +923,7 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         arm = _ArmInfo()
         arm.node = assign
         comp.begin_arm()
-        pred_rec, body_rec = fuse._Recorder(), fuse._Recorder()
+        pred_rec, body_rec = Recorder(), Recorder()
         arm.pred_steps = None
         if block.pred is not None:
             arm.pred_steps = comp.begin_program()
@@ -1053,15 +974,15 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         addr, _checked = comp._address(t, arr.shape, t_axes)
         arm.target_table, arm.target_addr = addr.reg, comp._lanes(addr)
         comp.written.add(t.base)
-        arm.pred_rows = _bind_rows(pred_rec.entries, an.costs)
-        arm.body_rows = _bind_rows(body_rec.entries, an.costs)
+        arm.pred_rows = bind_rows(pred_rec.entries, an.costs)
+        arm.body_rows = bind_rows(body_rec.entries, an.costs)
         arm.refs = list(comp.refs.values())
         an.arms.append(arm)
     an.drop = [step[1] for step in an.prelude if step[1] not in comp.kept]
     # at the full grid's ratio: a *solve's snapshot up front; the termination test
-    head = [_row(an.costs, "alu", len(an.modified) or 1, _FULL)]
+    head = [charge_row(an.costs, "alu", len(an.modified) or 1, _FULL)]
     an.head_rows = head if kind == "solve" else []
-    an.test_rows = [_row(an.costs, "global_or", 1, _FULL), _row(an.costs, "host_cm_latency", 1, _FULL)]
+    an.test_rows = [charge_row(an.costs, "global_or", 1, _FULL), charge_row(an.costs, "host_cm_latency", 1, _FULL)]
     return an
 
 
@@ -1196,6 +1117,79 @@ _IDLE = _ArmState(None, 0, 1)
 
 
 # ---------------------------------------------------------------------------
+# what a sweep changed
+# ---------------------------------------------------------------------------
+
+
+def snapshot(values: Dict[str, object]) -> Dict[str, object]:
+    """A before-copy of ``values`` (arrays copied, scalars as they are)."""
+    return {n: v.copy() if isinstance(v, np.ndarray) else v for n, v in values.items()}
+
+
+class SweepDiff:
+    """What one sweep changed, per modified variable: its change mask
+    (``changed``; a bool for a scalar), whether any element moved up or
+    down (``dirs``) and how many moved (``counts``: changed, total).
+
+    One diff serves every reader of a sweep: an iterated construct's
+    fixed-point test (:meth:`any`), the frontier session's seed for the
+    next sweep (:meth:`StarSession.full_end`; ``run_batch`` lanes pass
+    diffs of their row slices) and the sweep-limit diagnostic
+    (:meth:`summary`).  A full sweep's diff (:meth:`between`) also keeps
+    its before-copy and after-state for the diagnostic, which reads them
+    before the next sweep writes."""
+
+    __slots__ = ("changed", "dirs", "counts", "before", "after")
+
+    def __init__(self, changed, dirs, before=None, after=None) -> None:
+        self.changed = changed
+        self.dirs = dirs
+        self.counts = {
+            n: (int(np.count_nonzero(m)), int(np.size(m))) for n, m in changed.items()
+        }
+        self.before = before
+        self.after = after
+
+    @classmethod
+    def between(cls, before: Dict[str, object], after: Dict[str, object]) -> "SweepDiff":
+        """The diff of ``after`` (any superset of names) against ``before``."""
+        changed, dirs, now = {}, {}, {}
+        for name, old in before.items():
+            new = now[name] = after[name]
+            changed[name] = old != new
+            dirs[name] = (bool(np.any(new > old)), bool(np.any(new < old)))
+        return cls(changed, dirs, before, now)
+
+    def any(self) -> bool:
+        return any(n for n, _size in self.counts.values())
+
+    def summary(self) -> str:
+        """What still moved (the sweep-limit diagnostic): each variable's
+        *frontier* — how many of its elements changed, so a diverging
+        construct shows at a glance whether the instability is local or
+        global — and, after a full sweep, a numeric array's largest
+        change or a scalar's move."""
+        parts = []
+        for name in sorted(self.changed):
+            n, size = self.counts[name]
+            if not n:
+                continue
+            frontier = f"frontier {n} of {size} elements"
+            old = None if self.before is None else self.before[name]
+            if old is None:
+                parts.append(f"{name} ({frontier})")
+            elif not isinstance(old, np.ndarray):
+                parts.append(f"{name} ({old!r} -> {self.after[name]!r})")
+            elif np.issubdtype(old.dtype, np.number):
+                new = np.asarray(self.after[name], dtype=np.float64)
+                width = np.abs(new - np.asarray(old, dtype=np.float64)).max()
+                parts.append(f"{name} ({frontier}, max |delta| {width:g})")
+            else:
+                parts.append(f"{name} ({frontier})")
+        return "; ".join(parts) if parts else "nothing (oscillation across sweeps?)"
+
+
+# ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
 
@@ -1225,14 +1219,11 @@ class StarSession:
         self.vps = ip.grid_vpset(inner.grid.shape)
         self.base = inner.active_mask()
         self.domain = int(np.count_nonzero(self.base))
-        self.prev: Optional[Dict[str, np.ndarray]] = None
-        self.dirs: Dict[str, Tuple[bool, bool]] = {}  # name -> (any_up, any_down)
+        #: what the last sweep changed: the next sweep's frontier
+        self.last: Optional[SweepDiff] = None
         self.reference: Optional[float] = None
         self.ref_pes: Optional[int] = None
-        self._full_t0: Optional[float] = None
-        self._full_alloc0 = 0
-        self._full_snapshot: Optional[Dict[str, np.ndarray]] = None
-        self.last_stats: Dict[str, Tuple[int, int]] = {}
+        self._full_marks: Optional[Tuple[float, int]] = None  # (clock, allocs)
         self.par_masks: Optional[List[np.ndarray]] = None
         #: estimator totals by sweep charge key (see ``plan_compressed``)
         self._estimates: Dict[Tuple, float] = {}
@@ -1277,51 +1268,37 @@ class StarSession:
     # -- full-sweep bracketing --------------------------------------------
 
     def full_begin(self) -> None:
-        if not self.active:
-            return
-        clock = self.ip.machine.clock
-        self._full_t0 = clock.time_us
-        self._full_alloc0 = clock.count("alloc")
-        self._full_snapshot = self._snapshot()
+        """Open a full sweep: its cost becomes the reference the next
+        compressed sweep must undercut (:meth:`full_end`)."""
+        if self.active:
+            clock = self.ip.machine.clock
+            self._full_marks = (clock.time_us, clock.count("alloc"))
 
-    def full_end(self) -> None:
-        if not self.active or self._full_t0 is None:
+    def full_end(self, diff: SweepDiff) -> None:
+        """Close a full sweep: measure its cost and seed the next sweep's
+        frontier from ``diff``, which covers at least the session's
+        modified arrays — the caller's one diff of the sweep (a solo loop's,
+        or a ``run_batch`` lane's from its row slices)."""
+        if not self.active or self._full_marks is None:
             return
         clock = self.ip.machine.clock
         costs = clock.costs
-        alloc_extra = clock.count("alloc") - self._full_alloc0
+        t0, alloc0 = self._full_marks
         # a first sweep allocates VP sets the steady state reuses; do not
         # bake that one-off into the per-sweep reference cost
-        self.reference = (clock.time_us - self._full_t0) - alloc_extra * (
-            costs.alloc + costs.dispatch
-        )
+        alloc_extra = clock.count("alloc") - alloc0
+        self.reference = (clock.time_us - t0) - alloc_extra * (costs.alloc + costs.dispatch)
         self.ref_pes = self.ip.machine.n_live_pes
-        self._note_diff(self._full_snapshot)
-        self._full_t0 = None
-        self._full_snapshot = None
+        self.last = diff
+        self._full_marks = None
         clock.count_frontier("full_sweeps")
 
-    def _snapshot(self) -> Dict[str, np.ndarray]:
-        return {name: self.S["arrays"][name].copy() for name in self.an.modified}
+    def snapshot(self) -> Dict[str, np.ndarray]:
+        """A before-copy of the arrays the construct modifies."""
+        return snapshot({name: self.S["arrays"][name] for name in self.an.modified})
 
-    def _note_diff(self, snapshot: Dict[str, np.ndarray]) -> bool:
-        """Seed the next sweep's frontier (``prev``/``dirs``/``last_stats``)
-        from a whole-sweep before/after diff; returns whether anything
-        changed."""
-        prev: Dict[str, np.ndarray] = {}
-        stats: Dict[str, Tuple[int, int]] = {}
-        for name, before in snapshot.items():
-            curr = self.S["arrays"][name]
-            changed = before != curr
-            prev[name] = changed
-            stats[name] = (int(np.count_nonzero(changed)), int(changed.size))
-            self.dirs[name] = (
-                bool(np.any(curr > before)),
-                bool(np.any(curr < before)),
-            )
-        self.prev = prev
-        self.last_stats = stats
-        return any(n for n, _size in stats.values())
+    def diff(self, before: Dict[str, np.ndarray]) -> SweepDiff:
+        return SweepDiff.between(before, self.S["arrays"])
 
     def note_par_masks(self, masks: List[np.ndarray]) -> None:
         if self.active:
@@ -1332,7 +1309,7 @@ class StarSession:
     def plan_compressed(self) -> Optional[List[_ArmState]]:
         """Active sets + delta decisions + estimate guard for one sweep.
         Returns the per-arm states, or None when the sweep must run full."""
-        if not self.active or self.prev is None or self.reference is None:
+        if not self.active or self.last is None or self.reference is None:
             return None
         if self.ip.machine.n_live_pes != self.ref_pes:
             return None  # degraded relayout: re-measure on a full sweep
@@ -1342,8 +1319,8 @@ class StarSession:
         machine = self.ip.machine
         # the write simulation below rebinds pseudo[target] to a fresh
         # array (never mutates in place), so a dict copy suffices
-        pseudo = dict(self.prev)
-        dirty = {name: self.last_stats[name][0] > 0 for name in pseudo}
+        pseudo = {name: self.last.changed[name] for name in an.modified}
+        dirty = {name: self.last.counts[name][0] > 0 for name in pseudo}
         states: List[_ArmState] = []
         for arm in an.arms:
             act = np.zeros(an.grid_shape, dtype=bool)
@@ -1391,7 +1368,7 @@ class StarSession:
         if delta_valid:
             want_down = red.op == "min"
             for name in red.read_arrays:
-                up, down = self.dirs.get(name, (False, False))
+                up, down = self.last.dirs[name]
                 if (want_down and up) or (not want_down and down):
                     delta_valid = False
                     break
@@ -1485,7 +1462,7 @@ class StarSession:
         so the before/after diff is exactly the active lanes' changes."""
         ip, inner = self.ip, self.inner
         clock = ip.machine.clock
-        before = self._snapshot()
+        before = self.snapshot()
         preds, bodies = self._charges(states)
         for rows, ratios in preds:
             clock.replay_rows(rows, ratios)
@@ -1494,15 +1471,15 @@ class StarSession:
             self._trace(states, dense=True)
             self.note_par_masks(sweep.masks)
             if not any(np.any(m) for m in sweep.masks):
-                self._note_diff(before)
+                self.last = self.diff(before)
                 return False
         for rows, ratios in bodies:
             clock.replay_rows(rows, ratios)
         fused.run_body(ip, inner, sweep, charge=False)
         if self.kind == "solve":
             self._trace(states, dense=True)
-        changed = self._note_diff(before)
-        return self.kind == "par" or changed
+        self.last = self.diff(before)
+        return self.kind == "par" or self.last.any()
 
     def _registers(self) -> List[object]:
         """The register file of this session's lane programs, built when
@@ -1533,7 +1510,7 @@ class StarSession:
         R = self._registers()
         par = self.kind == "par"
         cur: Dict[str, np.ndarray] = {
-            name: np.zeros(m.shape, dtype=bool) for name, m in self.prev.items()
+            name: np.zeros(self.last.changed[name].shape, dtype=bool) for name in an.modified
         }
         dirs = dict.fromkeys(cur, (False, False))  # name -> (any_up, any_down)
 
@@ -1565,7 +1542,7 @@ class StarSession:
             self._trace(states, dense=False)
             # a fresh passing lane settles it without a whole-grid test
             if not any_ok and not any(np.any(m) for m in self.par_masks):
-                self._note_lanes(cur, dirs)
+                self.last = SweepDiff(cur, dirs)
                 return False
 
         for k, pos, ok, n_ok in todo:
@@ -1603,26 +1580,8 @@ class StarSession:
         if not par:
             clock.replay_rows(an.test_rows, full)
             self._trace(states, dense=False)
-        return self._note_lanes(cur, dirs) or par
-
-    def _note_lanes(self, cur: Dict[str, np.ndarray], dirs: Dict[str, Tuple[bool, bool]]) -> bool:
-        """Seed the next sweep's frontier from a lane sweep's change
-        masks; returns whether anything changed."""
-        self.prev, self.dirs = cur, dirs
-        self.last_stats = {
-            name: (int(np.count_nonzero(m)), int(m.size)) for name, m in cur.items()
-        }
-        return any(n for n, _size in self.last_stats.values())
-
-    # -- diagnostics -------------------------------------------------------
-
-    def delta_summary(self) -> str:
-        parts = []
-        for name in sorted(self.last_stats):
-            n, total = self.last_stats[name]
-            if n:
-                parts.append(f"{name} (frontier {n} of {total} elements)")
-        return "; ".join(parts) if parts else "nothing (oscillation across sweeps?)"
+        self.last = SweepDiff(cur, dirs)
+        return self.last.any() or par
 
 
 def star_session(ip, stmt: ast.UCStmt, inner, kind: str) -> Optional[StarSession]:

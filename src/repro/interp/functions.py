@@ -17,8 +17,10 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
+from ..lang.semantics import BUILTINS
 from .env import Env
 from .eval_expr import (
+    BUILTIN_VALUES,
     ExecContext,
     Value,
     charge_grid_op,
@@ -46,38 +48,13 @@ def call_function(ip, node: ast.Call, ctx: ExecContext) -> Value:
         if ctx.grid.is_host:
             return _call_host(ip, user_func, node, ctx)
         return _call_parallel(ip, user_func, node, ctx)
-    if name == "power2":
-        x = eval_expr(ip, node.args[0], ctx)
-        charge_grid_op(ip, ctx)
-        if isinstance(x, np.ndarray):
-            return np.left_shift(1, np.clip(x, 0, 62))
-        return 1 << max(0, int(x))
-    if name in ("abs", "ABS", "fabs"):
-        x = eval_expr(ip, node.args[0], ctx)
-        charge_grid_op(ip, ctx)
-        if isinstance(x, np.ndarray):
-            return np.abs(x)
-        return abs(x) if name != "fabs" else abs(float(x))
-    if name == "sqrt":
-        x = eval_expr(ip, node.args[0], ctx)
-        charge_grid_op(ip, ctx, count=4)  # iterative on the CM's ALUs
-        if isinstance(x, np.ndarray):
-            return np.sqrt(np.maximum(x, 0).astype(np.float64))
-        if x < 0:
-            raise UCRuntimeError("sqrt of a negative value", node.line, node.col)
-        return float(x) ** 0.5
-    if name == "min":
-        a = eval_expr(ip, node.args[0], ctx)
-        b = eval_expr(ip, node.args[1], ctx)
-        charge_grid_op(ip, ctx)
-        return np.minimum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b)
-    if name == "max":
-        a = eval_expr(ip, node.args[0], ctx)
-        b = eval_expr(ip, node.args[1], ctx)
-        charge_grid_op(ip, ctx)
-        return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
+    value = BUILTIN_VALUES.get(name)
+    if value is not None:
+        args = [eval_expr(ip, a, ctx) for a in node.args]
+        charge_grid_op(ip, ctx, count=BUILTINS[name].alu)
+        return value(node, *args)
     if name == "rand":
-        charge_grid_op(ip, ctx)
+        charge_grid_op(ip, ctx, count=BUILTINS[name].alu)
         if ctx.grid.is_host:
             return int(ip.rng.integers(0, RAND_MAX))
         return ip.rng.integers(0, RAND_MAX, size=ctx.grid.shape)

@@ -14,7 +14,10 @@ statement sequence of a construct once, into
 * a **static charge table**: the exact ``Clock.charge`` /
   ``charge_scan`` / ``count_tier`` sequence each statement would issue,
   recorded once at compile time by running the real cost helpers against
-  a recorder, and replayed per sweep with three tuple reads per entry.
+  a :class:`~repro.machine.cost.Recorder`, bound to the cost table as
+  rows and replayed per sweep by
+  :meth:`~repro.machine.cost.Clock.replay_rows` — the loop that replays
+  the frontier engine's rows too.
 
 Because every charge a fused statement can issue is provably
 data-independent (that is what the fusability checks below establish),
@@ -95,6 +98,7 @@ from ..compiler.cstar_gen import expr_to_text
 from ..lang import ast
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
 from ..lang.scope import IndexSetValue
+from ..machine.cost import Recorder, bind_rows
 from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..mapping.locality import classify_reference, classify_write
@@ -107,6 +111,7 @@ from .plan import (
     _IndexRecipe,
     _oob_masks,
 )
+from .sendreduce import send_reduce_split, shrinks
 from .statements import exec_stmt
 from .values import (
     ArrayVar,
@@ -133,54 +138,6 @@ class _Bail(Exception):
 
 class _Demote(Exception):
     """The current statement cannot be fused (falls back per-statement)."""
-
-
-# ---------------------------------------------------------------------------
-# charge tables
-# ---------------------------------------------------------------------------
-
-
-class _Recorder:
-    """Clock stand-in that records the charge recipe instead of charging.
-
-    The compiler runs the *real* cost helpers (``charge_tier_at`` and
-    friends) against this recorder, so the table is the genuine charge
-    sequence by construction, not a reimplementation of it.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple] = []
-
-    def charge(self, kind: str, *, count: int = 1, vp_ratio: int = 1) -> float:
-        self.entries.append(("c", kind, count, vp_ratio))
-        return 0.0
-
-    def charge_scan(
-        self, n_vps: int, *, vp_ratio: int = 1, steps_per_level: int = 1
-    ) -> float:
-        self.entries.append(("s", n_vps, vp_ratio, steps_per_level))
-        return 0.0
-
-    def count_tier(self, tier: str) -> None:
-        self.entries.append(("t", tier))
-
-    def note_shard_ref(self, tier, rc, layout, grid_shape, write) -> None:
-        # recorded unconditionally so compiled charge tables are identical
-        # for every shard count (the compile store shares them); replay
-        # ignores the entry unless a shard sink is installed
-        self.entries.append(("x", tier, rc, layout, grid_shape, write))
-
-    def note_shard_reduce(self, op, order_safe, n_vps, vp_ratio, grid_shape) -> None:
-        # same story for reduction observations (the "r" tag): the UC5xx
-        # verdict rides the table so sharded replay can gate pre-combining
-        self.entries.append(("r", op, order_safe, n_vps, vp_ratio, grid_shape))
-
-
-def _replay(clock, entries) -> None:
-    """Re-issue a recorded charge table against the real clock."""
-    clock.replay(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +307,10 @@ class _Where:
 
 
 class _Gather:
-    """One memoised array read, mirroring ``_GatherPlan``'s hit path."""
+    """One array read with its addresses resolved at compile time: a NEWS
+    window chain (``shift``), an ``np.ix_`` take (``recipe``) or a fancy
+    index (``idx``) — the oracle's :func:`~repro.interp.eval_expr.eval_gather`
+    with the classification and tier already decided."""
 
     __slots__ = (
         "dst",
@@ -426,7 +386,9 @@ def _lane_recipe(r: _IndexRecipe, n: int) -> _IndexRecipe:
 
 
 class _Scatter:
-    """One memoised masked write, mirroring ``_ScatterPlan``'s hit path."""
+    """One masked write to compile-time flat addresses — the oracle's
+    :func:`~repro.interp.eval_expr.eval_scatter`, its single-assignment
+    check skipped when the addresses are provably ``unique``."""
 
     __slots__ = (
         "node",
@@ -912,12 +874,14 @@ class _Val:
 class _GCtx:
     """Compile-time view of one grid context (construct or reduction)."""
 
-    __slots__ = ("grid", "shape", "vp_ratio", "env_extra")
+    __slots__ = ("grid", "shape", "scope", "env_extra")
 
-    def __init__(self, grid, vp_ratio: int, env_extra=None) -> None:
+    def __init__(self, grid, scope: int, env_extra=None) -> None:
         self.grid = grid
         self.shape = tuple(grid.shape)
-        self.vp_ratio = vp_ratio
+        #: the charge-row scope of this grid: its index in the kernel's
+        #: ``ratios`` (0: the construct's grid)
+        self.scope = scope
         #: reduction element names shadowing the construct env: name -> axis
         self.env_extra: Dict[str, int] = env_extra or {}
 
@@ -954,14 +918,16 @@ class _Fuser:
         self.stmt = stmt
         self.env = inner.env
         self.costs = ip.machine.clock.costs
-        top_grid = inner.grid
-        self.top = _GCtx(top_grid, ip.grid_vpset(top_grid.shape).vp_ratio)
+        #: the VP ratio of each charge-row scope: the construct's grid,
+        #: then one per reduction grid
+        self.ratios: List[int] = []
+        self.top = self._gctx(inner.grid)
         # registers
         self.n_regs = 0
         self.consts: List[Tuple[int, Any]] = []
         # per-statement buffers
         self.steps: List[Any] = []
-        self.charges: List[Tuple] = []
+        self.rec = Recorder()
         # runtime binding checks: (kind, name, expected)
         self.checks: List[Tuple] = []
         self._check_map: Dict[str, Tuple] = {}
@@ -975,6 +941,15 @@ class _Fuser:
         self.inv_ctx: Any = None
         #: mask register of the predicate / arm body being compiled
         self.unit: Optional[int] = None
+
+    def _gctx(self, grid, env_extra=None) -> _GCtx:
+        """A grid context with a charge-row scope of its own."""
+        self.ratios.append(self.ip.grid_vpset(grid.shape).vp_ratio)
+        return _GCtx(grid, len(self.ratios) - 1, env_extra)
+
+    def _rows(self) -> List[Tuple]:
+        """The current unit's charge table, bound to the cost table."""
+        return bind_rows(self.rec.entries, self.costs)
 
     # -- registers ---------------------------------------------------------
 
@@ -1074,7 +1049,7 @@ class _Fuser:
                 v = self.compile_expr(block.pred, self.top, base_reg, (), False)
             except _Demote:
                 raise _Bail()
-            pred_progs.append((tuple(self.charges), tuple(self.steps), v.reg))
+            pred_progs.append((self._rows(), tuple(self.steps), v.reg))
 
         fused_count = 0
         unfused_count = 0
@@ -1121,11 +1096,12 @@ class _Fuser:
             ),
             fused_count=fused_count,
             unfused_count=unfused_count,
+            ratios=tuple(self.ratios),
         )
 
     def _begin_unit(self) -> None:
         self.steps = []
-        self.charges = []
+        self.rec = Recorder()
 
     def _flatten(self, body: ast.Stmt) -> List[ast.Stmt]:
         # one-level deep: with declarations globally bailed, a Block's
@@ -1143,7 +1119,7 @@ class _Fuser:
     def _compile_body(
         self, body: ast.Stmt, mask_reg: int, token: Tuple, inv_ctx
     ) -> Tuple[List[Tuple], int, int]:
-        """Compile one arm body into ('f', charges, steps) / ('u', stmt)
+        """Compile one arm body into ('f', rows, steps) / ('u', stmt)
         segments; returns (segments, n_fused, n_unfused)."""
         segs: List[Tuple] = []
         n_fused = 0
@@ -1161,7 +1137,7 @@ class _Fuser:
                 self._begin_unit()
                 try:
                     self.compile_expr(s.expr, self.top, mask_reg, token, False)
-                    segs.append(("f", tuple(self.charges), tuple(self.steps)))
+                    segs.append(("f", self._rows(), tuple(self.steps)))
                     n_fused += 1
                     continue
                 except _Demote:
@@ -1269,11 +1245,8 @@ class _Fuser:
         # Call (host side effects, RNG), StringLit, anything exotic
         raise _Demote()
 
-    def _charge(self, kind: str, count: int = 1, vp_ratio: int = 1) -> None:
-        self.charges.append(("c", kind, count, vp_ratio))
-
     def _alu(self, g: _GCtx, count: int = 1) -> None:
-        self._charge("alu", count, g.vp_ratio)
+        self.rec.charge("alu", count=count, vp_ratio=g.scope)
 
     def _lookup(self, name: str, g: _GCtx):
         if name in g.env_extra:
@@ -1467,12 +1440,10 @@ class _Fuser:
         tier = commtiers.decide_tier(
             rc, self.costs, write=False, enabled=self.ip.config.comm_tiers
         )
-        rec = _Recorder()
         commtiers.charge_tier_at(
-            rec, tier, rc, write=False, vp_ratio=g.vp_ratio,
+            self.rec, tier, rc, write=False, vp_ratio=g.scope,
             grid_shape=tuple(g.shape), layout=arr.layout,
         )
-        self.charges.extend(rec.entries)
         shift = None
         recipe = None
         idx = None
@@ -1552,12 +1523,10 @@ class _Fuser:
         tier = commtiers.decide_tier(
             rc, self.costs, write=True, enabled=self.ip.config.comm_tiers
         )
-        rec = _Recorder()
         commtiers.charge_tier_at(
-            rec, tier, rc, write=True, vp_ratio=g.vp_ratio,
+            self.rec, tier, rc, write=True, vp_ratio=g.scope,
             grid_shape=tuple(g.shape), layout=arr.layout,
         )
-        self.charges.extend(rec.entries)
         full_flat = np.ravel_multi_index(
             self._full_idx(subs, view_shape, g.shape), view_shape
         ).reshape(-1)
@@ -1616,10 +1585,7 @@ class _Fuser:
         if not isinstance(b, ScalarVar):
             raise _Demote()  # parallel locals / element rebinds: not in v1
         self.check("scalar", target.ident, b)
-        if value.is_array:
-            self._charge("host_cm_latency")
-        else:
-            self._charge("host")
+        self.rec.charge("host_cm_latency" if value.is_array else "host")
         self.steps.append(
             _AssignScalar(b, value.reg, mask_reg, g.shape, node, self.unit)
         )
@@ -1640,75 +1606,30 @@ class _Fuser:
             sets.append(isv)
         return sets
 
-    def _send_reduce_provably_off(self, node, g, sets) -> bool:
-        """True when ``try_send_reduce`` provably returns None whatever the
-        runtime mask is, so the naive reduction path (the one we fuse) is
-        the path the engine takes.  Mirrors the gate cascade of
-        :func:`repro.interp.sendreduce.try_send_reduce`; every gate here
-        is evaluated before that function's first ``eval_expr``, and the
-        only dynamic gate it skips (the partial-mask test) is
-        side-effect-free, so a later static gate rejecting is decisive.
-        """
-        if not self.ip.config.processor_opt:
-            return True
-        from .sendreduce import _COMBINE_AT, _free_names, _split_partition_pred
-
-        if (
-            node.op not in _COMBINE_AT
-            or node.others is not None
-            or len(node.arms) != 1
-        ):
-            return True
-        arm = node.arms[0]
-        if arm.pred is None:
-            return True
-        if g.grid.rank != 1:
-            return True
-        red_elems = {s.elem_name for s in sets}
-        parent_elems = set(g.grid.axis_elems) - red_elems
-        if not parent_elems:
-            return True
-        if _split_partition_pred(arm.pred, parent_elems, red_elems) is None:
-            return True
-        n_pes = self.ip.machine.config.n_pes
-        product_vps = g.grid.size
-        operand_vps = 1
-        for s in sets:
-            product_vps *= len(s)
-            operand_vps *= len(s)
-        ratio_naive = max(1, math.ceil(product_vps / n_pes))
-        ratio_opt = max(1, math.ceil(max(operand_vps, g.grid.size) / n_pes))
-        if ratio_naive <= ratio_opt:
-            return True
-        split = _split_partition_pred(arm.pred, parent_elems, red_elems)
-        if split is not None and split[1] != g.grid.axes[0].elem:
-            return True
-        if _free_names(arm.expr) & parent_elems:
-            return True
-        return False
-
     def _compile_reduction(self, node: ast.Reduction, g, mask_reg, token) -> _Val:
         if node.op == "arbitrary" or node.op not in E._RED_UFUNC:
             raise _Demote()  # RNG / host-side combine
         sets = self._resolve_sets(node, g)
-        if not self._send_reduce_provably_off(node, g, sets):
-            raise _Demote()  # the send-reduce path could fire at run time
+        if send_reduce_split(self.ip, node, g.grid, sets) is not None and shrinks(
+            self.ip, g.grid, sets
+        ):
+            # the router path could fire at run time: only its dynamic
+            # test (a partially masked parent) is left, and a fused sweep
+            # cannot see it
+            raise _Demote()
         inner_grid = g.grid.extend(sets)
         extra = dict(g.env_extra)
         for offset, isv in enumerate(sets):
             extra[isv.elem_name] = g.grid.rank + offset
-        gi = _GCtx(
-            inner_grid, self.ip.grid_vpset(inner_grid.shape).vp_ratio, extra
-        )
+        gi = self._gctx(inner_grid, extra)
         n_sets = len(sets)
         reduce_extent = int(np.prod([len(s) for s in sets]))
         order_safe = bool(self.ip.reduction_order_safe(node))
-        self.charges.append(("s", reduce_extent, gi.vp_ratio, 1))
-        # shard-sink reduction observation (see Clock.replay's "r" tag):
-        # carries the UC5xx verdict so sharded replay pre-combines only
-        # proven sites
-        self.charges.append(
-            ("r", node.op, order_safe, reduce_extent, gi.vp_ratio, gi.shape)
+        self.rec.charge_scan(reduce_extent, vp_ratio=gi.scope)
+        # shard-sink reduction observation: carries the UC5xx verdict so
+        # sharded replay pre-combines only proven sites
+        self.rec.note_shard_reduce(
+            node.op, order_safe, reduce_extent, self.ratios[gi.scope], gi.shape
         )
         pure = not any(
             isinstance(n, (ast.Call, ast.Assign, ast.IncDec))
@@ -1781,7 +1702,12 @@ class _Sweep:
 
 
 class FusedConstruct:
-    """A construct body lowered to register programs + charge tables."""
+    """A construct body lowered to register programs + charge tables.
+
+    Each table is bound once, at compile time, into
+    :meth:`~repro.machine.cost.Clock.replay_rows` rows whose scope is an
+    index into :attr:`ratios`: 0 for a charge on the construct's grid, one
+    more per reduction grid."""
 
     __slots__ = (
         "shape",
@@ -1796,6 +1722,7 @@ class FusedConstruct:
         "others_segments",
         "fused_count",
         "unfused_count",
+        "ratios",
         "_bound",
         "_slots",
     )
@@ -1815,6 +1742,7 @@ class FusedConstruct:
         others_segments,
         fused_count,
         unfused_count,
+        ratios,
     ) -> None:
         self.shape = shape
         self.checks = checks
@@ -1828,6 +1756,8 @@ class FusedConstruct:
         self.others_segments = others_segments
         self.fused_count = fused_count
         self.unfused_count = unfused_count
+        #: the VP ratio of each charge-row scope
+        self.ratios = ratios
         #: currently bound ScalarVar/ArrayVar per name (starts at the
         #: compile-time bindings; updated when a sweep rebinds)
         self._bound: Dict[str, Any] = {
@@ -1970,9 +1900,9 @@ class FusedConstruct:
             if prog is None:
                 masks.append(base)
                 continue
-            charges, steps, out = prog
+            rows, steps, out = prog
             if charge:
-                _replay(clock, charges)
+                clock.replay_rows(rows, self.ratios)
                 clock.count_fusion("charge_table_hits")
             _run(ip, regs, steps)
             pb = _bool_view(regs[out], base.shape)
@@ -2006,8 +1936,7 @@ class FusedConstruct:
             ip.machine.clock.count_fusion("fused_sweeps")
         return ran
 
-    @staticmethod
-    def _run_segments(ip, inner, regs, segs, mask, charge: bool) -> None:
+    def _run_segments(self, ip, inner, regs, segs, mask, charge: bool) -> None:
         """One arm's segments under ``mask``: fused ones replay their
         charge table (unless the caller already charged) and run their
         steps, unfused ones run their statement on the oracle."""
@@ -2016,7 +1945,7 @@ class FusedConstruct:
         for seg in segs:
             if seg[0] == "f":
                 if charge:
-                    _replay(clock, seg[1])
+                    clock.replay_rows(seg[1], self.ratios)
                     clock.count_fusion("charge_table_hits")
                 _run(ip, regs, seg[2])
             else:

@@ -280,18 +280,6 @@ class Interpreter:
             else:
                 raise UCRuntimeError(f"no program variable named {name!r} to load")
 
-    def run_main(self, *, profile: bool = False) -> None:
-        if self.info.program.main is None:
-            raise UCRuntimeError("program has no main block")
-        ctx = ExecContext(GridContext(), None, Env(self.global_env))
-        try:
-            if profile:
-                self._run_profiled(ctx)
-            else:
-                exec_stmt(self, self.info.program.main, ctx)
-        except ReturnSignal:
-            pass
-
     def poll_boundary(self, at=None) -> None:
         """Deadline poll at a safe cancellation point (outermost construct
         entry or an iterated-construct sweep boundary)."""
@@ -314,7 +302,7 @@ class Interpreter:
             )
 
     def make_main_context(self) -> "ExecContext":
-        """The context :meth:`run_main_from` executes ``main`` in.
+        """The context ``main`` executes in (:meth:`run_main_from`).
 
         Its environment is a *direct* child of the global environment,
         which is what makes portable snapshots possible (every top-level
@@ -322,18 +310,20 @@ class Interpreter:
         """
         return ExecContext(GridContext(), None, Env(self.global_env))
 
-    def run_main_from(self, ctx: "ExecContext", start_pc: int = 0, boundary=None) -> None:
-        """Execute ``main``'s top-level statements from index ``start_pc``.
+    def run_main_from(
+        self, ctx: "ExecContext", start_pc: int = 0, boundary=None, *, profile: bool = False
+    ) -> None:
+        """Execute ``main``'s top-level statements from index ``start_pc``
+        in ``ctx`` (:meth:`make_main_context`) — the one way into ``main``.
 
-        The resumable entry point behind deadlines, preemption and crash
-        recovery: statements execute exactly as :meth:`run_main` does
-        (same charges, same semantics — the precedent is
-        :meth:`_run_profiled`, which also iterates the top level with the
-        main context directly), but between statements the runner calls
-        ``boundary(pc)``, which may raise
+        A whole run starts at 0; deadlines, preemption and crash recovery
+        resume later: between statements the runner polls the deadline
+        monitor and calls ``boundary(pc)``, which may raise
         :class:`~repro.interp.deadline.JobPreempted` after taking a
         :class:`~repro.interp.checkpoint.PortableSnapshot` at ``pc``, the
-        index of the next statement to run.
+        index of the next statement to run.  With ``profile`` each
+        statement runs in a clock region keyed ``"line <n>: <kind>"``,
+        the per-statement hotspot report of the CLI's ``--profile``.
         """
         main = self.info.program.main
         if main is None:
@@ -345,27 +335,16 @@ class Interpreter:
                     boundary(pc)
                 if monitor is not None:
                     monitor.check(self)
-                exec_stmt(self, main.stmts[pc], ctx)
+                stmt = main.stmts[pc]
+                if profile:
+                    with self.machine.clock.region(_profile_label(stmt)):
+                        exec_stmt(self, stmt, ctx)
+                else:
+                    exec_stmt(self, stmt, ctx)
                 if monitor is not None:
                     monitor.last_pc = pc
         except ReturnSignal:
             pass
-
-    def _run_profiled(self, ctx: "ExecContext") -> None:
-        """Execute main, attributing time to each top-level statement.
-
-        Regions are keyed ``"line <n>: <kind>"``; the clock accumulates
-        the simulated time spent under each, giving the per-statement
-        hotspot report the CLI's ``--profile`` prints.
-        """
-        main = self.info.program.main
-        assert main is not None
-        for stmt in main.stmts:
-            label = f"line {stmt.line}: {type(stmt).__name__}"
-            if isinstance(stmt, ast.UCStmt):
-                label = f"line {stmt.line}: {'*' if stmt.star else ''}{stmt.kind}"
-            with self.machine.clock.region(label):
-                exec_stmt(self, stmt, ctx)
 
     def read_array(self, name: str) -> np.ndarray:
         binding = self.global_env.try_lookup(name)
@@ -378,6 +357,12 @@ class Interpreter:
         if isinstance(binding, ScalarVar):
             return binding.value
         raise UCRuntimeError(f"no scalar named {name!r}")
+
+
+def _profile_label(stmt: ast.Stmt) -> str:
+    if isinstance(stmt, ast.UCStmt):
+        return f"line {stmt.line}: {'*' if stmt.star else ''}{stmt.kind}"
+    return f"line {stmt.line}: {type(stmt).__name__}"
 
 
 class _CseRegion:

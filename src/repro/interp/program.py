@@ -573,10 +573,7 @@ class PreparedRun:
             monitor.begin()
         t_exec = time.perf_counter()
         try:
-            if monitor is None or profile:
-                interp.run_main(profile=profile)
-            else:
-                interp.run_main_from(self.context)
+            interp.run_main_from(self.context, profile=profile)
         finally:
             if monitor is not None:
                 monitor.pause()

@@ -16,14 +16,25 @@ ratio.
 
 :func:`try_send_reduce` returns the parent-shaped result when the pattern
 applies, or None so the caller falls back to the product-grid evaluation.
+Whether it applies is decided in two halves.  :func:`send_reduce_split` is
+the static gate: the ``processor_opt`` switch plus the one partition
+verdict (:func:`repro.compiler.processor_opt.partition_split`, what
+``repro analyze`` reports) in the construct's grid.  The fusion pass
+calls it too, so a fused reduction is one the router path can never
+take.  :func:`shrinks` is the machine-size test; ``repro analyze`` does
+not know the machine, so only a run (or a fused kernel, which is
+compiled per machine) applies it.  Beyond both, a partially masked
+parent context stays on the product grid.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..compiler.processor_opt import partition_split
 from ..lang import ast
 from ..machine.scan import identity_of
 from .env import Env
@@ -40,99 +51,43 @@ _COMBINE_AT = {
 }
 
 
-def _free_names(expr: ast.Expr) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name):
-            names.add(node.ident)
-    return names
-
-
-def _split_partition_pred(
-    pred: ast.Expr, parent_elems: Set[str], red_elems: Set[str]
+def send_reduce_split(
+    ip, node: ast.Reduction, grid, sets: Sequence
 ) -> Optional[Tuple[ast.Expr, str, List[ast.Expr]]]:
-    """Split a predicate into ``(address_expr, par_elem, other_clauses)``.
-
-    Requires exactly one conjunct of the form ``f(red elems) == par_elem``
-    and all remaining conjuncts free of parent elements.
-    """
-    clauses = list(_conjuncts(pred))
-    address: Optional[Tuple[ast.Expr, str]] = None
-    rest: List[ast.Expr] = []
-    for clause in clauses:
-        matched = False
-        if isinstance(clause, ast.Binary) and clause.op == "==" and address is None:
-            for a, b in ((clause.left, clause.right), (clause.right, clause.left)):
-                if (
-                    isinstance(b, ast.Name)
-                    and b.ident in parent_elems
-                    and _free_names(a) & red_elems
-                    and not (_free_names(a) & parent_elems)
-                ):
-                    address = (a, b.ident)
-                    matched = True
-                    break
-        if not matched:
-            if _free_names(clause) & parent_elems:
-                return None
-            rest.append(clause)
-    if address is None:
+    """The static gate: the partition split of ``node`` (over the index
+    sets ``sets``) evaluated in ``grid``, or None when the router path is
+    off or the pattern does not hold."""
+    if not ip.config.processor_opt:
         return None
-    return address[0], address[1], rest
+    return partition_split(node, grid.axis_elems, [s.elem_name for s in sets])
 
 
-def _conjuncts(expr: ast.Expr):
-    if isinstance(expr, ast.Binary) and expr.op == "&&":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
+def shrinks(ip, grid, sets: Sequence) -> bool:
+    """The machine-size test: the operand grid needs fewer VPs per PE than
+    the product grid.  A combining send has a higher fixed cost than a
+    small scan, so the compiler keeps the naive form while the product
+    grid still fits the machine."""
+    n_pes = ip.machine.config.n_pes
+    operand_vps = math.prod(len(s) for s in sets)
+    ratio_naive = max(1, math.ceil(grid.size * operand_vps / n_pes))
+    ratio_opt = max(1, math.ceil(max(operand_vps, grid.size) / n_pes))
+    return ratio_naive > ratio_opt
 
 
 def try_send_reduce(ip, node: ast.Reduction, ctx) -> Optional[np.ndarray]:
     """Attempt the optimized path; None if the pattern does not apply."""
     from .eval_expr import ExecContext, _truthy, eval_expr  # local: avoids cycle
 
-    if node.op not in _COMBINE_AT or node.others is not None or len(node.arms) != 1:
-        return None
-    arm = node.arms[0]
-    if arm.pred is None:
-        return None
-    if ctx.grid.is_host or ctx.grid.rank != 1:
+    sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
+    split = send_reduce_split(ip, node, ctx.grid, sets)
+    if split is None:
         return None
     if ctx.mask is not None and not bool(np.all(ctx.mask)):
         return None  # a partial parent context breaks the partition story
-
-    sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
-    red_elems = {s.elem_name for s in sets}
-    parent_elems = set(ctx.grid.axis_elems) - red_elems
-    if not parent_elems:
+    if not shrinks(ip, ctx.grid, sets):
         return None
-    split = _split_partition_pred(arm.pred, parent_elems, red_elems)
-    if split is None:
-        return None
-
-    # apply only when it actually shrinks the VP requirement: a combining
-    # send has a higher fixed cost than a small scan, so the compiler keeps
-    # the naive form while the product grid still fits the machine
-    import math
-
-    n_pes = ip.machine.config.n_pes
-    product_vps = ctx.grid.size
-    for s in sets:
-        product_vps *= len(s)
-    operand_vps = 1
-    for s in sets:
-        operand_vps *= len(s)
-    ratio_naive = max(1, math.ceil(product_vps / n_pes))
-    ratio_opt = max(1, math.ceil(max(operand_vps, ctx.grid.size) / n_pes))
-    if ratio_naive <= ratio_opt:
-        return None
-    address_expr, par_elem, rest_clauses = split
-    if par_elem != ctx.grid.axes[0].elem:
-        return None
-    if _free_names(arm.expr) & parent_elems:
-        return None
+    address_expr, _par_elem, rest_clauses = split
+    arm = node.arms[0]
 
     # operand grid: the reduction sets alone
     operand_grid = GridContext().extend(sets)

@@ -314,7 +314,7 @@ def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
     modified = _modified_names(stmt)
     vps = ip.grid_vpset(inner.grid.shape)
     # the divergence diagnostic is only rendered if the sweep limit trips,
-    # so keep a thunk for the last sweep instead of formatting every sweep
+    # so keep the last sweep's diff instead of formatting every sweep
     summarize = _NO_SUMMARY
     while True:
         # sweeps complete atomically; between them is a safe cancel point
@@ -327,10 +327,10 @@ def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
             # strictly less than the measured full sweep)
             if not sess.run_compressed(states):
                 return
-            summarize = sess.delta_summary
+            summarize = sess.last.summary
             states = None
         else:
-            before = _snapshot(inner, modified)
+            before = frontier.snapshot(_values(inner, modified))
             if sess is not None:
                 sess.full_begin()
             # the compiler saves intermediate state each sweep to detect the
@@ -339,12 +339,12 @@ def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
             _run_blocks_once(ip, stmt, inner)
             ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
             ip.machine.clock.charge("host_cm_latency")
-            after = _snapshot(inner, modified)
+            diff = frontier.SweepDiff.between(before, _values(inner, modified))
             if sess is not None:
-                sess.full_end()
-            if _snapshots_equal(before, after):
+                sess.full_end(diff)
+            if not diff.any():
                 return
-            summarize = lambda b=before, a=after: _delta_summary(b, a)
+            summarize = diff.summary
         sweeps += 1
         ip.check_sweeps(
             sweeps, "*solve", stmt, lambda: f"still changing each sweep: {summarize()}"
@@ -367,55 +367,13 @@ def _modified_names(stmt: ast.UCStmt) -> List[str]:
     return sorted(names)
 
 
-def _snapshot(ctx: ExecContext, names: List[str]):
+def _values(ctx: ExecContext, names: List[str]):
+    """The current state of ``names``: arrays (uncopied) and scalar values."""
     out = {}
     for name in names:
         binding = ctx.env.try_lookup(name)
-        if isinstance(binding, ArrayVar):
-            out[name] = binding.data.copy()
+        if isinstance(binding, (ArrayVar, ParallelLocal)):
+            out[name] = binding.data
         elif isinstance(binding, ScalarVar):
             out[name] = binding.value
-        elif isinstance(binding, ParallelLocal):
-            out[name] = binding.data.copy()
     return out
-
-
-def _delta_summary(before, after) -> str:
-    """Human-readable description of what still moved in the last sweep
-    (the divergence diagnostic of the *solve sweep-limit error).  Reports
-    the *frontier* of each variable — how many of its elements are still
-    changing — rather than a bare element count, so a diverging solve
-    shows at a glance whether the instability is local or global."""
-    parts = []
-    for name in sorted(before):
-        prev, curr = before[name], after[name]
-        if isinstance(prev, np.ndarray):
-            changed = prev != curr
-            n = int(np.count_nonzero(changed))
-            if not n:
-                continue
-            if np.issubdtype(prev.dtype, np.number):
-                width = np.abs(
-                    np.asarray(curr, dtype=np.float64)
-                    - np.asarray(prev, dtype=np.float64)
-                ).max()
-                parts.append(
-                    f"{name} (frontier {n} of {prev.size} elements, "
-                    f"max |delta| {width:g})"
-                )
-            else:
-                parts.append(f"{name} (frontier {n} of {prev.size} elements)")
-        elif prev != curr:
-            parts.append(f"{name} ({prev!r} -> {curr!r})")
-    return "; ".join(parts) if parts else "nothing (oscillation across sweeps?)"
-
-
-def _snapshots_equal(a, b) -> bool:
-    for name, before in a.items():
-        after = b[name]
-        if isinstance(before, np.ndarray):
-            if not np.array_equal(before, after):
-                return False
-        elif before != after:
-            return False
-    return True

@@ -376,6 +376,7 @@ def star_par_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
             states = None
         else:
             if sess is not None:
+                before = sess.snapshot()
                 sess.full_begin()
             fused = fuse.fused_for(ip, stmt, inner)
             with ip.cse_arm():
@@ -395,7 +396,7 @@ def star_par_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
                         if np.any(mask):
                             exec_stmt(ip, block.stmt, inner.with_mask(mask))
             if sess is not None:
-                sess.full_end()
+                sess.full_end(sess.diff(before))
                 sess.note_par_masks(masks)
         sweeps += 1
         ip.check_sweeps(sweeps, "*par", stmt, _NEVER_FALSIFIED)

@@ -25,26 +25,50 @@ mapping subsystem and the compiler passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import ast
 from .errors import UCSemanticError
 from .scope import IndexSetValue, Scope, ScopeStack, Symbol
 from .tokens import REDUCTION_OPS
 
-#: functions the runtime provides (paper programs use power2, rand, swap, ABS)
-BUILTIN_FUNCTIONS = {
-    "power2": 1,
-    "rand": 0,
-    "srand": 1,
-    "abs": 1,
-    "ABS": 1,
-    "fabs": 1,
-    "sqrt": 1,
-    "min": 2,
-    "max": 2,
-    "swap": 2,
-    "printf": -1,  # variadic
+
+class Builtin(NamedTuple):
+    """One function the runtime provides: how it is called, what one call
+    charges, and what the static passes may assume about it."""
+
+    #: argument count (-1: variadic)
+    arity: int
+    #: elementwise ops one call charges (ALU on the grid, host on the front end)
+    alu: int
+    #: the result is floating point: always (True), never (False), or
+    #: exactly when an argument is (None)
+    floats: Optional[bool]
+    #: what a call does besides computing its value ("": a pure function
+    #: of its arguments, which ``repro.interp.eval_expr.BUILTIN_VALUES``
+    #: implements for scalars and arrays alike)
+    effect: str = ""
+
+    @property
+    def pure(self) -> bool:
+        return not self.effect
+
+
+#: functions the runtime provides (paper programs use power2, rand, swap,
+#: ABS).  A user definition of the same name overrides the builtin for the
+#: whole program: every consumer checks ``ProgramInfo.functions`` first.
+BUILTINS: Dict[str, Builtin] = {
+    "power2": Builtin(1, 1, False),
+    "abs": Builtin(1, 1, None),
+    "ABS": Builtin(1, 1, None),
+    "fabs": Builtin(1, 1, True),
+    "sqrt": Builtin(1, 4, True),  # iterative on the CM's ALUs
+    "min": Builtin(2, 1, None),
+    "max": Builtin(2, 1, None),
+    "rand": Builtin(0, 1, False, "consumes the RNG stream"),
+    "srand": Builtin(1, 0, False, "reseeds the RNG stream"),
+    "swap": Builtin(2, 0, False, "exchanges two array elements"),
+    "printf": Builtin(-1, 0, False, "writes to the front end's output"),
 }
 
 _VALID_RED_OPS = frozenset(REDUCTION_OPS.values())
@@ -492,8 +516,8 @@ class Analyzer:
             self._check_expr(expr.target)
             return
         if isinstance(expr, ast.Call):
-            if expr.func in BUILTIN_FUNCTIONS:
-                arity = BUILTIN_FUNCTIONS[expr.func]
+            if expr.func in BUILTINS and expr.func not in self.info.functions:
+                arity = BUILTINS[expr.func].arity
                 if arity >= 0 and len(expr.args) != arity:
                     raise UCSemanticError(
                         f"builtin {expr.func!r} takes {arity} argument(s), "

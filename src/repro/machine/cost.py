@@ -20,6 +20,79 @@ def scan_levels(n_vps: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n_vps))))
 
 
+class Recorder:
+    """Clock stand-in that records the charge recipe instead of charging.
+
+    The compilers (``interp.fuse``, ``interp.frontier``) run the *real*
+    cost helpers (``charge_tier_at`` and friends) against a recorder, so
+    a charge table is the genuine charge sequence by construction, not a
+    reimplementation of it.  Where a helper takes a VP ratio the compiler
+    passes a *scope* — an index into the ratios the table is replayed at
+    (:meth:`Clock.replay_rows`) — so one table serves every grid size the
+    scope resolves to.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: List[Tuple] = []
+
+    def charge(self, kind: str, *, count: int = 1, vp_ratio: int = 1) -> float:
+        self.entries.append(("c", kind, count, vp_ratio))
+        return 0.0
+
+    def charge_scan(self, n_vps: int, *, vp_ratio: int = 1, steps_per_level: int = 1) -> float:
+        self.entries.append(("s", n_vps, vp_ratio, steps_per_level))
+        return 0.0
+
+    def count_tier(self, tier: str) -> None:
+        self.entries.append(("t", tier))
+
+    def note_shard_ref(self, tier, rc, layout, grid_shape, write) -> None:
+        # recorded unconditionally so compiled tables are identical for
+        # every shard count (the compile store shares them); replay hands
+        # the entry on only when a shard sink is installed
+        self.entries.append(("x", tier, rc, layout, grid_shape, write))
+
+    def note_shard_reduce(self, op, order_safe, n_vps, vp_ratio, grid_shape) -> None:
+        # same story for reduction observations: the UC5xx verdict rides
+        # the table so sharded replay can gate pre-combining
+        self.entries.append(("r", op, order_safe, n_vps, vp_ratio, grid_shape))
+
+
+def charge_row(costs: CostTable, kind: str, count: int, scope) -> Tuple:
+    """One charge in :meth:`Clock.replay_rows`' row format, bound to
+    ``costs``: ``(kind, count, base * count, scope, pays_dispatch)``
+    (a host kind is unscaled: its scope is None)."""
+    bc = getattr(costs, kind) * count
+    if kind in HOST_KINDS:
+        return (kind, count, bc, None, False)
+    return (kind, count, bc, scope, kind != "dispatch")
+
+
+def bind_rows(entries, costs: CostTable) -> List[Tuple]:
+    """Bind a :class:`Recorder`'s entries to the cost table, once: the
+    rows :meth:`Clock.replay_rows` issues, in recorded order.  A scan's
+    depth is taken here; tier counts and shard observations ride as
+    cost-less rows.  Entries of any other tag pass through for the
+    caller to resolve per replay (the frontier engine's per-sweep
+    reduction scan and delta combine)."""
+    rows = []
+    for e in entries:
+        tag = e[0]
+        if tag == "c":
+            rows.append(charge_row(costs, e[1], e[2], e[3]))
+        elif tag == "s":
+            rows.append(charge_row(costs, "scan_step", scan_levels(e[1]) * e[3], e[2]))
+        elif tag == "t":
+            rows.append((e[1], 0, None, None, None))
+        elif tag in ("x", "r"):
+            rows.append((None, 0, None, None, e))
+        else:
+            rows.append(e)
+    return rows
+
+
 @dataclass
 class CostRecord:
     """One aggregated line of the cost ledger."""
@@ -171,64 +244,41 @@ class Clock:
             "scan_step", count=scan_levels(n_vps) * steps_per_level, vp_ratio=vp_ratio
         )
 
-    def replay(self, entries) -> None:
-        """Re-issue a recorded charge table.
-
-        Entries are the tuples the fusion compiler records while tracing
-        one sweep: ``("c", kind, count, vp_ratio)`` for a plain charge,
-        ``("s", n_vps, vp_ratio, steps_per_level)`` for a scan,
-        ``("t", tier)`` for a communication-tier dispatch count, and
-        ``("x", tier, rc, layout, grid_shape, write)`` for a shard-sink
-        observation, and ``("r", op, order_safe, n_vps, vp_ratio,
-        grid_shape)`` for a shard-sink reduction observation (both
-        ignored unless a shard sink is installed, so charge tables are
-        shared across shard counts).  Batched execution
-        replays the same table once per active lane, which is what keeps
-        per-lane fingerprints identical to solo runs.
-        """
-        for e in entries:
-            tag = e[0]
-            if tag == "c":
-                self.charge(e[1], count=e[2], vp_ratio=e[3])
-            elif tag == "s":
-                self.charge_scan(e[1], vp_ratio=e[2], steps_per_level=e[3])
-            elif tag == "x":
-                if self.shard_sink is not None:
-                    self.note_shard_ref(e[1], e[2], e[3], e[4], e[5])
-            elif tag == "r":
-                if self.shard_sink is not None:
-                    self.note_shard_reduce(e[1], e[2], e[3], e[4], e[5])
-            else:
-                self.count_tier(e[1])
-
     def replay_rows(self, rows, ratios) -> None:
-        """Re-issue charges pre-bound to this clock's cost table: rows
-        ``(kind, count, base * count, scope, pays_dispatch)`` charged at
-        ``ratios[scope]`` (``scope`` None: a host kind, unscaled).
+        """Re-issue charges pre-bound to this clock's cost table (rows
+        from :func:`bind_rows`): ``(kind, count, base * count, scope,
+        pays_dispatch)`` charged at ``ratios[scope]`` (``scope`` None: a
+        host kind, unscaled).
 
-        The frontier engine replays a construct's rows every compressed
-        sweep, so the loop is :meth:`charge` inlined — the same
-        ``(base * count) * ratio``, ``+= dt``, ``+= dispatch`` on the same
-        accumulators, row by row.  *Order is part of the fingerprint*:
-        float addition does not associate, so only the per-row products
-        are taken ahead of time, never a sum over rows or dispatches.
-        Rows without a cost ride in place: ``(tier, 0, None, None, None)``
-        counts a tier dispatch, ``(None, 0, None, None, args)`` is a
-        :meth:`note_shard_ref` observation.  With a fault hook or a shard
-        sink installed each row is one :meth:`charge` /
-        :meth:`note_shard_ref` call instead, so a fault still fires before
-        the charge it interrupts and shards observe references in order.
+        Every recorded charge table replays here — fused sweeps, batch
+        lanes, compressed frontier sweeps — so the loop is :meth:`charge`
+        inlined: the same ``(base * count) * ratio``, ``+= dt``, ``+=
+        dispatch`` on the same accumulators, row by row.  *Order is part
+        of the fingerprint*: float addition does not associate, so only
+        the per-row products are taken ahead of time, never a sum over
+        rows or dispatches.  Rows without a cost ride in place: ``(tier,
+        0, None, None, None)`` counts a tier dispatch, ``(None, 0, None,
+        None, obs)`` is a shard-sink observation — ``obs`` the recorded
+        ``("x", ...)`` :meth:`note_shard_ref` or ``("r", ...)``
+        :meth:`note_shard_reduce` entry — which only a sink sees, so
+        tables are shared across shard counts.  With a fault hook or a
+        shard sink installed each row is one :meth:`charge` /
+        ``count_tier`` / ``note_shard_*`` call instead, so a fault still
+        fires before the charge it interrupts and shards observe
+        references in order.
         """
         if self.fault_hook is not None or self.shard_sink is not None:
-            for kind, count, bc, scope, pays in rows:
+            for kind, count, bc, scope, obs in rows:
                 if bc is not None:
                     self.charge(
                         kind, count=count, vp_ratio=1 if scope is None else ratios[scope]
                     )
-                elif pays is None:
+                elif obs is None:
                     self.count_tier(kind)
+                elif obs[0] == "x":
+                    self.note_shard_ref(*obs[1:])
                 else:
-                    self.note_shard_ref(*pays)
+                    self.note_shard_reduce(*obs[1:])
             return
         records = self._records
         tiers = self.tier_counts

@@ -81,6 +81,29 @@ class TestClassification:
         d = rep.by_code("UC503")
         assert d and "rand" in d[0].message and d[0].hint
 
+    @pytest.mark.parametrize("call", ["ABS(x[i] - 3)", "abs(x[i] - 3)", "power2(i % 4)"])
+    def test_pure_builtin_body_is_uc501(self, call):
+        """Purity comes from the one builtin table, every spelling included."""
+        src = (
+            "index_set I:i = {0..7};\nint x[8]; int s;\n"
+            f"main {{ s = $+(I; {call}); par (I) x[i] = 0; }}"
+        )
+        rep = lint_program(src)
+        assert rep.has("UC501") and not rep.has("UC503"), rep.render_text()
+
+    def test_user_override_of_a_builtin_is_an_opaque_call(self):
+        """A user ``abs`` that writes program state is not the pure builtin
+        it shadows: commutativity is decided, not assumed from a name."""
+        src = (
+            "index_set I:i = {0..7};\nint a[8]; int s;\n"
+            "int abs(int v) { a[0] = v; return v < 0 ? 0 - v : v; }\n"
+            "main { s = $+(I; abs(a[i] - 3)); }"
+        )
+        rep = lint_program(src)
+        d = rep.by_code("UC503")
+        assert d and "user function" in d[0].message, rep.render_text()
+        assert not rep.has("UC501")
+
     def test_escaping_arbitrary_is_uc504(self):
         src = (
             "index_set I:i = {0..7};\nint x[8]; int a;\n"

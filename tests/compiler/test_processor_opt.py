@@ -1,5 +1,6 @@
 """Processor-optimization analysis tests (paper §4)."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.processor_opt import (
@@ -52,6 +53,44 @@ class TestMatchPartition:
     def test_equality_between_reduction_elems_only(self):
         red = self._red("$+(I st (samples[i] == i) 1)")
         assert not match_partition(red, ["j"], ["i"])
+
+    def test_par_element_in_another_conjunct_does_not_match(self):
+        """``j > 2`` keeps the predicate from partitioning on the operand
+        grid alone: each operand would need the result's element too."""
+        red = self._red("$+(I st (samples[i] == j && j > 2) 1)")
+        assert not match_partition(red, ["j"], ["i"])
+
+
+GATED_SRC = """
+index_set I:i = {0..4095}, J:j = {0..15};
+int samples[4096];
+int count[16];
+main {
+    par (J)
+        count[j] = $+(I st (%s) 1);
+}
+"""
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.parametrize(
+    "pred", ["samples[i] == j", "samples[i] == j && j > 2"], ids=["partition", "gated"]
+)
+def test_analyze_reports_the_optimization_exactly_when_the_run_takes_it(pred, tmp_path, capsys):
+    """On a product grid that outgrows the machine (65 536 VPs on 16K PEs)
+    ``repro analyze`` names the §4 optimization if and only if the run's
+    ledger shows the combining ``router_send`` it compiles to."""
+    from repro.cli import main
+    from tests.conftest import run_uc
+
+    path = tmp_path / "digits.uc"
+    path.write_text(GATED_SRC % pred)
+    assert main(["analyze", str(path)]) == 0
+    reported = "processor optimization" in capsys.readouterr().out
+    samples = np.arange(4096) % 16
+    sent = run_uc(GATED_SRC % pred, {"samples": samples}).counts.get("router_send", 0)
+    assert reported == (pred == "samples[i] == j")
+    assert reported == (sent > 0)
 
 
 class TestAnalyzeProgram:

@@ -3,8 +3,83 @@
 import numpy as np
 import pytest
 
+from repro.interp import frontier
+from repro.interp.eval_expr import BUILTIN_VALUES, eval_expr
+from repro.interp.program import UCProgram
+from repro.interp.statements import enter_grid
+from repro.lang import parse_expression
 from repro.lang.errors import UCRuntimeError
-from tests.conftest import run_uc
+from repro.lang.semantics import BUILTINS
+from repro.machine import small_config
+from repro.machine.cost import Recorder
+from tests.conftest import run_lanes, run_uc
+
+PURE = sorted(name for name, b in BUILTINS.items() if b.pure)
+
+
+def _call(name):
+    return f"{name}({', '.join(['b[i] - 3', 'a[i]'][: BUILTINS[name].arity])})"
+
+
+class TestBuiltinTable:
+    """One table (``lang.semantics.BUILTINS``) and one value implementation
+    per pure builtin (``eval_expr.BUILTIN_VALUES``), which the oracle and
+    the frontier lane programs both call."""
+
+    def test_every_pure_builtin_has_one_implementation(self):
+        assert set(BUILTIN_VALUES) == set(PURE)
+        assert {name: BUILTINS[name].alu for name in PURE} == {
+            "ABS": 1, "abs": 1, "fabs": 1, "max": 1, "min": 1, "power2": 1, "sqrt": 4,
+        }  # fmt: skip
+
+    @pytest.mark.parametrize("name", PURE)
+    def test_oracle_and_lane_program_record_the_same_charges(self, name, monkeypatch):
+        """The charges of one call: the oracle's as it evaluates it, the
+        lane compiler's as it lowers it (VP ratio vs scope aside)."""
+        src = "index_set I:i = {0..7};\nint a[8], b[8];\nmain { par (I) a[i] = 0; }"
+        pr = UCProgram(src, compile_store=None).prepare({"b": np.arange(8)})
+        ip = pr.interp
+        inner = enter_grid(ip, ip.info.program.main.stmts[0], pr.context)
+        call = parse_expression(_call(name))
+
+        comp = frontier._Compiler(
+            ip, inner, frontier._Analysis(inner.grid, "par", ip.machine.clock.costs), set()
+        )
+        comp.begin_arm()
+        comp.begin_program()
+        lane = Recorder()
+        comp.compile(call, lane)
+
+        class _Clock(Recorder):
+            costs = ip.machine.clock.costs
+
+        oracle = _Clock()
+        monkeypatch.setattr(ip.machine, "clock", oracle)
+        eval_expr(ip, call, inner)
+
+        def charges(rec):
+            return [e[:3] if e[0] == "c" else e[:2] for e in rec.entries if e[0] in "ct"]
+
+        assert charges(oracle) == charges(lane)
+        assert charges(lane)[-1] == ("c", "alu", BUILTINS[name].alu)
+
+    @pytest.mark.parametrize("name", PURE)
+    def test_lane_program_values_match_full_sweeps(self, name):
+        """A front of activity evaluates the call on the lane path, sweep
+        after compressed sweep; full oracle sweeps must agree."""
+        src = (
+            "index_set I:i = {0..31};\nint a[32], b[32];\n"
+            "main { *par (I) st (a[i] < (i > 0 ? a[i-1] : 0))\n"
+            f"    a[i] = a[i] + 1 + ({_call(name)} > 1); }}"
+        )
+        a = np.zeros(32, dtype=np.int64)
+        a[0] = 5
+        inputs = {"a": a, "b": np.arange(32) % 7}
+        kw = dict(machine_config=small_config(16))
+        lanes = run_lanes(src, inputs, **kw)
+        full = run_uc(src, inputs, plans=False, frontier=False, **kw)
+        assert lanes.frontier["compressed_sweeps"] >= 5
+        assert np.array_equal(lanes["a"], full["a"])
 
 
 class TestBuiltins:

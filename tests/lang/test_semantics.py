@@ -161,6 +161,21 @@ class TestFunctions:
         info = check("int power2(int x) { return 1 << x; }")
         assert "power2" in info.functions
 
+    def test_user_override_takes_its_own_arity(self):
+        """A user ``min`` of three arguments replaces the two-argument
+        builtin: the arity check and the run both see the user's."""
+        from repro.interp.program import UCProgram
+
+        src = (
+            "int m;\n"
+            "int min(int a, int b, int c) { return a < b ? (a < c ? a : c) : (b < c ? b : c); }\n"
+            "main { m = min(5, 2, 9); }"
+        )
+        assert "min" in check(src).functions
+        assert UCProgram(src).run()["m"] == 2
+        with pytest.raises(UCSemanticError, match="function 'min' takes 3"):
+            check(src.replace("min(5, 2, 9)", "min(5, 2)"))
+
     def test_unknown_function(self):
         with pytest.raises(UCSemanticError):
             check("main { frobnicate(); }")
