@@ -80,14 +80,14 @@ def _shard_lints(
 ) -> List[Diagnostic]:
     """UC305: references still crossing shards under the best placement.
 
-    Shares :func:`~repro.mapping.placement.score_axes_verdicts` and
+    Shares :func:`~repro.mapping.placement.score_axes` and
     :meth:`~repro.mapping.placement.Placement.split` with the runtime
     tier machinery, so the lint flags exactly the slabs the shard ledger
     would charge."""
-    from ..mapping.placement import Placement, score_axes_verdicts
+    from ..mapping.placement import Placement, score_axes
 
     try:
-        scored = score_axes_verdicts(verdicts, model.layouts, LINT_SHARDS)
+        scored = score_axes(verdicts, model.layouts, LINT_SHARDS)
     except Exception:  # pragma: no cover - defensive: lint must not crash
         return []
     if not scored or scored[0][0] == 0:

@@ -10,20 +10,19 @@ not raised — a syntax error becomes UC001 and a semantic error UC002, so
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..lang import analyze, ast, parse_program
 from ..lang.errors import UCSemanticError, UCSyntaxError
 from ..machine.config import CostTable
 from ..mapping.maps import build_layouts
 from .commlints import analyze_comm
-from .context import AnalysisModel, build_model
 from .determinism import analyze_determinism
 from .diagnostics import Diagnostic, LintReport
 from .hygiene import analyze_hygiene
 from .races import analyze_races
 from .solvechecks import analyze_solves
-from .staticref import SiteVerdict, classify_site, default_costs
+from .staticref import default_costs
 
 
 def lint_program(
@@ -75,10 +74,12 @@ def lint_program(
 
 
 def build_verdicts(info, layouts):
-    """(model, per-reference static verdicts) — shared with the sanitizer."""
-    model = build_model(info, layouts)
-    verdicts: List[SiteVerdict] = [classify_site(ref, model) for ref in model.refs]
-    return model, verdicts
+    """(model, per-reference static verdicts), through a private
+    frontend entry — the runtime reads its program's shared one."""
+    from ..interp.compile_store import FrontendEntry
+
+    entry = FrontendEntry(info, layouts)
+    return entry.model(), entry.verdicts()
 
 
 def _front_end(source, defines, apply_maps):

@@ -42,7 +42,7 @@ from ..interp.commtiers import decide_tier
 from ..lang import ast
 from ..lang.errors import UCSanitizerError
 from ..mapping.locality import RefClass
-from .determinism import ReductionVerdict, determinism_claims
+from .determinism import ReductionVerdict
 from .races import write_claims
 
 #: tier claim key, matching the interpreter's ``tier_log`` keying
@@ -59,11 +59,12 @@ class Sanitizer:
     scatter and every cross-checked tier site of the run.
     """
 
-    def __init__(self, info, layouts) -> None:
-        from .linter import build_verdicts  # lazy: linter imports races
-
-        model, verdicts = build_verdicts(info, layouts)
-        self.model = model
+    def __init__(self, frontend) -> None:
+        """``frontend`` is the program's
+        :class:`~repro.interp.compile_store.FrontendEntry`: the claims are
+        drawn from its one static analysis, shared by every run."""
+        verdicts = frontend.verdicts()
+        self.model = frontend.model()
         self.tier_claims: Dict[TierKey, List[Tuple[RefClass, bool]]] = _tier_claims(
             verdicts
         )
@@ -71,8 +72,15 @@ class Sanitizer:
         self.writes_checked = 0
         self.duplicate_writes = 0
         # reduction determinism claims (UC5xx), keyed by node identity —
-        # the model walks the same AST objects the engines execute
-        self.red_claims: Dict[int, ReductionVerdict] = determinism_claims(model)
+        # the model walks the same AST objects the engines execute.  A
+        # copy: the entry's verdicts are shared, these are this run's
+        red_claims = frontend.reduction_claims()
+        if frontend.claims_error:
+            # the sanitizer hard-fails where the runtime degrades
+            raise UCSanitizerError(
+                f"sanitizer: the determinism analyzer failed ({frontend.claims_error})"
+            )
+        self.red_claims: Dict[int, ReductionVerdict] = dict(red_claims)
         self.reductions_checked = 0
         self.reductions_confirmed = 0
         self.order_sensitivity_observed = 0

@@ -62,9 +62,9 @@ from ..lang import ast
 from ..machine import Machine
 from ..machine.field import lane_stack
 from . import frontier, fuse
+from .compile_store import LRU
 from .eval_expr import ExecContext
 from .interpreter import Interpreter
-from .plan_cache import PlanCache
 from .statements import (
     ReturnSignal,
     _check_starred,
@@ -161,36 +161,35 @@ class _BatchRun:
             Machine(prog.machine_config, seed=self.seed) for _ in range(self.S)
         ]
         shared = prog._shared_plan_cache(machines[0], None, None, self.config)
-        plan_cache = shared if shared is not None else PlanCache()
+        plan_cache = shared if shared is not None else LRU()
+        # the batch's lookups are one run's: every lane reports them all
+        tally: Dict[str, float] = {}
         for m in machines:
-            self.interps.append(
-                Interpreter(
-                    prog.info,
-                    m,
-                    prog.layouts,
-                    config=self.config,
-                    seed=self.seed,
-                    plan_cache=plan_cache,
-                )
+            ip = Interpreter(
+                prog.info,
+                m,
+                prog.layouts,
+                config=self.config,
+                seed=self.seed,
+                plan_cache=plan_cache,
+                frontend=prog.frontend,
             )
+            ip.build_tally = tally
+            self.interps.append(ip)
         for ip, inp in zip(self.interps, self.inputs):
             if inp:
                 ip.load_inputs(inp)
         for m in machines:
             m.clock.reset()
-        pc_before = plan_cache.counters()
         t_exec = time.perf_counter()
         self._lockstep()
         execute_s = time.perf_counter() - t_exec
-        pc_after = plan_cache.counters()
         results = []
         for ip in self.interps:
             r = RunResult(ip)
-            r.compile = prog._compile_summary(
-                ip, pc_after, pc_before, execute_s / self.S
-            )
+            r.compile = prog._compile_summary(ip, execute_s / self.S)
             r.compile["batched_lanes"] = float(self.S)
-            if shared is not None and prog.compile_store is not None:
+            if shared is not None:
                 r.store = prog.compile_store.stats()
             results.append(r)
         prog.last_interpreter = self.interps[-1]

@@ -1205,7 +1205,11 @@ class StarSession:
         clock = ip.machine.clock
         clock.count_frontier("constructs")
         an = ip.plan_cache.get_or_build(
-            "frontier", stmt, inner.grid.axes, lambda: _analyze(ip, stmt, inner, kind)
+            "frontier",
+            stmt,
+            inner.grid.axes,
+            lambda: _analyze(ip, stmt, inner, kind),
+            ip.build_tally,
         )
         self.an: Optional[_Analysis] = None
         self.S: Optional[dict] = None
@@ -1687,6 +1691,7 @@ def guarded_frontier(ip, stmt, assignments, inner) -> Optional[GuardedFrontier]:
         stmt,
         inner.grid.axes,
         lambda: _guarded_analyze(ip, stmt, assignments, inner),
+        ip.build_tally,
     )
     if gf is _FALLBACK:
         clock.count_frontier("fallbacks")

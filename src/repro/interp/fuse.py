@@ -2012,7 +2012,11 @@ def fused_for(
         return None
     sig = tuple(inner.grid.axes)
     fused = ip.plan_cache.get_or_build(
-        "fuse" if cse else "sched", stmt, sig, lambda: _build(ip, stmt, inner, cse)
+        "fuse" if cse else "sched",
+        stmt,
+        sig,
+        lambda: _build(ip, stmt, inner, cse),
+        ip.build_tally,
     )
     _note_fusion(ip, stmt, sig, fused)
     if fused is _UNFUSABLE:

@@ -19,10 +19,10 @@ from ..lang.semantics import ProgramInfo, _ConstEvaluator
 from ..machine import Machine
 from ..machine.vpset import VPSet
 from ..mapping.layout import Layout, LayoutTable
+from .compile_store import LRU, FrontendEntry
 from .config import EngineConfig
 from .env import Env
 from .eval_expr import ExecContext, eval_expr
-from .plan_cache import PlanCache
 from .statements import ReturnSignal, exec_stmt
 from .values import ArrayVar, GridContext, ScalarVar, coerce_scalar, numpy_ctype
 from . import functions as _functions
@@ -40,7 +40,8 @@ class Interpreter:
         config: Optional[EngineConfig] = None,
         seed: int = 20250704,
         recovery_policy=None,
-        plan_cache: Optional[PlanCache] = None,
+        plan_cache: Optional[LRU] = None,
+        frontend: Optional[FrontendEntry] = None,
     ) -> None:
         self.info = info
         self.machine = machine
@@ -60,7 +61,15 @@ class Interpreter:
         # entry of the compile store (see UCProgram.run) whose keys pin
         # the machine config and the config's compile key, so cross-run
         # reuse can never serve a plan compiled under different settings
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        self.plan_cache = plan_cache if plan_cache is not None else LRU()
+        #: this run's own plan-cache misses and build seconds per kind
+        #: (a shared cache's counters also count other runs' builds)
+        self.build_tally: Dict[str, float] = {}
+        #: the program's frontend entry: it owns the one static analysis
+        #: (reduction verdicts, sanitizer claims) every run reads
+        self.frontend = (
+            frontend if frontend is not None else FrontendEntry(info, layouts)
+        )
         # fusion telemetry is counted once per (construct, grid) per run
         # at first use, so warm shared-cache runs report the same
         # counters a cold run does (see fuse.fused_for)
@@ -71,7 +80,7 @@ class Interpreter:
         if self.config.sanitize:
             from ..analysis.sanitize import Sanitizer
 
-            self.sanitizer = Sanitizer(info, layouts)
+            self.sanitizer = Sanitizer(self.frontend)
         # (line, array) -> set of tiers dispatched, for the sanitizer
         self.tier_log: Optional[Dict[Tuple[int, str], set]] = (
             {} if self.config.sanitize else None
@@ -95,34 +104,18 @@ class Interpreter:
         self.stdout: List[str] = []
         self.global_env = Env()
         self._vpsets: Dict[Tuple[int, ...], VPSet] = {}
-        # lazily-built reduction determinism verdicts (UC5xx): the single
-        # reorder-legality oracle batched blocked reductions, cross-shard
-        # pre-combining and the sanitizer consult (keyed by node identity)
-        self._determinism = None
-        #: why the analyzer produced no verdicts ("" = it did); surfaced
-        #: as ``RunResult.compile["determinism_error"]`` and by ``--stats``
-        self.determinism_error = ""
         self._setup_globals()
 
     # -- determinism oracle ------------------------------------------------------
 
     def reduction_verdict(self, node):
         """The UC5xx :class:`ReductionVerdict` for one ``ast.Reduction``,
-        or None for sites the analyzer did not model."""
-        if self._determinism is None:
-            try:
-                from ..analysis.context import build_model
-                from ..analysis.determinism import determinism_claims
-
-                self._determinism = determinism_claims(
-                    build_model(self.info, self.layouts)
-                )
-            except Exception as exc:
-                # analyzer failure never blocks execution, but every site
-                # now takes the ordered path: say why, once
-                self._determinism = {}
-                self.determinism_error = f"{type(exc).__name__}: {exc}"
-        return self._determinism.get(id(node))
+        or None for sites the analyzer did not model — the single
+        reorder-legality oracle batched blocked reductions, cross-shard
+        pre-combining and the sanitizer consult.  An analyzer failure
+        leaves no verdicts and is reported as
+        ``RunResult.compile["determinism_error"]``."""
+        return self.frontend.reduction_claims().get(id(node))
 
     def reduction_order_safe(self, node) -> bool:
         """True only for UC501-proven sites: reordering the combine is

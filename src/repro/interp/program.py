@@ -31,11 +31,10 @@ from ..lang.semantics import ProgramInfo
 from ..machine import FaultPlan, Machine, MachineConfig
 from ..mapping.maps import build_layouts
 from ..mapping.layout import LayoutTable
-from .compile_store import CompileStore, default_store
+from .compile_store import LRU, CompileStore, FrontendEntry, default_store
 from .config import EngineConfig
 from .deadline import DeadlineMonitor
 from .interpreter import Interpreter
-from .plan_cache import PlanCache
 
 #: sentinel distinguishing "use the process-wide store" (the default)
 #: from an explicit ``compile_store=None`` (a private, per-program cache)
@@ -107,8 +106,9 @@ class RunResult:
         self.sanitizer: Dict[str, int] = {}
         #: compile/execute wall-time breakdown + recompile counts for
         #: this run (parse/semantics/layouts are zero on a warm frontend
-        #: hit; fuse/frontier build seconds and ``recompiles`` are
-        #: deltas over the run, so a warm run shows them all as zero;
+        #: hit; fuse/frontier build seconds and ``recompiles`` count this
+        #: run's own plan-cache misses, so a warm run shows them as zero
+        #: whatever other runs built meanwhile;
         #: ``plan_s`` is always zero;
         #: ``determinism_error`` names an analyzer failure that sent every
         #: reduction down the ordered path) — filled in by UCProgram.run
@@ -235,7 +235,7 @@ class UCProgram:
         The content-addressed :class:`~repro.interp.compile_store.CompileStore`
         to compile through (default: the process-wide store, so repeated
         ``UCProgram`` constructions of the same source reuse the parsed
-        frontend, and repeated runs under the same machine config and
+        frontend and its one static analysis, and repeated runs under the same machine config and
         ``config.compile_key`` reuse fused kernels and frontier
         analyses).  Pass ``None`` for fully private per-program
         compilation (the pre-store behaviour).  Results and Clock
@@ -285,9 +285,6 @@ class UCProgram:
             shards=shards,
             placement=placement,
         )
-        #: (n_shards, policy) -> chosen partition axis; the axis search
-        #: runs static analysis once per program, not once per run
-        self._placement_axis_memo: Dict[tuple, int] = {}
         # parse eagerly: a bad spec should fail at construction, not mid-run
         self.faults = (
             FaultPlan.parse(faults) if isinstance(faults, str) else faults
@@ -307,10 +304,11 @@ class UCProgram:
             "layouts_s": 0.0,
         }
         #: True when parse/semantics/layouts came from the compile store
-        self.compile_cached = False
+        self.compile_cached = True
         self._frontend_key = None
 
-        def _compile_frontend():
+        def _compile_frontend() -> FrontendEntry:
+            self.compile_cached = False
             t0 = time.perf_counter()
             tree = _ast if _ast is not None else parse_program(source)
             t1 = time.perf_counter()
@@ -321,20 +319,23 @@ class UCProgram:
             self.compile_times["parse_s"] = 0.0 if _ast is not None else t1 - t0
             self.compile_times["semantics_s"] = t2 - t1
             self.compile_times["layouts_s"] = t3 - t2
-            return tree, info, layouts
+            return FrontendEntry(info, layouts, len(source))
 
         if self.compile_store is not None and _ast is None:
             self._frontend_key = CompileStore.frontend_key(
                 source, self.defines, apply_maps
             )
-            entry, self.compile_cached = self.compile_store.frontend(
-                self._frontend_key, _compile_frontend, len(source)
+            # sharing the entry across program instances shares the AST
+            # (which lines up the plan caches' id(node) keys) and the
+            # program's one static analysis
+            self.frontend = self.compile_store.frontends.lookup(
+                self._frontend_key, _compile_frontend, "frontend"
             )
-            # sharing the AST object across program instances is what
-            # lines up the plan cache's id(node) keys between them
-            self.ast, self.info, self.layouts = entry.ast, entry.info, entry.layouts
         else:
-            self.ast, self.info, self.layouts = _compile_frontend()
+            self.frontend = _compile_frontend()
+        self.info: ProgramInfo = self.frontend.info
+        self.layouts: LayoutTable = self.frontend.layouts
+        self.ast = self.info.program
         self.last_interpreter: Optional[Interpreter] = None
 
     @classmethod
@@ -397,7 +398,7 @@ class UCProgram:
         # fingerprints are shared with (and identical to) unsharded runs
         if config.shards > 1:
             self._make_sharded(m, config)
-        plan_cache = self._shared_plan_cache(m, machine, fault_plan, config)
+        shared = self._shared_plan_cache(m, machine, fault_plan, config)
         interp = Interpreter(
             self.info,
             m,
@@ -405,7 +406,8 @@ class UCProgram:
             config=config,
             seed=seed,
             recovery_policy=recovery_policy,
-            plan_cache=plan_cache,
+            plan_cache=shared,
+            frontend=self.frontend,
         )
         if inputs:
             interp.load_inputs(inputs)
@@ -416,7 +418,7 @@ class UCProgram:
         # fault spec means the same thing whatever the setup traffic was
         if fault_plan is not None:
             m.install_faults(fault_plan)
-        return PreparedRun(self, m, interp, fault_plan, plan_cache)
+        return PreparedRun(self, m, interp, fault_plan, shared is not None)
 
     def run_batch(
         self,
@@ -455,21 +457,14 @@ class UCProgram:
     def _make_sharded(self, m: Machine, config: EngineConfig):
         """Wrap ``m`` in a :class:`~repro.machine.shards.ShardedMachine`.
 
-        The partition-axis search (static analysis over the program's
-        reference verdicts) is memoized per (K, policy); the Placement
-        itself is rebuilt per run — it carries live-shard state that a
-        fault run mutates.
+        The partition axis comes from the frontend entry, which searches
+        it once per (K, policy); the Placement itself is rebuilt per run
+        — it carries live-shard state that a fault run mutates.
         """
         from ..machine.shards import ShardedMachine
-        from ..mapping.placement import Placement, derive_placement
+        from ..mapping.placement import Placement
 
-        key = (config.shards, config.placement)
-        axis = self._placement_axis_memo.get(key)
-        if axis is None:
-            axis = derive_placement(
-                self.info, self.layouts, config.shards, policy=config.placement
-            ).axis
-            self._placement_axis_memo[key] = axis
+        axis = self.frontend.placement_axis(config.shards, config.placement)
         placement = Placement(config.shards, axis=axis, policy=config.placement)
         return ShardedMachine(m, config.shards, placement)
 
@@ -479,15 +474,15 @@ class UCProgram:
         machine_arg: Optional[Machine],
         fault_plan: Optional[FaultPlan],
         config: EngineConfig,
-    ) -> Optional[PlanCache]:
-        """The store's shared PlanCache for this (program, machine, config).
+    ) -> Optional[LRU]:
+        """The store's shared plan cache for this (program, machine, config).
 
-        Returns None — a private per-run cache — whenever sharing would
-        be unsound or unkeyable: no store, a program built from an AST
-        (no content key), an injected fault plan (recovery remaps
-        layouts mid-run), or a caller-provided machine (its config may
-        not describe its mutated state, e.g. dead PEs from a prior run).
-        ``fault_plan`` is the run's *effective* plan (the execution
+        Returns None — the run gets a private plan cache — whenever
+        sharing would be unsound or unkeyable: no store, a program built
+        from an AST (no content key), an injected fault plan (recovery
+        remaps layouts mid-run), or a caller-provided machine (its config
+        may not describe its mutated state, e.g. dead PEs from a prior
+        run).  ``fault_plan`` is the run's *effective* plan (the execution
         service overrides the program's per job).
         """
         if (
@@ -497,37 +492,30 @@ class UCProgram:
             or machine_arg is not None
         ):
             return None
-        cache, _existed = self.compile_store.backend(
+        return self.compile_store.backend(
             self._frontend_key, m.config, config.compile_key
         )
-        return cache
 
     def _compile_summary(
-        self,
-        interp: Interpreter,
-        pc_after: Dict[str, float],
-        pc_before: Dict[str, float],
-        execute_s: float,
+        self, interp: Interpreter, execute_s: float
     ) -> Dict[str, Any]:
-        """The --stats breakdown: frontend times + per-kind build deltas."""
+        """The --stats breakdown: frontend times + the run's own builds."""
+        tally = interp.build_tally
         out: Dict[str, Any] = {
             "frontend_cached": float(self.compile_cached),
             "parse_s": self.compile_times["parse_s"],
             "semantics_s": self.compile_times["semantics_s"],
             "layouts_s": self.compile_times["layouts_s"],
             "execute_s": execute_s,
-            "recompiles": pc_after["misses"] - pc_before["misses"],
+            "recompiles": tally.get("misses", 0),
+            # every cached kind is a fused kernel ("fuse", "sched") or a
+            # frontier analysis; ``plan_s`` stays 0 for readers of the key
+            "plan_s": 0.0,
+            "fuse_s": tally.get("fuse", 0.0) + tally.get("sched", 0.0),
+            "frontier_s": tally.get("frontier", 0.0),
         }
-        # every cached kind is a fused kernel ("fuse", "sched") or a
-        # frontier analysis; ``plan_s`` stays 0 for readers of the key
-        out["plan_s"] = out["fuse_s"] = out["frontier_s"] = 0.0
-        for key, after in pc_after.items():
-            if key.startswith("build_seconds."):
-                kind = key[len("build_seconds.") :]
-                phase = "frontier_s" if kind == "frontier" else "fuse_s"
-                out[phase] += after - pc_before.get(key, 0.0)
-        if interp.determinism_error:
-            out["determinism_error"] = interp.determinism_error
+        if interp.frontend.claims_error:
+            out["determinism_error"] = interp.frontend.claims_error
         return out
 
 
@@ -548,18 +536,18 @@ class PreparedRun:
         machine: Machine,
         interp: Interpreter,
         fault_plan: Optional[FaultPlan],
-        plan_cache: Optional[PlanCache],
+        shared: bool,
     ) -> None:
         self.program = program
         self.machine = machine
         self.interp = interp
         self.fault_plan = fault_plan
-        self.plan_cache = plan_cache
+        #: whether the run compiles through the store's shared plan cache
+        self.shared = shared
         #: the main context resumable slices execute in (its environment
         #: is a direct child of the global environment — the property
         #: portable snapshots need)
         self.context = interp.make_main_context()
-        self._pc_before = interp.plan_cache.counters()
         #: accumulated execute wall seconds (slices add to it)
         self.execute_s = 0.0
 
@@ -591,10 +579,8 @@ class PreparedRun:
             self.machine.clock.fault_hook = None
         program.last_interpreter = interp
         result = RunResult(interp)
-        result.compile = program._compile_summary(
-            interp, interp.plan_cache.counters(), self._pc_before, self.execute_s
-        )
-        if self.plan_cache is not None and program.compile_store is not None:
+        result.compile = program._compile_summary(interp, self.execute_s)
+        if self.shared:
             result.store = program.compile_store.stats()
         if interp.sanitizer is not None:
             # hard failure on any contradiction; the summary feeds --stats

@@ -90,7 +90,6 @@ class ShardedMachine:
         self.reductions_precombined = 0
         #: reductions demoted to the ordered intershard path (UC502/UC503)
         self.reductions_ordered = 0
-        self._dst_counts_memo: Dict[Tuple, Tuple[int, ...]] = {}
         self._dead_seen = -1
         base.clock.shard_sink = self
         # whole-shard fault plumbing: faults.py resolves `shardkill:<s>`
@@ -207,13 +206,8 @@ class ShardedMachine:
             self.base.clock.count_tier("intershard")
 
     def _band_sizes(self, grid_shape):
-        key = (grid_shape, self.placement.live)
-        hit = self._dst_counts_memo.get(key)
-        if hit is None:
-            hit = self._dst_counts_memo[key] = self.placement._dst_counts(grid_shape)
-        return [
-            (s, c) for s, c in zip(self.placement.live, hit) if c > 0
-        ]
+        counts = self.placement.dst_counts(grid_shape)
+        return [(s, c) for s, c in zip(self.placement.live, counts) if c > 0]
 
     # -- reporting ----------------------------------------------------------
 

@@ -44,7 +44,6 @@ __all__ = [
     "Placement",
     "derive_placement",
     "score_axes",
-    "score_axes_verdicts",
 ]
 
 
@@ -77,7 +76,15 @@ class ShardSplit:
 
 
 class Placement:
-    """One partition of the machine into ``n_shards`` block shards."""
+    """One partition of the machine into ``n_shards`` block shards.
+
+    Its two memos — reference splits (``_splits``) and per-shard band
+    sizes (``_dst_counts_memo``) — stay per run on purpose: both key on
+    the live-shard set, which a whole-shard fault mutates mid-run, and
+    :meth:`retire` / :meth:`restore_all` clear them.  What is a fact
+    about the program text, the partition axis, is searched once per
+    program (``FrontendEntry.placement_axis``).
+    """
 
     def __init__(self, n_shards: int, axis: int = 0, policy: str = "block") -> None:
         if n_shards < 1:
@@ -88,6 +95,7 @@ class Placement:
         #: shard ids still in service; whole-shard faults retire entries
         self.live: Tuple[int, ...] = tuple(range(n_shards))
         self._splits: Dict[Tuple, ShardSplit] = {}
+        self._dst_counts_memo: Dict[Tuple, Tuple[int, ...]] = {}
 
     # -- owner computation --------------------------------------------------
 
@@ -113,11 +121,13 @@ class Placement:
             raise ValueError("cannot retire the last live shard")
         self.live = tuple(s for s in self.live if s != shard)
         self._splits.clear()
+        self._dst_counts_memo.clear()
 
     def restore_all(self) -> None:
         """All shards back in service (cold boot)."""
         self.live = tuple(range(self.n_shards))
         self._splits.clear()
+        self._dst_counts_memo.clear()
 
     # -- reference splitting ------------------------------------------------
 
@@ -142,8 +152,16 @@ class Placement:
         self._splits[key] = split
         return split
 
-    def _dst_counts(self, grid_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Referencing VPs hosted by each live shard (grid band sizes)."""
+    def dst_counts(self, grid_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Referencing VPs hosted by each live shard (grid band sizes).
+        Memoized per ``(grid_shape, live)``."""
+        key = (grid_shape, self.live)
+        hit = self._dst_counts_memo.get(key)
+        if hit is None:
+            hit = self._dst_counts_memo[key] = self._band_counts(grid_shape)
+        return hit
+
+    def _band_counts(self, grid_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         L = len(self.live)
         total = int(np.prod(grid_shape)) if grid_shape else 1
         if not grid_shape or L == 1:
@@ -156,7 +174,7 @@ class Placement:
 
     def _compute_split(self, rc, layout, grid_shape, write) -> ShardSplit:
         L = len(self.live)
-        dst_counts = self._dst_counts(grid_shape)
+        dst_counts = self.dst_counts(tuple(grid_shape))
         if L == 1 or not grid_shape:
             return ShardSplit(int(np.prod(grid_shape)) if grid_shape else 1, (), dst_counts)
         rank = len(layout.shape) if layout is not None else 0
@@ -259,35 +277,21 @@ def rank_of(layout: Layout) -> int:
 
 
 def score_axes(
-    info,
-    layouts,
+    verdicts,
+    layout_table,
     n_shards: int,
     axes: Optional[Sequence[int]] = None,
 ) -> List[Tuple[int, int]]:
     """Predicted cross-shard slab elements per sweep for each candidate
     partition axis, as ``(cross_total, axis)`` sorted best-first.
 
-    Uses the static reference verdicts (the same realisation the linter
-    and sanitizer trust) pushed through :meth:`Placement.split`, so the
-    search optimizes exactly the quantity the runtime ledger reports.
+    Takes the static reference verdicts (the same realisation the linter
+    and sanitizer trust) and pushes them through :meth:`Placement.split`,
+    so the search optimizes exactly the quantity the runtime ledger
+    reports.  The UC305 lint calls this with the verdicts its pass
+    already holds, the runtime with its frontend entry's, so the lint and
+    the axis search can never score a program differently.
     """
-    from ..analysis.linter import build_verdicts  # lazy: analysis imports mapping
-
-    _model, verdicts = build_verdicts(info, layouts)
-    return score_axes_verdicts(verdicts, _model.layouts, n_shards, axes)
-
-
-def score_axes_verdicts(
-    verdicts,
-    layout_table,
-    n_shards: int,
-    axes: Optional[Sequence[int]] = None,
-) -> List[Tuple[int, int]]:
-    """The :func:`score_axes` core over already-built verdicts.
-
-    The UC305 lint calls this directly with the verdicts the lint pass
-    already holds, so the lint and the runtime axis search can never
-    score a program differently."""
     from ..interp.commtiers import decide_tier
     from ..machine.config import CostTable
 
@@ -322,26 +326,25 @@ def score_axes_verdicts(
     return scored
 
 
-def derive_placement(
-    info,
-    layouts,
-    n_shards: int,
-    policy: str = "map",
-) -> Placement:
+def derive_placement(frontend, n_shards: int, policy: str = "map") -> Placement:
     """Build the placement for one program.
 
-    ``"block"`` is the naive baseline: band everything along axis 0,
-    layouts ignored for the axis choice (they still position elements).
-    ``"map"`` searches candidate partition axes under the program's own
-    ``map``-section layouts and keeps the axis with the least predicted
-    cross-shard slab traffic — placement as a performance lever.
+    ``frontend`` is the program's
+    :class:`~repro.interp.compile_store.FrontendEntry` (its layouts and
+    static verdicts; the entry memoizes the chosen axis per
+    ``(n_shards, policy)``).  ``"block"`` is the naive baseline: band
+    everything along axis 0, layouts ignored for the axis choice (they
+    still position elements).  ``"map"`` searches candidate partition
+    axes under the program's own ``map``-section layouts and keeps the
+    axis with the least predicted cross-shard slab traffic — placement
+    as a performance lever.
     """
     if policy == "block" or n_shards == 1:
         return Placement(n_shards, axis=0, policy=policy)
     if policy != "map":
         raise ValueError(f"unknown placement policy {policy!r}")
     try:
-        scored = score_axes(info, layouts, n_shards)
+        scored = score_axes(frontend.verdicts(), frontend.layouts, n_shards)
     except Exception:
         scored = []
     axis = scored[0][1] if scored else 0

@@ -131,7 +131,7 @@ class TestClassification:
     def test_every_example_reduction_gets_a_verdict(self):
         for name in EXAMPLES:
             prog = UCProgram(_example(name), defines=EXAMPLE_DEFINES.get(name))
-            claims = determinism_claims(Sanitizer(prog.info, prog.layouts).model)
+            claims = determinism_claims(Sanitizer(prog.frontend).model)
             n_reductions = sum(
                 1 for n in ast.walk(prog.info.program)
                 if isinstance(n, ast.Reduction)
@@ -274,7 +274,7 @@ class TestOrderPermutation:
             "main { s = $+(I; x[i]); par (I) x[i] = 0.0; }"
         )
         node = _find_reduction(prog)
-        san = Sanitizer(prog.info, prog.layouts)
+        san = Sanitizer(prog.frontend)
         assert san.red_claims[id(node)].code == "UC502"
         san.red_claims[id(node)] = ReductionVerdict(
             code="UC501", order_safe=True, op="add", reason="forged"

@@ -106,7 +106,7 @@ class TestWriteClaims:
         # simulate an analyzer/engine disagreement: upgrade the
         # data-dependent claim to 'injective', then feed a duplicate
         prog = UCProgram(self.SRC)
-        san = Sanitizer(prog.info, prog.layouts)
+        san = Sanitizer(prog.frontend)
         target = _find_index_node(prog.info.program, "a")
         san.write_claims[(target.line, target.col, target.base)] = "injective"
         with pytest.raises(UCSanitizerError) as exc:

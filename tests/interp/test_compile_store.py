@@ -1,16 +1,18 @@
-"""Cross-run content-addressed compile store + plan-cache eviction.
+"""Cross-run content-addressed compile store + the one LRU class.
 
-Two properties matter: a warm store makes the second program instance
-compile-free (``recompiles == 0``), and the store key captures every
+Four properties matter: a warm store makes the second program instance
+compile-free (``recompiles == 0``); the store key captures every
 effective engine flag — flipping a ``REPRO_*`` variable between runs
-must *miss* rather than serve a stale artifact.
+must *miss* rather than serve a stale artifact; a run is charged only
+for what its own lookups built; and a program's static analysis is
+built once per frontend entry, however many runs read it.
 """
 
 import numpy as np
 import pytest
 
-from repro.interp.compile_store import CompileStore
-from repro.interp.plan_cache import PlanCache
+from repro.bench.workloads import RANKSORT_UC
+from repro.interp.compile_store import LRU, CompileStore
 from repro.interp.program import UCProgram
 
 SRC = (
@@ -102,7 +104,7 @@ class TestPlanCacheEviction:
     eviction can never resurrect a stale plan."""
 
     def test_lru_eviction_order_and_counters(self):
-        cache = PlanCache(capacity=2)
+        cache = LRU(capacity=2)
         n1, n2, n3 = object(), object(), object()
         cache.get_or_build("k", n1, (), lambda: "p1")
         cache.get_or_build("k", n2, (), lambda: "p2")
@@ -117,7 +119,7 @@ class TestPlanCacheEviction:
         assert cache.get_or_build("k", n3, (), lambda: "never") == "p3"
 
     def test_clear_keeps_counters(self):
-        cache = PlanCache(capacity=4)
+        cache = LRU(capacity=4)
         node = object()
         cache.get_or_build("k", node, (), lambda: "p")
         cache.get_or_build("k", node, (), lambda: "p")
@@ -129,7 +131,7 @@ class TestPlanCacheEviction:
     def test_node_identity_guard(self):
         """id() reuse cannot alias: the entry stores the node and
         re-checks it, so a different node object always misses."""
-        cache = PlanCache(capacity=4)
+        cache = LRU(capacity=4)
 
         class N:
             pass
@@ -144,4 +146,89 @@ class TestPlanCacheEviction:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+            LRU(capacity=0)
+
+
+class TestPerRunCompileAttribution:
+    def test_interleaved_runs_are_charged_only_their_own_builds(self):
+        """Two prepared runs of one program on a shared store: the second
+        to execute hits everything the first built meanwhile."""
+        prog = UCProgram(SRC, compile_store=CompileStore())
+        first, second = prog.prepare(_inp(0)), prog.prepare(_inp(1))
+        cold = first.run()
+        warm = second.run()
+        assert cold.compile["recompiles"] > 0
+        assert cold.compile["fuse_s"] + cold.compile["frontier_s"] > 0
+        assert warm.compile["recompiles"] == 0
+        assert warm.compile["fuse_s"] == warm.compile["frontier_s"] == 0.0
+        # the shared cache's own counters still see both runs
+        cache = prog.last_interpreter.plan_cache
+        assert cache.misses == cold.compile["recompiles"]
+        assert cache.hits > 0
+
+    @pytest.mark.usefixtures("default_engines")
+    def test_batch_lanes_report_the_batch_builds(self):
+        """Lockstep lanes are one run: each reports the batch's builds
+        (shards or the sanitizer would send the batch down the solo
+        loop, where each lane is charged its own)."""
+        prog = UCProgram(SRC, compile_store=CompileStore())
+        cold = prog.run_batch([_inp(0), _inp(1)])
+        warm = prog.run_batch([_inp(2), _inp(3)])
+        assert cold[0].compile["recompiles"] == cold[1].compile["recompiles"] > 0
+        assert [r.compile["recompiles"] for r in warm] == [0, 0]
+
+
+RANKSORT = (RANKSORT_UC, {"N": 32})
+
+
+def _ranks(seed):
+    return {"a": np.random.default_rng(seed).permutation(32)}
+
+
+class TestOneAnalysisPerProgram:
+    """``build_model`` runs once per frontend entry: the interpreter's
+    reduction verdicts, the sanitizer's claims and the shard-axis search
+    all read the entry's one analysis."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import repro.analysis.context as context
+
+        calls = []
+        real = context.build_model
+
+        def counting(info, layouts):
+            calls.append(info)
+            return real(info, layouts)
+
+        monkeypatch.setattr(context, "build_model", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"sanitize": True}, {"shards": 2}], ids=["plain", "sanitize", "shards"]
+    )
+    def test_three_runs_build_one_model(self, builds, kw):
+        src, defines = RANKSORT
+        prog = UCProgram(src, defines=defines, compile_store=CompileStore(), **kw)
+        for seed in range(3):
+            result = prog.run(_ranks(seed))
+            assert sorted(result["a"]) == list(range(32))
+        assert len(builds) == 1
+
+    def test_three_batches_build_one_model(self, builds):
+        src, defines = RANKSORT
+        prog = UCProgram(src, defines=defines, compile_store=CompileStore())
+        for rep in range(3):
+            prog.run_batch([_ranks(4 * rep + k) for k in range(4)])
+        assert len(builds) == 1
+
+    def test_programs_sharing_a_store_share_the_analysis(self, builds):
+        src, defines = RANKSORT
+        store = CompileStore()
+        for seed in range(2):
+            UCProgram(src, defines=defines, compile_store=store).run(_ranks(seed))
+        assert len(builds) == 1
+        # private programs own private entries: one analysis each
+        for seed in range(2):
+            UCProgram(src, defines=defines, compile_store=None).run(_ranks(seed))
+        assert len(builds) == 3

@@ -17,7 +17,7 @@ import pytest
 from repro.algorithms.shortest_path import random_distance_matrix
 from repro.bench import workloads as W
 from repro.bench.workloads import log2_ceil
-from repro.interp.plan_cache import PlanCache
+from repro.interp.compile_store import LRU
 from repro.interp.program import UCProgram
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "uc"
@@ -177,7 +177,7 @@ class TestPlanCache:
 
     def test_node_identity_guard(self):
         """A recycled id() can never resurrect a stale plan."""
-        cache = PlanCache(capacity=4)
+        cache = LRU(capacity=4)
         node_a = object()
         plan_a = cache.get_or_build("fuse", node_a, (), lambda: "plan-a")
         assert plan_a == "plan-a"
@@ -191,7 +191,7 @@ class TestPlanCache:
         assert rebuilt == "fresh"
 
     def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
+        cache = LRU(capacity=2)
         nodes = [object() for _ in range(3)]
         for k, node in enumerate(nodes):
             cache.get_or_build("fuse", node, (), lambda k=k: f"plan-{k}")

@@ -147,13 +147,13 @@ class TestAxisSearch:
     def test_apsp_n3_prefers_the_reduction_axis(self):
         defs = {"N": 16, "LOGN": 4}
         prog = UCProgram(W.APSP_N3_UC, defines=defs)
-        scored = score_axes(prog.info, prog.layouts, 4)
+        scored = score_axes(prog.frontend.verdicts(), prog.layouts, 4)
         assert scored[0][1] == 2  # partition by k: d[i][k] goes intra
         assert scored[0][0] * 4 == scored[1][0]  # and it is exactly 4x
 
     def test_block_policy_skips_the_search(self):
         prog = UCProgram(W.APSP_N3_UC, defines={"N": 16, "LOGN": 4})
-        pl = derive_placement(prog.info, prog.layouts, 4, policy="block")
+        pl = derive_placement(prog.frontend, 4, policy="block")
         assert pl.axis == 0 and pl.policy == "block"
 
 
