@@ -287,9 +287,13 @@ class _BatchConstruct:
             ):
                 return None  # oracle segments and others run solo only
             if any(
-                isinstance(s, fuse._Scatter) and not s.unique for s in fused.steps()
+                isinstance(s, fuse._DynGather)
+                or isinstance(s, fuse._Scatter) and not s.unique
+                for s in fused.steps()
             ):
-                return None  # its duplicate check would have to see every lane
+                # a duplicate check or a sweep-time tier decision has to
+                # see one lane: each lane runs the kernel solo
+                return None
             arr_names = {
                 name for kind, name, _e in fused.checks if kind == "array"
             }

@@ -181,9 +181,10 @@ class FrontendEntry:
     :class:`UCProgram` holding this entry reads the same one: the
     analysis model (:func:`repro.analysis.context.build_model`), the
     per-reference verdicts (sanitizer claims, the shard-axis search), the
-    UC5xx reduction verdicts (``Interpreter.reduction_verdict``) and the
-    chosen partition axis per ``(shards, policy)``.  Nothing is imported
-    from :mod:`repro.analysis` until a consumer asks.
+    UC5xx reduction verdicts (``Interpreter.reduction_verdict``), the
+    chosen partition axis per ``(shards, policy)`` and the oracle's CSE
+    key of each expression.  Nothing is imported from
+    :mod:`repro.analysis` until a consumer asks.
     """
 
     __slots__ = (
@@ -195,6 +196,8 @@ class FrontendEntry:
         "_claims",
         "claims_error",
         "_axes",
+        "cse_keys",
+        "cse_text_names",
     )
 
     def __init__(self, info: Any, layouts: Any, source_bytes: int = 0) -> None:
@@ -207,6 +210,12 @@ class FrontendEntry:
         #: why the analyzer produced no reduction verdicts ("" = it did)
         self.claims_error = ""
         self._axes: Dict[Tuple[int, str], int] = {}
+        #: the oracle's CSE key text per ``id(expr)`` of this entry's own
+        #: AST ("" = uncacheable), filled by ``eval_expr._cse_key``; the
+        #: entry holds the AST, so no id is recycled while it lives
+        self.cse_keys: Dict[int, str] = {}
+        #: names each key text reads, for targeted invalidation
+        self.cse_text_names: Dict[str, frozenset] = {}
 
     def model(self):
         if self._model is None:

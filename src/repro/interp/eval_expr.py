@@ -153,8 +153,10 @@ _CSE_MISS = object()
 
 
 def _cse_key(ip, expr: ast.Expr) -> Optional[str]:
-    """Structural key for a pure expression; None if uncacheable."""
-    key = ip.cse_keys.get(id(expr))
+    """Structural key for a pure expression; None if uncacheable.  Keys
+    are a fact about the program text, built once per frontend entry."""
+    frontend = ip.frontend
+    key = frontend.cse_keys.get(id(expr))
     if key is not None:
         return key or None
     pure = True
@@ -168,15 +170,15 @@ def _cse_key(ip, expr: ast.Expr) -> Optional[str]:
         elif isinstance(node, ast.Index):
             reads.add(node.base)
     if not pure:
-        ip.cse_keys[id(expr)] = ""
+        frontend.cse_keys[id(expr)] = ""
         return None
     from ..compiler.cstar_gen import expr_to_text
 
     text = expr_to_text(expr)
-    ip.cse_keys[id(expr)] = text
+    frontend.cse_keys[id(expr)] = text
     # the read-set lets cse_invalidate(name) drop only entries that can
     # observe a write to `name`
-    ip.cse_text_names[text] = frozenset(reads)
+    frontend.cse_text_names[text] = frozenset(reads)
     return text
 
 
@@ -549,21 +551,25 @@ def eval_gather(ip, node: ast.Index, ctx: ExecContext) -> Value:
         positions=ctx.grid.positions,
     )
     tier = charge_ref(ip, ctx, rc, write=False, node=node, layout=arr.layout)
+    return gather_values(data, subs, ctx.grid.shape, rc, tier)
 
-    if tier == "news" and ip.config.comm_tiers:
-        shifts = commtiers.shift_descriptor(rc, view_shape, ctx.grid.shape)
+
+def gather_values(data, subs, grid_shape, rc=None, tier=None) -> np.ndarray:
+    """The values of a parallel read of ``data`` at realised ``subs``:
+    the clipped gather, or — for a ``news``-tier reference whose
+    classification ``rc`` has a window recipe — the vectorised NEWS shift,
+    bit-identical to it but without grid-shaped index arrays."""
+    if tier == "news":
+        shifts = commtiers.shift_descriptor(rc, data.shape, grid_shape)
         if shifts is not None:
-            # vectorised NEWS shift: bit-identical to the clipped gather
-            # below, but without materialising grid-shaped index arrays
             return commtiers.run_shifts(data, shifts)
-
     idx_arrays = []
     for a, s in enumerate(subs):
         if isinstance(s, np.ndarray):
-            clipped = np.clip(s, 0, view_shape[a] - 1)
+            clipped = np.clip(s, 0, data.shape[a] - 1)
         else:
-            clipped = np.full(ctx.grid.shape, int(s), dtype=np.int64)
-        idx_arrays.append(np.broadcast_to(clipped, ctx.grid.shape))
+            clipped = np.full(grid_shape, int(s), dtype=np.int64)
+        idx_arrays.append(np.broadcast_to(clipped, grid_shape))
     return data[tuple(idx_arrays)]
 
 

@@ -19,15 +19,23 @@ statement sequence of a construct once, into
   :meth:`~repro.machine.cost.Clock.replay_rows` — the loop that replays
   the frontier engine's rows too.
 
-Because every charge a fused statement can issue is provably
-data-independent (that is what the fusability checks below establish),
-replaying the table is *bit-identical* to the oracle — the differential
-suites hold every fused run to the tree-walker's exact fingerprint.
-Statements the pass cannot prove static (host calls, dynamic subscripts,
-data-dependent short-circuits, send-reduce candidates...) become
-**unfused segments**: the fused sweep runs just that statement on the
-oracle (``exec_stmt``), keeping the rest of the body on the fast path.
-A construct the pass declines altogether runs on the oracle.
+Every charge a fused statement issues is either provably
+data-independent (that is what the fusability checks below establish)
+or belongs to a gather whose subscripts are only known at sweep time:
+that gather classifies its realised subscripts each sweep, exactly as
+the oracle does, into a :class:`~repro.machine.cost.Recorder` whose
+bound rows are spliced into the statement's table at the position the
+compile recorded.  Replaying the table is therefore *bit-identical* to
+the oracle — same rows, same order — and the differential suites hold
+every fused run to the tree-walker's exact fingerprint.  A call to a
+user function whose body is one ``return <expr>;`` over scalar
+parameters is inlined (``functions._call_parallel``'s semantics).
+Statements the pass cannot prove static (builtin and other calls,
+dynamic scatter subscripts, data-dependent short-circuits, send-reduce
+candidates...) become **unfused segments**: the fused sweep runs just
+that statement on the oracle (``exec_stmt``), keeping the rest of the
+body on the fast path.  A construct the pass declines altogether runs
+on the oracle.
 
 Compile cost is independent of grid size: address resolution works on
 the compact per-axis form of each static subscript (``plan._compact``).
@@ -57,10 +65,12 @@ Correctness subtleties worth naming:
   different arm bails the whole construct (at run time the killer arm
   may be skipped, leaving the entry live).  Texts reachable from both
   fused and unfused parts of one body bail the construct too — the two
-  cache worlds must never overlap.  A scheduled ``solve`` level runs its
-  body with no cache armed, so its kernel is built without the
-  simulation (``fused_for(..., cse=False)``).
-* **Error paths.**  Charges replay before the statement's value steps
+  cache worlds must never overlap.  An inlined callee body runs uncached
+  and clears the cache on exit (``cse_suspend``), so it is compiled
+  without the simulation and followed by :meth:`_Fuser.sim_clear`.  A
+  scheduled ``solve`` level runs its body with no cache armed, so its
+  kernel is built without the simulation (``fused_for(..., cse=False)``).
+* **Error paths.**  Charges replay after the statement's value steps
   run, so a statement that *raises* (bounds, UC101, division by zero)
   leaves slightly different partial charges than the oracle.
   Those errors abort the run — the fingerprint of a completed run is
@@ -121,6 +131,7 @@ from .values import (
     coerce_scalar,
     lanewise,
     lift,
+    numpy_ctype,
 )
 
 __all__ = ["fused_for", "FusedConstruct"]
@@ -130,6 +141,9 @@ _UNFUSABLE = object()
 
 #: marker for register values not known at compile time
 _DYN = object()
+
+#: register holding the sweep's ``charge`` flag (set by ``begin_sweep``)
+_CHARGE = 0
 
 
 class _Bail(Exception):
@@ -383,6 +397,70 @@ def _lane_recipe(r: _IndexRecipe, n: int) -> _IndexRecipe:
         up(r.expand),
         (n,) + tuple(r.shape),
     )
+
+
+class _DynGather:
+    """An array read whose subscripts are only known at sweep time — the
+    oracle's :func:`~repro.interp.eval_expr.eval_gather` run per sweep:
+    the bounds check under the mask, then (on a charged sweep) classify,
+    decide the tier and charge it into a Recorder whose bound rows go to
+    register ``rows`` for the unit to splice in, then the values by NEWS
+    shift or clipped gather.  Never lane-stacked (the batch screen sends
+    such kernels to per-lane execution)."""
+
+    __slots__ = ("dst", "node", "arr", "subs", "mask", "grid", "scope", "rows")
+
+    def __init__(self, dst, node, arr, subs, mask, grid, scope, rows) -> None:
+        self.dst = dst
+        self.node = node
+        self.arr = arr
+        self.subs = subs
+        self.mask = mask
+        self.grid = grid
+        self.scope = scope
+        self.rows = rows
+
+    def run(self, ip, regs) -> None:
+        data = self.arr.data
+        grid = self.grid
+        subs = [regs[r] for r in self.subs]
+        E._bounds_check(self.node, subs, data.shape, regs[self.mask])
+        rc = tier = None
+        if regs[_CHARGE]:
+            rc = classify_reference(
+                subs, grid.shape, grid.axis_elems, self.arr.layout,
+                positions=grid.positions,
+            )  # fmt: skip
+            costs = ip.machine.clock.costs
+            tier = commtiers.decide_tier(
+                rc, costs, write=False, enabled=ip.config.comm_tiers
+            )
+            rec = Recorder()
+            commtiers.charge_tier_at(
+                rec, tier, rc, write=False, vp_ratio=self.scope,
+                grid_shape=tuple(grid.shape), layout=self.arr.layout,
+            )  # fmt: skip
+            regs[self.rows] = bind_rows(rec.entries, costs)
+        regs[self.dst] = E.gather_values(data, subs, grid.shape, rc, tier)
+
+
+class _Param:
+    """Bind one scalar parameter of an inlined call: the argument cast to
+    the parameter's dtype and copied over the grid, as
+    ``functions._call_parallel`` binds it."""
+
+    __slots__ = ("dst", "src", "dtype", "mask")
+
+    def __init__(self, dst: int, src: int, dtype, mask: int) -> None:
+        self.dst = dst
+        self.src = src
+        self.dtype = dtype
+        self.mask = mask
+
+    def run(self, ip, regs) -> None:
+        m = regs[self.mask]
+        value = np.asarray(lift(regs[self.src], m.ndim), dtype=self.dtype)
+        regs[self.dst] = np.broadcast_to(value, m.shape).copy()
 
 
 class _Scatter:
@@ -907,6 +985,20 @@ def _pure_reads(node: ast.Expr) -> Optional[frozenset]:
     return frozenset(reads)
 
 
+def _inline_return(func: ast.FuncDef) -> Optional[ast.Expr]:
+    """The returned expression of a callee fusion inlines — scalar
+    parameters only, a body that is one ``return <expr>;`` once blocks are
+    unwrapped — else None."""
+    if any(p.dims for p in func.params):
+        return None
+    stmts = [func.body]
+    while len(stmts) == 1 and isinstance(stmts[0], ast.Block):
+        stmts = stmts[0].stmts
+    if len(stmts) == 1 and isinstance(stmts[0], ast.Return):
+        return stmts[0].value
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the compiler
 # ---------------------------------------------------------------------------
@@ -922,12 +1014,18 @@ class _Fuser:
         #: then one per reduction grid
         self.ratios: List[int] = []
         self.top = self._gctx(inner.grid)
-        # registers
-        self.n_regs = 0
+        # registers (register _CHARGE is the sweep's charge flag)
+        self.n_regs = _CHARGE + 1
         self.consts: List[Tuple[int, Any]] = []
         # per-statement buffers
         self.steps: List[Any] = []
         self.rec = Recorder()
+        #: (row position, rows register) of each sweep-time-tier gather
+        self.splices: List[Tuple[int, int]] = []
+        #: callee being inlined, innermost last: (FuncDef, param -> _Val)
+        self.frames: List[Tuple[ast.FuncDef, Dict[str, _Val]]] = []
+        #: inlined calls so far (each clears the oracle's real CSE cache)
+        self.calls = 0
         # runtime binding checks: (kind, name, expected)
         self.checks: List[Tuple] = []
         self._check_map: Dict[str, Tuple] = {}
@@ -1049,7 +1147,9 @@ class _Fuser:
                 v = self.compile_expr(block.pred, self.top, base_reg, (), False)
             except _Demote:
                 raise _Bail()
-            pred_progs.append((self._rows(), tuple(self.steps), v.reg))
+            pred_progs.append(
+                (self._rows(), tuple(self.steps), v.reg, tuple(self.splices))
+            )
 
         fused_count = 0
         unfused_count = 0
@@ -1076,9 +1176,13 @@ class _Fuser:
             # nothing actually fused: the segmented runner would only add
             # overhead over the oracle
             raise _Bail()
-        if self.cse_on and (self.fused_texts & self.unfused_texts):
+        if self.cse_on and (
+            self.fused_texts & self.unfused_texts or self.calls and unfused_count
+        ):
             # one cache world per construct: a text both fused (simulated
-            # cache) and unfused (real cache) could hit across the seam
+            # cache) and unfused (real cache) could hit across the seam,
+            # and an inlined call never clears the real cache the unfused
+            # segments read
             raise _Bail()
 
         return FusedConstruct(
@@ -1102,6 +1206,7 @@ class _Fuser:
     def _begin_unit(self) -> None:
         self.steps = []
         self.rec = Recorder()
+        self.splices = []
 
     def _flatten(self, body: ast.Stmt) -> List[ast.Stmt]:
         # one-level deep: with declarations globally bailed, a Block's
@@ -1119,8 +1224,8 @@ class _Fuser:
     def _compile_body(
         self, body: ast.Stmt, mask_reg: int, token: Tuple, inv_ctx
     ) -> Tuple[List[Tuple], int, int]:
-        """Compile one arm body into ('f', rows, steps) / ('u', stmt)
-        segments; returns (segments, n_fused, n_unfused)."""
+        """Compile one arm body into ('f', rows, steps, splices) /
+        ('u', stmt) segments; returns (segments, n_fused, n_unfused)."""
         segs: List[Tuple] = []
         n_fused = 0
         n_unfused = 0
@@ -1134,10 +1239,13 @@ class _Fuser:
                 tomb_snap = dict(self.tombs)
                 nregs_snap = self.n_regs
                 consts_snap = len(self.consts)
+                calls_snap = self.calls
                 self._begin_unit()
                 try:
                     self.compile_expr(s.expr, self.top, mask_reg, token, False)
-                    segs.append(("f", self._rows(), tuple(self.steps)))
+                    segs.append(
+                        ("f", self._rows(), tuple(self.steps), tuple(self.splices))
+                    )
                     n_fused += 1
                     continue
                 except _Demote:
@@ -1145,6 +1253,7 @@ class _Fuser:
                     self.tombs = tomb_snap
                     self.n_regs = nregs_snap
                     del self.consts[consts_snap:]
+                    self.calls = calls_snap
             self._note_unfused(s)
             segs.append(("u", s))
             n_unfused += 1
@@ -1242,7 +1351,9 @@ class _Fuser:
                 value=one,
             )
             return self._compile_assign(synth, g, mask_reg, token)
-        # Call (host side effects, RNG), StringLit, anything exotic
+        if isinstance(node, ast.Call):
+            return self._compile_call(node, g, mask_reg, token, view_ok)
+        # StringLit, anything exotic
         raise _Demote()
 
     def _alu(self, g: _GCtx, count: int = 1) -> None:
@@ -1252,11 +1363,20 @@ class _Fuser:
         if name in g.env_extra:
             return ElementBinding(name, "", "axis", axis=g.env_extra[name])
         b = self.env.try_lookup(name)
-        if b is None:
+        if b is None or (
+            self.frames and b is not self.ip.global_env.try_lookup(name)
+        ):
+            # an inlined body sees globals only (the oracle's frame is
+            # ``Env(global_env)``); a global the construct shadows would be
+            # validated against the construct's binding
             raise _Demote()
         return b
 
     def _compile_name(self, node: ast.Name, g: _GCtx) -> _Val:
+        if self.frames:
+            param = self.frames[-1][1].get(node.ident)
+            if param is not None:
+                return param
         b = self._lookup(node.ident, g)
         if isinstance(b, ElementBinding):
             if b.kind != "axis":
@@ -1387,6 +1507,46 @@ class _Fuser:
         self.steps.append(_Where(r, cb.reg, then_v.reg, else_v.reg, mask_reg))
         return _Val(r, True, _DYN)
 
+    def _compile_call(self, node, g, mask_reg, token, view_ok) -> _Val:
+        """Inline a pure user function the way ``functions._call_parallel``
+        runs it: arguments in the caller's context, each cast to its
+        parameter's dtype over the grid, then the returned expression with
+        names resolved to the parameters, then to globals — uncached, and
+        the cache cleared after (``cse_suspend``).  Builtins (ROADMAP 1a:
+        the dense/lane crossover), ``rand`` and every other callee
+        demote."""
+        func = self.ip.info.functions.get(node.func)
+        ret = _inline_return(func) if func is not None else None
+        if ret is None or any(f is func for f, _p in self.frames):
+            raise _Demote()
+        params: Dict[str, _Val] = {}
+        for p, arg in zip(func.params, node.args):
+            v = self.compile_expr(arg, g, mask_reg, token, view_ok)
+            dtype = numpy_ctype(p.ctype)
+            if v.static is not _DYN:
+                try:
+                    cast = np.asarray(v.static, dtype=dtype)
+                except (OverflowError, TypeError, ValueError):
+                    raise _Demote()
+                params[p.name] = self.static_val(np.broadcast_to(cast, g.shape).copy())
+                continue
+            r = self.reg()
+            self.steps.append(_Param(r, v.reg, dtype, mask_reg))
+            params[p.name] = _Val(r, True, _DYN)
+        cse_on = self.cse_on
+        self.frames.append((func, params))
+        self.cse_on = False
+        try:
+            val = self.compile_expr(
+                ret, _GCtx(g.grid, g.scope), mask_reg, token, view_ok
+            )
+        finally:
+            self.frames.pop()
+            self.cse_on = cse_on
+        self.calls += 1
+        self.sim_clear()
+        return val
+
     # -- array references --------------------------------------------------
 
     def _resolve_array(self, node: ast.Index, g: _GCtx) -> ArrayVar:
@@ -1401,7 +1561,7 @@ class _Fuser:
         for s in node.subs:
             sv = self.compile_expr(s, g, mask_reg, token, view_ok)
             if sv.static is _DYN:
-                raise _Demote()  # dynamic subscript: tier could change
+                raise _Demote()  # dynamic scatter subscript: tier could change
             subs.append(sv.static)
         return subs
 
@@ -1423,7 +1583,19 @@ class _Fuser:
         view_shape = arr.data.shape
         if len(node.subs) != len(view_shape):
             raise _Demote()  # the engine raises; keep the message path
-        subs = self._static_subs(node, g, mask_reg, token, view_ok)
+        vals = [self.compile_expr(s, g, mask_reg, token, view_ok) for s in node.subs]
+        if any(v.static is _DYN for v in vals):
+            # the tier is decided at sweep time; its rows splice in here
+            r, rows = self.reg(), self.reg()
+            self.splices.append((len(self.rec.entries), rows))
+            self.steps.append(
+                _DynGather(
+                    r, node, arr, tuple(v.reg for v in vals), mask_reg, g.grid,
+                    g.scope, rows,
+                )
+            )  # fmt: skip
+            return _Val(r, True, _DYN)
+        subs = [v.static for v in vals]
         if any(
             not isinstance(s, np.ndarray) and not 0 <= int(s) < view_shape[a]
             for a, s in enumerate(subs)
@@ -1607,8 +1779,9 @@ class _Fuser:
         return sets
 
     def _compile_reduction(self, node: ast.Reduction, g, mask_reg, token) -> _Val:
-        if node.op == "arbitrary" or node.op not in E._RED_UFUNC:
-            raise _Demote()  # RNG / host-side combine
+        if node.op == "arbitrary" or node.op not in E._RED_UFUNC or self.frames:
+            # RNG / host-side combine / sets an inlined body resolves globally
+            raise _Demote()
         sets = self._resolve_sets(node, g)
         if send_reduce_split(self.ip, node, g.grid, sets) is not None and shrinks(
             self.ip, g.grid, sets
@@ -1707,7 +1880,9 @@ class FusedConstruct:
     Each table is bound once, at compile time, into
     :meth:`~repro.machine.cost.Clock.replay_rows` rows whose scope is an
     index into :attr:`ratios`: 0 for a charge on the construct's grid, one
-    more per reduction grid."""
+    more per reduction grid.  A predicate or statement unit is ``(rows,
+    steps, ..., splices)``: each splice ``(position, register)`` names
+    where a :class:`_DynGather`'s per-sweep rows enter the table."""
 
     __slots__ = (
         "shape",
@@ -1846,7 +2021,7 @@ class FusedConstruct:
         for s in self.steps():
             if isinstance(s, (_ReadScalar, _AssignScalar)):
                 attr = "var"
-            elif isinstance(s, (_Gather, _Scatter)):
+            elif isinstance(s, (_Gather, _DynGather, _Scatter)):
                 attr = "arr"
             else:
                 continue
@@ -1893,18 +2068,15 @@ class FusedConstruct:
         for r, v in self.consts:
             regs[r] = v
         regs[self.base_reg] = base
-        clock = ip.machine.clock
+        regs[_CHARGE] = charge
         masks: List[np.ndarray] = []
         union: Optional[np.ndarray] = None
         for prog in self.pred_progs:
             if prog is None:
                 masks.append(base)
                 continue
-            rows, steps, out = prog
-            if charge:
-                clock.replay_rows(rows, self.ratios)
-                clock.count_fusion("charge_table_hits")
-            _run(ip, regs, steps)
+            rows, steps, out, splices = prog
+            self._run_unit(ip, regs, rows, steps, splices)
             pb = _bool_view(regs[out], base.shape)
             masks.append(base & pb)
             union = pb if union is None else (union | pb)
@@ -1913,6 +2085,7 @@ class FusedConstruct:
     def run_body(self, ip, inner, sweep: _Sweep, *, charge: bool = True) -> bool:
         """Run the arm bodies and others clause; returns whether any ran."""
         regs = sweep.regs
+        regs[_CHARGE] = charge
         ran = False
         for k, segs in enumerate(self.arm_segments):
             mask = sweep.masks[k]
@@ -1920,7 +2093,7 @@ class FusedConstruct:
                 continue
             ran = True
             regs[self.arm_mask_regs[k]] = mask
-            self._run_segments(ip, inner, regs, segs, mask, charge)
+            self._run_segments(ip, inner, regs, segs, mask)
         if self.others_segments is not None:
             base = sweep.base
             om = base & (
@@ -1931,27 +2104,39 @@ class FusedConstruct:
             if np.any(om):
                 ran = True
                 regs[self.others_mask_reg] = om
-                self._run_segments(ip, inner, regs, self.others_segments, om, charge)
+                self._run_segments(ip, inner, regs, self.others_segments, om)
         if charge:
             ip.machine.clock.count_fusion("fused_sweeps")
         return ran
 
-    def _run_segments(self, ip, inner, regs, segs, mask, charge: bool) -> None:
-        """One arm's segments under ``mask``: fused ones replay their
-        charge table (unless the caller already charged) and run their
-        steps, unfused ones run their statement on the oracle."""
-        clock = ip.machine.clock
+    def _run_segments(self, ip, inner, regs, segs, mask) -> None:
+        """One arm's segments under ``mask``: fused ones run as units,
+        unfused ones run their statement on the oracle."""
         sub = None
         for seg in segs:
             if seg[0] == "f":
-                if charge:
-                    clock.replay_rows(seg[1], self.ratios)
-                    clock.count_fusion("charge_table_hits")
-                _run(ip, regs, seg[2])
+                self._run_unit(ip, regs, *seg[1:])
             else:
                 if sub is None:
                     sub = inner.with_mask(mask)
                 exec_stmt(ip, seg[1], sub)
+
+    def _run_unit(self, ip, regs, rows, steps, splices) -> None:
+        """Run one predicate or statement's steps, then (unless the sweep
+        is compute-only, ``regs[_CHARGE]`` false) replay its charge table
+        with each sweep-time gather's rows spliced in at the position it
+        was recorded at — the oracle's charge order, row for row."""
+        _run(ip, regs, steps)
+        if not regs[_CHARGE]:
+            return
+        clock = ip.machine.clock
+        at = 0
+        for pos, reg in splices:
+            clock.replay_rows(rows[at:pos], self.ratios)
+            clock.replay_rows(regs[reg], self.ratios)
+            at = pos
+        clock.replay_rows(rows[at:] if at else rows, self.ratios)
+        clock.count_fusion("charge_table_hits")
 
 
 # ---------------------------------------------------------------------------

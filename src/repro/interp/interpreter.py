@@ -8,7 +8,7 @@ built per run so benchmark sweeps are independent.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -52,11 +52,9 @@ class Interpreter:
         self.config = config if config is not None else EngineConfig().resolved()
         # §4's common sub-expression detection: while a cache is armed
         # (one par-statement execution), pure parallel subexpressions are
-        # evaluated and charged once
+        # evaluated and charged once (the key texts are a per-program
+        # fact: ``frontend.cse_keys``)
         self.cse_cache: Optional[dict] = None
-        self.cse_keys: Dict[int, str] = {}
-        # names read by each CSE key text, for targeted invalidation
-        self.cse_text_names: Dict[str, FrozenSet[str]] = {}
         # the plan cache may be injected — a shared, content-addressed
         # entry of the compile store (see UCProgram.run) whose keys pin
         # the machine config and the config's compile key, so cross-run
@@ -205,7 +203,7 @@ class Interpreter:
         if name is None:
             cache.clear()
             return
-        names_of = self.cse_text_names
+        names_of = self.frontend.cse_text_names
         dead = []
         for key in cache:
             reads = names_of.get(key[0])

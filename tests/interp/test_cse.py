@@ -210,3 +210,30 @@ class TestTargetedInvalidation:
         assert np.array_equal(keep["d"], clobber["d"])
         # the clobbering variant must recompute the multiply
         assert keep.counts["alu"] < clobber.counts["alu"]
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestPerProgramKeys:
+    """The oracle's CSE key texts are a fact about the program text: they
+    live on its frontend entry, so warm runs never re-derive them."""
+
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_warm_runs_build_no_key_text(self, monkeypatch, plans):
+        from repro.algorithms.grid_path import BIG
+        from repro.bench.workloads import OBSTACLE_UC
+        from repro.compiler import cstar_gen
+
+        kw = dict(defines={"R": 16, "WALL": BIG}, plans=plans)
+        prog = UCProgram(OBSTACLE_UC, **kw)
+        first = prog.run()
+        calls = []
+        real = cstar_gen.expr_to_text
+        monkeypatch.setattr(
+            cstar_gen, "expr_to_text", lambda *a: calls.append(a) or real(*a)
+        )
+        for _ in range(3):
+            assert prog.run().fingerprint == first.fingerprint
+        assert calls == []
+        # a program with a frontend entry of its own derives them afresh
+        cold = UCProgram(OBSTACLE_UC, compile_store=None, **kw).run()
+        assert calls and cold.fingerprint == first.fingerprint

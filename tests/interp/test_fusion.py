@@ -61,15 +61,15 @@ main {
 }
 """
 
-#: a user function call splits the body into fused / unfused / fused
-#: segments (calls run as oracle segments, never as kernels);
-#: the call statement shares no cacheable text with the fused ones, so
-#: the one-cache-world overlap check lets the construct segment instead
-#: of bailing
+#: a call the inliner refuses (its callee declares a local) splits the
+#: body into fused / unfused / fused segments (the call runs as an oracle
+#: segment); the call statement shares no cacheable text with the fused
+#: ones, so the one-cache-world overlap check lets the construct segment
+#: instead of bailing
 SPLIT_SEGMENTS = """
 index_set I:i = {0..7};
 int a[8], b[8], c[8];
-int inc(int x) { return x + 1; }
+int inc(int x) { int y; y = x + 1; return y; }
 main {
     par (I) {
         a[i] = i * 2;
@@ -161,7 +161,7 @@ class TestCounters:
         # bail rather than risk a cross-seam CSE divergence
         src = (
             "index_set I:i = {0..7};\nint a[8], b[8];\n"
-            "int inc(int x) { return x + 1; }\n"
+            "int inc(int x) { int y; y = x + 1; return y; }\n"
             "main { par (I) { a[i] = i * 2; b[i] = inc(a[i]); "
             "a[i] = a[i] + b[i]; } }"
         )
