@@ -28,8 +28,8 @@ bound rows are spliced into the statement's table at the position the
 compile recorded.  Replaying the table is therefore *bit-identical* to
 the oracle — same rows, same order — and the differential suites hold
 every fused run to the tree-walker's exact fingerprint.  A call to a
-user function whose body is one ``return <expr>;`` over scalar
-parameters is inlined (``functions._call_parallel``'s semantics).
+user function whose body is one assignment-free ``return <expr>;`` over
+scalar parameters is inlined (``functions._call_parallel``'s semantics).
 Statements the pass cannot prove static (builtin and other calls,
 dynamic scatter subscripts, data-dependent short-circuits, send-reduce
 candidates...) become **unfused segments**: the fused sweep runs just
@@ -399,6 +399,21 @@ def _lane_recipe(r: _IndexRecipe, n: int) -> _IndexRecipe:
     )
 
 
+def _charge_read(rec, costs, enabled, subs, grid, layout, scope):
+    """Classify one array read, decide its tier and charge it into
+    ``rec`` — at build time for static subscripts, per sweep for dynamic
+    ones.  Returns ``(rc, tier)``."""
+    rc = classify_reference(
+        subs, grid.shape, grid.axis_elems, layout, positions=grid.positions
+    )
+    tier = commtiers.decide_tier(rc, costs, write=False, enabled=enabled)
+    commtiers.charge_tier_at(
+        rec, tier, rc, write=False, vp_ratio=scope,
+        grid_shape=tuple(grid.shape), layout=layout,
+    )  # fmt: skip
+    return rc, tier
+
+
 class _DynGather:
     """An array read whose subscripts are only known at sweep time — the
     oracle's :func:`~repro.interp.eval_expr.eval_gather` run per sweep:
@@ -427,18 +442,11 @@ class _DynGather:
         E._bounds_check(self.node, subs, data.shape, regs[self.mask])
         rc = tier = None
         if regs[_CHARGE]:
-            rc = classify_reference(
-                subs, grid.shape, grid.axis_elems, self.arr.layout,
-                positions=grid.positions,
-            )  # fmt: skip
             costs = ip.machine.clock.costs
-            tier = commtiers.decide_tier(
-                rc, costs, write=False, enabled=ip.config.comm_tiers
-            )
             rec = Recorder()
-            commtiers.charge_tier_at(
-                rec, tier, rc, write=False, vp_ratio=self.scope,
-                grid_shape=tuple(grid.shape), layout=self.arr.layout,
+            rc, tier = _charge_read(
+                rec, costs, ip.config.comm_tiers, subs, grid, self.arr.layout,
+                self.scope,
             )  # fmt: skip
             regs[self.rows] = bind_rows(rec.entries, costs)
         regs[self.dst] = E.gather_values(data, subs, grid.shape, rc, tier)
@@ -988,15 +996,21 @@ def _pure_reads(node: ast.Expr) -> Optional[frozenset]:
 def _inline_return(func: ast.FuncDef) -> Optional[ast.Expr]:
     """The returned expression of a callee fusion inlines — scalar
     parameters only, a body that is one ``return <expr>;`` once blocks are
-    unwrapped — else None."""
+    unwrapped, and no assignment in it (the oracle writes a parameter to
+    its frame, which an inlined body has no home for) — else None."""
     if any(p.dims for p in func.params):
         return None
     stmts = [func.body]
     while len(stmts) == 1 and isinstance(stmts[0], ast.Block):
         stmts = stmts[0].stmts
-    if len(stmts) == 1 and isinstance(stmts[0], ast.Return):
-        return stmts[0].value
-    return None
+    if len(stmts) != 1 or not isinstance(stmts[0], ast.Return):
+        return None
+    ret = stmts[0].value
+    if ret is None or any(
+        isinstance(n, (ast.Assign, ast.IncDec)) for n in ast.walk(ret)
+    ):
+        return None
+    return ret
 
 
 # ---------------------------------------------------------------------------
@@ -1602,20 +1616,10 @@ class _Fuser:
         ):
             raise _Demote()  # always-raising bounds error
         oob = _oob_masks(subs, view_shape, g.shape)
-        rc = classify_reference(
-            subs,
-            g.shape,
-            g.grid.axis_elems,
-            arr.layout,
-            positions=g.grid.positions,
-        )
-        tier = commtiers.decide_tier(
-            rc, self.costs, write=False, enabled=self.ip.config.comm_tiers
-        )
-        commtiers.charge_tier_at(
-            self.rec, tier, rc, write=False, vp_ratio=g.scope,
-            grid_shape=tuple(g.shape), layout=arr.layout,
-        )
+        rc, tier = _charge_read(
+            self.rec, self.costs, self.ip.config.comm_tiers, subs, g.grid,
+            arr.layout, g.scope,
+        )  # fmt: skip
         shift = None
         recipe = None
         idx = None

@@ -3,8 +3,8 @@
 Two lowering rules take the paper's Figure 2 prefix ``*par`` off the
 oracle:
 
-* a call to a user function whose body is one ``return <expr>;`` over
-  scalar parameters is inlined, with ``functions._call_parallel``'s
+* a call to a user function whose body is one assignment-free
+  ``return <expr>;`` over scalar parameters is inlined, with ``functions._call_parallel``'s
   semantics (arguments cast to the parameter type, names resolved to the
   parameters and then to globals, the CSE cache cleared after the call);
 * a gather whose subscripts are only known at sweep time classifies them
@@ -159,6 +159,18 @@ class TestInlining:
         )
         assert r["a"].tolist() == [(k + 2) * 2 for k in range(8)]
 
+    @pytest.mark.parametrize("ret", ["x += 1", "x++", "x = x * 2"])
+    @pytest.mark.parametrize("arg", ["i", "3"])
+    def test_callee_that_writes_its_parameter_demotes(self, ret, arg):
+        # the oracle writes the parameter in the call's frame; the global
+        # of the same name stays 0
+        fused, _ = _both(
+            self.HEAD + f"int x;\nint f(int x) {{ return {ret}; }}\n"
+            f"main {{ par (I) a[i] = f({arg}); }}"
+        )
+        assert fused["x"] == 0
+        assert fused.fusion == {"unfusable": 1}
+
     def test_callee_with_if_still_demotes(self):
         # the arm never runs, so the refused call costs nothing; the
         # others arm still fuses
@@ -273,6 +285,25 @@ class TestLanes:
             assert np.array_equal(b["a"], s["a"])
             assert b.fingerprint == s.fingerprint
             assert b.fusion == s.fusion and b.fusion["fused_sweeps"] == 6
+
+    def test_stacked_call_with_a_per_lane_argument(self):
+        # no dynamic gather: the kernel runs lane-stacked, and each lane
+        # binds its own t to the inlined parameter
+        src = (
+            "index_set I:i = {0..7};\nint a[8];\nint t;\n"
+            "int inc(int x) { return x + 1; }\n"
+            "main { *par (I) st (a[i] < inc(t)) a[i] = inc(a[i]) + 0 * i; }"
+        )
+        inputs = [{"a": np.arange(8) - 2, "t": t} for t in (3, 5, 4)]
+        solo = [_both(src, inp)[0] for inp in inputs]
+        batch = UCProgram(src, compile_store=None).run_batch(
+            [dict(inp) for inp in inputs]
+        )
+        for t, s, b in zip((3, 5, 4), solo, batch):
+            assert b.compile["batched_lanes"] == len(inputs)
+            assert np.array_equal(b["a"], s["a"])
+            assert b.fingerprint == s.fingerprint
+            assert b["a"].tolist() == [max(k - 2, t + 1) for k in range(8)]
 
     def test_coalesced_service_jobs_match_solo(self):
         solo = run_uc(PREFIX_STARPAR_UC, defines={"N": 64})
