@@ -259,9 +259,7 @@ class _BatchConstruct:
         try:
             if stmt.kind == "par":
                 _check_starred(stmt)  # *solve terminates by fixed point
-            ctx0 = self.ctxs[self.live[0]]
-            if ctx0.mask is not None:
-                return None
+            ctx0 = self.ctxs[self.live[0]]  # main's: no mask
             # replicate enter_grid minus its context charge: screening
             # must not touch any lane's clock
             sets = [
@@ -294,15 +292,14 @@ class _BatchConstruct:
                 # a duplicate check or a sweep-time tier decision has to
                 # see one lane: each lane runs the kernel solo
                 return None
+            # every target is checked (``fuse._compile_assign``): a kernel
+            # with no unfused segment stacks everything the construct writes
             arr_names = {
                 name for kind, name, _e in fused.checks if kind == "array"
             }
             sc_names = {
                 name for kind, name, _e in fused.checks if kind == "scalar"
             }
-            for name in _modified_names(stmt):
-                if name not in arr_names and name not in sc_names:
-                    return None
             stacked = sum(
                 e.data.nbytes
                 for kind, _n, e in fused.checks
@@ -338,42 +335,26 @@ class _BatchConstruct:
                 raise _BatchAbort()
             self.inners.append(inner)
             self.sessions.append(frontier.star_session(ip, stmt, inner, stmt.kind))
-        on = [s is not None for s in self.sessions]
-        if any(on) and not all(on):
-            raise _BatchAbort()
-        self.sessions_on = all(on)
+        # the lanes run one program on equal shapes: one session verdict
+        self.sessions_on = self.sessions[0] is not None
         self.modified = _modified_names(stmt)
         self.mod_arrays = [n for n in self.modified if n in self.arr_names]
         self.mod_scalars = [n for n in self.modified if n in self.sc_names]
-        if self.sessions_on:
-            for sess in self.sessions:
-                if any(n not in self.arr_names for n in sess.an.modified):
-                    raise _BatchAbort()
         self.vp_ratio = self.interps[0].grid_vpset(
             self.inners[0].grid.shape
         ).vp_ratio
         # lane-stack every array the kernel touches; per-lane scalar vars
+        # (``fused_for`` validated each lane's bindings against the checks)
         self.array_vars: Dict[str, List[ArrayVar]] = {}
         self.stacks: Dict[str, np.ndarray] = {}
         self.scalar_vars: Dict[str, List[ScalarVar]] = {}
         for kind, name, _e in fused.checks:
             if kind == "array":
-                vs = []
-                for inner in self.inners:
-                    b = inner.env.try_lookup(name)
-                    if not isinstance(b, ArrayVar):
-                        raise _BatchAbort()
-                    vs.append(b)
+                vs = [inner.env.try_lookup(name) for inner in self.inners]
                 self.array_vars[name] = vs
                 self.stacks[name] = lane_stack([v.field for v in vs])
             elif kind == "scalar":
-                vs = []
-                for inner in self.inners:
-                    b = inner.env.try_lookup(name)
-                    if not isinstance(b, ScalarVar):
-                        raise _BatchAbort()
-                    vs.append(b)
-                self.scalar_vars[name] = vs
+                self.scalar_vars[name] = [inner.env.try_lookup(name) for inner in self.inners]
 
     def _writeback(self, row: int) -> None:
         """Flush one lane's stacked rows into its real fields."""
@@ -516,9 +497,7 @@ class _BatchConstruct:
             tuple(last.changed[name].tobytes() for name in modified),
             tuple(last.dirs[name] for name in modified),
         ]
-        if self.stmt.kind == "par":
-            if sess.par_masks is None:
-                return None
+        if self.stmt.kind == "par":  # noted with ``last`` (``_drive_par``)
             key.append(tuple(m.tobytes() for m in sess.par_masks))
         return tuple(key)
 

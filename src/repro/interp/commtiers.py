@@ -159,8 +159,7 @@ def shift_descriptor(
     possibly empty, meaning a plain copy (a reference whose NEWS
     distance comes entirely from layout offsets).
     """
-    if rc.axes is None:
-        return None
+    # a news verdict always carries its axes (mapping.locality._from_verdicts)
     if len(rc.axes) != len(grid_shape) or len(view_shape) != len(grid_shape):
         return None
     windows = []

@@ -321,11 +321,6 @@ class CompileStore:
             "program",
         )
 
-    def clear(self) -> None:
-        """Drop all entries (counters survive)."""
-        for level in (self.frontends, self.backends, self.programs):
-            level.clear()
-
     def stats(self) -> dict:
         """Hit/miss/size counters per level plus an approximate size.
 

@@ -71,9 +71,7 @@ class ExecContext:
         return ExecContext(self.grid, self.mask, env)
 
     def refine(self, cond: np.ndarray) -> "ExecContext":
-        cond = np.asarray(cond, dtype=bool)
-        if cond.shape != self.grid.shape:
-            cond = np.broadcast_to(cond, self.grid.shape)
+        cond = np.asarray(cond, dtype=bool)  # every caller broadcasts it to the grid
         if self.mask is None:
             return self.with_mask(cond)
         return self.with_mask(self.mask & cond)
@@ -212,8 +210,6 @@ def _eval_uncached(ip, expr: ast.Expr, ctx: ExecContext) -> Value:
         return expr.value
     if isinstance(expr, ast.InfLit):
         return INF
-    if isinstance(expr, ast.StringLit):
-        return expr.value  # type: ignore[return-value]  (printf only)
     if isinstance(expr, ast.Name):
         return _eval_name(ip, expr, ctx)
     if isinstance(expr, ast.Index):
@@ -230,25 +226,18 @@ def _eval_uncached(ip, expr: ast.Expr, ctx: ExecContext) -> Value:
         return eval_reduction(ip, expr, ctx)
     if isinstance(expr, ast.Assign):
         return eval_assign(ip, expr, ctx)
-    if isinstance(expr, ast.IncDec):
-        one = ast.IntLit(line=expr.line, col=expr.col, value=1)
-        op = "+" if expr.op == "++" else "-"
-        return eval_assign(
-            ip,
-            ast.Assign(line=expr.line, col=expr.col, target=expr.target, op=op, value=one),
-            ctx,
-        )
-    raise UCRuntimeError(
-        f"cannot evaluate {type(expr).__name__}", expr.line, expr.col
+    # an IncDec: semantics._check_expr admits no other expression
+    one = ast.IntLit(line=expr.line, col=expr.col, value=1)
+    op = "+" if expr.op == "++" else "-"
+    return eval_assign(
+        ip,
+        ast.Assign(line=expr.line, col=expr.col, target=expr.target, op=op, value=one),
+        ctx,
     )
 
 
 def _eval_name(ip, expr: ast.Name, ctx: ExecContext) -> Value:
-    binding = ctx.env.try_lookup(expr.ident)
-    if binding is None:
-        raise UCRuntimeError(
-            f"undefined identifier {expr.ident!r} at run time", expr.line, expr.col
-        )
+    binding = ctx.env.try_lookup(expr.ident)  # semantics resolved every name
     if isinstance(binding, ElementBinding):
         if binding.kind == "scalar":
             return binding.value
@@ -288,11 +277,10 @@ def apply_unary(op: str, v: Value, node: ast.Node) -> Value:
         if isinstance(v, np.ndarray):
             return np.logical_not(v.astype(bool)).astype(np.int64)
         return int(not v)
-    if op == "~":
-        if isinstance(v, np.ndarray):
-            return np.invert(v.astype(np.int64))
-        return ~int(v)
-    raise UCRuntimeError(f"bad unary {op!r}", node.line, node.col)
+    # '~': the parser builds no other unary operator
+    if isinstance(v, np.ndarray):
+        return np.invert(v.astype(np.int64))
+    return ~int(v)
 
 
 _SIMPLE_BINOPS = {
@@ -317,7 +305,12 @@ def apply_binop(op: str, a: Value, b: Value, node: ast.Node) -> Value:
     """C semantics for one binary operator on scalars or arrays."""
     arrayish = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
     if op in _SIMPLE_BINOPS:
-        out = _SIMPLE_BINOPS[op](a, b)
+        try:
+            out = _SIMPLE_BINOPS[op](a, b)
+        except TypeError:  # a float operand of & | ^ << >>
+            raise UCRuntimeError(
+                f"operator {op!r} needs integer operands", node.line, node.col
+            ) from None
         if op in ("==", "!=", "<", "<=", ">", ">="):
             return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
         return out
@@ -328,10 +321,9 @@ def apply_binop(op: str, a: Value, b: Value, node: ast.Node) -> Value:
     if op == "&&":
         out = np.logical_and(_truthy(a), _truthy(b))
         return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
-    if op == "||":
-        out = np.logical_or(_truthy(a), _truthy(b))
-        return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
-    raise UCRuntimeError(f"bad binary operator {op!r}", node.line, node.col)
+    # '||': the parser builds no other binary operator
+    out = np.logical_or(_truthy(a), _truthy(b))
+    return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
 
 
 def _power2(node: ast.Call, x: Value) -> Value:
@@ -403,7 +395,8 @@ def _c_divide(a: Value, b: Value, node: ast.Node, arrayish: bool) -> Value:
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.true_divide(a, b) if arrayish else float(a) / float(b)
+        out = np.true_divide(a, b)  # x / 0.0: inf or nan, scalar or array
+        return out if arrayish else float(out)
 
 
 def _c_mod(a: Value, b: Value, node: ast.Node, arrayish: bool) -> Value:
@@ -472,21 +465,9 @@ def _eval_ternary(ip, expr: ast.Ternary, ctx: ExecContext) -> Value:
 def _resolve_array(ip, node: ast.Index, ctx: ExecContext) -> Tuple[ArrayVar, Tuple[int, ...], np.ndarray]:
     """Resolve the base name, returning (array, fixed-prefix, data view)."""
     binding = ctx.env.try_lookup(node.base)
-    if binding is None:
-        raise UCRuntimeError(
-            f"undefined identifier {node.base!r} at run time", node.line, node.col
-        )
-    if isinstance(binding, ArrayVar):
-        return binding, (), binding.data
     if isinstance(binding, SliceParam):
         return binding.array, binding.prefix, binding.view()
-    if isinstance(binding, ParallelLocal):
-        raise UCRuntimeError(
-            f"parallel local {node.base!r} is a scalar, not an array",
-            node.line,
-            node.col,
-        )
-    raise UCRuntimeError(f"{node.base!r} is not an array", node.line, node.col)
+    return binding, (), binding.data  # an ArrayVar: semantics requires an array here
 
 
 def _eval_subscripts(ip, node: ast.Index, ctx: ExecContext) -> List[Value]:
@@ -650,17 +631,17 @@ def _check_single_assignment(
     flat_idx: np.ndarray,
     vals: np.ndarray,
     *,
-    grid_shape=None,
-    flat_mask=None,
-    view_shape=None,
-    construct=None,
+    grid_shape,
+    flat_mask,
+    view_shape,
+    construct,
 ) -> None:
     """The paper's §3.4 rule: colliding writes must carry identical values.
 
-    The optional keywords only enrich the error message: ``view_shape``
-    names the written element by its multi-index, ``grid_shape`` +
-    ``flat_mask`` recover the two colliding VP coordinates, and
-    ``construct`` points back at the enclosing ``par``.
+    The keywords only enrich the error message: ``view_shape`` names the
+    written element by its multi-index, ``grid_shape`` + ``flat_mask``
+    recover the two colliding VP coordinates, and ``construct`` points
+    back at the enclosing ``par``.
     """
     if flat_idx.size < 2:
         return
@@ -671,29 +652,20 @@ def _check_single_assignment(
     if not np.any(bad):
         return
     j = int(np.flatnonzero(bad)[0])
-    where = int(si[j + 1])
-    if view_shape is not None:
-        elem = "".join(
-            f"[{int(c)}]" for c in np.unravel_index(where, view_shape)
-        )
-        place = f"element {node.base}{elem}"
-    else:
-        place = f"flat element {where}"
-    detail = f"values {sv[j].item()!r} and {sv[j + 1].item()!r}"
-    if grid_shape is not None and flat_mask is not None:
-        active = np.flatnonzero(flat_mask)
-        vp_a = np.unravel_index(int(active[order[j]]), grid_shape)
-        vp_b = np.unravel_index(int(active[order[j + 1]]), grid_shape)
-        detail += (
-            f" from VPs {tuple(int(c) for c in vp_a)} and "
-            f"{tuple(int(c) for c in vp_b)}"
-        )
+    elem = "".join(f"[{int(c)}]" for c in np.unravel_index(int(si[j + 1]), view_shape))
+    active = np.flatnonzero(flat_mask)
+    vp_a = np.unravel_index(int(active[order[j]]), grid_shape)
+    vp_b = np.unravel_index(int(active[order[j + 1]]), grid_shape)
+    detail = (
+        f"values {sv[j].item()!r} and {sv[j + 1].item()!r} from VPs "
+        f"{tuple(int(c) for c in vp_a)} and {tuple(int(c) for c in vp_b)}"
+    )
     at = ""
     if construct is not None and getattr(construct, "line", 0):
         at = f" in the '{construct.kind}' at line {construct.line}"
     raise UCMultipleAssignmentError(
         f"[UC101] par assigns multiple distinct values to {node.base!r} "
-        f"({place}: {detail}){at}; make the non-determinism explicit "
+        f"(element {node.base}{elem}: {detail}){at}; make the non-determinism explicit "
         "with the $, operator (paper §3.4)",
         node.line,
         node.col,
@@ -728,38 +700,17 @@ def eval_assign(ip, node: ast.Assign, ctx: ExecContext) -> Value:
     if isinstance(target, ast.Index):
         eval_scatter(ip, target, value, ctx)
         return value
-    assert isinstance(target, ast.Name)
+    # a scalar or a parallel local: semantics._check_target admits no other
     binding = ctx.env.try_lookup(target.ident)
-    if binding is None:
-        raise UCRuntimeError(
-            f"assignment to undefined identifier {target.ident!r}",
-            node.line,
-            node.col,
-        )
     if isinstance(binding, ScalarVar):
         _assign_scalar(ip, binding, value, ctx, node)
-        return value
-    if isinstance(binding, ParallelLocal):
+    else:
         _assign_parallel_local(ip, binding, value, ctx, node)
-        return value
-    if isinstance(binding, ElementBinding):
-        raise UCRuntimeError(
-            f"cannot assign to index element {target.ident!r}", node.line, node.col
-        )
-    raise UCRuntimeError(
-        f"cannot assign to {target.ident!r}", node.line, node.col
-    )
+    return value
 
 
 def _assign_scalar(ip, var: ScalarVar, value: Value, ctx: ExecContext, node: ast.Assign) -> None:
-    if ctx.grid.is_host or not isinstance(value, np.ndarray):
-        if isinstance(value, np.ndarray):
-            raise UCRuntimeError(
-                f"grid value assigned to scalar {var.name!r} outside a parallel "
-                "context",
-                node.line,
-                node.col,
-            )
+    if not isinstance(value, np.ndarray):  # every host expression is a scalar
         ip.machine.clock.charge("host")
         var.value = coerce_scalar(var.ctype, value)
         ip.cse_invalidate(var.name)
@@ -788,13 +739,7 @@ def _assign_scalar(ip, var: ScalarVar, value: Value, ctx: ExecContext, node: ast
 def _assign_parallel_local(
     ip, var: ParallelLocal, value: Value, ctx: ExecContext, node: ast.Assign
 ) -> None:
-    if ctx.grid.rank < var.grid_rank:
-        raise UCRuntimeError(
-            f"parallel local {var.name!r} assigned outside its grid",
-            node.line,
-            node.col,
-        )
-    charge_grid_op(ip, ctx)
+    charge_grid_op(ip, ctx)  # a local is only in scope on its grid or a nested one
     mask = ctx.active_mask()
     if ctx.grid.rank == var.grid_rank:
         arr = np.broadcast_to(value, ctx.grid.shape)

@@ -144,7 +144,7 @@ _DELTA_OPS = ("min", "max")
 #: occupancy.  G stays at 10: a larger G sends the 5–10 % sweeps of
 #: *every* construct to ``fuse.fused_for``, and asking counts
 #: (``fusion.*``), so raising it wants a fusability verdict the session
-#: can test first (ROADMAP item 1a); until then a fusable sweep in that
+#: can test first (ROADMAP item 5b); until then a fusable sweep in that
 #: band pays at most 2x on the lane path.
 _DENSE_COST_RATIO = 10
 
@@ -357,7 +357,6 @@ class _Analysis:
         self.arms: List[_ArmInfo] = []
         self.modified: List[str] = []
         self.array_shapes: Dict[str, Tuple[int, ...]] = {}
-        self.elem_kinds: Dict[str, int] = {}  # elem name -> grid axis
         #: the register file's initial state (literals in place), where a
         #: session binds its flat array views and scalars, the prelude (every
         #: sweep-invariant step) and the tables only the prelude itself reads
@@ -437,9 +436,6 @@ class _Compiler:
             raise _NotFrontierable()
         if not binding.layout.is_canonical:
             raise _NotFrontierable()  # permute/fold/copy maps: full sweeps
-        known = self.an.array_shapes.get(name)
-        if known is not None and known != binding.shape:
-            raise _NotFrontierable()
         self.an.array_shapes[name] = binding.shape
         if name not in self.an.array_regs:  # where a session binds the flat data view
             self.an.array_regs[name] = self._new()
@@ -475,8 +471,8 @@ class _Compiler:
     # -- emission ---------------------------------------------------------
 
     def _new(self, value=None) -> int:
-        if self.mute:  # every table and constant of a shared subtree exists already
-            raise _NotFrontierable()
+        # never muted: a muted subtree's tables and constants are memoised
+        # already (``compile`` mutes only text the spine compiled)
         self.an.template.append(value)
         return len(self.an.template) - 1
 
@@ -673,10 +669,8 @@ class _Compiler:
         if self.red_ctx is not None and name == self.red_ctx["elem"]:
             return self._red_row(self.red_ctx["info"].values_arr)
         if isinstance(binding, ElementBinding) and binding.kind == "axis":
+            # ``enter_grid`` numbers the axes as ``grid_axis_of`` does
             axis = binding.axis
-            if an.grid_axis_of.get(name) != axis:
-                raise _NotFrontierable()
-            an.elem_kinds[name] = axis
             return self._grid_table(("elem", axis), axis, an.axis_vals[axis])
         if isinstance(binding, (ScalarVar, int, float, np.integer, np.floating)) or (
             isinstance(binding, ElementBinding) and binding.kind == "scalar"
@@ -779,9 +773,7 @@ class _Compiler:
     def _compile_unary(self, expr: ast.Unary, rec, spine: int) -> _Val:
         x = self.compile(expr.operand, rec, spine=min(spine, _LIVE))
         self._charge_op(rec, 1)
-        op = expr.op
-        if op not in ("-", "!", "~"):
-            raise _NotFrontierable()
+        op = expr.op  # '-', '!' or '~': the parser builds no other
         if op == "!":
             if x.kind == _B:
                 return self._apply(_B, _UNARY, x, fn=np.logical_not)
@@ -898,9 +890,7 @@ def _analyze(ip, stmt: ast.UCStmt, inner, kind: str) -> object:
 def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
     if stmt.others is not None:
         raise _NotFrontierable()
-    grid = inner.grid
-    if grid.is_host or grid.rank == 0:
-        raise _NotFrontierable()
+    grid = inner.grid  # a construct names at least one index set (parser)
     # distinct per-axis values make identity writes hit distinct slots
     for axis in grid.axes:
         if has_duplicates(np.asarray(axis.values, dtype=np.int64)):
@@ -1006,9 +996,7 @@ def _compile_reduction(
     red.elem = isv.elem_name
     red.values = tuple(int(v) for v in isv.values)
     red.values_arr = np.asarray(red.values, dtype=np.int64)
-    red.extent = len(red.values)
-    if red.extent == 0:
-        raise _NotFrontierable()
+    red.extent = len(red.values)  # semantics rejects an empty index set
     ext_grid = inner.grid.extend([isv])
     comp.red_ctx = {
         "elem": red.elem,
@@ -1135,13 +1123,14 @@ class SweepDiff:
     fixed-point test (:meth:`any`), the frontier session's seed for the
     next sweep (:meth:`StarSession.full_end`; ``run_batch`` lanes pass
     diffs of their row slices) and the sweep-limit diagnostic
-    (:meth:`summary`).  A full sweep's diff (:meth:`between`) also keeps
-    its before-copy and after-state for the diagnostic, which reads them
-    before the next sweep writes."""
+    (:meth:`summary`).  For the diagnostic, which reads them before the
+    next sweep writes, a full sweep's diff (:meth:`between`) keeps its
+    before-copy and after-state, and a compressed sweep's its writes:
+    per array, ``(flat addresses, old values)`` in write order."""
 
-    __slots__ = ("changed", "dirs", "counts", "before", "after")
+    __slots__ = ("changed", "dirs", "counts", "before", "after", "writes")
 
-    def __init__(self, changed, dirs, before=None, after=None) -> None:
+    def __init__(self, changed, dirs, before=None, after=None, writes=None) -> None:
         self.changed = changed
         self.dirs = dirs
         self.counts = {
@@ -1149,6 +1138,7 @@ class SweepDiff:
         }
         self.before = before
         self.after = after
+        self.writes = writes
 
     @classmethod
     def between(cls, before: Dict[str, object], after: Dict[str, object]) -> "SweepDiff":
@@ -1175,17 +1165,19 @@ class SweepDiff:
             if not n:
                 continue
             frontier = f"frontier {n} of {size} elements"
-            old = None if self.before is None else self.before[name]
-            if old is None:
-                parts.append(f"{name} ({frontier})")
-            elif not isinstance(old, np.ndarray):
-                parts.append(f"{name} ({old!r} -> {self.after[name]!r})")
-            elif np.issubdtype(old.dtype, np.number):
-                new = np.asarray(self.after[name], dtype=np.float64)
-                width = np.abs(new - np.asarray(old, dtype=np.float64)).max()
-                parts.append(f"{name} ({frontier}, max |delta| {width:g})")
+            if self.before is None:  # a compressed sweep: each written slot's first old value
+                addr = np.concatenate([a for a, _o in self.writes[name]])
+                first = np.unique(addr, return_index=True)[1]
+                old = np.concatenate([o for _a, o in self.writes[name]])[first]
+                new = self.after[name].reshape(-1)[addr[first]]
             else:
-                parts.append(f"{name} ({frontier})")
+                old, new = self.before[name], self.after[name]
+                if not isinstance(old, np.ndarray):
+                    parts.append(f"{name} ({old!r} -> {new!r})")
+                    continue
+            # an int64 or float64 array
+            width = np.abs(np.asarray(new, dtype=np.float64) - np.asarray(old, dtype=np.float64)).max()
+            parts.append(f"{name} ({frontier}, max |delta| {width:g})")
         return "; ".join(parts) if parts else "nothing (oscillation across sweeps?)"
 
 
@@ -1243,25 +1235,12 @@ class StarSession:
             if not isinstance(b, ArrayVar) or b.shape != shape or not b.layout.is_canonical:
                 return False
             arrays[name] = b.data
+        # the analysis is cached per construct and grid axes: its names
+        # resolve to declarations of the same kind, its sets to the same
+        # constant values; only an array parameter can change shape
         for name in an.scalar_regs:
             b = env.try_lookup(name)
-            if isinstance(b, ScalarVar) or (isinstance(b, ElementBinding) and b.kind == "scalar"):
-                scalars[name] = b.value
-            elif isinstance(b, (int, float, np.integer, np.floating)):
-                scalars[name] = b
-            else:
-                return False
-        for name, axis in an.elem_kinds.items():
-            b = env.try_lookup(name)
-            if not (isinstance(b, ElementBinding) and b.kind == "axis" and b.axis == axis):
-                return False
-        for arm in an.arms:
-            if arm.red is not None:
-                isv = self.ip.resolve_index_set(
-                    arm.red.set_name, self.inner, at=arm.red.node
-                )
-                if tuple(int(v) for v in isv.values) != arm.red.values:
-                    return False
+            scalars[name] = b if isinstance(b, (int, float, np.integer, np.floating)) else b.value
         self.S = {"arrays": arrays, "scalars": scalars}
         return True
 
@@ -1282,9 +1261,8 @@ class StarSession:
         """Close a full sweep: measure its cost and seed the next sweep's
         frontier from ``diff``, which covers at least the session's
         modified arrays — the caller's one diff of the sweep (a solo loop's,
-        or a ``run_batch`` lane's from its row slices)."""
-        if not self.active or self._full_marks is None:
-            return
+        or a ``run_batch`` lane's from its row slices), always after
+        :meth:`full_begin`."""
         clock = self.ip.machine.clock
         costs = clock.costs
         t0, alloc0 = self._full_marks
@@ -1317,9 +1295,7 @@ class StarSession:
             return None
         if self.ip.machine.n_live_pes != self.ref_pes:
             return None  # degraded relayout: re-measure on a full sweep
-        if self.kind == "par" and self.par_masks is None:
-            return None
-        an = self.an
+        an = self.an  # a *par's masks are noted with ``last`` (note_par_masks)
         machine = self.ip.machine
         # the write simulation below rebinds pseudo[target] to a fresh
         # array (never mutates in place), so a dict copy suffices
@@ -1383,9 +1359,9 @@ class StarSession:
                 sel = np.ones(red.extent, dtype=bool)
             else:
                 sel = np.zeros(red.extent, dtype=bool)
+                # a delta scan is its construct's one arm (no predicate), so
+                # its refs are into its target, dirty when the arm is active
                 for base_name, a_ax, idx_vec in red.delta_refs:
-                    if not dirty[base_name]:
-                        continue
                     ch = pseudo[base_name]
                     other = tuple(x for x in range(ch.ndim) if x != a_ax)
                     vec = ch.any(axis=other) if other else ch
@@ -1517,6 +1493,7 @@ class StarSession:
             name: np.zeros(self.last.changed[name].shape, dtype=bool) for name in an.modified
         }
         dirs = dict.fromkeys(cur, (False, False))  # name -> (any_up, any_down)
+        writes = {name: [] for name in cur}  # for the sweep-limit diagnostic
 
         # predicates first (the engines evaluate every arm's predicate before
         # any body runs); their registers stay in the file for the bodies
@@ -1574,6 +1551,7 @@ class StarSession:
             if st.delta_on:  # combine the delta scan with the stored result
                 value = _RED_UFUNC[red.op](flat.take(addr), value)
             changed, old, new = lane_scatter(flat, addr, value)
+            writes[arm.target].append((addr, old))
             n_changed = int(np.count_nonzero(changed))
             if n_changed:
                 where = addr if n_changed == n_ok else addr[changed]
@@ -1584,7 +1562,7 @@ class StarSession:
         if not par:
             clock.replay_rows(an.test_rows, full)
             self._trace(states, dense=False)
-        self.last = SweepDiff(cur, dirs)
+        self.last = SweepDiff(cur, dirs, after=self.S["arrays"], writes=writes)
         return self.last.any() or par
 
 
@@ -1623,8 +1601,6 @@ class GuardedFrontier:
 
 def _guarded_analyze(ip, stmt, assignments, inner) -> object:
     grid = inner.grid
-    if grid.is_host or grid.rank == 0:
-        return _FALLBACK
     if len(assignments) < 2:
         # With one assignment, skipping it only fires when the sweep would
         # define nothing — exactly the no-progress error case — so the
@@ -1637,11 +1613,8 @@ def _guarded_analyze(ip, stmt, assignments, inner) -> object:
             return _FALLBACK  # scalar targets define whole variables at once
         targets.add(t.base)
     an = _Analysis(grid, "guarded")
-    for name in targets:
-        b = inner.env.try_lookup(name)
-        if not isinstance(b, ArrayVar):
-            return _FALLBACK
-        an.array_shapes[name] = b.shape
+    for name in targets:  # arrays: solve._exec_solve_guarded raised otherwise
+        an.array_shapes[name] = inner.env.try_lookup(name).shape
     elems = {axis.elem: axis.set_name for axis in grid.axes}
     refs: List[List[_RefInfo]] = []
     for pred, assign in assignments:
@@ -1660,12 +1633,9 @@ def _guarded_analyze(ip, stmt, assignments, inner) -> object:
                 if isinstance(node, ast.Index) and node.base in targets:
                     if node is assign.target:
                         continue
+                    # its elements are keys of ``elems``: grid axes
                     axes = affine_ref_axes(node, elems, ip.info.constants)
                     if axes is None:
-                        return _FALLBACK
-                    if any(
-                        e is not None and e not in an.grid_axis_of for e, _c in axes
-                    ):
                         return _FALLBACK
                     seen = [e for e, _c in axes if e is not None]
                     if len(seen) != len(set(seen)):

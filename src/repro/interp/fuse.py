@@ -571,10 +571,7 @@ class _AssignScalar:
         mask = regs[self.mask]
         var = self.var
         if mask.ndim == len(self.grid_shape):
-            v = self._agreed(value, mask)
-            if v is None:
-                return
-            var.value = coerce_scalar(var.ctype, v)
+            var.value = coerce_scalar(var.ctype, self._agreed(value, mask))
         else:  # a lane stack: ``var`` is the chunk's LaneVar
             if isinstance(value, LaneScalars):
                 per = value.values
@@ -584,20 +581,17 @@ class _AssignScalar:
                 per = [value] * len(mask)
             unit = regs[self.unit]
             for j in np.flatnonzero(unit.reshape(len(unit), -1).any(axis=1)):
-                v = self._agreed(per[j], mask[j])
-                if v is not None:
-                    var.lanes[j].value = coerce_scalar(var.ctype, v)
+                var.lanes[j].value = coerce_scalar(var.ctype, self._agreed(per[j], mask[j]))
         ip.cse_invalidate(var.name)
 
     def _agreed(self, value, mask):
-        """The one value a write of ``value`` under ``mask`` stores (None:
-        no VP live); UC101 when the live VPs disagree."""
+        """The one value a write of ``value`` under ``mask`` stores; UC101
+        when the live VPs disagree.  Some VP is live: the write's mask is
+        its unit's (``_Fuser._compile_inner`` demotes a narrower one) and
+        a unit runs only with a live VP."""
         if not isinstance(value, np.ndarray):
             return value
-        vals = np.broadcast_to(value, mask.shape)[mask]
-        if vals.size == 0:
-            return None
-        flat = vals.reshape(-1)
+        flat = np.broadcast_to(value, mask.shape)[mask].reshape(-1)
         if np.any(flat != flat[0]):
             other = flat[flat != flat[0]][0]
             raise UCMultipleAssignmentError(
@@ -736,10 +730,8 @@ def _strip_reduce(bin_op, red_op, a, b, shape, n_red, order_safe):
             if not -(2**63) <= int(v) < 2**63:
                 return None  # numpy would object-promote
             v = np.int64(v)
-        elif isinstance(v, (float, np.floating)):
+        else:  # a float: registers hold arrays and numbers (``values.lift``)
             v = np.float64(v)
-        else:
-            return None
         ops.append(_compact(np.broadcast_to(v, shape)))
     dtype = np.result_type(*ops)  # int64 or float64
     bin_ufunc = E._SIMPLE_BINOPS[bin_op]
@@ -1353,6 +1345,10 @@ class _Fuser:
             return self._compile_ternary(node, g, mask_reg, token, view_ok)
         if isinstance(node, ast.Reduction):
             return self._compile_reduction(node, g, mask_reg, token)
+        if isinstance(node, (ast.Assign, ast.IncDec)) and mask_reg != self.unit:
+            # under a ternary branch or an && / || right side its mask can
+            # be empty at run time, and then the oracle charges nothing
+            raise _Demote()
         if isinstance(node, ast.Assign):
             return self._compile_assign(node, g, mask_reg, token)
         if isinstance(node, ast.IncDec):
@@ -1365,10 +1361,8 @@ class _Fuser:
                 value=one,
             )
             return self._compile_assign(synth, g, mask_reg, token)
-        if isinstance(node, ast.Call):
-            return self._compile_call(node, g, mask_reg, token, view_ok)
-        # StringLit, anything exotic
-        raise _Demote()
+        # a Call: semantics._check_expr admits no other expression
+        return self._compile_call(node, g, mask_reg, token, view_ok)
 
     def _alu(self, g: _GCtx, count: int = 1) -> None:
         self.rec.charge("alu", count=count, vp_ratio=g.scope)
@@ -1395,8 +1389,6 @@ class _Fuser:
         if isinstance(b, ElementBinding):
             if b.kind != "axis":
                 raise _Demote()  # seq element: rebinding per front-end step
-            if node.ident not in g.env_extra:
-                self.check("axis", node.ident, b.axis)
             return self.static_val(g.grid.axis_values(b.axis))
         if isinstance(b, ScalarVar):
             self.check("scalar", node.ident, b)
@@ -1404,22 +1396,15 @@ class _Fuser:
             self.steps.append(_ReadScalar(r, b))
             return _Val(r, False, _DYN)
         if isinstance(b, (int, float)) and not isinstance(b, bool):
-            self.check("const", node.ident, b)
             return self.static_val(b)
-        # ParallelLocal, IndexSetValue, SliceParam...: not fused in v1
+        # an index set or array used as a value: the oracle raises
         raise _Demote()
 
     def _compile_unary(self, node, g, mask_reg, token, view_ok) -> _Val:
         v = self.compile_expr(node.operand, g, mask_reg, token, view_ok)
-        if node.op not in ("-", "!", "~"):
-            raise _Demote()
         self._alu(g)
         if v.static is not _DYN:
-            try:
-                folded = E.apply_unary(node.op, v.static, node)
-            except UCRuntimeError:
-                raise _Demote()
-            return self.static_val(folded)
+            return self.static_val(E.apply_unary(node.op, v.static, node))
         r = self.reg()
         self.steps.append(_Unary(r, v.reg, node))
         return _Val(r, v.is_array, _DYN)
@@ -1565,8 +1550,10 @@ class _Fuser:
 
     def _resolve_array(self, node: ast.Index, g: _GCtx) -> ArrayVar:
         b = self._lookup(node.base, g)
-        if not isinstance(b, ArrayVar):
-            raise _Demote()  # slices / parallel locals: not fused in v1
+        if not isinstance(b, ArrayVar) or b.name != node.base:
+            # a slice, or an array parameter naming the caller's array: a
+            # kernel cached at the callee's construct is rebound by name
+            raise _Demote()
         self.check("array", node.base, b)
         return b
 
@@ -1725,41 +1712,35 @@ class _Fuser:
     def _compile_assign(self, node: ast.Assign, g, mask_reg, token) -> _Val:
         value = self.compile_expr(node.value, g, mask_reg, token, False)
         if node.op:
+            # the target reads a gather or a scalar: never a static value
             current = self.compile_expr(node.target, g, mask_reg, token, False)
             self._alu(g)
-            if current.static is not _DYN and value.static is not _DYN:
-                try:
-                    folded = E.apply_binop(node.op, current.static, value.static, node)
-                except UCRuntimeError:
-                    raise _Demote()
-                value = self.static_val(folded)
-            else:
-                r = self.reg()
-                self.steps.append(
-                    _Binary(
-                        r,
-                        current.reg,
-                        value.reg,
-                        ast.Binary(
-                            line=node.line,
-                            col=node.col,
-                            op=node.op,
-                            left=node.target,
-                            right=node.value,
-                        ),
-                        mask_reg,
-                    )
+            r = self.reg()
+            self.steps.append(
+                _Binary(
+                    r,
+                    current.reg,
+                    value.reg,
+                    ast.Binary(
+                        line=node.line,
+                        col=node.col,
+                        op=node.op,
+                        left=node.target,
+                        right=node.value,
+                    ),
+                    mask_reg,
                 )
-                value = _Val(r, current.is_array or value.is_array, _DYN)
+            )
+            value = _Val(r, current.is_array or value.is_array, _DYN)
         target = node.target
         if isinstance(target, ast.Index):
             self._compile_scatter(node, value, g, mask_reg, token)
             return value
-        if not isinstance(target, ast.Name):
-            raise _Demote()
+        # a Name (semantics: "bad assignment target") naming a scalar
+        # (semantics._check_target): a parallel local is in scope only in
+        # a construct body, where a nested construct runs masked and never
+        # fuses (``fused_for``'s mask gate; statements._run_blocks_once)
         b = self._lookup(target.ident, g)
-        if not isinstance(b, ScalarVar):
-            raise _Demote()  # parallel locals / element rebinds: not in v1
         self.check("scalar", target.ident, b)
         self.rec.charge("host_cm_latency" if value.is_array else "host")
         self.steps.append(
@@ -1771,16 +1752,8 @@ class _Fuser:
     # -- reductions --------------------------------------------------------
 
     def _resolve_sets(self, node: ast.Reduction, g: _GCtx) -> List[IndexSetValue]:
-        sets = []
-        for name in node.index_sets:
-            isv = self.env.try_lookup(name)
-            if not isinstance(isv, IndexSetValue):
-                isv = self.ip.info.index_sets.get(name)
-            if not isinstance(isv, IndexSetValue):
-                raise _Demote()  # unknown set: the engine raises
-            self.check("iset", name, (isv.elem_name, tuple(isv.values)))
-            sets.append(isv)
-        return sets
+        # as Interpreter.resolve_index_set
+        return [self.env.try_lookup(name) for name in node.index_sets]
 
     def _compile_reduction(self, node: ast.Reduction, g, mask_reg, token) -> _Val:
         if node.op == "arbitrary" or node.op not in E._RED_UFUNC or self.frames:
@@ -1939,74 +1912,32 @@ class FusedConstruct:
         self.ratios = ratios
         #: currently bound ScalarVar/ArrayVar per name (starts at the
         #: compile-time bindings; updated when a sweep rebinds)
-        self._bound: Dict[str, Any] = {
-            name: expected for kind, name, expected in checks
-            if kind in ("scalar", "array")
-        }
+        self._bound: Dict[str, Any] = {name: expected for _kind, name, expected in checks}
         self._slots: Optional[Dict[str, List[Tuple[Any, str]]]] = None
 
     # -- validation --------------------------------------------------------
 
     def validate(self, ip, inner) -> bool:
-        """Re-check every binding the compile specialised on.  A False here
-        is a per-sweep fallback to the oracle, not an error.
+        """Splice this execution's scalars and arrays into the steps
+        (:meth:`_rebind`); False — a per-sweep fallback to the oracle, not
+        an error — when an array's layout object changed.
 
-        Scalar and array bindings are compared structurally, not by
-        identity: the kernel may be served from the shared compile store
-        to a different interpreter (a later run, another ``UCProgram``
-        of the same source, a batch lane), whose environment holds fresh
-        but shape/dtype/layout-equal variables.  An equivalent binding
-        is spliced into the steps (:meth:`_rebind`); anything else — a
-        changed layout object, shape, dtype or ctype — still falls back.
+        The kernel is cached per construct and grid axes of one program,
+        so every name resolves to a declaration of the kind, ctype and
+        shape it was compiled against; only the variables are fresh (a
+        later run, another ``UCProgram`` of the same source, a batch lane,
+        a function's local array — whose layout is fresh too).
         """
-        if inner.mask is not None or tuple(inner.grid.shape) != self.shape:
-            return False
-        env = inner.env
+        env = inner.env  # unmasked, on the cached grid: ``fused_for``'s gates
         for kind, name, expected in self.checks:
-            if kind == "iset":
-                isv = env.try_lookup(name)
-                if not isinstance(isv, IndexSetValue):
-                    isv = ip.info.index_sets.get(name)
-                if (
-                    not isinstance(isv, IndexSetValue)
-                    or (isv.elem_name, tuple(isv.values)) != expected
-                ):
-                    return False
-                continue
             b = env.try_lookup(name)
-            if kind == "axis":
-                if (
-                    not isinstance(b, ElementBinding)
-                    or b.kind != "axis"
-                    or b.axis != expected
-                ):
-                    return False
-            elif kind == "scalar":
-                if b is not self._bound[name]:
-                    if (
-                        not isinstance(b, ScalarVar)
-                        or b.ctype != expected.ctype
-                    ):
-                        return False
-                    self._rebind(name, b)
-            elif kind == "array":
-                if b is not self._bound[name]:
-                    # the gather recipes / scatter index vectors baked in
-                    # at compile time are functions of layout and shape
-                    # only, so any same-layout same-shape array of the
-                    # same dtype can be spliced in
-                    if (
-                        not isinstance(b, ArrayVar)
-                        or b.ctype != expected.ctype
-                        or b.layout is not expected.layout
-                        or b.shape != expected.shape
-                        or b.dtype != expected.dtype
-                    ):
-                        return False
-                    self._rebind(name, b)
-            else:  # const
-                if isinstance(b, bool) or b != expected or type(b) is not type(expected):
-                    return False
+            if b is self._bound[name]:
+                continue
+            # gather recipes and scatter index vectors are functions of the
+            # layout, baked in at compile time
+            if kind == "array" and b.layout is not expected.layout:
+                return False
+            self._rebind(name, b)
         return True
 
     def _rebind(self, name: str, binding: Any) -> None:

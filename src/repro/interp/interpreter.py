@@ -162,8 +162,6 @@ class Interpreter:
 
     def grid_vpset(self, shape: Tuple[int, ...]) -> VPSet:
         """VP set for a grid geometry, cached per shape."""
-        if not shape:
-            shape = (1,)
         if shape not in self._vpsets:
             self._vpsets[shape] = self.machine.vpset(shape, name=f"grid{shape}")
         return self._vpsets[shape]
@@ -221,17 +219,9 @@ class Interpreter:
     def resolve_index_set(
         self, name: str, ctx: ExecContext, at: Optional[ast.Node] = None
     ) -> IndexSetValue:
-        binding = ctx.env.try_lookup(name)
-        if isinstance(binding, IndexSetValue):
-            return binding
-        isv = self.info.index_sets.get(name)
-        if isv is None:
-            raise UCRuntimeError(
-                f"unknown index set {name!r}",
-                at.line if at is not None else 0,
-                at.col if at is not None else 0,
-            )
-        return isv
+        # _setup_globals binds every global set and declare_index_set every
+        # block-local one; semantics resolved the name to a set in scope
+        return ctx.env.try_lookup(name)
 
     def declare_index_set(self, decl: ast.IndexSetDecl, env: Env) -> None:
         """Runtime declaration of a block-local index set."""
@@ -243,14 +233,7 @@ class Interpreter:
         elif spec.kind == "listing":
             values = tuple(consts.eval(i) for i in spec.items)
         else:
-            base = env.try_lookup(spec.alias) or self.info.index_sets.get(spec.alias)
-            if not isinstance(base, IndexSetValue):
-                raise UCRuntimeError(
-                    f"index set {decl.set_name!r} aliases unknown set {spec.alias!r}",
-                    decl.line,
-                    decl.col,
-                )
-            values = base.values
+            values = env.try_lookup(spec.alias).values  # semantics checked the alias
         env.declare(decl.set_name, IndexSetValue(decl.set_name, decl.elem_name, values))
 
     # -- calls (delegated) -------------------------------------------------------------
@@ -338,16 +321,10 @@ class Interpreter:
             pass
 
     def read_array(self, name: str) -> np.ndarray:
-        binding = self.global_env.try_lookup(name)
-        if isinstance(binding, ArrayVar):
-            return binding.data.copy()
-        raise UCRuntimeError(f"no array named {name!r}")
+        return self.global_env.lookup(name).data.copy()  # a name of info.arrays
 
     def read_scalar(self, name: str) -> Union[int, float]:
-        binding = self.global_env.try_lookup(name)
-        if isinstance(binding, ScalarVar):
-            return binding.value
-        raise UCRuntimeError(f"no scalar named {name!r}")
+        return self.global_env.lookup(name).value  # a name of info.scalars
 
 
 def _profile_label(stmt: ast.Stmt) -> str:

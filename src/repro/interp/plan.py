@@ -49,8 +49,6 @@ def _compact(arr: np.ndarray) -> np.ndarray:
 def _vary_axis(arr: np.ndarray, used) -> Optional[int]:
     """The single unused grid axis ``arr`` varies along; -1 if constant;
     None if it varies along several (or only already-claimed) axes."""
-    if arr.size == 0:
-        return None
     # stride fast path: an axis with stride 0 (or extent 1) cannot vary,
     # so a broadcast view varying along one real axis is detected without
     # touching the data (axis_values grids are exactly this shape)
@@ -70,9 +68,7 @@ def _vary_axis(arr: np.ndarray, used) -> Optional[int]:
     for g in range(arr.ndim):
         if g in used:
             continue
-        others = tuple(k for k in range(arr.ndim) if k != g)
-        if not others:
-            return g
+        others = tuple(k for k in range(arr.ndim) if k != g)  # ndim >= 2 here
         if bool((arr.max(axis=others) == arr.min(axis=others)).all()):
             return g
     return None

@@ -67,29 +67,19 @@ def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
 
 
 def _collect_assignments(stmt: ast.UCStmt) -> List[Tuple[Optional[ast.Expr], ast.Assign]]:
-    """(predicate, assignment) pairs forming the solve body."""
+    """(predicate, assignment) pairs forming the solve body (its shape and
+    the absence of ``others`` are checked by ``semantics._check_solve_body``)."""
     out: List[Tuple[Optional[ast.Expr], ast.Assign]] = []
     for block in stmt.blocks:
         for assign in _assignments_of(block.stmt):
             out.append((block.pred, assign))
-    if stmt.others is not None:
-        raise UCRuntimeError(
-            "solve does not take an 'others' clause", stmt.line, stmt.col
-        )
     return out
 
 
 def _assignments_of(stmt: ast.Stmt) -> List[ast.Assign]:
-    if isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Assign):
-        return [stmt.expr]
     if isinstance(stmt, ast.Block):
-        out: List[ast.Assign] = []
-        for s in stmt.stmts:
-            out.extend(_assignments_of(s))
-        return out
-    raise UCRuntimeError(
-        "solve body must consist of assignment statements", stmt.line, stmt.col
-    )
+        return [a for s in stmt.stmts for a in _assignments_of(s)]
+    return [stmt.expr]  # an assignment: semantics._stmt_assignments admits nothing else
 
 
 def target_arrays(assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]]) -> Set[str]:
@@ -315,7 +305,6 @@ def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
     vps = ip.grid_vpset(inner.grid.shape)
     # the divergence diagnostic is only rendered if the sweep limit trips,
     # so keep the last sweep's diff instead of formatting every sweep
-    summarize = _NO_SUMMARY
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
@@ -349,10 +338,6 @@ def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
         ip.check_sweeps(
             sweeps, "*solve", stmt, lambda: f"still changing each sweep: {summarize()}"
         )
-
-
-def _NO_SUMMARY() -> str:
-    return "nothing yet (limit of 0 sweeps?)"
 
 
 def _modified_names(stmt: ast.UCStmt) -> List[str]:

@@ -95,23 +95,19 @@ def exec_stmt(ip, stmt: ast.Stmt, ctx: ExecContext) -> None:
         raise BreakSignal()
     if isinstance(stmt, ast.Continue):
         raise ContinueSignal()
-    if isinstance(stmt, ast.UCStmt):
-        # deadline poll at the entry of each *outermost* construct: a
-        # safe cancellation point (no sweep in flight, no element bound)
-        if ip.current_construct is None:
-            ip.poll_boundary(stmt)
-        # a nested construct rebinds elements: run it outside any armed
-        # CSE cache (it arms its own) and drop stale entries afterwards
-        with ip.cse_suspend():
-            recovery = getattr(ip, "recovery", None)
-            if recovery is not None and recovery.wants(stmt):
-                recovery.run_protected(ip, stmt, ctx)
-            else:
-                dispatch_construct(ip, stmt, ctx)
-        return
-    raise UCRuntimeError(
-        f"cannot execute {type(stmt).__name__}", stmt.line, stmt.col
-    )
+    # a UCStmt: semantics._check_stmt admits no other statement
+    # deadline poll at the entry of each *outermost* construct: a
+    # safe cancellation point (no sweep in flight, no element bound)
+    if ip.current_construct is None:
+        ip.poll_boundary(stmt)
+    # a nested construct rebinds elements: run it outside any armed
+    # CSE cache (it arms its own) and drop stale entries afterwards
+    with ip.cse_suspend():
+        recovery = getattr(ip, "recovery", None)
+        if recovery is not None and recovery.wants(stmt):
+            recovery.run_protected(ip, stmt, ctx)
+        else:
+            dispatch_construct(ip, stmt, ctx)
 
 
 def dispatch_construct(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
@@ -154,7 +150,8 @@ def _exec_var_decl(ip, stmt: ast.VarDecl, ctx: ExecContext) -> None:
                 stmt.line,
                 stmt.col,
             )
-        dims = tuple(int(_host_scalar(ip, d, ctx, stmt)) for d in stmt.dims)
+        # constant dimensions: semantics._check_stmt folds each one
+        dims = tuple(int(eval_expr(ip, d, ctx)) for d in stmt.dims)
         var = ip.allocate_array(stmt.name, stmt.ctype, dims)
         ctx.env.declare(stmt.name, var)
         return
@@ -177,13 +174,6 @@ def _exec_var_decl(ip, stmt: ast.VarDecl, ctx: ExecContext) -> None:
         value = eval_expr(ip, stmt.init, ctx)
         mask = ctx.active_mask()
         local.data[mask] = np.broadcast_to(np.asarray(value), ctx.grid.shape)[mask]
-
-
-def _host_scalar(ip, expr: ast.Expr, ctx: ExecContext, at: ast.Node) -> Value:
-    v = eval_expr(ip, expr, ctx)
-    if isinstance(v, np.ndarray):
-        raise UCRuntimeError("expected a scalar value", at.line, at.col)
-    return v
 
 
 def _exec_if(ip, stmt: ast.If, ctx: ExecContext) -> None:

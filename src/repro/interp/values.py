@@ -94,10 +94,6 @@ class GridContext:
     def full_mask(self) -> np.ndarray:
         return np.ones(self.shape, dtype=bool)
 
-    def __repr__(self) -> str:
-        desc = ", ".join(f"{a.set_name}:{a.elem}[{a.extent}]" for a in self.axes)
-        return f"GridContext({desc})"
-
 
 # ---------------------------------------------------------------------------
 # variable bindings
@@ -130,10 +126,6 @@ class ArrayVar:
     def shape(self) -> Tuple[int, ...]:
         return self.field.data.shape
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.field.dtype
-
 
 @dataclass
 class ParallelLocal:
@@ -163,10 +155,6 @@ class SliceParam:
     array: ArrayVar
     prefix: Tuple[int, ...]  # fixed leading subscripts
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.array.shape[len(self.prefix) :]
-
     def view(self) -> np.ndarray:
         return self.array.data[self.prefix]
 
@@ -193,9 +181,6 @@ class LaneScalars:
         """As an ndarray of shape ``(S, 1, ..., 1)`` with ``ndim`` dims."""
         arr = np.asarray(self.values)
         return arr.reshape((len(self.values),) + (1,) * max(0, ndim - 1))
-
-    def __repr__(self) -> str:
-        return f"LaneScalars({self.values!r})"
 
 
 def lift(v, ndim: int):

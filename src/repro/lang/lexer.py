@@ -153,14 +153,17 @@ class Lexer:
             return Token("float", float(text), line, col)
         if text.startswith("0") and len(text) > 1:
             return Token("int", self._int(text, 8, "octal", line, col), line, col)
-        return Token("int", int(text), line, col)
+        return Token("int", self._int(text, 10, "decimal", line, col), line, col)
 
     @staticmethod
     def _int(text: str, base: int, what: str, line: int, col: int) -> int:
         try:
-            return int(text, base)
+            value = int(text, base)
         except ValueError:  # '09', '0x': a diagnostic at the literal, not a traceback
             raise UCSyntaxError(f"invalid {what} literal {text!r}", line, col) from None
+        if value >= 2**63:  # an int is 64 bits; numpy would raise OverflowError
+            raise UCSyntaxError(f"{what} literal {text!r} does not fit in 64 bits", line, col)
+        return value
 
     def _string(self, line: int, col: int) -> Token:
         self._advance()  # opening quote

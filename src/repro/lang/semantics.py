@@ -451,6 +451,10 @@ class Analyzer:
         """A non-starred solve body must be a proper set of assignments (§3.6)."""
         if stmt.star:
             return  # *solve statements need not be single-assignment (§3.6)
+        if stmt.others is not None:
+            raise UCSemanticError(
+                "solve does not take an 'others' clause (*solve does)", stmt.line, stmt.col
+            )
         targets: Set[str] = set()
         for assign in _solve_assignments(stmt):
             tgt = assign.target
@@ -466,9 +470,27 @@ class Analyzer:
 
     # -- expressions ----------------------------------------------------------------------
 
+    def _check_target(self, expr) -> None:
+        """An assignment or ``++``/``--`` writes an array element or a
+        scalar variable, never an element, set, function or array name."""
+        if isinstance(expr.target, ast.Name):
+            sym = self.scopes.require(expr.target.ident)
+            if sym.kind not in ("scalar",):
+                raise UCSemanticError(
+                    f"cannot assign to {expr.target.ident!r}: it is a "
+                    f"{sym.kind}, not a variable",
+                    expr.line,
+                    expr.col,
+                )
+        self._check_expr(expr.target)
+
     def _check_expr(self, expr: ast.Expr) -> None:
-        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.InfLit)):
+        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.InfLit)):
             return
+        if isinstance(expr, ast.StringLit):
+            raise UCSemanticError(
+                "a string literal can only be printf's format", expr.line, expr.col
+            )
         if isinstance(expr, ast.Name):
             self.scopes.require(expr.ident)
             return
@@ -500,20 +522,11 @@ class Analyzer:
         if isinstance(expr, ast.Assign):
             if not isinstance(expr.target, (ast.Name, ast.Index)):
                 raise UCSemanticError("bad assignment target", expr.line, expr.col)
-            if isinstance(expr.target, ast.Name):
-                sym = self.scopes.require(expr.target.ident)
-                if sym.kind not in ("scalar",):
-                    raise UCSemanticError(
-                        f"cannot assign to {expr.target.ident!r}: it is a "
-                        f"{sym.kind}, not a variable",
-                        expr.line,
-                        expr.col,
-                    )
-            self._check_expr(expr.target)
+            self._check_target(expr)
             self._check_expr(expr.value)
             return
         if isinstance(expr, ast.IncDec):
-            self._check_expr(expr.target)
+            self._check_target(expr)
             return
         if isinstance(expr, ast.Call):
             if expr.func in BUILTINS and expr.func not in self.info.functions:
@@ -535,7 +548,14 @@ class Analyzer:
                         expr.line,
                         expr.col,
                     )
-            for a in expr.args:
+            args = expr.args
+            if expr.func == "printf" and expr.func not in self.info.functions:
+                if not args or not isinstance(args[0], ast.StringLit):
+                    raise UCSemanticError(
+                        "printf needs a literal format string", expr.line, expr.col
+                    )
+                args = args[1:]
+            for a in args:
                 self._check_expr(a)
             return
         if isinstance(expr, ast.Reduction):

@@ -472,7 +472,12 @@ class UCBuilder:
         self._map_decl("fold", sets, target, anchor)
 
     def copy(self, sets, target: LValue, anchor: LValue) -> None:
-        self._map_decl("copy", sets, target, anchor)
+        """``copy (sets) a[..][e] :- anchor``: write ``target`` at the
+        array's rank; the copy axis, the last set's element ``e``, is
+        appended here (indexing refuses a subscript beyond the rank)."""
+        last = sets if isinstance(sets, IndexSet) else sets[-1]
+        spread = ast.Index(base=target.node.base, subs=target.node.subs + [last.elem.node])
+        self._map_decl("copy", sets, LValue(self, spread), anchor)
 
     def _map_decl(self, kind: str, sets, target: LValue, anchor: LValue) -> None:
         if isinstance(sets, IndexSet):

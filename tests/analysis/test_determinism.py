@@ -112,6 +112,16 @@ class TestClassification:
         rep = lint_program(src)
         assert rep.by_code("UC504")
 
+    def test_escaping_oneof_write_is_uc504(self):
+        src = (
+            "index_set I:i = {0..7};\nint x[8]; int y;\n"
+            "main { oneof (I) st (i < 4) x[i] = 1; st (i >= 2) x[i] = 2;\n"
+            "       y = x[3]; }"
+        )
+        d = lint_program(src).by_code("UC504")
+        assert d and "'oneof' runs one RNG-chosen arm and its write to 'x'" in d[0].message
+        assert "read at line 4" in d[0].message
+
     def test_local_arbitrary_is_quiet(self):
         src = (
             "index_set I:i = {0..7};\nint x[8]; int a;\n"

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.machine import Machine, MachineConfig, small_config
+
+#: ``pytest --hypothesis-profile nightly`` (CI's scheduled job): the
+#: lowering differential (tests/properties/test_lowering_diff.py) takes
+#: its example count from the loaded profile instead of its tier-1 budget
+settings.register_profile("nightly", max_examples=5000, deadline=None)
 
 
 @pytest.fixture

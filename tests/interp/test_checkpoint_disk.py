@@ -181,3 +181,37 @@ def test_both_rng_states_round_trip():
     assert np.array_equal(
         np.asarray(back.dead_pes), np.asarray(snap.dead_pes)
     )
+
+
+#: main-scope declarations (a scalar, an array, an index set) live in the
+#: main context, not the global environment: a portable snapshot carries
+#: them, and a fault plan's fired/counter state, across the suspension
+MAIN_DECLS = """
+index_set I:i = {0..7};
+int a[8];
+main {
+  int k;
+  int tmp[8];
+  index_set L:l = {0..3};
+  k = 5;
+  par (I) tmp[i] = i + k;
+  par (L) a[l] = tmp[l] * 2;
+  par (I) a[i] = a[i] + tmp[i];
+}
+"""
+
+
+@pytest.mark.parametrize("faults, sanitize", [(None, False), ("drop@alu#2", False), (None, True)])
+def test_main_scope_declarations_and_fault_state_resume(faults, sanitize):
+    prog = UCProgram(MAIN_DECLS, faults=faults, sanitize=sanitize, compile_store=None)
+    solo = prog.run()
+    snap = cp.snapshot_from_bytes(cp.snapshot_to_bytes(_take_snapshot_at(prog, 5)))
+    assert {tag for tag, _name, _p in snap.main_env} == {"scalar", "array", "index_set"}
+    assert (snap.fault_state is not None) == (faults is not None)
+    assert bool(snap.tier_log) == sanitize  # the sanitizer's tier log rides along
+    pr = prog.prepare()
+    cp.install_portable(pr.interp, pr.context, snap)
+    pr.interp.run_main_from(pr.context, snap.pc)
+    resumed = pr.finish()
+    assert np.array_equal(resumed["a"], solo["a"])
+    assert resumed.fingerprint == solo.fingerprint

@@ -95,6 +95,24 @@ class TestCheck:
             main(["check", str(f)])
 
 
+    def test_solve_others_fails_check_lint_and_run_alike(self, tmp_path, capsys):
+        f = tmp_path / "solve_others.uc"
+        f.write_text(
+            "index_set I:i = {0..3};\nint a[4], b[4];\nmain {\n"
+            "  solve (I) st (i > 0) a[i] = a[i-1] + 1; others b[i] = 5;\n}"
+        )
+        want = "solve does not take an 'others' clause (*solve does) (line 4, column 3)"
+        for cmd in ("check", "run"):
+            with pytest.raises(SystemExit) as exit_:
+                main([cmd, str(f)])
+            assert exit_.value.code == f"{f}: {want}"
+        assert main(["lint", str(f)]) == 1
+        out = capsys.readouterr().out
+        assert "solve does not take an 'others' clause" in out and "1 error" in out
+        f.write_text(f.read_text().replace("solve", "*solve"))
+        assert main(["run", str(f), "--print", "b"]) == 0
+        assert "b = [5 0 0 0]" in capsys.readouterr().out
+
     def test_check_bad_octal_literal_is_one_line(self, tmp_path):
         f = tmp_path / "bad.uc"
         f.write_text("int a[4];\nmain { a[0] = 09; }")

@@ -354,3 +354,27 @@ class TestBackoffPolicy:
             (e.kind, e.op, e.at_count) for e in plan.events
         ]
         assert not any(e.fired for e in child.events)
+
+
+#: a protected par nested in a oneof body that declares a parallel local,
+#: after a gather the sanitizer's tier log records
+LOCAL_UNDER_ONEOF = """
+index_set I:i = {0..3}, J:j = {0..3};
+int b[4][4];
+main {
+    par (I) b[i][0] = b[i][1];
+    oneof (I) st (i >= 0) { int t; t = i * 2; par (J) b[i][j] = t + j; }
+}
+"""
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_restore_rolls_back_parallel_locals_and_the_tier_log(sanitize):
+    """A checkpoint taken inside a parallel body saves its locals (and,
+    under the sanitizer, the tier log); the restored retry finishes with
+    the fault-free values."""
+    clean = UCProgram(LOCAL_UNDER_ONEOF, sanitize=sanitize).run()
+    faulty = UCProgram(LOCAL_UNDER_ONEOF, sanitize=sanitize, faults="drop@alu#4").run()
+    assert faulty.recovery["retries"] == 1
+    assert np.array_equal(faulty["b"], clean["b"])
+    assert clean["b"].tolist()[1] == [2, 3, 4, 5]

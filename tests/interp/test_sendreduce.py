@@ -63,6 +63,24 @@ class TestEquivalence:
         assert on["out"].tolist() == ref
         assert off["out"].tolist() == ref
 
+    @pytest.mark.parametrize("op", ["$&&", "$||", "$^"])
+    def test_logical_partitioned_reductions(self, op):
+        """The logical combines run on a bool buffer and widen to int."""
+        src = (
+            "index_set I:i = {0..N-1}, J:j = {0..3};\n"
+            "int key[N], val[N];\nint out[4];\n"
+            f"main {{ par (J) out[j] = {op}(I st (key[i] == j) val[i] > 500); }}"
+        )
+        n = 200
+        rng = np.random.default_rng(5)
+        key = rng.integers(0, 4, n)
+        val = rng.integers(0, 1000, n)
+        cfg = MachineConfig(n_pes=128)
+        on, off = both_ways(src, {"key": key, "val": val}, {"N": n}, machine_config=cfg)
+        assert on.elapsed_us < off.elapsed_us  # the send-reduce form ran
+        fn = {"$&&": np.all, "$||": np.any, "$^": lambda v: np.sum(v) % 2}[op]
+        assert on["out"].tolist() == [int(fn(val[key == j] > 500)) for j in range(4)]
+
     def test_extra_conjunct_respected(self):
         src = (
             "index_set I:i = {0..N-1}, J:j = {0..9};\n"

@@ -271,3 +271,101 @@ class TestMappingsAndMisc:
         r3 = build().run(seed=4)["a"]
         assert np.array_equal(r1, r2)
         assert not np.array_equal(r1, r3)
+
+
+class TestRemainingSurface:
+    """Every builder entry point runs at least once (reflected operators,
+    locals, products, fold/copy maps, source rendering, misuse errors)."""
+
+    def test_reflected_and_remaining_operators(self):
+        out = TestExpressions()._run_expr(
+            lambda b, i: (1 + i) + (100 / (i + 1)) + (17 % (i + 2)) + (64 >> i)
+            + ((i != 3) & (i <= 5)) + (True & (i > 0)) + (False | (i > 6))
+        )
+        expect = [
+            (1 + k) + 100 // (k + 1) + 17 % (k + 2) + (64 >> k)
+            + ((k != 3) and (k <= 5)) + (k > 0) + (k > 6)
+            for k in range(8)
+        ]
+        assert out.tolist() == expect
+
+    def test_expressions_hash_by_identity_and_render(self):
+        b = UCBuilder()
+        _I, i = b.index_set("I", "i", range(4))
+        e = i * 2 + 1
+        assert len({e, e}) == 1
+        assert repr(e) == "E(i * 2 + 1)"
+
+    def test_locals_floats_and_products(self):
+        b = UCBuilder()
+        I, i = b.index_set("I", "i", range(5))
+        J, j = b.alias("J", "j", I)
+        a = b.int_array("a", 5)
+        p = b.int_array("p", 5)
+        scale = b.float_scalar("scale", 0.5)
+        with b.main():
+            with b.par(I):
+                rank = b.local("rank")
+                rank.set(b.sum(J, 1, where=(a[j] < a[i])))
+                p[i].set(b.product(J, j + 1, where=(j <= i)))
+                a[rank].set(a[i])
+        r = b.run({"a": np.array([30, 10, 40, 20, 0])})
+        assert r["a"].tolist() == [0, 10, 20, 30, 40]
+        assert r["p"].tolist() == [1, 2, 6, 24, 120]
+        assert r["scale"] == 0.5
+
+    @pytest.mark.parametrize("kind", ["fold", "copy"])
+    def test_fold_and_copy_maps_keep_values(self, kind):
+        def build(mapped):
+            b = UCBuilder()
+            I, i = b.index_set("I", "i", range(4))
+            J, j = b.alias("J", "j", I)
+            a = b.int_array("a", 8)
+            c = b.int_array("c", 4, 4)
+            if mapped and kind == "fold":
+                b.fold(I, a[i + 4], a[i])  # fold (I) a[i+4] :- a[i]
+            elif mapped:
+                b.copy((I, J), a[i], a[i])  # copy (I, J) a[i][j] :- a[i]
+            with b.main():
+                with b.par(I):
+                    a[i].set(i * 2)
+                    a[i + 4].set(a[i] + 1)
+                with b.par(I, J):
+                    c[i, j].set(a[i] + a[j + 4])
+            return b
+
+        assert build(True)._program.maps[0].decls[0].kind == kind
+        mapped, plain = build(True).run(), build(False).run()
+        assert mapped["a"].tolist() == plain["a"].tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
+        assert np.array_equal(mapped["c"], plain["c"])
+
+    def test_source_renders_the_program(self):
+        b = UCBuilder()
+        I, i = b.index_set("I", "i", range(4))
+        a = b.int_array("a", 4)
+        with b.main():
+            with b.par(I):
+                a[i].set(i + 1)
+        src = b.source()
+        assert "domain GRID0_4 {" in src and "a[i] = i + 1;" in src
+
+    def test_misuse_errors(self):
+        b = UCBuilder()
+        I, i = b.index_set("I", "i", range(4))
+        a = b.int_array("a", 4)
+        x = b.int_scalar("x")
+        with pytest.raises(RuntimeError, match="inside b.main"):
+            x.set(1)
+        with pytest.raises(RuntimeError, match="lint"):
+            b.lint()
+        with pytest.raises(TypeError, match="array references"):
+            b.permute(I, x, a[i])
+        with b.main():
+            with pytest.raises(RuntimeError, match="mix of st"):
+                with b.par(I):
+                    a[i].set(0)
+                    with b.st(i > 1):
+                        a[i].set(1)
+        with pytest.raises(RuntimeError, match="already built"):
+            with b.main():
+                pass

@@ -208,6 +208,20 @@ class TestSolveChecks:
                 "main { solve (I) if (a[i]) a[i] = 1; }"
             )
 
+    def test_solve_others_rejected_with_position(self):
+        with pytest.raises(UCSemanticError, match="'others' clause") as err:
+            check(
+                "index_set I:i = {0..3};\nint a[4], b[4];\nmain {\n"
+                "  solve (I) st (i > 0) a[i] = a[i-1] + 1; others b[i] = 5;\n}"
+            )
+        assert (err.value.line, err.value.col) == (4, 3)
+
+    def test_star_solve_accepts_others(self):
+        check(
+            "index_set I:i = {0..3};\nint a[4], b[4];\n"
+            "main { *solve (I) st (i > 0) a[i] = a[i-1] + 1; others b[i] = 5; }"
+        )
+
     def test_star_solve_exempt_from_single_assignment(self):
         check(
             "index_set I:i = {0..3};\nint a[4];\n"
