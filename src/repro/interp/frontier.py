@@ -1157,8 +1157,8 @@ class SweepDiff:
         """What still moved (the sweep-limit diagnostic): each variable's
         *frontier* — how many of its elements changed, so a diverging
         construct shows at a glance whether the instability is local or
-        global — and, after a full sweep, a numeric array's largest
-        change or a scalar's move."""
+        global — and a numeric array's largest change or a scalar's
+        move."""
         parts = []
         for name in sorted(self.changed):
             n, size = self.counts[name]

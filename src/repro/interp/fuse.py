@@ -1511,7 +1511,7 @@ class _Fuser:
         runs it: arguments in the caller's context, each cast to its
         parameter's dtype over the grid, then the returned expression with
         names resolved to the parameters, then to globals — uncached, and
-        the cache cleared after (``cse_suspend``).  Builtins (ROADMAP 1a:
+        the cache cleared after (``cse_suspend``).  Builtins (ROADMAP 5b:
         the dense/lane crossover), ``rand`` and every other callee
         demote."""
         func = self.ip.info.functions.get(node.func)

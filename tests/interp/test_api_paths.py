@@ -28,6 +28,7 @@ def test_unknown_placement_policy():
         UCProgram(SRC, placement="diagonal")
 
 
+@pytest.mark.usefixtures("default_engines")
 def test_plan_cache_counters_report_build_seconds_per_kind():
     prog = UCProgram(SRC, compile_store=None)
     prog.run()

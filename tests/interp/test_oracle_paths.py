@@ -1,6 +1,8 @@
 """Oracle paths no shipped program takes: C control flow, host-side
 declarations, error exits, function-call binding, solve targets and
-empty-mask writes.  Each program runs on every engine through
+empty-mask writes; then one program per engine fallback site a UC
+program reaches (``FALLBACKS`` and the ``run_batch`` tests) and the
+compressed-sweep lane path (``COMPRESSED``).  Each runs on every engine through
 :func:`tests.properties.test_lowering_diff.assert_engines_agree`; the
 table names what the oracle must produce (values or the located error).
 """
