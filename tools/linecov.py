@@ -1,35 +1,28 @@
-"""Standard-library line recorder: which source lines never run.
-
-    python tools/linecov.py run OUT -- python -m pytest -q     # record
-    python tools/linecov.py report OUT [--list interp]         # per package
-
-``run`` puts a generated ``sitecustomize.py`` first on ``PYTHONPATH``, so
-every Python process the command starts records too; each writes
-``OUT/hits-<pid>.json`` at exit.  A line holding ``# pragma: no cover``
-is not counted, nor is the block it opens when it ends in ``:``.
-"""
+"""Standard-library line recorder.  ``run OUT -- CMD`` records every Python
+process CMD starts (a generated ``sitecustomize.py`` leads ``PYTHONPATH``;
+each process writes ``OUT/hits-<pid>.json`` at exit); ``report OUT [--list
+PKG]`` prints the never-run lines per package of ``src/repro``.  A line
+holding ``# pragma: no cover``, and the block it opens, is not counted."""
 import ast, atexit, dis, glob, json, os, subprocess, sys, threading
 from collections import defaultdict
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.realpath(os.path.join(HERE, "..", "src", "repro"))
 
-
 def start(out, root=ROOT):
     hits, tracers = defaultdict(set), {}
-
-    def local_for(seen):
-        def local(frame, event, arg):
-            if event == "line":
-                seen(frame.f_lineno)
-            return local
-        return local
 
     def on_call(frame, event, arg):
         path = frame.f_code.co_filename
         if path not in tracers:
             real = os.path.realpath(path)
-            tracers[path] = real.startswith(root) and local_for(hits[real].add)
+            seen = real.startswith(root) and hits[real].add
+
+            def local(frame, event, arg):
+                if event == "line":
+                    seen(frame.f_lineno)
+                return local
+            tracers[path] = seen and local
         return tracers[path] or None
 
     def dump():
@@ -40,16 +33,15 @@ def start(out, root=ROOT):
     threading.settrace(on_call)
     sys.settrace(on_call)
 
-
 def executable(path):
     """Lines that start a statement and compile to code, minus pragmas."""
     src = open(path).read()
-    tree, lines, starts, todo = ast.parse(src), src.splitlines(), set(), [compile(src, path, "exec")]
+    lines, starts, todo = src.splitlines(), set(), [compile(src, path, "exec")]
     while todo:
         code = todo.pop()
         starts.update(line for _, line in dis.findlinestarts(code) if line)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-    stmts = {n.lineno for n in ast.walk(tree) if isinstance(n, ast.stmt)
+    stmts = {n.lineno for n in ast.walk(ast.parse(src)) if isinstance(n, ast.stmt)
              and not (isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant))}
     for at, text in enumerate(lines):
         if "# pragma: no cover" in text:
@@ -61,22 +53,19 @@ def executable(path):
                 stmts.discard(below + 1)
     return stmts & starts
 
-
 def report(out, listed=None, root=ROOT):
-    hits, totals = defaultdict(set), defaultdict(lambda: [0, 0])
+    hits, totals = defaultdict(set), defaultdict(lambda: (0, 0))
     for name in glob.glob(os.path.join(out, "hits-*.json")):
         for path, seen in json.load(open(name)).items():
             hits[path].update(seen)
     for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
         rel, lines = os.path.relpath(path, root), executable(path)
-        missed = sorted(lines - hits[os.path.realpath(path)])
-        totals[rel.split(os.sep)[0]][0] += len(missed)
-        totals[rel.split(os.sep)[0]][1] += len(lines)
-        if missed and rel.split(os.sep)[0] == listed:
+        missed, package = sorted(lines - hits[os.path.realpath(path)]), rel.split(os.sep)[0]
+        totals[package] = (totals[package][0] + len(missed), totals[package][1] + len(lines))
+        if missed and package == listed:
             print("%s: %s" % (rel, " ".join(map(str, missed))))
     for package, (missed, total) in sorted(totals.items()) + [("total", map(sum, zip(*totals.values())))]:
         print("%-14s %6d never run of %6d" % (package, missed, total))
-
 
 if __name__ == "__main__":
     verb, out, rest = sys.argv[1], os.path.abspath(sys.argv[2]), sys.argv[3:]
