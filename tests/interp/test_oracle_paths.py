@@ -382,6 +382,7 @@ def _same_as_solo(results, src, **kw):
         assert res.fingerprint == solo.fingerprint
 
 
+@pytest.mark.usefixtures("default_engines")
 def test_batch_over_the_memory_cap_runs_the_lanes_solo(monkeypatch):
     """``_BatchConstruct._screen`` declines a construct whose lane stacks
     would pass ``_MEMORY_CAP_BYTES``."""
@@ -390,6 +391,7 @@ def test_batch_over_the_memory_cap_runs_the_lanes_solo(monkeypatch):
     _same_as_solo(results, STAR_PAR)
 
 
+@pytest.mark.usefixtures("default_engines")
 def test_batch_whose_kernel_left_the_cache_reruns_sequentially(monkeypatch):
     """A one-entry plan cache evicts the screened kernel while the lanes
     enter the grid: ``_prepare`` aborts and the batch reruns solo."""
