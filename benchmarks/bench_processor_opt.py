@@ -35,7 +35,7 @@ def run_table_p():
         reference = np.bincount(samples, minlength=10)
 
         prog_naive = UCProgram(DIGIT_COUNT_UC, defines={"N": n}, processor_opt=False)
-        plans = analyze_program(prog_naive.info)
+        plans = analyze_program(prog_naive.frontend.model())
         assert len(plans) == 1 and plans[0].partitioned
         plan = plans[0]
 

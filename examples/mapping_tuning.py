@@ -18,8 +18,10 @@ from repro.bench.workloads import (
     TRANSPOSE_KERNEL_UC,
     with_map,
 )
-from repro.compiler.comm_opt import analyze_communication
+from repro.analysis.commlints import reference_rows
+from repro.analysis.staticref import default_costs
 from repro.interp.program import UCProgram
+from repro.lang.ast import expr_to_text
 
 n, reps = 128, 8
 rng = np.random.default_rng(11)
@@ -46,11 +48,11 @@ print(f"  router gets: {default_run.counts.get('router_get', 0)}")
 # 2. Ask the compiler where the communication goes
 # ---------------------------------------------------------------------------
 
-report = analyze_communication(prog.info, prog.layouts)
+rows = reference_rows(prog.frontend.model(), prog.frontend.verdicts(), default_costs())
 print("\ncommunication analysis (compile-time):")
-for ref in report.references:
-    print(f"  {ref.text:14s} -> {ref.kind:9s} {ref.note}")
-for hint in report.suggestions:
+for node, tier, note, _hint in rows:
+    print(f"  {expr_to_text(node):14s} -> {tier:9s} {note}")
+for hint in dict.fromkeys(hint for *_row, hint in rows if hint):
     print(f"  suggestion: {hint}")
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,6 @@ print("\nresults are identical — the map section changed layout, not meaning."
 
 from repro.lang import parse_statement
 from repro.mapping.transform import rewrite_subscripts
-from repro.compiler.cstar_gen import expr_to_text
 
 stmt = parse_statement("a[i] = a[i] + b[i+1];")
 simple_prog = UCProgram(

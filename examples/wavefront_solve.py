@@ -52,7 +52,7 @@ from repro.interp.eval_expr import ExecContext
 from repro.interp.env import Env
 from repro.interp.values import GridContext
 from repro.interp.statements import enter_grid
-from repro.interp.solve import _collect_assignments
+from repro.lang.semantics import solve_assignments
 from repro.machine import Machine
 from repro.lang import ast as uc_ast
 
@@ -61,7 +61,7 @@ main = scheduled.info.program.main
 solve_stmt = next(s for s in uc_ast.walk(main) if isinstance(s, uc_ast.UCStmt))
 ctx = ExecContext(GridContext(), None, Env(interp.global_env))
 inner = enter_grid(interp, solve_stmt, ctx)
-schedule = try_schedule(interp, solve_stmt, _collect_assignments(solve_stmt), inner)
+schedule = try_schedule(interp, solve_stmt, solve_assignments(solve_stmt), inner)
 assert schedule is not None
 print(f"\ndependency levels derived by the scheduler (max {schedule.max_level}):")
 for row in schedule.levels[:6]:

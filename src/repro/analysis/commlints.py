@@ -18,22 +18,22 @@ names the tier the machine will actually charge:
 References already demoted to ``local`` — or promoted to the
 precomputed ``permute`` tier by an active map — produce no UC301-304
 diagnostic.
+
+:func:`site_advice` is the one place a verdict becomes a tier, a note
+and a map hint: UC301-304 and ``repro analyze``'s per-reference report
+(:func:`reference_rows`) both read it, so they propose the same maps.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
+from ..lang import ast
+from ..lang.ast import expr_to_text
 from ..machine.config import CostTable
 from .context import AnalysisModel
 from .diagnostics import Diagnostic
 from .staticref import A, SiteVerdict
-
-
-def _text(node) -> str:
-    from ..compiler.cstar_gen import expr_to_text  # lazy: avoid import cycle
-
-    return expr_to_text(node)
 
 
 #: shard count the UC305 cross-shard lint models.  Any K > 1 proves the
@@ -57,10 +57,7 @@ def analyze_comm(
                 continue
             if not write and not v.ref.read:
                 continue
-            tier = v.tier(costs, write=write)
-            if tier in (None, "local", "permute"):
-                continue
-            d = _diag_for(model, v, tier, write, file)
+            d = _diag_for(model, v, costs, write, file)
             if d is None:
                 continue
             key = (d.line, d.col, v.ref.node.base, d.code, write)
@@ -122,7 +119,7 @@ def _shard_lints(
             if key in seen:
                 continue
             seen.add(key)
-            text = _text(node)
+            text = expr_to_text(node)
             role = "written" if write else "serviced"
             diags.append(
                 Diagnostic(
@@ -189,84 +186,114 @@ def _shard_hint(v, rc, layout, pl, grid_shape, text: str) -> str:
     )
 
 
-def _diag_for(
-    model: AnalysisModel, v: SiteVerdict, tier: str, write: bool, file: str
-):
-    node = v.ref.node
+def site_advice(
+    model: AnalysisModel, v: SiteVerdict, costs: CostTable, *, write: bool
+) -> Optional[Tuple[str, str, str]]:
+    """``(tier, note, hint)`` for one reference read (or, with ``write``,
+    scattered) through ``v``: the tier the engines will charge, a short
+    note on why, and the map that would make it cheaper ("" when there is
+    none to suggest).  None on a rank mismatch (the semantic analyzer
+    reports it).  UC301-304 and ``repro analyze`` both read this."""
     rc = v.rc_write if write else v.rc
-    text = _text(node)
-    role = "written through" if write else "serviced by"
-    if tier == "router":
-        hint = ""
-        if rc is not None and rc.axes is None:
-            hint = (
-                "data-dependent subscripts need the general router; index "
-                "with affine expressions of the construct elements to enable "
-                "a cheaper tier"
-            )
-        elif rc is not None and "permutes the grid alignment" in rc.detail:
+    if rc is None:
+        return None
+    tier = v.tier(costs, write=write)
+    if tier == "local":
+        return tier, "", ""
+    node = v.ref.node
+    text = expr_to_text(node)
+    note, hint = rc.detail, ""
+    if rc.axes is None:
+        note = "data-dependent subscript"
+        hint = (
+            "data-dependent subscripts need the general router; index with "
+            "affine expressions of the construct elements to enable a "
+            "cheaper tier"
+        )
+    elif "permutes the grid alignment" in rc.detail:
+        note = "transposed element order"
+        if tier == "router":
             hint = (
                 f"add a transposing permute map for {node.base!r} so {text} "
                 "becomes a precomputed permutation (docs/LANGUAGE.md, map "
                 "sections)"
             )
-        elif rc is not None and rc.kind == "news":
-            hint = (
-                f"the constant shift is longer than one router cycle; a "
-                f"permute map storing {text} locally removes it entirely"
-            )
-        return Diagnostic(
-            code="UC301",
-            severity="warning",
-            message=(
-                f"{text} is {role} the general router"
-                + (f" ({rc.detail})" if rc is not None and rc.detail else "")
-            ),
-            line=node.line,
-            col=node.col,
-            file=file,
-            hint=hint,
+    elif tier == "router" and rc.kind == "news":
+        hint = (
+            f"the constant shift is longer than one router cycle; a permute "
+            f"map storing {text} locally removes it entirely"
         )
-    if tier == "spread":
+    elif tier == "spread":
         unused = _unused_elems(model, v)
         which = ", ".join(unused) if unused else "a fixed row/column"
-        return Diagnostic(
-            code="UC302",
-            severity="info",
-            message=(
-                f"{text} is constant along {which}: serviced by a log-depth "
-                "spread"
-            ),
-            line=node.line,
-            col=node.col,
-            file=file,
-            hint=f"copy {node.base!r} along {which} to avoid spreading {text}",
+        note = f"constant along {which}"
+        hint = f"copy {node.base!r} along {which} to avoid spreading {text}"
+    elif tier == "news":
+        note = f"constant shift of {rc.news_distance}"
+        hint = (
+            f"permute {node.base!r} with offset {rc.news_distance} so that "
+            f"{text} is stored locally"
         )
-    if tier == "news":
-        dist = rc.news_distance if rc is not None else 0
-        return Diagnostic(
-            code="UC303",
-            severity="info",
-            message=f"{text} is a NEWS shift of {dist} hop(s)",
-            line=node.line,
-            col=node.col,
-            file=file,
-            hint=(
-                f"permute {node.base!r} with offset {dist} so that {text} is "
-                "stored locally"
-            ),
+    return tier, note, hint
+
+
+def reference_rows(
+    model: AnalysisModel, verdicts: Sequence[SiteVerdict], costs: CostTable
+) -> List[Tuple[ast.Index, str, str, str]]:
+    """``repro analyze``'s report: one ``(node, tier, note, hint)`` row per
+    reference, local ones included.  A pure write is reported as the
+    scatter it compiles to, anything read as its gather."""
+    rows = []
+    for v in verdicts:
+        advice = site_advice(
+            model, v, costs, write=v.ref.write and not v.ref.read
         )
-    if tier == "broadcast":
-        return Diagnostic(
-            code="UC304",
-            severity="info",
-            message=f"{text} is uniform across the grid (front-end broadcast)",
-            line=node.line,
-            col=node.col,
-            file=file,
-            hint="",
+        if advice is not None:
+            rows.append((v.ref.node,) + advice)
+    return rows
+
+
+#: the tiers UC301-304 report, with their code and severity; ``local``
+#: and the precomputed ``permute`` tier draw no diagnostic
+_TIER_CODES = {
+    "router": ("UC301", "warning"),
+    "spread": ("UC302", "info"),
+    "news": ("UC303", "info"),
+    "broadcast": ("UC304", "info"),
+}
+
+
+def _diag_for(
+    model: AnalysisModel, v: SiteVerdict, costs: CostTable, write: bool, file: str
+) -> Optional[Diagnostic]:
+    advice = site_advice(model, v, costs, write=write)
+    if advice is None or advice[0] not in _TIER_CODES:
+        return None
+    tier, note, hint = advice
+    node = v.ref.node
+    rc = v.rc_write if write else v.rc
+    text = expr_to_text(node)
+    if tier == "router":
+        role = "written through" if write else "serviced by"
+        message = f"{text} is {role} the general router" + (
+            f" ({rc.detail})" if rc.detail else ""
         )
-    return None
+    elif tier == "spread":
+        message = f"{text} is {note}: serviced by a log-depth spread"
+    elif tier == "news":
+        message = f"{text} is a NEWS shift of {rc.news_distance} hop(s)"
+    else:
+        message = f"{text} is uniform across the grid (front-end broadcast)"
+    code, severity = _TIER_CODES[tier]
+    return Diagnostic(
+        code=code,
+        severity=severity,
+        message=message,
+        line=node.line,
+        col=node.col,
+        file=file,
+        hint=hint,
+    )
 
 
 def _unused_elems(model: AnalysisModel, v: SiteVerdict) -> List[str]:

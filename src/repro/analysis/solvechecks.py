@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import ast
-from ..lang.semantics import _ConstEvaluator
+from ..lang.semantics import _ConstEvaluator, solve_assignments
 from .context import AnalysisModel, ConstructSite
 from .diagnostics import Diagnostic
 from .staticref import A, C, SubVal, realize_subscript
@@ -114,25 +114,6 @@ def _unreachable_others(
 # ---------------------------------------------------------------------------
 
 
-def _solve_assignments(site: ConstructSite) -> List[Tuple[Optional[ast.Expr], ast.Assign]]:
-    out: List[Tuple[Optional[ast.Expr], ast.Assign]] = []
-    for block in site.stmt.blocks:
-        for assign in _assigns_of(block.stmt):
-            out.append((block.pred, assign))
-    return out
-
-
-def _assigns_of(stmt: ast.Stmt) -> List[ast.Assign]:
-    if isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Assign):
-        return [stmt.expr]
-    if isinstance(stmt, ast.Block):
-        out: List[ast.Assign] = []
-        for s in stmt.stmts:
-            out.extend(_assigns_of(s))
-        return out
-    return []  # malformed bodies are the runtime's error, not a lint
-
-
 def _identity_offsets(
     subvals: Sequence[SubVal]
 ) -> Optional[Tuple[Tuple[int, int], ...]]:
@@ -184,7 +165,7 @@ def _refs_outside_escapes(expr: ast.Expr) -> List[ast.Index]:
 def _dependence_cycles(
     model: AnalysisModel, site: ConstructSite, file: str, diags: List[Diagnostic]
 ) -> None:
-    assignments = _solve_assignments(site)
+    assignments = solve_assignments(site.stmt)
     if not assignments:
         return
     # node per assignment; edges carry per-axis offset deltas (RHS ref

@@ -23,9 +23,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .compiler.comm_opt import analyze_communication
-from .compiler.cstar_gen import generate_cstar
-from .compiler.processor_opt import analyze_program as analyze_vp_plans
 from .interp.config import ConfigError, EngineConfig
 from .interp.program import UCProgram
 from .lang.errors import UCError
@@ -355,28 +352,42 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_cstar(args: argparse.Namespace) -> int:
+    from .compiler.cstar_gen import generate_cstar
+
     prog = _load_program(args)
     print(generate_cstar(prog.info, prog.layouts))
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis.commlints import reference_rows
+    from .analysis.staticref import default_costs
+    from .compiler.processor_opt import analyze_program
+    from .lang.ast import expr_to_text
+
     prog = _load_program(args)
-    report = analyze_communication(prog.info, prog.layouts)
-    print(f"{args.file}: {len(report.references)} parallel array references")
-    for ref in report.references:
-        note = f"  ({ref.note})" if ref.note else ""
-        print(f"  line {ref.line:4d}  {ref.kind:9s}  {ref.text}{note}")
-    if report.suggestions:
-        print("suggestions:")
-        for s in report.suggestions:
-            print(f"  - {s}")
-    plans = [p for p in analyze_vp_plans(prog.info) if p.partitioned]
-    for p in plans:
+    model = prog.frontend.model()
+    rows = reference_rows(model, prog.frontend.verdicts(), default_costs())
+    print(f"{args.file}: {len(rows)} parallel array references")
+    suggestions: List[str] = []
+    for node, tier, note, hint in rows:
+        note = f"  ({note})" if note else ""
         print(
-            f"processor optimization: reduction at line {p.line} needs "
-            f"{p.optimized_vps} VPs (naive: {p.naive_vps})"
+            f"  line {node.line:4d}:{node.col:<3d} {tier:9s}  "
+            f"{expr_to_text(node)}{note}"
         )
+        if hint and hint not in suggestions:
+            suggestions.append(hint)
+    if suggestions:
+        print("suggestions:")
+        for s in suggestions:
+            print(f"  - {s}")
+    for p in analyze_program(model):
+        if p.partitioned:
+            print(
+                f"processor optimization: reduction at line {p.line} needs "
+                f"{p.optimized_vps} VPs (naive: {p.naive_vps})"
+            )
     return 0
 
 

@@ -1,34 +1,18 @@
-"""Compiler passes: optimizations and the UC → C* backend.
+"""Compiler passes: solve scheduling, the §4 partition verdict and the
+UC → C* backend.
 
 * :mod:`solve_sched` — static dependency scheduling for ``solve`` (§3.6 /
   reference [14] of the paper): turns a proper set of assignments into a
   level-by-level ``seq``/``par`` execution plan.
-* :mod:`processor_opt` — virtual-processor count deduction (§4): detects
-  reductions whose predicate partitions the operand set so they can run
-  with |operands| processors instead of |results|·|operands|.
-* :mod:`peephole` — constant folding and algebraic simplification.
-* :mod:`comm_opt` — communication analysis: classifies every parallel
-  array reference at compile time and suggests permute mappings.
+* :mod:`processor_opt` — virtual-processor count deduction (§4): the one
+  verdict on reductions whose predicate partitions the operand set, so
+  they run with |operands| processors instead of |results|·|operands|.
 * :mod:`cstar_ast` / :mod:`cstar_gen` — the C* target: translates UC
   programs into C*-style domain declarations and parallel member code
   (both as source text, mirroring the paper's appendix, and as runnable
   :mod:`repro.cstar` runtime calls).
+
+The static analysis that classifies references and proposes maps is
+:mod:`repro.analysis`.  Nothing here is imported eagerly: a plain run
+loads only the modules its engines call.
 """
-
-from . import comm_opt, cstar_ast, cstar_gen, peephole, processor_opt, solve_sched
-from .comm_opt import analyze_communication
-from .cstar_gen import expr_to_text, generate_cstar
-from .processor_opt import analyze_program as analyze_processor_plans
-
-__all__ = [
-    "comm_opt",
-    "cstar_ast",
-    "cstar_gen",
-    "peephole",
-    "processor_opt",
-    "solve_sched",
-    "analyze_communication",
-    "generate_cstar",
-    "expr_to_text",
-    "analyze_processor_plans",
-]

@@ -26,82 +26,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import ast
+from ..lang.ast import expr_to_text
 from ..lang.semantics import ProgramInfo
 from ..mapping.layout import LayoutTable
 from ..mapping.transform import rewrite_program
 from .cstar_ast import CStarDomain, CStarField, CStarProgram
-
-#: C binary operator precedence for minimal parenthesisation
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6,
-    "!=": 6,
-    "<": 7,
-    "<=": 7,
-    ">": 7,
-    ">=": 7,
-    "<<": 8,
-    ">>": 8,
-    "+": 9,
-    "-": 9,
-    "*": 10,
-    "/": 10,
-    "%": 10,
-}
-
-
-def expr_to_text(expr: ast.Expr, parent_prec: int = 0) -> str:
-    """Render a UC expression as C text (used by reports and codegen)."""
-    if isinstance(expr, ast.IntLit):
-        return str(expr.value)
-    if isinstance(expr, ast.FloatLit):
-        return repr(expr.value)
-    if isinstance(expr, ast.StringLit):
-        return '"' + expr.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(expr, ast.InfLit):
-        return "INF"
-    if isinstance(expr, ast.Name):
-        return expr.ident
-    if isinstance(expr, ast.Index):
-        return expr.base + "".join(f"[{expr_to_text(s)}]" for s in expr.subs)
-    if isinstance(expr, ast.Unary):
-        inner = expr_to_text(expr.operand, 11)
-        if inner.startswith(expr.op):
-            # avoid '--x' (decrement) when negating a negation
-            inner = f"({inner})"
-        return f"{expr.op}{inner}"
-    if isinstance(expr, ast.Binary):
-        prec = _PREC.get(expr.op, 0)
-        text = (
-            f"{expr_to_text(expr.left, prec)} {expr.op} "
-            f"{expr_to_text(expr.right, prec + 1)}"
-        )
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(expr, ast.Ternary):
-        text = (
-            f"{expr_to_text(expr.cond, 1)} ? {expr_to_text(expr.then)} : "
-            f"{expr_to_text(expr.els)}"
-        )
-        return f"({text})" if parent_prec > 0 else text
-    if isinstance(expr, ast.Call):
-        return f"{expr.func}({', '.join(expr_to_text(a) for a in expr.args)})"
-    if isinstance(expr, ast.Assign):
-        op = expr.op + "=" if expr.op else "="
-        return f"{expr_to_text(expr.target)} {op} {expr_to_text(expr.value)}"
-    if isinstance(expr, ast.IncDec):
-        return f"{expr_to_text(expr.target)}{expr.op}"
-    if isinstance(expr, ast.Reduction):
-        arms = "; ".join(
-            (f"st ({expr_to_text(a.pred)}) " if a.pred else "")
-            + expr_to_text(a.expr)
-            for a in expr.arms
-        )
-        return f"$[{expr.op}]({', '.join(expr.index_sets)}; {arms})"
-    return f"/* {type(expr).__name__} */"
 
 
 class CStarGenerator:

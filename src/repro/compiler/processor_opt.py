@@ -12,8 +12,8 @@ to exactly one result — the whole thing runs with ``max(|I|, |J|)``
 processors as a single send-with-add through the router.
 
 :func:`partition_split` is the one verdict on that pattern.  The static
-analysis (:func:`analyze_program`, ``repro analyze`` and Table P) reports
-it, and the interpreter's static gate
+report (:func:`analyze_program` over the analysis model's reduction
+sites: ``repro analyze`` and Table P) reads it, and the interpreter's static gate
 (:func:`repro.interp.sendreduce.send_reduce_split`, which the oracle and
 the fusion pass both call) takes the router path exactly where it holds.
 Whether a run *takes* that path also depends on the machine: the runtime
@@ -24,11 +24,11 @@ cannot make because it does not know the machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..lang import ast
-from ..lang.semantics import ProgramInfo
 from ..lang.tokens import REDUCTION_OPS
 
 #: the reductions a combining router send can deliver: all but ``$,``
@@ -117,61 +117,35 @@ def partition_split(
     return address[0], address[1], rest
 
 
-def match_partition(
-    red: ast.Reduction, par_elems: Sequence[str], red_elems: Sequence[str]
-) -> bool:
-    """Does the reduction's predicate partition operands across results?
-    (:func:`partition_split` as a yes/no.)"""
-    return partition_split(red, par_elems, red_elems) is not None
-
-
-def analyze_reduction(
-    red: ast.Reduction,
-    par_sets: Sequence[str],
-    info: ProgramInfo,
-) -> ReductionPlan:
-    """VP-count plan for one reduction nested in ``par (par_sets)``."""
-    par_extent = 1
-    for name in par_sets:
-        par_extent *= len(info.index_sets[name])
-    red_extent = 1
-    for name in red.index_sets:
-        red_extent *= len(info.index_sets[name])
-    par_elems = [info.index_sets[s].elem_name for s in par_sets]
-    red_elems = [info.index_sets[s].elem_name for s in red.index_sets]
-    partitioned = match_partition(red, par_elems, red_elems)
-    naive = par_extent * red_extent
-    optimized = max(par_extent, red_extent) if partitioned else naive
-    return ReductionPlan(
-        op=red.op,
-        par_sets=tuple(par_sets),
-        red_sets=tuple(red.index_sets),
-        naive_vps=naive,
-        optimized_vps=optimized,
-        partitioned=partitioned,
-        line=red.line,
-    )
-
-
-def analyze_program(info: ProgramInfo) -> List[ReductionPlan]:
-    """Plans for every reduction nested directly inside a par statement."""
+def analyze_program(model) -> List[ReductionPlan]:
+    """VP-count plans for every reduction nested inside a parallel
+    construct, read off the :class:`~repro.analysis.context.AnalysisModel`'s
+    reduction sites (the construct's axes are the par grid, the site's
+    own axes the reduction grid)."""
     plans: List[ReductionPlan] = []
-    program = info.program
-    roots: List[ast.Node] = []
-    if program.main is not None:
-        roots.append(program.main)
-    roots.extend(f.body for f in program.funcs)
-    for root in roots:
-        _walk_stmt(root, [], plans, info)
+    for site in model.reductions:
+        if site.construct is None:
+            continue  # host-level reduction: nothing to deduce
+        par_axes, red_axes = site.construct.axes, site.reduce_axes
+        par_extent = math.prod(a.extent for a in par_axes)
+        red_extent = math.prod(a.extent for a in red_axes)
+        red = site.node
+        partitioned = (
+            partition_split(
+                red, [a.elem for a in par_axes], [a.elem for a in red_axes]
+            )
+            is not None
+        )
+        naive = par_extent * red_extent
+        plans.append(
+            ReductionPlan(
+                op=red.op,
+                par_sets=tuple(a.set_name for a in par_axes),
+                red_sets=tuple(a.set_name for a in red_axes),
+                naive_vps=naive,
+                optimized_vps=max(par_extent, red_extent) if partitioned else naive,
+                partitioned=partitioned,
+                line=red.line,
+            )
+        )
     return plans
-
-
-def _walk_stmt(
-    node: ast.Node, par_stack: List[str], plans: List[ReductionPlan], info: ProgramInfo
-) -> None:
-    if isinstance(node, ast.UCStmt) and node.kind in ("par", "solve", "oneof"):
-        par_stack = par_stack + list(node.index_sets)
-    if isinstance(node, ast.Reduction) and par_stack:
-        plans.append(analyze_reduction(node, par_stack, info))
-    for child in ast.children(node):
-        _walk_stmt(child, par_stack, plans, info)

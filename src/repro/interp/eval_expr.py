@@ -170,9 +170,7 @@ def _cse_key(ip, expr: ast.Expr) -> Optional[str]:
     if not pure:
         frontend.cse_keys[id(expr)] = ""
         return None
-    from ..compiler.cstar_gen import expr_to_text
-
-    text = expr_to_text(expr)
+    text = ast.expr_to_text(expr)
     frontend.cse_keys[id(expr)] = text
     # the read-set lets cse_invalidate(name) drop only entries that can
     # observe a write to `name`
@@ -712,7 +710,7 @@ def eval_assign(ip, node: ast.Assign, ctx: ExecContext) -> Value:
 def _assign_scalar(ip, var: ScalarVar, value: Value, ctx: ExecContext, node: ast.Assign) -> None:
     if not isinstance(value, np.ndarray):  # every host expression is a scalar
         ip.machine.clock.charge("host")
-        var.value = coerce_scalar(var.ctype, value)
+        var.value = coerce_scalar(var.ctype, value, node)
         ip.cse_invalidate(var.name)
         return
     # parallel write to a front-end scalar: all enabled lanes must agree
@@ -732,7 +730,7 @@ def _assign_scalar(ip, var: ScalarVar, value: Value, ctx: ExecContext, node: ast
             node.col,
         )
     ip.machine.clock.charge("host_cm_latency")
-    var.value = coerce_scalar(var.ctype, vals.reshape(-1)[0])
+    var.value = coerce_scalar(var.ctype, vals.reshape(-1)[0], node)
     ip.cse_invalidate(var.name)
 
 

@@ -101,9 +101,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..compiler.cstar_gen import expr_to_text
 from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
+from ..lang.ast import expr_to_text
 from ..lang.semantics import BUILTINS
 from ..machine.cost import Recorder, bind_rows, charge_row, scan_levels
 from ..machine.router import has_duplicates

@@ -146,7 +146,8 @@ def _call_host(ip, func: ast.FuncDef, node: ast.Call, ctx: ExecContext) -> Value
         if param.dims:
             env.declare(param.name, bound)
         else:
-            env.declare(param.name, ScalarVar(param.name, param.ctype, coerce_scalar(param.ctype, bound)))
+            value = coerce_scalar(param.ctype, bound, arg)
+            env.declare(param.name, ScalarVar(param.name, param.ctype, value))
     ip.machine.clock.charge("host")
     frame = ExecContext(ctx.grid, ctx.mask, env)
     with ip.cse_suspend():  # the frame rebinds parameter names
@@ -167,6 +168,8 @@ def _call_parallel(ip, func: ast.FuncDef, node: ast.Call, ctx: ExecContext) -> V
         if param.dims:
             env.declare(param.name, bound)
         else:
+            if not isinstance(bound, np.ndarray):  # a uniform argument
+                bound = coerce_scalar(param.ctype, bound, arg)
             data = np.broadcast_to(
                 np.asarray(bound, dtype=numpy_ctype(param.ctype)), ctx.grid.shape
             ).copy()

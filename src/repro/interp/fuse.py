@@ -99,13 +99,14 @@ Correctness subtleties worth naming:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compiler.cstar_gen import expr_to_text
 from ..lang import ast
+from ..lang.ast import expr_to_text
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
 from ..lang.scope import IndexSetValue
 from ..machine.cost import Recorder, bind_rows
@@ -455,19 +456,24 @@ class _DynGather:
 class _Param:
     """Bind one scalar parameter of an inlined call: the argument cast to
     the parameter's dtype and copied over the grid, as
-    ``functions._call_parallel`` binds it."""
+    ``functions._call_parallel`` binds it (a uniform argument through
+    ``coerce_scalar``, so inf/NaN into an ``int`` is its located error)."""
 
-    __slots__ = ("dst", "src", "dtype", "mask")
+    __slots__ = ("dst", "src", "dtype", "mask", "cast")
 
-    def __init__(self, dst: int, src: int, dtype, mask: int) -> None:
+    def __init__(self, dst: int, src: int, param: ast.Param, arg, mask: int) -> None:
         self.dst = dst
         self.src = src
-        self.dtype = dtype
+        self.dtype = numpy_ctype(param.ctype)
         self.mask = mask
+        self.cast = functools.partial(coerce_scalar, param.ctype, node=arg)
 
     def run(self, ip, regs) -> None:
         m = regs[self.mask]
-        value = np.asarray(lift(regs[self.src], m.ndim), dtype=self.dtype)
+        value = regs[self.src]
+        if not isinstance(value, np.ndarray):
+            value = lanewise(self.cast, m.ndim, value)
+        value = np.asarray(lift(value, m.ndim), dtype=self.dtype)
         regs[self.dst] = np.broadcast_to(value, m.shape).copy()
 
 
@@ -571,7 +577,9 @@ class _AssignScalar:
         mask = regs[self.mask]
         var = self.var
         if mask.ndim == len(self.grid_shape):
-            var.value = coerce_scalar(var.ctype, self._agreed(value, mask))
+            var.value = coerce_scalar(
+                var.ctype, self._agreed(value, mask), self.node
+            )
         else:  # a lane stack: ``var`` is the chunk's LaneVar
             if isinstance(value, LaneScalars):
                 per = value.values
@@ -581,7 +589,9 @@ class _AssignScalar:
                 per = [value] * len(mask)
             unit = regs[self.unit]
             for j in np.flatnonzero(unit.reshape(len(unit), -1).any(axis=1)):
-                var.lanes[j].value = coerce_scalar(var.ctype, self._agreed(per[j], mask[j]))
+                var.lanes[j].value = coerce_scalar(
+                    var.ctype, self._agreed(per[j], mask[j]), self.node
+                )
         ip.cse_invalidate(var.name)
 
     def _agreed(self, value, mask):
@@ -1526,11 +1536,13 @@ class _Fuser:
                 try:
                     cast = np.asarray(v.static, dtype=dtype)
                 except (OverflowError, TypeError, ValueError):
+                    # inf/NaN for an int: the oracle's call raises the
+                    # located error (``coerce_scalar``) if the call runs
                     raise _Demote()
                 params[p.name] = self.static_val(np.broadcast_to(cast, g.shape).copy())
                 continue
             r = self.reg()
-            self.steps.append(_Param(r, v.reg, dtype, mask_reg))
+            self.steps.append(_Param(r, v.reg, p, arg, mask_reg))
             params[p.name] = _Val(r, True, _DYN)
         cse_on = self.cse_on
         self.frames.append((func, params))

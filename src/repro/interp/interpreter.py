@@ -151,7 +151,9 @@ class Interpreter:
                 and decl.name not in self.info.constants
             ):
                 var = env.lookup(decl.name)
-                var.value = coerce_scalar(var.ctype, eval_expr(self, decl.init, host))
+                var.value = coerce_scalar(
+                    var.ctype, eval_expr(self, decl.init, host), decl.init
+                )
 
     def allocate_array(self, name: str, ctype: str, dims: Tuple[int, ...]) -> ArrayVar:
         """Allocate a program array as a field on a (cached) VP set."""

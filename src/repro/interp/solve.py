@@ -30,6 +30,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
+from ..lang.semantics import solve_assignments
 from . import frontier
 from .env import Env
 from .eval_expr import ExecContext, _truthy, eval_expr
@@ -42,7 +43,7 @@ def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
         _exec_solve_star(ip, stmt, ctx)
         return
     inner = enter_grid(ip, stmt, ctx)
-    assignments = _collect_assignments(stmt)
+    assignments = solve_assignments(stmt)
     strategy = ip.config.solve_strategy
     if strategy in ("auto", "scheduled"):
         from ..compiler.solve_sched import try_schedule
@@ -64,22 +65,6 @@ def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
 # ---------------------------------------------------------------------------
 # body shape helpers
 # ---------------------------------------------------------------------------
-
-
-def _collect_assignments(stmt: ast.UCStmt) -> List[Tuple[Optional[ast.Expr], ast.Assign]]:
-    """(predicate, assignment) pairs forming the solve body (its shape and
-    the absence of ``others`` are checked by ``semantics._check_solve_body``)."""
-    out: List[Tuple[Optional[ast.Expr], ast.Assign]] = []
-    for block in stmt.blocks:
-        for assign in _assignments_of(block.stmt):
-            out.append((block.pred, assign))
-    return out
-
-
-def _assignments_of(stmt: ast.Stmt) -> List[ast.Assign]:
-    if isinstance(stmt, ast.Block):
-        return [a for s in stmt.stmts for a in _assignments_of(s)]
-    return [stmt.expr]  # an assignment: semantics._stmt_assignments admits nothing else
 
 
 def target_arrays(assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]]) -> Set[str]:

@@ -160,7 +160,9 @@ def _exec_var_decl(ip, stmt: ast.VarDecl, ctx: ExecContext) -> None:
         ctx.env.declare(stmt.name, var)
         ip.cse_invalidate()  # the new name may shadow one in cached expressions
         if stmt.init is not None:
-            var.value = coerce_scalar(stmt.ctype, eval_expr(ip, stmt.init, ctx))
+            var.value = coerce_scalar(
+                stmt.ctype, eval_expr(ip, stmt.init, ctx), stmt.init
+            )
         return
     local = ParallelLocal(
         stmt.name,

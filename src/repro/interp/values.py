@@ -247,7 +247,17 @@ def numpy_ctype(ctype: str) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def coerce_scalar(ctype: str, value) -> Union[int, float]:
+def coerce_scalar(ctype: str, value, node=None) -> Union[int, float]:
+    """``value`` stored in a ``ctype`` scalar.  An infinite or NaN value
+    has no ``int`` (C leaves the conversion undefined): a runtime error
+    at ``node``, the one every engine raises."""
     if ctype == "float":
         return float(value)
-    return int(value)
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise UCRuntimeError(
+            f"cannot convert {float(value)} to int",
+            getattr(node, "line", 0),
+            getattr(node, "col", 0),
+        ) from None

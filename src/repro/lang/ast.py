@@ -350,6 +350,83 @@ class Program(Node):
 
 
 # ---------------------------------------------------------------------------
+# printer
+# ---------------------------------------------------------------------------
+
+#: C binary operator precedence for minimal parenthesisation
+_PREC = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6,
+    "!=": 6,
+    "<": 7,
+    "<=": 7,
+    ">": 7,
+    ">=": 7,
+    "<<": 8,
+    ">>": 8,
+    "+": 9,
+    "-": 9,
+    "*": 10,
+    "/": 10,
+    "%": 10,
+}
+
+
+def expr_to_text(expr: Expr, parent_prec: int = 0) -> str:
+    """Render a UC expression as C text (used by reports and codegen)."""
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, FloatLit):
+        return repr(expr.value)
+    if isinstance(expr, StringLit):
+        return '"' + expr.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(expr, InfLit):
+        return "INF"
+    if isinstance(expr, Name):
+        return expr.ident
+    if isinstance(expr, Index):
+        return expr.base + "".join(f"[{expr_to_text(s)}]" for s in expr.subs)
+    if isinstance(expr, Unary):
+        inner = expr_to_text(expr.operand, 11)
+        if inner.startswith(expr.op):
+            # avoid '--x' (decrement) when negating a negation
+            inner = f"({inner})"
+        return f"{expr.op}{inner}"
+    if isinstance(expr, Binary):
+        prec = _PREC.get(expr.op, 0)
+        text = (
+            f"{expr_to_text(expr.left, prec)} {expr.op} "
+            f"{expr_to_text(expr.right, prec + 1)}"
+        )
+        return f"({text})" if prec < parent_prec else text
+    if isinstance(expr, Ternary):
+        text = (
+            f"{expr_to_text(expr.cond, 1)} ? {expr_to_text(expr.then)} : "
+            f"{expr_to_text(expr.els)}"
+        )
+        return f"({text})" if parent_prec > 0 else text
+    if isinstance(expr, Call):
+        return f"{expr.func}({', '.join(expr_to_text(a) for a in expr.args)})"
+    if isinstance(expr, Assign):
+        op = expr.op + "=" if expr.op else "="
+        return f"{expr_to_text(expr.target)} {op} {expr_to_text(expr.value)}"
+    if isinstance(expr, IncDec):
+        return f"{expr_to_text(expr.target)}{expr.op}"
+    if isinstance(expr, Reduction):
+        arms = "; ".join(
+            (f"st ({expr_to_text(a.pred)}) " if a.pred else "")
+            + expr_to_text(a.expr)
+            for a in expr.arms
+        )
+        return f"$[{expr.op}]({', '.join(expr.index_sets)}; {arms})"
+    return f"/* {type(expr).__name__} */"
+
+
+# ---------------------------------------------------------------------------
 # traversal helper
 # ---------------------------------------------------------------------------
 

@@ -456,7 +456,7 @@ class Analyzer:
                 "solve does not take an 'others' clause (*solve does)", stmt.line, stmt.col
             )
         targets: Set[str] = set()
-        for assign in _solve_assignments(stmt):
+        for _pred, assign in solve_assignments(stmt):
             tgt = assign.target
             base = tgt.ident if isinstance(tgt, ast.Name) else tgt.base  # type: ignore[union-attr]
             if base in targets:
@@ -591,26 +591,30 @@ class Analyzer:
         )
 
 
-def _solve_assignments(stmt: ast.UCStmt):
-    """Yield the assignment expressions forming a solve body."""
-    for block in stmt.blocks:
-        yield from _stmt_assignments(block.stmt)
-    if stmt.others is not None:
-        yield from _stmt_assignments(stmt.others)
+def solve_assignments(
+    stmt: ast.UCStmt,
+) -> List[Tuple[Optional[ast.Expr], ast.Assign]]:
+    """The ``(predicate, assignment)`` pairs forming a solve body, in
+    source order: what the semantic check, the runtime (scheduled and
+    guarded) and the lint's dependence-cycle pass all read.  Raises
+    :class:`UCSemanticError` on any other statement."""
+    return [
+        (block.pred, assign)
+        for block in stmt.blocks
+        for assign in _stmt_assignments(block.stmt)
+    ]
 
 
-def _stmt_assignments(stmt: ast.Stmt):
+def _stmt_assignments(stmt: ast.Stmt) -> List[ast.Assign]:
     if isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Assign):
-        yield stmt.expr
-    elif isinstance(stmt, ast.Block):
-        for s in stmt.stmts:
-            yield from _stmt_assignments(s)
-    else:
-        raise UCSemanticError(
-            "solve body must consist solely of assignment statements",
-            stmt.line,
-            stmt.col,
-        )
+        return [stmt.expr]
+    if isinstance(stmt, ast.Block):
+        return [a for s in stmt.stmts for a in _stmt_assignments(s)]
+    raise UCSemanticError(
+        "solve body must consist solely of assignment statements",
+        stmt.line,
+        stmt.col,
+    )
 
 
 def analyze(program: ast.Program, defines: Optional[Dict[str, int]] = None) -> ProgramInfo:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .interp.program import RunResult, UCProgram
 from .lang import ast
+from .lang.ast import expr_to_text
 from .machine import MachineConfig
 
 Operand = Union["E", int, float]
@@ -155,8 +156,6 @@ class E:
         return E(ast.Ternary(cond=self.node, then=_expr(then), els=_expr(els)))
 
     def __repr__(self) -> str:
-        from .compiler.cstar_gen import expr_to_text
-
         return f"E({expr_to_text(self.node)})"
 
 

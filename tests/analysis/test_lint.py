@@ -320,3 +320,78 @@ class TestCli:
         assert main(["lint", str(warn), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["warnings"] >= 1
+
+
+def _agreement_corpus():
+    """``(source, defines)`` params: the shipped examples and every
+    ``repro.bench.workloads`` program, map kernels with and without
+    their map sections, plus an extent-1 axis the spread hint must skip."""
+    from repro.bench import workloads
+
+    out = [
+        pytest.param(p.read_text(), EXAMPLE_DEFINES.get(p.name, {}), id=p.stem)
+        for p in sorted(EXAMPLES.glob("*.uc"))
+    ]
+    defines = {"N": 8, "REPS": 2, "LOGN": 3, "R": 8, "WALL": 1000}
+    for name in sorted(dir(workloads)):
+        src = getattr(workloads, name)
+        if not (name.endswith("_UC") and isinstance(src, str)):
+            continue
+        if "MAYBE_MAP" in src:
+            section = getattr(workloads, name[:-3] + "_MAP")
+            mapped = workloads.with_map(src, section, True)
+            out.append(pytest.param(mapped, defines, id=name + "+map"))
+            src = workloads.with_map(src, section, False)
+        out.append(pytest.param(src, defines, id=name))
+    out.append(pytest.param(
+        "index_set I:i = {0..3}, J:j = I, K:k = {0..0};\n"
+        "int v[4], m[4][4][1];\nmain { par (I, J, K) m[i][j][k] = v[i]; }\n",
+        {},
+        id="extent_one_axis",
+    ))
+    return out
+
+
+class TestAnalyzeAgreesWithLint:
+    """``repro analyze`` and ``repro lint`` read one static analysis:
+    every non-local reference ``analyze`` reports has the UC301-304
+    diagnostic of its tier at the same position, and the map suggestions
+    ``analyze`` lists are exactly those diagnostics' hints."""
+
+    TIER_CODES = {"router": "UC301", "spread": "UC302", "news": "UC303",
+                  "broadcast": "UC304"}
+
+    @pytest.mark.parametrize("no_maps", [False, True], ids=["mapped", "unmapped"])
+    @pytest.mark.parametrize("source, defines", _agreement_corpus())
+    def test_same_tiers_and_hints(self, source, defines, no_maps, tmp_path, capsys):
+        import re
+
+        from repro.cli import main
+
+        path = tmp_path / "prog.uc"
+        path.write_text(source)
+        args = [str(path)] + [f"-D{k}={v}" for k, v in defines.items()]
+        args += ["--no-maps"] if no_maps else []
+        assert main(["analyze"] + args) == 0
+        rows, suggestions = [], set()
+        for line in capsys.readouterr().out.splitlines():
+            m = re.match(r"\s+line\s+(\d+)(?::(\d+))?\s+(\w+)\s", line)
+            if m:
+                col = int(m.group(2)) if m.group(2) else None
+                rows.append((int(m.group(1)), col, m.group(3)))
+            elif line.startswith("  - "):
+                suggestions.add(line[4:])
+        main(["lint", "--format", "json"] + args)
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        hints = set()
+        for line, col, tier in rows:
+            if tier not in self.TIER_CODES:
+                continue
+            matches = [
+                d for d in diags
+                if d["code"] == self.TIER_CODES[tier] and d["line"] == line
+                and col in (None, d["col"])
+            ]
+            assert matches, f"no {self.TIER_CODES[tier]} at {line}:{col}"
+            hints.update(d["hint"] for d in matches if d["hint"])
+        assert suggestions == hints

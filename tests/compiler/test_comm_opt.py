@@ -1,14 +1,30 @@
-"""Communication-analysis (static classifier) tests."""
+"""Static communication report tests: ``repro analyze``'s per-reference
+rows, read from the analysis model through ``commlints.site_advice``."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.compiler.comm_opt import analyze_communication
+from repro.analysis.commlints import reference_rows
+from repro.analysis.staticref import default_costs
 from repro.interp.program import UCProgram
+from repro.lang.ast import expr_to_text
 
 
 def report_for(src, defines=None, apply_maps=True):
     prog = UCProgram(src, defines=defines, apply_maps=apply_maps)
-    return analyze_communication(prog.info, prog.layouts)
+    rows = reference_rows(
+        prog.frontend.model(), prog.frontend.verdicts(), default_costs()
+    )
+    refs = [
+        SimpleNamespace(text=expr_to_text(node), kind=tier, note=note)
+        for node, tier, note, _hint in rows
+    ]
+    suggestions = list(dict.fromkeys(hint for *_row, hint in rows if hint))
+    return SimpleNamespace(
+        references=refs,
+        suggestions=suggestions,
+        count=lambda kind: sum(1 for r in refs if r.kind == kind),
+        remote_count=sum(1 for r in refs if r.kind != "local"),
+    )
 
 
 class TestClassification:
@@ -83,12 +99,21 @@ class TestClassification:
         assert rep.count("news") == 1
         assert rep.remote_count == 1
 
-    def test_suggestions_deduplicated(self):
-        rep = report_for(
+    def test_suggestions_deduplicated(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "twice.uc"
+        path.write_text(
             "index_set I:i = {0..5};\nint a[8], b[8];\n"
             "main { par (I) { a[i] = b[i + 2]; a[i] = b[i + 2]; } }"
         )
-        assert len(rep.suggestions) == len(set(rep.suggestions))
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        suggestions = [ln for ln in out.splitlines() if ln.startswith("  - ")]
+        assert out.count(" news ") == 2
+        assert suggestions == [
+            "  - permute 'b' with offset 2 so that b[i + 2] is stored locally"
+        ]
 
 
 class TestSeqElements:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.compiler.cstar_gen import CStarGenerator, expr_to_text, generate_cstar
+from repro.compiler.cstar_gen import CStarGenerator, generate_cstar
 from repro.interp.program import UCProgram
 from repro.lang import parse_expression
+from repro.lang.ast import expr_to_text
 
 
 class TestExprToText:

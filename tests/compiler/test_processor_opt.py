@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.compiler.processor_opt import (
-    analyze_program,
-    analyze_reduction,
-    match_partition,
-)
+from repro.analysis.context import build_model
+from repro.compiler.processor_opt import analyze_program, partition_split
 from repro.lang import analyze, parse_expression, parse_program
+from repro.mapping.maps import build_layouts
 
 DIGIT_SRC = """
 int N = 40;
@@ -20,6 +18,15 @@ main {
         count[j] = $+(I st (samples[i] == j) 1);
 }
 """
+
+
+def match_partition(red, par_elems, red_elems):
+    return partition_split(red, par_elems, red_elems) is not None
+
+
+def plans_for(src):
+    info = analyze(parse_program(src))
+    return analyze_program(build_model(info, build_layouts(info)))
 
 
 class TestMatchPartition:
@@ -95,8 +102,7 @@ def test_analyze_reports_the_optimization_exactly_when_the_run_takes_it(pred, tm
 
 class TestAnalyzeProgram:
     def test_digit_count_plan(self):
-        info = analyze(parse_program(DIGIT_SRC))
-        plans = analyze_program(info)
+        plans = plans_for(DIGIT_SRC)
         assert len(plans) == 1
         plan = plans[0]
         assert plan.partitioned
@@ -106,8 +112,7 @@ class TestAnalyzeProgram:
 
     def test_unpartitioned_reduction_keeps_naive_vps(self):
         src = DIGIT_SRC.replace("samples[i] == j", "samples[i] <= j")
-        info = analyze(parse_program(src))
-        plan = analyze_program(info)[0]
+        plan = plans_for(src)[0]
         assert not plan.partitioned
         assert plan.optimized_vps == plan.naive_vps
 
@@ -116,8 +121,7 @@ class TestAnalyzeProgram:
             "index_set I:i = {0..9};\nint a[10], s;\n"
             "main { s = $+(I; a[i]); }"
         )
-        info = analyze(parse_program(src))
-        assert analyze_program(info) == []
+        assert plans_for(src) == []
 
     def test_matmul_reduction_planned_unpartitioned(self):
         src = (
@@ -125,8 +129,7 @@ class TestAnalyzeProgram:
             "int a[4][4], b[4][4], c[4][4];\n"
             "main { par (I, J) c[i][j] = $+(K; a[i][k] * b[k][j]); }"
         )
-        info = analyze(parse_program(src))
-        plans = analyze_program(info)
+        plans = plans_for(src)
         assert len(plans) == 1
         assert not plans[0].partitioned
         assert plans[0].naive_vps == 4 * 4 * 4

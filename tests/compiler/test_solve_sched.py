@@ -7,7 +7,7 @@ from repro.compiler.solve_sched import _dependency_levels, _shift_levels, try_sc
 from repro.interp.env import Env
 from repro.interp.eval_expr import ExecContext
 from repro.interp.interpreter import Interpreter
-from repro.interp.solve import _collect_assignments
+from repro.lang.semantics import solve_assignments
 from repro.interp.statements import enter_grid
 from repro.interp.values import GridContext
 from repro.interp.program import UCProgram
@@ -24,7 +24,7 @@ def schedule_for(src, defines=None):
     ctx = ExecContext(GridContext(), None, Env(interp.global_env))
     inner = enter_grid(interp, solve_stmt, ctx)
     return try_schedule(
-        interp, solve_stmt, _collect_assignments(solve_stmt), inner
+        interp, solve_stmt, solve_assignments(solve_stmt), inner
     )
 
 

@@ -1,8 +1,11 @@
 """CLI tests (run/check/cstar/analyze)."""
 
+import os
+
+import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -323,6 +326,127 @@ class TestRunTimeout:
         batch.write_text("[]")
         with pytest.raises(SystemExit, match="--timeout"):
             main(["run", str(f), "--timeout", "1", "--batch", str(batch)])
+
+
+BATCH_UC = """
+index_set I:i = {0..N-1};
+int a[N], t;
+main {
+    par (I) a[i] = a[i] * 2 + t + i;
+    printf("t=%d\\n", t);
+}
+"""
+
+
+def _solo_lines(result):
+    """What ``repro run --print a --print t --fingerprint`` prints."""
+    import numpy as np
+
+    from repro.cli import _digest
+
+    lines = result.stdout.splitlines()
+    for name in ("a", "t"):
+        with np.printoptions(threshold=64, linewidth=100):
+            lines.append(f"{name} = {result[name]}")
+    lines.append(f"{result.elapsed_us / 1e3:.3f}")
+    lines.append(_digest(result.fingerprint))
+    return lines
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestRunBatch:
+    """``repro run --batch params.json``: one lane per params entry."""
+
+    PARAMS = [{"a": [3, 1, 4, 1], "t": 5}, None, {"t": -2}, {"a": [9, 9, 9, 9]}]
+
+    @pytest.fixture
+    def batch_args(self, tmp_path):
+        f = tmp_path / "lanes.uc"
+        f.write_text(BATCH_UC)
+        return [str(f), "-D", "N=4", "--print", "a", "--print", "t", "--fingerprint"]
+
+    def _lanes(self, out):
+        """Per lane: its stdout, values, elapsed ms and fingerprint."""
+        import re
+
+        lanes, cur = [], []
+        for line in out.splitlines():
+            m = re.match(r"-- lane (\d+): simulated elapsed (\S+) ms  fingerprint (\w+)", line)
+            if m:
+                assert int(m.group(1)) == len(lanes)
+                lanes.append(cur + [m.group(2), m.group(3)])
+                cur = []
+            elif not line.startswith("-- batch:"):
+                cur.append(re.sub(r"^\[\d+\] ", "", line))
+        return lanes
+
+    def test_each_lane_prints_what_a_solo_run_prints(self, batch_args, tmp_path, capsys):
+        import json
+
+        from repro.interp.program import UCProgram
+
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(self.PARAMS))
+        assert main(["run", "--batch", str(params)] + batch_args) == 0
+        out = capsys.readouterr().out
+        assert "-- batch: 4 instances" in out
+        lanes = self._lanes(out)
+        assert len(lanes) == len(self.PARAMS)
+        # the no-inputs lane against a solo ``repro run`` process line for line
+        assert main(["run"] + batch_args) == 0
+        solo = capsys.readouterr().out.splitlines()
+        elapsed = solo[-2].split()[3]
+        fingerprint = solo[-1].split()[-1]
+        assert lanes[1] == solo[:-2] + [elapsed, fingerprint]
+        # every lane against a solo run of the same program on its inputs
+        seed = build_parser("run").parse_args(["run", "x.uc"]).seed
+        prog = UCProgram(BATCH_UC, defines={"N": 4})
+        for lane, entry in zip(lanes, self.PARAMS):
+            inputs = {k: (np.asarray(v) if isinstance(v, list) else v)
+                      for k, v in (entry or {}).items()}
+            assert lane == _solo_lines(prog.run(inputs, seed=seed))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ('{"t": 1}', "expected a non-empty JSON list"),
+            ("[]", "expected a non-empty JSON list"),
+            ("[null, 3]", "each batch entry must be an object or null"),
+            ('[{"a": ["x", "y", "z", "w"]}]', "'a' must be a numeric array or scalar"),
+            ('[{"t": "five"}]', "'t' must be a number or an array"),
+            ("[null,", "cannot read batch params"),
+        ],
+        ids=["not_a_list", "empty", "non_object_entry", "non_numeric_array",
+             "non_numeric_scalar", "bad_json"],
+    )
+    def test_bad_params_exit_with_one_line(self, batch_args, tmp_path, params, message):
+        path = tmp_path / "params.json"
+        path.write_text(params)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--batch", str(path)] + batch_args)
+        text = exit_info.value.code
+        assert isinstance(text, str) and "\n" not in text  # exit status 1
+        assert message in text
+
+    def test_bad_params_process_has_no_traceback(self, batch_args, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "params.json"
+        path.write_text("[null, 3]")
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--batch", str(path)] + batch_args,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"{path}: each batch entry must be an object or null\n"
+        )
 
 
 class TestServe:

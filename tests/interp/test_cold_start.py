@@ -70,6 +70,8 @@ _NEVER = (
     "repro.service",
     "repro.bench",
     "repro.cstar",
+    "repro.compiler.cstar_gen",
+    "repro.compiler.cstar_ast",
 )
 
 

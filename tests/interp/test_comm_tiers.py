@@ -5,8 +5,9 @@ optimization within each mode: both engines pick the same tiers and
 produce bit-identical clocks, the NEWS window fast path reproduces the
 general gather exactly, and ``comm_tiers=False`` — a model choice, the
 machine without the dispatcher — restores router-only charging for the
-ablation benchmark.  The static classifier (``repro.compiler.comm_opt``) must
-agree with the runtime dispatcher on every shipped example.
+ablation benchmark.  The static analysis (``repro analyze``'s rows,
+``repro.analysis.commlints.reference_rows``) must agree with the runtime
+dispatcher on every shipped example.
 """
 
 from pathlib import Path
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler.comm_opt import analyze_communication
+from repro.analysis.commlints import reference_rows
+from repro.analysis.staticref import default_costs
 from repro.interp.program import UCProgram
 from tests.interp.test_plans import assert_identical, run_both
 
@@ -213,7 +215,7 @@ class TestTierObservability:
 
 
 class TestStaticRuntimeParity:
-    """The static comm_opt verdict matches the runtime dispatcher on
+    """The static analysis's tier matches the runtime dispatcher on
     every reference of every shipped example (CSE and the processor
     optimization are disabled so every reference actually dispatches)."""
 
@@ -236,8 +238,11 @@ class TestStaticRuntimeParity:
             for key, tiers in prog.last_interpreter.tier_log.items()
         }
         static = {}
-        for ref in analyze_communication(prog.info, prog.layouts).references:
-            static.setdefault((ref.line, ref.array), set()).add(ref.kind)
+        frontend = prog.frontend
+        for node, tier, _note, _hint in reference_rows(
+            frontend.model(), frontend.verdicts(), default_costs()
+        ):
+            static.setdefault((node.line, node.base), set()).add(tier)
         assert runtime == static, (
             f"{name}: static verdicts {static} != runtime tiers {runtime}"
         )

@@ -221,15 +221,15 @@ class TestPerProgramKeys:
     def test_warm_runs_build_no_key_text(self, monkeypatch, plans):
         from repro.algorithms.grid_path import BIG
         from repro.bench.workloads import OBSTACLE_UC
-        from repro.compiler import cstar_gen
+        from repro.lang import ast
 
         kw = dict(defines={"R": 16, "WALL": BIG}, plans=plans)
         prog = UCProgram(OBSTACLE_UC, **kw)
         first = prog.run()
         calls = []
-        real = cstar_gen.expr_to_text
+        real = ast.expr_to_text
         monkeypatch.setattr(
-            cstar_gen, "expr_to_text", lambda *a: calls.append(a) or real(*a)
+            ast, "expr_to_text", lambda *a: calls.append(a) or real(*a)
         )
         for _ in range(3):
             assert prog.run().fingerprint == first.fingerprint

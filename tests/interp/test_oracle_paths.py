@@ -61,6 +61,8 @@ CASES = [
     ),
     ("swap_of_scalars", "main { swap(x, s); }",
      "UCRuntimeError: swap takes two array references (line 4, column 8)"),
+    ("infinity_into_an_int_scalar", "main { x = 1.0 / 0.0; }",
+     "UCRuntimeError: cannot convert inf to int (line 4, column 10)"),
     (
         "empty_mask_writes_in_an_untaken_branch",
         "main { par (I) a[i] = (i > 10) ? (b[i] = 1) + (x = i) : 5; }",
@@ -322,6 +324,18 @@ CALLS = [
         {"v": [0, 5], "r": [0, 1], "m": [[2, 0, 0, 0], [0, 0, 0, 0]]},
     ),
     ("host_return_without_a_value", "main { v[0] = quiet(3) + 1; }", {"v": [1, 0]}),
+    # inf / NaN bound to an int parameter: the fused kernel's argument
+    # cast demotes (static) or casts per sweep (dynamic), then raises the
+    # oracle's error
+    ("infinity_for_a_host_int_parameter", "main { x = blk(1.0 / 0.0); }",
+     "UCRuntimeError: cannot convert inf to int (line 11, column 20)"),
+    ("nan_for_a_parallel_int_parameter", "main { par (J) r[j] = blk(0.0 / 0.0); }",
+     "UCRuntimeError: cannot convert nan to int (line 11, column 31)"),
+    (
+        "nan_for_a_parallel_int_parameter_at_run_time",
+        "main { float z = 0.0; par (J) r[j] = blk(z / z); }",
+        "UCRuntimeError: cannot convert nan to int (line 11, column 44)",
+    ),
     ("slice_of_a_slice_parameter", "main { cube[1][1][1] = 7; x = row(cube[1]); }", {"x": 7}),
     (
         "parallel_calls_with_an_array_argument_and_a_block_return",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.cstar_gen import expr_to_text
+from repro.lang.ast import expr_to_text
 from repro.lang import analyze, parse_expression, parse_program, parse_statement
 from repro.mapping.maps import build_layouts
 from repro.mapping.transform import rewrite_program, rewrite_subscripts, simplify
