@@ -7,9 +7,8 @@ the send-with-op scatters of the processor optimization
 
 UC501
     proven commutative + associative: the idempotent/logical builtins
-    (``$<``, ``$>``, ``$&&``, ``$||``, ``$^``), integer ``$+``/``$*``
-    (with an interval-proven no-overflow certificate where the bounds
-    are tractable, else the exact mod-2^64 wraparound argument), and
+    (``$<``, ``$>``, ``$&&``, ``$||``, ``$^``) and integer ``$+``/``$*``
+    (int64 arithmetic wraps, so it is exact modulo 2^64 in any order),
     only when the body passes the syntactic commutativity check over
     the tractable expression fragment (arxiv 1605.01497).
 UC502
@@ -35,7 +34,6 @@ to the order-preserving path, bit-identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -44,9 +42,6 @@ from ..lang.semantics import BUILTINS
 from ..lang.tokens import REDUCTION_OPS
 from .context import AnalysisModel, ConstructSite, ReductionSite
 from .diagnostics import Diagnostic, SEVERITIES
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 #: canonical op name -> source spelling after '$'
 _OP_SPELLING = {canon: spell for spell, canon in REDUCTION_OPS.items()}
@@ -175,133 +170,6 @@ def _operands_float(node: ast.Reduction, site, model) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# interval bounds (the no-overflow certificate)
-# ---------------------------------------------------------------------------
-
-
-def _bounds(
-    e: ast.Expr, site: ReductionSite, model: AnalysisModel
-) -> Optional[Tuple[int, int]]:
-    """Integer interval of an expression, or None when not tractable."""
-    if isinstance(e, ast.IntLit):
-        return (e.value, e.value)
-    if isinstance(e, ast.Name):
-        name = e.ident
-        axis_idx = site.bind.get(name)
-        if axis_idx is not None and axis_idx < len(site.axes):
-            vals = site.axes[axis_idx].values
-            if vals:
-                return (min(vals), max(vals))
-            return None
-        set_name = site.scalars.get(name)
-        if set_name is not None:
-            isv = model.info.index_sets.get(set_name)
-            if isv is not None and isv.values:
-                return (min(isv.values), max(isv.values))
-            return None
-        const = model.info.constants.get(name)
-        if const is not None:
-            return (int(const), int(const))
-        return None
-    if isinstance(e, ast.Unary):
-        if e.op in ("-", "+"):
-            b = _bounds(e.operand, site, model)
-            if b is None:
-                return None
-            return (-b[1], -b[0]) if e.op == "-" else b
-        if e.op == "!":
-            return (0, 1)
-        return None
-    if isinstance(e, ast.Binary):
-        if e.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-            return (0, 1)
-        la = _bounds(e.left, site, model)
-        lb = _bounds(e.right, site, model)
-        if la is None or lb is None:
-            return None
-        if e.op == "+":
-            return (la[0] + lb[0], la[1] + lb[1])
-        if e.op == "-":
-            return (la[0] - lb[1], la[1] - lb[0])
-        if e.op == "*":
-            prods = (la[0] * lb[0], la[0] * lb[1], la[1] * lb[0], la[1] * lb[1])
-            return (min(prods), max(prods))
-        if e.op == "%":
-            hi = max(abs(lb[0]), abs(lb[1]))
-            if hi == 0:
-                return None
-            return (-hi + 1, hi - 1) if la[0] < 0 else (0, hi - 1)
-        return None
-    if isinstance(e, ast.Ternary):
-        ta = _bounds(e.then, site, model)
-        tb = _bounds(e.els, site, model)
-        if ta is None or tb is None:
-            return None
-        return (min(ta[0], tb[0]), max(ta[1], tb[1]))
-    if isinstance(e, ast.Call) and e.func in ("min", "max") and len(e.args) == 2:
-        a = _bounds(e.args[0], site, model)
-        b = _bounds(e.args[1], site, model)
-        if a is None or b is None:
-            return None
-        if e.func == "min":
-            return (min(a[0], b[0]), min(a[1], b[1]))
-        return (max(a[0], b[0]), max(a[1], b[1]))
-    if isinstance(e, ast.Call) and e.func in ("abs", "ABS", "fabs") and len(e.args) == 1:
-        a = _bounds(e.args[0], site, model)
-        if a is None:
-            return None
-        lo = 0 if a[0] <= 0 <= a[1] else min(abs(a[0]), abs(a[1]))
-        return (lo, max(abs(a[0]), abs(a[1])))
-    return None  # array reads and everything else: data-dependent
-
-
-def _overflow_proof(
-    node: ast.Reduction, site: ReductionSite, model: AnalysisModel
-) -> Optional[str]:
-    """A human-readable no-overflow certificate for int ``$+``/``$*``,
-    or None when the interval analysis cannot bound the operands."""
-    hulls = []
-    for arm in node.arms:
-        b = _bounds(arm.expr, site, model)
-        if b is None:
-            return None
-        hulls.append(b)
-    if node.others is not None:
-        b = _bounds(node.others, site, model)
-        if b is None:
-            return None
-        hulls.append(b)
-    lo = min(h[0] for h in hulls)
-    hi = max(h[1] for h in hulls)
-    # masked-off lanes contribute the identity element
-    ident = 0 if node.op == "add" else 1
-    lo, hi = min(lo, ident), max(hi, ident)
-    extent = 1
-    for axis in site.reduce_axes:
-        extent *= max(1, axis.extent)
-    n_operands = extent * (len(node.arms) + (1 if node.others is not None else 0))
-    if node.op == "add":
-        total_lo = n_operands * min(lo, 0)
-        total_hi = n_operands * max(hi, 0)
-        if _INT64_MIN <= total_lo and total_hi <= _INT64_MAX:
-            return (
-                f"every partial sum of {n_operands} operands in "
-                f"[{lo}, {hi}] fits int64"
-            )
-        return None
-    # mul: bound |v|^n in bits
-    max_abs = max(abs(lo), abs(hi), 1)
-    if max_abs == 1:
-        return f"every operand lies in [{lo}, {hi}]; products stay in [-1, 1]"
-    if n_operands * math.log2(max_abs) <= 62:
-        return (
-            f"every partial product of {n_operands} operands bounded by "
-            f"|v| <= {max_abs} fits int64"
-        )
-    return None
-
-
-# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
@@ -355,19 +223,14 @@ def classify_reduction(
             line=node.line,
             col=node.col,
         )
-    proof = _overflow_proof(node, site, model)
-    if proof is not None:
-        reason = f"integer {spelled(node.op)} with interval-proven no-overflow: {proof}"
-    else:
-        reason = (
-            f"integer {spelled(node.op)} is exact modulo 2^64 two's-complement "
-            "wraparound, identically in both engines"
-        )
     return ReductionVerdict(
         code="UC501",
         order_safe=True,
         op=node.op,
-        reason=reason,
+        reason=(
+            f"integer {spelled(node.op)} is exact modulo 2^64 two's-complement "
+            "wraparound, identically on every engine"
+        ),
         line=node.line,
         col=node.col,
     )

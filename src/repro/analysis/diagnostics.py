@@ -168,8 +168,8 @@ DETAILS = {
         "info",
         "The reduction is proven commutative and associative: the "
         "idempotent/boolean builtins ($<, $>, $&&, $||, $^) uncondition"
-        "ally; integer $+/$* with an interval-proven no-overflow "
-        "certificate (or the exact mod-2^64 wraparound argument); and "
+        "ally; integer $+/$*, whose int64 wraparound arithmetic is exact "
+        "modulo 2^64 in any order; and "
         "only when the body passes the syntactic commutativity check "
         "over the tractable fragment (arxiv 1605.01497).  Batched "
         "blocked reductions, cross-shard pre-combining and the order-"

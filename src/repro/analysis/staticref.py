@@ -4,7 +4,7 @@ Every array reference the walker records is re-evaluated *symbolically*
 over the grid that surrounds it: a subscript expression either reduces
 to a compile-time constant, to a vector of values along exactly one grid
 axis (the element's realised values pushed through the arithmetic, with
-C semantics borrowed from the interpreter's own ``apply_binop``), to a
+the engines' C semantics, :func:`repro.lang.operators.apply_binop`), to a
 grid-uniform value the analysis cannot pin down (a ``seq`` element or a
 host scalar), or to "data-dependent" (array contents, calls, several
 elements at once).
@@ -27,6 +27,7 @@ import numpy as np
 from ..interp.commtiers import decide_tier
 from ..lang import ast
 from ..lang.errors import UCError
+from ..lang.operators import apply_binop
 from ..machine.config import CostTable, MachineConfig
 from ..mapping.layout import Layout
 from ..mapping.locality import RefClass, classify_affine, classify_write_affine
@@ -63,12 +64,6 @@ class SubVal:
 _DATA = SubVal(D, exact=False)
 
 
-def _apply_binop(op: str, a, b, node: ast.Node):
-    from ..interp.eval_expr import apply_binop
-
-    return apply_binop(op, a, b, node)
-
-
 def _combine(op: str, left: SubVal, right: SubVal, node: ast.Node) -> SubVal:
     if left.kind == D or right.kind == D:
         return _DATA
@@ -80,10 +75,10 @@ def _combine(op: str, left: SubVal, right: SubVal, node: ast.Node) -> SubVal:
             g = left.g if left.kind == A else right.g
             lv = left.vals if left.kind == A else np.int64(left.value)
             rv = right.vals if right.kind == A else np.int64(right.value)
-            out = np.asarray(_apply_binop(op, lv, rv, node), dtype=np.int64)
+            out = np.asarray(apply_binop(op, lv, rv, node), dtype=np.int64)
             return SubVal(A, g=g, vals=out, exact=exact)
         if left.kind == C and right.kind == C:
-            out = int(_apply_binop(op, left.value, right.value, node))
+            out = int(apply_binop(op, left.value, right.value, node))
             return SubVal(C, value=out, exact=exact)
     except (UCError, TypeError, ValueError, OverflowError):
         return _DATA

@@ -47,7 +47,8 @@ class SolveSchedule:
         level loop runs outside an armed CSE cache, so the kernel is
         built without the cache simulation.
         """
-        from ..interp.eval_expr import _truthy, eval_expr
+        from ..interp.eval_expr import eval_expr
+        from ..lang.operators import truthy
         from ..interp.fuse import fused_for
         from ..interp.statements import exec_stmt
 
@@ -73,7 +74,7 @@ class SolveSchedule:
                 if pred is not None:
                     pv = eval_expr(ip, pred, inner.with_mask(level_mask))
                     mask = level_mask & np.broadcast_to(
-                        np.asarray(_truthy(pv)), inner.grid.shape
+                        np.asarray(truthy(pv)), inner.grid.shape
                     )
                 if np.any(mask):
                     exec_stmt(

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 import numpy as np
 
 from ..lang.errors import UCRuntimeError
+from ..lang.operators import c_div, c_mod
 from ..mapping.layout import Layout
 from ..mapping.locality import classify_reference
 
@@ -65,10 +66,12 @@ class Pvar:
     __rmul__ = __mul__
 
     def __floordiv__(self, other: Operand) -> "Pvar":
-        return self._emit(self.data // self._coerce(other))
+        """C's ``/``: truncating on integers, true division on floats."""
+        return self._emit(c_div(self.data, self._coerce(other)))
 
     def __mod__(self, other: Operand) -> "Pvar":
-        return self._emit(np.mod(self.data, self._coerce(other)))
+        """C's ``%``: the remainder takes the dividend's sign."""
+        return self._emit(c_mod(self.data, self._coerce(other)))
 
     def __neg__(self) -> "Pvar":
         return self._emit(-self.data)

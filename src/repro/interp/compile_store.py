@@ -211,7 +211,7 @@ class FrontendEntry:
         self.claims_error = ""
         self._axes: Dict[Tuple[int, str], int] = {}
         #: the oracle's CSE key text per ``id(expr)`` of this entry's own
-        #: AST ("" = uncacheable), filled by ``eval_expr._cse_key``; the
+        #: AST ("" = uncacheable), filled by ``eval_expr.cse_key``; the
         #: entry holds the AST, so no id is recycled while it lives
         self.cse_keys: Dict[int, str] = {}
         #: names each key text reads, for targeted invalidation

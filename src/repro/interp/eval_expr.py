@@ -21,6 +21,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
+from ..lang.operators import apply_binop, apply_unary, truthy
 from ..machine.router import has_duplicates
 from ..machine.scan import INF, identity_of
 from ..mapping.locality import RefClass, classify_reference, classify_write
@@ -133,11 +134,7 @@ def eval_expr(ip, expr: ast.Expr, ctx: ExecContext) -> Value:
     each other's subexpressions), pure parallel subexpressions are
     computed — and charged — once.
     """
-    if (
-        ip.cse_cache is not None
-        and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
-        and not ctx.grid.is_host
-    ):
+    if ip.cse_cache is not None and isinstance(expr, _CSE_NODES) and not ctx.grid.is_host:
         cached = _cse_lookup(ip, expr, ctx)
         if cached is not _CSE_MISS:
             return cached
@@ -149,37 +146,39 @@ def eval_expr(ip, expr: ast.Expr, ctx: ExecContext) -> Value:
 
 _CSE_MISS = object()
 
+#: the node kinds the CSE cache can serve (pure ones only)
+_CSE_NODES = (ast.Binary, ast.Index, ast.Unary, ast.Ternary)
 
-def _cse_key(ip, expr: ast.Expr) -> Optional[str]:
-    """Structural key for a pure expression; None if uncacheable.  Keys
-    are a fact about the program text, built once per frontend entry."""
-    frontend = ip.frontend
-    key = frontend.cse_keys.get(id(expr))
-    if key is not None:
-        return key or None
-    pure = True
-    reads = set()
-    for node in ast.walk(expr):
-        if isinstance(node, (ast.Call, ast.Assign, ast.IncDec, ast.Reduction)):
-            pure = False
-            break
-        if isinstance(node, ast.Name):
-            reads.add(node.ident)
-        elif isinstance(node, ast.Index):
-            reads.add(node.base)
-    if not pure:
-        frontend.cse_keys[id(expr)] = ""
+
+def cse_key(frontend, expr: ast.Expr) -> Optional[str]:
+    """The text under which the CSE cache serves ``expr``, or None: the
+    one eligibility rule of the oracle's cache, the fused kernels' CSE
+    simulation and the frontier's charge recording.  Keys are a fact
+    about the program text, built once per frontend entry together with
+    the names each key reads (``frontend.cse_text_names``), which lets
+    ``cse_invalidate(name)`` drop only entries that can observe a write."""
+    if not isinstance(expr, _CSE_NODES):
         return None
-    text = ast.expr_to_text(expr)
-    frontend.cse_keys[id(expr)] = text
-    # the read-set lets cse_invalidate(name) drop only entries that can
-    # observe a write to `name`
-    frontend.cse_text_names[text] = frozenset(reads)
-    return text
+    key = frontend.cse_keys.get(id(expr))
+    if key is None:
+        key = ""
+        reads = set()
+        for node in ast.walk(expr):
+            if isinstance(node, (ast.Call, ast.Assign, ast.IncDec, ast.Reduction)):
+                break
+            if isinstance(node, ast.Name):
+                reads.add(node.ident)
+            elif isinstance(node, ast.Index):
+                reads.add(node.base)
+        else:
+            key = ast.expr_to_text(expr)
+            frontend.cse_text_names[key] = frozenset(reads)
+        frontend.cse_keys[id(expr)] = key
+    return key or None
 
 
 def _cse_lookup(ip, expr: ast.Expr, ctx: ExecContext):
-    key = _cse_key(ip, expr)
+    key = cse_key(ip.frontend, expr)
     if key is None:
         return _CSE_MISS
     hit = ip.cse_cache.get((key, ctx.grid.shape))
@@ -194,7 +193,7 @@ def _cse_lookup(ip, expr: ast.Expr, ctx: ExecContext):
 
 
 def _cse_store(ip, expr: ast.Expr, ctx: ExecContext, value: Value) -> None:
-    key = _cse_key(ip, expr)
+    key = cse_key(ip.frontend, expr)
     if key is None:
         return
     mask = ctx.mask.copy() if ctx.mask is not None else None
@@ -255,73 +254,10 @@ def _eval_name(ip, expr: ast.Name, ctx: ExecContext) -> Value:
     )
 
 
-def _truthy(v: Value) -> Value:
-    if isinstance(v, np.ndarray):
-        return v.astype(bool)
-    return bool(v)
-
-
 def _eval_unary(ip, expr: ast.Unary, ctx: ExecContext) -> Value:
     v = eval_expr(ip, expr.operand, ctx)
     charge_grid_op(ip, ctx)
     return apply_unary(expr.op, v, expr)
-
-
-def apply_unary(op: str, v: Value, node: ast.Node) -> Value:
-    """C semantics for one unary operator on a scalar or an array."""
-    if op == "-":
-        return -v
-    if op == "!":
-        if isinstance(v, np.ndarray):
-            return np.logical_not(v.astype(bool)).astype(np.int64)
-        return int(not v)
-    # '~': the parser builds no other unary operator
-    if isinstance(v, np.ndarray):
-        return np.invert(v.astype(np.int64))
-    return ~int(v)
-
-
-_SIMPLE_BINOPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "&": np.bitwise_and,
-    "|": np.bitwise_or,
-    "^": np.bitwise_xor,
-    "<<": np.left_shift,
-    ">>": np.right_shift,
-    "==": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-}
-
-
-def apply_binop(op: str, a: Value, b: Value, node: ast.Node) -> Value:
-    """C semantics for one binary operator on scalars or arrays."""
-    arrayish = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-    if op in _SIMPLE_BINOPS:
-        try:
-            out = _SIMPLE_BINOPS[op](a, b)
-        except TypeError:  # a float operand of & | ^ << >>
-            raise UCRuntimeError(
-                f"operator {op!r} needs integer operands", node.line, node.col
-            ) from None
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
-        return out
-    if op == "/":
-        return _c_divide(a, b, node, arrayish)
-    if op == "%":
-        return _c_mod(a, b, node, arrayish)
-    if op == "&&":
-        out = np.logical_and(_truthy(a), _truthy(b))
-        return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
-    # '||': the parser builds no other binary operator
-    out = np.logical_or(_truthy(a), _truthy(b))
-    return out.astype(np.int64) if isinstance(out, np.ndarray) else int(out)
 
 
 def _power2(node: ast.Call, x: Value) -> Value:
@@ -372,44 +308,6 @@ BUILTIN_VALUES = {
 }
 
 
-def _is_int_like(v: Value) -> bool:
-    if isinstance(v, np.ndarray):
-        return np.issubdtype(v.dtype, np.integer) or v.dtype == bool
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) or isinstance(v, bool)
-
-
-def _c_divide(a: Value, b: Value, node: ast.Node, arrayish: bool) -> Value:
-    if _is_int_like(a) and _is_int_like(b):
-        if arrayish:
-            bb = np.asarray(b)
-            safe = np.where(bb == 0, 1, bb)
-            with np.errstate(divide="ignore"):
-                q = np.floor_divide(a, safe)
-                r = np.remainder(a, safe)
-            adjust = (r != 0) & ((np.asarray(a) < 0) != (bb < 0))
-            return q + adjust
-        if b == 0:
-            raise UCRuntimeError("integer division by zero", node.line, node.col)
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.true_divide(a, b)  # x / 0.0: inf or nan, scalar or array
-        return out if arrayish else float(out)
-
-
-def _c_mod(a: Value, b: Value, node: ast.Node, arrayish: bool) -> Value:
-    if arrayish:
-        bb = np.asarray(b)
-        safe = np.where(bb == 0, 1, bb)
-        r = np.remainder(a, safe)
-        adjust = (r != 0) & ((np.asarray(a) < 0) != (bb < 0))
-        return r - adjust * safe
-    if b == 0:
-        raise UCRuntimeError("integer mod by zero", node.line, node.col)
-    q = _c_divide(a, b, node, False)
-    return a - q * b
-
-
 def _eval_binary(ip, expr: ast.Binary, ctx: ExecContext) -> Value:
     if expr.op in ("&&", "||"):
         return _eval_shortcircuit(ip, expr, ctx)
@@ -428,16 +326,16 @@ def _eval_shortcircuit(ip, expr: ast.Binary, ctx: ExecContext) -> Value:
             return 0
         if expr.op == "||" and left:
             return 1
-        right = _truthy(eval_expr(ip, expr.right, ctx))
+        right = truthy(eval_expr(ip, expr.right, ctx))
         if isinstance(right, np.ndarray):
             return right.astype(np.int64)
         return int(right)
-    lbool = np.broadcast_to(np.asarray(_truthy(left)), ctx.grid.shape)
+    lbool = np.broadcast_to(np.asarray(truthy(left)), ctx.grid.shape)
     # evaluate the right side only where the left side leaves it live
     live = lbool if expr.op == "&&" else ~lbool
     sub = ctx.refine(live)
     right = eval_expr(ip, expr.right, sub)
-    rbool = np.broadcast_to(np.asarray(_truthy(right)), ctx.grid.shape)
+    rbool = np.broadcast_to(np.asarray(truthy(right)), ctx.grid.shape)
     if expr.op == "&&":
         return (lbool & rbool).astype(np.int64)
     return (lbool | rbool).astype(np.int64)
@@ -448,7 +346,7 @@ def _eval_ternary(ip, expr: ast.Ternary, ctx: ExecContext) -> Value:
     if ctx.grid.is_host or not isinstance(cond, np.ndarray):
         charge_grid_op(ip, ctx)
         return eval_expr(ip, expr.then, ctx) if cond else eval_expr(ip, expr.els, ctx)
-    cbool = np.broadcast_to(np.asarray(_truthy(cond)), ctx.grid.shape)
+    cbool = np.broadcast_to(np.asarray(truthy(cond)), ctx.grid.shape)
     then_v = eval_expr(ip, expr.then, ctx.refine(cbool))
     else_v = eval_expr(ip, expr.els, ctx.refine(~cbool))
     charge_grid_op(ip, ctx, count=2)  # the select
@@ -478,27 +376,28 @@ def _bounds_check(
     shape: Tuple[int, ...],
     mask: np.ndarray,
 ) -> None:
-    """Raise if any *active* lane indexes out of bounds."""
+    """Raise if any *active* lane indexes out of bounds (a scalar
+    subscript is checked whatever the mask)."""
     for a, s in enumerate(subs):
         extent = shape[a]
         if isinstance(s, np.ndarray):
             bad = ((s < 0) | (s >= extent)) & mask
             if np.any(bad):
-                val = int(s[bad][0]) if s[bad].size else -1
-                raise UCRuntimeError(
-                    f"subscript {a} of {node.base!r} out of range "
-                    f"(value {val}, extent {extent})",
-                    node.line,
-                    node.col,
-                )
-        else:
-            if not 0 <= int(s) < extent:
-                raise UCRuntimeError(
-                    f"subscript {a} of {node.base!r} out of range "
-                    f"(value {int(s)}, extent {extent})",
-                    node.line,
-                    node.col,
-                )
+                out_of_range(a, node, extent, bad, s)
+        elif not 0 <= int(s) < extent:
+            out_of_range(a, node, extent, True, int(s))
+
+
+def out_of_range(a: int, node: ast.Index, extent: int, bad, raw) -> None:
+    """Raise the bounds error of subscript ``a`` of ``node``, quoting the
+    unclipped value ``raw`` holds at the first set lane of ``bad``: the
+    one bounds error every engine raises."""
+    value = int(np.broadcast_to(raw, np.shape(bad))[bad][0])
+    raise UCRuntimeError(
+        f"subscript {a} of {node.base!r} out of range (value {value}, extent {extent})",
+        node.line,
+        node.col,
+    )
 
 
 def eval_gather(ip, node: ast.Index, ctx: ExecContext) -> Value:
@@ -818,7 +717,7 @@ def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
             arm_mask = base_mask
         else:
             pred_v = eval_expr(ip, arm.pred, inner)
-            pv = np.broadcast_to(np.asarray(_truthy(pred_v)), inner_grid.shape)
+            pv = np.broadcast_to(np.asarray(truthy(pred_v)), inner_grid.shape)
             arm_mask = base_mask & pv
             pred_union = pv if pred_union is None else (pred_union | pv)
         val = eval_expr(ip, arm.expr, inner.with_mask(arm_mask))

@@ -56,7 +56,7 @@ Correctness strategy — decide-before-execute behind a measured guard:
   the frontier Clock never higher than the full-sweep Clock.
 * **Values** are bit-identical by construction: inactive lanes would
   recompute exactly their current values, and active lanes run the same
-  numpy operator semantics (:func:`repro.interp.eval_expr.apply_binop`,
+  C operator semantics (:func:`repro.lang.operators.apply_binop`,
   ``_reduce_op``, ``_cast_array``) the engines use.
 * **Evaluation** is picked per compressed sweep from what the session
   already knows.  A sparse active set runs each arm's *lane program*: a
@@ -104,6 +104,7 @@ import numpy as np
 from ..compiler.solve_sched import affine_ref_axes
 from ..lang import ast
 from ..lang.ast import expr_to_text
+from ..lang.operators import BINARY_UFUNCS, COMPARISONS, apply_binop, apply_unary
 from ..lang.semantics import BUILTINS
 from ..machine.cost import Recorder, bind_rows, charge_row, scan_levels
 from ..machine.router import has_duplicates
@@ -111,7 +112,7 @@ from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers, fuse
-from .eval_expr import BUILTIN_VALUES, _RED_UFUNC, _SIMPLE_BINOPS, _reduce_op, apply_binop
+from .eval_expr import BUILTIN_VALUES, _RED_UFUNC, _reduce_op, cse_key
 from .plan import lane_check, lane_scatter, lane_sub
 from .values import ArrayVar, ElementBinding, ScalarVar
 
@@ -147,18 +148,6 @@ _DELTA_OPS = ("min", "max")
 #: can test first (ROADMAP item 5b); until then a fusable sweep in that
 #: band pays at most 2x on the lane path.
 _DENSE_COST_RATIO = 10
-
-
-# ---------------------------------------------------------------------------
-# CSE simulation (keys are the engines' own: ``expr_to_text``)
-# ---------------------------------------------------------------------------
-
-
-def _pure(e: ast.Expr) -> bool:
-    return not any(
-        isinstance(n, (ast.Call, ast.Assign, ast.IncDec, ast.Reduction))
-        for n in ast.walk(e)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +222,10 @@ _POS, _POSCOL, _KSEL, _OK = (
 
 _KAXIS = "red"  # where a subscript bound to the reduction element varies
 
-_COMPARE = ("==", "!=", "<", "<=", ">", ">=")
-
 #: how a predicate subtree was reached from the root (:meth:`_Compiler.compile`)
 _OFF, _LIVE, _CONJ = range(3)
 
 _as_int = operator.methodcaller("astype", np.int64)
-
-
-def _invert(v):
-    return np.invert(v.astype(np.int64, copy=False))
 
 
 def _run_lane_steps(steps, R) -> None:
@@ -615,24 +598,21 @@ class _Compiler:
         if hit is None or hit.kind == _S or any(
             isinstance(n, ast.Index) and n.base in self.written for n in ast.walk(expr)
         ):
-            out = self._compile_cse(expr, rec, value_root, spine, text)
+            out = self._compile_cse(expr, rec, value_root, spine)
             if spine:
                 self.spine[text] = out
             return out
         self.mute = True
-        self._compile_cse(expr, rec, value_root, text=text)
+        self._compile_cse(expr, rec, value_root)
         self.mute = False
         if hit.inv or not hit.lanes:
             return hit
         return self._apply(hit.kind, _BINARY, hit, _OK, fn=operator.getitem)
 
-    def _compile_cse(self, expr, rec, value_root, spine=_OFF, text=None) -> _Val:
-        if (
-            self.ip.config.cse
-            and isinstance(expr, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
-            and _pure(expr)
-        ):
-            key = (self._scope(), text or expr_to_text(expr))
+    def _compile_cse(self, expr, rec, value_root, spine=_OFF) -> _Val:
+        text = cse_key(self.ip.frontend, expr) if self.ip.config.cse else None
+        if text is not None:
+            key = (self._scope(), text)
             if key in self.cse_seen:
                 # the engine serves this subtree from its CSE cache: no charges
                 return self._compile_node(expr, Recorder(), value_root, spine)
@@ -774,16 +754,12 @@ class _Compiler:
         x = self.compile(expr.operand, rec, spine=min(spine, _LIVE))
         self._charge_op(rec, 1)
         op = expr.op  # '-', '!' or '~': the parser builds no other
-        if op == "!":
-            if x.kind == _B:
-                return self._apply(_B, _UNARY, x, fn=np.logical_not)
-            if x.kind == _N:
-                return self._apply(_B, _BINARY, x, self._const(0), fn=np.equal)
-            return self._apply(_S, _UNARY, x, fn=lambda v: int(not v))
+        if op == "!" and x.kind == _B:
+            return self._apply(_B, _UNARY, x, fn=np.logical_not)
+        if op == "!" and x.kind == _N:
+            return self._apply(_B, _BINARY, x, self._const(0), fn=np.equal)
         x = self._num(x)
-        if op == "-":
-            return self._apply(x.kind, _UNARY, x, fn=operator.neg)
-        return self._apply(x.kind, _UNARY, x, fn=_invert if x.kind == _N else lambda v: ~int(v))
+        return self._apply(x.kind, _UNARY, x, fn=functools.partial(apply_unary, op, node=expr))
 
     def _compile_binary(self, expr: ast.Binary, rec, spine: int) -> _Val:
         op = expr.op
@@ -805,14 +781,11 @@ class _Compiler:
         right = self._num(self.compile(expr.right, rec, spine=live))
         self._charge_op(rec, 1)
         scalar = left.kind == _S and right.kind == _S
-        if op in _COMPARE and not scalar:
-            return self._apply(_B, _BINARY, left, right, fn=_SIMPLE_BINOPS[op])
-        fn = None if op in _COMPARE else _SIMPLE_BINOPS.get(op)
+        if op in COMPARISONS and not scalar:
+            return self._apply(_B, _BINARY, left, right, fn=BINARY_UFUNCS[op])
+        fn = None if op in COMPARISONS else BINARY_UFUNCS.get(op)
         if fn is None:  # '/', '%' and scalar comparisons: the C rules
-
-            def fn(a, b, op=op, node=expr):
-                return apply_binop(op, a, b, node)
-
+            fn = functools.partial(apply_binop, op, node=expr)
         return self._apply(_S if scalar else _N, _BINARY, left, right, fn=fn)
 
     def _compile_ternary(self, expr: ast.Ternary, rec, spine: int) -> _Val:

@@ -106,8 +106,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.ast import expr_to_text
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
+from ..lang.operators import BINARY_UFUNCS, apply_binop, apply_unary, truthy
 from ..lang.scope import IndexSetValue
 from ..machine.cost import Recorder, bind_rows
 from ..machine.router import has_duplicates
@@ -179,11 +179,11 @@ def _run(ip, regs, steps) -> None:
 
 def _bool_view(v, shape):
     """``broadcast(truthy(v))`` over a mask register's ``shape``."""
-    return np.broadcast_to(np.asarray(E._truthy(lift(v, len(shape)))), shape)
+    return np.broadcast_to(np.asarray(truthy(lift(v, len(shape)))), shape)
 
 
 def _truthy_int(v):
-    v = E._truthy(v)
+    v = truthy(v)
     return v.astype(np.int64) if isinstance(v, np.ndarray) else int(v)
 
 
@@ -219,7 +219,7 @@ class _Unary:
 
     def run(self, ip, regs) -> None:
         regs[self.dst] = lanewise(
-            E.apply_unary, 0, self.node.op, regs[self.src], self.node
+            apply_unary, 0, self.node.op, regs[self.src], self.node
         )
 
 
@@ -235,7 +235,7 @@ class _Binary:
 
     def run(self, ip, regs) -> None:
         regs[self.dst] = lanewise(
-            E.apply_binop, regs[self.mask].ndim,
+            apply_binop, regs[self.mask].ndim,
             self.node.op, regs[self.a], regs[self.b], self.node,
         )  # fmt: skip
 
@@ -744,7 +744,7 @@ def _strip_reduce(bin_op, red_op, a, b, shape, n_red, order_safe):
             v = np.float64(v)
         ops.append(_compact(np.broadcast_to(v, shape)))
     dtype = np.result_type(*ops)  # int64 or float64
-    bin_ufunc = E._SIMPLE_BINOPS[bin_op]
+    bin_ufunc = BINARY_UFUNCS[bin_op]
     red_ufunc = E._RED_UFUNC[red_op]
     reorder = order_safe and dtype == _I64
     work = dtype
@@ -978,23 +978,6 @@ def _is_prefix(store: Tuple, lookup: Tuple) -> bool:
     return len(store) <= len(lookup) and lookup[: len(store)] == store
 
 
-def _cacheable(node: ast.Expr) -> bool:
-    return isinstance(node, (ast.Binary, ast.Index, ast.Unary, ast.Ternary))
-
-
-def _pure_reads(node: ast.Expr) -> Optional[frozenset]:
-    """Read-set of a pure expression; None if impure (uncacheable)."""
-    reads = set()
-    for n in ast.walk(node):
-        if isinstance(n, (ast.Call, ast.Assign, ast.IncDec, ast.Reduction)):
-            return None
-        if isinstance(n, ast.Name):
-            reads.add(n.ident)
-        elif isinstance(n, ast.Index):
-            reads.add(n.base)
-    return frozenset(reads)
-
-
 def _inline_return(func: ast.FuncDef) -> Optional[ast.Expr]:
     """The returned expression of a callee fusion inlines — scalar
     parameters only, a body that is one ``return <expr>;`` once blocks are
@@ -1089,6 +1072,11 @@ class _Fuser:
         self.checks.append((kind, name, expected))
 
     # -- CSE simulation ----------------------------------------------------
+
+    def cse_text(self, node: ast.Expr) -> Optional[str]:
+        """The oracle's CSE key of ``node`` (:func:`eval_expr.cse_key`),
+        or None when it is uncacheable or the simulation is off."""
+        return E.cse_key(self.ip.frontend, node) if self.cse_on else None
 
     def sim_invalidate(self, name: str) -> None:
         """Drop sim entries that can observe a write to ``name``; record a
@@ -1297,10 +1285,9 @@ class _Fuser:
                     writes.add(t.ident)
                 elif isinstance(t, ast.Index):
                     writes.add(t.base)
-            if self.cse_on and _cacheable(n):
-                reads = _pure_reads(n)
-                if reads is not None:
-                    self.unfused_texts.add(expr_to_text(n))
+            text = self.cse_text(n)
+            if text is not None:
+                self.unfused_texts.add(text)
         if clear:
             self.sim_clear()
         else:
@@ -1312,25 +1299,23 @@ class _Fuser:
     def compile_expr(
         self, node: ast.Expr, g: _GCtx, mask_reg: int, token: Tuple, view_ok: bool
     ) -> _Val:
-        if self.cse_on and _cacheable(node):
-            reads = _pure_reads(node)
-            if reads is not None:
-                text = expr_to_text(node)
-                key = (text, g.shape)
-                ent = self.sim.get(key)
-                if ent is not None:
-                    store_tok, val, _reads = ent
-                    if _is_prefix(store_tok, token):
-                        return val
-                    raise _Demote()  # data-dependent cross-context hit
-                tomb = self.tombs.get(key)
-                if tomb is not None and tomb != self.inv_ctx:
-                    raise _Demote()  # killer arm may be skipped at run time
-                val = self._compile_inner(node, g, mask_reg, token, view_ok)
-                self.sim[key] = (token, val, reads)
-                self.fused_texts.add(text)
+        text = self.cse_text(node)
+        if text is None:
+            return self._compile_inner(node, g, mask_reg, token, view_ok)
+        key = (text, g.shape)
+        ent = self.sim.get(key)
+        if ent is not None:
+            store_tok, val, _reads = ent
+            if _is_prefix(store_tok, token):
                 return val
-        return self._compile_inner(node, g, mask_reg, token, view_ok)
+            raise _Demote()  # data-dependent cross-context hit
+        tomb = self.tombs.get(key)
+        if tomb is not None and tomb != self.inv_ctx:
+            raise _Demote()  # killer arm may be skipped at run time
+        val = self._compile_inner(node, g, mask_reg, token, view_ok)
+        self.sim[key] = (token, val, self.ip.frontend.cse_text_names[text])
+        self.fused_texts.add(text)
+        return val
 
     def _compile_inner(
         self, node: ast.Expr, g: _GCtx, mask_reg: int, token: Tuple, view_ok: bool
@@ -1414,7 +1399,7 @@ class _Fuser:
         v = self.compile_expr(node.operand, g, mask_reg, token, view_ok)
         self._alu(g)
         if v.static is not _DYN:
-            return self.static_val(E.apply_unary(node.op, v.static, node))
+            return self.static_val(apply_unary(node.op, v.static, node))
         r = self.reg()
         self.steps.append(_Unary(r, v.reg, node))
         return _Val(r, v.is_array, _DYN)
@@ -1425,7 +1410,7 @@ class _Fuser:
         self._alu(g)
         if a.static is not _DYN and b.static is not _DYN:
             try:
-                folded = E.apply_binop(node.op, a.static, b.static, node)
+                folded = apply_binop(node.op, a.static, b.static, node)
             except UCRuntimeError:
                 raise _Demote()
             return self.static_val(folded)
@@ -1447,7 +1432,7 @@ class _Fuser:
                 return self.static_val(1)
             b = self.compile_expr(node.right, g, mask_reg, token, view_ok)
             if b.static is not _DYN:
-                rv = E._truthy(b.static)
+                rv = truthy(b.static)
                 if isinstance(rv, np.ndarray):
                     return self.static_val(rv.astype(np.int64))
                 return self.static_val(int(rv))
@@ -1456,7 +1441,7 @@ class _Fuser:
             return _Val(r, b.is_array, _DYN)
         # array left: evaluate the right side under the refined context
         if a.static is not _DYN:
-            lbool_v = np.broadcast_to(np.asarray(E._truthy(a.static)), g.shape)
+            lbool_v = np.broadcast_to(np.asarray(truthy(a.static)), g.shape)
             lb = self.static_val(lbool_v)
         else:
             r = self.reg()
@@ -1468,7 +1453,7 @@ class _Fuser:
         sub_token = token + (("sc", id(node)),)
         b = self.compile_expr(node.right, g, mr, sub_token, view_ok)
         if lb.static is not _DYN and b.static is not _DYN:
-            rbool = np.broadcast_to(np.asarray(E._truthy(b.static)), g.shape)
+            rbool = np.broadcast_to(np.asarray(truthy(b.static)), g.shape)
             if node.op == "&&":
                 return self.static_val((lb.static & rbool).astype(np.int64))
             return self.static_val((lb.static | rbool).astype(np.int64))
@@ -1487,7 +1472,7 @@ class _Fuser:
             chosen = node.then if c.static else node.els
             return self.compile_expr(chosen, g, mask_reg, token, view_ok)
         if c.static is not _DYN:
-            cbool_v = np.broadcast_to(np.asarray(E._truthy(c.static)), g.shape)
+            cbool_v = np.broadcast_to(np.asarray(truthy(c.static)), g.shape)
             cb = self.static_val(cbool_v)
         else:
             r = self.reg()

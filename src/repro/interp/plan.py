@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCRuntimeError
 from . import eval_expr as E
 
 
@@ -215,13 +214,11 @@ def lane_sub(s: np.ndarray, extent: int):
 def lane_check(a: int, node: ast.Index, extent: int, bad, raw) -> None:
     """Raise the bounds error of subscript ``a`` of ``node`` when a lane
     of ``bad`` is set — out of range *and* live under the guards above
-    the reference — with :func:`repro.interp.eval_expr.eval_gather`'s
-    message, quoting the first such lane's unclipped value from ``raw``.
+    the reference — with :func:`repro.interp.eval_expr.out_of_range`,
+    quoting the first such lane's unclipped value from ``raw``.
     Out-of-range lanes under a false guard read their clipped address."""
     if bad.any():
-        value = int(np.broadcast_to(raw, bad.shape)[bad][0])
-        text = f"subscript {a} of {node.base!r} out of range (value {value}, extent {extent})"
-        raise UCRuntimeError(text, node.line, node.col)
+        E.out_of_range(a, node, extent, bad, raw)
 
 
 def lane_scatter(flat: np.ndarray, addr: np.ndarray, value):

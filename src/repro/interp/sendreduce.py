@@ -76,7 +76,8 @@ def shrinks(ip, grid, sets: Sequence) -> bool:
 
 def try_send_reduce(ip, node: ast.Reduction, ctx) -> Optional[np.ndarray]:
     """Attempt the optimized path; None if the pattern does not apply."""
-    from .eval_expr import ExecContext, _truthy, eval_expr  # local: avoids cycle
+    from ..lang.operators import truthy
+    from .eval_expr import ExecContext, eval_expr  # local: avoids cycle
 
     sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
     split = send_reduce_split(ip, node, ctx.grid, sets)
@@ -105,7 +106,7 @@ def try_send_reduce(ip, node: ast.Reduction, ctx) -> Optional[np.ndarray]:
     enabled = np.ones(operand_grid.shape, dtype=bool)
     for clause in rest_clauses:
         cv = eval_expr(ip, clause, op_ctx.refine(enabled))
-        enabled = enabled & np.broadcast_to(np.asarray(_truthy(cv)), operand_grid.shape)
+        enabled = enabled & np.broadcast_to(np.asarray(truthy(cv)), operand_grid.shape)
     values = np.broadcast_to(
         np.asarray(eval_expr(ip, arm.expr, op_ctx.with_mask(enabled))),
         operand_grid.shape,

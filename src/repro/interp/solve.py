@@ -30,10 +30,11 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError
+from ..lang.operators import truthy
 from ..lang.semantics import solve_assignments
 from . import frontier
 from .env import Env
-from .eval_expr import ExecContext, _truthy, eval_expr
+from .eval_expr import ExecContext, eval_expr
 from .statements import _run_blocks_once, enter_grid, exec_stmt
 from .values import ArrayVar, ElementBinding, ParallelLocal, ScalarVar
 
@@ -142,7 +143,7 @@ def _exec_solve_guarded(
             enabled = base.copy()
             if pred is not None:
                 pv = eval_expr(ip, pred, inner)
-                enabled &= np.broadcast_to(np.asarray(_truthy(pv)), inner.grid.shape)
+                enabled &= np.broadcast_to(np.asarray(truthy(pv)), inner.grid.shape)
             enabled_cache[k] = enabled
             remaining = enabled & ~done[k]
             if not np.any(remaining):
@@ -234,7 +235,7 @@ def _readiness(
     if isinstance(expr, ast.Ternary):
         rc = _readiness(ip, expr.cond, ctx, defined)
         cond = eval_expr(ip, expr.cond, ctx)
-        cb = np.broadcast_to(np.asarray(_truthy(cond)), shape)
+        cb = np.broadcast_to(np.asarray(truthy(cond)), shape)
         rt = _readiness(ip, expr.then, ctx.refine(cb), defined)
         re_ = _readiness(ip, expr.els, ctx.refine(~cb), defined)
         return rc & np.where(cb, rt, re_)

@@ -24,11 +24,11 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError, UCSemanticError
+from ..lang.operators import truthy
 from .env import Env
 from .eval_expr import (
     ExecContext,
     Value,
-    _truthy,
     charge_grid_op,
     eval_expr,
 )
@@ -188,7 +188,7 @@ def _exec_if(ip, stmt: ast.If, ctx: ExecContext) -> None:
             exec_stmt(ip, stmt.els, ctx)
         return
     # data-parallel if: both branches run under complementary masks
-    cbool = np.broadcast_to(np.asarray(_truthy(cond)), ctx.grid.shape)
+    cbool = np.broadcast_to(np.asarray(truthy(cond)), ctx.grid.shape)
     vps = ip.grid_vpset(ctx.grid.shape)
     ip.machine.clock.charge("context", count=2, vp_ratio=vps.vp_ratio)
     then_ctx = ctx.refine(cbool)
@@ -295,7 +295,7 @@ def _block_masks(
             masks.append(base)
         else:
             pv = eval_expr(ip, block.pred, inner)
-            pb = np.broadcast_to(np.asarray(_truthy(pv)), inner.grid.shape)
+            pb = np.broadcast_to(np.asarray(truthy(pv)), inner.grid.shape)
             m = base & pb
             masks.append(m)
             union = pb if union is None else (union | pb)

@@ -102,11 +102,16 @@ class GridContext:
 
 @dataclass
 class ScalarVar:
-    """A front-end scalar variable."""
+    """A front-end scalar variable; an uninitialised one holds its
+    type's zero (``0.0`` for a ``float``)."""
 
     name: str
     ctype: str
-    value: Union[int, float] = 0
+    value: Union[int, float, None] = None
+
+    def __post_init__(self) -> None:
+        if self.value is None:
+            self.value = 0.0 if self.ctype == "float" else 0
 
 
 @dataclass
@@ -196,7 +201,7 @@ def lanewise(fn, ndim: int, *args):
     Next to an ndarray, each LaneScalars is lifted to ``ndim`` dims so
     numpy applies it lane by lane; among scalars only, ``fn`` runs once
     per lane in python, which keeps solo scalar semantics exactly
-    (arbitrary precision, division-by-zero errors).  Every lane of the
+    (division-by-zero errors included).  Every lane of the
     chunk is evaluated, so an error in a lane whose arm is idle still
     raises — the batch then reruns sequentially, exact either way.
     Without a LaneScalars argument this is just ``fn(*args)``.

@@ -29,6 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import ast
 from .errors import UCSemanticError
+from .operators import INT64_MAX, INT64_MIN, apply_binop, apply_unary
 from .scope import IndexSetValue, Scope, ScopeStack, Symbol
 from .tokens import REDUCTION_OPS
 
@@ -89,7 +90,8 @@ class ProgramInfo:
 
 
 class _ConstEvaluator:
-    """Evaluates compile-time constant integer expressions."""
+    """Evaluates compile-time constant integer expressions with the
+    run-time int64 semantics (:mod:`repro.lang.operators`)."""
 
     def __init__(self, constants: Dict[str, int]) -> None:
         self.constants = constants
@@ -110,17 +112,13 @@ class _ConstEvaluator:
                 f"{node.ident!r} is not a compile-time constant", node.line, node.col
             )
         if isinstance(node, ast.Unary):
-            v = self.eval(node.operand)
-            if node.op == "-":
-                return -v
-            if node.op == "!":
-                return int(not v)
-            if node.op == "~":
-                return ~v
-            raise UCSemanticError(f"bad constant unary {node.op!r}", node.line, node.col)
+            return int(apply_unary(node.op, self.eval(node.operand), node))
         if isinstance(node, ast.Binary):
             a, b = self.eval(node.left), self.eval(node.right)
-            return _const_binop(node.op, a, b, node)
+            if node.op in ("/", "%") and b == 0:
+                what = "division" if node.op == "/" else "mod"
+                raise UCSemanticError(f"{what} by zero in constant", node.line, node.col)
+            return int(apply_binop(node.op, a, b, node))
         if isinstance(node, ast.Ternary):
             return self.eval(node.then) if self.eval(node.cond) else self.eval(node.els)
         raise UCSemanticError(
@@ -128,51 +126,6 @@ class _ConstEvaluator:
             node.line,
             node.col,
         )
-
-
-def _const_binop(op: str, a: int, b: int, node: ast.Node) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise UCSemanticError("division by zero in constant", node.line, node.col)
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    if op == "%":
-        if b == 0:
-            raise UCSemanticError("mod by zero in constant", node.line, node.col)
-        return a - _const_binop("/", a, b, node) * b
-    if op == "<<":
-        return a << b
-    if op == ">>":
-        return a >> b
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "&&":
-        return int(bool(a) and bool(b))
-    if op == "||":
-        return int(bool(a) or bool(b))
-    raise UCSemanticError(f"bad constant binary {op!r}", node.line, node.col)
 
 
 class Analyzer:
@@ -191,6 +144,8 @@ class Analyzer:
         consts = _ConstEvaluator(info.constants)
 
         for name, value in self.defines.items():
+            if not INT64_MIN <= int(value) <= INT64_MAX:
+                raise UCSemanticError(f"define {name}={value} does not fit in 64 bits")
             self.scopes.declare(Symbol(name, "const", value=int(value)))
 
         for decl in program.decls:

@@ -3,7 +3,8 @@
 Paris was the CM-2's macro-instruction set.  This module provides the
 elementwise (per-VP) slice of it: arithmetic, comparison, logical and
 select operations, each executing under the destination VP set's activity
-context and charging one ALU op (scaled by the VP ratio).
+context and charging one ALU op (scaled by the VP ratio).  ``div`` and
+``mod`` are C's ``/`` and ``%`` (:mod:`repro.lang.operators`).
 
 Operands may be fields on the same VP set, raw numpy arrays of the right
 shape (pre-staged temporaries), or scalars (front-end broadcast constants;
@@ -16,6 +17,7 @@ from typing import Callable, Dict, Union
 
 import numpy as np
 
+from ..lang.operators import c_div, c_mod
 from .errors import FieldError, VPSetMismatchError
 from .faults import fault_point
 from .field import Field, ScalarLike
@@ -27,8 +29,8 @@ _BINOPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
-    "div": lambda a, b: _c_div(a, b),
-    "mod": lambda a, b: _c_mod(a, b),
+    "div": c_div,
+    "mod": c_mod,
     "min": np.minimum,
     "max": np.maximum,
     "eq": np.equal,
@@ -56,24 +58,6 @@ _UNOPS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "float": lambda a: a.astype(np.float64),
     "int": lambda a: _c_truncate(a),
 }
-
-
-def _c_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C division: truncating for integers, true for floats."""
-    if np.issubdtype(np.result_type(a, b), np.integer):
-        q = np.floor_divide(a, b)
-        r = np.remainder(a, b)
-        # C truncates toward zero; numpy floors. Correct where signs differ.
-        adjust = (r != 0) & ((a < 0) != (b < 0))
-        return q + adjust
-    return np.true_divide(a, b)
-
-
-def _c_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C remainder: sign follows the dividend."""
-    r = np.remainder(a, b)
-    adjust = (r != 0) & ((a < 0) != (b < 0))
-    return r - adjust * b
 
 
 def _c_truncate(a: np.ndarray) -> np.ndarray:

@@ -48,13 +48,16 @@ class TestClassification:
             assert not rep.has("UC502") and not rep.has("UC503"), op
 
     def test_int_add_with_interval_proof(self):
+        """A bounded int $+ gets the one wraparound verdict: the proof
+        never depended on the operands' range."""
         src = (
             "index_set I:i = {0..15};\nint s;\n"
             "main { s = $+(I; i * 2); }"
         )
         rep = lint_program(src)
         d = rep.by_code("UC501")
-        assert d and "no-overflow" in d[0].message
+        assert d and "wraparound" in d[0].message
+        assert not rep.has("UC502") and not rep.has("UC503")
 
     def test_int_add_unbounded_falls_back_to_wraparound(self):
         src = (

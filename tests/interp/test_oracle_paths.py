@@ -10,9 +10,11 @@ table names what the oracle must produce (values or the located error).
 import pytest
 
 from repro.analysis import lint_program
+from repro.cli import main
 from repro.interp import batch
 from repro.interp.compile_store import LRU
 from repro.interp.program import UCProgram
+from repro.lang.errors import UCSemanticError
 from repro.machine import small_config
 from tests.properties.test_lowering_diff import assert_engines_agree
 
@@ -89,6 +91,17 @@ CASES = [
      "UCRuntimeError: array 'm' needs 2 subscripts, got 1 (line 5, column 8)"),
     ("float_global_initialiser", "float scale = 0.5;\nmain { h[0] = scale * 3; }",
      {"h": [1.5, 0.0, 0.0, 0.0]}),
+    # constants fold with the run-time int64 semantics: a shift by 64 or
+    # more is 0 as a constant, as a host scalar and in a parallel value
+    (
+        "shift_beyond_64_bits",
+        "int N = 1 << 70;\nint W = 1 << 64;\n"
+        "main { s = 64; x = (1 << s) + W; par (I) a[i] = N + i; par (I) b[i] = 1 << (s + i); }",
+        {"x": 0, "s": 64, "a": [0, 1, 2, 3], "b": [0, 0, 0, 0]},
+    ),
+    # an uninitialised float holds 0.0, not the int 0: z / z is nan
+    ("uninitialised_float_scalar", "float z, w;\nmain { w = z / z; x = w != w; }",
+     {"x": 1}),
     (
         "solve_scalar_target",
         "main { solve (I) { a[i] = i * 2; s = $+(I; a[i]); } }",
@@ -374,6 +387,21 @@ def test_front_end_rejects_what_the_oracle_cannot_run(body, message):
     report = lint_program(HEAD + body)
     assert report.exit_code() == 1
     assert message in report.render_text()
+
+
+def test_define_outside_int64_is_one_line_naming_it(tmp_path):
+    """A ``-D`` value no int64 holds is refused where the defines enter
+    the front end: a semantic error naming it, one line from the CLI."""
+    src = HEAD + "main { par (I) a[i] = N; }"
+    with pytest.raises(UCSemanticError, match=r"^define N=-?\d+ does not fit in 64 bits$"):
+        UCProgram(src, defines={"N": 2**70})
+    path = tmp_path / "d.uc"
+    path.write_text(src)
+    for value in ("99999999999999999999", "-9223372036854775809"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", str(path), "-D", f"N={value}"])
+        assert exit_.value.code == f"{path}: define N={value} does not fit in 64 bits"
+    assert main(["run", str(path), "-D", "N=-9223372036854775808"]) == 0
 
 
 def test_logical_subscripts_fold_in_the_static_classifier():

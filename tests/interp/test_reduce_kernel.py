@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.interp import eval_expr as E
 from repro.interp import fuse
 from repro.interp.program import UCProgram
+from repro.lang.operators import BINARY_UFUNCS
 
 pytestmark = pytest.mark.usefixtures("default_engines")
 
@@ -28,7 +29,7 @@ _FLOAT_BINOPS = ("+", "-", "*")  # numpy defines no bitwise/shift loop on floats
 def unblocked(bin_op, red_op, a, b, shape, n_red):
     """The definition: what ``_Reduce.reduce_unmasked`` does without the
     kernel (``apply_binop`` is the bare ufunc for these ops)."""
-    val = np.broadcast_to(np.asarray(E._SIMPLE_BINOPS[bin_op](a, b)), shape)
+    val = np.broadcast_to(np.asarray(BINARY_UFUNCS[bin_op](a, b)), shape)
     axes = tuple(range(len(shape) - n_red, len(shape)))
     return E._RED_UFUNC[red_op].reduce(val, axis=axes)
 
@@ -123,7 +124,7 @@ class TestStripsMatchTheUnblockedFormula:
             got = fuse._strip_reduce(bin_op, "add", a, b, shape, 1, False)
             assert same_bits(got, unblocked(bin_op, "add", a, b, shape, 1))
             # and the reference really is order-sensitive on this input
-            k_first = np.moveaxis(E._SIMPLE_BINOPS[bin_op](a, b), -1, 0)
+            k_first = np.moveaxis(BINARY_UFUNCS[bin_op](a, b), -1, 0)
             seq = np.add.reduce(np.ascontiguousarray(k_first), axis=0)
             assert not np.array_equal(seq, got)
 
@@ -151,7 +152,7 @@ class TestStripsMatchTheUnblockedFormula:
         rng = np.random.default_rng(4)
         d = rng.uniform(0, 1, (9, 9))
         a, b = d[:, None, :], d.T[None, :, :]
-        assert not E._SIMPLE_BINOPS["+"](a, b).flags.c_contiguous
+        assert not BINARY_UFUNCS["+"](a, b).flags.c_contiguous
         assert fuse._strip_reduce("+", "add", a, b, (9, 9, 9), 1, False) is None
         di = rng.integers(0, 99, (9, 9))
         a, b = di[:, None, :], di.T[None, :, :]
