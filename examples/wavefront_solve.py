@@ -47,21 +47,15 @@ for row in reference[:6]:
 # ---------------------------------------------------------------------------
 
 from repro.compiler.solve_sched import try_schedule
-from repro.interp.interpreter import Interpreter
-from repro.interp.eval_expr import ExecContext
-from repro.interp.env import Env
-from repro.interp.values import GridContext
-from repro.interp.statements import enter_grid
-from repro.lang.semantics import solve_assignments
-from repro.machine import Machine
+from repro.interp.values import GridAxis
 from repro.lang import ast as uc_ast
+from repro.lang.semantics import solve_assignments
 
-interp = Interpreter(scheduled.info, Machine(), scheduled.layouts)
-main = scheduled.info.program.main
-solve_stmt = next(s for s in uc_ast.walk(main) if isinstance(s, uc_ast.UCStmt))
-ctx = ExecContext(GridContext(), None, Env(interp.global_env))
-inner = enter_grid(interp, solve_stmt, ctx)
-schedule = try_schedule(interp, solve_stmt, solve_assignments(solve_stmt), inner)
+info = scheduled.info
+solve_stmt = next(s for s in uc_ast.walk(info.program.main) if isinstance(s, uc_ast.UCStmt))
+sets = [info.index_sets[name] for name in solve_stmt.index_sets]
+axes = [GridAxis(isv.elem_name, isv.name, isv.values) for isv in sets]
+schedule = try_schedule(solve_stmt, solve_assignments(solve_stmt), axes, info.constants)
 assert schedule is not None
 print(f"\ndependency levels derived by the scheduler (max {schedule.max_level}):")
 for row in schedule.levels[:6]:

@@ -203,7 +203,7 @@ def site_advice(
     node = v.ref.node
     text = expr_to_text(node)
     note, hint = rc.detail, ""
-    if rc.axes is None:
+    if rc.axes is None and "data-dependent" in rc.detail:
         note = "data-dependent subscript"
         hint = (
             "data-dependent subscripts need the general router; index with "

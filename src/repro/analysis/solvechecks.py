@@ -6,10 +6,14 @@ touches defined values.  A dependence that can never become defined
 therefore deadlocks at run time with "solve cannot make progress".  Two
 statically-detectable shapes of that deadlock:
 
-* an assignment whose RHS reads its *own* target element (identical
-  realised subscripts, net offset zero) — the lane waits on itself;
-* a cycle of assignments whose identity-structured references chain back
-  to the starting array with net offset zero along every axis.
+* an assignment whose RHS reads its *own* target element (grid-position
+  shift zero) — the lane waits on itself;
+* a cycle of assignments whose references chain back to the starting
+  array with net shift zero along every grid axis.
+
+Both come from the solve's dependence table
+(:func:`repro.compiler.solve_sched.dependence_table`): its references
+that block readiness and have a uniform shift are the edges.
 
 Pred-less cycles are errors (every lane of the grid deadlocks);
 predicated ones are warnings (a mask may break the cycle, but the
@@ -25,13 +29,13 @@ almost always a typo (and a constantly-false one deletes the equation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
+from ..compiler.solve_sched import dependence_table
 from ..lang import ast
 from ..lang.semantics import _ConstEvaluator, solve_assignments
 from .context import AnalysisModel, ConstructSite
 from .diagnostics import Diagnostic
-from .staticref import A, C, SubVal, realize_subscript
 
 
 def analyze_solves(model: AnalysisModel, file: str) -> List[Diagnostic]:
@@ -114,112 +118,39 @@ def _unreachable_others(
 # ---------------------------------------------------------------------------
 
 
-def _identity_offsets(
-    subvals: Sequence[SubVal]
-) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """((grid axis, offset), ...) when every subscript is ``elem + const``
-    with exactly-known values forming an arithmetic identity, else None."""
-    out: List[Tuple[int, int]] = []
-    for v in subvals:
-        if v.kind == C:
-            continue  # constant rows pin one array axis; no grid dependence
-        if v.kind != A or not v.exact or v.vals.size == 0:
-            return None
-        base = int(v.vals[0])
-        if any(int(v.vals[k]) != base + k for k in range(v.vals.size)):
-            return None
-        out.append((v.g, base))
-    return tuple(out)
-
-
-def _refs_outside_escapes(expr: ast.Expr) -> List[ast.Index]:
-    """Array references whose readiness unconditionally blocks the
-    assignment: everything except ternary branches (the readiness formula
-    discards the untaken side)."""
-    out: List[ast.Index] = []
-
-    def go(e: ast.Expr) -> None:
-        if isinstance(e, ast.Index):
-            out.append(e)
-            for s in e.subs:
-                go(s)
-        elif isinstance(e, ast.Unary):
-            go(e.operand)
-        elif isinstance(e, ast.Binary):
-            go(e.left)
-            go(e.right)
-        elif isinstance(e, ast.Ternary):
-            go(e.cond)
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                go(a)
-        elif isinstance(e, ast.Assign):
-            go(e.value)
-        # reductions extend the grid: their references cover whole slices,
-        # which the offset model here cannot describe — skip them
-
-    go(expr)
-    return out
-
-
 def _dependence_cycles(
     model: AnalysisModel, site: ConstructSite, file: str, diags: List[Diagnostic]
 ) -> None:
     assignments = solve_assignments(site.stmt)
-    if not assignments:
-        return
-    # node per assignment; edges carry per-axis offset deltas (RHS ref
-    # offset minus target offset on the same grid axis)
-    targets: List[Optional[Tuple[str, Dict[int, int]]]] = []
-    for _pred, assign in assignments:
-        t = assign.target
-        if not isinstance(t, ast.Index):
-            targets.append(None)
-            continue
-        subvals = [realize_subscript(s, site, model) for s in t.subs]
-        offs = _identity_offsets(subvals)
-        targets.append((t.base, dict(offs)) if offs is not None else None)
+    table = dependence_table(assignments, site.axes, model.info.constants)
+    # node per assignment; an edge per blocking reference with a uniform
+    # shift, to the assignment whose target it reads
+    owner = {
+        eq.assign.target.base: m for m, eq in enumerate(table) if eq.target is not None
+    }
+    edges = [
+        [(owner[ref.node.base], ref.shift, ref.node) for ref in eq.refs
+         if ref.blocks and ref.shift is not None]
+        for eq in table
+    ]  # fmt: skip
 
-    edges: List[List[Tuple[int, Dict[int, int], ast.Index]]] = [
-        [] for _ in assignments
-    ]
-    for k, (_pred, assign) in enumerate(assignments):
-        if targets[k] is None:
-            continue
-        for ref in _refs_outside_escapes(assign.value):
-            for m, tgt in enumerate(targets):
-                if tgt is None or tgt[0] != ref.base:
-                    continue
-                subvals = [realize_subscript(s, site, model) for s in ref.subs]
-                offs = _identity_offsets(subvals)
-                if offs is None:
-                    continue
-                delta: Dict[int, int] = {}
-                for g in set(dict(offs)) | set(tgt[1]):
-                    delta[g] = dict(offs).get(g, 0) - tgt[1].get(g, 0)
-                edges[k].append((m, delta, ref))
-
-    # DFS for cycles whose per-axis offsets sum to zero
+    # DFS for cycles whose per-axis shifts sum to zero
     reported = set()
     n = len(assignments)
 
-    def dfs(start: int, node: int, total: Dict[int, int], path: List[int]) -> None:
-        for m, delta, ref in edges[node]:
-            new_total = dict(total)
-            for g, d in delta.items():
-                new_total[g] = new_total.get(g, 0) + d
+    def dfs(start: int, node: int, total: Tuple[int, ...], path: List[int]) -> None:
+        for m, shift, ref in edges[node]:
+            new_total = tuple(t + d for t, d in zip(total, shift))
             if m == start:
-                if all(d == 0 for d in new_total.values()):
-                    _report_cycle(
-                        assignments, path + [node], start, ref, site, file, diags, reported
-                    )
+                if not any(new_total):
+                    _report_cycle(assignments, path + [node], start, ref, file, diags, reported)
                 continue
             if m in path or m == node or len(path) >= n:
                 continue
             dfs(start, m, new_total, path + [node])
 
     for k in range(n):
-        dfs(k, k, {}, [])
+        dfs(k, k, (0,) * len(site.axes), [])
 
 
 def _report_cycle(
@@ -227,24 +158,19 @@ def _report_cycle(
     path: List[int],
     start: int,
     ref: ast.Index,
-    site: ConstructSite,
     file: str,
     diags: List[Diagnostic],
     reported: set,
 ) -> None:
-    key = (tuple(sorted(set(path))), start)
-    if key in reported:
+    nodes = frozenset(path)  # the path starts at ``start``
+    if (nodes, start) in reported:
         return
-    reported.add(key)
-    preds = [assignments[k][0] for k in set(path) | {start}]
-    guarded = any(p is not None for p in preds)
-    bases = sorted({
-        assignments[k][1].target.base  # type: ignore[union-attr]
-        for k in set(path) | {start}
-        if isinstance(assignments[k][1].target, ast.Index)
-    })
+    reported.add((nodes, start))
+    guarded = any(assignments[k][0] is not None for k in nodes)
+    # every assignment on a cycle has an identity target (its edge's end)
+    bases = sorted({assignments[k][1].target.base for k in nodes})
     assign = assignments[start][1]
-    if len(bases) == 1 and len(set(path)) <= 1:
+    if len(nodes) == 1:
         message = (
             f"solve equation for {bases[0]!r} depends on its own element "
             f"(reference at line {ref.line} has net offset zero): the "
@@ -253,8 +179,7 @@ def _report_cycle(
     else:
         message = (
             "solve equations form a dependence cycle with net offset zero "
-            f"({' -> '.join(bases) or 'scalar targets'}): no lane on the "
-            "cycle can become ready"
+            f"({' -> '.join(bases)}): no lane on the cycle can become ready"
         )
     diags.append(
         Diagnostic(

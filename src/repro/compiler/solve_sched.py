@@ -5,26 +5,29 @@ index elements, then the statement can be translated into an equivalent
 UC program that uses seq and par statements to execute the assignments in
 the order of their dependencies."
 
-We implement that translation: when every assignment writes
-``target[elems...]`` (identity subscripts over the construct's grid) and
-every reference back into a target array is affine ``elem + const`` with
-offsets that are non-positive and not all zero, the dependency level of
-each grid point is ``L(x) = 1 + max L(x + d)`` over the dependency offset
-vectors ``d``.  Execution is then a ``seq`` over levels of masked ``par``
-steps — no readiness bookkeeping, which is exactly why the paper calls
-the scheduled form more efficient than the guarded ``*par`` translation.
+A body's dependence facts come from one table, :func:`dependence_table`,
+read by this scheduler, the guarded frontier's worklist
+(:mod:`repro.interp.frontier`) and the UC201 lint
+(:mod:`repro.analysis.solvechecks`).  When every target is an identity
+target and every reference has a *grid-position* shift ``d <= 0``, not
+all zero, the level of grid point ``x`` is ``L(x) = 1 + max L(x + d)``.
+Execution is then a ``seq`` over levels of masked ``par`` steps — no
+readiness bookkeeping, which is exactly why the paper calls the
+scheduled form more efficient than the guarded ``*par`` translation.
+Anything else declines to guarded, the reference semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCRuntimeError, UCSemanticError
-from ..mapping.maps import AffineSub, affine_subscript
+from ..lang.errors import UCSemanticError
+from ..machine.router import has_duplicates, lookup_positions
+from ..mapping.maps import affine_subscript
 
 
 @dataclass
@@ -85,54 +88,39 @@ class SolveSchedule:
 
 
 def try_schedule(
-    ip,
     stmt: ast.UCStmt,
     assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]],
-    inner,
+    axes: Sequence,
+    constants: Dict[str, int],
 ) -> Optional[SolveSchedule]:
-    """Build a static schedule, or None when the body is not analysable."""
-    grid = inner.grid
-    elems = {axis.elem: axis.set_name for axis in grid.axes}
-    targets: Set[str] = set()
-    for _pred, assign in assignments:
-        t = assign.target
-        if not isinstance(t, ast.Index):
-            return None  # scalar targets have no per-element schedule
-        targets.add(t.base)
-
-    # map each target's array axes onto grid axes via its identity subscripts
-    elem_to_axis: Dict[str, int] = {axis.elem: k for k, axis in enumerate(grid.axes)}
+    """A static schedule over the grid ``axes``, or None when a target is
+    not an identity target or a reference sits in a reduction or has a
+    shift that is not uniform, not ``<= 0`` or all zero.  A predicate
+    may read only its own element (shift zero): the lane tests it before
+    writing it under either strategy, where guarded could test another
+    lane's element before or after that lane defines it."""
     deps: List[Tuple[int, ...]] = []
-    try:
-        for _pred, assign in assignments:
-            t = assign.target
-            assert isinstance(t, ast.Index)
-            axis_of_sub: List[int] = []
-            for sub in t.subs:
-                a = affine_subscript(sub, elems, ip.info.constants)
-                if a.elem is None or a.scale != 1 or a.offset != 0:
-                    return None  # target subscripts must be bare elements
-                axis_of_sub.append(elem_to_axis[a.elem])
-            for d in _dependency_offsets(
-                assign.value, _pred, targets, elems, ip.info.constants, axis_of_sub, grid.rank
-            ):
+    for eq in dependence_table(assignments, axes, constants):
+        if eq.target is None:
+            return None
+        for ref in eq.refs:
+            d = ref.shift
+            if ref.in_reduction or d is None or max(d) > 0:
+                return None
+            if ref.role == "pred":
+                if any(d) or ref.node.base != eq.assign.target.base:
+                    return None
+            elif any(d):
                 deps.append(d)
-    except (_NotSchedulable, UCSemanticError):
-        return None
-
-    levels = _dependency_levels(grid.shape, deps)
-    if levels is None:
-        return None
+            else:
+                return None
+    levels = _dependency_levels(tuple(len(axis.values) for axis in axes), deps)
     return SolveSchedule(
         levels=levels,
         max_level=int(levels.max()),
         assignments=assignments,
         stmt=stmt,
     )
-
-
-class _NotSchedulable(Exception):
-    pass
 
 
 def affine_ref_axes(
@@ -146,10 +134,9 @@ def affine_ref_axes(
     ``elem_name`` is ``None`` for a compile-time-constant subscript (the
     offset is then the constant's value).  Returns ``None`` when any
     subscript is not affine ``elem + const`` with scale 1 — negated
-    elements, element products, or data-dependent subscripts.  Shared by
-    the static scheduler below and the frontier engine's change-mask
-    dilation (:mod:`repro.interp.frontier`), which both reason about
-    which grid points a reference can reach.
+    elements, element products, or data-dependent subscripts.  The
+    dependence table below and the frontier engine's change-mask
+    dilation (:mod:`repro.interp.frontier`) both read references this way.
     """
     out: List[Tuple[Optional[str], int]] = []
     for sub in node.subs:
@@ -163,76 +150,140 @@ def affine_ref_axes(
     return tuple(out)
 
 
-def _dependency_offsets(
-    value: ast.Expr,
-    pred: Optional[ast.Expr],
-    targets: Set[str],
-    elems: Dict[str, str],
+# ---------------------------------------------------------------------------
+# the dependence table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SolveRef:
+    """One reference into a solve target (see :func:`dependence_table`)."""
+
+    node: ast.Index
+    axes: Optional[Tuple[Tuple[Optional[str], int], ...]]  # affine_ref_axes
+    in_reduction: bool
+    in_arm: bool  # in a ternary's then/else arm
+    role: str  # "value", "pred" or "target" (in a target subscript)
+    #: per grid axis, to the lane that defines the element read; None
+    #: when the landing lanes disagree or none lands
+    shift: Optional[Tuple[int, ...]]
+
+    @property
+    def blocks(self) -> bool:
+        """A guarded lane is not ready until the element it reads is
+        defined: the value, outside ternary arms and reductions."""
+        return self.role == "value" and not (self.in_arm or self.in_reduction)
+
+
+@dataclass(frozen=True)
+class SolveEquation:
+    """One assignment of a solve body and its references into the targets."""
+
+    assign: ast.Assign
+    target: Optional[Tuple[int, ...]]  # identity_target, or None
+    refs: Tuple[SolveRef, ...]
+
+
+def identity_target(
+    target: ast.Index, axes: Sequence, constants: Dict[str, int]
+) -> Optional[Tuple[int, ...]]:
+    """The grid axis of each subscript of ``target`` when every subscript
+    is a bare grid element, each grid axis is used at most once and its
+    values are distinct (one lane per element), else None."""
+    desc = affine_ref_axes(target, {axis.elem: axis.set_name for axis in axes}, constants)
+    if desc is None or any(elem is None or c for elem, c in desc):
+        return None
+    axis_of = {axis.elem: g for g, axis in enumerate(axes)}
+    grid = tuple(axis_of[elem] for elem, _c in desc)
+    if len(set(grid)) != len(grid) or any(
+        has_duplicates(np.asarray(axes[g].values, dtype=np.int64)) for g in grid
+    ):
+        return None
+    return grid
+
+
+def dependence_table(
+    assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]],
+    axes: Sequence,
     constants: Dict[str, int],
-    axis_of_sub: List[int],
-    grid_rank: int,
-):
-    """Offset vectors (grid-axis space) of references back into targets."""
-    nodes: List[ast.Node] = [value]
-    if pred is not None:
-        nodes.append(pred)
-    grid_axis_of = {e: ax for ax, e in enumerate(elems)}
-    for root in nodes:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Reduction):
-                # rebinding inside reductions makes the offsets ambiguous
-                if _references_targets(node, targets):
-                    raise _NotSchedulable()
-            if isinstance(node, ast.Index) and node.base in targets:
-                axes = affine_ref_axes(node, elems, constants)
-                if axes is None:
-                    raise _NotSchedulable()
-                offsets = [0] * grid_rank
-                nonzero = False
-                for elem, off in axes:
-                    if elem is None:
-                        raise _NotSchedulable()
-                    # elems preserves insertion order == grid axis order
-                    offsets[grid_axis_of[elem]] += off
-                    if off != 0:
-                        nonzero = True
-                if any(o > 0 for o in offsets):
-                    raise _NotSchedulable()
-                if nonzero:
-                    yield tuple(offsets)
-                # offset all-zero = reading the element being defined in the
-                # same statement; with distinct target arrays per statement
-                # (the proper-set rule) a zero offset on *another* target is
-                # an instantaneous dependency: treat as schedulable only if
-                # it refers to the statement's own target is impossible —
-                # conservatively fall back
-                elif node.base in targets and len(targets) > 1:
-                    raise _NotSchedulable()
+) -> List[SolveEquation]:
+    """The one walk of a solve body for its references into its targets,
+    over grid ``axes`` (anything with ``elem``, ``set_name``, ``values``).
+
+    A shift counts grid positions, not element values: the reference is
+    realised over the axis values and each index looked up among the
+    positions of the target that defines it, ignoring lanes whose index
+    lands outside it.  Over ``{0,2,4,6}``, ``a[i-2]`` has shift ``(-1,)``.
+    """
+    elems = {axis.elem: axis.set_name for axis in axes}
+    axis_of = {axis.elem: g for g, axis in enumerate(axes)}
+    vals = [np.asarray(axis.values, dtype=np.int64) for axis in axes]
+    maps = {
+        assign.target.base: identity_target(assign.target, axes, constants)
+        for _pred, assign in assignments
+        if isinstance(assign.target, ast.Index)
+    }
+    table: List[SolveEquation] = []
+    for pred, assign in assignments:
+        t = assign.target
+        roots = [(assign.value, "value"), (pred, "pred")]
+        roots += [(sub, "target") for sub in getattr(t, "subs", ())]
+        refs = []
+        for root, role in roots:
+            for node, in_reduction, in_arm in _target_refs(root, maps):
+                desc = affine_ref_axes(node, elems, constants)
+                tmap = maps[node.base]
+                shift = None
+                if desc is not None and tmap is not None and len(desc) == len(tmap):
+                    shift = _position_shift(desc, tmap, axis_of, vals)
+                refs.append(SolveRef(node, desc, in_reduction, in_arm, role, shift))
+        target = maps[t.base] if isinstance(t, ast.Index) else None
+        table.append(SolveEquation(assign, target, tuple(refs)))
+    return table
 
 
-def _references_targets(node: ast.Node, targets: Set[str]) -> bool:
-    return any(
-        isinstance(n, ast.Index) and n.base in targets for n in ast.walk(node)
-    )
+def _target_refs(expr: Optional[ast.Node], targets, in_reduction=False, in_arm=False):
+    """``(node, in_reduction, in_arm)`` for every reference into
+    ``targets`` at or below ``expr``, in pre-order."""
+    if expr is None:
+        return
+    if isinstance(expr, ast.Index) and expr.base in targets:
+        yield expr, in_reduction, in_arm
+    in_reduction = in_reduction or isinstance(expr, ast.Reduction)
+    for child in ast.children(expr):
+        arm = in_arm or (isinstance(expr, ast.Ternary) and child is not expr.cond)
+        yield from _target_refs(child, targets, in_reduction, arm)
 
 
-def _dependency_levels(
-    shape: Tuple[int, ...], deps: List[Tuple[int, ...]]
-) -> Optional[np.ndarray]:
-    """``L(x) = 1 + max L(x+d)`` solved by fixed-point sweeps."""
+def _position_shift(desc, tmap, axis_of, vals) -> Optional[Tuple[int, ...]]:
+    """The uniform shift of the reference ``desc`` into a target whose
+    subscripts sit on grid axes ``tmap``, or None."""
+    pos = np.indices(tuple(len(v) for v in vals))
+    shift = np.zeros_like(pos)
+    hit = np.ones(pos.shape[1:], dtype=bool)
+    for (elem, c), g in zip(desc, tmap):
+        idx = c if elem is None else vals[axis_of[elem]][pos[axis_of[elem]]] + c
+        at = lookup_positions(vals[g], idx)
+        hit &= at >= 0
+        shift[g] = at - pos[g]
+    d = shift[:, hit]
+    if not d.size or (d != d[:, :1]).any():
+        return None
+    return tuple(int(x) for x in d[:, 0])
+
+
+def _dependency_levels(shape: Tuple[int, ...], deps: List[Tuple[int, ...]]) -> np.ndarray:
+    """``L(x) = 1 + max L(x+d)`` solved by fixed-point sweeps (every ``d``
+    is ``<= 0`` and nonzero, so they settle within ``sum(shape)``)."""
     levels = np.zeros(shape, dtype=np.int64)
-    if not deps:
-        return levels
-    max_passes = int(sum(shape)) + 2
-    for _ in range(max_passes):
+    while deps:
         best = np.zeros(shape, dtype=np.int64)
         for d in deps:
-            shifted = _shift_levels(levels, d)
-            np.maximum(best, shifted + 1, out=best)
+            np.maximum(best, _shift_levels(levels, d) + 1, out=best)
         if np.array_equal(best, levels):
-            return levels
+            break
         levels = best
-    return None  # did not converge: forward/circular dependencies
+    return levels
 
 
 def _shift_levels(levels: np.ndarray, d: Tuple[int, ...]) -> np.ndarray:

@@ -101,13 +101,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..compiler.solve_sched import affine_ref_axes
+from ..compiler.solve_sched import affine_ref_axes, dependence_table, identity_target
 from ..lang import ast
 from ..lang.ast import expr_to_text
 from ..lang.operators import BINARY_UFUNCS, COMPARISONS, apply_binop, apply_unary
 from ..lang.semantics import BUILTINS
 from ..machine.cost import Recorder, bind_rows, charge_row, scan_levels
-from ..machine.router import has_duplicates
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
@@ -864,10 +863,6 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
     if stmt.others is not None:
         raise _NotFrontierable()
     grid = inner.grid  # a construct names at least one index set (parser)
-    # distinct per-axis values make identity writes hit distinct slots
-    for axis in grid.axes:
-        if has_duplicates(np.asarray(axis.values, dtype=np.int64)):
-            raise _NotFrontierable()
     an = _Analysis(grid, kind, ip.machine.clock.costs)
 
     modified: Set[str] = set()
@@ -897,21 +892,13 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
             arm.pred_reg, arm.pred_full = comp._lanes(pred), pred.lanes
 
         # the target: identity subscripts covering every grid axis once
+        # (distinct values, so the writes hit distinct slots)
         t = assign.target
         arr = comp._register_array(t.base)
-        elems = {axis.elem: axis.set_name for axis in grid.axes}
-        t_axes = affine_ref_axes(t, elems, ip.info.constants)
-        if t_axes is None or len(t_axes) != len(arr.shape):
+        t_map = identity_target(t, grid.axes, ip.info.constants)
+        if t_map is None or len(t_map) != grid.rank or len(arr.shape) != grid.rank:
             raise _NotFrontierable()
-        if len(t_axes) != grid.rank:
-            raise _NotFrontierable()
-        t_grid_axes = []
-        for elem, c in t_axes:
-            if elem is None or c != 0 or elem not in an.grid_axis_of:
-                raise _NotFrontierable()
-            t_grid_axes.append(an.grid_axis_of[elem])
-        if len(set(t_grid_axes)) != grid.rank:
-            raise _NotFrontierable()
+        t_axes = tuple((grid.axes[g].elem, 0) for g in t_map)
         arm.target = t.base
         arm.red = None
         arm.steps = comp.begin_program()
@@ -1573,53 +1560,31 @@ class GuardedFrontier:
 
 
 def _guarded_analyze(ip, stmt, assignments, inner) -> object:
-    grid = inner.grid
     if len(assignments) < 2:
         # With one assignment, skipping it only fires when the sweep would
         # define nothing — exactly the no-progress error case — so the
         # per-sweep dilation bookkeeping can never pay for itself.
         return _FALLBACK
-    targets: Set[str] = set()
-    for _pred, assign in assignments:
-        t = assign.target
-        if not isinstance(t, ast.Index):
-            return _FALLBACK  # scalar targets define whole variables at once
-        targets.add(t.base)
-    an = _Analysis(grid, "guarded")
-    for name in targets:  # arrays: solve._exec_solve_guarded raised otherwise
+    if not all(isinstance(assign.target, ast.Index) for _pred, assign in assignments):
+        return _FALLBACK  # scalar targets define whole variables at once
+    an = _Analysis(inner.grid, "guarded")
+    for _pred, assign in assignments:  # arrays: _exec_solve_guarded raised otherwise
+        name = assign.target.base
         an.array_shapes[name] = inner.env.try_lookup(name).shape
-    elems = {axis.elem: axis.set_name for axis in grid.axes}
     refs: List[List[_RefInfo]] = []
-    for pred, assign in assignments:
+    for eq in dependence_table(assignments, inner.grid.axes, ip.info.constants):
         mine: Dict[Tuple, _RefInfo] = {}
-        roots: List[ast.Node] = [assign.value, assign.target]
-        if pred is not None:
-            roots.append(pred)
-        for root in roots:
-            for node in ast.walk(root):
-                if isinstance(node, ast.Reduction):
-                    if any(
-                        isinstance(n, ast.Index) and n.base in targets
-                        for n in ast.walk(node)
-                    ):
-                        return _FALLBACK  # rebinding obscures the offsets
-                if isinstance(node, ast.Index) and node.base in targets:
-                    if node is assign.target:
-                        continue
-                    # its elements are keys of ``elems``: grid axes
-                    axes = affine_ref_axes(node, elems, ip.info.constants)
-                    if axes is None:
-                        return _FALLBACK
-                    seen = [e for e, _c in axes if e is not None]
-                    if len(seen) != len(set(seen)):
-                        return _FALLBACK
-                    shape = an.array_shapes[node.base]
-                    if len(axes) != len(shape):
-                        return _FALLBACK
-                    if (node.base, axes) not in mine:
-                        mine[node.base, axes] = _RefInfo(
-                            node.base, axes, _dilation_recipe(an, axes, shape, None)
-                        )
+        for ref in eq.refs:
+            axes, shape = ref.axes, an.array_shapes[ref.node.base]
+            if ref.in_reduction or axes is None or len(axes) != len(shape):
+                return _FALLBACK  # rebinding or a non-affine subscript obscures the lanes
+            seen = [e for e, _c in axes if e is not None]
+            if len(seen) != len(set(seen)):
+                return _FALLBACK
+            if (ref.node.base, axes) not in mine:
+                mine[ref.node.base, axes] = _RefInfo(
+                    ref.node.base, axes, _dilation_recipe(an, axes, shape, None)
+                )
         refs.append(list(mine.values()))
     return GuardedFrontier(an, refs)
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..compiler.processor_opt import partition_split
 from ..lang import ast
+from ..machine.router import lookup_positions
 from ..machine.scan import identity_of
 from .env import Env
 from .values import ElementBinding, GridContext
@@ -139,14 +140,9 @@ def try_send_reduce(ip, node: ast.Reduction, ctx) -> Optional[np.ndarray]:
         vals = values.astype(dtype)
 
     # map destination addresses to parent-axis positions (drop misses)
-    order = np.argsort(parent_values, kind="stable")
-    sorted_vals = parent_values[order]
-    flat_addr = addresses.reshape(-1)
-    flat_en = enabled.reshape(-1)
-    pos = np.searchsorted(sorted_vals, flat_addr)
-    pos_clipped = np.clip(pos, 0, len(sorted_vals) - 1)
-    hit = flat_en & (sorted_vals[pos_clipped] == flat_addr)
-    dest = order[pos_clipped[hit]]
+    at = lookup_positions(parent_values, addresses.reshape(-1))
+    hit = enabled.reshape(-1) & (at >= 0)
+    dest = at[hit]
     vals_hit = vals.reshape(-1)[hit]
     _COMBINE_AT[node.op](out, dest, vals_hit)
     if getattr(ip, "sanitizer", None) is not None:

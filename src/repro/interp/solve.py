@@ -4,12 +4,12 @@ Two strategies for plain ``solve``:
 
 * **scheduled** — when every assignment writes ``target[elem...]`` with
   identity subscripts and every reference back into a target array is an
-  ``elem + const`` with non-positive offsets, the statements admit a
-  static dependency-level schedule (the source-level transformation of
-  [14]): level ``L(x) = 1 + max L(x + d)`` over the dependency offsets,
-  executed as one masked ``par`` per level — a masked sweep of the
-  body's fused kernel where fusion takes it, the oracle otherwise
-  (:class:`repro.compiler.solve_sched.SolveSchedule`).
+  ``elem + const`` whose grid-position shift is non-positive and not
+  zero, the statements admit a static dependency-level schedule (the
+  source-level transformation of [14]): level ``L(x) = 1 + max L(x + d)``
+  over the shifts, executed as one masked ``par`` per level — a masked
+  sweep of the body's fused kernel where fusion takes it, the oracle
+  otherwise (:mod:`repro.compiler.solve_sched`).
 * **guarded** — the paper's general translation: keep per-element
   *defined* flags (the "impossible value"), repeatedly execute every
   assignment for the elements whose right-hand sides are fully defined
@@ -49,7 +49,7 @@ def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     if strategy in ("auto", "scheduled"):
         from ..compiler.solve_sched import try_schedule
 
-        schedule = try_schedule(ip, stmt, assignments, inner)
+        schedule = try_schedule(stmt, assignments, inner.grid.axes, ip.info.constants)
         if schedule is not None:
             schedule.execute(ip, inner)
             return
@@ -64,19 +64,6 @@ def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
 
 
 # ---------------------------------------------------------------------------
-# body shape helpers
-# ---------------------------------------------------------------------------
-
-
-def target_arrays(assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]]) -> Set[str]:
-    names: Set[str] = set()
-    for _pred, assign in assignments:
-        t = assign.target
-        names.add(t.base if isinstance(t, ast.Index) else t.ident)  # type: ignore[union-attr]
-    return names
-
-
-# ---------------------------------------------------------------------------
 # guarded execution (the paper's general method)
 # ---------------------------------------------------------------------------
 
@@ -87,7 +74,10 @@ def _exec_solve_guarded(
     assignments: Sequence[Tuple[Optional[ast.Expr], ast.Assign]],
     inner: ExecContext,
 ) -> None:
-    targets = target_arrays(assignments)
+    targets = {
+        a.target.base if isinstance(a.target, ast.Index) else a.target.ident  # type: ignore[union-attr]
+        for _pred, a in assignments
+    }
     defined: Dict[str, np.ndarray] = {}
     for name in targets:
         binding = inner.env.try_lookup(name)

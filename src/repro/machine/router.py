@@ -63,6 +63,16 @@ def has_duplicates(values: np.ndarray) -> bool:
     return bool((flat[1:] == flat[:-1]).any())
 
 
+def lookup_positions(values: np.ndarray, keys) -> np.ndarray:
+    """The position of each of ``keys`` among the distinct ``values``, -1
+    where absent: element values to grid positions, for the send-reduce
+    destinations and the solve dependence table."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    k = np.minimum(np.searchsorted(ranked, keys), len(ranked) - 1)
+    return np.where(ranked[k] == keys, order[k], -1)
+
+
 def _check_addresses(addr: np.ndarray, n_vps: int) -> None:
     if not addr.size:
         return

@@ -394,6 +394,13 @@ def classify_affine(
                 summ = _constant_of(arr + coords)
                 if summ is not None:
                     v = _AxisVerdict("mirror", grid_axis=g, mirror_param=summ)
+                else:  # known values off unit stride: a strided or unordered set
+                    step = _constant_of(np.diff(arr))
+                    detail = (
+                        f"element stride {step} along {axis_elems[g]}" if step is not None
+                        else f"irregular element values along {axis_elems[g]}"
+                    )  # fmt: skip
+                    return RefClass("router", detail=detail, axes=None)
         if v.kind == "data":
             return RefClass("router", detail="data-dependent subscript", axes=None)
         used[g] = True

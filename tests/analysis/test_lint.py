@@ -104,42 +104,76 @@ class TestRaceDetection:
 
 
 class TestSolveChecks:
-    def test_zero_offset_cycle_is_uc201(self):
-        rep = lint_program(
+    PROGRAMS = {
+        "zero_offset_cycle": (
             "index_set I:i = {0..7};\nint x[8], y[8];\n"
             "main { solve (I) { x[i] = y[i] + 1; y[i] = x[i] * 2; } }"
-        )
+        ),
+        "self_dependence": (
+            "index_set I:i = {0..3};\nint a[4];\n"
+            "main { solve (I) a[i] = a[i] + 1; }"
+        ),
+        "strided_self_dependence": (
+            "index_set I:i = {0,2,4,6};\nint a[8];\n"
+            "main { solve (I) a[i] = a[i] + 1; }"
+        ),
+        "shifted_recurrence": (
+            "index_set I:i = {0..7};\nint f[8];\n"
+            "main { solve (I) f[i] = (i < 2) ? 1 : f[i-1] + f[i-2]; }"
+        ),
+        "strided_recurrence": (
+            "index_set I:i = {0,2,4,6};\nint a[8];\n"
+            "main { solve (I) a[i] = (i == 0) ? 5 : a[i-2] + 1; }"
+        ),
+        "star_solve": (
+            "index_set I:i = {0..3};\nint a[4];\n"
+            "main { *solve (I) a[i] = a[i]; }"
+        ),
+        "constant_pred": (
+            "index_set I:i = {0..7};\nint a[8];\n"
+            "main { solve (I) st (0 == 1) a[i] = (i == 0) ? 1 : a[i - 1]; }"
+        ),
+    }
+
+    def test_zero_offset_cycle_is_uc201(self):
+        rep = lint_program(self.PROGRAMS["zero_offset_cycle"])
         errs = [d for d in rep.errors if d.code == "UC201"]
         assert errs and errs[0].line in (3,)
         assert "cycle" in errs[0].message
 
     def test_self_dependence_is_uc201(self):
-        rep = lint_program(
-            "index_set I:i = {0..3};\nint a[4];\n"
-            "main { solve (I) a[i] = a[i] + 1; }"
-        )
-        assert rep.has("UC201")
+        assert lint_program(self.PROGRAMS["self_dependence"]).has("UC201")
+
+    def test_strided_self_dependence_is_uc201(self):
+        # the shift is found in grid positions, so a listing set's
+        # self-reference is the same zero shift
+        assert lint_program(self.PROGRAMS["strided_self_dependence"]).has("UC201")
 
     def test_shifted_recurrence_is_proper(self):
-        rep = lint_program(
-            "index_set I:i = {0..7};\nint f[8];\n"
-            "main { solve (I) f[i] = (i < 2) ? 1 : f[i-1] + f[i-2]; }"
-        )
-        assert not rep.has("UC201")
+        assert not lint_program(self.PROGRAMS["shifted_recurrence"]).has("UC201")
+        assert not lint_program(self.PROGRAMS["strided_recurrence"]).has("UC201")
 
     def test_star_solve_exempt_from_cycle_check(self):
-        rep = lint_program(
-            "index_set I:i = {0..3};\nint a[4];\n"
-            "main { *solve (I) a[i] = a[i]; }"
-        )
-        assert not rep.has("UC201")
+        assert not lint_program(self.PROGRAMS["star_solve"]).has("UC201")
 
     def test_constant_solve_predicate_is_uc203(self):
-        rep = lint_program(
-            "index_set I:i = {0..7};\nint a[8];\n"
-            "main { solve (I) st (0 == 1) a[i] = (i == 0) ? 1 : a[i - 1]; }"
-        )
-        assert rep.has("UC203")
+        assert lint_program(self.PROGRAMS["constant_pred"]).has("UC203")
+
+    def test_uc201_errors_raise_under_every_strategy(self):
+        """An error-severity UC201 names a deadlock: the scheduled default
+        declines it and guarded raises, so no strategy runs it."""
+        from repro.interp.program import UCProgram
+        from repro.lang.errors import UCRuntimeError
+
+        flagged = [
+            name for name, src in self.PROGRAMS.items()
+            if any(d.code == "UC201" for d in lint_program(src).errors)
+        ]  # fmt: skip
+        assert flagged == ["zero_offset_cycle", "self_dependence", "strided_self_dependence"]
+        for name in flagged:
+            for strategy in ("auto", "guarded"):
+                with pytest.raises(UCRuntimeError, match="cannot make progress"):
+                    UCProgram(self.PROGRAMS[name], solve_strategy=strategy).run()
 
     def test_unreachable_others_is_uc202(self):
         rep = lint_program(
@@ -159,6 +193,17 @@ class TestCommLints:
         assert routers
         assert routers[0].line == 3
         assert "router" in routers[0].message
+
+    def test_strided_set_names_its_stride(self):
+        # affine, but off unit stride: still the router, and not for data
+        rep = lint_program(
+            "index_set I:i = {0,2,4,6};\nint a[8], b[8];\n"
+            "main { par (I) b[i] = a[i]; }"
+        )
+        routers = [d for d in rep.diagnostics if d.code == "UC301"]
+        assert len(routers) == 2
+        assert all("element stride 2 along i" in d.message for d in routers)
+        assert not any("data-dependent" in d.message + d.hint for d in routers)
 
     def test_news_shift_is_uc303(self):
         rep = lint_program(

@@ -4,28 +4,20 @@ import numpy as np
 import pytest
 
 from repro.compiler.solve_sched import _dependency_levels, _shift_levels, try_schedule
-from repro.interp.env import Env
-from repro.interp.eval_expr import ExecContext
-from repro.interp.interpreter import Interpreter
-from repro.lang.semantics import solve_assignments
-from repro.interp.statements import enter_grid
-from repro.interp.values import GridContext
 from repro.interp.program import UCProgram
+from repro.interp.values import GridAxis
 from repro.lang import ast as uc_ast
-from repro.machine import Machine
+from repro.lang.semantics import solve_assignments
 
 
 def schedule_for(src, defines=None):
-    prog = UCProgram(src, defines=defines)
-    interp = Interpreter(prog.info, Machine(), prog.layouts)
+    info = UCProgram(src, defines=defines).info
     solve_stmt = next(
-        s for s in uc_ast.walk(prog.info.program.main) if isinstance(s, uc_ast.UCStmt)
+        s for s in uc_ast.walk(info.program.main) if isinstance(s, uc_ast.UCStmt)
     )
-    ctx = ExecContext(GridContext(), None, Env(interp.global_env))
-    inner = enter_grid(interp, solve_stmt, ctx)
-    return try_schedule(
-        interp, solve_stmt, solve_assignments(solve_stmt), inner
-    )
+    sets = [info.index_sets[name] for name in solve_stmt.index_sets]
+    axes = [GridAxis(isv.elem_name, isv.name, isv.values) for isv in sets]
+    return try_schedule(solve_stmt, solve_assignments(solve_stmt), axes, info.constants)
 
 
 WAVEFRONT = (
@@ -79,6 +71,46 @@ class TestSchedule:
         src = (
             "index_set I:i = {0..7};\nint s;\n"
             "main { solve (I) s = 3; }"
+        )
+        assert schedule_for(src) is None
+
+    def test_strided_set_levels_by_position(self):
+        src = (
+            "index_set I:i = {0,2,4,6};\nint a[8];\n"
+            "main { solve (I) a[i] = (i == 0) ? 5 : a[i-2] + 1; }"
+        )
+        sched = schedule_for(src)
+        assert sched is not None
+        assert sched.levels.tolist() == [0, 1, 2, 3]
+
+    def test_descending_set_declined(self):
+        # a[i-2] over {6,4,2,0} reads the *next* lane: a forward shift
+        src = (
+            "index_set I:i = {6,4,2,0};\nint a[8];\n"
+            "main { solve (I) a[i] = (i == 0) ? 5 : a[i-2] + 1; }"
+        )
+        assert schedule_for(src) is None
+
+    def test_self_dependence_declined(self):
+        src = (
+            "index_set I:i = {0..3};\nint a[4];\n"
+            "main { solve (I) a[i] = a[i] + 1; }"
+        )
+        assert schedule_for(src) is None
+
+    def test_predicate_reading_its_own_element_schedules(self):
+        src = (
+            "index_set I:i = {0..7};\nint a[8];\n"
+            "main { solve (I) st (a[i] == 0) a[i] = (i == 0) ? 1 : a[i-1] + 1; }"
+        )
+        sched = schedule_for(src)
+        assert sched is not None and sched.max_level == 7
+
+    def test_predicate_reading_another_element_declined(self):
+        # guarded may test a[i-1] before lane i-1 defines it
+        src = (
+            "index_set I:i = {1..3};\nint a[4];\n"
+            "main { solve (I) st (a[i-1] == 0) a[i] = 7; }"
         )
         assert schedule_for(src) is None
 

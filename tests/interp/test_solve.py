@@ -79,6 +79,18 @@ class TestSolve:
         r = run_uc(src, {"p": np.array([0, 0, 1, 2])})
         assert r["a"].tolist() == [1, 2, 3, 4]
 
+    def test_undefined_read_differs_by_strategy(self):
+        """Left open (docs/LANGUAGE.md, solve): a read of a target element
+        that no arm defines sees the value from before the solve when
+        scheduled, and never becomes ready under guarded."""
+        src = (
+            "index_set I:i = {1..7};\nint a[8];\n"
+            "main { a[0] = 5; solve (I) a[i] = a[i-1] + 1; }"
+        )
+        assert run_uc(src)["a"].tolist() == list(range(5, 13))
+        with pytest.raises(UCRuntimeError, match="cannot make progress"):
+            run_uc(src, solve_strategy="guarded")
+
 
 #: name -> (source, inputs, fused sweeps): a scheduled solve runs each
 #: non-empty level as one masked sweep of its body's fused kernel

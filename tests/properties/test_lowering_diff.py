@@ -14,7 +14,10 @@ multi-statement one; parallel locals; scatters.
 (``plans=False``) and on the default engine, each with the frontier on
 and off, solo and as ``run_batch`` lanes.  Values and stdout agree
 everywhere, fingerprints agree per frontier setting, and when the oracle
-raises every engine raises the same class and text.
+raises every engine raises the same class and text.  A plain ``solve``
+also runs with ``solve_strategy="guarded"``, the reference semantics:
+where it completes, its values and stdout are the oracle's.  Its first
+index set may be a listing: strided, descending or offset-start.
 
 Tier-1 runs a fixed, derandomized budget.  CI's nightly job runs
 ``--hypothesis-profile nightly`` (``tests/conftest.py``) for a much
@@ -22,6 +25,8 @@ larger one.  Every shrunk failure becomes a file in ``tests/regressions/``.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +46,9 @@ BUDGET = settings(
     database=None,
     suppress_health_check=list(HealthCheck),
 )
+
+#: a ``solve`` that is not a ``*solve``
+PLAIN_SOLVE = re.compile(r"(?<![*\w])solve\s*\(")
 
 ENGINES = {
     "oracle": dict(plans=False),
@@ -96,6 +104,17 @@ def assert_engines_agree(src: str, lanes, defines=None, machine_config=None) -> 
                 assert solo[a][lane][1].fingerprint == solo[b][lane][1].fingerprint, (
                     f"{a} lane {lane} fingerprint\n{src}"
                 )
+    if PLAIN_SOLVE.search(src):
+        # guarded is the reference semantics of a plain solve: where it
+        # completes, the scheduled default computed the same thing (the
+        # Clock differs: solve_strategy is part of clock_key)
+        guarded = _outcome(lambda: UCProgram(src, **kw, solve_strategy="guarded"))
+        for lane, inp in enumerate(lanes):
+            got = guarded if guarded[0] == "error" else _outcome(lambda: guarded[1].run(inp))
+            if got[0] == "ok":
+                ref = solo["oracle"][lane]
+                assert ref[0] == "ok", f"guarded lane {lane} ran, oracle {ref[1]}\n{src}"
+                assert _digest(got[1]) == _digest(ref[1]), f"guarded lane {lane} values\n{src}"
     batch = _outcome(lambda: UCProgram(src, **kw).run_batch(lanes))
     lane_err = next((o for o in solo["engine"] if o[0] == "error"), None)
     if lane_err is not None:
@@ -265,11 +284,17 @@ class _Program:
         return f"{self.at(target)} = {self.pick(CALLS)}({e});"
 
 
-def _prelude(shape, salt):
-    """Declarations, the callees and a self-initialising main prologue."""
+def _prelude(shape, salt, first=None):
+    """Declarations, the callees and a self-initialising main prologue.
+    ``first`` lists the values of the first index set (default ``0..n-1``)."""
     n0 = shape[0]
-    sets = ", ".join(f"{S}:{e} = {{0..{n - 1}}}" for S, e, n in zip(SETS, ELEMS, shape))
-    dims = "".join(f"[{n}]" for n in shape)
+    specs = [f"{{0..{n - 1}}}" for n in shape]
+    extents = list(shape)
+    if first is not None:
+        specs[0] = "{" + ",".join(map(str, first)) + "}"
+        extents[0] = max(first) + 1
+    sets = ", ".join(f"{S}:{e} = {spec}" for S, e, spec in zip(SETS, ELEMS, specs))
+    dims = "".join(f"[{n}]" for n in extents)
     elems = ELEMS[: len(shape)]
     at = "".join(f"[{e}]" for e in elems)
     mix = " + ".join(f"{e} * {p}" for e, p in zip(elems, (5, 3, 7)))
@@ -297,7 +322,18 @@ def programs(draw, kind):
     shape = draw(st.sampled_from(SHAPES))
     g = _Program(draw, shape)
     salt = draw(st.integers(0, 40))
-    head, init = _prelude(shape, salt)
+    first, step = None, 1
+    if kind == "solve":  # a listing first set: strided, descending or offset-start
+        n0 = shape[0]
+        form = draw(st.sampled_from(["range", "range", "strided", "descending", "offset"]))
+        step = 2 if form == "strided" else 1
+        first = {
+            "range": None,
+            "strided": list(range(0, 2 * n0, 2)),
+            "descending": list(range(n0 - 1, -1, -1)),
+            "offset": list(range(1, n0 + 1)),
+        }[form]
+    head, init = _prelude(shape, salt, first)
     sets = ", ".join(SETS[: len(shape)])
     bound = draw(st.integers(2, 5))
     ro, rw = ["c", "d", "h"], ["a", "b", "c", "d", "h"]
@@ -327,20 +363,19 @@ def programs(draw, kind):
             construct = f"*par ({sets}) st ({a} < {bound}) {target} = {a} + 1;"
     elif kind == "solve":
         a, e0 = g.at("a"), g.elems[0]
-        prev = "a" + "".join(f"[{s}]" for s in [f"{e0} - 1"] + list(g.elems[1:]))
+        lo = min(first) if first else 0
+        prev = "a" + "".join(f"[{s}]" for s in [f"{e0} - {step}"] + list(g.elems[1:]))
         dep = "a" + "".join(f"[{s}]" for s in ["d" + "".join(f"[{s}]" for s in g.elems)] + list(g.elems[1:]))
         back = "a" + "".join(f"[{s}]" for s in ["r"] + list(g.elems[1:]))
         e = g.expr(ro)
-        value = g.pick([
-            f"({e0} > 0 ? {prev} + {e} : {e})",
-            f"({'d' + ''.join(f'[{s}]' for s in g.elems)} < {e0} ? {dep} + 1 : {e})",
-            f"{g.pick(CALLS)}({e0} > 0 ? {prev} : {e})",
-            f"{e} + $+(R st (r < {e0}) {back})",
-            e,
-        ])
+        forms = [f"({e0} > {lo} ? {prev} + {e} : {e})", f"{g.pick(CALLS)}({e0} > {lo} ? {prev} : {e})", e]
+        if first is None:  # both read elements a listing set leaves undefined
+            forms.append(f"({'d' + ''.join(f'[{s}]' for s in g.elems)} < {e0} ? {dep} + 1 : {e})")
+            forms.append(f"{e} + $+(R st (r < {e0}) {back})")
+        value = g.pick(forms)
         stmts = f"{a} = {value};"
         if g.chance(0.4):
-            stmts += f" {g.at('b')} = {g.ref('a')} + {g.expr(ro, 1)};"
+            stmts += f" {g.at('b')} = {g.ref('a') if first is None else a} + {g.expr(ro, 1)};"
         pred = f"st ({g.expr(ro, 1)}) " if g.chance(0.25) else ""
         construct = f"solve ({sets}) {pred}{{ {stmts} }}"
     elif kind == "*solve":
