@@ -2,12 +2,12 @@
 
 ``UCProgram.run_batch`` executes many *instances* of the same UC program
 (same source, same machine geometry, different scalar parameters or
-initial fields) in a single pass.  Each instance — a **lane** — keeps
-its own simulated :class:`~repro.machine.machine.Machine` and
-:class:`~repro.interp.interpreter.Interpreter`, so per-lane results,
-stdout and :class:`~repro.machine.cost.Clock` fingerprints are
-**bit-identical** to ``S`` solo ``run()`` calls.  What is shared is the
-host-side *work*: for iterated constructs (``*par``/``*solve``) whose
+initial fields) in a single pass.  Each instance — a **lane** — is a
+solo run's own machine and interpreter, built by
+:meth:`UCProgram.prepare` and packaged by :meth:`PreparedRun.finish`, so
+per-lane results, stdout and :class:`~repro.machine.cost.Clock`
+fingerprints are **bit-identical** to ``S`` solo ``run()`` calls.  What
+is shared is the host-side *work*: for iterated constructs (``*par``/``*solve``) whose
 bodies the kernel-fusion pass fully compiled, the register program runs
 once over a lane-stacked ``(S,) + shape`` array per step instead of
 ``S`` times over ``shape``, and the kernel's charge rows are replayed
@@ -40,7 +40,7 @@ Correctness is layered as three fallbacks, outermost first:
 3. **Lane demotion** — mid-construct, a lane whose frontier session
    elects a compressed sweep leaves the batch: its rows are written
    back and the lane re-enters the solo sweep loop
-   (``statements.star_par_loop`` / ``solve.star_solve_loop``) to finish
+   (:func:`repro.interp.statements.sweep_loop`) to finish
    (compressed charging differs per lane, so the lanes' clocks can no
    longer share one table replay).  The solo loop evaluates a dense
    compressed sweep on the same fused kernel, compute-only — demotion
@@ -59,21 +59,19 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..lang import ast
-from ..machine import Machine
 from ..machine.field import lane_stack
 from . import frontier, fuse
-from .compile_store import LRU
 from .eval_expr import ExecContext
-from .interpreter import Interpreter
 from .statements import (
     ReturnSignal,
     _check_starred,
     enter_grid,
     exec_stmt,
-    star_par_loop,
+    modified_names,
+    sweep_loop,
+    sweep_protocol,
 )
-from .solve import _modified_names, star_solve_loop
-from .values import ArrayVar, ElementBinding, LaneVar, ScalarVar
+from .values import ArrayVar, LaneVar, ScalarVar
 
 #: target stacked-register size per chunk (int64 elements).  ~4 MB keeps
 #: the whole register file of a chunk inside L2/L3 so the per-step numpy
@@ -128,7 +126,7 @@ def run_batch(prog, inputs, *, seed: int = 20250704) -> List[Any]:
     if not batchable(prog, config):
         return _sequential(prog, inputs, seed)
     try:
-        return _BatchRun(prog, inputs, seed, config).execute()
+        return _BatchRun(prog, inputs, seed).execute()
     except Exception:
         # includes _BatchAbort; a genuine program error re-raises from
         # the deterministic sequential rerun with its exact solo message
@@ -145,58 +143,33 @@ def _sequential(prog, inputs, seed: int) -> List[Any]:
 
 
 class _BatchRun:
-    def __init__(self, prog, inputs, seed: int, config) -> None:
+    def __init__(self, prog, inputs, seed: int) -> None:
         self.prog = prog
         self.inputs = inputs
         self.seed = seed
-        self.config = config
         self.S = len(inputs)
-        self.interps: List[Interpreter] = []
 
     def execute(self) -> List[Any]:
-        from .program import RunResult
-
-        prog = self.prog
-        machines = [
-            Machine(prog.machine_config, seed=self.seed) for _ in range(self.S)
-        ]
-        shared = prog._shared_plan_cache(machines[0], None, None, self.config)
-        plan_cache = shared if shared is not None else LRU()
-        # the batch's lookups are one run's: every lane reports them all
-        tally: Dict[str, float] = {}
-        for m in machines:
-            ip = Interpreter(
-                prog.info,
-                m,
-                prog.layouts,
-                config=self.config,
-                seed=self.seed,
-                plan_cache=plan_cache,
-                frontend=prog.frontend,
-            )
-            ip.build_tally = tally
-            self.interps.append(ip)
-        for ip, inp in zip(self.interps, self.inputs):
-            if inp:
-                ip.load_inputs(inp)
-        for m in machines:
-            m.clock.reset()
+        runs = [self.prog.prepare(inp or None, seed=self.seed) for inp in self.inputs]
+        # the lanes are one run: one plan cache (a screened kernel is one
+        # object on every lane) and one build tally, which every lane reports
+        lead = runs[0].interp
+        for run in runs[1:]:
+            run.interp.plan_cache = lead.plan_cache
+            run.interp.build_tally = lead.build_tally
+        self.interps = [run.interp for run in runs]
         t_exec = time.perf_counter()
-        self._lockstep()
-        execute_s = time.perf_counter() - t_exec
+        self._lockstep([run.context for run in runs])
+        execute_s = (time.perf_counter() - t_exec) / self.S
         results = []
-        for ip in self.interps:
-            r = RunResult(ip)
-            r.compile = prog._compile_summary(ip, execute_s / self.S)
-            r.compile["batched_lanes"] = float(self.S)
-            if shared is not None:
-                r.store = prog.compile_store.stats()
-            results.append(r)
-        prog.last_interpreter = self.interps[-1]
+        for run in runs:
+            run.execute_s = execute_s
+            result = run.finish()
+            result.compile["batched_lanes"] = float(self.S)
+            results.append(result)
         return results
 
-    def _lockstep(self) -> None:
-        ctxs = [ip.make_main_context() for ip in self.interps]
+    def _lockstep(self, ctxs) -> None:
         done = [False] * self.S
         for stmt in self.prog.info.program.main.stmts:
             live = [i for i in range(self.S) if not done[i]]
@@ -239,10 +212,7 @@ class _BatchConstruct:
             return
         self._prepare(fused)
         try:
-            if self.stmt.kind == "solve":
-                self._drive_solve()
-            else:
-                self._drive_par()
+            self._drive()
         finally:
             # the cached kernel must not keep a chunk's stacks alive
             for kind, name, expected in fused.checks:
@@ -260,23 +230,11 @@ class _BatchConstruct:
             if stmt.kind == "par":
                 _check_starred(stmt)  # *solve terminates by fixed point
             ctx0 = self.ctxs[self.live[0]]  # main's: no mask
-            # replicate enter_grid minus its context charge: screening
-            # must not touch any lane's clock
-            sets = [
-                ip0.resolve_index_set(name, ctx0, at=stmt)
-                for name in stmt.index_sets
-            ]
-            grid = ctx0.grid.extend(sets)
-            env = ctx0.env.child()
-            for off, isv in enumerate(sets):
-                env.declare(
-                    isv.elem_name,
-                    ElementBinding(
-                        isv.elem_name, isv.name, "axis",
-                        axis=ctx0.grid.rank + off,
-                    ),
-                )
-            probe = ExecContext(grid, None, env)
+            # enter_grid minus its context charge: screening must not
+            # touch any lane's clock
+            probe = ctx0.extend(
+                [ip0.resolve_index_set(name, ctx0, at=stmt) for name in stmt.index_sets]
+            )
             fused = fuse.fused_for(ip0, stmt, probe)
             if (
                 fused is None
@@ -334,10 +292,10 @@ class _BatchConstruct:
             if fuse.fused_for(ip, stmt, inner) is not fused:
                 raise _BatchAbort()
             self.inners.append(inner)
-            self.sessions.append(frontier.star_session(ip, stmt, inner, stmt.kind))
+            self.sessions.append(frontier.star_session(ip, stmt, inner))
         # the lanes run one program on equal shapes: one session verdict
         self.sessions_on = self.sessions[0] is not None
-        self.modified = _modified_names(stmt)
+        self.modified = modified_names(stmt)
         self.mod_arrays = [n for n in self.modified if n in self.arr_names]
         self.mod_scalars = [n for n in self.modified if n in self.sc_names]
         self.vp_ratio = self.interps[0].grid_vpset(
@@ -361,11 +319,11 @@ class _BatchConstruct:
         for name, vs in self.array_vars.items():
             vs[row].field.data[...] = self.stacks[name][row]
 
-    def _demote(self, row: int, solo_loop, states, sweeps: int) -> None:
+    def _demote(self, row: int, states, sweeps: int) -> None:
         """One lane leaves the batch: it finishes the construct on the
         solo sweep loop, entered with its elected compressed sweep."""
         self._writeback(row)
-        solo_loop(
+        sweep_loop(
             self.interps[row], self.stmt, self.inners[row], self.sessions[row],
             states, sweeps,
         )  # fmt: skip
@@ -440,11 +398,11 @@ class _BatchConstruct:
                 clock.count_fusion("charge_table_hits")
         clock.count_fusion("fused_sweeps")
 
-    # -- frontier bookkeeping, shared by both drivers -----------------------
+    # -- frontier bookkeeping ----------------------------------------------
 
-    def _elect(self, solo_loop, sweeps: int) -> None:
+    def _elect(self, sweeps: int) -> None:
         """Frontier decisions: lanes electing a compressed sweep leave the
-        batch and finish on ``solo_loop``."""
+        batch and finish on the solo sweep loop."""
         if not self.sessions_on:
             return
         keep: List[int] = []
@@ -454,28 +412,33 @@ class _BatchConstruct:
             if key is None or key not in none_keys:
                 states = self.sessions[row].plan_compressed()
                 if states is not None:
-                    self._demote(row, solo_loop, states, sweeps)
+                    self._demote(row, states, sweeps)
                     continue
                 if key is not None:
                     none_keys.add(key)
             keep.append(row)
         self._compact(keep)
 
-    def _sweep_start(self) -> Dict[str, np.ndarray]:
-        """Open a full sweep on every lane: stacked before-copies of the
-        modified arrays, and each session's :meth:`StarSession.full_begin`."""
+    def _sweep_start(self) -> Dict[str, Any]:
+        """Open a full sweep on every lane: each session's
+        :meth:`StarSession.full_begin`, and before-copies of the modified
+        variables (stacked arrays, per-lane scalar values)."""
         if self.sessions_on:
             for sess in self.sessions:
                 sess.full_begin()
-        return frontier.snapshot({name: self.stacks[name] for name in self.mod_arrays})
+        before = frontier.snapshot({name: self.stacks[name] for name in self.mod_arrays})
+        for name in self.mod_scalars:
+            before[name] = [v.value for v in self.scalar_vars[name]]
+        return before
 
-    def _row_diff(self, row: int, before, before_sc=None) -> frontier.SweepDiff:
+    def _row_diff(self, row: int, before) -> frontier.SweepDiff:
         """Lane ``row``'s diff of the sweep, from its row slices: the one
         diff a solo loop takes (:class:`repro.interp.frontier.SweepDiff`)."""
-        old = {name: b[row] for name, b in before.items()}
-        new = {name: self.stacks[name][row] for name in before}
-        for name, vals in (before_sc or {}).items():
-            old[name], new[name] = vals[row], self.scalar_vars[name][row].value
+        old, new = {}, {}
+        for name, b in before.items():
+            old[name] = b[row]
+            stack = self.stacks.get(name)
+            new[name] = self.scalar_vars[name][row].value if stack is None else stack[row]
         return frontier.SweepDiff.between(old, new)
 
     def _sess_key(self, row: int):
@@ -484,7 +447,7 @@ class _BatchConstruct:
         charges, no counters) and reads only the session's last diff,
         reference and ref_pes plus shared per-construct analysis, so
         lanes with equal digests get equal None/plan decisions — the
-        drivers memoise the (common) all-None outcome across lanes."""
+        driver memoises the (common) all-None outcome across lanes."""
         sess = self.sessions[row]
         last = sess.last
         if last is None or sess.reference is None:
@@ -497,70 +460,53 @@ class _BatchConstruct:
             tuple(last.changed[name].tobytes() for name in modified),
             tuple(last.dirs[name] for name in modified),
         ]
-        if self.stmt.kind == "par":  # noted with ``last`` (``_drive_par``)
+        if self.stmt.kind == "par":  # noted with ``last`` (``_drive``)
             key.append(tuple(m.tobytes() for m in sess.par_masks))
         return tuple(key)
 
-    # -- *solve ------------------------------------------------------------
+    # -- the lockstep sweep loop --------------------------------------------
 
-    def _drive_solve(self) -> None:
+    def _drive(self) -> None:
+        """:func:`repro.interp.statements.sweep_loop` across the stacked
+        lanes: one compute pass per sweep, then each lane's clock replays
+        the protocol and kernel rows the solo loop charges, in its order.
+        A lane leaves when its ``*par`` predicates all fail (before its
+        bodies) or its ``*solve`` reaches the fixed point."""
+        par = self.stmt.kind == "par"
         limit = self.interps[0].config.solve_sweep_limit
-        n_mod = len(self.modified) or 1
+        proto = sweep_protocol(self.interps[0].machine.clock.costs, self.stmt, self.modified)
+        ratios = (self.vp_ratio,)
+        # a *solve's fixed-point test reads every modified variable, a
+        # *par's frontier sessions their arrays
+        watch = self.sessions_on or not par
         sweeps = 0
         while self.live:
-            self._elect(star_solve_loop, sweeps)
+            self._elect(sweeps)
             if not self.live:
                 return
-            before = self._sweep_start()
-            before_sc = {
-                name: [v.value for v in self.scalar_vars[name]]
-                for name in self.mod_scalars
-            }
-            arm_any, _ = self._sweep_compute(collect_masks=False)
+            before = self._sweep_start() if watch else {}
+            arm_any, masks = self._sweep_compute(collect_masks=par and self.sessions_on)
+            # a *par lane none of whose predicates holds stops at its test
+            go = arm_any.any(axis=0) if par else np.ones(len(self.live), dtype=bool)
             for row, ip in enumerate(self.interps):
                 clock = ip.machine.clock
-                clock.charge("alu", count=n_mod, vp_ratio=self.vp_ratio)
+                clock.replay_rows(proto.entry, ratios)
                 self._charge_preds(clock)
-                self._charge_arms(clock, arm_any, row)
-                clock.charge("global_or", vp_ratio=self.vp_ratio)
-                clock.charge("host_cm_latency")
-            lane_changed = np.zeros(len(self.live), dtype=bool)
-            for row, sess in enumerate(self.sessions):
-                diff = self._row_diff(row, before, before_sc)
-                if sess is not None:
-                    sess.full_end(diff)
-                lane_changed[row] = diff.any()
-            self._retire(lane_changed)  # fixed point: the lane is done
-            sweeps += 1
-            if self.live and sweeps > limit:
-                raise _BatchAbort()  # sequential rerun raises the solo error
-
-    # -- *par --------------------------------------------------------------
-
-    def _drive_par(self) -> None:
-        limit = self.interps[0].config.solve_sweep_limit
-        sweeps = 0
-        while self.live:
-            self._elect(star_par_loop, sweeps)
-            if not self.live:
-                return
-            before = self._sweep_start() if self.sessions_on else {}
-            arm_any, masks_full = self._sweep_compute(collect_masks=True)
-            ran = arm_any.any(axis=0)
-            for row, ip in enumerate(self.interps):
-                clock = ip.machine.clock
-                self._charge_preds(clock)
-                clock.charge("global_or", vp_ratio=self.vp_ratio)
-                clock.charge("host_cm_latency")
-                if ran[row]:
+                clock.replay_rows(proto.after_preds, ratios)
+                if go[row]:
                     self._charge_arms(clock, arm_any, row)
-            if self.sessions_on:
-                # a lane whose predicates all fail returns before full_end
-                for row in np.flatnonzero(ran):
+                    clock.replay_rows(proto.after_bodies, ratios)
+            stay = go.copy()
+            if watch:
+                for row in np.flatnonzero(go):
+                    diff = self._row_diff(row, before)
                     sess = self.sessions[row]
-                    sess.full_end(self._row_diff(row, before))
-                    sess.note_par_masks([m[row] for m in masks_full])
-            self._retire(ran)  # predicates all false: the lane is done
+                    if sess is not None:
+                        sess.full_end(diff)
+                        if par:
+                            sess.note_par_masks([m[row] for m in masks])
+                    stay[row] = par or diff.any()  # *solve: the fixed point
+            self._retire(stay)  # the lane is done
             sweeps += 1
             if self.live and sweeps > limit:
                 raise _BatchAbort()  # sequential rerun raises the solo error

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
-from ..lang.operators import apply_binop, apply_unary, truthy
+from ..lang.operators import INT64_MIN, apply_binop, apply_unary, truthy
 from ..machine.router import has_duplicates
 from ..machine.scan import INF, identity_of
 from ..mapping.locality import RefClass, classify_reference, classify_write
@@ -76,6 +76,19 @@ class ExecContext:
         if self.mask is None:
             return self.with_mask(cond)
         return self.with_mask(self.mask & cond)
+
+    def extend(self, sets) -> "ExecContext":
+        """This context widened by one grid axis per index set: each set's
+        element bound to its axis, the mask broadcast along the new axes
+        (pure: a construct's entry charge is :func:`statements.enter_grid`'s)."""
+        grid = self.grid.extend(sets)
+        env = self.env.child()
+        for axis, isv in enumerate(sets, self.grid.rank):
+            env.declare(isv.elem_name, ElementBinding(isv.elem_name, isv.name, "axis", axis=axis))
+        mask = self.mask
+        if mask is not None:
+            mask = np.broadcast_to(mask.reshape(mask.shape + (1,) * len(sets)), grid.shape)
+        return ExecContext(grid, mask, env)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +274,17 @@ def _eval_unary(ip, expr: ast.Unary, ctx: ExecContext) -> Value:
 
 
 def _power2(node: ast.Call, x: Value) -> Value:
+    # the exponent clamps to 0..62: the result stays a positive int64
     if isinstance(x, np.ndarray):
         return np.left_shift(1, np.clip(x, 0, 62))
-    return 1 << max(0, int(x))
+    return 1 << min(62, max(0, int(x)))
 
 
 def _abs(node: ast.Call, x: Value) -> Value:
-    return np.abs(x) if isinstance(x, np.ndarray) else abs(x)
+    if isinstance(x, np.ndarray):
+        return np.abs(x)
+    # int64 wraps |INT64_MIN| to INT64_MIN, as np.abs does on arrays
+    return x if isinstance(x, (int, np.integer)) and x == INT64_MIN else abs(x)
 
 
 def _fabs(node: ast.Call, x: Value) -> Value:
@@ -674,23 +691,10 @@ def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
     if optimized is not None:
         return optimized
     sets = [ip.resolve_index_set(name, ctx, at=node) for name in node.index_sets]
-    inner_grid = ctx.grid.extend(sets)
-    inner_env = ctx.env.child()
-    for offset, isv in enumerate(sets):
-        axis = ctx.grid.rank + offset
-        inner_env.declare(
-            isv.elem_name,
-            ElementBinding(isv.elem_name, isv.name, "axis", axis=axis),
-        )
-    parent_mask = ctx.mask
-    if parent_mask is not None:
-        base_mask = np.broadcast_to(
-            parent_mask.reshape(parent_mask.shape + (1,) * len(sets)),
-            inner_grid.shape,
-        )
-    else:
-        base_mask = inner_grid.full_mask()
-    inner = ExecContext(inner_grid, base_mask, inner_env)
+    inner = ctx.extend(sets)
+    inner_grid = inner.grid
+    base_mask = inner.active_mask()
+    inner = inner.with_mask(base_mask)
 
     reduce_axes = tuple(range(ctx.grid.rank, inner_grid.rank))
     reduce_extent = int(np.prod([len(s) for s in sets]))

@@ -113,6 +113,7 @@ from ..mapping.locality import classify_affine, classify_write_affine
 from . import commtiers, fuse
 from .eval_expr import BUILTIN_VALUES, _RED_UFUNC, _reduce_op, cse_key
 from .plan import lane_check, lane_scatter, lane_sub
+from .statements import sweep_protocol
 from .values import ArrayVar, ElementBinding, ScalarVar
 
 __all__ = [
@@ -153,12 +154,13 @@ _DENSE_COST_RATIO = 10
 # charge rows and the estimate
 # ---------------------------------------------------------------------------
 
-#: the vp-ratio scope of a pre-bound charge row (:func:`repro.machine.cost.bind_rows`):
-#: a sweep replays rows at ``(active lanes' ratio, active lanes x reduction
-#: slots' ratio, full grid's)``.  Two entries of an arm's rows stay symbolic
-#: because they are per-sweep (:func:`_sweep_rows`): ``("k",)`` is the
-#: reduction scan over the sweep's effective extent, ``("d",)`` the delta combine.
-_LANE, _RED, _FULL = 0, 1, 2
+#: the vp-ratio scope of an arm's pre-bound charge row (:func:`repro.machine.cost.bind_rows`):
+#: a sweep replays them at ``(active lanes' ratio, active lanes x reduction
+#: slots' ratio)``, the protocol rows at the full grid's.  Two entries of an
+#: arm's rows stay symbolic because they are per-sweep (:func:`_sweep_rows`):
+#: ``("k",)`` is the reduction scan over the sweep's effective extent,
+#: ``("d",)`` the delta combine.
+_LANE, _RED = 0, 1
 
 
 def _sweep_rows(arm: "_ArmInfo", st: "_ArmState", costs) -> List[Tuple]:
@@ -929,10 +931,7 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         arm.refs = list(comp.refs.values())
         an.arms.append(arm)
     an.drop = [step[1] for step in an.prelude if step[1] not in comp.kept]
-    # at the full grid's ratio: a *solve's snapshot up front; the termination test
-    head = [charge_row(an.costs, "alu", len(an.modified) or 1, _FULL)]
-    an.head_rows = head if kind == "solve" else []
-    an.test_rows = [charge_row(an.costs, "global_or", 1, _FULL), charge_row(an.costs, "host_cm_latency", 1, _FULL)]
+    an.proto = sweep_protocol(an.costs, stmt)
     return an
 
 
@@ -1149,11 +1148,11 @@ class SweepDiff:
 class StarSession:
     """Per-execution frontier driver for one ``*solve`` / ``*par``."""
 
-    def __init__(self, ip, stmt: ast.UCStmt, inner, kind: str) -> None:
+    def __init__(self, ip, stmt: ast.UCStmt, inner) -> None:
         self.ip = ip
         self.stmt = stmt
         self.inner = inner
-        self.kind = kind
+        self.kind = kind = stmt.kind
         clock = ip.machine.clock
         clock.count_frontier("constructs")
         an = ip.plan_cache.get_or_build(
@@ -1172,7 +1171,8 @@ class StarSession:
         #: the lane programs' register file (:meth:`_registers`): plain
         #: data, so a session and its tables die by refcount
         self._R: Optional[List[object]] = None
-        self.vps = ip.grid_vpset(inner.grid.shape)
+        #: the ratios the protocol rows replay at: the full grid's
+        self.full = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
         self.base = inner.active_mask()
         self.domain = int(np.count_nonzero(self.base))
         #: what the last sweep changed: the next sweep's frontier
@@ -1337,17 +1337,20 @@ class StarSession:
 
     def _charges(self, states: List[_ArmState]) -> Tuple[List[Tuple], List[Tuple]]:
         """The sweep's ordered charge sequence as ``(rows, ratios)`` pairs,
-        in two halves — up to and including a ``*par``'s termination test,
-        then the arm bodies and a ``*solve``'s fixed-point test — summed
-        for the estimate and replayed on the real clock identically."""
-        an, full = self.an, self.vps.vp_ratio
-        preds, bodies = [(an.head_rows, (1, 1, full))], []
+        in two halves — the protocol's entry rows, the predicates and its
+        after-predicates rows (a ``*par``'s termination test), then the arm
+        bodies and its after-bodies rows (a ``*solve``'s fixed-point test)
+        — summed for the estimate and replayed on the real clock identically."""
+        an, full = self.an, self.full
+        proto = an.proto  # the construct's per-sweep protocol rows
+        preds, bodies = [(proto.entry, full)], []
         for arm, st in zip(an.arms, states):
             if st.L:
                 ratios = (st.lane_ratio, st.red_ratio)
                 preds.append((arm.pred_rows, ratios))
                 bodies.append((_sweep_rows(arm, st, an.costs), ratios))
-        (preds if self.kind == "par" else bodies).append((an.test_rows, (1, 1, full)))
+        preds.append((proto.after_preds, full))
+        bodies.append((proto.after_bodies, full))
         return preds, bodies
 
     # -- compressed execution ---------------------------------------------
@@ -1457,8 +1460,8 @@ class StarSession:
 
         # predicates first (the engines evaluate every arm's predicate before
         # any body runs); their registers stay in the file for the bodies
-        full = (1, 1, self.vps.vp_ratio)
-        clock.replay_rows(an.head_rows, full)
+        proto, full = an.proto, self.full
+        clock.replay_rows(proto.entry, full)
         todo: List[Tuple[int, np.ndarray, Optional[np.ndarray], int]] = []
         any_ok = False
         for k, (arm, st) in enumerate(zip(an.arms, states)):
@@ -1478,8 +1481,8 @@ class StarSession:
                     any_ok = any_ok or n_ok > 0
             todo.append((k, pos, ok, n_ok))
 
+        clock.replay_rows(proto.after_preds, full)
         if par:
-            clock.replay_rows(an.test_rows, full)
             self._trace(states, dense=False)
             # a fresh passing lane settles it without a whole-grid test
             if not any_ok and not any(np.any(m) for m in self.par_masks):
@@ -1519,19 +1522,19 @@ class StarSession:
                 up, down = dirs[arm.target]  # unchanged lanes compare equal: no select
                 dirs[arm.target] = (up or bool((new > old).any()), down or bool((new < old).any()))
 
+        clock.replay_rows(proto.after_bodies, full)
         if not par:
-            clock.replay_rows(an.test_rows, full)
             self._trace(states, dense=False)
         self.last = SweepDiff(cur, dirs, after=self.S["arrays"], writes=writes)
         return self.last.any() or par
 
 
-def star_session(ip, stmt: ast.UCStmt, inner, kind: str) -> Optional[StarSession]:
+def star_session(ip, stmt: ast.UCStmt, inner) -> Optional[StarSession]:
     """A frontier session for one ``*solve``/``*par`` execution, or None
     when frontier execution is disabled for this interpreter."""
     if not ip.config.frontier_sweeps:
         return None
-    sess = StarSession(ip, stmt, inner, kind)
+    sess = StarSession(ip, stmt, inner)
     return sess if sess.active else None
 
 

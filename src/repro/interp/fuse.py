@@ -1399,7 +1399,10 @@ class _Fuser:
         v = self.compile_expr(node.operand, g, mask_reg, token, view_ok)
         self._alu(g)
         if v.static is not _DYN:
-            return self.static_val(apply_unary(node.op, v.static, node))
+            try:
+                return self.static_val(apply_unary(node.op, v.static, node))
+            except UCRuntimeError:
+                raise _Demote()
         r = self.reg()
         self.steps.append(_Unary(r, v.reg, node))
         return _Val(r, v.is_array, _DYN)

@@ -38,8 +38,7 @@ from ..compiler.processor_opt import partition_split
 from ..lang import ast
 from ..machine.router import lookup_positions
 from ..machine.scan import identity_of
-from .env import Env
-from .values import ElementBinding, GridContext
+from .values import GridContext
 
 _COMBINE_AT = {
     "add": np.add.at,
@@ -92,13 +91,8 @@ def try_send_reduce(ip, node: ast.Reduction, ctx) -> Optional[np.ndarray]:
     arm = node.arms[0]
 
     # operand grid: the reduction sets alone
-    operand_grid = GridContext().extend(sets)
-    env = Env(ctx.env)
-    for axis, isv in enumerate(sets):
-        env.declare(
-            isv.elem_name, ElementBinding(isv.elem_name, isv.name, "axis", axis=axis)
-        )
-    op_ctx = ExecContext(operand_grid, None, env)
+    op_ctx = ExecContext(GridContext(), None, ctx.env).extend(sets)
+    operand_grid = op_ctx.grid
 
     # every operand VP computes its destination address and contribution
     addresses = np.broadcast_to(

@@ -18,13 +18,14 @@ Two strategies for plain ``solve``:
 
 ``*solve`` iterates its body to a global fixed point: execute, compare
 all modified variables with their previous values, stop when unchanged.
-Each sweep runs fused, compressed onto the frontier's active lanes, or
-on the oracle, exactly like a ``*par`` sweep.
+It runs on ``*par``'s sweep loop (:func:`repro.interp.statements.sweep_loop`):
+each sweep fused, compressed onto the frontier's active lanes, or on the
+oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,17 +34,16 @@ from ..lang.errors import UCRuntimeError
 from ..lang.operators import truthy
 from ..lang.semantics import solve_assignments
 from . import frontier
-from .env import Env
 from .eval_expr import ExecContext, eval_expr
-from .statements import _run_blocks_once, enter_grid, exec_stmt
-from .values import ArrayVar, ElementBinding, ParallelLocal, ScalarVar
+from .statements import enter_grid, exec_stmt, sweep_loop, sweep_protocol
+from .values import ArrayVar, ScalarVar
 
 
 def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
-    if stmt.star:
-        _exec_solve_star(ip, stmt, ctx)
-        return
     inner = enter_grid(ip, stmt, ctx)
+    if stmt.star:
+        sweep_loop(ip, stmt, inner, frontier.star_session(ip, stmt, inner))
+        return
     assignments = solve_assignments(stmt)
     strategy = ip.config.solve_strategy
     if strategy in ("auto", "scheduled"):
@@ -94,7 +94,8 @@ def _exec_solve_guarded(
 
     base = inner.active_mask()
     done = [np.zeros(inner.grid.shape, dtype=bool) for _ in assignments]
-    vps = ip.grid_vpset(inner.grid.shape)
+    proto = sweep_protocol(ip.machine.clock.costs, stmt)
+    ratios = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
 
     # frontier worklist: a lane's readiness (or predicate) can only have
     # changed if something newly defined since last sweep reaches it
@@ -107,8 +108,7 @@ def _exec_solve_guarded(
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
-        ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
-        ip.machine.clock.charge("host_cm_latency")
+        ip.machine.clock.replay_rows(proto.entry, ratios)
         newly: Optional[Dict[str, np.ndarray]] = None
         if gf is not None:
             if prev_defined is not None:
@@ -236,16 +236,8 @@ def _readiness(
         return out
     if isinstance(expr, ast.Reduction):
         sets = [ip.resolve_index_set(name, ctx, at=expr) for name in expr.index_sets]
-        inner_grid = ctx.grid.extend(sets)
-        env = ctx.env.child()
-        for off, isv in enumerate(sets):
-            env.declare(
-                isv.elem_name,
-                ElementBinding(isv.elem_name, isv.name, "axis", axis=ctx.grid.rank + off),
-            )
-        mask = ctx.active_mask()
-        bmask = np.broadcast_to(mask.reshape(mask.shape + (1,) * len(sets)), inner_grid.shape)
-        inner = ExecContext(inner_grid, bmask, env)
+        inner = ctx.extend(sets)  # ctx is masked: the lanes still to run
+        inner_grid = inner.grid
         ready = np.ones(inner_grid.shape, dtype=bool)
         for arm in expr.arms:
             if arm.pred is not None:
@@ -258,83 +250,3 @@ def _readiness(
     raise UCRuntimeError(
         f"solve cannot analyse {type(expr).__name__}", expr.line, expr.col
     )
-
-
-# ---------------------------------------------------------------------------
-# *solve: global fixed point
-# ---------------------------------------------------------------------------
-
-
-def _exec_solve_star(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
-    inner = enter_grid(ip, stmt, ctx)
-    sess = frontier.star_session(ip, stmt, inner, "solve")
-    star_solve_loop(ip, stmt, inner, sess)
-
-
-def star_solve_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
-    """Sweep an entered ``*solve`` to its fixed point.
-
-    A ``run_batch`` lane that leaves its batch mid-construct re-enters
-    here with the compressed sweep it elected (``states``) and the
-    ``sweeps`` it spent stacked."""
-    modified = _modified_names(stmt)
-    vps = ip.grid_vpset(inner.grid.shape)
-    # the divergence diagnostic is only rendered if the sweep limit trips,
-    # so keep the last sweep's diff instead of formatting every sweep
-    while True:
-        # sweeps complete atomically; between them is a safe cancel point
-        ip.poll_boundary(stmt)
-        if states is None and sess is not None:
-            states = sess.plan_compressed()
-        if states is not None:
-            # compressed sweep: evaluate only the lanes whose inputs
-            # changed, charge only the active VP set (guarded to cost
-            # strictly less than the measured full sweep)
-            if not sess.run_compressed(states):
-                return
-            summarize = sess.last.summary
-            states = None
-        else:
-            before = frontier.snapshot(_values(inner, modified))
-            if sess is not None:
-                sess.full_begin()
-            # the compiler saves intermediate state each sweep to detect the
-            # fixed point — charge one extra ALU pass for the temporaries (§3.6)
-            ip.machine.clock.charge("alu", count=len(modified) or 1, vp_ratio=vps.vp_ratio)
-            _run_blocks_once(ip, stmt, inner)
-            ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
-            ip.machine.clock.charge("host_cm_latency")
-            diff = frontier.SweepDiff.between(before, _values(inner, modified))
-            if sess is not None:
-                sess.full_end(diff)
-            if not diff.any():
-                return
-            summarize = diff.summary
-        sweeps += 1
-        ip.check_sweeps(
-            sweeps, "*solve", stmt, lambda: f"still changing each sweep: {summarize()}"
-        )
-
-
-def _modified_names(stmt: ast.UCStmt) -> List[str]:
-    names: Set[str] = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Assign):
-            t = node.target
-            names.add(t.base if isinstance(t, ast.Index) else t.ident)  # type: ignore[union-attr]
-        elif isinstance(node, ast.IncDec):
-            t = node.target
-            names.add(t.base if isinstance(t, ast.Index) else t.ident)  # type: ignore[union-attr]
-    return sorted(names)
-
-
-def _values(ctx: ExecContext, names: List[str]):
-    """The current state of ``names``: arrays (uncopied) and scalar values."""
-    out = {}
-    for name in names:
-        binding = ctx.env.try_lookup(name)
-        if isinstance(binding, (ArrayVar, ParallelLocal)):
-            out[name] = binding.data
-        elif isinstance(binding, ScalarVar):
-            out[name] = binding.value
-    return out

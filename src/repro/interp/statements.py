@@ -18,13 +18,14 @@ fusion declines.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from ..lang import ast
 from ..lang.errors import UCRuntimeError, UCSemanticError
 from ..lang.operators import truthy
+from ..machine.cost import charge_row
 from .env import Env
 from .eval_expr import (
     ExecContext,
@@ -266,21 +267,40 @@ def _exec_for(ip, stmt: ast.For, ctx: ExecContext) -> None:
 
 def enter_grid(ip, stmt: ast.UCStmt, ctx: ExecContext) -> ExecContext:
     """Extend the grid with the construct's index sets and bind elements."""
-    sets = [ip.resolve_index_set(name, ctx, at=stmt) for name in stmt.index_sets]
-    grid = ctx.grid.extend(sets)
-    env = ctx.env.child()
-    for offset, isv in enumerate(sets):
-        axis = ctx.grid.rank + offset
-        env.declare(isv.elem_name, ElementBinding(isv.elem_name, isv.name, "axis", axis=axis))
-    if ctx.mask is not None:
-        mask = np.broadcast_to(
-            ctx.mask.reshape(ctx.mask.shape + (1,) * len(sets)), grid.shape
-        )
-    else:
-        mask = None
-    vps = ip.grid_vpset(grid.shape)
+    inner = ctx.extend([ip.resolve_index_set(name, ctx, at=stmt) for name in stmt.index_sets])
+    vps = ip.grid_vpset(inner.grid.shape)
     ip.machine.clock.charge("context", count=2, vp_ratio=vps.vp_ratio)
-    return ExecContext(grid, mask, env)
+    return inner
+
+
+class SweepProtocol(NamedTuple):
+    """The fixed per-sweep charges of an iterated construct, as bound
+    rows replayed at the construct grid's VP ratio (``ratios`` =
+    ``(vp_ratio,)``): ``entry`` before the predicates, ``after_preds``
+    between predicates and bodies, ``after_bodies`` once the bodies ran.
+    The termination test (global OR + the host round trip) sits where the
+    construct reads what it tests (docs/COSTMODEL.md)."""
+
+    entry: List[Tuple]
+    after_preds: List[Tuple]
+    after_bodies: List[Tuple]
+
+
+def sweep_protocol(costs, stmt: ast.UCStmt, modified=None) -> SweepProtocol:
+    """The one binding of a construct's per-sweep protocol rows: the solo
+    sweep loop, ``run_batch`` lanes, frontier sessions, ``*oneof`` and
+    guarded ``solve`` all replay these.  ``modified``: the construct's
+    :func:`modified_names`, when the caller already has them."""
+    test = [charge_row(costs, "global_or", 1, 0), charge_row(costs, "host_cm_latency", 1, 0)]
+    if not stmt.star or stmt.kind == "oneof":
+        return SweepProtocol(test, [], [])  # guarded solve, *oneof: any lane enabled?
+    if stmt.kind == "par":
+        return SweepProtocol([], test, [])  # does any predicate hold?
+    # *solve: the compiler saves intermediate state each sweep to detect the
+    # fixed point — one ALU pass per modified variable (§3.6); did any change?
+    if modified is None:
+        modified = modified_names(stmt)
+    return SweepProtocol([charge_row(costs, "alu", len(modified) or 1, 0)], [], test)
 
 
 def _block_masks(
@@ -302,12 +322,18 @@ def _block_masks(
     return masks, union
 
 
-def _run_blocks_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
-    """One synchronous execution of all arms; returns whether any lane ran.
+def _run_blocks_once(
+    ip, stmt: ast.UCStmt, inner: ExecContext, proto=None, ratios=None
+) -> Optional[List[np.ndarray]]:
+    """One synchronous execution of all arms, on the construct's fused
+    kernel or the oracle; returns the arm masks.
 
-    The CSE cache is armed for the duration: a predicate and its arm's
-    body share subexpression evaluations (§4's common sub-expression
-    detection; writes invalidate as they happen).
+    A sweep of an iterated construct passes its :class:`SweepProtocol`:
+    its ``after_preds`` rows are charged between predicates and bodies,
+    and a ``*par`` none of whose predicates holds returns None there,
+    bodies skipped.  The CSE cache is armed for the duration: a predicate
+    and its arm's body share subexpression evaluations (§4's common
+    sub-expression detection; writes invalidate as they happen).
     """
     from . import fuse
 
@@ -315,12 +341,18 @@ def _run_blocks_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
     with ip.cse_arm():
         if fused is not None:
             sweep = fused.begin_sweep(ip, inner.active_mask())
-            return fused.run_body(ip, inner, sweep)
-        masks, union = _block_masks(ip, stmt, inner)
-        ran = False
+            masks = sweep.masks
+        else:
+            masks, union = _block_masks(ip, stmt, inner)
+        if proto is not None and proto.after_preds:
+            ip.machine.clock.replay_rows(proto.after_preds, ratios)
+            if not any(np.any(m) for m in masks):
+                return None
+        if fused is not None:
+            fused.run_body(ip, inner, sweep)
+            return masks
         for block, mask in zip(stmt.blocks, masks):
             if np.any(mask):
-                ran = True
                 exec_stmt(ip, block.stmt, inner.with_mask(mask))
         if stmt.others is not None:
             base = inner.active_mask()
@@ -328,9 +360,8 @@ def _run_blocks_once(ip, stmt: ast.UCStmt, inner: ExecContext) -> bool:
                 ~union if union is not None else np.zeros(inner.grid.shape, bool)
             )
             if np.any(om):
-                ran = True
                 exec_stmt(ip, stmt.others, inner.with_mask(om))
-        return ran
+        return masks
 
 
 def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
@@ -341,57 +372,87 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     _check_starred(stmt)
     from . import frontier
 
-    sess = frontier.star_session(ip, stmt, inner, "par")
-    star_par_loop(ip, stmt, inner, sess)
+    sweep_loop(ip, stmt, inner, frontier.star_session(ip, stmt, inner))
 
 
-def star_par_loop(ip, stmt, inner, sess, states=None, sweeps=0) -> None:
-    """Sweep an entered ``*par`` until no predicate holds.
+def sweep_loop(ip, stmt: ast.UCStmt, inner: ExecContext, sess, states=None, sweeps=0) -> None:
+    """Sweep an entered ``*par`` until no predicate holds, or an entered
+    ``*solve`` to its fixed point.
 
-    A ``run_batch`` lane that leaves its batch mid-construct re-enters
-    here with the compressed sweep it elected (``states``) and the
-    ``sweeps`` it spent stacked."""
-    from . import fuse
+    A sweep runs compressed on the frontier session's active lanes when
+    ``sess.plan_compressed`` elects it, else full — on the fused kernel or
+    the oracle, charged the construct's :func:`sweep_protocol` rows.  A
+    ``run_batch`` lane that leaves its batch mid-construct re-enters here
+    with the compressed sweep it elected (``states``) and the ``sweeps``
+    it spent stacked."""
+    from . import frontier
 
-    vps = ip.grid_vpset(inner.grid.shape)
+    par = stmt.kind == "par"
+    clock = ip.machine.clock
+    # what a full sweep diffs: everything a *solve's fixed-point test
+    # reads, the arrays a *par's frontier session seeds its next sweep from
+    if par:
+        watched = sess.an.modified if sess is not None else []
+    else:
+        watched = modified_names(stmt)
+    proto = sweep_protocol(clock.costs, stmt, watched)
+    ratios = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
+    still = _NEVER_FALSIFIED if par else (lambda: f"still changing each sweep: {summarize()}")
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
         if states is None and sess is not None:
             states = sess.plan_compressed()
         if states is not None:
-            # compressed sweep over the active lanes only; the cached
-            # per-arm predicate masks (refreshed where re-evaluated)
-            # decide termination exactly as the full union would
+            # compressed sweep over the active lanes only, charged at their
+            # VP ratio (guarded to cost strictly less than the measured full
+            # sweep); a *par's cached per-arm predicate masks (refreshed
+            # where re-evaluated) decide termination as the full union would
             if not sess.run_compressed(states):
                 return
+            summarize = sess.last.summary
             states = None
         else:
+            before = frontier.snapshot(_values(inner, watched))
             if sess is not None:
-                before = sess.snapshot()
                 sess.full_begin()
-            fused = fuse.fused_for(ip, stmt, inner)
-            with ip.cse_arm():
-                if fused is not None:
-                    sweep = fused.begin_sweep(ip, inner.active_mask())
-                    masks = sweep.masks
-                else:
-                    masks, _ = _block_masks(ip, stmt, inner)
-                ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
-                ip.machine.clock.charge("host_cm_latency")
-                if not any(np.any(m) for m in masks):
-                    return
-                if fused is not None:
-                    fused.run_body(ip, inner, sweep)
-                else:
-                    for block, mask in zip(stmt.blocks, masks):
-                        if np.any(mask):
-                            exec_stmt(ip, block.stmt, inner.with_mask(mask))
+            clock.replay_rows(proto.entry, ratios)
+            masks = _run_blocks_once(ip, stmt, inner, proto, ratios)
+            if masks is None:
+                return
+            clock.replay_rows(proto.after_bodies, ratios)
+            diff = frontier.SweepDiff.between(before, _values(inner, watched))
             if sess is not None:
-                sess.full_end(sess.diff(before))
-                sess.note_par_masks(masks)
+                sess.full_end(diff)
+                if par:
+                    sess.note_par_masks(masks)
+            if not par and not diff.any():
+                return
+            summarize = diff.summary
         sweeps += 1
-        ip.check_sweeps(sweeps, "*par", stmt, _NEVER_FALSIFIED)
+        ip.check_sweeps(sweeps, f"*{stmt.kind}", stmt, still)
+
+
+def modified_names(stmt: ast.UCStmt) -> List[str]:
+    """Every variable the construct assigns, sorted."""
+    names: Set[str] = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, (ast.Assign, ast.IncDec)):
+            t = node.target
+            names.add(t.base if isinstance(t, ast.Index) else t.ident)  # type: ignore[union-attr]
+    return sorted(names)
+
+
+def _values(ctx: ExecContext, names: List[str]):
+    """The current state of ``names``: arrays (uncopied) and scalar values."""
+    out = {}
+    for name in names:
+        binding = ctx.env.try_lookup(name)
+        if isinstance(binding, (ArrayVar, ParallelLocal)):
+            out[name] = binding.data
+        elif isinstance(binding, ScalarVar):
+            out[name] = binding.value
+    return out
 
 
 def _NEVER_FALSIFIED() -> str:
@@ -486,15 +547,15 @@ def _seq_sweep(ip, stmt: ast.UCStmt, sets, ctx: ExecContext) -> bool:
 
 def exec_oneof(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
-    vps = ip.grid_vpset(inner.grid.shape)
     if not stmt.star:
         _oneof_once(ip, stmt, inner)
         return
     _check_starred(stmt)
+    proto = sweep_protocol(ip.machine.clock.costs, stmt)
+    ratios = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
     sweeps = 0
     while True:
-        ip.machine.clock.charge("global_or", vp_ratio=vps.vp_ratio)
-        ip.machine.clock.charge("host_cm_latency")
+        ip.machine.clock.replay_rows(proto.entry, ratios)
         if not _oneof_once(ip, stmt, inner):
             return
         sweeps += 1

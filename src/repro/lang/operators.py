@@ -16,7 +16,7 @@ on Python/numpy scalars and on int64/float64 arrays alike:
   dividend for ``/`` and 0 for ``%``, since an elementwise kernel cannot
   tell the active lanes from the idle ones;
 * comparisons, ``!``, ``&&`` and ``||`` give the C ``int`` 0 or 1; a
-  float operand of ``& | ^ << >>`` is a runtime error.
+  float operand of ``~ & | ^ << >>`` is a runtime error.
 
 Constant folding (:mod:`repro.lang.semantics`), the oracle, the fused
 kernels and batch lanes, the frontier lane programs, the static
@@ -92,9 +92,15 @@ def apply_unary(op: str, v: Value, node) -> Value:
             return np.logical_not(v.astype(bool)).astype(np.int64)
         return int(not v)
     # '~': the parser builds no other unary operator
+    if np.asarray(v).dtype.kind == "f":  # as for a float operand of & | ^ << >>
+        raise _integer_operands(op, node)
     if isinstance(v, np.ndarray):
         return np.invert(v.astype(np.int64))
     return ~int(v)
+
+
+def _integer_operands(op: str, node) -> UCRuntimeError:
+    return UCRuntimeError(f"operator {op!r} needs integer operands", node.line, node.col)
 
 
 def apply_binop(op: str, a: Value, b: Value, node) -> Value:
@@ -104,9 +110,7 @@ def apply_binop(op: str, a: Value, b: Value, node) -> Value:
         try:
             out = ufunc(a, b)
         except TypeError:  # a float operand of & | ^ << >>
-            raise UCRuntimeError(
-                f"operator {op!r} needs integer operands", node.line, node.col
-            ) from None
+            raise _integer_operands(op, node) from None
         return _as_c_int(out) if op in COMPARISONS else out
     if op in ("/", "%"):
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):

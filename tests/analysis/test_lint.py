@@ -370,7 +370,8 @@ class TestCli:
 def _agreement_corpus():
     """``(source, defines)`` params: the shipped examples and every
     ``repro.bench.workloads`` program, map kernels with and without
-    their map sections, plus an extent-1 axis the spread hint must skip."""
+    their map sections, plus an extent-1 axis the spread hint must skip
+    and a diagonal ``m[i][i]``."""
     from repro.bench import workloads
 
     out = [
@@ -393,6 +394,13 @@ def _agreement_corpus():
         "int v[4], m[4][4][1];\nmain { par (I, J, K) m[i][j][k] = v[i]; }\n",
         {},
         id="extent_one_axis",
+    ))
+    # a second subscript on one grid axis: ``classify_affine``'s
+    # data-dependent-subscript verdict, a router reference
+    out.append(pytest.param(
+        "index_set I:i = {0..3};\nint v[4], m[4][4];\nmain { par (I) v[i] = m[i][i]; }\n",
+        {},
+        id="diagonal_subscript",
     ))
     return out
 

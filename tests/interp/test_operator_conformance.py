@@ -10,6 +10,7 @@ implementation in :mod:`repro.lang.operators` that every layer calls.
 """
 
 import math
+import re
 import operator
 
 import numpy as np
@@ -304,3 +305,55 @@ def test_pvar(kind):
             got[op, binary] = (-dom["x"]).to_array().tolist()
     want = _want(kind)
     _compare(kind, {key: got.get(key, want[key]) for key in want})
+
+
+# ---------------------------------------------------------------------------
+# integer-only operators and the int64 builtins
+# ---------------------------------------------------------------------------
+
+INTEGER_ONLY = ["~", "&", "|", "^", "<<", ">>"]
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.parametrize("plans", [False, True], ids=["oracle", "engine"])
+@pytest.mark.parametrize("op", INTEGER_ONLY)
+def test_float_operand_of_an_integer_operator(op, plans):
+    """A float operand of ``~ & | ^ << >>`` is one located runtime error
+    on a front-end scalar (an inf included) and over the grid, a constant
+    operand included; it never truncates to an integer."""
+    expr = (lambda v: f"~{v}") if op == "~" else (lambda v: f"{v} {op} 1")
+    scalar = f"float f;\nint s;\nmain {{ f = 1.0 / 0.0; s = {expr('f')}; }}"
+    head = "index_set I:i = {0..4};\nint a[5];\nfloat x[5];\n"
+    array = head + f"main {{ par (I) x[i] = i + 0.5; par (I) a[i] = {expr('x[i]')}; }}"
+    constant = head + f"main {{ par (I) a[i] = {expr('1.5')}; }}"
+    for src, line in ((scalar, 3), (array, 4), (constant, 4)):
+        with pytest.raises(UCRuntimeError, match=f"operator '{re.escape(op)}' needs integer operands") as err:
+            run_uc(src, plans=plans)
+        assert err.value.line == line
+
+
+POWER2_ROWS = [-1, 0, 1, 30, 62, 63, 64, 70]
+ABS_ROWS = [INT64_MIN, INT64_MIN + 1, -5, 0, 5, INT64_MAX]
+
+
+def _builtin_model(name, x):
+    """C on int64: ``power2`` clamps its exponent to 0..62, ``abs`` wraps."""
+    return 1 << min(62, max(0, x)) if name == "power2" else _wrap(abs(x))
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.parametrize("name, rows", [("power2", POWER2_ROWS), ("abs", ABS_ROWS)])
+@pytest.mark.parametrize("plans", [False, True], ids=["oracle", "engine"])
+def test_int64_builtins(name, rows, plans):
+    """``power2`` and ``abs`` stay inside int64 on a front-end scalar
+    exactly as over the grid."""
+    n = len(rows)
+    src = (
+        f"index_set I:i = {{0..{n - 1}}};\nint x[{n}], s[{n}], p[{n}], k;\n"
+        f"main {{ for (k = 0; k < {n}; k++) s[k] = {name}(x[k]);"
+        f" par (I) p[i] = {name}(x[i]); }}"
+    )
+    res = run_uc(src, {"x": np.array(rows, dtype=np.int64)}, plans=plans)
+    want = [_builtin_model(name, x) for x in rows]
+    assert res["s"].tolist() == want
+    assert res["p"].tolist() == want

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import lint_program
 from repro.cli import main
-from repro.interp import batch
+from repro.interp import batch, interpreter
 from repro.interp.compile_store import LRU
 from repro.interp.program import UCProgram
 from repro.lang.errors import UCSemanticError
@@ -436,8 +436,9 @@ def test_batch_over_the_memory_cap_runs_the_lanes_solo(monkeypatch):
 @pytest.mark.usefixtures("default_engines")
 def test_batch_whose_kernel_left_the_cache_reruns_sequentially(monkeypatch):
     """A one-entry plan cache evicts the screened kernel while the lanes
-    enter the grid: ``_prepare`` aborts and the batch reruns solo."""
-    monkeypatch.setattr(batch, "LRU", lambda: LRU(1))
+    enter the grid: ``_prepare`` aborts and the batch reruns solo.  (The
+    lanes share the private cache their lead's interpreter made.)"""
+    monkeypatch.setattr(interpreter, "LRU", lambda: LRU(1))
     results = UCProgram(STAR_PAR, compile_store=None).run_batch(LANES)
     assert "batched_lanes" not in results[0].compile
     _same_as_solo(results, STAR_PAR, compile_store=None)
