@@ -73,14 +73,18 @@ Correctness strategy — decide-before-execute behind a measured guard:
   :meth:`_Compiler._apply`); *shared* subtrees (the body reads what the
   predicate computed — :meth:`_Compiler.compile`).  A session's tables
   are plain data in its register file and die with it, by refcount.
-  When the active slots times :data:`_DENSE_COST_RATIO` reach the
-  domain's slots and the construct has a validated fused kernel without
-  unfused segments (:func:`repro.interp.fuse.fused_for`), the sweep
-  instead issues its compressed charge sequence up front and runs the
-  fused register program *compute-only* over the whole grid, deriving
-  the change masks from a before/after diff exactly as a full sweep
-  does.  Same arrays, same masks, same Clock; the choice stands down
-  wherever fusion does.
+  When the construct is dense-eligible (``_Analysis.dense``: a
+  value-root reduction, one arm per written array), the active slots
+  times :data:`_DENSE_COST_RATIO` reach the domain's slots and the
+  construct has a validated fused kernel without unfused segments
+  (:func:`repro.interp.fuse.fused_for`), the sweep instead issues its
+  compressed charge sequence up front and runs the fused register
+  program *compute-only* over the whole grid, deriving the change masks
+  from a before/after diff exactly as a full sweep does.  Same arrays,
+  same masks, same Clock; the choice stands down wherever fusion does.
+  A plain stencil is never eligible: without the strip-mined reduction
+  kernel, dense evaluation loses to the lanes at every occupancy
+  measured.
 * **Delta reductions**: when a value is exactly ``$<``/``$>`` over one
   index set, the body is monotone in the modified arrays (references
   reachable only through ``+``/``min``/``max``), and last sweep's
@@ -134,19 +138,18 @@ _FALLBACK = "frontier-fallback"
 _DELTA_OPS = ("min", "max")
 
 #: G — host cost of one lane-slot through the lane program relative to
-#: one grid slot through the fused kernel.  A compressed sweep is
-#: *evaluated* densely when its active slots times G reach the full
-#: domain's slots; what it *charges* never depends on G.  Measured at
+#: one grid slot through the fused kernel.  A compressed sweep of a
+#: dense-eligible construct (``_Analysis.dense``) is *evaluated* densely
+#: when its active slots times G reach the full domain's slots; what it
+#: *charges* never depends on G.  Calibrated on APSP's reduction sweep at
 #: n=128: 15–20 ns per lane-slot (a perturbed converged graph, 1–5 %
-#: occupancy; reduction scope is bound by the strided ``d[k][j]`` gather,
-#: which resolving addresses ahead of time does not change) against
-#: ≈ 0.84 ns per grid slot (the compressed 8th sweep of ``apsp_dense``,
-#: snapshot and diff included) — a ratio of ≈ 20, break-even at 5 %
-#: occupancy.  G stays at 10: a larger G sends the 5–10 % sweeps of
-#: *every* construct to ``fuse.fused_for``, and asking counts
-#: (``fusion.*``), so raising it wants a fusability verdict the session
-#: can test first (ROADMAP item 5b); until then a fusable sweep in that
-#: band pays at most 2x on the lane path.
+#: occupancy; reduction scope is bound by the strided ``d[k][j]``
+#: gather) against ≈ 0.84 ns per grid slot (the compressed 8th sweep of
+#: ``apsp_dense``, snapshot and diff included) — a ratio of ≈ 20,
+#: break-even at 5 % occupancy; G = 10 leaves an eligible sweep in the
+#: 5–10 % band at most 2x slower on the lane path.  That win is the
+#: strip kernel's: on a plain stencil (the obstacle grid, R = 16..128)
+#: dense loses at every occupancy, so such constructs are not eligible.
 _DENSE_COST_RATIO = 10
 
 
@@ -932,6 +935,12 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         an.arms.append(arm)
     an.drop = [step[1] for step in an.prelude if step[1] not in comp.kept]
     an.proto = sweep_protocol(an.costs, stmt)
+    # dense evaluation wins only through the strip-mined reduction kernel;
+    # a slot two arms write has a per-write change mask the net
+    # before/after diff cannot give
+    an.dense = len(an.modified) == len(an.arms) and any(
+        arm.red is not None for arm in an.arms
+    )
     return an
 
 
@@ -1183,6 +1192,8 @@ class StarSession:
         self.par_masks: Optional[List[np.ndarray]] = None
         #: estimator totals by sweep charge key (see ``plan_compressed``)
         self._estimates: Dict[Tuple, float] = {}
+        #: the construct's fused kernel has an unfused segment: never dense
+        self._unfused = False
 
     # -- binding ----------------------------------------------------------
 
@@ -1377,15 +1388,14 @@ class StarSession:
         )
 
     def _dense_kernel(self, states: List[_ArmState]):
-        """The construct's fused kernel when evaluating the whole grid
-        through it is cheaper than resolving the active lanes one by one
-        (active slots x G >= domain slots), else None.  ``fused_for``
-        stands down under armed faults, so those runs keep the lane
-        path, and so does the oracle (``plans=False``)."""
+        """The construct's fused kernel when the construct is dense-
+        eligible (``an.dense``) and evaluating the whole grid through it
+        is cheaper than resolving the active lanes one by one (active
+        slots x G >= domain slots), else None.  ``fused_for`` stands down
+        under armed faults, so those runs keep the lane path, and so does
+        the oracle (``plans=False``)."""
         an = self.an
-        if len(an.modified) != len(an.arms):
-            # two arms write one array: a slot written twice has a
-            # per-write change mask the net before/after diff cannot give
+        if not an.dense or self._unfused:
             return None
         active = full = 0
         for arm, st in zip(an.arms, states):
@@ -1395,8 +1405,11 @@ class StarSession:
         if active * _DENSE_COST_RATIO < full:
             return None
         fused = fuse.fused_for(self.ip, self.stmt, self.inner)
-        if fused is None or fused.unfused_count:
-            return None  # an unfused segment would charge the full grid
+        if fused is not None and fused.unfused_count:
+            # an unfused segment would charge the full grid: a static fact
+            # of the kernel, so the session stops asking
+            self._unfused = True
+            return None
         return fused
 
     def _run_dense(self, states: List[_ArmState], fused) -> bool:

@@ -29,9 +29,11 @@ compile recorded.  Replaying the table is therefore *bit-identical* to
 the oracle — same rows, same order — and the differential suites hold
 every fused run to the tree-walker's exact fingerprint.  A call to a
 user function whose body is one assignment-free ``return <expr>;`` over
-scalar parameters is inlined (``functions._call_parallel``'s semantics).
-Statements the pass cannot prove static (builtin and other calls,
-dynamic scatter subscripts, data-dependent short-circuits, send-reduce
+scalar parameters is inlined (``functions._call_parallel``'s semantics);
+a pure builtin applies ``eval_expr.BUILTIN_VALUES``, the oracle's own
+definition (:class:`_Call`).  Statements the pass cannot prove static
+(``rand`` and other effectful or uninlinable calls, dynamic scatter
+subscripts, data-dependent short-circuits, send-reduce
 candidates...) become **unfused segments**: the fused sweep runs just
 that statement on the oracle (``exec_stmt``), keeping the rest of the
 body on the fast path.  A construct the pass declines altogether runs
@@ -59,7 +61,10 @@ Correctness subtleties worth naming:
   it was computed.  A lookup whose token extends the store's token is a
   guaranteed runtime hit (its mask is pointwise contained in the stored
   mask); any other present-key lookup is data-dependent and demotes the
-  statement to an unfused segment.  Writes drop entries by read-set,
+  statement to an unfused segment.  An arm whose predicate is a
+  top-level ``L && R`` extends that predicate's ``R`` refinement
+  (:func:`_arm_refinement`), so its body hits what ``R`` stored —
+  Figure 11's reuse.  Writes drop entries by read-set,
   exactly like ``Interpreter.cse_invalidate``; an invalidation issued
   from a *conditional* arm tombstones the key, and a later lookup from a
   different arm bails the whole construct (at run time the killer arm
@@ -109,6 +114,7 @@ from ..lang import ast
 from ..lang.errors import UCMultipleAssignmentError, UCRuntimeError
 from ..lang.operators import BINARY_UFUNCS, apply_binop, apply_unary, truthy
 from ..lang.scope import IndexSetValue
+from ..lang.semantics import BUILTINS
 from ..machine.cost import Recorder, bind_rows
 from ..machine.router import has_duplicates
 from ..machine.scan import INF
@@ -209,20 +215,6 @@ class _ReadScalar:
         regs[self.dst] = self.var.value
 
 
-class _Unary:
-    __slots__ = ("dst", "src", "node")
-
-    def __init__(self, dst: int, src: int, node: ast.Unary) -> None:
-        self.dst = dst
-        self.src = src
-        self.node = node
-
-    def run(self, ip, regs) -> None:
-        regs[self.dst] = lanewise(
-            apply_unary, 0, self.node.op, regs[self.src], self.node
-        )
-
-
 class _Binary:
     __slots__ = ("dst", "a", "b", "node", "mask")
 
@@ -238,6 +230,26 @@ class _Binary:
             apply_binop, regs[self.mask].ndim,
             self.node.op, regs[self.a], regs[self.b], self.node,
         )  # fmt: skip
+
+
+class _Call:
+    """``dst = fn(*args)``: a unary operator (``apply_unary``) or a pure
+    builtin — its ``eval_expr.BUILTIN_VALUES`` entry, the one definition
+    the oracle and the frontier lane programs call too — bound to its
+    node, over the argument registers."""
+
+    __slots__ = ("dst", "fn", "args", "mask")
+
+    def __init__(self, dst: int, fn, args: Tuple[int, ...], mask: int) -> None:
+        self.dst = dst
+        self.fn = fn
+        self.args = args
+        self.mask = mask
+
+    def run(self, ip, regs) -> None:
+        regs[self.dst] = lanewise(
+            self.fn, regs[self.mask].ndim, *[regs[a] for a in self.args]
+        )
 
 
 class _Bool:
@@ -978,6 +990,16 @@ def _is_prefix(store: Tuple, lookup: Tuple) -> bool:
     return len(store) <= len(lookup) and lookup[: len(store)] == store
 
 
+def _arm_refinement(pred: ast.Expr) -> Tuple:
+    """The refinement an arm's CSE token inherits from its predicate: a
+    top-level ``L && R`` stores ``R``'s entries under ``base ∧ truthy(L)``,
+    which contains the arm's mask ``base ∧ truthy(L && R)`` — so the body
+    hits them (Figure 11's reuse).  Any other predicate adds nothing."""
+    if isinstance(pred, ast.Binary) and pred.op == "&&":
+        return (("sc", id(pred)),)
+    return ()
+
+
 def _inline_return(func: ast.FuncDef) -> Optional[ast.Expr]:
     """The returned expression of a callee fusion inlines — scalar
     parameters only, a body that is one ``return <expr>;`` once blocks are
@@ -1159,10 +1181,12 @@ class _Fuser:
         unfused_count = 0
         arm_segments: List[List[Tuple]] = []
         for k, block in enumerate(stmt.blocks):
-            conditional = block.pred is not None
-            token = ((("a", k),) if conditional else ())
+            token, inv_ctx = (), None
+            if block.pred is not None:
+                inv_ctx = ("a", k)
+                token = _arm_refinement(block.pred) + (inv_ctx,)
             segs, nf, nu = self._compile_body(
-                block.stmt, arm_mask_regs[k], token, ("a", k) if conditional else None
+                block.stmt, arm_mask_regs[k], token, inv_ctx
             )
             arm_segments.append(segs)
             fused_count += nf
@@ -1404,7 +1428,8 @@ class _Fuser:
             except UCRuntimeError:
                 raise _Demote()
         r = self.reg()
-        self.steps.append(_Unary(r, v.reg, node))
+        fn = functools.partial(apply_unary, node.op, node=node)
+        self.steps.append(_Call(r, fn, (v.reg,), mask_reg))
         return _Val(r, v.is_array, _DYN)
 
     def _compile_binary(self, node, g, mask_reg, token, view_ok) -> _Val:
@@ -1509,11 +1534,13 @@ class _Fuser:
         runs it: arguments in the caller's context, each cast to its
         parameter's dtype over the grid, then the returned expression with
         names resolved to the parameters, then to globals — uncached, and
-        the cache cleared after (``cse_suspend``).  Builtins (ROADMAP 5b:
-        the dense/lane crossover), ``rand`` and every other callee
-        demote."""
+        the cache cleared after (``cse_suspend``).  A pure builtin runs as
+        ``functions.call_function`` runs it (:meth:`_compile_builtin`);
+        ``rand`` and every other callee demote."""
         func = self.ip.info.functions.get(node.func)
-        ret = _inline_return(func) if func is not None else None
+        if func is None:
+            return self._compile_builtin(node, g, mask_reg, token, view_ok)
+        ret = _inline_return(func)
         if ret is None or any(f is func for f, _p in self.frames):
             raise _Demote()
         params: Dict[str, _Val] = {}
@@ -1545,6 +1572,25 @@ class _Fuser:
         self.calls += 1
         self.sim_clear()
         return val
+
+    def _compile_builtin(self, node, g, mask_reg, token, view_ok) -> _Val:
+        """The arguments, then the builtin's ALU charge, then its value —
+        folded when every argument is static (a fold that raises demotes:
+        the oracle raises only if the call runs)."""
+        value = E.BUILTIN_VALUES.get(node.func)
+        if value is None:
+            raise _Demote()  # rand, srand, printf, swap: effects
+        args = [self.compile_expr(a, g, mask_reg, token, view_ok) for a in node.args]
+        self._alu(g, BUILTINS[node.func].alu)
+        fn = functools.partial(value, node)
+        if all(a.static is not _DYN for a in args):
+            try:
+                return self.static_val(fn(*[a.static for a in args]))
+            except UCRuntimeError:
+                raise _Demote()
+        r = self.reg()
+        self.steps.append(_Call(r, fn, tuple(a.reg for a in args), mask_reg))
+        return _Val(r, any(a.is_array for a in args), _DYN)
 
     # -- array references --------------------------------------------------
 

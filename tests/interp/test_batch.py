@@ -392,6 +392,9 @@ class TestStepCensus:
             (head + "int inc(int x) { return x + 1; }\n"
              "main { *par (I) st (a[i] < inc(t)) a[i] = inc(a[i]); }",
              lanes((3, 5, 4)), {}),
+            # a pure builtin over a lane scalar alone and beside an array
+            (head + "main { *par (I) st (a[i] < max(t, 2)) a[i] = min(a[i] + 2, t); }",
+             lanes((3, 5, 4)), {}),
         ]  # fmt: skip
         for src, inputs, kw in programs:
             batch = UCProgram(src, compile_store=None, **kw).run_batch(inputs)
@@ -417,9 +420,11 @@ class TestParDemotion:
     #: 16 PEs put the 64-lane grid at VP ratio 4, so compression pays
     KW = dict(machine_config=small_config(16))
 
+    #: counts up to 20 by a value-root reduction (the largest of +0 and
+    #: +1), which keeps its fully occupied compressed sweeps dense
     COUNT = (
-        "index_set I:i = {0..63};\nint a[64];\n"
-        "main { *par (I) st (a[i] < 20) a[i] = a[i] + 1; }"
+        "index_set I:i = {0..63}, K:k = {0..1};\nint a[64];\n"
+        "main { *par (I) st (a[i] < 20) a[i] = $>(K; a[i] + k); }"
     )
     #: a wave that climbs from a[0]: the active set moves every sweep
     WAVE = (

@@ -181,11 +181,13 @@ def _run_n(inputs, run=run_uc, **kw):
 
 
 #: counts up to 20; lanes already there never activate, the rest retire
-#: together — the last compressed sweep is the termination test
+#: together — the last compressed sweep is the termination test.  The
+#: step is a value-root reduction (the largest of +0 and +1), which makes
+#: the construct dense-eligible: a plain stencil never goes dense.
 STAR_PAR = """
-index_set I:i = {0..63};
+index_set I:i = {0..63}, K:k = {0..1};
 int a[64];
-main { *par (I) st (a[i] < 20) a[i] = a[i] + 1; }
+main { *par (I) st (a[i] < 20) a[i] = $>(K; a[i] + k); }
 """
 
 
@@ -273,14 +275,26 @@ class TestDenseEvaluation:
                 assert other.frontier["dense_sweeps"] == 0
                 self._assert_same_run(on, other, "a")
 
+    def test_plain_stencil_never_goes_dense(self):
+        # no value-root reduction: dense evaluation has no strip kernel to
+        # win with, so even the fully occupied sweeps run on the lane path
+        src = STAR_PAR.replace("$>(K; a[i] + k)", "a[i] + 1")
+        kw = dict(machine_config=small_config(16))
+        on = run_uc(src, _par_input(), **kw)
+        assert on.frontier["compressed_sweeps"] >= 2
+        assert on.frontier["dense_sweeps"] == 0
+        self._assert_same_run(on, run_uc(src, _par_input(), plans=False, **kw), "a")
+
     def test_unfused_segment_never_goes_dense(self):
-        # min() is a call: the second arm runs as an unfused plan segment
-        # (cse off keeps b[i] out of both cache worlds, else fusion bails)
+        # a seq element is rebound per front-end step: the second arm runs
+        # as an unfused segment (cse off keeps b[i] out of both cache
+        # worlds, else fusion bails), the reduction arm stays eligible
         src = (
-            "index_set I:i = {0..63};\nint a[64], b[64];\n"
-            "main { *par (I)\n"
-            "  st (a[i] < 20) a[i] = a[i] + 1;\n"
-            "  st (b[i] < 20) b[i] = min(b[i] + 1, 20);\n}"
+            "index_set I:i = {0..63}, K:k = {0..1}, S:s = {1..1};\n"
+            "int a[64], b[64];\n"
+            "main { seq (S) *par (I)\n"
+            "  st (a[i] < 20) a[i] = $>(K; a[i] + k);\n"
+            "  st (b[i] < 20) b[i] = b[i] + s;\n}"
         )
         inputs = {"a": _par_input()["a"], "b": _par_input()["a"]}
         kw = dict(machine_config=small_config(16), cse=False)
@@ -295,10 +309,10 @@ class TestDenseEvaluation:
         # a slot written twice per sweep: the lane path's per-write change
         # mask is not the net before/after diff dense evaluation derives
         src = (
-            "index_set I:i = {0..63};\nint a[64];\n"
+            "index_set I:i = {0..63}, K:k = {0..1};\nint a[64];\n"
             "main { *par (I)\n"
-            "  st (a[i] < 20) a[i] = a[i] + 2;\n"
-            "  st (a[i] < 20) a[i] = a[i] - 1;\n}"
+            "  st (a[i] < 20) a[i] = $>(K; a[i] + 2 * k);\n"
+            "  st (a[i] < 20) a[i] = $<(K; a[i] - k);\n}"
         )
         kw = dict(machine_config=small_config(16), cse=False)
         on = run_uc(src, _par_input(), **kw)
@@ -373,9 +387,9 @@ class TestDenseEvaluation:
 
         f = tmp_path / "count.uc"
         f.write_text(
-            "index_set I:i = {0..63};\nint a[64];\n"
+            "index_set I:i = {0..63}, K:k = {0..1};\nint a[64];\n"
             "main { par (I) a[i] = (i < 40) ? 10 : 20;\n"
-            "  *par (I) st (a[i] < 20) a[i] = a[i] + 1; }"
+            "  *par (I) st (a[i] < 20) a[i] = $>(K; a[i] + k); }"
         )
         assert main(["run", str(f), "--pes", "16", "--stats"]) == 0
         out = capsys.readouterr().out

@@ -188,12 +188,12 @@ class TestInlining:
 
     def test_inlined_call_between_unfused_segments_bails(self):
         # the oracle's call clears the real cache between the two unfused
-        # statements (a builtin call demotes them), so the second
+        # statements (a rand() call demotes them), so the second
         # recomputes w[0] * 2; a fused call would leave it cached
         fused, _ = _both(
             self.HEAD + "int f(int x) { return x + 1; }\n"
-            "main { par (I) { b[i] = min(w[0] * 2, 9); a[i] = f(i); "
-            "b[i] = min(w[0] * 2, 9) + b[i]; } }",
+            "main { par (I) { b[i] = w[0] * 2 + rand() % 1; a[i] = f(i); "
+            "b[i] = w[0] * 2 + rand() % 1 + b[i]; } }",
             {"w": np.full(8, 1.5)},
         )
         assert fused.fusion["unfusable"] == 1

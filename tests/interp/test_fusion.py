@@ -184,6 +184,78 @@ class TestCounters:
         assert r.fingerprint == run_uc(APSP, _apsp_input(), frontier=False).fingerprint
 
 
+@pytest.mark.usefixtures("default_engines")
+class TestPredicateConjunction:
+    """An arm whose predicate is a top-level ``L && R`` runs under a mask
+    inside the one ``R``'s cache entries were stored under, so its body's
+    reuse of them is a proven hit (§4, Figure 11); every other
+    cross-context reuse stays data-dependent and demotes."""
+
+    HEAD = "index_set I:i = {0..15};\nint a[16], b[16];\n"
+
+    def _vs_oracle(self, src, inputs=None, **kw):
+        fused, oracle = (
+            run_uc(src, {k: v.copy() for k, v in (inputs or {}).items()}, plans=p, **kw)
+            for p in (True, False)
+        )
+        for var in oracle.keys():
+            assert np.array_equal(fused[var], oracle[var]), var
+        assert fused.fingerprint == oracle.fingerprint
+        return fused
+
+    @pytest.mark.parametrize("r", [16, 32])
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["obstacle", "dynamic"])
+    def test_figure_11_fuses(self, r, dynamic):
+        from repro.bench import workloads as uc
+
+        src = uc.DYNAMIC_OBSTACLE_UC if dynamic else uc.OBSTACLE_UC
+        inputs = None
+        if dynamic:
+            walls = np.zeros((r, r), dtype=np.int64)
+            walls[r // 2, 1:] = 1
+            a = np.full((r, r), 10**6, dtype=np.int64)
+            a[0, 0] = 0
+            inputs = {"walls": walls, "a": a}
+        defines = {"R": r, "WALL": 10**6}
+        fused = self._vs_oracle(src, inputs, defines=defines)
+        assert "unfusable" not in fused.fusion
+        assert fused.fusion["unfused_segments"] == 0
+        # a plain stencil: its compressed sweeps stay on the lane path
+        assert fused.frontier["compressed_sweeps"] > 0
+        assert fused.frontier["dense_sweeps"] == 0
+        # the body's four guarded neighbour reads are cache hits: without
+        # the cache the same kernel charges more
+        uncached = self._vs_oracle(src, inputs, defines=defines, cse=False)
+        assert uncached.elapsed_us > fused.elapsed_us
+
+    def test_right_conjunct_reuse_fuses(self):
+        src = self.HEAD + (
+            "main { par (I) st (a[i] > 2 && a[i] * 3 < 30) b[i] = a[i] * 3 + 1; }"
+        )
+        fused = self._vs_oracle(src, {"a": np.arange(16)})
+        assert "unfusable" not in fused.fusion
+        assert fused["b"].tolist() == [3 * k + 1 if 2 < k < 10 else 0 for k in range(16)]
+
+    @pytest.mark.parametrize(
+        "pred, body",
+        [
+            # stored under the ternary's branch, looked up outside it
+            ("a[i] > 2 && (i > 0 ? a[i-1] * 3 : 0) < 30", "a[i-1] * 3"),
+            # ``||``: the right side ran where the left was false, the arm
+            # runs where either holds
+            ("a[i] > 8 || a[i] * 3 > 9", "a[i] * 3"),
+            # the left conjunct's own right side: only the top-level
+            # ``&&`` refines the arm's token
+            ("(a[i] > 2 && a[i] * 3 < 30) && i < 12", "a[i] * 3"),
+        ],
+        ids=["ternary-branch", "or", "nested-and"],
+    )
+    def test_other_cross_context_reuse_stays_demoted(self, pred, body):
+        src = self.HEAD + f"main {{ par (I) st ({pred}) b[i] = {body}; }}"
+        fused = self._vs_oracle(src, {"a": np.arange(16)})
+        assert fused.fusion["unfusable"] == 1
+
+
 class TestEscapeHatches:
     """Fusion has no switch of its own: the oracle's hatch is its only
     off path, by variable or by keyword."""

@@ -357,3 +357,109 @@ def test_int64_builtins(name, rows, plans):
     want = [_builtin_model(name, x) for x in rows]
     assert res["s"].tolist() == want
     assert res["p"].tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# the pure builtins on the fused par and the run_batch lanes
+# ---------------------------------------------------------------------------
+
+INF, NAN = math.inf, math.nan
+
+#: (builtin, operand ctype, argument rows): each row is one grid element
+#: of the array column and one run_batch lane's scalars
+BUILTIN_TABLE = [
+    ("abs", "int", [(INT64_MIN,), (INT64_MIN + 1,), (-5,), (0,), (7,)]),
+    ("ABS", "int", [(INT64_MIN,), (-1,), (3,)]),
+    ("power2", "int", [(-1,), (0,), (1,), (62,), (63,), (64,)]),
+    ("fabs", "float", [(-2.5,), (0.0,), (-INF,), (INF,), (NAN,)]),
+    ("sqrt", "float", [(4.0,), (2.0,), (0.0,), (INF,), (-1.0,)]),
+    ("min", "int", [(INT64_MIN, INT64_MAX), (-1, 0), (3, 3)]),
+    ("min", "float", [(1.0, 2.0), (-INF, 3.0), (NAN, 1.0), (1.0, NAN), (INF, -INF)]),
+    ("max", "int", [(INT64_MAX, INT64_MIN), (0, -1), (-3, -3)]),
+    ("max", "float", [(1.0, 2.0), (INF, 3.0), (NAN, 1.0), (1.0, NAN), (-INF, INF)]),
+]  # fmt: skip
+
+
+def _builtin_case(name, ctype, rows):
+    """One ``par`` computing ``name`` over the rows (array column ``c``)
+    and over the lane's scalars (column ``d``), and each lane's inputs."""
+    n, arity = len(rows), len(rows[0])
+    out = "float" if name == "sqrt" or ctype == "float" else "int"
+    grid = ", ".join(f"{v}[i]" for v in "xy"[:arity])
+    scalars = ", ".join("st"[:arity])
+    src = (
+        f"index_set I:i = {{0..{n - 1}}};\n{ctype} x[{n}], y[{n}], s, t;\n"
+        f"{out} c[{n}], d[{n}];\n"
+        f"main {{ par (I) {{ c[i] = {name}({grid}); d[i] = {name}({scalars}); }} }}"
+    )
+    dtype = np.int64 if ctype == "int" else np.float64
+    cols = [np.array([r[a] for r in rows], dtype=dtype) for a in range(arity)]
+    lanes = []
+    for row in rows:
+        if name == "sqrt" and row[0] < 0:
+            continue  # a negative scalar is an error: test_sqrt_of_a_negative_scalar
+        lane = {"x": cols[0].copy(), "y": (cols[-1] if arity == 2 else cols[0]).copy()}
+        lane.update(zip("st", row))
+        lanes.append(lane)
+    return src, lanes
+
+
+def _same(got, want):
+    return np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.parametrize(
+    "name, ctype, rows", BUILTIN_TABLE, ids=[f"{b}-{c}" for b, c, _r in BUILTIN_TABLE]
+)
+def test_builtin_fused_and_batched(name, ctype, rows):
+    """The fused ``par`` and the stacked ``run_batch`` lanes give each
+    lane the oracle's values and Clock fingerprint."""
+    from repro.interp.program import UCProgram
+
+    src, lanes = _builtin_case(name, ctype, rows)
+    oracle = [run_uc(src, {k: np.copy(v) for k, v in lane.items()}, plans=False) for lane in lanes]
+    fused = [run_uc(src, {k: np.copy(v) for k, v in lane.items()}) for lane in lanes]
+    batch = UCProgram(src, compile_store=None).run_batch(lanes)
+    for o, f, b in zip(oracle, fused, batch):
+        assert f.fusion.get("fused_segments") == 2 and "unfusable" not in f.fusion
+        assert b.compile["batched_lanes"] == len(lanes)
+        for got in (f, b):
+            assert _same(got["c"], o["c"]) and _same(got["d"], o["d"])
+            assert got.fingerprint == o.fingerprint
+
+
+@pytest.mark.usefixtures("default_engines")
+def test_builtin_edge_values():
+    """The edge rows, spelled out: ``abs`` wraps INT64_MIN, ``power2``
+    clamps its exponent to 0..62, ``sqrt`` of a negative array element is
+    0, inf and NaN pass through ``fabs``, NaN through ``min``'s arrays."""
+    want = {
+        ("abs", "int"): [INT64_MIN, INT64_MAX, 5, 0, 7],
+        ("power2", "int"): [1, 1, 2, 2**62, 2**62, 2**62],
+        ("sqrt", "float"): [2.0, math.sqrt(2.0), 0.0, INF, 0.0],
+        ("fabs", "float"): [2.5, 0.0, INF, INF, NAN],
+        ("min", "float"): [1.0, -INF, NAN, NAN, -INF],
+    }
+    for name, ctype, rows in BUILTIN_TABLE:
+        if (name, ctype) in want:
+            src, lanes = _builtin_case(name, ctype, rows)
+            got = run_uc(src, lanes[0])["c"]
+            assert _same(got, np.array(want[name, ctype], dtype=got.dtype)), name
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.parametrize("arg", ["s", "-1"])
+def test_sqrt_of_a_negative_scalar(arg):
+    """A negative scalar operand — a lane scalar, or a constant the fused
+    kernel declines to fold — is one located error on both engines."""
+    src = (
+        "index_set I:i = {0..3};\nfloat s, c[4];\n"
+        f"main {{ par (I) c[i] = i + sqrt({arg}); }}"
+    )
+    errors = []
+    for plans in (True, False):
+        with pytest.raises(UCRuntimeError, match="sqrt of a negative value") as err:
+            run_uc(src, {"s": -1.0}, plans=plans)
+        errors.append((str(err.value), err.value.line, err.value.col))
+    assert errors[0] == errors[1] and errors[0][1] == 3

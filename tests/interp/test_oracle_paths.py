@@ -195,6 +195,11 @@ FALLBACKS = [
     ("infinity_literal", "main { par (I) h[i] = INF; }", {"h": [2.0**53] * 4}),
     ("static_short_circuits", "main { par (I) a[i] = (1 || b[i]) + (0 && b[i]); }",
      {"a": [1, 1, 1, 1]}),
+    (
+        "scalar_left_short_circuits",
+        "main { x = 1; par (I) { a[i] = i; b[i] = (x > 0 && a[i] > 1) + (x < 0 || c[i] == 0); } }",
+        {"a": [0, 1, 2, 3], "b": [1, 1, 2, 2]},
+    ),
     ("gather_missing_subscript", "main { par (I) a[i] = q[i]; }",
      "UCRuntimeError: array 'q' needs 2 subscripts, got 1 (line 4, column 23)"),
     ("gather_constant_out_of_range", "main { par (I) a[i] = b[7]; }",

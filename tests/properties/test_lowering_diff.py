@@ -6,7 +6,8 @@ Its expressions mix every form the fused lowering (``fuse._Fuser``) and
 the lane compiler (``frontier._Compiler``) lower or demote on: static,
 NEWS-shifted and data-dependent gathers; reductions with and without a
 §4 partition predicate, with and without ``others``; ternaries and
-``&&``/``||`` with array and scalar left sides; builtins; one-``return``
+``&&``/``||`` with array and scalar left sides; builtins; a ``*par``
+body reusing its predicate's right conjunct (Figure 11); one-``return``
 user functions (pure, assigning, shadowing a global, nested) and a
 multi-statement one; parallel locals; scatters.
 
@@ -348,7 +349,15 @@ def programs(draw, kind):
         construct = f"par ({sets}) {body}"
     elif kind == "*par":
         a, b = g.at("a"), g.at("b")
-        arm = f"st ({a} < {bound} && {g.expr(rw, 1)}) {{ {a} = max({a} + 1, min({bound}, {g.expr(rw)})); "
+        right, step = g.expr(rw, 1), g.expr(rw)
+        if g.chance(0.4):
+            # Figure 11: the body reuses a term of the predicate's right
+            # conjunct — a guarded neighbour read, or a drawn expression
+            e0 = g.elems[0]
+            west = "a" + "".join(f"[{s}]" for s in [f"{e0} - 1"] + list(g.elems[1:]))
+            shared = g.pick([f"({e0} > 0 ? {west} : {bound})", g.expr(rw, 1)])
+            right, step = f"{a} != 1 + {shared}", f"1 + {shared}"
+        arm = f"st ({a} < {bound} && {right}) {{ {a} = max({a} + 1, min({bound}, {step})); "
         arm += f"{g.par_stmt(rw, ['b', 'h'])} }}" if g.chance(0.5) else "}"
         if g.chance(0.4):
             arm += f" st ({b} < {bound} && {g.expr(ro, 1)}) {b} = {b} + 1;"
