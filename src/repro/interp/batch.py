@@ -23,7 +23,15 @@ second step interpreter here: each chunk splices its
 axis off its operands; scalars that diverge between lanes travel as
 :class:`~repro.interp.values.LaneScalars`.
 
-Correctness is layered as three fallbacks, outermost first:
+Iterated constructs keep their frontier: one
+:class:`~repro.interp.frontier.StarSession` holds a row per lane over
+the stacks, and each sweep every row plans its own compressed or full
+sweep.  Full rows (and compressed rows the solo rule evaluates dense)
+run on the stacked kernel, compressed rows on one lane-program pass over
+the union of their active positions; each lane's clock replays exactly
+what its solo loop charges.
+
+Correctness is layered as two fallbacks, outermost first:
 
 1. **Whole-batch sequential** — a configuration that stands the lane
    engine down (``config.batched``: the sanitizer, checkpoints armed by
@@ -31,20 +39,13 @@ Correctness is layered as three fallbacks, outermost first:
    ``docs/PERFORMANCE.md``), a recovery policy, fewer than two lanes, or
    *any* exception raised inside the batched machinery — a step's UC101
    or bounds error on the stack, a scalar error in a lane whose arm was
-   idle, the deliberate :class:`_BatchAbort` — falls back to a fresh
-   ``[prog.run(inp) for inp in inputs]`` loop.  The engines are
-   deterministic, so the rerun reproduces the exact solo error.
+   idle, the sweep limit, the deliberate :class:`_BatchAbort` — falls
+   back to a fresh ``[prog.run(inp) for inp in inputs]`` loop.  The
+   engines are deterministic, so the rerun reproduces the exact solo
+   error.
 2. **Per-lane construct** — a construct that fails the (side-effect
    free) batchability screen simply executes per lane through the
    ordinary ``exec_stmt`` path; the rest of ``main`` stays in lockstep.
-3. **Lane demotion** — mid-construct, a lane whose frontier session
-   elects a compressed sweep leaves the batch: its rows are written
-   back and the lane re-enters the solo sweep loop
-   (:func:`repro.interp.statements.sweep_loop`) to finish
-   (compressed charging differs per lane, so the lanes' clocks can no
-   longer share one table replay).  The solo loop evaluates a dense
-   compressed sweep on the same fused kernel, compute-only — demotion
-   changes who charges, not how fast a high-occupancy sweep computes.
 
 Lanes whose fixed point converges (``*solve``) or whose predicates all
 falsify (``*par``) retire from the batch, shrinking the stacked arrays.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -68,7 +69,6 @@ from .statements import (
     enter_grid,
     exec_stmt,
     modified_names,
-    sweep_loop,
     sweep_protocol,
 )
 from .values import ArrayVar, LaneVar, ScalarVar
@@ -286,18 +286,11 @@ class _BatchConstruct:
         stmt = self.stmt
         self.fused = fused
         self.inners: List[ExecContext] = []
-        self.sessions: List[Optional[frontier.StarSession]] = []
         for ip, i in zip(self.interps, self.live):
             inner = enter_grid(ip, stmt, self.ctxs[i])
             if fuse.fused_for(ip, stmt, inner) is not fused:
                 raise _BatchAbort()
             self.inners.append(inner)
-            self.sessions.append(frontier.star_session(ip, stmt, inner))
-        # the lanes run one program on equal shapes: one session verdict
-        self.sessions_on = self.sessions[0] is not None
-        self.modified = modified_names(stmt)
-        self.mod_arrays = [n for n in self.modified if n in self.arr_names]
-        self.mod_scalars = [n for n in self.modified if n in self.sc_names]
         self.vp_ratio = self.interps[0].grid_vpset(
             self.inners[0].grid.shape
         ).vp_ratio
@@ -313,50 +306,45 @@ class _BatchConstruct:
                 self.stacks[name] = lane_stack([v.field for v in vs])
             elif kind == "scalar":
                 self.scalar_vars[name] = [inner.env.try_lookup(name) for inner in self.inners]
+        # one frontier session, a row per lane, over the stacks
+        self.sess = frontier.star_session(self.interps, stmt, self.inners, self.stacks)
+        self.modified = self.sess.an.modified if self.sess is not None else modified_names(stmt)
+        self.mod_arrays = [n for n in self.modified if n in self.arr_names]
+        self.mod_scalars = [n for n in self.modified if n in self.sc_names]
 
     def _writeback(self, row: int) -> None:
         """Flush one lane's stacked rows into its real fields."""
         for name, vs in self.array_vars.items():
             vs[row].field.data[...] = self.stacks[name][row]
 
-    def _demote(self, row: int, states, sweeps: int) -> None:
-        """One lane leaves the batch: it finishes the construct on the
-        solo sweep loop, entered with its elected compressed sweep."""
-        self._writeback(row)
-        sweep_loop(
-            self.interps[row], self.stmt, self.inners[row], self.sessions[row],
-            states, sweeps,
-        )  # fmt: skip
-
-    def _compact(self, keep: List[int]) -> None:
-        """Drop retired/demoted rows from every row-aligned structure."""
-        if len(keep) == len(self.live):
+    def _retire(self, stay) -> None:
+        """Lanes whose ``stay`` is false are done: flush them and drop
+        their rows from every row-aligned structure."""
+        if all(stay):
             return
+        keep = [row for row in range(len(self.live)) if stay[row]]
+        for row in range(len(self.live)):
+            if not stay[row]:
+                self._writeback(row)
         self.live = [self.live[r] for r in keep]
         self.interps = [self.interps[r] for r in keep]
         self.inners = [self.inners[r] for r in keep]
-        self.sessions = [self.sessions[r] for r in keep]
         for name in self.array_vars:
             self.array_vars[name] = [self.array_vars[name][r] for r in keep]
             self.stacks[name] = self.stacks[name][keep]
         for name in self.scalar_vars:
             self.scalar_vars[name] = [self.scalar_vars[name][r] for r in keep]
-
-    def _retire(self, stay) -> None:
-        """Lanes whose ``stay`` is false are done: flush and drop them."""
-        for row in range(len(self.live)):
-            if not stay[row]:
-                self._writeback(row)
-        self._compact([row for row in range(len(self.live)) if stay[row]])
+        if self.sess is not None:
+            self.sess.keep_rows(keep)
 
     # -- one batched compute pass -----------------------------------------
 
-    def _sweep_compute(self, collect_masks: bool):
-        """Run predicates + bodies over all rows, chunked along the lane
-        axis, on the kernel's own sweep (compute-only: each lane replays
-        the charge tables on its clock).  Returns ``arm_any[k, row]`` (and
-        the stacked per-arm masks when ``collect_masks``, for ``*par``
-        bookkeeping)."""
+    def _sweep_compute(self, rows, collect_masks: bool):
+        """Run predicates + bodies over ``rows``, in runs of consecutive
+        rows at most a chunk long, on the kernel's own sweep (compute-only:
+        each lane replays the charge tables on its clock).  Returns
+        ``arm_any[k, row]`` (and the stacked per-arm masks when
+        ``collect_masks``, for ``*par`` bookkeeping)."""
         fused = self.fused
         n_rows = len(self.live)
         K = len(fused.arm_mask_regs)
@@ -366,8 +354,13 @@ class _BatchConstruct:
             if collect_masks
             else None
         )
-        for lo in range(0, n_rows, self.chunk):
-            hi = min(n_rows, lo + self.chunk)
+        runs: List[List[int]] = []
+        for row in rows:
+            if runs and runs[-1][1] == row and row - runs[-1][0] < self.chunk:
+                runs[-1][1] += 1
+            else:
+                runs.append([row, row + 1])
+        for lo, hi in runs:
             for name, vs in self.array_vars.items():
                 stk = self.stacks[name][lo:hi]
                 fused._rebind(name, LaneVar(name, vs[0].ctype, data=stk))
@@ -383,53 +376,25 @@ class _BatchConstruct:
             fused.run_body(ip, None, sweep, charge=False)
         return arm_any, masks_full
 
-    def _charge_preds(self, clock) -> None:
-        for prog in self.fused.pred_progs:
+    def _charge_full(self, clock, arm_any, row: int, proto) -> bool:
+        """Lane ``row``'s full sweep, charged as its solo loop does: False
+        when its ``*par`` predicates all fail (it stops at the test)."""
+        fused, ratios = self.fused, (self.vp_ratio,)
+        clock.replay_rows(proto.entry, ratios)
+        for prog in fused.pred_progs:
             if prog is not None:
-                clock.replay_rows(prog[0], self.fused.ratios)
+                clock.replay_rows(prog[0], fused.ratios)
                 clock.count_fusion("charge_table_hits")
-
-    def _charge_arms(self, clock, arm_any, row: int) -> None:
-        for k, segs in enumerate(self.fused.arm_segments):
-            if not arm_any[k, row]:
-                continue
-            for seg in segs:
-                clock.replay_rows(seg[1], self.fused.ratios)
+        clock.replay_rows(proto.after_preds, ratios)
+        if self.stmt.kind == "par" and not arm_any[:, row].any():
+            return False
+        for k, segs in enumerate(fused.arm_segments):
+            for seg in segs if arm_any[k, row] else ():
+                clock.replay_rows(seg[1], fused.ratios)
                 clock.count_fusion("charge_table_hits")
         clock.count_fusion("fused_sweeps")
-
-    # -- frontier bookkeeping ----------------------------------------------
-
-    def _elect(self, sweeps: int) -> None:
-        """Frontier decisions: lanes electing a compressed sweep leave the
-        batch and finish on the solo sweep loop."""
-        if not self.sessions_on:
-            return
-        keep: List[int] = []
-        none_keys = set()
-        for row in range(len(self.live)):
-            key = self._sess_key(row)
-            if key is None or key not in none_keys:
-                states = self.sessions[row].plan_compressed()
-                if states is not None:
-                    self._demote(row, states, sweeps)
-                    continue
-                if key is not None:
-                    none_keys.add(key)
-            keep.append(row)
-        self._compact(keep)
-
-    def _sweep_start(self) -> Dict[str, Any]:
-        """Open a full sweep on every lane: each session's
-        :meth:`StarSession.full_begin`, and before-copies of the modified
-        variables (stacked arrays, per-lane scalar values)."""
-        if self.sessions_on:
-            for sess in self.sessions:
-                sess.full_begin()
-        before = frontier.snapshot({name: self.stacks[name] for name in self.mod_arrays})
-        for name in self.mod_scalars:
-            before[name] = [v.value for v in self.scalar_vars[name]]
-        return before
+        clock.replay_rows(proto.after_bodies, ratios)
+        return True
 
     def _row_diff(self, row: int, before) -> frontier.SweepDiff:
         """Lane ``row``'s diff of the sweep, from its row slices: the one
@@ -441,71 +406,83 @@ class _BatchConstruct:
             new[name] = self.scalar_vars[name][row].value if stack is None else stack[row]
         return frontier.SweepDiff.between(old, new)
 
-    def _sess_key(self, row: int):
-        """Hashable digest of everything a lane's ``plan_compressed``
-        decision depends on.  ``plan_compressed`` is pure (no clock
-        charges, no counters) and reads only the session's last diff,
-        reference and ref_pes plus shared per-construct analysis, so
-        lanes with equal digests get equal None/plan decisions — the
-        driver memoises the (common) all-None outcome across lanes."""
-        sess = self.sessions[row]
-        last = sess.last
-        if last is None or sess.reference is None:
-            return None
-        modified = sess.an.modified
-        key = [
-            sess.reference,
-            sess.ref_pes,
-            self.interps[row].machine.n_live_pes,
-            tuple(last.changed[name].tobytes() for name in modified),
-            tuple(last.dirs[name] for name in modified),
-        ]
-        if self.stmt.kind == "par":  # noted with ``last`` (``_drive``)
-            key.append(tuple(m.tobytes() for m in sess.par_masks))
-        return tuple(key)
-
     # -- the lockstep sweep loop --------------------------------------------
+
+    def _evaluators(self, plan):
+        """``(rows for the stacked fused kernel, rows for the lane pass)``:
+        a compressed row takes the lanes unless its solo rule says dense;
+        mixed rows (or rows with differing host scalars) all take the
+        kernel where its diff equals the lanes' (``an.net``).  Neither
+        choice moves a value or a charge."""
+        rows = range(len(self.live))
+        if plan is None:
+            return list(rows), []
+        sess = self.sess
+        dense = [row for row, p in zip(rows, plan.rows) if p is None or sess.dense(p[0])]
+        if len(dense) < len(rows) and (dense or not sess.uniform):
+            if sess.an.net:
+                return list(rows), []
+            if not sess.uniform:
+                raise _BatchAbort()
+        return dense, [row for row in rows if row not in dense]
+
+    def _fused_sweep(self, rows, plan, stay, proto) -> None:
+        """Evaluate ``rows`` on the stacked fused kernel, compute-only, and
+        charge each lane as its solo loop does — a full row inside its
+        session's full-sweep bracket, a compressed row its halves
+        (:meth:`StarSession.settle`) — setting ``stay[row]``."""
+        par = self.stmt.kind == "par"
+        sess = self.sess
+        full = [r for r in rows if plan is None or plan.rows[r] is None]
+        if sess is not None:
+            for row in full:
+                sess.full_begin(row)
+        before, watch = {}, sess is not None or not par  # what the diffs read
+        if watch:
+            before = frontier.snapshot({name: self.stacks[name] for name in self.mod_arrays})
+            for name in self.mod_scalars:
+                before[name] = [v.value for v in self.scalar_vars[name]]
+        arm_any, masks = self._sweep_compute(rows, collect_masks=par and sess is not None)
+        for row in rows:
+            masks_row = [m[row] for m in masks] if masks is not None else None
+            if row not in full:
+                p = plan.rows[row]
+                diff = self._row_diff(row, before)
+                stay[row] = sess.settle(row, p, masks_row, diff, dense=sess.dense(p[0]))
+                continue
+            if not self._charge_full(self.interps[row].machine.clock, arm_any, row, proto):
+                continue
+            stay[row] = True
+            if watch:
+                diff = self._row_diff(row, before)
+                if sess is not None:
+                    sess.full_end(diff, row)
+                    if par:
+                        sess.note_par_masks(masks_row, row)
+                stay[row] = par or diff.any()
 
     def _drive(self) -> None:
         """:func:`repro.interp.statements.sweep_loop` across the stacked
-        lanes: one compute pass per sweep, then each lane's clock replays
-        the protocol and kernel rows the solo loop charges, in its order.
-        A lane leaves when its ``*par`` predicates all fail (before its
-        bodies) or its ``*solve`` reaches the fixed point."""
-        par = self.stmt.kind == "par"
+        lanes: each lane's session row plans its sweep, one lane-program
+        pass and one fused compute pass evaluate the rows
+        (:meth:`_evaluators`), each clock replays its solo charges.  A lane
+        leaves when its ``*par`` predicates all fail or its ``*solve``
+        reaches the fixed point."""
         limit = self.interps[0].config.solve_sweep_limit
         proto = sweep_protocol(self.interps[0].machine.clock.costs, self.stmt, self.modified)
-        ratios = (self.vp_ratio,)
-        # a *solve's fixed-point test reads every modified variable, a
-        # *par's frontier sessions their arrays
-        watch = self.sessions_on or not par
         sweeps = 0
         while self.live:
-            self._elect(sweeps)
-            if not self.live:
-                return
-            before = self._sweep_start() if watch else {}
-            arm_any, masks = self._sweep_compute(collect_masks=par and self.sessions_on)
-            # a *par lane none of whose predicates holds stops at its test
-            go = arm_any.any(axis=0) if par else np.ones(len(self.live), dtype=bool)
-            for row, ip in enumerate(self.interps):
-                clock = ip.machine.clock
-                clock.replay_rows(proto.entry, ratios)
-                self._charge_preds(clock)
-                clock.replay_rows(proto.after_preds, ratios)
-                if go[row]:
-                    self._charge_arms(clock, arm_any, row)
-                    clock.replay_rows(proto.after_bodies, ratios)
-            stay = go.copy()
-            if watch:
-                for row in np.flatnonzero(go):
-                    diff = self._row_diff(row, before)
-                    sess = self.sessions[row]
-                    if sess is not None:
-                        sess.full_end(diff)
-                        if par:
-                            sess.note_par_masks([m[row] for m in masks])
-                    stay[row] = par or diff.any()  # *solve: the fixed point
+            plan = self.sess.plan() if self.sess is not None else None
+            dense, lanes = self._evaluators(plan)
+            stay = [False] * len(self.live)
+            if lanes:
+                mine = plan
+                if dense:
+                    mine = plan._replace(rows=[p if r in lanes else None for r, p in enumerate(plan.rows)])
+                for row, go in self.sess._run_lanes(mine).items():
+                    stay[row] = go
+            if dense:
+                self._fused_sweep(dense, plan, stay, proto)
             self._retire(stay)  # the lane is done
             sweeps += 1
             if self.live and sweeps > limit:

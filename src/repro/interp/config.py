@@ -164,8 +164,8 @@ class EngineConfig(NamedTuple):
     def why_off(self, engine: str) -> str:
         """Why ``engine`` (one of :attr:`ENGINES`) cannot run under this
         configuration, or ``""`` when it can.  The dynamic conditions
-        (armed fault hook, masked context, lane demotion, a kernel that
-        fails validation) are decided where they arise."""
+        (armed fault hook, masked context, the batch screen, a kernel
+        that fails validation) are decided where they arise."""
         # the sanitizer's tier log records every dispatched reference;
         # fused kernels, compressed sweeps and lane replays charge
         # without walking them

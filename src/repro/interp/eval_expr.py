@@ -34,6 +34,7 @@ from .values import (
     ParallelLocal,
     ScalarVar,
     SliceParam,
+    broadcast,
     coerce_scalar,
     numpy_ctype,
 )
@@ -87,7 +88,7 @@ class ExecContext:
             env.declare(isv.elem_name, ElementBinding(isv.elem_name, isv.name, "axis", axis=axis))
         mask = self.mask
         if mask is not None:
-            mask = np.broadcast_to(mask.reshape(mask.shape + (1,) * len(sets)), grid.shape)
+            mask = broadcast(mask.reshape(mask.shape + (1,) * len(sets)), grid.shape)
         return ExecContext(grid, mask, env)
 
 
@@ -274,10 +275,11 @@ def _eval_unary(ip, expr: ast.Unary, ctx: ExecContext) -> Value:
 
 
 def _power2(node: ast.Call, x: Value) -> Value:
-    # the exponent clamps to 0..62: the result stays a positive int64
+    # the exponent clamps to 0..62: the result stays a positive int64; a
+    # float exponent converts to the C ``int`` first, truncating
     if isinstance(x, np.ndarray):
-        return np.left_shift(1, np.clip(x, 0, 62))
-    return 1 << min(62, max(0, int(x)))
+        return np.left_shift(1, _cast_array(np.clip(x, 0, 62), np.dtype(np.int64)))
+    return 1 << min(62, max(0, coerce_scalar("int", x, node)))
 
 
 def _abs(node: ast.Call, x: Value) -> Value:
@@ -347,12 +349,12 @@ def _eval_shortcircuit(ip, expr: ast.Binary, ctx: ExecContext) -> Value:
         if isinstance(right, np.ndarray):
             return right.astype(np.int64)
         return int(right)
-    lbool = np.broadcast_to(np.asarray(truthy(left)), ctx.grid.shape)
+    lbool = broadcast(np.asarray(truthy(left)), ctx.grid.shape)
     # evaluate the right side only where the left side leaves it live
     live = lbool if expr.op == "&&" else ~lbool
     sub = ctx.refine(live)
     right = eval_expr(ip, expr.right, sub)
-    rbool = np.broadcast_to(np.asarray(truthy(right)), ctx.grid.shape)
+    rbool = broadcast(np.asarray(truthy(right)), ctx.grid.shape)
     if expr.op == "&&":
         return (lbool & rbool).astype(np.int64)
     return (lbool | rbool).astype(np.int64)
@@ -363,7 +365,7 @@ def _eval_ternary(ip, expr: ast.Ternary, ctx: ExecContext) -> Value:
     if ctx.grid.is_host or not isinstance(cond, np.ndarray):
         charge_grid_op(ip, ctx)
         return eval_expr(ip, expr.then, ctx) if cond else eval_expr(ip, expr.els, ctx)
-    cbool = np.broadcast_to(np.asarray(truthy(cond)), ctx.grid.shape)
+    cbool = broadcast(np.asarray(truthy(cond)), ctx.grid.shape)
     then_v = eval_expr(ip, expr.then, ctx.refine(cbool))
     else_v = eval_expr(ip, expr.els, ctx.refine(~cbool))
     charge_grid_op(ip, ctx, count=2)  # the select
@@ -409,7 +411,7 @@ def out_of_range(a: int, node: ast.Index, extent: int, bad, raw) -> None:
     """Raise the bounds error of subscript ``a`` of ``node``, quoting the
     unclipped value ``raw`` holds at the first set lane of ``bad``: the
     one bounds error every engine raises."""
-    value = int(np.broadcast_to(raw, np.shape(bad))[bad][0])
+    value = int(broadcast(raw, np.shape(bad))[bad][0])
     raise UCRuntimeError(
         f"subscript {a} of {node.base!r} out of range (value {value}, extent {extent})",
         node.line,
@@ -464,7 +466,7 @@ def gather_values(data, subs, grid_shape, rc=None, tier=None) -> np.ndarray:
             clipped = np.clip(s, 0, data.shape[a] - 1)
         else:
             clipped = np.full(grid_shape, int(s), dtype=np.int64)
-        idx_arrays.append(np.broadcast_to(clipped, grid_shape))
+        idx_arrays.append(broadcast(clipped, grid_shape))
     return data[tuple(idx_arrays)]
 
 
@@ -513,14 +515,14 @@ def eval_scatter(
             clipped = np.clip(s, 0, view_shape[a] - 1)
         else:
             clipped = np.full(ctx.grid.shape, int(s), dtype=np.int64)
-        idx_arrays.append(np.broadcast_to(clipped, ctx.grid.shape).reshape(-1))
+        idx_arrays.append(broadcast(clipped, ctx.grid.shape).reshape(-1))
 
     flat_mask = mask.reshape(-1)
     flat_idx = np.ravel_multi_index(
         tuple(ia[flat_mask] for ia in idx_arrays), view_shape
     )
     if isinstance(value, np.ndarray):
-        vals = np.broadcast_to(value, ctx.grid.shape).reshape(-1)[flat_mask]
+        vals = broadcast(value, ctx.grid.shape).reshape(-1)[flat_mask]
     else:
         vals = np.full(int(flat_mask.sum()), value)
     vals = _cast_array(vals, data.dtype)
@@ -631,7 +633,7 @@ def _assign_scalar(ip, var: ScalarVar, value: Value, ctx: ExecContext, node: ast
         return
     # parallel write to a front-end scalar: all enabled lanes must agree
     mask = ctx.active_mask()
-    vals = np.broadcast_to(value, ctx.grid.shape)[mask]
+    vals = broadcast(value, ctx.grid.shape)[mask]
     if vals.size == 0:
         return
     if np.any(vals != vals.reshape(-1)[0]):
@@ -656,13 +658,13 @@ def _assign_parallel_local(
     charge_grid_op(ip, ctx)  # a local is only in scope on its grid or a nested one
     mask = ctx.active_mask()
     if ctx.grid.rank == var.grid_rank:
-        arr = np.broadcast_to(value, ctx.grid.shape)
+        arr = broadcast(value, ctx.grid.shape)
         var.data[mask] = _cast_array(np.asarray(arr)[mask], var.data.dtype)
         ip.cse_invalidate(var.name)
         return
     # assignment from an extended grid: values must agree along the extra axes
     extra = tuple(range(var.grid_rank, ctx.grid.rank))
-    arr = np.broadcast_to(value, ctx.grid.shape)
+    arr = broadcast(value, ctx.grid.shape)
     any_mask = mask.any(axis=extra)
     mn = np.where(mask, arr, np.asarray(np.inf)).min(axis=extra)
     mx = np.where(mask, arr, np.asarray(-np.inf)).max(axis=extra)
@@ -721,18 +723,18 @@ def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
             arm_mask = base_mask
         else:
             pred_v = eval_expr(ip, arm.pred, inner)
-            pv = np.broadcast_to(np.asarray(truthy(pred_v)), inner_grid.shape)
+            pv = broadcast(np.asarray(truthy(pred_v)), inner_grid.shape)
             arm_mask = base_mask & pv
             pred_union = pv if pred_union is None else (pred_union | pv)
         val = eval_expr(ip, arm.expr, inner.with_mask(arm_mask))
-        arm_values.append(np.broadcast_to(np.asarray(val), inner_grid.shape))
+        arm_values.append(broadcast(np.asarray(val), inner_grid.shape))
         arm_masks.append(arm_mask)
     if node.others is not None:
         others_mask = base_mask & (
             ~pred_union if pred_union is not None else np.zeros(inner_grid.shape, bool)
         )
         val = eval_expr(ip, node.others, inner.with_mask(others_mask))
-        arm_values.append(np.broadcast_to(np.asarray(val), inner_grid.shape))
+        arm_values.append(broadcast(np.asarray(val), inner_grid.shape))
         arm_masks.append(others_mask)
 
     if node.op == "arbitrary":

@@ -77,11 +77,12 @@ Correctness strategy — decide-before-execute behind a measured guard:
   value-root reduction, one arm per written array), the active slots
   times :data:`_DENSE_COST_RATIO` reach the domain's slots and the
   construct has a validated fused kernel without unfused segments
-  (:func:`repro.interp.fuse.fused_for`), the sweep instead issues its
-  compressed charge sequence up front and runs the fused register
-  program *compute-only* over the whole grid, deriving the change masks
-  from a before/after diff exactly as a full sweep does.  Same arrays,
-  same masks, same Clock; the choice stands down wherever fusion does.
+  (:func:`repro.interp.fuse.fused_for`), the sweep instead runs the
+  fused register program *compute-only* over the whole grid, derives
+  the change masks from a before/after diff exactly as a full sweep
+  does, and replays its compressed charge sequence (no fault hook is
+  armed where the kernel runs).  Same arrays, same masks, same Clock;
+  the choice stands down wherever fusion does.
   A plain stencil is never eligible: without the strip-mined reduction
   kernel, dense evaluation loses to the lanes at every occupancy
   measured.
@@ -100,8 +101,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 import operator
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -213,16 +215,18 @@ _B, _N, _S = "bool", "num", "scalar"
 #: table (or a scalar) filled once by the session prelude.
 _Val = collections.namedtuple("_Val", "reg kind lanes red inv", defaults=(False, False, False))
 
-#: the registers a sweep sets before it runs a program: the flat grid
+#: the registers a sweep sets before it runs a program: the stacked flat
 #: positions of its lanes (as a vector, and as a column for reduction
 #: scope), its selection from the reduction range, and the lanes of the
-#: predicate's registers its body keeps (``slice(None)``: all of them)
+#: predicate's registers its body keeps (``slice(None)``: all of them);
+#: ``_SHAPE`` holds the stacked grid shape ``(S,) + grid`` tables span
 _POS, _POSCOL, _KSEL, _OK = (
     _Val(0, _N, lanes=True, inv=True),
     _Val(1, _N, lanes=True),
     _Val(2, _N, red=True),
     _Val(3, _B, lanes=True),
 )
+_SHAPE = 4
 
 _KAXIS = "red"  # where a subscript bound to the reduction element varies
 
@@ -256,8 +260,8 @@ def _run_lane_steps(steps, R) -> None:
                 _run_lane_steps(a, R)
                 if R[b].any():
                     _out_of_range(R[b], c, R)
-        else:  # _GRID, prelude only: axis table a broadcast over the grid b
-            R[dst] = np.broadcast_to(a, b).reshape(-1)
+        else:  # _GRID, prelude only: axis table a broadcast over the stacked grid
+            R[dst] = np.broadcast_to(a, R[b]).reshape(-1)
 
 
 def _out_of_range(bad, desc, R) -> None:
@@ -318,8 +322,8 @@ class _RedInfo:
 class _ArmInfo:
     """One construct arm: optional predicate plus one direct assignment
     (``node``) to ``target``.  ``pred_steps``/``steps`` are its lane
-    programs, ``pred_reg``/``reg`` their results (``pred_full``: already
-    lane-shaped); a reduction arm (``red``) evaluates ``red.steps`` and
+    programs, ``pred_reg``/``reg`` their results (a predicate's always
+    lane-shaped: every address spans the lanes); a reduction arm (``red``) evaluates ``red.steps`` and
     keeps only the write's bounds checks in ``steps``.  The write goes to
     the addresses in ``target_addr`` (session table ``target_table``);
     ``pred_rows``/``body_rows`` are the bound charges, ``refs`` the
@@ -347,9 +351,12 @@ class _Analysis:
         #: the register file's initial state (literals in place), where a
         #: session binds its flat array views and scalars, the prelude (every
         #: sweep-invariant step) and the tables only the prelude itself reads
-        self.template: List[object] = [None] * 4
+        self.template: List[object] = [None] * 5
         self.array_regs: Dict[str, int] = {}
         self.scalar_regs: Dict[str, int] = {}
+        #: per array size: where a session binds each stacked position's
+        #: row offset ``row x size``, which addresses into such arrays add
+        self.row_bases: Dict[int, int] = {}
         self.prelude: List[Tuple] = []
         self.drop: List[int] = []
 
@@ -514,7 +521,7 @@ class _Compiler:
             shape = [1] * self.an.rank
             shape[g] = -1
             self.memo[key] = _Val(self._new(), kind, lanes=True, inv=True)
-            step = (_GRID, self.memo[key].reg, tab.reshape(shape), self.an.grid_shape, None)
+            step = (_GRID, self.memo[key].reg, tab.reshape(shape), _SHAPE, None)
             self.an.prelude.append(step)
         return self.memo[key]
 
@@ -697,16 +704,22 @@ class _Compiler:
             if oob is not None:
                 checked = True
                 self._check_step(node, a, extent, where, oob, raw, ("oob", where, c, extent))
-        key = ("addr", tuple(key), const)
-        if not lane:
-            addr = self._const(np.array([const]), _N) if row is None else self._red_row(row + const)
-            return addr, checked
+        size = math.prod(shape)
+        key = ("addr", tuple(key), const, size)
         if key not in self.memo:
-            if key[1:] == (self.identity_key, 0):
+            if key[1:] == (self.identity_key, 0, math.prod(an.grid_shape)):
                 self.memo[key] = _POS  # the lanes' own positions
             else:
-                lane[0] = (lane[0][0], lane[0][1] + const)
+                # a stacked row reads its own array: every address, a
+                # constant one too, carries its row's offset
+                if lane:
+                    lane[0] = (lane[0][0], lane[0][1] + const)
                 tabs = [self._grid_table((key, g), g, tab) for g, tab in lane]
+                if size not in an.row_bases:  # bound by the session
+                    an.row_bases[size] = self._new()
+                tabs.append(_Val(an.row_bases[size], _N, lanes=True, inv=True))
+                if const and not lane:
+                    tabs.append(self._const(const))
                 self.memo[key] = functools.reduce(self._sum, tabs)
         addr = self.memo[key]
         return (addr if row is None else self._sum(addr, self._red_row(row))), checked
@@ -728,7 +741,7 @@ class _Compiler:
         key = (base, axes_desc)
         if base in self.modified and key not in self.refs:
             self.refs[key] = _RefInfo(
-                base, axes_desc, _dilation_recipe(self.an, axes_desc, arr.shape, red)
+                base, axes_desc, _dilation_recipe(self.an, axes_desc, arr.shape, red, lead=1)
             )
         if base in self.modified and red is not None and key not in self.red_ctx["seen"]:
             self.red_ctx["seen"].add(key)
@@ -894,7 +907,7 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
             if pred.kind == _S:
                 raise _NotFrontierable()  # host predicate: whole-grid semantics
             pred = comp._bool(pred)
-            arm.pred_reg, arm.pred_full = comp._lanes(pred), pred.lanes
+            arm.pred_reg = comp._lanes(pred)
 
         # the target: identity subscripts covering every grid axis once
         # (distinct values, so the writes hit distinct slots)
@@ -934,13 +947,14 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         arm.refs = list(comp.refs.values())
         an.arms.append(arm)
     an.drop = [step[1] for step in an.prelude if step[1] not in comp.kept]
+    an.drop += [reg for reg in an.row_bases.values() if reg not in comp.kept]
     an.proto = sweep_protocol(an.costs, stmt)
-    # dense evaluation wins only through the strip-mined reduction kernel;
-    # a slot two arms write has a per-write change mask the net
-    # before/after diff cannot give
-    an.dense = len(an.modified) == len(an.arms) and any(
-        arm.red is not None for arm in an.arms
-    )
+    # a slot two arms write has a per-write change mask the net diff of a
+    # dense evaluation cannot give; dense wins only through the strip-mined
+    # reduction kernel; which way values moved matters to a delta scan only
+    an.net = len(an.modified) == len(an.arms)
+    an.dense = an.net and any(arm.red is not None for arm in an.arms)
+    an.delta = any(arm.red is not None and arm.red.delta_ok for arm in an.arms)
     return an
 
 
@@ -991,9 +1005,10 @@ def _compile_reduction(
 # ---------------------------------------------------------------------------
 
 
-def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo]) -> Tuple:
+def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo], lead: int = 0) -> Tuple:
     """The static dilation recipe of one reference ``base[axes]`` into an
-    array of ``shape``: ``(takes, collapse, order, bshape)``.
+    array of ``shape``: ``(takes, collapse, order, bshape)``, for change
+    masks with ``lead`` stacked axes in front (a session's rows: one).
 
     A lane can see a changed slot when, axis by axis, its clipped
     subscript lands on it — and clipping is separable, so the dilation of
@@ -1022,19 +1037,20 @@ def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo]) -> Tup
             vec = np.clip(an.axis_vals[g] + c, 0, extent - 1)
             bound.append((g, a))
         if not (len(vec) == extent and np.array_equal(vec, np.arange(extent))):
-            takes.append((a, vec))
+            takes.append((a + lead, vec))
     bound.sort()
     # constant and collapsed axes have length one by the time the mask is
     # transposed, so only the relative order of the grid-bound axes counts
     kept = [a for _g, a in bound]
     order = tuple(a for a in range(len(axes)) if a not in kept) + tuple(kept)
-    bshape = [1] * an.rank
+    order = tuple(range(lead)) + tuple(a + lead for a in order)
+    bshape = [-1] * lead + [1] * an.rank
     for g, _a in bound:
-        bshape[g] = len(an.axis_vals[g])
+        bshape[lead + g] = len(an.axis_vals[g])
     return (
         tuple(takes),
-        tuple(collapse),
-        None if order == tuple(range(len(axes))) else order,
+        tuple(a + lead for a in collapse),
+        None if order == tuple(range(len(order))) else order,
         tuple(bshape),
     )
 
@@ -1045,13 +1061,12 @@ def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo]) -> Tup
 
 
 class _ArmState:
-    """What one arm does in one compressed sweep: its active lanes and
-    everything its charges depend on (:attr:`key`)."""
+    """What one arm does in one row's compressed sweep: how many lanes
+    are active and everything its charges depend on (:attr:`key`)."""
 
-    __slots__ = ("L", "act", "lane_ratio", "K_eff", "red_ratio", "delta_on", "red_sel")
+    __slots__ = ("L", "lane_ratio", "K_eff", "red_ratio", "delta_on", "red_sel")
 
-    def __init__(self, act: Optional[np.ndarray], L: int, lane_ratio: int) -> None:
-        self.act = act
+    def __init__(self, L: int, lane_ratio: int) -> None:
         self.L = L
         self.lane_ratio = lane_ratio
         self.red_ratio = lane_ratio
@@ -1069,7 +1084,7 @@ class _ArmState:
 
 
 #: an arm with no active lanes this sweep: evaluates and charges nothing
-_IDLE = _ArmState(None, 0, 1)
+_IDLE = _ArmState(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1100,8 @@ def snapshot(values: Dict[str, object]) -> Dict[str, object]:
 class SweepDiff:
     """What one sweep changed, per modified variable: its change mask
     (``changed``; a bool for a scalar), whether any element moved up or
-    down (``dirs``) and how many moved (``counts``: changed, total).
+    down (``dirs``; a compressed sweep tracks them only where a delta
+    scan reads them) and how many moved (``counts``: changed, total).
 
     One diff serves every reader of a sweep: an iterated construct's
     fixed-point test (:meth:`any`), the frontier session's seed for the
@@ -1093,8 +1109,9 @@ class SweepDiff:
     diffs of their row slices) and the sweep-limit diagnostic
     (:meth:`summary`).  For the diagnostic, which reads them before the
     next sweep writes, a full sweep's diff (:meth:`between`) keeps its
-    before-copy and after-state, and a compressed sweep's its writes:
-    per array, ``(flat addresses, old values)`` in write order."""
+    before-copy and after-state, and a one-row session's compressed sweep
+    its writes: per array, ``(flat addresses, old values)`` in write
+    order (a batch past the limit reruns sequentially)."""
 
     __slots__ = ("changed", "dirs", "counts", "before", "after", "writes")
 
@@ -1102,7 +1119,7 @@ class SweepDiff:
         self.changed = changed
         self.dirs = dirs
         self.counts = {
-            n: (int(np.count_nonzero(m)), int(np.size(m))) for n, m in changed.items()
+            n: (int(np.count_nonzero(m)), getattr(m, "size", 1)) for n, m in changed.items()
         }
         self.before = before
         self.after = after
@@ -1154,16 +1171,33 @@ class SweepDiff:
 # ---------------------------------------------------------------------------
 
 
-class StarSession:
-    """Per-execution frontier driver for one ``*solve`` / ``*par``."""
+class SweepPlan(NamedTuple):
+    """One sweep of every row: per row the compressed sweep's ``(states,
+    preds, bodies)`` (the halves: :meth:`StarSession._charges`) or None,
+    a full sweep; per arm the ``(S,) + grid`` active lanes (None: none)."""
 
-    def __init__(self, ip, stmt: ast.UCStmt, inner) -> None:
-        self.ip = ip
+    rows: List[Optional[Tuple]]
+    acts: Optional[List[np.ndarray]]
+
+
+class StarSession:
+    """Per-execution frontier driver for one ``*solve`` / ``*par`` over
+    ``S >= 1`` rows — a solo run is one, a ``run_batch`` construct one per
+    live lane — each with its own plan, reference and Clock; one dilation
+    pass and one lane-program pass serve them all.  The register file is
+    the row-wise concatenation of the solo files (array registers are the
+    flattened lane stacks, a position is ``row x grid size + grid
+    position``, every address adds its row's offset: ``an.row_bases``),
+    so the lane programs and the cached analysis are the solo ones.  Host
+    scalars are one per file: rows whose scalars differ (not
+    :attr:`uniform`) cannot share a lane pass."""
+
+    def __init__(self, ips, stmt: ast.UCStmt, inners, stacks=None) -> None:
+        ip, inner = ips[0], inners[0]
+        self.ips = ips
         self.stmt = stmt
         self.inner = inner
         self.kind = kind = stmt.kind
-        clock = ip.machine.clock
-        clock.count_frontier("constructs")
         an = ip.plan_cache.get_or_build(
             "frontier",
             stmt,
@@ -1172,168 +1206,196 @@ class StarSession:
             ip.build_tally,
         )
         self.an: Optional[_Analysis] = None
-        self.S: Optional[dict] = None
-        if an is _FALLBACK or not self._bind(an):
-            clock.count_frontier("fallbacks")
+        # the lanes of a batch passed one fused kernel's binding checks:
+        # equal shapes and layouts, so they bind alike
+        scalars = [None if an is _FALLBACK else self._bind(an, x) for x in inners]
+        for row_ip, bound in zip(ips, scalars):
+            row_ip.machine.clock.count_frontier("constructs")
+            if bound is None:
+                row_ip.machine.clock.count_frontier("fallbacks")
+        if None in scalars:
             return
         self.an = an
+        self.scalars = scalars[0]
+        self.uniform = all(s == self.scalars for s in scalars)
+        env = inner.env
+        #: the ``(S,) + shape`` stacks the rows read and write
+        self.arrays = stacks or {n: env.try_lookup(n).data[None] for n in an.array_shapes}
         #: the lane programs' register file (:meth:`_registers`): plain
         #: data, so a session and its tables die by refcount
         self._R: Optional[List[object]] = None
         #: the ratios the protocol rows replay at: the full grid's
         self.full = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
-        self.base = inner.active_mask()
+        #: the construct's active VPs, with a leading row axis
+        self.base = inner.active_mask()[None]
         self.domain = int(np.count_nonzero(self.base))
-        #: what the last sweep changed: the next sweep's frontier
-        self.last: Optional[SweepDiff] = None
-        self.reference: Optional[float] = None
-        self.ref_pes: Optional[int] = None
-        self._full_marks: Optional[Tuple[float, int]] = None  # (clock, allocs)
-        self.par_masks: Optional[List[np.ndarray]] = None
-        #: estimator totals by sweep charge key (see ``plan_compressed``)
-        self._estimates: Dict[Tuple, float] = {}
+        S = len(ips)
+        self.shape = (S,) + an.grid_shape  # the stacked grid
+        #: per row: what its last sweep changed (its next frontier), its
+        #: last full sweep's cost and live PEs, an open full sweep's marks
+        self.last: List[Optional[SweepDiff]] = [None] * S
+        self.reference: List[Optional[float]] = [None] * S
+        self.ref_pes: List[Optional[int]] = [None] * S
+        self._full_marks: List[Optional[Tuple[float, int]]] = [None] * S
+        #: a *par's per-arm predicate masks, stacked over the rows
+        self.par_masks = [np.zeros(self.shape, dtype=bool) for _ in an.arms if kind == "par"]
+        #: the rows' last change masks, stacked, when one lane pass set all
+        self._changed: Optional[Dict[str, np.ndarray]] = None
+        #: estimator totals and the two replay halves, by sweep charge key
+        self._estimates: Dict[Tuple, Tuple] = {}
         #: the construct's fused kernel has an unfused segment: never dense
         self._unfused = False
 
     # -- binding ----------------------------------------------------------
 
-    def _bind(self, an) -> bool:
-        arrays: Dict[str, np.ndarray] = {}
-        scalars: Dict[str, object] = {}
-        env = self.inner.env
+    @staticmethod
+    def _bind(an, inner) -> Optional[Dict[str, object]]:
+        """A row's scalar bindings, or None when its arrays do not fit."""
+        env = inner.env
         for name, shape in an.array_shapes.items():
             b = env.try_lookup(name)
             if not isinstance(b, ArrayVar) or b.shape != shape or not b.layout.is_canonical:
-                return False
-            arrays[name] = b.data
+                return None
         # the analysis is cached per construct and grid axes: its names
         # resolve to declarations of the same kind, its sets to the same
         # constant values; only an array parameter can change shape
+        scalars = {}
         for name in an.scalar_regs:
             b = env.try_lookup(name)
             scalars[name] = b if isinstance(b, (int, float, np.integer, np.floating)) else b.value
-        self.S = {"arrays": arrays, "scalars": scalars}
-        return True
+        return scalars
 
-    @property
-    def active(self) -> bool:
-        return self.an is not None
+    def keep_rows(self, keep: List[int]) -> None:
+        """Only rows ``keep`` go on; the stacks dict was compacted."""
+        for attr in ("ips", "last", "reference", "ref_pes", "_full_marks"):
+            setattr(self, attr, [getattr(self, attr)[r] for r in keep])
+        self.par_masks = [m[keep] for m in self.par_masks]
+        self.shape = (len(keep),) + self.an.grid_shape
+        self._R = self._changed = None
 
     # -- full-sweep bracketing --------------------------------------------
 
-    def full_begin(self) -> None:
-        """Open a full sweep: its cost becomes the reference the next
-        compressed sweep must undercut (:meth:`full_end`)."""
-        if self.active:
-            clock = self.ip.machine.clock
-            self._full_marks = (clock.time_us, clock.count("alloc"))
+    def full_begin(self, row: int = 0) -> None:
+        """Open a full sweep of ``row``: its cost becomes the reference the
+        row's next compressed sweep must undercut (:meth:`full_end`)."""
+        clock = self.ips[row].machine.clock
+        self._full_marks[row] = (clock.time_us, clock.count("alloc"))
 
-    def full_end(self, diff: SweepDiff) -> None:
-        """Close a full sweep: measure its cost and seed the next sweep's
-        frontier from ``diff``, which covers at least the session's
-        modified arrays — the caller's one diff of the sweep (a solo loop's,
-        or a ``run_batch`` lane's from its row slices), always after
-        :meth:`full_begin`."""
-        clock = self.ip.machine.clock
+    def full_end(self, diff: SweepDiff, row: int = 0) -> None:
+        """Close a full sweep of ``row``: measure its cost and seed its
+        next frontier from ``diff`` (the caller's one diff of the sweep:
+        a solo loop's, a ``run_batch`` lane's from its row slices)."""
+        ip = self.ips[row]
+        clock = ip.machine.clock
         costs = clock.costs
-        t0, alloc0 = self._full_marks
+        t0, alloc0 = self._full_marks[row]
         # a first sweep allocates VP sets the steady state reuses; do not
         # bake that one-off into the per-sweep reference cost
         alloc_extra = clock.count("alloc") - alloc0
-        self.reference = (clock.time_us - t0) - alloc_extra * (costs.alloc + costs.dispatch)
-        self.ref_pes = self.ip.machine.n_live_pes
-        self.last = diff
-        self._full_marks = None
+        self.reference[row] = (clock.time_us - t0) - alloc_extra * (costs.alloc + costs.dispatch)
+        self.ref_pes[row] = ip.machine.n_live_pes
+        self.last[row] = diff
+        self._changed = None
+        self._full_marks[row] = None
         clock.count_frontier("full_sweeps")
 
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        """A before-copy of the arrays the construct modifies."""
-        return snapshot({name: self.S["arrays"][name] for name in self.an.modified})
-
-    def diff(self, before: Dict[str, np.ndarray]) -> SweepDiff:
-        return SweepDiff.between(before, self.S["arrays"])
-
-    def note_par_masks(self, masks: List[np.ndarray]) -> None:
-        if self.active:
-            self.par_masks = [np.array(m, dtype=bool, copy=True) for m in masks]
+    def note_par_masks(self, masks: List[np.ndarray], row: int = 0) -> None:
+        for k, m in enumerate(masks):
+            self.par_masks[k][row] = m
 
     # -- sweep planning ----------------------------------------------------
 
-    def plan_compressed(self) -> Optional[List[_ArmState]]:
-        """Active sets + delta decisions + estimate guard for one sweep.
-        Returns the per-arm states, or None when the sweep must run full."""
-        if not self.active or self.last is None or self.reference is None:
-            return None
-        if self.ip.machine.n_live_pes != self.ref_pes:
-            return None  # degraded relayout: re-measure on a full sweep
-        an = self.an  # a *par's masks are noted with ``last`` (note_par_masks)
-        machine = self.ip.machine
+    def plan(self) -> "SweepPlan":
+        """Active sets + delta decisions + estimate guard for one sweep of
+        every row (:class:`SweepPlan`)."""
+        S = len(self.ips)
+        # a row plans once a full sweep measured its reference on the PEs
+        # still live (else a degraded relayout: re-measure on a full sweep)
+        ok = [pes is not None and ip.machine.n_live_pes == pes for ip, pes in zip(self.ips, self.ref_pes)]
+        plans: List[Optional[Tuple]] = [None] * S
+        if True not in ok:
+            return SweepPlan(plans, None)
+        an, lasts = self.an, self.last  # a *par's masks are noted with ``last``
         # the write simulation below rebinds pseudo[target] to a fresh
-        # array (never mutates in place), so a dict copy suffices
-        pseudo = {name: self.last.changed[name] for name in an.modified}
-        dirty = {name: self.last.counts[name][0] > 0 for name in pseudo}
-        states: List[_ArmState] = []
+        # array (never mutates in place): a view of ``last`` suffices
+        pseudo, dirty = dict(self._changed or {}), {}
+        for name in an.modified:
+            if name not in pseudo:
+                none = np.zeros(an.array_shapes[name], dtype=bool)
+                changed = [l.changed[name] if o else none for l, o in zip(lasts, ok)]
+                pseudo[name] = changed[0][None] if S == 1 else np.stack(changed)
+            dirty[name] = [o and l.counts[name][0] > 0 for l, o in zip(lasts, ok)]
+        states: List[List[_ArmState]] = [[] for _ in ok]
+        acts = []
         for arm in an.arms:
-            act = np.zeros(an.grid_shape, dtype=bool)
+            act = np.zeros(self.shape, dtype=bool)
             for ref in arm.refs:
-                if dirty[ref.base]:
+                if True in dirty[ref.base]:
                     act |= ref.dilate(pseudo[ref.base])
             act &= self.base
-            L = int(np.count_nonzero(act))
-            if not L:
-                states.append(_IDLE)
-                continue
-            st = _ArmState(act, L, ratio_for(L, machine))
-            if arm.red is not None:
-                st = self._plan_reduction(arm.red, st, pseudo, dirty)
-            states.append(st)
-            if st.L:
-                target = pseudo[arm.target]
-                pseudo[arm.target] = target | self._slots_of(arm, st, target.shape)
-                dirty[arm.target] = True
+            if S == 1:
+                Ls = [int(np.count_nonzero(act))]
+            else:
+                Ls = act.reshape(S, -1).sum(axis=1).tolist()
+            live = False
+            for r, L in enumerate(Ls):
+                st = _IDLE
+                if L:
+                    st = _ArmState(L, ratio_for(L, self.ips[r].machine))
+                    if arm.red is not None:
+                        st = self._plan_reduction(arm.red, st, r, pseudo, dirty)
+                        act[r] &= st.L > 0  # nothing feeds the reduction: no lanes
+                    if st.L:
+                        dirty[arm.target][r] = live = True
+                states[r].append(st)
+            if live:
+                pseudo[arm.target] = pseudo[arm.target] | self._slots_of(arm, act)
+            acts.append(act if live else None)
         # the estimate is a pure function of the arms' charge keys: replay
         # the estimator only for a key this session has not costed yet
-        key = tuple(st.key for st in states)
-        est = self._estimates.get(key)
-        if est is None:
-            preds, bodies = self._charges(states)
-            est = self._estimates[key] = _estimate(preds + bodies, an.costs.dispatch)
-        if est >= self.reference:
-            return None
-        return states
+        for r, sts in enumerate(states):
+            key = tuple([st.key for st in sts])
+            hit = self._estimates.get(key)
+            if hit is None:
+                preds, bodies = self._charges(sts)
+                est = _estimate(preds + bodies, an.costs.dispatch)
+                hit = self._estimates[key] = (est, preds, bodies)
+            if ok[r] and hit[0] < self.reference[r]:
+                plans[r] = (sts, hit[1], hit[2])
+        return SweepPlan(plans, acts)
 
-    def _slots_of(self, arm: _ArmInfo, st: _ArmState, shape) -> np.ndarray:
-        """Array-shaped bool bound on the slots ``arm`` can write from
-        ``st``'s lanes (callers only read the result)."""
+    def _slots_of(self, arm: _ArmInfo, act: np.ndarray) -> np.ndarray:
+        """Stacked bool bound on the slots ``arm`` can write from the
+        lanes ``act`` (callers only read the result)."""
         if arm.target_table == _POS.reg:
-            return st.act  # identity write: the written slots ARE the active lanes
-        out = np.zeros(shape, dtype=bool)
-        out.reshape(-1)[self._registers()[arm.target_table][st.act.reshape(-1)]] = True
+            return act  # identity write: the written slots ARE the active lanes
+        out = np.zeros((len(self.ips),) + self.an.array_shapes[arm.target], dtype=bool)
+        out.reshape(-1)[self._registers()[arm.target_table][act.reshape(-1)]] = True
         return out
 
-    def _plan_reduction(self, red: _RedInfo, st: _ArmState, pseudo, dirty) -> _ArmState:
-        """Decide the delta scan for one active reduction arm: which
-        reduction slots it must rescan and what VP ratio that costs."""
-        machine = self.ip.machine
+    def _plan_reduction(self, red: _RedInfo, st: _ArmState, row: int, pseudo, dirty) -> _ArmState:
+        """Decide the delta scan for one active reduction arm of ``row``:
+        which reduction slots it must rescan and what VP ratio that costs."""
+        machine = self.ips[row].machine
         delta_valid = red.delta_ok
         if delta_valid:
             want_down = red.op == "min"
             for name in red.read_arrays:
-                up, down = self.last.dirs[name]
+                up, down = self.last[row].dirs[name]
                 if (want_down and up) or (not want_down and down):
                     delta_valid = False
                     break
         if not delta_valid:
             st.K_eff = red.extent
         else:
-            if any(dirty[name] for name in red.full_refs):
+            if any(dirty[name][row] for name in red.full_refs):
                 sel = np.ones(red.extent, dtype=bool)
             else:
                 sel = np.zeros(red.extent, dtype=bool)
                 # a delta scan is its construct's one arm (no predicate), so
                 # its refs are into its target, dirty when the arm is active
                 for base_name, a_ax, idx_vec in red.delta_refs:
-                    ch = pseudo[base_name]
+                    ch = pseudo[base_name][row]
                     other = tuple(x for x in range(ch.ndim) if x != a_ax)
                     vec = ch.any(axis=other) if other else ch
                     sel |= vec[idx_vec]
@@ -1347,8 +1409,8 @@ class StarSession:
         return st
 
     def _charges(self, states: List[_ArmState]) -> Tuple[List[Tuple], List[Tuple]]:
-        """The sweep's ordered charge sequence as ``(rows, ratios)`` pairs,
-        in two halves — the protocol's entry rows, the predicates and its
+        """A row's ordered charge sequence as ``(rows, ratios)`` pairs, in
+        two halves — the protocol's entry rows, the predicates and its
         after-predicates rows (a ``*par``'s termination test), then the arm
         bodies and its after-bodies rows (a ``*solve``'s fixed-point test)
         — summed for the estimate and replayed on the real clock identically."""
@@ -1362,193 +1424,233 @@ class StarSession:
                 bodies.append((_sweep_rows(arm, st, an.costs), ratios))
         preds.append((proto.after_preds, full))
         bodies.append((proto.after_bodies, full))
-        return preds, bodies
+        return [p for p in preds if p[0]], [b for b in bodies if b[0]]
 
     # -- compressed execution ---------------------------------------------
 
-    def run_compressed(self, states: List[_ArmState]) -> bool:
-        """One compressed sweep.  For ``*solve``: returns whether anything
-        changed.  For ``*par``: returns whether any arm predicate held
-        (False = the construct terminates, bodies skipped).
+    def run_compressed(self, plan: "SweepPlan") -> bool:
+        """One compressed sweep of a one-row session: whether a ``*solve``
+        changed anything, whether a ``*par``'s predicates held (False: it
+        terminates, bodies skipped).  Its plan fixes the charges; the host
+        evaluates on the fused kernel where :meth:`dense` says so (and
+        ``fuse.fused_for`` has a kernel: not under faults or the oracle),
+        compute-only — inactive lanes recompute their values, so the
+        before/after diff is the active lanes' changes — else on the
+        active lanes, with identical arrays, masks and Clock."""
+        ip, inner = self.ips[0], self.inner
+        fused = fuse.fused_for(ip, self.stmt, inner) if self.dense(plan.rows[0][0]) else None
+        if fused is not None and fused.unfused_count:
+            # an unfused segment would charge the full grid: a static
+            # fact of the kernel, so the session stops asking
+            self._unfused = True
+        elif fused is not None:
+            rows = {name: self.arrays[name][0] for name in self.an.modified}
+            before = snapshot(rows)
+            sweep = fused.begin_sweep(ip, inner.active_mask(), charge=False)
+            fused.run_body(ip, inner, sweep, charge=False)
+            diff = SweepDiff.between(before, rows)
+            return self.settle(0, plan.rows[0], sweep.masks, diff, dense=True)
+        return self._run_lanes(plan)[0]
 
-        What the sweep *charges* is fixed by ``states``; how the host
-        *evaluates* it is chosen here: the fused kernel over the whole
-        grid when the active set is nearly all of it, the active lanes
-        alone otherwise.  Both leave identical arrays, change masks and
-        Clock."""
-        fused = self._dense_kernel(states)
-        if fused is not None:
-            return self._run_dense(states, fused)
-        return self._run_lanes(states)
-
-    def _trace(self, states: List[_ArmState], *, dense: bool) -> None:
+    def _trace(self, row: int, states: List[_ArmState], dense: bool) -> None:
         arms = max(1, len(self.an.arms)) if self.kind == "par" else 1
-        self.ip.machine.clock.trace_frontier(
+        self.ips[row].machine.clock.trace_frontier(
             sum(st.L for st in states), self.domain * arms, dense=dense
         )
 
-    def _dense_kernel(self, states: List[_ArmState]):
-        """The construct's fused kernel when the construct is dense-
-        eligible (``an.dense``) and evaluating the whole grid through it
-        is cheaper than resolving the active lanes one by one (active
-        slots x G >= domain slots), else None.  ``fused_for`` stands down
-        under armed faults, so those runs keep the lane path, and so does
-        the oracle (``plans=False``)."""
+    def dense(self, states: List[_ArmState]) -> bool:
+        """Evaluate a compressed sweep on the fused kernel: the construct
+        is dense-eligible (``an.dense``) and active slots x G reach the
+        domain's slots.  It moves no value or charge; a row's trace
+        records its verdict."""
         an = self.an
         if not an.dense or self._unfused:
-            return None
+            return False
         active = full = 0
         for arm, st in zip(an.arms, states):
             extent = arm.red.extent if arm.red is not None else 1
             active += st.L * st.scan_extent(extent)
             full += self.domain * extent
-        if active * _DENSE_COST_RATIO < full:
-            return None
-        fused = fuse.fused_for(self.ip, self.stmt, self.inner)
-        if fused is not None and fused.unfused_count:
-            # an unfused segment would charge the full grid: a static fact
-            # of the kernel, so the session stops asking
-            self._unfused = True
-            return None
-        return fused
+        return active * _DENSE_COST_RATIO >= full
 
-    def _run_dense(self, states: List[_ArmState], fused) -> bool:
-        """Charge the compressed sweep, then evaluate it compute-only on
-        the fused kernel.  Inactive lanes recompute their current values,
-        so the before/after diff is exactly the active lanes' changes."""
-        ip, inner = self.ip, self.inner
-        clock = ip.machine.clock
-        before = self.snapshot()
-        preds, bodies = self._charges(states)
+    def settle(self, row: int, plan, masks, diff: SweepDiff, *, dense: bool) -> bool:
+        """Close ``row``'s compressed sweep, evaluated on the fused kernel
+        (its per-arm ``masks`` and before/after ``diff``): replay its
+        halves; whether the row goes on.  ``dense``: its verdict."""
+        states, preds, bodies = plan
+        clock = self.ips[row].machine.clock
         for rows, ratios in preds:
             clock.replay_rows(rows, ratios)
-        sweep = fused.begin_sweep(ip, inner.active_mask(), charge=False)
+        self.last[row] = diff
+        self._changed = None
         if self.kind == "par":
-            self._trace(states, dense=True)
-            self.note_par_masks(sweep.masks)
-            if not any(np.any(m) for m in sweep.masks):
-                self.last = self.diff(before)
+            self._trace(row, states, dense)
+            self.note_par_masks(masks, row)
+            if not any(np.any(m) for m in masks):
                 return False
         for rows, ratios in bodies:
             clock.replay_rows(rows, ratios)
-        fused.run_body(ip, inner, sweep, charge=False)
         if self.kind == "solve":
-            self._trace(states, dense=True)
-        self.last = self.diff(before)
-        return self.kind == "par" or self.last.any()
+            self._trace(row, states, dense)
+        return self.kind == "par" or diff.any()
 
     def _registers(self) -> List[object]:
-        """The register file of this session's lane programs, built when
-        a lane sweep first needs it: flat views of the bound arrays, the bound
-        scalars, then the prelude — every sweep-invariant step, once over
-        the whole grid (at most that subtree's share of the full sweep the
-        session has just run), bounds-check proofs included.  Tables only
-        the prelude read are dropped."""
+        """The lane programs' register file, built when a lane sweep first
+        needs it: flat views of the stacked arrays, the scalars, each
+        position's row offsets, then the prelude — every sweep-invariant
+        step, once over the stacked grid, bounds-check proofs included.
+        Tables only the prelude read are dropped."""
         R = self._R
         if R is None:
             an = self.an
+            S, G = len(self.ips), self.base.size
             R = self._R = an.template.copy()
             for name, reg in an.array_regs.items():
-                R[reg] = self.S["arrays"][name].reshape(-1)
+                R[reg] = self.arrays[name].reshape(-1)
             for name, reg in an.scalar_regs.items():
-                R[reg] = self.S["scalars"][name]
-            R[_POS.reg] = np.arange(self.base.size)
+                R[reg] = self.scalars[name]
+            for size, reg in an.row_bases.items():
+                R[reg] = np.repeat(np.arange(0, S * size, size), G)
+            R[_SHAPE] = (S,) + an.grid_shape
+            R[_POS.reg] = np.arange(S * G)
             _run_lane_steps(an.prelude, R)
             for reg in an.drop:
                 R[reg] = None
         return R
 
-    def _run_lanes(self, states: List[_ArmState]) -> bool:
-        """Evaluate the sweep on the active lanes only, charging each
-        arm just before it writes."""
+    def _run_lanes(self, plan: "SweepPlan") -> Dict[int, bool]:
+        """The compressed sweeps of the rows ``plan`` holds, on their
+        active lanes only: one lane-program pass over the union of their
+        stacked positions, each row replaying its halves (predicates
+        before any predicate runs, bodies before any write).  Returns
+        ``{row: whether it goes on}``."""
         an = self.an
-        clock = self.ip.machine.clock
         R = self._registers()
         par = self.kind == "par"
-        cur: Dict[str, np.ndarray] = {
-            name: np.zeros(self.last.changed[name].shape, dtype=bool) for name in an.modified
-        }
-        dirs = dict.fromkeys(cur, (False, False))  # name -> (any_up, any_down)
-        writes = {name: [] for name in cur}  # for the sweep-limit diagnostic
+        plans, acts = plan
+        S, G = len(plans), self.base.size
+        rows = [r for r, p in enumerate(plans) if p is not None] if S > 1 else [0]
+        if len(rows) < S:  # lanes of the other rows stay out of the pass
+            on = np.zeros((S,) + (1,) * an.rank, dtype=bool)
+            on[rows] = True
+            acts = [act if act is None else act & on for act in acts]
+        for r in rows:
+            clock = self.ips[r].machine.clock
+            for rows_, ratios in plans[r][1]:
+                clock.replay_rows(rows_, ratios)
+        cur = {name: np.zeros((S,) + an.array_shapes[name], dtype=bool) for name in an.modified}
+        # per row: name -> (any_up, any_down), tracked for a delta scan only
+        blank = dict.fromkeys(cur, (False, False))
+        dirs = {r: dict(blank) for r in rows} if an.delta else dict.fromkeys(rows, blank)
+        # what the solo loop's sweep-limit diagnostic reads
+        writes = {name: [] for name in cur} if S == 1 else None
 
         # predicates first (the engines evaluate every arm's predicate before
         # any body runs); their registers stay in the file for the bodies
-        proto, full = an.proto, self.full
-        clock.replay_rows(proto.entry, full)
         todo: List[Tuple[int, np.ndarray, Optional[np.ndarray], int]] = []
         any_ok = False
-        for k, (arm, st) in enumerate(zip(an.arms, states)):
-            if not st.L:
+        for k, arm in enumerate(an.arms):
+            if acts[k] is None:
                 continue
-            ok, n_ok = None, st.L
-            R[_POS.reg] = pos = st.act.reshape(-1).nonzero()[0]
+            R[_POS.reg] = pos = acts[k].reshape(-1).nonzero()[0]
+            ok, n_ok = None, len(pos)
             if arm.pred_steps is not None:
-                clock.replay_rows(arm.pred_rows, (st.lane_ratio, st.red_ratio))
                 _run_lane_steps(arm.pred_steps, R)
                 ok = R[arm.pred_reg]
-                if not arm.pred_full:
-                    ok = np.broadcast_to(ok, pos.shape)
                 n_ok = int(np.count_nonzero(ok))
                 if par:
                     self.par_masks[k].reshape(-1)[pos] = ok  # active lanes lie inside base
                     any_ok = any_ok or n_ok > 0
             todo.append((k, pos, ok, n_ok))
 
-        clock.replay_rows(proto.after_preds, full)
+        go = dict.fromkeys(rows, True)
         if par:
-            self._trace(states, dense=False)
-            # a fresh passing lane settles it without a whole-grid test
-            if not any_ok and not any(np.any(m) for m in self.par_masks):
-                self.last = SweepDiff(cur, dirs)
-                return False
+            for r in rows:
+                self._trace(r, plans[r][0], dense=False)
+            # a fresh passing lane settles a one-row session without a
+            # whole-grid test
+            if S > 1 or not any_ok:
+                held = functools.reduce(
+                    operator.or_, [np.logical_or.reduce(m.reshape(S, -1), axis=1) for m in self.par_masks]
+                )
+                for r in rows:
+                    if not held[r]:
+                        go[r] = False
+                        self.last[r] = SweepDiff({n: c[r] for n, c in cur.items()}, dirs[r])
+        for r in rows:
+            if go[r]:
+                clock = self.ips[r].machine.clock
+                for rows_, ratios in plans[r][2]:
+                    clock.replay_rows(rows_, ratios)
 
         for k, pos, ok, n_ok in todo:
-            arm, st = an.arms[k], states[k]
-            clock.replay_rows(_sweep_rows(arm, st, an.costs), (st.lane_ratio, st.red_ratio))
             if not n_ok:
                 continue
+            arm = an.arms[k]
             # every lane passed: selects read the predicate's registers whole
-            R[_OK.reg] = ok if n_ok < st.L else slice(None)
+            R[_OK.reg] = ok if n_ok < len(pos) else slice(None)
             R[_POS.reg] = pos = pos[R[_OK.reg]]
-            red = arm.red
+            red, delta = arm.red, False
             if red is not None:  # the same steps, on (L, 1) columns and (K,) rows
+                # a delta row's stored result combines with any superset of
+                # its slots; a row without one needs the whole range
+                sts = [plans[r][0][k] for r in rows if plans[r][0][k].L]
+                delta = all(st.delta_on for st in sts)
+                sel = functools.reduce(operator.or_, [st.red_sel for st in sts]) if delta else slice(None)
                 R[_POSCOL.reg] = pos[:, None]
-                R[_KSEL.reg] = st.red_sel if st.delta_on else slice(None)
+                R[_KSEL.reg] = sel
                 _run_lane_steps(red.steps, R)
                 body = R[red.reg]
                 if not red.full:
-                    body = np.broadcast_to(np.asarray(body), (len(pos), st.K_eff))
+                    K = int(np.count_nonzero(sel)) if delta else red.extent
+                    body = np.broadcast_to(np.asarray(body), (n_ok, K))
                 value = _reduce_op(red.op, [body], [np.True_], axes=(1,))
             _run_lane_steps(arm.steps, R)
             if red is None:
                 value = R[arm.reg]
             flat = R[an.array_regs[arm.target]]
             addr = R[arm.target_addr]
-            if st.delta_on:  # combine the delta scan with the stored result
+            if delta:  # combine the delta scan with the stored result
                 value = _RED_UFUNC[red.op](flat.take(addr), value)
             changed, old, new = lane_scatter(flat, addr, value)
-            writes[arm.target].append((addr, old))
             n_changed = int(np.count_nonzero(changed))
             if n_changed:
                 where = addr if n_changed == n_ok else addr[changed]
                 cur[arm.target].reshape(-1)[where] = True
-                up, down = dirs[arm.target]  # unchanged lanes compare equal: no select
-                dirs[arm.target] = (up or bool((new > old).any()), down or bool((new < old).any()))
+            if writes is not None:
+                writes[arm.target].append((addr, old))
+            if not (n_changed and an.delta):
+                continue
+            if S == 1:
+                segs = ((0, old, new),)
+            else:  # each row's lanes are one run of the stacked positions
+                cuts = np.searchsorted(pos, np.arange(0, (S + 1) * G, G)).tolist()
+                segs = [(r, old[cuts[r] : cuts[r + 1]], new[cuts[r] : cuts[r + 1]]) for r in rows]
+            for r, o, nw in segs:
+                up, down = dirs[r][arm.target]  # unchanged lanes compare equal: no select
+                dirs[r][arm.target] = (up or bool((nw > o).any()), down or bool((nw < o).any()))
 
-        clock.replay_rows(proto.after_bodies, full)
-        if not par:
-            self._trace(states, dense=False)
-        self.last = SweepDiff(cur, dirs, after=self.S["arrays"], writes=writes)
-        return self.last.any() or par
+        for r in rows:
+            if go[r]:
+                changed = {n: c[r] for n, c in cur.items()}
+                last = self.last[r] = SweepDiff(changed, dirs[r], after=self.arrays, writes=writes)
+                if not par:
+                    self._trace(r, plans[r][0], dense=False)
+                go[r] = par or last.any()
+        # every row's change masks are rows of ``cur``: the next plan's stack
+        self._changed = cur if len(rows) == S else None
+        return go
 
 
-def star_session(ip, stmt: ast.UCStmt, inner) -> Optional[StarSession]:
-    """A frontier session for one ``*solve``/``*par`` execution, or None
-    when frontier execution is disabled for this interpreter."""
-    if not ip.config.frontier_sweeps:
+def star_session(ips, stmt: ast.UCStmt, inners, stacks=None) -> Optional[StarSession]:
+    """A frontier session for one ``*solve``/``*par`` execution over the
+    rows ``ips``/``inners`` (``stacks``: a ``run_batch`` construct's lane
+    stacks), or None when frontier execution is disabled for these
+    interpreters."""
+    if not ips[0].config.frontier_sweeps:
         return None
-    sess = StarSession(ip, stmt, inner)
-    return sess if sess.active else None
+    sess = StarSession(ips, stmt, inners, stacks)
+    return sess if sess.an is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ from .values import (
     ElementBinding,
     LaneScalars,
     ScalarVar,
+    broadcast,
     coerce_scalar,
     lanewise,
     lift,
@@ -185,7 +186,7 @@ def _run(ip, regs, steps) -> None:
 
 def _bool_view(v, shape):
     """``broadcast(truthy(v))`` over a mask register's ``shape``."""
-    return np.broadcast_to(np.asarray(truthy(lift(v, len(shape)))), shape)
+    return broadcast(np.asarray(truthy(lift(v, len(shape)))), shape)
 
 
 def _truthy_int(v):
@@ -486,7 +487,7 @@ class _Param:
         if not isinstance(value, np.ndarray):
             value = lanewise(self.cast, m.ndim, value)
         value = np.asarray(lift(value, m.ndim), dtype=self.dtype)
-        regs[self.dst] = np.broadcast_to(value, m.shape).copy()
+        regs[self.dst] = broadcast(value, m.shape).copy()
 
 
 class _Scatter:
@@ -536,7 +537,7 @@ class _Scatter:
         if self.identity and isinstance(value, np.ndarray) and mask.all():
             np.copyto(
                 data.reshape(mask.shape),
-                E._cast_array(np.broadcast_to(value, mask.shape), data.dtype),
+                E._cast_array(broadcast(value, mask.shape), data.dtype),
             )
             ip.cse_invalidate(self.node.base)
             return
@@ -549,7 +550,7 @@ class _Scatter:
             flat = (lanes + flat).reshape(-1)
         flat_idx = flat[flat_mask]
         if isinstance(value, np.ndarray):
-            vals = np.broadcast_to(value, mask.shape).reshape(-1)[flat_mask]
+            vals = broadcast(value, mask.shape).reshape(-1)[flat_mask]
         else:
             vals = np.full(int(flat_mask.sum()), value)
         vals = E._cast_array(vals, data.dtype)
@@ -596,7 +597,7 @@ class _AssignScalar:
             if isinstance(value, LaneScalars):
                 per = value.values
             elif isinstance(value, np.ndarray):
-                per = np.broadcast_to(value, mask.shape)
+                per = broadcast(value, mask.shape)
             else:
                 per = [value] * len(mask)
             unit = regs[self.unit]
@@ -613,7 +614,7 @@ class _AssignScalar:
         a unit runs only with a live VP."""
         if not isinstance(value, np.ndarray):
             return value
-        flat = np.broadcast_to(value, mask.shape)[mask].reshape(-1)
+        flat = broadcast(value, mask.shape)[mask].reshape(-1)
         if np.any(flat != flat[0]):
             other = flat[flat != flat[0]][0]
             raise UCMultipleAssignmentError(
@@ -754,7 +755,7 @@ def _strip_reduce(bin_op, red_op, a, b, shape, n_red, order_safe):
             v = np.int64(v)
         else:  # a float: registers hold arrays and numbers (``values.lift``)
             v = np.float64(v)
-        ops.append(_compact(np.broadcast_to(v, shape)))
+        ops.append(_compact(broadcast(v, shape)))
     dtype = np.result_type(*ops)  # int64 or float64
     bin_ufunc = BINARY_UFUNCS[bin_op]
     red_ufunc = E._RED_UFUNC[red_op]
@@ -904,7 +905,7 @@ class _Reduce:
             _run(ip, regs, esteps[-1:])
         else:
             _run(ip, regs, esteps)
-        val = np.broadcast_to(np.asarray(lift(regs[eout], rank)), shape)
+        val = broadcast(np.asarray(lift(regs[eout], rank)), shape)
         ufunc = E._RED_UFUNC[self.op]
         logical = self.op in _LOGICAL_REDUCTIONS
         dtype = E._result_dtype(self.op, [val])
@@ -918,7 +919,7 @@ class _Reduce:
         m = regs[self.mask]
         # the statement mask's extra leading axes (a lane stack) ride along
         shape = m.shape + self.inner_shape[len(self.inner_shape) - self.n_sets :]
-        base = np.broadcast_to(m.reshape(m.shape + (1,) * self.n_sets), shape)
+        base = broadcast(m.reshape(m.shape + (1,) * self.n_sets), shape)
         regs[self.base] = base
         if self.single_arm and bool(np.all(m)):
             regs[self.dst] = self.reduce_unmasked(ip, regs, shape)
@@ -938,7 +939,7 @@ class _Reduce:
             regs[amreg] = am
             _run(ip, regs, esteps)
             arm_values.append(
-                np.broadcast_to(np.asarray(lift(regs[eout], rank)), shape)
+                broadcast(np.asarray(lift(regs[eout], rank)), shape)
             )
             arm_masks.append(am)
         if self.others is not None:
@@ -947,7 +948,7 @@ class _Reduce:
             regs[omreg] = om
             _run(ip, regs, osteps)
             arm_values.append(
-                np.broadcast_to(np.asarray(lift(regs[oout], rank)), shape)
+                broadcast(np.asarray(lift(regs[oout], rank)), shape)
             )
             arm_masks.append(om)
         regs[self.dst] = E._reduce_op(
@@ -1469,7 +1470,7 @@ class _Fuser:
             return _Val(r, b.is_array, _DYN)
         # array left: evaluate the right side under the refined context
         if a.static is not _DYN:
-            lbool_v = np.broadcast_to(np.asarray(truthy(a.static)), g.shape)
+            lbool_v = broadcast(np.asarray(truthy(a.static)), g.shape)
             lb = self.static_val(lbool_v)
         else:
             r = self.reg()
@@ -1481,7 +1482,7 @@ class _Fuser:
         sub_token = token + (("sc", id(node)),)
         b = self.compile_expr(node.right, g, mr, sub_token, view_ok)
         if lb.static is not _DYN and b.static is not _DYN:
-            rbool = np.broadcast_to(np.asarray(truthy(b.static)), g.shape)
+            rbool = broadcast(np.asarray(truthy(b.static)), g.shape)
             if node.op == "&&":
                 return self.static_val((lb.static & rbool).astype(np.int64))
             return self.static_val((lb.static | rbool).astype(np.int64))
@@ -1500,7 +1501,7 @@ class _Fuser:
             chosen = node.then if c.static else node.els
             return self.compile_expr(chosen, g, mask_reg, token, view_ok)
         if c.static is not _DYN:
-            cbool_v = np.broadcast_to(np.asarray(truthy(c.static)), g.shape)
+            cbool_v = broadcast(np.asarray(truthy(c.static)), g.shape)
             cb = self.static_val(cbool_v)
         else:
             r = self.reg()
@@ -1554,7 +1555,7 @@ class _Fuser:
                     # inf/NaN for an int: the oracle's call raises the
                     # located error (``coerce_scalar``) if the call runs
                     raise _Demote()
-                params[p.name] = self.static_val(np.broadcast_to(cast, g.shape).copy())
+                params[p.name] = self.static_val(broadcast(cast, g.shape).copy())
                 continue
             r = self.reg()
             self.steps.append(_Param(r, v.reg, p, arg, mask_reg))
@@ -1618,11 +1619,11 @@ class _Fuser:
         idx_arrays = []
         for a, s in enumerate(subs):
             if isinstance(s, np.ndarray):
-                compact = _compact(np.broadcast_to(s, grid_shape))
+                compact = _compact(broadcast(s, grid_shape))
                 clipped = np.clip(compact, 0, view_shape[a] - 1)
             else:
                 clipped = np.int64(s)
-            idx_arrays.append(np.broadcast_to(clipped, grid_shape))
+            idx_arrays.append(broadcast(clipped, grid_shape))
         return tuple(idx_arrays)
 
     def _compile_gather(self, node, g, mask_reg, token, view_ok) -> _Val:
@@ -1684,7 +1685,7 @@ class _Fuser:
                 )
                 reduced = tuple(np.ascontiguousarray(ia[sl]) for ia in idx_full)
                 if grid_size > _VERIFY_LIMIT or np.array_equal(
-                    np.broadcast_to(arr.data[reduced], tuple(g.shape)),
+                    broadcast(arr.data[reduced], tuple(g.shape)),
                     arr.data[idx_full],
                 ):
                     recipe = None

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..lang import ast
 from . import eval_expr as E
+from .values import broadcast
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ class _IndexRecipe:
     back to the grid shape as a readonly view.
     """
 
-    __slots__ = ("vecs", "perm", "squeeze", "expand", "shape")
+    __slots__ = ("vecs", "perm", "squeeze", "expand", "shape", "ix")
 
     def __init__(self, vecs, perm, squeeze, expand, shape) -> None:
         self.vecs = vecs
@@ -90,16 +91,17 @@ class _IndexRecipe:
         self.squeeze = squeeze
         self.expand = expand
         self.shape = shape
+        self.ix = np.ix_(*vecs)
 
     def take(self, data: np.ndarray) -> np.ndarray:
-        small = data[np.ix_(*self.vecs)]
+        small = data[self.ix]
         if self.perm is not None:
             small = small.transpose(self.perm)
         if self.squeeze:
             small = small.squeeze(axis=self.squeeze)
         if self.expand:
             small = np.expand_dims(small, axis=self.expand)
-        return np.broadcast_to(small, self.shape)
+        return broadcast(small, self.shape)
 
 
 #: verify recipes against the fancy-gather result only below this size —
@@ -125,7 +127,7 @@ def _build_index_recipe(subs, view_shape, grid_shape) -> Optional[_IndexRecipe]:
             vecs.append(np.asarray([min(max(int(s), 0), hi)], dtype=np.int64))
             assoc.append(None)
             continue
-        sb = np.broadcast_to(s, grid_shape)
+        sb = broadcast(s, grid_shape)
         g = _vary_axis(sb, used)
         if g is None:
             return None
@@ -163,11 +165,11 @@ def _oob_masks(subs, view_shape, grid_shape):
     any_bad = False
     for a, s in enumerate(subs):
         if isinstance(s, np.ndarray):
-            sb = np.broadcast_to(s, grid_shape)
+            sb = broadcast(s, grid_shape)
             comp = _compact(sb)
             ext = view_shape[a]
             if comp.size and (int(comp.min()) < 0 or int(comp.max()) >= ext):
-                out.append(np.broadcast_to((sb < 0) | (sb >= ext), grid_shape))
+                out.append(broadcast((sb < 0) | (sb >= ext), grid_shape))
                 any_bad = True
             else:
                 out.append(None)
@@ -236,7 +238,7 @@ def lane_scatter(flat: np.ndarray, addr: np.ndarray, value):
     if not isinstance(value, np.ndarray):
         value = np.full(n, value)
     elif value.shape != (n,):
-        value = np.broadcast_to(value, (n,))
+        value = broadcast(value, (n,))
     new = value if value.dtype == flat.dtype else E._cast_array(value, flat.dtype)
     old = flat.take(addr)
     flat[addr] = new

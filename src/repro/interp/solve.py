@@ -42,7 +42,7 @@ from .values import ArrayVar, ScalarVar
 def exec_solve(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     inner = enter_grid(ip, stmt, ctx)
     if stmt.star:
-        sweep_loop(ip, stmt, inner, frontier.star_session(ip, stmt, inner))
+        sweep_loop(ip, stmt, inner, frontier.star_session([ip], stmt, [inner]))
         return
     assignments = solve_assignments(stmt)
     strategy = ip.config.solve_strategy

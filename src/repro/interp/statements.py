@@ -372,46 +372,45 @@ def exec_par(ip, stmt: ast.UCStmt, ctx: ExecContext) -> None:
     _check_starred(stmt)
     from . import frontier
 
-    sweep_loop(ip, stmt, inner, frontier.star_session(ip, stmt, inner))
+    sweep_loop(ip, stmt, inner, frontier.star_session([ip], stmt, [inner]))
 
 
-def sweep_loop(ip, stmt: ast.UCStmt, inner: ExecContext, sess, states=None, sweeps=0) -> None:
+def sweep_loop(ip, stmt: ast.UCStmt, inner: ExecContext, sess) -> None:
     """Sweep an entered ``*par`` until no predicate holds, or an entered
     ``*solve`` to its fixed point.
 
-    A sweep runs compressed on the frontier session's active lanes when
-    ``sess.plan_compressed`` elects it, else full — on the fused kernel or
-    the oracle, charged the construct's :func:`sweep_protocol` rows.  A
-    ``run_batch`` lane that leaves its batch mid-construct re-enters here
-    with the compressed sweep it elected (``states``) and the ``sweeps``
-    it spent stacked."""
+    A sweep runs compressed on the (one-row) frontier session's active
+    lanes when ``sess.plan`` elects it, else full — on the fused kernel or
+    the oracle, charged the construct's :func:`sweep_protocol` rows.
+    ``run_batch`` lanes sweep on their own driver
+    (:class:`repro.interp.batch._BatchConstruct`), one stacked session
+    for all of them."""
     from . import frontier
 
     par = stmt.kind == "par"
     clock = ip.machine.clock
     # what a full sweep diffs: everything a *solve's fixed-point test
     # reads, the arrays a *par's frontier session seeds its next sweep from
-    if par:
-        watched = sess.an.modified if sess is not None else []
+    if sess is not None:
+        watched = sess.an.modified
     else:
-        watched = modified_names(stmt)
+        watched = [] if par else modified_names(stmt)
     proto = sweep_protocol(clock.costs, stmt, watched)
     ratios = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
     still = _NEVER_FALSIFIED if par else (lambda: f"still changing each sweep: {summarize()}")
+    sweeps = 0
     while True:
         # sweeps complete atomically; between them is a safe cancel point
         ip.poll_boundary(stmt)
-        if states is None and sess is not None:
-            states = sess.plan_compressed()
-        if states is not None:
+        plan = sess.plan() if sess is not None else None
+        if plan is not None and plan.rows[0] is not None:
             # compressed sweep over the active lanes only, charged at their
             # VP ratio (guarded to cost strictly less than the measured full
             # sweep); a *par's cached per-arm predicate masks (refreshed
             # where re-evaluated) decide termination as the full union would
-            if not sess.run_compressed(states):
+            if not sess.run_compressed(plan):
                 return
-            summarize = sess.last.summary
-            states = None
+            summarize = sess.last[0].summary
         else:
             before = frontier.snapshot(_values(inner, watched))
             if sess is not None:

@@ -188,6 +188,16 @@ class LaneScalars:
         return arr.reshape((len(self.values),) + (1,) * max(0, ndim - 1))
 
 
+def broadcast(value, shape):
+    """``np.broadcast_to(value, shape)`` without the iterator numpy builds
+    even when ``value`` already has ``shape``: then a read-only view."""
+    if isinstance(value, np.ndarray) and value.shape == shape:
+        view = value.view()
+        view.flags.writeable = False
+        return view
+    return np.broadcast_to(value, shape)
+
+
 def lift(v, ndim: int):
     """``v`` as numpy broadcasts it over a lane stack of ``ndim`` dims: a
     :class:`LaneScalars` becomes its ``(S, 1, ..., 1)`` array, anything

@@ -70,7 +70,7 @@ def _as_c_int(out: Value) -> Value:
 
 def _is_int_like(v: Value) -> bool:
     if isinstance(v, np.ndarray):
-        return np.issubdtype(v.dtype, np.integer) or v.dtype == bool
+        return v.dtype.kind in "iub"
     return isinstance(v, (int, np.integer))
 
 

@@ -233,10 +233,10 @@ class Clock:
         ``dense`` marks a sweep the host evaluated on the fused kernel
         over the whole grid (same charges, see ``interp.frontier``)."""
         self.frontier_trace.append((int(active), int(domain)))
-        self.count_frontier("compressed_sweeps")
-        self.count_frontier("dense_sweeps", int(dense))
-        self.count_frontier("active_lanes", int(active))
-        self.count_frontier("domain_lanes", int(domain))
+        counts = self.frontier_counts  # once per row of every compressed sweep
+        for key, n in (("compressed_sweeps", 1), ("dense_sweeps", int(dense)),
+                       ("active_lanes", int(active)), ("domain_lanes", int(domain))):
+            counts[key] = counts.get(key, 0) + n
 
     def charge_scan(self, n_vps: int, *, vp_ratio: int = 1, steps_per_level: int = 1) -> float:
         """Charge one log-depth scan/reduction over ``n_vps`` processors."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.interp import batch as batch_mod
-from repro.interp import fuse
+from repro.interp import frontier, fuse, solve, statements
 from repro.interp.program import UCProgram
 from repro.lang.errors import UCRuntimeError
 from repro.machine import small_config
@@ -328,8 +328,8 @@ class TestLaneScalarsInFusedPar:
 class TestOutOfRangeOnTheStack:
     """One lane's live VPs index out of range inside a batched ``*par``:
     the stacked gather/scatter must raise, never clip, and the run ends
-    in that lane's solo error.  Frontier off: no lane can demote to the
-    solo loop and raise there instead."""
+    in that lane's solo error.  Frontier off: the error must come from
+    the stacked fused kernel, not a compressed lane pass."""
 
     GATHER = (
         "index_set I:i = {0..7};\nint a[8];\nint t;\n"
@@ -411,11 +411,40 @@ class TestStepCensus:
         assert stacked == step_classes - {"_DynGather"}
 
 
-@pytest.mark.usefixtures("default_engines")
-class TestParDemotion:
-    """A lane of a batched ``*par`` whose frontier session elects a
-    compressed sweep leaves the batch mid-construct and finishes on the
-    solo sweep loop; the lanes that never compress stay stacked."""
+@pytest.fixture
+def stacked_only(monkeypatch):
+    """Fails a test whose batch, while on the lane engine, hands a lane to
+    the solo sweep loop: its frontier sweeps must stay stacked."""
+    inside, entered = [], []
+    execute = batch_mod._BatchRun.execute
+
+    def run(self):
+        inside.append(True)
+        try:
+            return execute(self)
+        finally:
+            inside.pop()
+
+    def loop(real):
+        def spy(*args):
+            entered.append(bool(inside))
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(batch_mod._BatchRun, "execute", run)
+    monkeypatch.setattr(statements, "sweep_loop", loop(statements.sweep_loop))
+    monkeypatch.setattr(solve, "sweep_loop", loop(solve.sweep_loop))
+    yield
+    assert not any(entered), "a batched lane entered statements.sweep_loop"
+
+
+@pytest.mark.usefixtures("default_engines", "stacked_only")
+class TestStackedFrontier:
+    """Every lane of a batched ``*par`` keeps its own frontier session row:
+    it plans and charges each sweep as its solo run does, compressed or
+    full, while one fused compute pass and one lane-program pass serve
+    the whole stack."""
 
     #: 16 PEs put the 64-lane grid at VP ratio 4, so compression pays
     KW = dict(machine_config=small_config(16))
@@ -448,7 +477,16 @@ class TestParDemotion:
         assert all(r.compile["batched_lanes"] == len(inputs) for r in batch)
         return batch
 
-    def test_some_lanes_demote_and_the_rest_stay_stacked(self, screened):
+    def test_lanes_compressed_and_full_in_one_sweep(self, screened, monkeypatch):
+        plans = []
+        plan = frontier.StarSession.plan
+
+        def spy(self):
+            out = plan(self)
+            plans.append([p is not None for p in out.rows])
+            return out
+
+        monkeypatch.setattr(frontier.StarSession, "plan", spy)
         inputs = [
             self._count_input(64, 5),  # every VP counts: never compresses
             self._count_input(40, 10),  # 40 of 64: dense compressed sweeps
@@ -461,8 +499,18 @@ class TestParDemotion:
         assert compressed[1] >= 2 and compressed[2] > compressed[1]
         assert 0 < batch[2].frontier["dense_sweeps"] < compressed[2]
         assert all(r["a"].tolist() == [20] * 64 for r in batch)
+        assert any(True in rows and False in rows for rows in plans), plans
 
-    def test_every_lane_demotes(self, screened):
+    def test_every_lane_compressed(self, screened, monkeypatch):
+        passes = []
+        run_lanes = frontier.StarSession._run_lanes
+
+        def spy(self, plan):
+            passes.append((len(plan.rows), sum(p is not None for p in plan.rows)))
+            return run_lanes(self, plan)
+
+        monkeypatch.setattr(frontier.StarSession, "_run_lanes", spy)
+
         def wave(top):
             a = np.zeros(64, dtype=np.int64)
             a[0] = top
@@ -472,11 +520,60 @@ class TestParDemotion:
         batch = self._check(self.WAVE, [ramp, wave(70), wave(12)], screened)
         assert all(r.frontier["compressed_sweeps"] >= 20 for r in batch)
         assert all(r.frontier["full_sweeps"] == 1 for r in batch)
+        # one pass per sweep serves every lane of the stack
+        assert passes.count((3, 3)) >= 10, passes
 
-    def test_demoted_lane_carries_the_batch_sweep_count(self, screened):
-        """The sweeps a lane spent stacked count toward its limit: at the
-        smallest limit its solo run passes, the batch still completes on
-        the lane engine; one below, both fail with the same message."""
+    #: two arms write ``a``: a per-write change mask the net before/after
+    #: diff of a kernel evaluation cannot give, so compressed rows always
+    #: take the lane pass
+    RESET = (
+        "index_set I:i = {0..255};\nint a[256], cap[256];\nint t;\n"
+        "main { *par (I)\n  st (a[i] < cap[i]) a[i] = a[i] + 1;\n"
+        "  st (a[i] > cap[i] + t) a[i] = cap[i];\n}"
+    )
+
+    @staticmethod
+    def _reset_input(counting, t=0):
+        cap = np.zeros(256, dtype=np.int64)
+        cap[:counting] = 30
+        a = np.zeros(256, dtype=np.int64)
+        a[200:] = 50
+        return {"a": a, "cap": cap, "t": t}
+
+    def test_two_arms_on_one_array_take_both_passes(self, screened, monkeypatch):
+        passes = []
+        for cls, name in ((frontier.StarSession, "_run_lanes"), (batch_mod._BatchConstruct, "_fused_sweep")):
+            real = getattr(cls, name)
+
+            def spy(self, arg, *args, real=real, name=name):
+                if name == "_fused_sweep" or len(arg.rows) > 1:  # not a solo run's
+                    passes.append(name)
+                return real(self, arg, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+        # lane 0 counts everywhere (full sweeps), lane 1 on three VPs
+        inputs = [self._reset_input(256), self._reset_input(3)]
+        batch = self._check(self.RESET, inputs, screened)
+        assert batch[0].frontier.get("compressed_sweeps", 0) == 0
+        assert batch[1].frontier["compressed_sweeps"] >= 20
+        assert passes.count("_run_lanes") >= 20 and passes.count("_fused_sweep") >= 20
+
+    def test_differing_scalars_on_two_arms_rerun_sequentially(self, screened):
+        """Rows whose host scalars differ share no register file, and with
+        two arms on one array the kernel cannot stand in: the batch
+        reruns sequentially, lane for lane the solo runs."""
+        inputs = [self._reset_input(3, t=0), self._reset_input(3, t=1)]
+        solo, batch = _solo_and_batch(self.RESET, inputs, **self.KW)
+        _assert_lanes_match(solo, batch, ["a"])
+        assert all(r.frontier["compressed_sweeps"] >= 20 for r in solo)
+        assert screened == [True]
+        assert not any("batched_lanes" in r.compile for r in batch)
+
+    def test_stacked_lane_carries_the_sweep_count(self, screened):
+        """The sweep limit counts a stacked lane's sweeps as its solo run
+        does: at the smallest limit its solo run passes, the batch
+        completes on the lane engine; one below, both fail with the same
+        message (the batch by its sequential rerun)."""
         inputs = [self._count_input(64, 17), self._count_input(40, 10)]
 
         def solo(limit):
@@ -492,13 +589,67 @@ class TestParDemotion:
             except UCRuntimeError as err:
                 solo_err = err
                 need += 1
-        assert need > 4, "the demoted lane must outlast the stacked one"
+        assert need > 4, "the compressed lane must outlast the other one"
         self._check(self.COUNT, inputs, screened, solve_sweep_limit=need)
         with pytest.raises(UCRuntimeError) as batch_err:
             UCProgram(
                 self.COUNT, compile_store=None, solve_sweep_limit=need - 1, **self.KW
             ).run_batch([_copy(i) for i in inputs])
         assert str(batch_err.value) == str(solo_err)
+
+
+@pytest.mark.usefixtures("default_engines", "stacked_only")
+class TestBatchingPays:
+    """Coalescing must pay: a stack of lanes runs strictly fewer lane-program
+    passes than the same lanes solo, with every lane's values, Clock and
+    counters equal to its solo run's."""
+
+    def _passes(self, monkeypatch, run):
+        count = []
+        steps = frontier._run_lane_steps
+
+        def spy(program, R):
+            count.append(1)
+            return steps(program, R)
+
+        monkeypatch.setattr(frontier, "_run_lane_steps", spy)
+        try:
+            return run(), len(count)
+        finally:
+            monkeypatch.setattr(frontier, "_run_lane_steps", steps)
+
+    def _check(self, monkeypatch, src, defines, inputs, names):
+        prog = UCProgram(src, defines=defines, compile_store=None)
+        solo, solo_passes = self._passes(
+            monkeypatch, lambda: [prog.run(_copy(inp)) for inp in inputs]
+        )
+        batch, batch_passes = self._passes(
+            monkeypatch, lambda: prog.run_batch([_copy(inp) for inp in inputs])
+        )
+        assert all(r.compile["batched_lanes"] == len(inputs) for r in batch)
+        _assert_lanes_match(solo, batch, names)
+        assert all(r.frontier["compressed_sweeps"] > 0 for r in solo)
+        assert 0 < batch_passes < solo_passes, (batch_passes, solo_passes)
+
+    def test_obstacle_lanes(self, monkeypatch):
+        from repro.bench.workloads import OBSTACLE_UC
+
+        self._check(monkeypatch, OBSTACLE_UC, {"R": 16, "WALL": 10**6}, [None] * 3, ["a"])
+
+    def test_dynamic_obstacle_lanes_with_different_walls(self, monkeypatch):
+        from repro.bench.workloads import DYNAMIC_OBSTACLE_UC
+
+        rng = np.random.default_rng(5)
+        inputs = []
+        for _ in range(3):
+            walls = (rng.random((16, 16)) < 0.15).astype(np.int64)
+            walls[0, 0] = 0
+            a = np.full((16, 16), 10**6, dtype=np.int64)
+            a[0, 0] = 0
+            inputs.append({"a": a, "walls": walls})
+        self._check(
+            monkeypatch, DYNAMIC_OBSTACLE_UC, {"R": 16, "WALL": 10**6}, inputs, ["a", "walls"]
+        )
 
 
 class TestFallbacks:

@@ -674,8 +674,8 @@ class TestRecipeRiders:
 @pytest.mark.usefixtures("default_engines")
 class TestDemotedBatchLanes:
     def test_demoted_lanes_evaluate_densely_like_solo_runs(self, monkeypatch):
-        # lanes whose session elects a compressed sweep leave the batch
-        # and finish in the solo loop — same evaluator choice as a solo run
+        # each lane's session row elects its compressed sweeps and their
+        # evaluator (dense or lanes) as its solo run does, on the stack
         from repro.interp import batch as batch_mod
 
         def no_fallback(*_a, **_k):

@@ -220,8 +220,9 @@ main {
 
     def test_tables_of_equal_bytes_stay_distinct(self):
         """The out-of-range row of ``w[k-1]`` over K = {0..7} (bool,
-        ``[T, F, F, ...]``) and the constant address of ``c[1]`` (int64
-        ``[1]``) are the same eight bytes: two constants, not one."""
+        ``[T, F, F, ...]``) has the eight bytes of an int64 ``[1]``:
+        constants key on their dtype too.  ``c[1]`` reads one slot per
+        stacked row, its address a row offset plus 1."""
         src = (
             "index_set I:i = {0..15}, J:j = I, K:k = {0..7};\n"
             "int d[16][16], w[8], c[4];\n"
@@ -235,6 +236,19 @@ main {
         inputs = {"d": d, "w": np.zeros(8, dtype=np.int64), "c": np.array([7, 0, 7, 7])}
         on = _engines(src, inputs, machine_config=small_config(64))
         assert on.frontier["compressed_sweeps"] >= 1
+
+    def test_reduction_body_without_its_element(self):
+        """A reduction body that never reads the reduction element spans
+        the lanes only: it broadcasts over the selected range."""
+        src = (
+            "index_set I:i = {0..63}, K:k = {0..3};\nint a[64], b[64];\n"
+            "main { *par (I) st (a[i] < b[i]) a[i] = $>(K; a[i] + 1); }"
+        )
+        b = np.zeros(64, dtype=np.int64)
+        b[:5] = [9, 4, 7, 2, 5]
+        on = _engines(src, {"b": b}, machine_config=small_config(16))
+        assert on["a"].tolist() == b.tolist()
+        assert on.frontier["compressed_sweeps"] >= 5
 
     def test_rebound_scalar_gives_fresh_tables(self):
         """``t`` feeds a hoisted comparison; one cached analysis serves

@@ -11,9 +11,9 @@ import pytest
 
 from repro.analysis import lint_program
 from repro.cli import main
-from repro.interp import batch, interpreter
-from repro.interp.compile_store import LRU
+from repro.interp import batch
 from repro.interp.program import UCProgram
+from repro.interp.statements import enter_grid
 from repro.lang.errors import UCSemanticError
 from repro.machine import small_config
 from tests.properties.test_lowering_diff import assert_engines_agree
@@ -440,10 +440,19 @@ def test_batch_over_the_memory_cap_runs_the_lanes_solo(monkeypatch):
 
 @pytest.mark.usefixtures("default_engines")
 def test_batch_whose_kernel_left_the_cache_reruns_sequentially(monkeypatch):
-    """A one-entry plan cache evicts the screened kernel while the lanes
-    enter the grid: ``_prepare`` aborts and the batch reruns solo.  (The
-    lanes share the private cache their lead's interpreter made.)"""
-    monkeypatch.setattr(interpreter, "LRU", lambda: LRU(1))
+    """The screened kernel leaves the plan cache while the lanes enter the
+    grid (cleared as the second lane enters): ``_prepare`` meets another
+    kernel, aborts, and the batch reruns solo.  (The lanes share the
+    private cache their lead's interpreter made.)"""
+    entered = []
+
+    def evicting(ip, stmt, ctx):
+        entered.append(stmt)
+        if len(entered) == 2:
+            ip.plan_cache.clear()
+        return enter_grid(ip, stmt, ctx)
+
+    monkeypatch.setattr(batch, "enter_grid", evicting)
     results = UCProgram(STAR_PAR, compile_store=None).run_batch(LANES)
     assert "batched_lanes" not in results[0].compile
     _same_as_solo(results, STAR_PAR, compile_store=None)

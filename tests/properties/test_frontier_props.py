@@ -158,8 +158,8 @@ def test_fusion_matches_plan_engine_on_both_frontier_modes(case):
 def test_batch_lanes_match_solo_runs(case, n_lanes):
     """Lane ``i`` of ``run_batch`` is bit-identical — values and Clock
     fingerprint — to solo run ``i``, whatever the engine and frontier
-    mode.  Frontier programs exercise the lane-demotion path (lanes whose
-    sessions elect compressed sweeps finish solo)."""
+    mode.  Frontier programs exercise the stacked session (each lane's
+    row plans its own compressed or full sweeps)."""
     src, seed, template = case
     lane_inputs = [_inputs(seed ^ k, template) for k in range(n_lanes)]
     for plans, frontier in ((True, True), (True, False), (False, False)):

@@ -126,6 +126,9 @@ def assert_engines_agree(src: str, lanes, defines=None, machine_config=None) -> 
             want = solo["engine"][lane][1]
             assert _digest(res) == _digest(want), f"run_batch lane {lane} values\n{src}"
             assert res.fingerprint == want.fingerprint, f"run_batch lane {lane} fingerprint\n{src}"
+            # a stacked row that charges compressed but traces dense (or the
+            # reverse) moves no value and no charge: only these counters see it
+            assert res.frontier == want.frontier, f"run_batch lane {lane} frontier\n{src}"
     return first
 
 
