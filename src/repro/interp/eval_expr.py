@@ -595,7 +595,7 @@ def _coerce_to_dtype(value: Value, dtype: np.dtype):
 
 
 def _cast_array(vals: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    if np.issubdtype(dtype, np.integer) and np.issubdtype(vals.dtype, np.floating):
+    if dtype.kind in "iu" and vals.dtype.kind == "f":
         return np.trunc(vals).astype(dtype)
     return vals.astype(dtype)
 
@@ -754,7 +754,7 @@ def eval_reduction(ip, node: ast.Reduction, ctx: ExecContext) -> Value:
 def _result_dtype(op: str, arm_values: List[np.ndarray]) -> np.dtype:
     if op in ("logand", "logor", "logxor"):
         return np.dtype(np.int64)
-    if any(np.issubdtype(v.dtype, np.floating) for v in arm_values):
+    if any(v.dtype.kind == "f" for v in arm_values):
         return np.dtype(np.float64)
     return np.dtype(np.int64)
 
