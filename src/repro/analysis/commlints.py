@@ -33,7 +33,7 @@ from ..lang.ast import expr_to_text
 from ..machine.config import CostTable
 from .context import AnalysisModel
 from .diagnostics import Diagnostic
-from .staticref import A, SiteVerdict
+from .staticref import SiteVerdict
 
 
 #: shard count the UC305 cross-shard lint models.  Any K > 1 proves the
@@ -297,7 +297,7 @@ def _diag_for(
 
 
 def _unused_elems(model: AnalysisModel, v: SiteVerdict) -> List[str]:
-    used = {s.g for s in v.subvals if s.kind == A}
+    used = {s.axis for s in v.subs}
     layout = (
         model.layouts.get(v.ref.node.base) if v.ref.node.base in model.layouts else None
     )

@@ -35,9 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..lang import ast
+from ..mapping.maps import Subscript
 from .context import AnalysisModel, AssignSite, Axis, ConstructSite
 from .diagnostics import Diagnostic
-from .staticref import A, C, D, U, SiteVerdict, SubVal, realize_subscript
+from .staticref import SiteVerdict, read_at
 
 #: grids larger than this are not enumerated for cross-statement overlap
 _ENUM_LIMIT = 1 << 16
@@ -67,7 +68,7 @@ def write_claims(verdicts: Sequence[SiteVerdict]) -> Dict[Tuple[int, int, str], 
         if not v.ref.write or v.ref.node.line <= 0:
             continue
         key = (v.ref.node.line, v.ref.node.col, v.ref.node.base)
-        verdict, _axes = injectivity(v.subvals, v.ref.axes)
+        verdict, _axes = injectivity(v.subs, v.ref.axes)
         nodes.setdefault(key, set()).add(id(v.ref.node))
         prev = claims.get(key)
         if prev is None:
@@ -87,23 +88,23 @@ def write_claims(verdicts: Sequence[SiteVerdict]) -> Dict[Tuple[int, int, str], 
 
 
 def injectivity(
-    subvals: Sequence[SubVal], axes: Sequence[Axis]
+    subs: Sequence[Subscript], axes: Sequence[Axis]
 ) -> Tuple[str, List[int]]:
     """('injective' | 'collision' | 'unknown', colliding grid axes)."""
-    has_data = any(v.kind == D for v in subvals)
+    has_data = any(s.desc is None for s in subs)
     colliding: List[int] = []
     unknown = False
     for g, axis in enumerate(axes):
         if axis.extent <= 1:
             continue
-        varying = [v for v in subvals if v.kind == A and v.g == g]
-        exact = [v for v in varying if v.exact]
+        varying = [s for s in subs if s.axis == g]
+        exact = [s.desc[2] for s in varying if s.exact]
         # one exactly-known injective component makes the whole tuple
         # injective along this axis
-        if any(np.unique(v.vals).size == v.vals.size for v in exact):
+        if any(np.unique(vals).size == vals.size for vals in exact):
             continue
         if len(exact) > 1:
-            stacked = np.stack([v.vals for v in exact])
+            stacked = np.stack(exact)
             if np.unique(stacked, axis=1).shape[1] == stacked.shape[1]:
                 continue
         if has_data or len(exact) != len(varying):
@@ -176,7 +177,7 @@ def _check_construct(
         if v is None:
             continue
         _check_self_collision(model, asn, v, file, diags)
-        if not asn.guarded and all(s.exact for s in v.subvals):
+        if not asn.guarded and all(s.exact for s in v.subs):
             enumerable.append((asn, v))
     _check_cross_statement(model, enumerable, file, diags)
 
@@ -189,7 +190,7 @@ def _check_self_collision(
     diags: List[Diagnostic],
 ) -> None:
     target = asn.assign.target
-    verdict, colliding = injectivity(v.subvals, asn.axes)
+    verdict, colliding = injectivity(v.subs, asn.axes)
     if verdict == "injective":
         return
     if verdict == "unknown":
@@ -214,10 +215,10 @@ def _check_self_collision(
         )
         return
     # structural collision: decide whether the colliding lanes agree
-    rhs = realize_subscript(asn.assign.value, asn, model)
+    rhs = read_at(asn.assign.value, asn, model)
     worst = "benign"
     for g in colliding:
-        worst = _max_verdict(worst, _rhs_verdict(rhs, g, v.subvals))
+        worst = _max_verdict(worst, _rhs_verdict(rhs, g, v.subs))
         if worst == "definite":
             break
     if worst == "benign":
@@ -261,29 +262,28 @@ def _check_self_collision(
     )
 
 
-def _rhs_verdict(rhs: SubVal, g: int, target_subs: Sequence[SubVal]) -> str:
+def _rhs_verdict(rhs: Subscript, g: int, target_subs: Sequence[Subscript]) -> str:
     """Do colliding lanes along axis ``g`` carry equal values?"""
-    if rhs.kind in (C, U):
-        return "benign"  # grid-uniform, even when the value is unknown
-    if rhs.kind == A:
-        if rhs.g != g:
-            return "benign"  # constant along the colliding axis
-        if not rhs.exact:
-            return "possible"
-        # duplicate-collision axis: lanes with equal target values must
-        # carry equal RHS values; a fully-collapsed axis has one group
-        groups: Dict[Tuple, List[int]] = {}
-        cols = [v for v in target_subs if v.kind == A and v.g == g and v.exact]
-        n = len(rhs.vals)
-        for k in range(n):
-            key = tuple(int(v.vals[k]) for v in cols)
-            groups.setdefault(key, []).append(k)
-        for members in groups.values():
-            vals = {int(rhs.vals[k]) for k in members}
-            if len(vals) > 1:
-                return "definite"
+    if rhs.desc is None:
+        return "possible"
+    if rhs.axis != g:
+        # grid-uniform (even when the value is unknown), or constant
+        # along the colliding axis
         return "benign"
-    return "possible"
+    if not rhs.exact:
+        return "possible"
+    # duplicate-collision axis: lanes with equal target values must
+    # carry equal RHS values; a fully-collapsed axis has one group
+    groups: Dict[Tuple, List[int]] = {}
+    cols = [s.desc[2] for s in target_subs if s.axis == g and s.exact]
+    rhs_vals = rhs.desc[2]
+    for k in range(len(rhs_vals)):
+        key = tuple(int(vals[k]) for vals in cols)
+        groups.setdefault(key, []).append(k)
+    for members in groups.values():
+        if len({int(rhs_vals[k]) for k in members}) > 1:
+            return "definite"
+    return "benign"
 
 
 def _max_verdict(a: str, b: str) -> str:
@@ -301,17 +301,17 @@ def _check_scalar_target(
     name = target.ident
     if name not in model.info.scalars and name not in model.host_scalars:
         return  # element bindings / parallel locals have their own rules
-    rhs = realize_subscript(asn.assign.value, asn, model)
-    if rhs.kind in (C, U):
+    rhs = read_at(asn.assign.value, asn, model)
+    if rhs.desc is not None and rhs.axis is None:
         return
-    if rhs.kind == A and rhs.exact and np.unique(rhs.vals).size > 1:
+    if rhs.axis is not None and rhs.exact and np.unique(rhs.desc[2]).size > 1:
         diags.append(
             Diagnostic(
                 code="UC101",
                 severity="error" if not asn.guarded else "warning",
                 message=(
                     f"par assigns multiple distinct values to scalar {name!r} "
-                    f"(the value varies along {asn.axes[rhs.g].elem!r})"
+                    f"(the value varies along {asn.axes[rhs.axis].elem!r})"
                 ),
                 line=target.line,
                 col=target.col,
@@ -323,7 +323,7 @@ def _check_scalar_target(
             )
         )
         return
-    if rhs.kind == A and rhs.exact:
+    if rhs.axis is not None and rhs.exact:
         return  # varies along an axis but with a single realised value
     diags.append(
         Diagnostic(
@@ -389,17 +389,17 @@ def _element_set(asn: AssignSite, v: SiteVerdict) -> Optional[frozenset]:
     if not size or size > _ENUM_LIMIT:
         return None
     cols = []
-    for sub in v.subvals:
-        if sub.kind == C:
-            cols.append(np.full(size, sub.value, dtype=np.int64))
-        elif sub.kind == A and sub.exact:
-            view = [1] * len(shape)
-            view[sub.g] = shape[sub.g]
-            cols.append(
-                np.broadcast_to(sub.vals.reshape(view), shape).reshape(-1)
-            )
-        else:
+    for sub in v.subs:
+        if not sub.exact:
             return None
+        if sub.axis is None:
+            cols.append(np.full(size, sub.desc[1], dtype=np.int64))
+        else:
+            view = [1] * len(shape)
+            view[sub.axis] = shape[sub.axis]
+            cols.append(
+                np.broadcast_to(sub.desc[2].reshape(view), shape).reshape(-1)
+            )
     if not cols:
         return None
     return frozenset(zip(*(c.tolist() for c in cols)))
@@ -410,6 +410,6 @@ def _same_constant_rhs(
 ) -> bool:
     if a.assign.op or b.assign.op:
         return False
-    ra = realize_subscript(a.assign.value, a, model)
-    rb = realize_subscript(b.assign.value, b, model)
-    return ra.kind == C and rb.kind == C and ra.exact and rb.exact and ra.value == rb.value
+    ra = read_at(a.assign.value, a, model)
+    rb = read_at(b.assign.value, b, model)
+    return ra.exact and rb.exact and ra.axis is None and ra.desc == rb.desc

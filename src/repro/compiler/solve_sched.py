@@ -8,9 +8,14 @@ the order of their dependencies."
 A body's dependence facts come from one table, :func:`dependence_table`,
 read by this scheduler, the guarded frontier's worklist
 (:mod:`repro.interp.frontier`) and the UC201 lint
-(:mod:`repro.analysis.solvechecks`).  When every target is an identity
-target and every reference has a *grid-position* shift ``d <= 0``, not
-all zero, the level of grid point ``x`` is ``L(x) = 1 + max L(x + d)``.
+(:mod:`repro.analysis.solvechecks`).  Each reference is read by
+:func:`repro.mapping.maps.read_subscript`, the one subscript reader:
+any subscript it realises exactly along at most one grid axis — an
+offset ``i-1``, a mirror ``N-1-i``, a wrap ``(i+1)%N``, ``i/2`` — has
+per-lane landing positions.  When every target is an identity target
+and every reference has a *grid-position* shift ``d <= 0`` (the same at
+every lane), not all zero, the level of grid point ``x`` is
+``L(x) = 1 + max L(x + d)``.
 Execution is then a ``seq`` over levels of masked ``par`` steps — no
 readiness bookkeeping, which is exactly why the paper calls the
 scheduled form more efficient than the guarded ``*par`` translation.
@@ -25,9 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCSemanticError
 from ..machine.router import has_duplicates, lookup_positions
-from ..mapping.maps import affine_subscript
+from ..mapping.maps import grid_reader, read_reference
 
 
 @dataclass
@@ -123,33 +127,6 @@ def try_schedule(
     )
 
 
-def affine_ref_axes(
-    node: ast.Index,
-    elems: Dict[str, str],
-    constants: Dict[str, int],
-) -> Optional[Tuple[Tuple[Optional[str], int], ...]]:
-    """Per-subscript ``(elem, offset)`` pairs for an affine array reference.
-
-    One entry per subscript of ``node``: ``(elem_name, offset)`` where
-    ``elem_name`` is ``None`` for a compile-time-constant subscript (the
-    offset is then the constant's value).  Returns ``None`` when any
-    subscript is not affine ``elem + const`` with scale 1 — negated
-    elements, element products, or data-dependent subscripts.  The
-    dependence table below and the frontier engine's change-mask
-    dilation (:mod:`repro.interp.frontier`) both read references this way.
-    """
-    out: List[Tuple[Optional[str], int]] = []
-    for sub in node.subs:
-        try:
-            a = affine_subscript(sub, elems, constants)
-        except UCSemanticError:
-            return None
-        if a.elem is not None and a.scale != 1:
-            return None
-        out.append((a.elem, int(a.offset)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the dependence table
 # ---------------------------------------------------------------------------
@@ -160,7 +137,9 @@ class SolveRef:
     """One reference into a solve target (see :func:`dependence_table`)."""
 
     node: ast.Index
-    axes: Optional[Tuple[Tuple[Optional[str], int], ...]]  # affine_ref_axes
+    #: per subscript, its realised descriptor (``classify_affine``'s
+    #: ``('u', v)`` / ``('a', g, vals)``); None unless every one is exact
+    descs: Optional[Tuple[Tuple, ...]]
     in_reduction: bool
     in_arm: bool  # in a ternary's then/else arm
     role: str  # "value", "pred" or "target" (in a target subscript)
@@ -188,16 +167,16 @@ def identity_target(
     target: ast.Index, axes: Sequence, constants: Dict[str, int]
 ) -> Optional[Tuple[int, ...]]:
     """The grid axis of each subscript of ``target`` when every subscript
-    is a bare grid element, each grid axis is used at most once and its
-    values are distinct (one lane per element), else None."""
-    desc = affine_ref_axes(target, {axis.elem: axis.set_name for axis in axes}, constants)
-    if desc is None or any(elem is None or c for elem, c in desc):
+    takes the values of a grid element (``i``, ``i+0``, ...), each grid
+    axis is used at most once and its values are distinct (one lane per
+    element), else None."""
+    reader = grid_reader(axes)
+    descs = read_reference(target, reader, constants)
+    vals = dict(reader.values())  # grid axis -> its element values
+    if descs is None or any(d[0] != "a" or not np.array_equal(d[2], vals[d[1]]) for d in descs):
         return None
-    axis_of = {axis.elem: g for g, axis in enumerate(axes)}
-    grid = tuple(axis_of[elem] for elem, _c in desc)
-    if len(set(grid)) != len(grid) or any(
-        has_duplicates(np.asarray(axes[g].values, dtype=np.int64)) for g in grid
-    ):
+    grid = tuple(d[1] for d in descs)
+    if len(set(grid)) != len(grid) or any(has_duplicates(d[2]) for d in descs):
         return None
     return grid
 
@@ -213,10 +192,11 @@ def dependence_table(
     A shift counts grid positions, not element values: the reference is
     realised over the axis values and each index looked up among the
     positions of the target that defines it, ignoring lanes whose index
-    lands outside it.  Over ``{0,2,4,6}``, ``a[i-2]`` has shift ``(-1,)``.
+    lands outside it.  Over ``{0,2,4,6}``, ``a[i-2]`` has shift ``(-1,)``;
+    ``a[N-1-i]`` over ``{0..N-1}`` has none (its lanes land at different
+    distances).
     """
-    elems = {axis.elem: axis.set_name for axis in axes}
-    axis_of = {axis.elem: g for g, axis in enumerate(axes)}
+    reader = grid_reader(axes)
     vals = [np.asarray(axis.values, dtype=np.int64) for axis in axes]
     maps = {
         assign.target.base: identity_target(assign.target, axes, constants)
@@ -231,12 +211,12 @@ def dependence_table(
         refs = []
         for root, role in roots:
             for node, in_reduction, in_arm in _target_refs(root, maps):
-                desc = affine_ref_axes(node, elems, constants)
+                descs = read_reference(node, reader, constants)
                 tmap = maps[node.base]
                 shift = None
-                if desc is not None and tmap is not None and len(desc) == len(tmap):
-                    shift = _position_shift(desc, tmap, axis_of, vals)
-                refs.append(SolveRef(node, desc, in_reduction, in_arm, role, shift))
+                if descs is not None and tmap is not None and len(descs) == len(tmap):
+                    shift = _position_shift(descs, tmap, vals)
+                refs.append(SolveRef(node, descs, in_reduction, in_arm, role, shift))
         target = maps[t.base] if isinstance(t, ast.Index) else None
         table.append(SolveEquation(assign, target, tuple(refs)))
     return table
@@ -255,14 +235,14 @@ def _target_refs(expr: Optional[ast.Node], targets, in_reduction=False, in_arm=F
         yield from _target_refs(child, targets, in_reduction, arm)
 
 
-def _position_shift(desc, tmap, axis_of, vals) -> Optional[Tuple[int, ...]]:
-    """The uniform shift of the reference ``desc`` into a target whose
+def _position_shift(descs, tmap, vals) -> Optional[Tuple[int, ...]]:
+    """The uniform shift of the reference ``descs`` into a target whose
     subscripts sit on grid axes ``tmap``, or None."""
     pos = np.indices(tuple(len(v) for v in vals))
     shift = np.zeros_like(pos)
     hit = np.ones(pos.shape[1:], dtype=bool)
-    for (elem, c), g in zip(desc, tmap):
-        idx = c if elem is None else vals[axis_of[elem]][pos[axis_of[elem]]] + c
+    for d, g in zip(descs, tmap):
+        idx = d[1] if d[0] == "u" else d[2][pos[d[1]]]
         at = lookup_positions(vals[g], idx)
         hit &= at >= 0
         shift[g] = at - pos[g]

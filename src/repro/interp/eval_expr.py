@@ -492,7 +492,7 @@ def eval_scatter(
         idx = tuple(int(s) for s in subs)
         _bounds_check(node, subs, view_shape, np.ones((), bool))
         ip.machine.clock.charge("host_cm_latency")
-        data[idx] = _coerce_to_dtype(value, data.dtype)
+        data[idx] = coerce_scalar("int" if data.dtype.kind in "iu" else "float", value, node)
         ip.cse_invalidate(node.base)
         return
 
@@ -525,7 +525,7 @@ def eval_scatter(
         vals = broadcast(value, ctx.grid.shape).reshape(-1)[flat_mask]
     else:
         vals = np.full(int(flat_mask.sum()), value)
-    vals = _cast_array(vals, data.dtype)
+    vals = _cast_array(vals, data.dtype, node)
 
     _check_single_assignment(
         node,
@@ -588,14 +588,15 @@ def _check_single_assignment(
     )
 
 
-def _coerce_to_dtype(value: Value, dtype: np.dtype):
-    if np.issubdtype(dtype, np.integer):
-        return int(value)
-    return float(value)
-
-
-def _cast_array(vals: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _cast_array(vals: np.ndarray, dtype: np.dtype, node=None) -> np.ndarray:
+    """``vals`` as ``dtype``: floats truncate toward zero into an integer
+    dtype.  A write passes its target ``node`` and only its written
+    lanes: an infinite or NaN value among them has no ``int``, the
+    located error :func:`~repro.interp.values.coerce_scalar` raises for
+    the scalar form."""
     if dtype.kind in "iu" and vals.dtype.kind == "f":
+        if node is not None and not np.isfinite(vals).all():
+            coerce_scalar("int", vals[~np.isfinite(vals)].flat[0], node)
         return np.trunc(vals).astype(dtype)
     return vals.astype(dtype)
 
@@ -659,7 +660,7 @@ def _assign_parallel_local(
     mask = ctx.active_mask()
     if ctx.grid.rank == var.grid_rank:
         arr = broadcast(value, ctx.grid.shape)
-        var.data[mask] = _cast_array(np.asarray(arr)[mask], var.data.dtype)
+        var.data[mask] = _cast_array(np.asarray(arr)[mask], var.data.dtype, node)
         ip.cse_invalidate(var.name)
         return
     # assignment from an extended grid: values must agree along the extra axes
@@ -676,7 +677,7 @@ def _assign_parallel_local(
             node.line,
             node.col,
         )
-    var.data[any_mask] = _cast_array(mn[any_mask], var.data.dtype)
+    var.data[any_mask] = _cast_array(mn[any_mask], var.data.dtype, node)
     ip.cse_invalidate(var.name)
 
 

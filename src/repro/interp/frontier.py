@@ -6,9 +6,9 @@ still make progress.  This module realises that optimization for the
 iterated constructs ``*solve`` and ``*par`` (plus a worklist restriction
 for guarded ``solve``): each sweep records a per-element change mask for
 every written array, and the next sweep's active set is the dilation of
-those masks through the statically extracted affine reference offsets
-(``elem + const``, the same reference shapes
-:mod:`repro.compiler.solve_sched` builds schedules from).  A lane whose
+those masks through the body's references, each subscript realised over
+the grid by :func:`repro.mapping.maps.read_subscript` (the one reader
+:mod:`repro.compiler.solve_sched` and the analyzer use too).  A lane whose
 inputs did not change cannot change, so the sweep runs *compressed*:
 the Clock is charged at the VP ratio of the active set instead of the
 full grid.  That is the whole of what the simulated machine sees; how
@@ -25,15 +25,18 @@ Correctness strategy — decide-before-execute behind a measured guard:
 * **Analysis** (cached in the plan cache under kind ``"frontier"``,
   keyed by the construct node and grid axes) accepts a restricted
   grammar: arms that are single direct assignments to
-  identity-subscripted canonical arrays, affine array references, pure
-  operators and builtins, and (at the root of a value) a single-set
-  ``min``/``max``/``add``-family reduction.  Anything else — permuted
-  or folded layouts, user calls, ``rand``, scalar or parallel-local
-  targets, op-assignments, nested constructs, non-affine subscripts —
-  falls back to full sweeps, bit-identical to the non-frontier build.
+  identity-subscripted canonical arrays; array references whose every
+  subscript the reader realises exactly, as a constant or as values
+  along one grid axis (``i-1``, ``N-1-i``, ``(i+1)%N``, ``i/2``), no
+  two along the same axis; pure operators and builtins; and (at the
+  root of a value) a single-set ``min``/``max``/``add``-family
+  reduction.  Anything else — permuted or folded layouts, user calls,
+  ``rand``, scalar or parallel-local targets, op-assignments, nested
+  constructs, data-dependent or host-scalar subscripts — falls back to
+  full sweeps, bit-identical to the non-frontier build.
 * **Planning**: each arm's distinct references into the modified arrays
   carry a static dilation recipe — per-axis ``take``s with the clipped
-  subscript vectors, cut at analysis time (:func:`_dilation_recipe`) —
+  realised subscript vectors, cut at analysis time (:func:`_dilation_recipe`) —
   so a sweep's active set costs one small ``take`` per shifted axis of
   each distinct reference, whatever the body repeats.  Guarded ``solve``
   worklists (:class:`GuardedFrontier`) ride the same recipe.
@@ -107,7 +110,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from ..compiler.solve_sched import affine_ref_axes, dependence_table, identity_target
+from ..compiler.solve_sched import dependence_table, identity_target
 from ..lang import ast
 from ..lang.ast import expr_to_text
 from ..lang.operators import BINARY_UFUNCS, COMPARISONS, apply_binop, apply_unary
@@ -116,6 +119,7 @@ from ..machine.cost import Recorder, bind_rows, charge_row, scan_levels
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
+from ..mapping.maps import read_reference
 from . import commtiers, fuse
 from .eval_expr import BUILTIN_VALUES, _RED_UFUNC, _reduce_op, cse_key
 from .plan import lane_check, lane_scatter, lane_sub
@@ -282,15 +286,29 @@ def _out_of_range(bad, desc, R) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _one_per_axis(descs, shape) -> bool:
+    """A reference the frontier can dilate through: every subscript
+    realised exactly (``descs`` not None), one per array axis, no two
+    varying along the same axis (``a[i][i]``: the geometry is ambiguous)."""
+    if descs is None or len(descs) != len(shape):
+        return False
+    axes = [d[1] for d in descs if d[0] == "a"]
+    return len(axes) == len(set(axes))
+
+
+def _ref_key(base: str, descs) -> Tuple:
+    """A hashable key of the reference ``base[descs]``."""
+    return (base,) + tuple(d if d[0] == "u" else (d[1], d[2].tobytes()) for d in descs)
+
+
 class _RefInfo:
-    """One distinct affine reference into a *modified* array, with its
-    static dilation recipe (see :func:`_dilation_recipe`)."""
+    """One distinct reference into a *modified* array, with its static
+    dilation recipe (see :func:`_dilation_recipe`)."""
 
-    __slots__ = ("base", "axes", "takes", "collapse", "order", "bshape")
+    __slots__ = ("base", "takes", "collapse", "order", "bshape")
 
-    def __init__(self, base: str, axes, recipe) -> None:
+    def __init__(self, base: str, recipe) -> None:
         self.base = base
-        self.axes = axes  # per array axis: (elem_name | None, const offset)
         self.takes, self.collapse, self.order, self.bshape = recipe
 
     def dilate(self, ch: np.ndarray) -> np.ndarray:
@@ -313,7 +331,7 @@ class _RedInfo:
 
     def __init__(self) -> None:
         #: (base, array axis, clipped index vector) per distinct reference
-        #: whose subscript on that axis is the reduction element
+        #: whose subscript on that axis varies with the reduction element
         self.delta_refs: List[Tuple[str, int, np.ndarray]] = []
         self.full_refs: List[str] = []  # modified arrays referenced without the elem
         self.read_arrays: Set[str] = set()
@@ -344,7 +362,9 @@ class _Analysis:
         self.axis_vals = [
             np.asarray(axis.values, dtype=np.int64) for axis in grid.axes
         ]
-        self.grid_axis_of = {axis.elem: g for g, axis in enumerate(grid.axes)}
+        #: ``read_subscript``'s element bindings: each grid element, its
+        #: axis and values (a reduction adds its element as axis ``rank``)
+        self.reader = {axis.elem: (g, self.axis_vals[g]) for g, axis in enumerate(grid.axes)}
         self.arms: List[_ArmInfo] = []
         self.modified: List[str] = []
         self.array_shapes: Dict[str, Tuple[int, ...]] = {}
@@ -387,15 +407,15 @@ class _Compiler:
         self.inner = inner
         self.an = an
         self.modified = modified
-        self.red_ctx: Optional[dict] = None  # {'elem', 'set_name', 'grid', 'info', 'seen'}
+        self.red_ctx: Optional[dict] = None  # {'reader', 'grid', 'info', 'seen'}
         self.memo: Dict[Tuple, _Val] = {}  # tables and constants, construct-wide
         self.kept: Set[int] = set()  # prelude registers the sweeps read
         self.written: Set[str] = set()  # targets of the arms compiled so far
         #: the address table that is just the lanes' own flat positions
-        self.identity_key = None
-        if all(np.array_equal(v, np.arange(len(v))) for v in an.axis_vals):
-            axes = zip(an.grid_shape, _c_strides(an.grid_shape))
-            self.identity_key = tuple((g, 0, n, s) for g, (n, s) in enumerate(axes))
+        axes = zip(an.grid_shape, _c_strides(an.grid_shape))
+        self.identity_key = tuple(
+            (g, np.arange(n, dtype=np.int64).tobytes(), s) for g, (n, s) in enumerate(axes)
+        )
 
     def begin_arm(self) -> None:
         self.cse_seen: Set[str] = set()
@@ -412,11 +432,15 @@ class _Compiler:
 
     # -- helpers ----------------------------------------------------------
 
-    def _elems_dict(self) -> Dict[str, str]:
-        elems = {axis.elem: axis.set_name for axis in self.inner.grid.axes}
-        if self.red_ctx is not None:
-            elems[self.red_ctx["elem"]] = self.red_ctx["set_name"]
-        return elems
+    def _read(self, node: ast.Index, shape) -> Tuple[Tuple, ...]:
+        """Each subscript of ``node``'s realised descriptor
+        (:func:`repro.mapping.maps.read_subscript`), the one the engines'
+        classifier takes."""
+        reader = self.red_ctx["reader"] if self.red_ctx is not None else self.an.reader
+        descs = read_reference(node, reader, self.ip.info.constants)
+        if not _one_per_axis(descs, shape):
+            raise _NotFrontierable()
+        return descs
 
     def _scope(self) -> int:
         return _RED if self.red_ctx is not None else _LANE
@@ -435,23 +459,13 @@ class _Compiler:
             self.an.array_regs[name] = self._new()
         return binding
 
-    def _classify(self, node: ast.Index, axes_desc, arr: ArrayVar, *, write: bool):
+    def _classify(self, descs, arr: ArrayVar, *, write: bool):
         """Tier-classify the reference exactly as the engines would — but
         through the O(extent) affine fast path: every subscript we accept
-        is single-axis affine, so 1-D value arrays carry the same verdict
-        as the materialised full-grid subscripts the engines classify."""
+        is realised along at most one axis, so 1-D value arrays carry the
+        same verdict as the materialised full-grid subscripts the engines
+        classify."""
         grid = self.red_ctx["grid"] if self.red_ctx is not None else self.inner.grid
-        descs = []
-        for elem, c in axes_desc:
-            if elem is None:
-                descs.append(("u", int(c)))
-            else:
-                if self.red_ctx is not None and elem == self.red_ctx["elem"]:
-                    axis = grid.rank - 1
-                else:
-                    axis = self.an.grid_axis_of[elem]
-                vals = np.asarray(grid.axes[axis].values, dtype=np.int64)
-                descs.append(("a", axis, vals + c if c else vals))
         classify = classify_write_affine if write else classify_affine
         rc = classify(descs, grid.shape, grid.axis_elems, arr.layout)
         tier = commtiers.decide_tier(
@@ -549,7 +563,7 @@ class _Compiler:
         self.chain = outer
         return out
 
-    def _check_step(self, node: ast.Index, a: int, extent: int, where, oob, raw, key=None) -> None:
+    def _check_step(self, node: ast.Index, a: int, extent: int, where, oob, raw) -> None:
         """Emit the bounds check of subscript ``a`` of ``node``: ``oob``
         marks the out-of-range entries of its axis table (``where``: the
         grid axis, _KAXIS, or None for a constant, checked unconditionally
@@ -565,7 +579,7 @@ class _Compiler:
         elif where == _KAXIS:
             bad, chain = self._red_row(oob, _B), self.chain
         else:
-            bad, chain = self._grid_table(key, where, oob, _B), self.chain
+            bad, chain = self._grid_table(("oob", where, oob.tobytes()), where, oob, _B), self.chain
             shape = self.an.grid_shape
             where = (_c_strides(shape)[where], shape[where])
         dead, proof = self._const(False), None
@@ -657,10 +671,10 @@ class _Compiler:
         name = expr.ident
         an = self.an
         binding = self.inner.env.try_lookup(name)
-        if self.red_ctx is not None and name == self.red_ctx["elem"]:
+        if self.red_ctx is not None and name == self.red_ctx["info"].elem:
             return self._red_row(self.red_ctx["info"].values_arr)
         if isinstance(binding, ElementBinding) and binding.kind == "axis":
-            # ``enter_grid`` numbers the axes as ``grid_axis_of`` does
+            # ``enter_grid`` numbers the axes as ``an.reader`` does
             axis = binding.axis
             return self._grid_table(("elem", axis), axis, an.axis_vals[axis])
         if isinstance(binding, (ScalarVar, int, float, np.integer, np.floating)) or (
@@ -671,9 +685,9 @@ class _Compiler:
             return _Val(an.scalar_regs[name], _S, inv=True)
         raise _NotFrontierable()
 
-    def _address(self, node: ast.Index, shape, axes_desc) -> Tuple[_Val, bool]:
+    def _address(self, node: ast.Index, shape, descs) -> Tuple[_Val, bool]:
         """``(flat address, any subscript can leave its extent)`` of the
-        reference ``node`` = ``base[axes_desc]`` into an array of ``shape``.
+        reference ``node`` = ``base[descs]`` into an array of ``shape``.
 
         Each subscript is resolved against its extent once, over the
         values its element can take (:func:`repro.interp.plan.lane_sub`):
@@ -683,27 +697,23 @@ class _Compiler:
         one — and a subscript that can leave its extent gets a check in
         front of the gather."""
         an = self.an
-        red: Optional[_RedInfo] = self.red_ctx["info"] if self.red_ctx else None
         lane, key, row, const, checked = [], [], None, 0, False
-        for a, ((elem, c), extent, stride) in enumerate(
-            zip(axes_desc, shape, _c_strides(shape))
-        ):
-            if elem is None:
-                index, raw, where = min(max(int(c), 0), extent - 1), int(c), None
+        for a, (desc, extent, stride) in enumerate(zip(descs, shape, _c_strides(shape))):
+            if desc[0] == "u":
+                index, raw, where = min(max(desc[1], 0), extent - 1), desc[1], None
                 oob = None if index == raw else True
                 const += index * stride
             else:
-                where = _KAXIS if red is not None and elem == red.elem else an.grid_axis_of[elem]
-                vals = red.values_arr if where == _KAXIS else an.axis_vals[where]
-                index, oob, raw = lane_sub(vals + c if c else vals, extent)
+                where = _KAXIS if desc[1] == an.rank else desc[1]
+                index, oob, raw = lane_sub(desc[2], extent)
                 if where == _KAXIS:
                     row = index * stride
                 else:
                     lane.append((where, index * stride))
-                    key.append((where, c, extent, stride))
+                    key.append((where, index.tobytes(), stride))
             if oob is not None:
                 checked = True
-                self._check_step(node, a, extent, where, oob, raw, ("oob", where, c, extent))
+                self._check_step(node, a, extent, where, oob, raw)
         size = math.prod(shape)
         key = ("addr", tuple(key), const, size)
         if key not in self.memo:
@@ -729,32 +739,21 @@ class _Compiler:
 
     def _compile_index(self, expr: ast.Index, rec) -> _Val:
         arr = self._register_array(expr.base)
-        elems = self._elems_dict()
-        axes_desc = affine_ref_axes(expr, elems, self.ip.info.constants)
-        if axes_desc is None or len(axes_desc) != len(arr.shape):
-            raise _NotFrontierable()
-        seen_elems = [e for e, _c in axes_desc if e is not None]
-        if len(seen_elems) != len(set(seen_elems)):
-            raise _NotFrontierable()  # a[i][i]: dilation geometry ambiguous
+        descs = self._read(expr, arr.shape)
         red: Optional[_RedInfo] = self.red_ctx["info"] if self.red_ctx else None
         base = expr.base
-        key = (base, axes_desc)
+        key = _ref_key(base, descs)
         if base in self.modified and key not in self.refs:
-            self.refs[key] = _RefInfo(
-                base, axes_desc, _dilation_recipe(self.an, axes_desc, arr.shape, red, lead=1)
-            )
+            self.refs[key] = _RefInfo(base, _dilation_recipe(self.an, descs, arr.shape, lead=1))
         if base in self.modified and red is not None and key not in self.red_ctx["seen"]:
             self.red_ctx["seen"].add(key)
             red.read_arrays.add(base)
-            bound = [a for a, (e, _c) in enumerate(axes_desc) if e == red.elem]
+            bound = [a for a, d in enumerate(descs) if d[0] == "a" and d[1] == self.an.rank]
             for a in bound:
-                c = axes_desc[a][1]
-                red.delta_refs.append(
-                    (base, a, np.clip(red.values_arr + c, 0, arr.shape[a] - 1))
-                )
+                red.delta_refs.append((base, a, np.clip(descs[a][2], 0, arr.shape[a] - 1)))
             if not bound:
                 red.full_refs.append(base)
-        tier, rc, gshape = self._classify(expr, axes_desc, arr, write=False)
+        tier, rc, gshape = self._classify(descs, arr, write=False)
         # gshape/layout carry the full-grid geometry to the shard sink:
         # slab exchanges are bulk per sweep, so the split is over the
         # whole grid even on compressed sweeps
@@ -762,7 +761,7 @@ class _Compiler:
             rec, tier, rc, write=False, vp_ratio=self._scope(),
             grid_shape=gshape, layout=arr.layout,
         )  # fmt: skip
-        addr, checked = self._address(expr, arr.shape, axes_desc)
+        addr, checked = self._address(expr, arr.shape, descs)
         # invariant: never written by the construct, every subscript in range
         field = _Val(self.an.array_regs[base], _N, inv=base not in self.modified and not checked)
         return self._apply(_N, _GATHER, field, addr)
@@ -916,7 +915,7 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         t_map = identity_target(t, grid.axes, ip.info.constants)
         if t_map is None or len(t_map) != grid.rank or len(arr.shape) != grid.rank:
             raise _NotFrontierable()
-        t_axes = tuple((grid.axes[g].elem, 0) for g in t_map)
+        t_descs = tuple(("a", g, an.axis_vals[g]) for g in t_map)
         arm.target = t.base
         arm.red = None
         arm.steps = comp.begin_program()
@@ -933,13 +932,13 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
             # as its own entry, charged on the sweeps that take the delta
             body_rec.entries.append(("d",))
             arm.steps = comp.begin_program()
-        w_tier, w_rc, w_gshape = comp._classify(t, t_axes, arr, write=True)
+        w_tier, w_rc, w_gshape = comp._classify(t_descs, arr, write=True)
         commtiers.charge_tier_at(
             body_rec, w_tier, w_rc, write=True, vp_ratio=_LANE,
             grid_shape=w_gshape, layout=arr.layout,
         )  # fmt: skip
         # the write's address and bounds checks close the arm's program
-        addr, _checked = comp._address(t, arr.shape, t_axes)
+        addr, _checked = comp._address(t, arr.shape, t_descs)
         arm.target_table, arm.target_addr = addr.reg, comp._lanes(addr)
         comp.written.add(t.base)
         arm.pred_rows = bind_rows(pred_rec.entries, an.costs)
@@ -974,15 +973,12 @@ def _compile_reduction(
     red = _RedInfo()
     red.node = node
     red.op = node.op
-    red.set_name = isv.name
     red.elem = isv.elem_name
-    red.values = tuple(int(v) for v in isv.values)
-    red.values_arr = np.asarray(red.values, dtype=np.int64)
-    red.extent = len(red.values)  # semantics rejects an empty index set
+    red.values_arr = np.asarray(isv.values, dtype=np.int64)
+    red.extent = len(red.values_arr)  # semantics rejects an empty index set
     ext_grid = inner.grid.extend([isv])
     comp.red_ctx = {
-        "elem": red.elem,
-        "set_name": red.set_name,
+        "reader": {**an.reader, red.elem: (an.rank, red.values_arr)},
         "grid": ext_grid,
         "info": red,
         "seen": set(),
@@ -1005,17 +1001,18 @@ def _compile_reduction(
 # ---------------------------------------------------------------------------
 
 
-def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo], lead: int = 0) -> Tuple:
-    """The static dilation recipe of one reference ``base[axes]`` into an
+def _dilation_recipe(an: _Analysis, descs, shape, lead: int = 0) -> Tuple:
+    """The static dilation recipe of one reference ``base[descs]`` into an
     array of ``shape``: ``(takes, collapse, order, bshape)``, for change
     masks with ``lead`` stacked axes in front (a session's rows: one).
 
     A lane can see a changed slot when, axis by axis, its clipped
     subscript lands on it — and clipping is separable, so the dilation of
     a change mask is a chain of per-axis ``take``s with the clipped
-    subscript vectors (``takes``; an axis whose vector is the identity
-    needs none), an ``any`` over the axes bound to the reduction element
-    (``collapse``: any changed slot along its range), and a transpose
+    realised subscript vectors, injective or not (``takes``; an axis
+    whose vector is the identity needs none), an ``any`` over the axes
+    that vary with the reduction element, axis ``an.rank`` (``collapse``:
+    any changed slot along its range), and a transpose
     (``order``) plus reshape (``bshape``) that put the grid-bound axes in
     grid order, broadcastable over the grid axes the reference does not
     constrain.  Everything depends only on the analysis (grid geometry,
@@ -1025,24 +1022,23 @@ def _dilation_recipe(an: _Analysis, axes, shape, red: Optional[_RedInfo], lead: 
     takes = []
     collapse = []
     bound = []  # (grid axis, array axis)
-    for a, (elem, c) in enumerate(axes):
+    for a, desc in enumerate(descs):
         extent = shape[a]
-        if elem is None:
-            vec = np.array([min(max(int(c), 0), extent - 1)], dtype=np.int64)
-        elif red is not None and elem == red.elem:
-            vec = np.clip(red.values_arr + c, 0, extent - 1)
-            collapse.append(a)
+        if desc[0] == "u":
+            vec = np.array([min(max(desc[1], 0), extent - 1)], dtype=np.int64)
         else:
-            g = an.grid_axis_of[elem]
-            vec = np.clip(an.axis_vals[g] + c, 0, extent - 1)
-            bound.append((g, a))
+            vec = np.clip(desc[2], 0, extent - 1)
+            if desc[1] == an.rank:
+                collapse.append(a)
+            else:
+                bound.append((desc[1], a))
         if not (len(vec) == extent and np.array_equal(vec, np.arange(extent))):
             takes.append((a + lead, vec))
     bound.sort()
     # constant and collapsed axes have length one by the time the mask is
     # transposed, so only the relative order of the grid-bound axes counts
     kept = [a for _g, a in bound]
-    order = tuple(a for a in range(len(axes)) if a not in kept) + tuple(kept)
+    order = tuple(a for a in range(len(descs)) if a not in kept) + tuple(kept)
     order = tuple(range(lead)) + tuple(a + lead for a in order)
     bshape = [-1] * lead + [1] * an.rank
     for g, _a in bound:
@@ -1612,7 +1608,7 @@ class StarSession:
             addr = R[arm.target_addr]
             if delta:  # combine the delta scan with the stored result
                 value = _RED_UFUNC[red.op](flat.take(addr), value)
-            changed, old, new = lane_scatter(flat, addr, value)
+            changed, old, new = lane_scatter(flat, addr, value, arm.node.target)
             n_changed = int(np.count_nonzero(changed))
             if n_changed:
                 where = addr if n_changed == n_ok else addr[changed]
@@ -1693,16 +1689,12 @@ def _guarded_analyze(ip, stmt, assignments, inner) -> object:
     for eq in dependence_table(assignments, inner.grid.axes, ip.info.constants):
         mine: Dict[Tuple, _RefInfo] = {}
         for ref in eq.refs:
-            axes, shape = ref.axes, an.array_shapes[ref.node.base]
-            if ref.in_reduction or axes is None or len(axes) != len(shape):
-                return _FALLBACK  # rebinding or a non-affine subscript obscures the lanes
-            seen = [e for e, _c in axes if e is not None]
-            if len(seen) != len(set(seen)):
-                return _FALLBACK
-            if (ref.node.base, axes) not in mine:
-                mine[ref.node.base, axes] = _RefInfo(
-                    ref.node.base, axes, _dilation_recipe(an, axes, shape, None)
-                )
+            shape = an.array_shapes[ref.node.base]
+            if ref.in_reduction or not _one_per_axis(ref.descs, shape):
+                return _FALLBACK  # rebinding or an unrealised subscript obscures the lanes
+            key = _ref_key(ref.node.base, ref.descs)
+            if key not in mine:
+                mine[key] = _RefInfo(ref.node.base, _dilation_recipe(an, ref.descs, shape))
         refs.append(list(mine.values()))
     return GuardedFrontier(an, refs)
 

@@ -537,7 +537,7 @@ class _Scatter:
         if self.identity and isinstance(value, np.ndarray) and mask.all():
             np.copyto(
                 data.reshape(mask.shape),
-                E._cast_array(broadcast(value, mask.shape), data.dtype),
+                E._cast_array(broadcast(value, mask.shape), data.dtype, self.node),
             )
             ip.cse_invalidate(self.node.base)
             return
@@ -553,7 +553,7 @@ class _Scatter:
             vals = broadcast(value, mask.shape).reshape(-1)[flat_mask]
         else:
             vals = np.full(int(flat_mask.sum()), value)
-        vals = E._cast_array(vals, data.dtype)
+        vals = E._cast_array(vals, data.dtype, self.node)
         if not self.unique:
             E._check_single_assignment(
                 self.node,

@@ -223,8 +223,9 @@ def lane_check(a: int, node: ast.Index, extent: int, bad, raw) -> None:
         E.out_of_range(a, node, extent, bad, raw)
 
 
-def lane_scatter(flat: np.ndarray, addr: np.ndarray, value):
-    """Scatter ``value`` into the flat field at per-lane addresses.
+def lane_scatter(flat: np.ndarray, addr: np.ndarray, value, node=None):
+    """Scatter ``value`` into the flat field at per-lane addresses of the
+    target ``node``.
 
     All lanes are active writers (the frontier engine has already applied
     the predicate and checked the target's bounds), and the caller
@@ -239,7 +240,7 @@ def lane_scatter(flat: np.ndarray, addr: np.ndarray, value):
         value = np.full(n, value)
     elif value.shape != (n,):
         value = broadcast(value, (n,))
-    new = value if value.dtype == flat.dtype else E._cast_array(value, flat.dtype)
+    new = value if value.dtype == flat.dtype else E._cast_array(value, flat.dtype, node)
     old = flat.take(addr)
     flat[addr] = new
     return old != new, old, new

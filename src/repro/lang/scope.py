@@ -97,13 +97,15 @@ class ScopeStack:
     def lookup(self, name: str) -> Optional[Symbol]:
         return self.current.lookup(name)
 
-    def require(self, name: str, *kinds: str) -> Symbol:
+    def require(self, name: str, *kinds: str, at) -> Symbol:
+        """The symbol ``name`` (of one of ``kinds``, when given); raises
+        at the position of node ``at``, where the name is used."""
         sym = self.lookup(name)
         if sym is None:
-            raise UCSemanticError(f"undeclared identifier {name!r}")
+            raise UCSemanticError(f"undeclared identifier {name!r}", at.line, at.col)
         if kinds and sym.kind not in kinds:
             raise UCSemanticError(
-                f"{name!r} is a {sym.kind}, expected {' or '.join(kinds)}"
+                f"{name!r} is a {sym.kind}, expected {' or '.join(kinds)}", at.line, at.col
             )
         return sym
 

@@ -263,10 +263,10 @@ class Analyzer:
 
     def _check_map_section(self, section: ast.MapSection, info: ProgramInfo) -> None:
         for name in section.index_sets:
-            self.scopes.require(name, "index_set")
+            self.scopes.require(name, "index_set", at=section)
         for decl in section.decls:
             for name in decl.index_sets:
-                self.scopes.require(name, "index_set")
+                self.scopes.require(name, "index_set", at=decl)
             self._check_map_ref(decl.target, info, decl)
             if decl.source is not None:
                 self._check_map_ref(decl.source, info, decl)
@@ -302,7 +302,7 @@ class Analyzer:
             )
         with self.scopes.scoped():
             for s in decl.index_sets:
-                isv = self.scopes.require(s, "index_set").value
+                isv = self.scopes.require(s, "index_set", at=decl).value
                 self.scopes.declare(Symbol(isv.elem_name, "element", value=s))
             for sub in ref.subs:
                 self._check_expr(sub)
@@ -374,7 +374,7 @@ class Analyzer:
         elems: Set[str] = set()
         with self.scopes.scoped():
             for name in stmt.index_sets:
-                sym = self.scopes.require(name, "index_set")
+                sym = self.scopes.require(name, "index_set", at=stmt)
                 isv: IndexSetValue = sym.value
                 if isv.elem_name in elems:
                     raise UCSemanticError(
@@ -429,7 +429,7 @@ class Analyzer:
         """An assignment or ``++``/``--`` writes an array element or a
         scalar variable, never an element, set, function or array name."""
         if isinstance(expr.target, ast.Name):
-            sym = self.scopes.require(expr.target.ident)
+            sym = self.scopes.require(expr.target.ident, at=expr.target)
             if sym.kind not in ("scalar",):
                 raise UCSemanticError(
                     f"cannot assign to {expr.target.ident!r}: it is a "
@@ -447,10 +447,10 @@ class Analyzer:
                 "a string literal can only be printf's format", expr.line, expr.col
             )
         if isinstance(expr, ast.Name):
-            self.scopes.require(expr.ident)
+            self.scopes.require(expr.ident, at=expr)
             return
         if isinstance(expr, ast.Index):
-            sym = self.scopes.require(expr.base, "array")
+            sym = self.scopes.require(expr.base, "array", at=expr)
             if sym.dims and sym.dims != (0,) * len(sym.dims):
                 if len(expr.subs) > len(sym.dims):
                     raise UCSemanticError(
@@ -494,7 +494,7 @@ class Analyzer:
                         expr.col,
                     )
             else:
-                sym = self.scopes.require(expr.func, "function")
+                sym = self.scopes.require(expr.func, "function", at=expr)
                 func: ast.FuncDef = sym.value
                 if len(expr.args) != len(func.params):
                     raise UCSemanticError(
@@ -521,7 +521,7 @@ class Analyzer:
             elems: Set[str] = set()
             with self.scopes.scoped():
                 for name in expr.index_sets:
-                    sym = self.scopes.require(name, "index_set")
+                    sym = self.scopes.require(name, "index_set", at=expr)
                     isv: IndexSetValue = sym.value
                     if isv.elem_name in elems:
                         raise UCSemanticError(

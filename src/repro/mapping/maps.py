@@ -1,4 +1,5 @@
-"""Turning parsed ``map`` sections into concrete layouts.
+"""Turning parsed ``map`` sections into concrete layouts, and reading
+subscripts.
 
 A map declaration relates two array references over index-set elements,
 e.g. ``permute (I) b[i+1] :- a[i];`` — "place element ``i+1`` of ``b``
@@ -7,75 +8,191 @@ where element ``i`` of ``a`` lives".  With ``a`` canonical this gives
 permutation; ``fold`` and ``copy`` populate the corresponding layout
 fields.  Map declarations never change program results (the paper's
 central claim, property-tested in ``tests/properties``).
+
+:func:`read_subscript` is the one reader of a subscript expression.  The
+map builders below take its symbolic form; the solve dependence table
+(:mod:`repro.compiler.solve_sched`), the frontier engine
+(:mod:`repro.interp.frontier`) and the static analyzer
+(:mod:`repro.analysis.staticref`) take its realisation, which is the
+descriptor :func:`repro.mapping.locality.classify_affine` classifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Container, Dict, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..lang import ast
-from ..lang.errors import UCSemanticError
+from ..lang.errors import UCError, UCSemanticError
+from ..lang.operators import apply_binop, apply_unary
 from ..lang.semantics import ProgramInfo, _ConstEvaluator
 from .layout import AxisFold, Layout, LayoutTable
 from .default import default_layouts
 
 
-@dataclass(frozen=True)
-class AffineSub:
-    """A subscript of the form ``scale*elem + offset`` (or pure constant)."""
+class Affine(NamedTuple):
+    """A subscript as ``scale*elem + offset`` (``elem`` None and ``scale``
+    0 for a compile-time constant)."""
 
     elem: Optional[str]
     scale: int
     offset: int
 
 
-def affine_subscript(
-    expr: ast.Expr, elements: Dict[str, str], constants: Dict[str, int]
-) -> AffineSub:
-    """Canonicalise a map-section subscript to ``scale*elem + offset``.
+class Subscript(NamedTuple):
+    """One subscript expression, read once by :func:`read_subscript`."""
 
-    ``elements`` maps element identifiers in scope to their index sets.
-    Raises if the subscript is not affine in at most one element.
+    #: its value over the bound element values, as ``classify_affine``
+    #: takes it: ``('u', v)``, uniform over the grid; ``('a', g, vals)``,
+    #: ``vals[k]`` at coordinate ``k`` of grid axis ``g`` and constant
+    #: along every other axis; None, data-dependent
+    desc: Optional[Tuple]
+    #: the numbers in ``desc`` are the subscript's values (False when a
+    #: grid-uniform term of unknown value stood in as 0: structure only)
+    exact: bool
+    #: its symbolic form when it is ``+``/``-`` of at most one element
+    #: and compile-time constants, else None
+    affine: Optional[Affine]
+    #: where that form breaks (``affine`` None)
+    broken: Optional[ast.Node] = None
+
+    @property
+    def axis(self) -> Optional[int]:
+        """The grid axis ``desc`` varies along, or None."""
+        return self.desc[1] if self.desc is not None and self.desc[0] == "a" else None
+
+    def require_affine(self, constants: Dict[str, int]) -> Affine:
+        """The symbolic form, or the map builders' error for ``broken``."""
+        if self.affine is not None:
+            return self.affine
+        node = self.broken
+        if not (isinstance(node, ast.Binary) and node.op in ("+", "-")):
+            _ConstEvaluator(constants).eval(node)  # raises: not a compile-time constant
+        raise UCSemanticError("map subscript uses two index elements", node.line, node.col)
+
+
+#: a grid-uniform term of unknown value (a ``seq`` element, a host scalar)
+_UNKNOWN = ("u", 0)
+
+
+def read_subscript(
+    expr: ast.Expr,
+    axes: Mapping[str, Tuple[int, np.ndarray]],
+    constants: Mapping[str, int],
+    uniform: Container[str] = (),
+) -> Subscript:
+    """Read ``expr`` once: its realisation and its symbolic form.
+
+    A name is looked up in ``axes`` (each bound element's grid axis and
+    int64 values), then among the ``constants``, then in ``uniform``
+    (grid-uniform names of unknown value: ``seq`` elements, host
+    scalars); anything else is data-dependent.  The realisation pushes the
+    element values through the arithmetic with the engines' C semantics
+    (:func:`repro.lang.operators.apply_binop`); it is data-dependent
+    where array contents, calls or two grid axes enter, and it takes the
+    branch of a ternary whose condition is a known constant.
     """
-    consts = _ConstEvaluator(constants)
+    if isinstance(expr, ast.IntLit):
+        return _folded(expr, ("u", int(expr.value)), True)
+    if isinstance(expr, ast.Name):
+        name = expr.ident
+        if name in axes:
+            g, vals = axes[name]
+            return Subscript(("a", g, vals), True, Affine(name, 1, 0))
+        if name in constants:
+            return _folded(expr, ("u", int(constants[name])), True)
+        if name in uniform:
+            return Subscript(_UNKNOWN, False, None, expr)
+        return Subscript(None, False, None, expr)
+    if isinstance(expr, ast.Unary):
+        v = read_subscript(expr.operand, axes, constants, uniform)
+        desc, exact = _realise(lambda x: apply_unary(expr.op, x, expr), v)
+        if expr.op == "-":
+            affine = v.affine and Affine(v.affine.elem, -v.affine.scale, -v.affine.offset)
+            return Subscript(desc, exact, affine, v.broken)
+        return _folded(expr, desc, exact)
+    if isinstance(expr, ast.Binary):
+        left = read_subscript(expr.left, axes, constants, uniform)
+        right = read_subscript(expr.right, axes, constants, uniform)
+        desc, exact = _realise(lambda x, y: apply_binop(expr.op, x, y, expr), left, right)
+        if expr.op not in ("+", "-"):
+            return _folded(expr, desc, exact)
+        if left.affine is None or right.affine is None:
+            return Subscript(desc, exact, None, left.broken or right.broken)
+        (l_elem, l_scale, l_off), (r_elem, r_scale, r_off) = left.affine, right.affine
+        if expr.op == "-":
+            r_scale, r_off = -r_scale, -r_off
+        if l_elem is not None and r_elem is not None:
+            return Subscript(desc, exact, None, expr)
+        affine = Affine(l_elem or r_elem, l_scale if l_elem else r_scale, l_off + r_off)
+        return Subscript(desc, exact, affine)
+    if isinstance(expr, ast.Ternary):
+        cond = read_subscript(expr.cond, axes, constants, uniform)
+        if cond.exact and cond.desc[0] == "u":
+            branch = expr.then if cond.desc[1] else expr.els
+            v = read_subscript(branch, axes, constants, uniform)
+            return _folded(expr, v.desc, v.exact)
+    # Index / Call / Reduction / float and INF literals / a ternary on an
+    # unknown condition: data-dependent
+    return Subscript(None, False, None, expr)
 
-    def go(e: ast.Expr) -> AffineSub:
-        if isinstance(e, ast.Name) and e.ident in elements:
-            return AffineSub(e.ident, 1, 0)
-        if isinstance(e, ast.Unary) and e.op == "-":
-            s = go(e.operand)
-            return AffineSub(s.elem, -s.scale, -s.offset)
-        if isinstance(e, ast.Binary) and e.op in ("+", "-"):
-            l, r = go(e.left), go(e.right)
-            if e.op == "-":
-                r = AffineSub(r.elem, -r.scale, -r.offset)
-            if l.elem is not None and r.elem is not None:
-                raise UCSemanticError(
-                    "map subscript uses two index elements", e.line, e.col
-                )
-            elem = l.elem or r.elem
-            scale = l.scale if l.elem else r.scale
-            if elem is None:
-                scale = 0
-            return AffineSub(elem, scale, l.offset + r.offset)
-        # anything else must be a compile-time constant
-        return AffineSub(None, 0, consts.eval(e))
 
-    sub = go(expr)
-    if sub.elem is not None and sub.scale not in (1, -1):
-        raise UCSemanticError(
-            "map subscripts must have unit element coefficient", expr.line, expr.col
-        )
-    return sub
+def _folded(expr: ast.Expr, desc: Optional[Tuple], exact: bool) -> Subscript:
+    """A node the symbolic form takes only as a compile-time constant."""
+    if exact and desc[0] == "u":
+        return Subscript(desc, True, Affine(None, 0, desc[1]))
+    return Subscript(desc, exact, None, expr)
 
 
-def _decl_elements(decl: ast.MapDecl, info: ProgramInfo) -> Dict[str, str]:
-    elems: Dict[str, str] = {}
-    for set_name in decl.index_sets:
-        isv = info.index_sets[set_name]
-        elems[isv.elem_name] = set_name
-    return elems
+def _realise(fn, *operands: Subscript):
+    """``(desc, exact)`` of ``fn`` (C semantics) over the operands' values."""
+    descs = [s.desc for s in operands]
+    if any(d is None for d in descs):
+        return None, False
+    axes = {d[1] for d in descs if d[0] == "a"}
+    if len(axes) > 1:
+        return None, False  # varies along two grid axes
+    exact = all(s.exact for s in operands)
+    try:
+        if axes:
+            vals = [d[2] if d[0] == "a" else np.int64(d[1]) for d in descs]
+            return ("a", axes.pop(), np.asarray(fn(*vals), dtype=np.int64)), exact
+        if exact:
+            return ("u", int(fn(*(d[1] for d in descs)))), True
+    except (UCError, TypeError, ValueError, OverflowError):
+        return None, False
+    return _UNKNOWN, False  # a uniform term of unknown value: still uniform
+
+
+def read_reference(
+    node: ast.Index, axes: Mapping[str, Tuple[int, np.ndarray]], constants: Mapping[str, int]
+) -> Optional[Tuple[Tuple, ...]]:
+    """The realised descriptor of every subscript of ``node``, or None
+    when one is not known exactly."""
+    subs = [read_subscript(sub, axes, constants) for sub in node.subs]
+    return tuple(s.desc for s in subs) if all(s.exact for s in subs) else None
+
+
+def grid_reader(grid_axes) -> Dict[str, Tuple[int, np.ndarray]]:
+    """``read_subscript``'s ``axes`` for grid axes (anything with ``elem``
+    and ``values``), numbered in order."""
+    return {
+        axis.elem: (g, np.asarray(axis.values, dtype=np.int64))
+        for g, axis in enumerate(grid_axes)
+    }
+
+
+def _decl_subscripts(decl: ast.MapDecl, info: ProgramInfo):
+    """The symbolic form of each subscript of the target and the source
+    (it does not depend on the element values: one value each will do)."""
+    sets = [info.index_sets[name] for name in decl.index_sets]
+    axes = {isv.elem_name: (g, np.asarray(isv.values[:1], dtype=np.int64))
+            for g, isv in enumerate(sets)}
+    return [
+        [read_subscript(s, axes, info.constants).require_affine(info.constants) for s in ref.subs]
+        for ref in (decl.target, decl.source)
+    ]
 
 
 def apply_map_decl(decl: ast.MapDecl, table: LayoutTable, info: ProgramInfo) -> None:
@@ -99,9 +216,7 @@ def _apply_permute(decl: ast.MapDecl, table: LayoutTable, info: ProgramInfo) -> 
     permutations; mirror coefficients belong to ``fold``.
     """
     assert decl.source is not None
-    elems = _decl_elements(decl, info)
-    tgt_subs = [affine_subscript(s, elems, info.constants) for s in decl.target.subs]
-    src_subs = [affine_subscript(s, elems, info.constants) for s in decl.source.subs]
+    tgt_subs, src_subs = _decl_subscripts(decl, info)
     target = table.get(decl.target.base)
     source = table.get(decl.source.base)
 
@@ -157,9 +272,7 @@ def _apply_fold(decl: ast.MapDecl, table: LayoutTable, info: ProgramInfo) -> Non
     ``a[c - i] :- a[i]`` gives a *mirror* fold around ``c/2``.
     """
     assert decl.source is not None
-    elems = _decl_elements(decl, info)
-    tgt_subs = [affine_subscript(s, elems, info.constants) for s in decl.target.subs]
-    src_subs = [affine_subscript(s, elems, info.constants) for s in decl.source.subs]
+    tgt_subs, src_subs = _decl_subscripts(decl, info)
     layout = table.get(decl.target.base)
 
     fold_axis = None
@@ -200,9 +313,7 @@ def _apply_copy(decl: ast.MapDecl, table: LayoutTable, info: ProgramInfo) -> Non
     replication element; its index set's size is the replication extent.
     """
     assert decl.source is not None
-    elems = _decl_elements(decl, info)
-    tgt_subs = [affine_subscript(s, elems, info.constants) for s in decl.target.subs]
-    src_subs = [affine_subscript(s, elems, info.constants) for s in decl.source.subs]
+    tgt_subs, src_subs = _decl_subscripts(decl, info)
     src_elems = {s.elem for s in src_subs if s.elem is not None}
     extra = [s for s in tgt_subs if s.elem is not None and s.elem not in src_elems]
     if len(extra) != 1:
@@ -212,9 +323,8 @@ def _apply_copy(decl: ast.MapDecl, table: LayoutTable, info: ProgramInfo) -> Non
             decl.col,
         )
     elem = extra[0].elem
-    assert elem is not None
-    set_name = elems[elem]
-    extent = len(info.index_sets[set_name])
+    sets = [info.index_sets[name] for name in decl.index_sets]
+    extent = next(len(isv) for isv in sets if isv.elem_name == elem)
     layout = table.get(decl.target.base)
     table.add(layout.with_copy(elem, extent))
 

@@ -129,6 +129,50 @@ class TestGuardedFrontier:
         assert r["a"].tolist() == [1, 2, 3, 4]
 
 
+#: subscripts the one subscript reader realises exactly along one grid
+#: axis without being ``elem + const``: a mirror, a wrap and a
+#: non-injective halving
+SINGLE_AXIS = {"mirror": "15-i", "wrap": "(i+1)%16", "halve": "i/2"}
+
+SINGLE_AXIS_PAR = (
+    "index_set I:i = {0..15};\nint a[16];\n"
+    "main { par (I) a[i] = (i * 7 + 3) % 16; "
+    "*par (I) st (a[SUB] < a[i]) a[i] = a[SUB]; }"
+)
+
+SINGLE_AXIS_SOLVE = (
+    "index_set I:i = {0..15};\nint a[16], b[16];\n"
+    "main { solve (I) { a[i] = (i * 7 + 3) % 16; b[i] = a[SUB] + 1; } }"
+)
+
+
+@pytest.mark.usefixtures("default_engines")
+class TestSingleAxisReferences:
+    """References the frontier and the guarded worklist read from the
+    realised subscript vectors: they compress, with the values of full
+    sweeps and of the oracle, on a Clock no higher than full sweeps'."""
+
+    @pytest.mark.parametrize("kind", ["par", "solve"])
+    @pytest.mark.parametrize("sub", sorted(SINGLE_AXIS), ids=sorted(SINGLE_AXIS))
+    def test_compresses_and_agrees(self, kind, sub):
+        src = (SINGLE_AXIS_PAR if kind == "par" else SINGLE_AXIS_SOLVE).replace(
+            "SUB", SINGLE_AXIS[sub]
+        )
+        on = run_uc(src)
+        full = run_uc(src, frontier=False)
+        oracle = run_uc(src, plans=False)
+        if kind == "par":
+            assert on.frontier["compressed_sweeps"] > 0
+        else:
+            assert on.frontier["guarded_constructs"] == 1
+        assert "fallbacks" not in on.frontier
+        for name in on.keys():
+            assert np.array_equal(on[name], full[name]), name
+            assert np.array_equal(on[name], oracle[name]), name
+        assert on.fingerprint == oracle.fingerprint
+        assert on.elapsed_us <= full.elapsed_us
+
+
 class TestProgramSurface:
     def test_runresult_exposes_frontier_stats(self):
         prog = UCProgram(APSP, frontier=True)

@@ -282,6 +282,11 @@ FALLBACKS = [
     ),
     ("scalar_condition_ternary", "main { par (I) a[i] = (x > 1 ? b[i] : 2); }", {"a": [2] * 4}),
     (
+        "star_par_scalar_condition_ternary",
+        "main { x = 2; *par (I) st (a[i] < 3) a[i] = (x > 1 ? a[i] + 1 : 3); }",
+        {"a": [3, 3, 3, 3]},
+    ),
+    (
         "star_par_constant_subscript_out_of_range",
         "main { *par (I) st (a[i] < 3) a[i] = a[i] + b[7]; }",
         "UCRuntimeError: subscript 0 of 'b' out of range (value 7, extent 4) (line 4, column 45)",

@@ -44,6 +44,38 @@ class TestPositions:
         assert "line 1" in str(err)
 
 
+class TestNamePositions:
+    """An undeclared or wrong-kind name is reported where it is used, by
+    ``repro run`` and ``repro lint`` alike."""
+
+    CASES = [
+        # (source, message, line, col)
+        ("index_set I:i = {0..3};\nint a[4];\nmain {\n    a[0] = q;\n}\n",
+         "undeclared identifier 'q'", 4, 12),
+        ("index_set I:i = {0..3};\nint a[4], b[4];\n"
+         "map (I) { permute (I) b[j] :- a[i]; }\nmain { par (I) b[i] = i; }\n",
+         "undeclared identifier 'j'", 3, 25),
+        ("index_set I:i = {0..3};\nint a[4];\nmain {\n  par (a) a[0] = 1;\n}\n",
+         "'a' is a array, expected index_set", 4, 3),
+    ]
+
+    @pytest.mark.parametrize(
+        "src, message, line, col", CASES, ids=["statement", "map_subscript", "wrong_kind"]
+    )
+    def test_run_and_lint_locate_the_name(self, src, message, line, col, tmp_path, capsys):
+        from repro.cli import main
+
+        err = semantic_error(src)
+        assert (err.message, err.line, err.col) == (message, line, col)
+        path = tmp_path / "prog.uc"
+        path.write_text(src)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path)])
+        assert str(exc.value) == f"{path}: {message} (line {line}, column {col})"
+        main(["lint", str(path)])
+        assert f"prog.uc:{line}:{col}: error: UC002: {message}" in capsys.readouterr().out
+
+
 class TestMessages:
     def test_goto_message_cites_the_paper_rule(self):
         err = syntax_error("main { goto out; }")

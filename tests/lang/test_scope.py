@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lang import ast
 from repro.lang.errors import UCSemanticError
 from repro.lang.scope import IndexSetValue, Scope, ScopeStack, Symbol
 
@@ -66,11 +67,14 @@ class TestScopeStack:
     def test_require_kind(self):
         st = ScopeStack()
         st.declare(Symbol("I", "index_set"))
-        assert st.require("I", "index_set").name == "I"
-        with pytest.raises(UCSemanticError):
-            st.require("I", "array")
-        with pytest.raises(UCSemanticError):
-            st.require("missing")
+        use = ast.Name(line=3, col=7, ident="I")
+        assert st.require("I", "index_set", at=use).name == "I"
+        with pytest.raises(UCSemanticError) as exc:
+            st.require("I", "array", at=use)
+        assert (exc.value.line, exc.value.col) == (3, 7)
+        with pytest.raises(UCSemanticError) as exc:
+            st.require("missing", at=use)
+        assert (exc.value.line, exc.value.col) == (3, 7)
 
     def test_scoped_context_manager(self):
         st = ScopeStack()

@@ -1,10 +1,11 @@
 """Map-declaration -> layout translation tests."""
 
+import numpy as np
 import pytest
 
 from repro.lang import analyze, parse_program
 from repro.lang.errors import UCSemanticError
-from repro.mapping.maps import affine_subscript, build_layouts
+from repro.mapping.maps import build_layouts, read_subscript
 from repro.lang import parse_expression
 
 
@@ -15,37 +16,82 @@ def layouts_of(src, defines=None):
 
 HEADER = "index_set I:i = {0..7}, J:j = I;\nint a[8], b[8], d[8][8], e[8][8];\n"
 
+AXES = {"i": (0, np.arange(8)), "j": (1, np.arange(8))}
+
+
+def affine_subscript(text, constants):
+    """The map builders' reading of one subscript: its symbolic form."""
+    return read_subscript(parse_expression(text), AXES, constants).require_affine(constants)
+
 
 class TestAffineSubscript:
-    ELEMS = {"i": "I", "j": "J"}
-
     def test_bare_element(self):
-        s = affine_subscript(parse_expression("i"), self.ELEMS, {})
+        s = affine_subscript("i", {})
         assert (s.elem, s.scale, s.offset) == ("i", 1, 0)
 
     def test_plus_const(self):
-        s = affine_subscript(parse_expression("i + 3"), self.ELEMS, {})
+        s = affine_subscript("i + 3", {})
         assert (s.elem, s.scale, s.offset) == ("i", 1, 3)
 
     def test_const_minus_element(self):
-        s = affine_subscript(parse_expression("7 - i"), self.ELEMS, {})
+        s = affine_subscript("7 - i", {})
         assert (s.elem, s.scale, s.offset) == ("i", -1, 7)
 
     def test_pure_constant(self):
-        s = affine_subscript(parse_expression("2 * 3"), self.ELEMS, {})
+        s = affine_subscript("2 * 3", {})
         assert (s.elem, s.offset) == (None, 6)
 
     def test_define_constant(self):
-        s = affine_subscript(parse_expression("i + N"), self.ELEMS, {"N": 4})
+        s = affine_subscript("i + N", {"N": 4})
         assert s.offset == 4
 
     def test_two_elements_rejected(self):
-        with pytest.raises(UCSemanticError):
-            affine_subscript(parse_expression("i + j"), self.ELEMS, {})
+        with pytest.raises(UCSemanticError, match="uses two index elements"):
+            affine_subscript("i + j", {})
 
     def test_nonunit_scale_rejected(self):
-        with pytest.raises(UCSemanticError):
-            affine_subscript(parse_expression("2 * i"), self.ELEMS, {})
+        with pytest.raises(UCSemanticError, match="'i' is not a compile-time constant"):
+            affine_subscript("2 * i", {})
+
+
+class TestRealisation:
+    """The same reading's realisation over the element values."""
+
+    def desc(self, text, constants=None, uniform=()):
+        sub = read_subscript(parse_expression(text), AXES, constants or {}, uniform)
+        return sub.desc, sub.exact
+
+    def test_mirror_wrap_halve(self):
+        for text, want in [
+            ("7 - i", 7 - np.arange(8)),
+            ("(i + 1) % 8", (np.arange(8) + 1) % 8),
+            ("i / 2", np.arange(8) // 2),
+        ]:
+            (tag, g, vals), exact = self.desc(text)
+            assert (tag, g, exact) == ("a", 0, True), text
+            assert np.array_equal(vals, want), text
+
+    def test_unary_operators(self):
+        for text, want in [("-i", -np.arange(8)), ("!i", (np.arange(8) == 0) * 1),
+                           ("~i", -np.arange(8) - 1)]:
+            (tag, g, vals), exact = self.desc(text)
+            assert (tag, g, exact) == ("a", 0, True), text
+            assert np.array_equal(vals, want), text
+
+    def test_an_operator_error_is_data_dependent(self):
+        assert self.desc("i + 1 / 0") == (None, False)
+
+    def test_constant_and_ternary(self):
+        assert self.desc("N > 2 ? N - 1 : 0", {"N": 4}) == (("u", 3), True)
+
+    def test_two_axes_and_data_are_data_dependent(self):
+        assert self.desc("i + j") == (None, False)
+        assert self.desc("a[i]") == (None, False)
+
+    def test_unknown_uniform_keeps_structure_only(self):
+        assert self.desc("k * 2", uniform={"k"}) == (("u", 0), False)
+        (tag, g, _vals), exact = self.desc("i + k", uniform={"k"})
+        assert (tag, g, exact) == ("a", 0, False)
 
 
 class TestPermute:

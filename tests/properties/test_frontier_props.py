@@ -274,24 +274,20 @@ def test_dense_evaluation_is_invisible(inputs):
 # ---------------------------------------------------------------------------
 
 
-def _reference_dilation(an, axes, ch, red):
+def _reference_dilation(an, descs, ch):
     """The formula the recipe replaced (kept here as the specification):
     one ``np.ix_`` gather of the change mask with the clipped subscript
     vectors, collapse of constant and reduction-bound axes, transpose of
     the grid-bound axes into grid order, broadcast over the rest."""
     vecs, out_grid_axes = [], []
-    for a, (elem, c) in enumerate(axes):
+    for a, desc in enumerate(descs):
         extent = ch.shape[a]
-        if elem is None:
-            vecs.append(np.array([min(max(int(c), 0), extent - 1)], dtype=np.int64))
+        if desc[0] == "u":
+            vecs.append(np.array([min(max(desc[1], 0), extent - 1)], dtype=np.int64))
             out_grid_axes.append(None)
-        elif red is not None and elem == red.elem:
-            vecs.append(np.clip(red.values_arr + c, 0, extent - 1))
-            out_grid_axes.append(-1)
         else:
-            g = an.grid_axis_of[elem]
-            vecs.append(np.clip(an.axis_vals[g] + c, 0, extent - 1))
-            out_grid_axes.append(g)
+            vecs.append(np.clip(desc[2], 0, extent - 1))
+            out_grid_axes.append(-1 if desc[1] == an.rank else desc[1])
     sub = ch[np.ix_(*vecs)]
     collapse = tuple(i for i, g in enumerate(out_grid_axes) if g is None or g < 0)
     if collapse:
@@ -305,55 +301,65 @@ def _reference_dilation(an, axes, ch, red):
     return np.broadcast_to(sub, tuple(len(v) for v in an.axis_vals))
 
 
+#: how a drawn subscript transforms its element's values: an offset, and
+#: the non-injective or reversed forms the reader realises too
+_TRANSFORMS = {
+    "offset": lambda v, c: v + c,
+    "mirror": lambda v, c: c - v,
+    "wrap": lambda v, c: (v + c) % 5,
+    "halve": lambda v, c: v // 2 + c,
+}
+
+
 @st.composite
 def _dilation_cases(draw):
     """A grid of rank 1-3 whose axes carry distinct, not necessarily
     ``arange`` values; a reference of rank 1-3 whose subscripts are
-    constants, grid elements (each at most once) or the reduction
-    element, offset far enough to clip at both borders; a change mask."""
+    constants or realised vectors of a grid element (each at most once)
+    or of the reduction element — offsets, mirrors, wraps and halvings,
+    far enough to clip at both borders; a change mask."""
     rank = draw(st.integers(1, 3))
-    names = ["i", "j", "k"][:rank]
     axis_vals = []
     for _ in range(rank):
         vals = draw(st.lists(st.integers(-2, 9), min_size=1, max_size=6, unique=True))
         if draw(st.booleans()):
             vals = list(range(len(vals)))  # the common case: 0..n-1
         axis_vals.append(np.asarray(vals, dtype=np.int64))
-    an = SimpleNamespace(
-        rank=rank,
-        axis_vals=axis_vals,
-        grid_axis_of={e: g for g, e in enumerate(names)},
-    )
-    red = None
-    if draw(st.booleans()):
+    an = SimpleNamespace(rank=rank, axis_vals=axis_vals)
+    free = list(range(rank))
+    if draw(st.booleans()):  # a reduction element, axis ``rank``
         rv = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
-        red = SimpleNamespace(elem="r", values_arr=np.asarray(rv, dtype=np.int64))
-    free = list(names) + (["r"] if red is not None else [])
-    axes, shape = [], []
+        axis_vals = axis_vals + [np.asarray(rv, dtype=np.int64)]
+        free.append(rank)
+    descs, shape = [], []
     for _ in range(draw(st.integers(1, 3))):
         pick = draw(st.integers(0, len(free)))
-        elem = free.pop(pick) if pick < len(free) else None
-        axes.append((elem, draw(st.integers(-3, 8) if elem is None else st.integers(-3, 3))))
+        if pick == len(free):
+            descs.append(("u", draw(st.integers(-3, 8))))
+        else:
+            g = free.pop(pick)
+            form = _TRANSFORMS[draw(st.sampled_from(sorted(_TRANSFORMS)))]
+            descs.append(("a", g, form(axis_vals[g], draw(st.integers(-3, 3)))))
         shape.append(draw(st.integers(1, 7)))
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     ch = rng.random(tuple(shape)) < density
-    return an, tuple(axes), ch, red
+    return an, tuple(descs), ch
 
 
 @settings(max_examples=300, deadline=None)
 @given(_dilation_cases())
 def test_dilation_recipe_matches_the_gather_formula(case):
-    an, axes, ch, red = case
+    an, descs, ch = case
     grid_shape = tuple(len(v) for v in an.axis_vals)
-    recipe = frontier._dilation_recipe(an, axes, ch.shape, red)
+    recipe = frontier._dilation_recipe(an, descs, ch.shape)
     # the only tables are per-axis vectors, one grid axis (or reduction
     # range) long: nothing the size of the grid or of the mask
-    longest = max([len(v) for v in an.axis_vals] + [len(red.values_arr) if red else 1])
+    longest = max(len(d[2]) if d[0] == "a" else 1 for d in descs)
     assert all(vec.ndim == 1 and len(vec) <= longest for _axis, vec in recipe[0])
-    got = frontier._RefInfo("v", axes, recipe).dilate(ch)
-    want = _reference_dilation(an, axes, ch, red)
-    assert np.array_equal(np.broadcast_to(got, grid_shape), want), (axes, ch.shape)
+    got = frontier._RefInfo("v", recipe).dilate(ch)
+    want = _reference_dilation(an, descs, ch)
+    assert np.array_equal(np.broadcast_to(got, grid_shape), want), (descs, ch.shape)
     # the planner ORs the mask into a grid-shaped accumulator as is
     act = np.zeros(grid_shape, dtype=bool)
     act |= got

@@ -4,7 +4,8 @@ Each example is a self-initialising program around one ``par``,
 ``*par``, ``solve``, ``*solve`` or ``*oneof`` over a 1-3-D index set.
 Its expressions mix every form the fused lowering (``fuse._Fuser``) and
 the lane compiler (``frontier._Compiler``) lower or demote on: static,
-NEWS-shifted and data-dependent gathers; reductions with and without a
+NEWS-shifted, mirrored, wrapped, halved (not injective) and
+data-dependent gathers; reductions with and without a
 §4 partition predicate, with and without ``others``; ternaries and
 ``&&``/``||`` with array and scalar left sides; builtins; a ``*par``
 body reusing its predicate's right conjunct (Figure 11); one-``return``
@@ -177,7 +178,9 @@ class _Program:
         e, n = subs[axis], self.shape[axis]
         if e not in self.elems:  # a reduction element: keep it
             return arr + "".join(f"[{s}]" for s in subs)
-        form = self.pick(["id", "id", "news", "news", "rev", "const", "dyn", "wrap", "raw"])
+        form = self.pick(
+            ["id", "id", "news", "news", "rev", "const", "dyn", "wrap", "raw", "half"]
+        )
         guard = None
         if form == "news":
             off = self.pick([-1, 1])
@@ -193,6 +196,8 @@ class _Program:
             subs[axis] = "d" + "".join(f"[{s}]" for s in self.ident())
         elif form == "wrap":
             subs[axis] = f"({e} + 1) % {n}"
+        elif form == "half":  # not injective: two lanes read each element
+            subs[axis] = f"{e} / 2"
         text = arr + "".join(f"[{s}]" for s in subs)
         return f"({guard} ? {text} : {self.draw(st.integers(0, 3))})" if guard else text
 

@@ -1,5 +1,6 @@
 """Replay every ``tests/regressions/*.uc`` file on the oracle and the
-engines (:func:`tests.properties.test_lowering_diff.assert_engines_agree`).
+engines (:func:`tests.properties.test_lowering_diff.assert_engines_agree`),
+with numpy's ``RuntimeWarning`` raised as an error: no engine may leak one.
 
 A file's leading ``//`` comment holds its ``-D NAME=VALUE`` defines, an
 optional ``pes: N`` line (run on ``small_config(N)``) and one ``expect:``
@@ -33,6 +34,7 @@ def _header(text: str):
 
 
 @pytest.mark.usefixtures("default_engines")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("path", CASES, ids=[p.stem for p in CASES])
 def test_regression_replays_on_every_engine(path):
     src = path.read_text()
@@ -48,3 +50,12 @@ def test_regression_replays_on_every_engine(path):
         want_cls, _, want_text = expect.partition(": ")
         assert cls.__name__ == want_cls
         assert not want_text or text == want_text
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unwritten_lane_holding_inf_keeps_working():
+    src = (Path(__file__).parent / "float_to_int_array_store_under_a_mask.uc").read_text()
+    defines, _expect, _pes = _header(src)
+    kind, result = assert_engines_agree(src, [{}], defines=defines)
+    assert kind == "ok" and result["a"].tolist() == [1, 0, 2, 0]
