@@ -49,7 +49,8 @@ def _parse_defines(items: Sequence[str]) -> Dict[str, int]:
 
 def _load_program(args: argparse.Namespace) -> UCProgram:
     try:
-        source = open(args.file).read()
+        with open(args.file) as fh:
+            source = fh.read()
     except OSError as exc:
         raise SystemExit(f"cannot read {args.file}: {exc}")
     config = None
@@ -411,7 +412,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     json_reports: List[str] = []
     for path in args.files:
         try:
-            source = open(path).read()
+            with open(path) as fh:
+                source = fh.read()
         except OSError as exc:
             raise SystemExit(f"cannot read {path}: {exc}")
         report = lint_program(
@@ -444,7 +446,8 @@ def _spec_from_json(entry, path: str):
         source = entry["source"]
     elif "file" in entry:
         try:
-            source = open(entry["file"]).read()
+            with open(entry["file"]) as fh:
+                source = fh.read()
         except OSError as exc:
             raise SystemExit(f"{path}: cannot read {entry['file']}: {exc}")
     else:

@@ -313,6 +313,9 @@ def _max(node: ast.Call, a: Value, b: Value) -> Value:
     return max(a, b)
 
 
+#: the builtins whose value is one ufunc when an operand is an array
+ARRAY_BUILTINS = {"min": np.minimum, "max": np.maximum}
+
 #: C semantics of each pure builtin of ``lang.semantics.BUILTINS``, on
 #: scalars or arrays (scalars stay scalars): ``fn(call node, *args)``.
 #: The oracle and the frontier lane programs both call these.
@@ -588,17 +591,19 @@ def _check_single_assignment(
     )
 
 
-def _cast_array(vals: np.ndarray, dtype: np.dtype, node=None) -> np.ndarray:
-    """``vals`` as ``dtype``: floats truncate toward zero into an integer
-    dtype.  A write passes its target ``node`` and only its written
-    lanes: an infinite or NaN value among them has no ``int``, the
-    located error :func:`~repro.interp.values.coerce_scalar` raises for
-    the scalar form."""
+def _cast_array(vals: np.ndarray, dtype: np.dtype, node=None, live=None) -> np.ndarray:
+    """``vals`` as ``dtype``, a fresh C-ordered array: floats truncate toward zero
+    into an integer dtype.  A write passes its target ``node`` and only its
+    written lanes, a parallel call its argument and the calling lanes
+    ``live`` (the others hold 0): an infinite or NaN value among them has
+    no ``int``, the located error :func:`~repro.interp.values.coerce_scalar`
+    raises for the scalar form."""
     if dtype.kind in "iu" and vals.dtype.kind == "f":
+        vals = vals if live is None else np.where(live, vals, 0.0)
         if node is not None and not np.isfinite(vals).all():
             coerce_scalar("int", vals[~np.isfinite(vals)].flat[0], node)
-        return np.trunc(vals).astype(dtype)
-    return vals.astype(dtype)
+        return np.trunc(vals).astype(dtype, order="C")
+    return vals.astype(dtype, order="C")
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ Correctness strategy — decide-before-execute behind a measured guard:
   carry a static dilation recipe — per-axis ``take``s with the clipped
   realised subscript vectors, cut at analysis time (:func:`_dilation_recipe`) —
   so a sweep's active set costs one small ``take`` per shifted axis of
-  each distinct reference, whatever the body repeats.  Guarded ``solve``
-  worklists (:class:`GuardedFrontier`) ride the same recipe.
+  each distinct reference, whatever the body repeats — or, turned around
+  once (:func:`_reader_table`), one mark of its changed slots' readers.
+  Guarded ``solve`` worklists (:class:`GuardedFrontier`) ride the recipe.
 * **Charging**: a compressed sweep's cost is a static, pre-bound charge
   list per arm: at analysis time the real cost helpers
   (:func:`repro.interp.commtiers.charge_tier_at` — the same recipe both
@@ -49,12 +50,11 @@ Correctness strategy — decide-before-execute behind a measured guard:
   they live on the cached analysis).  A sweep replays the rows at its
   active VP ratios — first summed by a local estimator and then, only if
   the estimate undercuts the *measured* cost of the last full sweep, on
-  the real clock: :meth:`repro.machine.cost.Clock.replay_rows`, the one
-  replay loop, which goes back to one ``Clock.charge`` per row whenever
-  a fault hook or a shard sink is installed.  The estimate is a
-  pure function of the arms' charge keys (``L > 0``, lane and reduction
-  VP ratios, effective reduction extent, delta on/off), so a session
-  costs each distinct key once.  Charges precede writes, preserving the
+  the real clock.  The estimate is a pure function of the arms' charge
+  keys (``L > 0``, lane and reduction VP ratios, effective reduction
+  extent, delta on/off), so a session costs each distinct key once and
+  binds its replay halves then (:class:`repro.machine.cost.Replay`).
+  Charges precede writes, preserving the
   fault-injection charge-before-mutate invariant, and the guard makes
   the frontier Clock never higher than the full-sweep Clock.
 * **Values** are bit-identical by construction: inactive lanes would
@@ -70,11 +70,12 @@ Correctness strategy — decide-before-execute behind a measured guard:
   *kinds* (bool stays bool until arithmetic needs the C ``int``);
   *addresses* (each subscript resolved against its extent once, a
   reference is one ``take`` of the flat field, a bounds check under
-  invariant guards is proved dead once per session —
-  :meth:`_Compiler._address`); *invariant* steps (run once per session
-  over the whole grid, gathered by lane position thereafter —
-  :meth:`_Compiler._apply`); *shared* subtrees (the body reads what the
-  predicate computed — :meth:`_Compiler.compile`).  A session's tables
+  invariant guards is proved dead once per session and dropped from its
+  programs — :meth:`_Compiler._address`, :func:`_specialise`); *invariant*
+  steps (run once per session over the whole grid, gathered by lane
+  position thereafter — :meth:`_Compiler._apply`); *shared* subtrees
+  (the body reads what the predicate computed — :meth:`_Compiler.compile`);
+  ``min``/``max`` over lanes as one ufunc.  A session's tables
   are plain data in its register file and die with it, by refcount.
   When the construct is dense-eligible (``_Analysis.dense``: a
   value-root reduction, one arm per written array), the active slots
@@ -115,13 +116,14 @@ from ..lang import ast
 from ..lang.ast import expr_to_text
 from ..lang.operators import BINARY_UFUNCS, COMPARISONS, apply_binop, apply_unary
 from ..lang.semantics import BUILTINS
-from ..machine.cost import Recorder, bind_rows, charge_row, scan_levels
+from ..machine.cost import Recorder, Replay, bind_rows, charge_row, scan_levels
+from ..machine.router import readers
 from ..machine.scan import INF
 from ..machine.vpset import ratio_for
 from ..mapping.locality import classify_affine, classify_write_affine
 from ..mapping.maps import read_reference
 from . import commtiers, fuse
-from .eval_expr import BUILTIN_VALUES, _RED_UFUNC, _reduce_op, cse_key
+from .eval_expr import ARRAY_BUILTINS, BUILTIN_VALUES, _RED_UFUNC, _reduce_op, cse_key
 from .plan import lane_check, lane_scatter, lane_sub
 from .statements import sweep_protocol
 from .values import ArrayVar, ElementBinding, ScalarVar
@@ -139,6 +141,9 @@ class _NotFrontierable(Exception):
 
 
 _FALLBACK = "frontier-fallback"
+
+#: the padding of a reader table: past every stacked lane (:meth:`StarSession._restack`)
+_FAR = 1 << 62
 
 #: reduction ops eligible for the delta (changed-slots-only) scan
 _DELTA_OPS = ("min", "max")
@@ -248,8 +253,8 @@ def _run_lane_steps(steps, R) -> None:
     subscripting by the sweep's selections), where, and the pure
     builtins' ``eval_expr.BUILTIN_VALUES``.  ``mask`` has no step of its
     own: a live refinement is only consumed by a bounds check, so a check
-    is a sub-program that conjoins its guards, skipped once the prelude
-    proved it dead."""
+    is a sub-program that conjoins its guards; a session's programs hold
+    only the checks its prelude did not prove dead (:func:`_specialise`)."""
     for op, dst, a, b, c in steps:
         if op == _BINARY:
             R[dst] = a(R[b], R[c])
@@ -259,13 +264,18 @@ def _run_lane_steps(steps, R) -> None:
             R[dst] = np.where(R[a], R[b], R[c])
         elif op == _UNARY:
             R[dst] = a(R[b])
-        elif op == _CHECK:  # R[dst]: proved dead; steps a leave "out of range and live" in b
-            if not R[dst]:
-                _run_lane_steps(a, R)
-                if R[b].any():
-                    _out_of_range(R[b], c, R)
+        elif op == _CHECK:  # steps a leave "out of range and live" in b
+            _run_lane_steps(a, R)
+            if R[b].any():
+                _out_of_range(R[b], c, R)
         else:  # _GRID, prelude only: axis table a broadcast over the stacked grid
             R[dst] = np.broadcast_to(a, R[b]).reshape(-1)
+
+
+def _specialise(steps, R):
+    """``steps`` (None stays None) for one session's register file, after
+    its prelude: the checks proved dead there (``R[dst]``) dropped."""
+    return steps and [s for s in steps if s[0] != _CHECK or not R[s[1]]]
 
 
 def _out_of_range(bad, desc, R) -> None:
@@ -824,7 +834,8 @@ class _Compiler:
         args = [self._num(self.compile(a, rec, spine=min(spine, _LIVE))) for a in expr.args]
         self._charge_op(rec, BUILTINS[name].alu)
         kind = _S if all(a.kind == _S for a in args) else _N
-        fn = functools.partial(value, expr)
+        fn = ARRAY_BUILTINS.get(name) if kind == _N else None  # lanes: an array operand
+        fn = fn or functools.partial(value, expr)
         return self._apply(kind, _UNARY if len(args) == 1 else _BINARY, *args, fn=fn)
 
 
@@ -944,6 +955,12 @@ def _analyze_raising(ip, stmt: ast.UCStmt, inner, kind: str) -> _Analysis:
         arm.pred_rows = bind_rows(pred_rec.entries, an.costs)
         arm.body_rows = bind_rows(body_rec.entries, an.costs)
         arm.refs = list(comp.refs.values())
+        arm.readers = {}  # base -> its sparse dilation table (:func:`_reader_table`)
+        for base in dict.fromkeys(ref.base for ref in arm.refs):
+            table = _reader_table(an, [ref for ref in arm.refs if ref.base == base])
+            if table is not None:
+                arm.readers[base] = table
+        arm.dense_refs = [ref for ref in arm.refs if ref.base not in arm.readers]
         an.arms.append(arm)
     an.drop = [step[1] for step in an.prelude if step[1] not in comp.kept]
     an.drop += [reg for reg in an.row_bases.values() if reg not in comp.kept]
@@ -1051,36 +1068,39 @@ def _dilation_recipe(an: _Analysis, descs, shape, lead: int = 0) -> Tuple:
     )
 
 
+def _reader_table(an: _Analysis, refs: List[_RefInfo]) -> Optional[np.ndarray]:
+    """The dilation through ``refs`` (into one array) turned around: per
+    slot, the lanes that read it (:func:`repro.machine.router.readers`);
+    None past a reduction range or two readers per reference."""
+    if any(ref.collapse for ref in refs):
+        return None
+    shape = an.array_shapes[refs[0].base]
+    slots = np.arange(math.prod(shape)).reshape((1,) + shape)
+    read = [np.broadcast_to(ref.dilate(slots), (1,) + an.grid_shape).reshape(-1) for ref in refs]
+    return readers(np.concatenate(read), slots.size, math.prod(an.grid_shape), 2 * len(refs), _FAR)
+
+
 # ---------------------------------------------------------------------------
 # per-sweep state
 # ---------------------------------------------------------------------------
 
 
-class _ArmState:
-    """What one arm does in one row's compressed sweep: how many lanes
-    are active and everything its charges depend on (:attr:`key`)."""
+class _ArmState(NamedTuple):
+    """What one arm does in one row's compressed sweep: its charge key
+    (the first five fields: equal keys replay equal charges), its active
+    lanes and the reduction slots a delta scan selects."""
 
-    __slots__ = ("L", "lane_ratio", "K_eff", "red_ratio", "delta_on", "red_sel")
-
-    def __init__(self, L: int, lane_ratio: int) -> None:
-        self.L = L
-        self.lane_ratio = lane_ratio
-        self.red_ratio = lane_ratio
-        self.K_eff: Optional[int] = None
-        self.red_sel: Optional[np.ndarray] = None
-        self.delta_on = False
-
-    @property
-    def key(self) -> Tuple:
-        """The arm's full charge key: equal keys replay equal charges."""
-        return (self.L > 0, self.lane_ratio, self.red_ratio, self.K_eff, self.delta_on)
-
-    def scan_extent(self, full_extent: int) -> int:
-        return self.K_eff if self.K_eff is not None else full_extent
+    live: bool
+    lane_ratio: int
+    red_ratio: int
+    K_eff: Optional[int]
+    delta_on: bool
+    L: int
+    red_sel: Optional[np.ndarray]
 
 
 #: an arm with no active lanes this sweep: evaluates and charges nothing
-_IDLE = _ArmState(0, 1)
+_IDLE = _ArmState(False, 1, 1, None, False, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1117,8 @@ class SweepDiff:
     """What one sweep changed, per modified variable: its change mask
     (``changed``; a bool for a scalar), whether any element moved up or
     down (``dirs``; a compressed sweep tracks them only where a delta
-    scan reads them) and how many moved (``counts``: changed, total).
+    scan reads them, else None) and how many moved (``counts``: changed,
+    total; a lane pass hands in what it counted).
 
     One diff serves every reader of a sweep: an iterated construct's
     fixed-point test (:meth:`any`), the frontier session's seed for the
@@ -1105,16 +1126,16 @@ class SweepDiff:
     diffs of their row slices) and the sweep-limit diagnostic
     (:meth:`summary`).  For the diagnostic, which reads them before the
     next sweep writes, a full sweep's diff (:meth:`between`) keeps its
-    before-copy and after-state, and a one-row session's compressed sweep
-    its writes: per array, ``(flat addresses, old values)`` in write
-    order (a batch past the limit reruns sequentially)."""
+    before-copy and after-state, and a compressed sweep its writes: per
+    array, ``(flat addresses, old values)`` in write order (a batch past
+    the limit reruns sequentially)."""
 
     __slots__ = ("changed", "dirs", "counts", "before", "after", "writes")
 
-    def __init__(self, changed, dirs, before=None, after=None, writes=None) -> None:
+    def __init__(self, changed, dirs, before=None, after=None, writes=None, counts=None) -> None:
         self.changed = changed
         self.dirs = dirs
-        self.counts = {
+        self.counts = counts or {
             n: (int(np.count_nonzero(m)), getattr(m, "size", 1)) for n, m in changed.items()
         }
         self.before = before
@@ -1169,11 +1190,12 @@ class SweepDiff:
 
 class SweepPlan(NamedTuple):
     """One sweep of every row: per row the compressed sweep's ``(states,
-    preds, bodies)`` (the halves: :meth:`StarSession._charges`) or None,
-    a full sweep; per arm the ``(S,) + grid`` active lanes (None: none)."""
+    preds, bodies)`` (the halves, :class:`~repro.machine.cost.Replay`:
+    :meth:`StarSession._charges`) or None, a full sweep; per arm the
+    ``(S,) + grid`` active lanes, valid for this sweep (None: none)."""
 
     rows: List[Optional[Tuple]]
-    acts: Optional[List[np.ndarray]]
+    acts: Optional[List[Optional[np.ndarray]]]
 
 
 class StarSession:
@@ -1186,7 +1208,8 @@ class StarSession:
     position``, every address adds its row's offset: ``an.row_bases``),
     so the lane programs and the cached analysis are the solo ones.  Host
     scalars are one per file: rows whose scalars differ (not
-    :attr:`uniform`) cannot share a lane pass."""
+    :attr:`uniform`) cannot share a lane pass.  The sweep state lives as
+    long as the session, updated in place (:meth:`_restack`)."""
 
     def __init__(self, ips, stmt: ast.UCStmt, inners, stacks=None) -> None:
         ip, inner = ips[0], inners[0]
@@ -1217,16 +1240,14 @@ class StarSession:
         env = inner.env
         #: the ``(S,) + shape`` stacks the rows read and write
         self.arrays = stacks or {n: env.try_lookup(n).data[None] for n in an.array_shapes}
-        #: the lane programs' register file (:meth:`_registers`): plain
-        #: data, so a session and its tables die by refcount
-        self._R: Optional[List[object]] = None
         #: the ratios the protocol rows replay at: the full grid's
         self.full = (ip.grid_vpset(inner.grid.shape).vp_ratio,)
         #: the construct's active VPs, with a leading row axis
         self.base = inner.active_mask()[None]
         self.domain = int(np.count_nonzero(self.base))
+        #: what a row's compressed sweep adds to its trace's domain
+        self._trace_domain = self.domain * (max(1, len(an.arms)) if kind == "par" else 1)
         S = len(ips)
-        self.shape = (S,) + an.grid_shape  # the stacked grid
         #: per row: what its last sweep changed (its next frontier), its
         #: last full sweep's cost and live PEs, an open full sweep's marks
         self.last: List[Optional[SweepDiff]] = [None] * S
@@ -1234,13 +1255,31 @@ class StarSession:
         self.ref_pes: List[Optional[int]] = [None] * S
         self._full_marks: List[Optional[Tuple[float, int]]] = [None] * S
         #: a *par's per-arm predicate masks, stacked over the rows
-        self.par_masks = [np.zeros(self.shape, dtype=bool) for _ in an.arms if kind == "par"]
-        #: the rows' last change masks, stacked, when one lane pass set all
-        self._changed: Optional[Dict[str, np.ndarray]] = None
+        self.par_masks = [np.zeros((S,) + an.grid_shape, dtype=bool) for _ in an.arms if kind == "par"]
         #: estimator totals and the two replay halves, by sweep charge key
         self._estimates: Dict[Tuple, Tuple] = {}
         #: the construct's fused kernel has an unfused segment: never dense
         self._unfused = False
+        self._restack(S)
+
+    def _restack(self, S: int) -> None:
+        """Size the sweep state for ``S`` rows: per arm its flat active lanes
+        plus a spare slot, where its stacked reader tables' padding lands;
+        each stack's row offsets (the grid's under None); no change stack
+        (a lane pass over every row sets ``_changed``, and ``_dirt``: where)."""
+        an, G = self.an, self.base.size
+        self.shape = (S,) + an.grid_shape  # the stacked grid
+        self._acts = [np.zeros(S * G + 1, dtype=bool) for _ in an.arms]
+        rows = (np.arange(S) * G)[:, None, None]
+        self._tables = [
+            {b: np.minimum(t + rows, S * G).reshape(-1, t.shape[1]) for b, t in arm.readers.items()}
+            for arm in an.arms
+        ]
+        self._bounds = {n: np.arange(S + 1) * math.prod(shape) for n, shape in an.array_shapes.items()}
+        self._bounds[None] = np.arange(S + 1) * G
+        self._changed: Optional[Dict[str, np.ndarray]] = None
+        self._dirt: List[Tuple[str, np.ndarray]] = []
+        self._R: Optional[List[object]] = None
 
     # -- binding ----------------------------------------------------------
 
@@ -1266,8 +1305,7 @@ class StarSession:
         for attr in ("ips", "last", "reference", "ref_pes", "_full_marks"):
             setattr(self, attr, [getattr(self, attr)[r] for r in keep])
         self.par_masks = [m[keep] for m in self.par_masks]
-        self.shape = (len(keep),) + self.an.grid_shape
-        self._R = self._changed = None
+        self._restack(len(keep))
 
     # -- full-sweep bracketing --------------------------------------------
 
@@ -1312,50 +1350,57 @@ class StarSession:
         if True not in ok:
             return SweepPlan(plans, None)
         an, lasts = self.an, self.last  # a *par's masks are noted with ``last``
-        # the write simulation below rebinds pseudo[target] to a fresh
-        # array (never mutates in place): a view of ``last`` suffices
-        pseudo, dirty = dict(self._changed or {}), {}
-        for name in an.modified:
-            if name not in pseudo:
+        # what each row's last sweep changed: the last lane pass's stack, else
+        # the rows' diffs (read only: the write simulation rebinds entries)
+        pseudo = self._changed
+        if pseudo is None:
+            pseudo = {}
+            for name in an.modified:
                 none = np.zeros(an.array_shapes[name], dtype=bool)
-                changed = [l.changed[name] if o else none for l, o in zip(lasts, ok)]
-                pseudo[name] = changed[0][None] if S == 1 else np.stack(changed)
-            dirty[name] = [o and l.counts[name][0] > 0 for l, o in zip(lasts, ok)]
+                pseudo[name] = np.stack([l.changed[name] if o else none for l, o in zip(lasts, ok)])
+        dirty = {name: [o and l.counts[name][0] > 0 for l, o in zip(lasts, ok)] for name in an.modified}
         states: List[List[_ArmState]] = [[] for _ in ok]
         acts = []
-        for arm in an.arms:
-            act = np.zeros(self.shape, dtype=bool)
-            for ref in arm.refs:
+        for arm, flat, tables in zip(an.arms, self._acts, self._tables):
+            flat.fill(False)
+            # the changed slots: where the last lane pass set its stack, or found
+            seen = self._dirt
+            if tables and pseudo is not self._changed:
+                seen = [(n, m.reshape(-1).nonzero()[0]) for n, m in pseudo.items() if n in tables]
+            for name, where in seen:
+                if name in tables:
+                    flat[tables[name].take(where, axis=0)] = True
+            act = flat[:-1].reshape(self.shape)
+            for ref in arm.dense_refs:
                 if True in dirty[ref.base]:
                     act |= ref.dilate(pseudo[ref.base])
-            act &= self.base
-            if S == 1:
-                Ls = [int(np.count_nonzero(act))]
-            else:
-                Ls = act.reshape(S, -1).sum(axis=1).tolist()
+            if self.domain < self.base.size:  # a masked construct
+                act &= self.base
             live = False
-            for r, L in enumerate(Ls):
-                st = _IDLE
-                if L:
-                    st = _ArmState(L, ratio_for(L, self.ips[r].machine))
-                    if arm.red is not None:
-                        st = self._plan_reduction(arm.red, st, r, pseudo, dirty)
-                        act[r] &= st.L > 0  # nothing feeds the reduction: no lanes
-                    if st.L:
-                        dirty[arm.target][r] = live = True
-                states[r].append(st)
-            if live:
-                pseudo[arm.target] = pseudo[arm.target] | self._slots_of(arm, act)
+            for r, (sts, lanes) in enumerate(zip(states, act)):
+                L, st = int(np.count_nonzero(lanes)), _IDLE
+                if L and arm.red is not None:
+                    st = self._plan_reduction(arm.red, L, r, pseudo, dirty)
+                    if not st.live:  # nothing feeds the reduction: no lanes
+                        act[r] = False
+                elif L:
+                    ratio = ratio_for(L, self.ips[r].machine)
+                    st = _ArmState(True, ratio, ratio, None, False, L, None)
+                if st.live:
+                    dirty[arm.target][r] = live = True
+                sts.append(st)
+            if live and arm is not an.arms[-1]:  # what a later arm's plan reads
+                pseudo = {**pseudo, arm.target: pseudo[arm.target] | self._slots_of(arm, act)}
             acts.append(act if live else None)
-        # the estimate is a pure function of the arms' charge keys: replay
-        # the estimator only for a key this session has not costed yet
+        # the estimate is a pure function of the arms' charge keys: cost it
+        # and bind the replay halves only for a key this session has not seen
         for r, sts in enumerate(states):
-            key = tuple([st.key for st in sts])
+            key = tuple([st[:5] for st in sts])
             hit = self._estimates.get(key)
             if hit is None:
                 preds, bodies = self._charges(sts)
                 est = _estimate(preds + bodies, an.costs.dispatch)
-                hit = self._estimates[key] = (est, preds, bodies)
+                hit = self._estimates[key] = (est, Replay(preds, an.costs), Replay(bodies, an.costs))
             if ok[r] and hit[0] < self.reference[r]:
                 plans[r] = (sts, hit[1], hit[2])
         return SweepPlan(plans, acts)
@@ -1369,10 +1414,12 @@ class StarSession:
         out.reshape(-1)[self._registers()[arm.target_table][act.reshape(-1)]] = True
         return out
 
-    def _plan_reduction(self, red: _RedInfo, st: _ArmState, row: int, pseudo, dirty) -> _ArmState:
-        """Decide the delta scan for one active reduction arm of ``row``:
-        which reduction slots it must rescan and what VP ratio that costs."""
+    def _plan_reduction(self, red: _RedInfo, L: int, row: int, pseudo, dirty) -> _ArmState:
+        """The state of one active reduction arm of ``row`` with ``L``
+        lanes: which reduction slots a delta scan must rescan (None: the
+        whole range) and what VP ratio that costs."""
         machine = self.ips[row].machine
+        sel = None
         delta_valid = red.delta_ok
         if delta_valid:
             want_down = red.op == "min"
@@ -1381,9 +1428,7 @@ class StarSession:
                 if (want_down and up) or (not want_down and down):
                     delta_valid = False
                     break
-        if not delta_valid:
-            st.K_eff = red.extent
-        else:
+        if delta_valid:
             if any(dirty[name][row] for name in red.full_refs):
                 sel = np.ones(red.extent, dtype=bool)
             else:
@@ -1395,14 +1440,11 @@ class StarSession:
                     other = tuple(x for x in range(ch.ndim) if x != a_ax)
                     vec = ch.any(axis=other) if other else ch
                     sel |= vec[idx_vec]
-            k_eff = int(np.count_nonzero(sel))
-            if k_eff == 0:
-                return _IDLE  # nothing feeds this reduction: arm is a no-op
-            st.delta_on = True
-            st.K_eff = k_eff
-            st.red_sel = sel
-        st.red_ratio = ratio_for(st.L * st.K_eff, machine)
-        return st
+        K = red.extent if sel is None else int(np.count_nonzero(sel))
+        if K == 0:
+            return _IDLE  # nothing feeds this reduction: arm is a no-op
+        lane_ratio = ratio_for(L, machine)
+        return _ArmState(True, lane_ratio, ratio_for(L * K, machine), K, sel is not None, L, sel)
 
     def _charges(self, states: List[_ArmState]) -> Tuple[List[Tuple], List[Tuple]]:
         """A row's ordered charge sequence as ``(rows, ratios)`` pairs, in
@@ -1414,7 +1456,7 @@ class StarSession:
         proto = an.proto  # the construct's per-sweep protocol rows
         preds, bodies = [(proto.entry, full)], []
         for arm, st in zip(an.arms, states):
-            if st.L:
+            if st.live:
                 ratios = (st.lane_ratio, st.red_ratio)
                 preds.append((arm.pred_rows, ratios))
                 bodies.append((_sweep_rows(arm, st, an.costs), ratios))
@@ -1449,10 +1491,8 @@ class StarSession:
         return self._run_lanes(plan)[0]
 
     def _trace(self, row: int, states: List[_ArmState], dense: bool) -> None:
-        arms = max(1, len(self.an.arms)) if self.kind == "par" else 1
-        self.ips[row].machine.clock.trace_frontier(
-            sum(st.L for st in states), self.domain * arms, dense=dense
-        )
+        active = sum(st.L for st in states)
+        self.ips[row].machine.clock.trace_frontier(active, self._trace_domain, dense=dense)
 
     def dense(self, states: List[_ArmState]) -> bool:
         """Evaluate a compressed sweep on the fused kernel: the construct
@@ -1465,7 +1505,7 @@ class StarSession:
         active = full = 0
         for arm, st in zip(an.arms, states):
             extent = arm.red.extent if arm.red is not None else 1
-            active += st.L * st.scan_extent(extent)
+            active += st.L * (st.K_eff or extent)
             full += self.domain * extent
         return active * _DENSE_COST_RATIO >= full
 
@@ -1475,8 +1515,7 @@ class StarSession:
         halves; whether the row goes on.  ``dense``: its verdict."""
         states, preds, bodies = plan
         clock = self.ips[row].machine.clock
-        for rows, ratios in preds:
-            clock.replay_rows(rows, ratios)
+        clock.replay(preds)
         self.last[row] = diff
         self._changed = None
         if self.kind == "par":
@@ -1484,8 +1523,7 @@ class StarSession:
             self.note_par_masks(masks, row)
             if not any(np.any(m) for m in masks):
                 return False
-        for rows, ratios in bodies:
-            clock.replay_rows(rows, ratios)
+        clock.replay(bodies)
         if self.kind == "solve":
             self._trace(row, states, dense)
         return self.kind == "par" or diff.any()
@@ -1495,7 +1533,8 @@ class StarSession:
         needs it: flat views of the stacked arrays, the scalars, each
         position's row offsets, then the prelude — every sweep-invariant
         step, once over the stacked grid, bounds-check proofs included.
-        Tables only the prelude read are dropped."""
+        Tables only the prelude read are dropped, and each arm's programs
+        are specialised to the file (:func:`_specialise`): ``_progs``."""
         R = self._R
         if R is None:
             an = self.an
@@ -1510,6 +1549,10 @@ class StarSession:
             R[_SHAPE] = (S,) + an.grid_shape
             R[_POS.reg] = np.arange(S * G)
             _run_lane_steps(an.prelude, R)
+            self._progs = [
+                [_specialise(p, R) for p in (arm.pred_steps, arm.red and arm.red.steps, arm.steps)]
+                for arm in an.arms
+            ]
             for reg in an.drop:
                 R[reg] = None
         return R
@@ -1524,22 +1567,22 @@ class StarSession:
         R = self._registers()
         par = self.kind == "par"
         plans, acts = plan
-        S, G = len(plans), self.base.size
-        rows = [r for r, p in enumerate(plans) if p is not None] if S > 1 else [0]
-        if len(rows) < S:  # lanes of the other rows stay out of the pass
-            on = np.zeros((S,) + (1,) * an.rank, dtype=bool)
-            on[rows] = True
-            acts = [act if act is None else act & on for act in acts]
+        S = len(plans)
+        rows = [r for r, p in enumerate(plans) if p is not None]
         for r in rows:
-            clock = self.ips[r].machine.clock
-            for rows_, ratios in plans[r][1]:
-                clock.replay_rows(rows_, ratios)
-        cur = {name: np.zeros((S,) + an.array_shapes[name], dtype=bool) for name in an.modified}
-        # per row: name -> (any_up, any_down), tracked for a delta scan only
-        blank = dict.fromkeys(cur, (False, False))
-        dirs = {r: dict(blank) for r in rows} if an.delta else dict.fromkeys(rows, blank)
-        # what the solo loop's sweep-limit diagnostic reads
-        writes = {name: [] for name in cur} if S == 1 else None
+            self.ips[r].machine.clock.replay(plans[r][1])
+        # the change stack this pass fills: the last pass's, cleared where
+        # that pass set it (its masks were read by this sweep's plan)
+        cur, dirt = self._changed, self._dirt
+        if cur is None:
+            cur, dirt = {n: np.zeros((S,) + an.array_shapes[n], dtype=bool) for n in an.modified}, ()
+        for name, where in dirt:
+            cur[name].reshape(-1)[where] = False
+        self._dirt = dirt = []
+        # per row: name -> how many slots changed, (any_up, any_down) for a delta scan
+        tally = {r: dict.fromkeys(cur, 0) for r in rows}
+        dirs = {r: dict.fromkeys(cur, (False, False)) for r in rows} if an.delta else dict.fromkeys(rows)
+        writes = {name: [] for name in cur}  # what the sweep-limit diagnostic reads
 
         # predicates first (the engines evaluate every arm's predicate before
         # any body runs); their registers stay in the file for the bodies
@@ -1548,10 +1591,14 @@ class StarSession:
         for k, arm in enumerate(an.arms):
             if acts[k] is None:
                 continue
-            R[_POS.reg] = pos = acts[k].reshape(-1).nonzero()[0]
+            pos = acts[k].reshape(-1).nonzero()[0]
+            if len(rows) < S:  # lanes of the other rows stay out of the pass
+                pos = pos[np.bincount(rows, minlength=S).astype(bool)[pos // self.base.size]]
+            R[_POS.reg] = pos
+            pred = self._progs[k][0]
             ok, n_ok = None, len(pos)
-            if arm.pred_steps is not None:
-                _run_lane_steps(arm.pred_steps, R)
+            if pred is not None:
+                _run_lane_steps(pred, R)
                 ok = R[arm.pred_reg]
                 n_ok = int(np.count_nonzero(ok))
                 if par:
@@ -1575,14 +1622,13 @@ class StarSession:
                         self.last[r] = SweepDiff({n: c[r] for n, c in cur.items()}, dirs[r])
         for r in rows:
             if go[r]:
-                clock = self.ips[r].machine.clock
-                for rows_, ratios in plans[r][2]:
-                    clock.replay_rows(rows_, ratios)
+                self.ips[r].machine.clock.replay(plans[r][2])
 
         for k, pos, ok, n_ok in todo:
             if not n_ok:
                 continue
             arm = an.arms[k]
+            _pred, red_steps, steps = self._progs[k]
             # every lane passed: selects read the predicate's registers whole
             R[_OK.reg] = ok if n_ok < len(pos) else slice(None)
             R[_POS.reg] = pos = pos[R[_OK.reg]]
@@ -1590,18 +1636,18 @@ class StarSession:
             if red is not None:  # the same steps, on (L, 1) columns and (K,) rows
                 # a delta row's stored result combines with any superset of
                 # its slots; a row without one needs the whole range
-                sts = [plans[r][0][k] for r in rows if plans[r][0][k].L]
+                sts = [plans[r][0][k] for r in rows if plans[r][0][k].live]
                 delta = all(st.delta_on for st in sts)
                 sel = functools.reduce(operator.or_, [st.red_sel for st in sts]) if delta else slice(None)
                 R[_POSCOL.reg] = pos[:, None]
                 R[_KSEL.reg] = sel
-                _run_lane_steps(red.steps, R)
+                _run_lane_steps(red_steps, R)
                 body = R[red.reg]
                 if not red.full:
                     K = int(np.count_nonzero(sel)) if delta else red.extent
                     body = np.broadcast_to(np.asarray(body), (n_ok, K))
                 value = _reduce_op(red.op, [body], [np.True_], axes=(1,))
-            _run_lane_steps(arm.steps, R)
+            _run_lane_steps(steps, R)
             if red is None:
                 value = R[arm.reg]
             flat = R[an.array_regs[arm.target]]
@@ -1610,26 +1656,29 @@ class StarSession:
                 value = _RED_UFUNC[red.op](flat.take(addr), value)
             changed, old, new = lane_scatter(flat, addr, value, arm.node.target)
             n_changed = int(np.count_nonzero(changed))
-            if n_changed:
-                where = addr if n_changed == n_ok else addr[changed]
-                cur[arm.target].reshape(-1)[where] = True
-            if writes is not None:
-                writes[arm.target].append((addr, old))
-            if not (n_changed and an.delta):
+            writes[arm.target].append((addr, old))
+            if not n_changed:
                 continue
-            if S == 1:
-                segs = ((0, old, new),)
-            else:  # each row's lanes are one run of the stacked positions
-                cuts = np.searchsorted(pos, np.arange(0, (S + 1) * G, G)).tolist()
-                segs = [(r, old[cuts[r] : cuts[r + 1]], new[cuts[r] : cuts[r + 1]]) for r in rows]
-            for r, o, nw in segs:
-                up, down = dirs[r][arm.target]  # unchanged lanes compare equal: no select
-                dirs[r][arm.target] = (up or bool((nw > o).any()), down or bool((nw < o).any()))
+            where = addr if n_changed == n_ok else addr[changed]
+            cur[arm.target].reshape(-1)[where] = True
+            dirt.append((arm.target, where))
+            cuts = where.searchsorted(self._bounds[arm.target]).tolist()  # a row's lanes are one run
+            for r in rows:
+                tally[r][arm.target] += cuts[r + 1] - cuts[r]
+            if an.delta:
+                cuts = pos.searchsorted(self._bounds[None]).tolist()
+                for r in rows:
+                    o, nw = old[cuts[r] : cuts[r + 1]], new[cuts[r] : cuts[r + 1]]
+                    up, down = dirs[r][arm.target]  # unchanged lanes compare equal: no select
+                    dirs[r][arm.target] = (up or bool((nw > o).any()), down or bool((nw < o).any()))
 
         for r in rows:
             if go[r]:
                 changed = {n: c[r] for n, c in cur.items()}
-                last = self.last[r] = SweepDiff(changed, dirs[r], after=self.arrays, writes=writes)
+                # two arms writing one array may change one slot twice: count its mask
+                counts = {n: (tally[r][n], c[r].size) for n, c in cur.items()} if an.net else None
+                last = SweepDiff(changed, dirs[r], after=self.arrays, writes=writes, counts=counts)
+                self.last[r] = last
                 if not par:
                     self._trace(r, plans[r][0], dense=False)
                 go[r] = par or last.any()

@@ -23,6 +23,7 @@ from .eval_expr import (
     BUILTIN_VALUES,
     ExecContext,
     Value,
+    _cast_array,
     charge_grid_op,
     eval_expr,
     eval_gather,
@@ -170,9 +171,8 @@ def _call_parallel(ip, func: ast.FuncDef, node: ast.Call, ctx: ExecContext) -> V
         else:
             if not isinstance(bound, np.ndarray):  # a uniform argument
                 bound = coerce_scalar(param.ctype, bound, arg)
-            data = np.broadcast_to(
-                np.asarray(bound, dtype=numpy_ctype(param.ctype)), ctx.grid.shape
-            ).copy()
+            bound = np.broadcast_to(np.asarray(bound), ctx.grid.shape)
+            data = _cast_array(bound, numpy_ctype(param.ctype), arg, live=ctx.active_mask())
             env.declare(
                 param.name,
                 ParallelLocal(param.name, param.ctype, ctx.grid.rank, data),

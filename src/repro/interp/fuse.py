@@ -467,18 +467,20 @@ class _DynGather:
 
 
 class _Param:
-    """Bind one scalar parameter of an inlined call: the argument cast to
-    the parameter's dtype and copied over the grid, as
-    ``functions._call_parallel`` binds it (a uniform argument through
-    ``coerce_scalar``, so inf/NaN into an ``int`` is its located error)."""
+    """Bind one scalar parameter of an inlined call as
+    ``functions._call_parallel`` binds it: a uniform argument through
+    ``coerce_scalar``, then ``eval_expr._cast_array`` over the calling
+    lanes, so inf/NaN into an ``int`` is the located error wherever a
+    lane calls."""
 
-    __slots__ = ("dst", "src", "dtype", "mask", "cast")
+    __slots__ = ("dst", "src", "dtype", "mask", "arg", "cast")
 
     def __init__(self, dst: int, src: int, param: ast.Param, arg, mask: int) -> None:
         self.dst = dst
         self.src = src
         self.dtype = numpy_ctype(param.ctype)
         self.mask = mask
+        self.arg = arg
         self.cast = functools.partial(coerce_scalar, param.ctype, node=arg)
 
     def run(self, ip, regs) -> None:
@@ -486,8 +488,8 @@ class _Param:
         value = regs[self.src]
         if not isinstance(value, np.ndarray):
             value = lanewise(self.cast, m.ndim, value)
-        value = np.asarray(lift(value, m.ndim), dtype=self.dtype)
-        regs[self.dst] = broadcast(value, m.shape).copy()
+        value = broadcast(np.asarray(lift(value, m.ndim)), m.shape)
+        regs[self.dst] = E._cast_array(value, self.dtype, self.arg, live=m)
 
 
 class _Scatter:

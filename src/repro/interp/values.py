@@ -22,11 +22,22 @@ from ..mapping.layout import Layout
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One axis of a grid context: an index-set binding."""
+    """One axis of a grid context: an index-set binding (hashed once:
+    plan-cache keys hash their axes on every sweep)."""
 
     elem: str
     set_name: str
     values: Tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.elem, self.set_name, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GridAxis, (self.elem, self.set_name, self.values)  # str hashes are per process
 
     @property
     def extent(self) -> int:

@@ -93,6 +93,43 @@ def bind_rows(entries, costs: CostTable) -> List[Tuple]:
     return rows
 
 
+class Replay:
+    """A charge sequence bound to its VP ratios once, for a caller that
+    replays it many times (:meth:`Clock.replay`): ``pairs``, the
+    ``(rows, ratios)`` it was bound from (:meth:`Clock.replay_rows`), and
+    what replaying them adds — ``steps``, each increment of the running
+    total in row order (a row's ``base·count·ratio``, then its dispatch),
+    ``kinds``, per cost kind its count and its increments in row order,
+    and ``tiers``, the tier dispatches.  Per accumulator these are the
+    additions ``replay_rows`` makes, in its order, so the floats cannot
+    tell the two apart."""
+
+    __slots__ = ("pairs", "steps", "kinds", "tiers")
+
+    def __init__(self, pairs, costs: CostTable) -> None:
+        self.pairs = pairs
+        steps: List[float] = []
+        kinds: Dict[str, list] = {}
+        tiers: Dict[str, int] = {}
+        for rows, ratios in pairs:
+            for kind, count, bc, scope, pays in rows:
+                if bc is None:
+                    if pays is None:  # a tier dispatch; a shard observation adds nothing
+                        tiers[kind] = tiers.get(kind, 0) + 1
+                    continue
+                charged = [(kind, count, bc if scope is None else bc * ratios[scope])]
+                if pays:
+                    charged.append(("dispatch", 1, costs.dispatch))
+                for k, n, dt in charged:
+                    steps.append(dt)
+                    total = kinds.setdefault(k, [0, []])
+                    total[0] += n
+                    total[1].append(dt)
+        self.steps = tuple(steps)
+        self.kinds = [(k, n, tuple(dts)) for k, (n, dts) in kinds.items()]
+        self.tiers = list(tiers.items())
+
+
 @dataclass
 class CostRecord:
     """One aggregated line of the cost ledger."""
@@ -232,11 +269,13 @@ class Clock:
         """Record one compressed sweep's active-set size vs its domain.
         ``dense`` marks a sweep the host evaluated on the fused kernel
         over the whole grid (same charges, see ``interp.frontier``)."""
-        self.frontier_trace.append((int(active), int(domain)))
+        self.frontier_trace.append((active, domain))
         counts = self.frontier_counts  # once per row of every compressed sweep
-        for key, n in (("compressed_sweeps", 1), ("dense_sweeps", int(dense)),
-                       ("active_lanes", int(active)), ("domain_lanes", int(domain))):
-            counts[key] = counts.get(key, 0) + n
+        get = counts.get
+        counts["compressed_sweeps"] = get("compressed_sweeps", 0) + 1
+        counts["dense_sweeps"] = get("dense_sweeps", 0) + dense
+        counts["active_lanes"] = get("active_lanes", 0) + active
+        counts["domain_lanes"] = get("domain_lanes", 0) + domain
 
     def charge_scan(self, n_vps: int, *, vp_ratio: int = 1, steps_per_level: int = 1) -> float:
         """Charge one log-depth scan/reduction over ``n_vps`` processors."""
@@ -300,6 +339,31 @@ class Clock:
                 drec.count += 1
                 drec.time_us += ddt
         self._time_us = t
+
+    def replay(self, seq: Replay) -> None:
+        """Replay a bound charge sequence (:class:`Replay`): the additions
+        :meth:`replay_rows` makes, accumulator by accumulator in its
+        order, without reading each row again — one ``replay_rows`` per
+        pair whenever a fault hook or a shard sink is installed."""
+        if self.fault_hook is not None or self.shard_sink is not None:
+            for rows, ratios in seq.pairs:
+                self.replay_rows(rows, ratios)
+            return
+        t = self._time_us
+        for dt in seq.steps:
+            t += dt
+        self._time_us = t
+        records = self._records
+        for kind, count, dts in seq.kinds:
+            rec = records[kind]
+            rec.count += count
+            t = rec.time_us
+            for dt in dts:
+                t += dt
+            rec.time_us = t
+        tiers = self.tier_counts
+        for tier, n in seq.tiers:
+            tiers[tier] = tiers.get(tier, 0) + n
 
     def advance(self, dt: float) -> None:
         """Advance the clock by a raw amount (used by the seqc model)."""

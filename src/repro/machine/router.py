@@ -73,6 +73,21 @@ def lookup_positions(values: np.ndarray, keys) -> np.ndarray:
     return np.where(ranked[k] == keys, order[k], -1)
 
 
+def readers(address: np.ndarray, size: int, n_vps: int, cap: int, pad: int) -> Optional[np.ndarray]:
+    """A ``get`` pattern turned around: ``address`` holds the source slot
+    each of ``n_vps`` VPs reads (several patterns laid end to end); per
+    slot of the ``size``-slot source, the VPs that read it, in VP order,
+    padded with ``pad``.  None when a slot has more than ``cap`` readers."""
+    counts = np.bincount(address, minlength=size)
+    if counts.max() > cap:
+        return None
+    order = np.argsort(address, kind="stable")
+    table = np.full((size, counts.max()), pad)
+    rank = np.arange(len(address)) - np.repeat(np.cumsum(counts) - counts, counts)
+    table[address[order], rank] = order % n_vps
+    return table
+
+
 def _check_addresses(addr: np.ndarray, n_vps: int) -> None:
     if not addr.size:
         return

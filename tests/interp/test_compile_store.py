@@ -8,12 +8,16 @@ for what its own lookups built; and a program's static analysis is
 built once per frontend entry, however many runs read it.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.bench.workloads import RANKSORT_UC
 from repro.interp.compile_store import LRU, CompileStore
 from repro.interp.program import UCProgram
+from repro.interp.values import GridContext
+from repro.lang.scope import IndexSetValue
 
 SRC = (
     "int N = 10;\n"
@@ -147,6 +151,24 @@ class TestPlanCacheEviction:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             LRU(capacity=0)
+
+    def test_grid_axes_built_apart_key_by_value(self):
+        """A kernel's key holds its grid axes, hashed on every sweep: the
+        hash is taken once per axis, and equal axes from two grid entries
+        hit one cached kernel while unequal ones miss."""
+        sets = [IndexSetValue("I", "i", tuple(range(1024))), IndexSetValue("J", "j", (0, 1))]
+        first, second = GridContext().extend(sets), GridContext().extend(sets)
+        shifted = GridContext().extend([IndexSetValue("I", "i", tuple(range(1, 1025))), sets[1]])
+        assert first.axes[0] is not second.axes[0] and first.axes == second.axes
+        assert hash(first.axes[0]) == hash((first.axes[0].elem, "I", tuple(range(1024))))
+        assert pickle.loads(pickle.dumps(first.axes[0])) == first.axes[0]
+        cache, stmt, built = LRU(capacity=4), object(), []
+        kernels = [
+            cache.get_or_build("fuse", stmt, tuple(g.axes), lambda: built.append(1) or object())
+            for g in (first, second, shifted)
+        ]
+        assert kernels[0] is kernels[1] and kernels[2] is not kernels[0]
+        assert len(built) == 2 and (cache.hits, cache.misses) == (1, 2)
 
 
 class TestPerRunCompileAttribution:

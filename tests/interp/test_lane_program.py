@@ -299,6 +299,38 @@ class TestTypedRegisters:
         }
         assert _engines(src, inputs).frontier["compressed_sweeps"] >= 1
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "min(a[i], b[i]) + max(a[i], 2 * b[i])",  # int lanes
+            "min(f[i], g[i]) + max(f[i], 1.5 - g[i])",  # float lanes
+            "min(a[i], x) + max(s, f[i]) + min(g[i], s) + max(a[i], 2)",  # a lane and a host scalar
+            "min(s, x) / 2 + max(t, 2) / 3 + min(t, x) / 2 * 4 + max(x, 1.0)",  # two host scalars
+        ],
+    )
+    def test_min_max_give_the_oracles_values_and_dtypes(self, expr):
+        """``min``/``max`` in a predicate, on lanes (one ufunc over the
+        registers) and on host scalars (Python's, whose type is the
+        smaller operand's): ``/ 2`` truncates an int and not a float, so
+        ``h`` records each value's dtype too."""
+        src = (
+            "index_set I:i = {0..31};\nint a[32], b[32], c[32];\nfloat f[32], g[32], h[32];\n"
+            "int s, t;\nfloat x;\n"
+            "main { s = 3; t = 1; x = 2.5;\n  *par (I)\n    st (c[i] < 4) c[i] = c[i] + 1;\n"
+            f"    st (c[i] < 4 && h[i] != c[i] + ({expr}) / 2) h[i] = c[i] + ({expr}) / 2;\n}}"
+        )
+        inputs = {
+            "a": np.arange(32) % 5,
+            "b": np.arange(32) % 3 - 1,
+            "c": np.arange(32) % 4,
+            "f": np.arange(32) * 0.75 - 9.0,
+            "g": np.arange(32) % 7 * 1.25,
+        }
+        res = _engines(src, inputs)
+        assert res.frontier["compressed_sweeps"] >= 2
+        lanes = run_lanes(src, inputs, **KW)
+        assert lanes["h"].dtype == np.float64 and np.array_equal(lanes["h"], res["h"])
+
 
 # ---------------------------------------------------------------------------
 # charging: pre-bound rows, and one Clock.charge per row when observed

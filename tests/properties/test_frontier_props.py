@@ -11,6 +11,7 @@ which is exactly the fragment the active-set analysis claims to handle
 construction).
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,3 +365,14 @@ def test_dilation_recipe_matches_the_gather_formula(case):
     act = np.zeros(grid_shape, dtype=bool)
     act |= got
     assert np.array_equal(act, want)
+    # or, without a reduction range, marks the readers of the changed
+    # slots from the reference's reader table (session rows: one)
+    an.grid_shape, an.array_shapes = grid_shape, {"v": ch.shape}
+    ref = frontier._RefInfo("v", frontier._dilation_recipe(an, descs, ch.shape, lead=1))
+    table = frontier._reader_table(an, [ref])
+    assert table is None or not ref.collapse
+    if table is not None:
+        G = math.prod(grid_shape)
+        flat = np.zeros(G + 1, dtype=bool)  # the padding lands on the spare slot
+        flat[np.minimum(table, G).take(ch.reshape(-1).nonzero()[0], axis=0)] = True
+        assert np.array_equal(flat[:-1].reshape(grid_shape), want), (descs, ch.shape)

@@ -59,3 +59,12 @@ def test_unwritten_lane_holding_inf_keeps_working():
     defines, _expect, _pes = _header(src)
     kind, result = assert_engines_agree(src, [{}], defines=defines)
     assert kind == "ok" and result["a"].tolist() == [1, 0, 2, 0]
+
+
+@pytest.mark.usefixtures("default_engines")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_calling_lane_holding_inf_keeps_working():
+    src = (Path(__file__).parent / "float_to_int_parameter_under_a_mask.uc").read_text()
+    defines, _expect, _pes = _header(src)
+    kind, result = assert_engines_agree(src, [{}], defines=defines)
+    assert kind == "ok" and result["a"].tolist() == [2, 0, 3, 0]
